@@ -24,6 +24,7 @@ open Bechamel
 open Toolkit
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_json.Json
 
 let sz = ref 49
 let iters = ref 6
@@ -78,7 +79,7 @@ let header title =
    under the --out directory when --json is given, so the perf
    trajectory is comparable across PRs without scraping the human
    tables *)
-let write_json section (fields : string list) =
+let write_json section (fields : (string * Json.t) list) =
   if not !write_json_files then ()
   else begin
     let path =
@@ -86,9 +87,7 @@ let write_json section (fields : string list) =
     in
     try
       ensure_out_dir ();
-      let oc = open_out path in
-      output_string oc ("{\n  " ^ String.concat ",\n  " fields ^ "\n}\n");
-      close_out oc;
+      Json.to_file ~pretty:true path (Json.Obj fields);
       Printf.printf "[json written to %s]\n" path
     with
     | Sys_error m -> Printf.eprintf "warning: cannot write %s: %s\n" path m
@@ -100,26 +99,6 @@ let write_json section (fields : string list) =
 (* bump when the shape of the BENCH_*.json files changes; consumers
    (CI's validator, trajectory tooling) key on this *)
 let bench_schema_version = 2
-
-let jstr k v = Printf.sprintf "%S: %S" k v
-let jint k v = Printf.sprintf "%S: %d" k v
-let jfloat k v = Printf.sprintf "%S: %.6f" k v
-
-let jobj k fields = Printf.sprintf "%S: {%s}" k (String.concat ", " fields)
-
-let sb_stats_fields (s : Cpu.cache_stats) =
-  [ jint "hits" s.Cpu.block_hits; jint "misses" s.Cpu.block_misses;
-    jint "chained" s.Cpu.block_chained; jint "flushes" s.Cpu.block_flushes;
-    jint "live" s.Cpu.blocks_live;
-    jint "traces" s.Cpu.traces_built;
-    jint "trace_side_exits" s.Cpu.trace_side_exits;
-    jint "ic_hits" s.Cpu.ic_hits;
-    jint "ic_misses" s.Cpu.ic_misses;
-    jobj "fused_pairs"
-      (List.map (fun (pat, n) -> jint pat n) s.Cpu.fused_pairs);
-    jint "flag_records" s.Cpu.flag_records;
-    jint "flag_materialized" s.Cpu.flag_materialized;
-    jint "flag_dead_writes" s.Cpu.flag_dead_writes ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: per-instruction lifting                                     *)
@@ -259,13 +238,13 @@ let fig9 env (style : Modes.style) =
             total_insns := !total_insns + insns;
             total_wall := !total_wall +. wall;
             rows :=
-              jobj
-                (Printf.sprintf "%s/%s" kname (Modes.transform_name t))
-                [ jstr "kind" kname;
-                  jstr "mode" (Modes.transform_name t);
-                  jint "cycles" cycles; jint "insns" insns;
-                  jint "wall_ns" (int_of_float (wall *. 1e9));
-                  jfloat "wall_s" wall ]
+              ( Printf.sprintf "%s/%s" kname (Modes.transform_name t),
+                Json.Obj
+                  [ ("kind", Json.String kname);
+                    ("mode", Json.String (Modes.transform_name t));
+                    ("cycles", Json.Int cycles); ("insns", Json.Int insns);
+                    ("wall_ns", Json.Int (int_of_float (wall *. 1e9)));
+                    ("wall_s", Json.fixed 6 wall) ] )
               :: !rows;
             Printf.printf "%12.2f" (float_of_int cycles /. 1e6)
           with Obrew_fault.Err.Error _ -> Printf.printf "%12s" "n/a")
@@ -368,27 +347,30 @@ let fig9 env (style : Modes.style) =
     exit 1
   end;
   write_json ("fig" ^ label)
-    [ jint "schema_version" bench_schema_version;
-      jstr "section" ("fig" ^ label);
-      jint "sz" !sz; jint "iters" !iters;
-      jobj "rows" (List.rev !rows);
-      jfloat "emulated_mips" mips;
-      jfloat "superblock_hit_rate" hit_rate;
-      jobj "superblocks" (sb_stats_fields stats);
-      jobj "transform_memo" [ jint "hits" mh; jint "misses" mm ];
-      jobj "dbrew_memo" [ jint "hits" dh; jint "misses" dm ];
-      jobj "serve_latency"
-        [ jint "serves" sh.Tel.hcount;
-          jint "p50_us" p50; jint "p90_us" p90; jint "p99_us" p99;
-          jint "p999_us" p999;
-          jfloat "throughput_rps" throughput ];
-      jobj "stage_latency"
-        (List.map
-           (fun (name, c, s50, s90, s99) ->
-             jobj name
-               [ jint "spans" c; jint "p50_ns" s50; jint "p90_ns" s90;
-                 jint "p99_ns" s99 ])
-           stage_rows) ]
+    [ ("schema_version", Json.Int bench_schema_version);
+      ("section", Json.String ("fig" ^ label));
+      ("sz", Json.Int !sz); ("iters", Json.Int !iters);
+      ("rows", Json.Obj (List.rev !rows));
+      ("emulated_mips", Json.fixed 6 mips);
+      ("superblock_hit_rate", Json.fixed 6 hit_rate);
+      ("superblocks", Cpu.cache_stats_json stats);
+      ("transform_memo", Json.ints [ ("hits", mh); ("misses", mm) ]);
+      ("dbrew_memo", Json.ints [ ("hits", dh); ("misses", dm) ]);
+      ("serve_latency",
+       Json.Obj
+         [ ("serves", Json.Int sh.Tel.hcount); ("p50_us", Json.Int p50);
+           ("p90_us", Json.Int p90); ("p99_us", Json.Int p99);
+           ("p999_us", Json.Int p999);
+           ("throughput_rps", Json.fixed 6 throughput) ]);
+      ("stage_latency",
+       Json.Obj
+         (List.map
+            (fun (name, c, s50, s90, s99) ->
+              ( name,
+                Json.ints
+                  [ ("spans", c); ("p50_ns", s50); ("p90_ns", s90);
+                    ("p99_ns", s99) ] ))
+            stage_rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: transformation times (Bechamel, one Test per mode)         *)
@@ -617,39 +599,39 @@ let tier_section () =
     (hot_sites tiered) (hot_sites always)
     (tiered.Tier.r_compile_s *. 1e3)
     (always.Tier.r_compile_s *. 1e3);
-  let site_rows r =
-    List.map
-      (fun s ->
-        jobj (Tier.site_key s)
-          [ jstr "level" (Tier.level_name s.Tier.s_level);
-            jint "slices" s.Tier.s_slices;
-            jint "compiles" s.Tier.s_compiles;
-            jint "patches" s.Tier.s_patches ])
-      r.Tier.r_sites
+  let site_row s =
+    ( Tier.site_key s,
+      Json.Obj
+        [ ("level", Json.String (Tier.level_name s.Tier.s_level));
+          ("slices", Json.Int s.Tier.s_slices);
+          ("compiles", Json.Int s.Tier.s_compiles);
+          ("patches", Json.Int s.Tier.s_patches) ] )
   in
-  let strategy_fields (name, r) =
-    jobj name
-      [ jint "total_cycles" r.Tier.r_total_cycles;
-        jint "total_insns" r.Tier.r_total_insns;
-        jfloat "compile_s" r.Tier.r_compile_s;
-        jfloat "wall_s" r.Tier.r_wall_s;
-        jint "cycles_to_peak" r.Tier.r_cycles_to_peak;
-        jfloat "time_to_peak_s" r.Tier.r_time_to_peak_s;
-        jint "slices_to_peak" r.Tier.r_slices_to_peak;
-        jint "reached_peak" (if r.Tier.r_reached_peak then 1 else 0);
-        jint "hot_sites" (hot_sites r);
-        jint "patches" r.Tier.r_patches;
-        jint "tierups" r.Tier.r_tierups;
-        jint "demotions" r.Tier.r_demotions;
-        jint "compiles" r.Tier.r_compiles;
-        jobj "sites" (site_rows r) ]
+  let strategy (name, r) =
+    let int k v = (k, Json.Int v) and sec k v = (k, Json.fixed 6 v) in
+    ( name,
+      Json.Obj
+        [ int "total_cycles" r.Tier.r_total_cycles;
+          int "total_insns" r.Tier.r_total_insns;
+          sec "compile_s" r.Tier.r_compile_s;
+          sec "wall_s" r.Tier.r_wall_s;
+          int "cycles_to_peak" r.Tier.r_cycles_to_peak;
+          sec "time_to_peak_s" r.Tier.r_time_to_peak_s;
+          int "slices_to_peak" r.Tier.r_slices_to_peak;
+          int "reached_peak" (if r.Tier.r_reached_peak then 1 else 0);
+          int "hot_sites" (hot_sites r);
+          int "patches" r.Tier.r_patches;
+          int "tierups" r.Tier.r_tierups;
+          int "demotions" r.Tier.r_demotions;
+          int "compiles" r.Tier.r_compiles;
+          ("sites", Json.Obj (List.map site_row r.Tier.r_sites)) ] )
   in
   write_json "tier"
-    [ jint "schema_version" bench_schema_version;
-      jstr "section" "tier";
-      jint "sz" tier_sz; jint "slices" tier_slices;
-      jint "hot_threshold" tier_threshold;
-      jobj "strategies" (List.map strategy_fields results) ]
+    [ ("schema_version", Json.Int bench_schema_version);
+      ("section", Json.String "tier");
+      ("sz", Json.Int tier_sz); ("slices", Json.Int tier_slices);
+      ("hot_threshold", Json.Int tier_threshold);
+      ("strategies", Json.Obj (List.map strategy results)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -673,7 +655,7 @@ let () =
    | Some f ->
      let f = in_out f in
      ensure_out_dir ();
-     Tel.write_file f (Tel.export_chrome_trace ());
+     Json.to_file f (Tel.export_chrome_trace ());
      Printf.printf "[trace: %d events written to %s (%d dropped)]\n"
        (Tel.events_recorded ()) f (Tel.dropped ()));
   Printf.printf "\ndone.\n"

@@ -171,6 +171,7 @@ module Tier = Obrew_tier.Tier
 module Flight = Obrew_observe.Flight
 module Blackbox = Obrew_observe.Blackbox
 module Quarantine = Obrew_fault.Quarantine
+module Json = Obrew_json.Json
 
 let provenance_setup profile profile_out annotate remarks =
   if profile <> None || profile_out <> None || annotate <> None
@@ -185,15 +186,15 @@ let provenance_finish profile profile_out remarks =
    | None -> ()
    | Some f ->
      let top = Option.value ~default:20 profile in
-     Prov.write_file f (Prov.export_profile ~top ());
+     Json.to_file f (Prov.export_profile ~top ());
      Printf.eprintf "profile written to %s\n" f);
   match remarks with
   | None -> ()
-  | Some "-" -> print_string (Prov.export_remarks ())
   | Some f ->
-    Prov.write_file f (Prov.export_remarks ());
-    Printf.eprintf "%d remarks written to %s\n"
-      (Prov.remarks_recorded ()) f
+    Json.to_file f (Prov.export_remarks ());
+    if f <> "-" then
+      Printf.eprintf "%d remarks written to %s\n"
+        (Prov.remarks_recorded ()) f
 
 let telemetry_setup trace metrics =
   if trace <> None || metrics <> None then Tel.enable ()
@@ -202,15 +203,14 @@ let telemetry_finish trace metrics =
   (match trace with
    | None -> ()
    | Some f ->
-     Tel.write_file f (Tel.export_chrome_trace ());
+     Json.to_file f (Tel.export_chrome_trace ());
      Printf.eprintf "trace: %d events written to %s (%d dropped)\n"
        (Tel.events_recorded ()) f (Tel.dropped ()));
   match metrics with
   | None -> ()
-  | Some "-" -> print_string (Tel.export_metrics ())
   | Some f ->
-    Tel.write_file f (Tel.export_metrics ());
-    Printf.eprintf "metrics written to %s\n" f
+    Json.to_file ~pretty:true f (Tel.export_metrics ());
+    if f <> "-" then Printf.eprintf "metrics written to %s\n" f
 
 let install_fault_plan = function
   | None -> ()
@@ -256,57 +256,16 @@ let print_stats (env : Modes.env) =
   let fired = Obrew_fault.Fault.fired () in
   if fired > 0 then Printf.printf "fault injection: %d fault(s) fired\n" fired
 
-(* machine-readable twin of [print_stats]: the same engine counters in
-   the shape CI archives as an artifact (schema shared with the
-   "superblocks" object in BENCH_*.json) *)
+(* machine-readable twin of [print_stats] *)
 let engine_stats_json (env : Modes.env) =
   let open Obrew_x86 in
-  let s = Cpu.cache_stats env.Modes.img.Image.cpu in
-  let jint k v = Printf.sprintf "  %S: %d" k v in
-  let body =
-    String.concat ",\n"
-      [ Printf.sprintf "  \"schema_version\": 1";
-        jint "hits" s.Cpu.block_hits;
-        jint "misses" s.Cpu.block_misses;
-        jint "chained" s.Cpu.block_chained;
-        jint "flushes" s.Cpu.block_flushes;
-        jint "live" s.Cpu.blocks_live;
-        jint "traces" s.Cpu.traces_built;
-        jint "trace_side_exits" s.Cpu.trace_side_exits;
-        jint "ic_hits" s.Cpu.ic_hits;
-        jint "ic_misses" s.Cpu.ic_misses;
-        Printf.sprintf "  \"fused_pairs\": {%s}"
-          (String.concat ", "
-             (List.map
-                (fun (pat, n) -> Printf.sprintf "%S: %d" pat n)
-                s.Cpu.fused_pairs));
-        jint "flag_records" s.Cpu.flag_records;
-        jint "flag_materialized" s.Cpu.flag_materialized;
-        jint "flag_dead_writes" s.Cpu.flag_dead_writes ]
-  in
-  "{\n" ^ body ^ "\n}\n"
+  Cpu.cache_stats_json ~schema_version:1
+    (Cpu.cache_stats env.Modes.img.Image.cpu)
 
-let write_stats_json (env : Modes.env) (dest : string) =
-  let text = engine_stats_json env in
-  if dest = "-" then print_string text
-  else begin
-    let oc = open_out dest in
-    output_string oc text;
-    close_out oc;
-    Printf.eprintf "engine stats written to %s\n" dest
-  end
-
-let robust_json () =
-  let s = Robust.stats in
-  Printf.sprintf
-    "{\"safe_runs\": %d, \"degraded\": %d, \"attempts\": %d, \
-     \"failures\": %d, \"dropped_passes\": %d, \"sentinel_checks\": %d, \
-     \"sentinel_divergences\": %d, \"sentinel_quarantined\": %d, \
-     \"sentinel_demotions\": %d, \"sentinel_healed\": %d}"
-    s.Robust.safe_runs s.Robust.degraded s.Robust.attempts s.Robust.failures
-    s.Robust.dropped_passes s.Robust.sentinel_checks
-    s.Robust.sentinel_divergences s.Robust.sentinel_quarantined
-    s.Robust.sentinel_demotions s.Robust.sentinel_healed
+(* --stats-json / --sentinel-json: write [v] to [dest] ('-' = stdout) *)
+let write_json ~what dest v =
+  Json.to_file ~pretty:true dest v;
+  if dest <> "-" then Printf.eprintf "%s written to %s\n" what dest
 
 (* Wire the crash-report section registry: the black box lives below
    every subsystem it reports on, so each section is a thunk the CLI
@@ -317,33 +276,31 @@ let register_blackbox (env : Modes.env) =
     (fun a ->
        match Prov.guest_of_host a with
        | Some p ->
-         Some (Printf.sprintf "{\"guest_addr\": %d}" (Prov.addr p))
+         Some (Json.Obj [ ("guest_addr", Json.Int (Prov.addr p)) ])
        | None -> None);
   Blackbox.register_section "engine" (fun () -> engine_stats_json env);
   Blackbox.register_section "memo" (fun () ->
       let mh, mm = Modes.memo_stats env in
       let dh, dm = Obrew_dbrew.Api.memo_stats () in
-      Printf.sprintf
-        "{\"transform_hits\": %d, \"transform_misses\": %d, \
-         \"dbrew_hits\": %d, \"dbrew_misses\": %d}"
-        mh mm dh dm);
-  Blackbox.register_section "robust" (fun () -> robust_json ());
-  Blackbox.register_section "sentinel" (fun () -> Sen.stats_json ());
-  Blackbox.register_section "health" (fun () -> Sen.health_json ());
-  Blackbox.register_section "quarantine" (fun () -> Quarantine.to_json ());
+      Json.ints
+        [ ("transform_hits", mh); ("transform_misses", mm);
+          ("dbrew_hits", dh); ("dbrew_misses", dm) ]);
+  Blackbox.register_section "robust" Robust.to_json;
+  Blackbox.register_section "sentinel" Sen.stats_json;
+  Blackbox.register_section "health" Sen.health_json;
+  Blackbox.register_section "quarantine" Quarantine.to_json;
   Blackbox.register_section "fault" (fun () ->
-      Printf.sprintf
-        "{\"active\": %b, \"fired\": %d, \"sabotaged\": %d, \"plan\": \"%s\"}"
-        (Obrew_fault.Fault.active ())
-        (Obrew_fault.Fault.fired ())
-        (Obrew_fault.Fault.sabotaged ())
-        (Tel.json_escape
-           (Obrew_fault.Fault.pp_plan !Obrew_fault.Fault.current)))
+      let open Obrew_fault in
+      Json.Obj
+        [ ("active", Json.Bool (Fault.active ()));
+          ("fired", Json.Int (Fault.fired ()));
+          ("sabotaged", Json.Int (Fault.sabotaged ()));
+          ("plan", Json.String (Fault.pp_plan !Fault.current)) ])
 
 let blackbox_write dest ~reason ?stage ?addr ~detail () =
   match dest with
   | None -> ()
-  | Some "-" -> print_string (Blackbox.report ?stage ?addr ~reason ~detail ())
+  | Some "-" -> Blackbox.write ?stage ?addr ~reason ~detail "-"
   | Some path -> (
     try
       (match Filename.dirname path with
@@ -469,15 +426,12 @@ let stencil_cmd =
           run_tiered env ~iters ~kind ~style ~threshold ~sentinel_out ~stats
             ~verify ~blackbox);
       print_endline (Sen.stats_to_string ());
-      (match sentinel_json with
-       | None -> ()
-       | Some "-" -> print_string (Sen.stats_json ())
-       | Some f ->
-         Sen.write_stats_json f;
-         Printf.eprintf "sentinel stats written to %s\n" f);
-      (match stats_json with
-       | Some dest -> write_stats_json env dest
-       | None -> ());
+      Option.iter
+        (fun f -> write_json ~what:"sentinel stats" f (Sen.stats_json ()))
+        sentinel_json;
+      Option.iter
+        (fun f -> write_json ~what:"engine stats" f (engine_stats_json env))
+        stats_json;
       bb_finish ();
       provenance_finish profile profile_out remarks;
       telemetry_finish trace metrics
@@ -558,16 +512,13 @@ let stencil_cmd =
          end
        end;
        if sentinel <> None then print_endline (Sen.stats_to_string ());
-       (match sentinel_json with
-        | None -> ()
-        | Some "-" -> print_string (Sen.stats_json ())
-        | Some f ->
-          Sen.write_stats_json f;
-          Printf.eprintf "sentinel stats written to %s\n" f);
+       Option.iter
+         (fun f -> write_json ~what:"sentinel stats" f (Sen.stats_json ()))
+         sentinel_json;
        if stats then print_stats env;
-       (match stats_json with
-        | Some dest -> write_stats_json env dest
-        | None -> ());
+       Option.iter
+         (fun f -> write_json ~what:"engine stats" f (engine_stats_json env))
+         stats_json;
        if dump then
          print_endline
            (Obrew_x86.Pp.listing

@@ -103,3 +103,15 @@ let to_string () =
          stats.sentinel_quarantined stats.sentinel_demotions
          stats.sentinel_healed);
   Buffer.contents b
+
+(** The counters as JSON — the black-box report's "robust" section. *)
+let to_json () =
+  Obrew_json.Json.ints
+    [ ("safe_runs", stats.safe_runs); ("degraded", stats.degraded);
+      ("attempts", stats.attempts); ("failures", stats.failures);
+      ("dropped_passes", stats.dropped_passes);
+      ("sentinel_checks", stats.sentinel_checks);
+      ("sentinel_divergences", stats.sentinel_divergences);
+      ("sentinel_quarantined", stats.sentinel_quarantined);
+      ("sentinel_demotions", stats.sentinel_demotions);
+      ("sentinel_healed", stats.sentinel_healed) ]

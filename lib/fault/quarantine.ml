@@ -52,15 +52,12 @@ let clear () =
 (** JSON array of the registry, oldest quarantine first — the
     black-box report's "quarantine" section. *)
 let to_json () =
-  let esc = Obrew_telemetry.Telemetry.json_escape in
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun e ->
-           Printf.sprintf
-             "{\"digest\": \"%s\", \"mode\": \"%s\", \"detail\": \"%s\", \
-              \"tick\": %d}"
-             (Digest.to_hex e.q_digest) (esc e.q_mode) (esc e.q_detail)
-             e.q_tick)
-         (entries ()))
-  ^ "]"
+  let module J = Obrew_json.Json in
+  J.List
+    (List.map
+       (fun e ->
+         J.Obj
+           [ ("digest", J.String (Digest.to_hex e.q_digest));
+             ("mode", J.String e.q_mode); ("detail", J.String e.q_detail);
+             ("tick", J.Int e.q_tick) ])
+       (entries ()))

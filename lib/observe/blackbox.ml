@@ -17,6 +17,7 @@
     into two. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_json.Json
 
 let schema_version = 1
 
@@ -38,11 +39,10 @@ let reason_name = function
 
 (* Ordered association list; re-registering a name replaces the
    provider in place so repeated CLI invocations stay idempotent. *)
-let sections : (string * (unit -> string)) list ref = ref []
+let sections : (string * (unit -> Json.t)) list ref = ref []
 
-(** [register_section name f] makes [f ()] — which must return a
-    valid JSON *value* (object, array, string…) — part of every
-    subsequent report under key [name]. *)
+(** [register_section name f] makes [f ()] part of every subsequent
+    report under key [name]. *)
 let register_section name f =
   if List.mem_assoc name !sections then
     sections :=
@@ -61,63 +61,47 @@ let section_names () = List.map fst !sections
 (** Guest-address attribution hook: the CLI points this at
     [Provenance.guest_of_host]-style lookup so a faulting address can
     be mapped back to the pre-rewrite guest instruction that produced
-    the code.  Returns a JSON object string, or None. *)
-let attribution : (int -> string option) ref = ref (fun _ -> None)
+    the code.  Returns a JSON object, or None. *)
+let attribution : (int -> Json.t option) ref = ref (fun _ -> None)
 
 let default_tail = 64
 
 (** Build a report.  [last] bounds the flight-event tail; [stage],
     [addr] and [detail] describe the fault when there is one. *)
 let report ?(last = default_tail) ?stage ?addr ~reason ~detail () =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"schema_version\": %d,\n" schema_version);
-  add (Printf.sprintf "  \"reason\": \"%s\",\n" (reason_name reason));
-  add (Printf.sprintf "  \"detail\": \"%s\",\n" (Tel.json_escape detail));
-  (match stage with
-   | Some s -> add (Printf.sprintf "  \"stage\": \"%s\",\n" (Tel.json_escape s))
-   | None -> ());
-  (match addr with
-   | Some a ->
-     add (Printf.sprintf "  \"fault_addr\": %d,\n" a);
-     (match (try !attribution a with _ -> None) with
-      | Some j -> add (Printf.sprintf "  \"fault_origin\": %s,\n" j)
-      | None -> ())
-   | None -> ());
-  (* currently-open telemetry spans, innermost first *)
-  add "  \"active_spans\": [";
-  add
-    (String.concat ", "
-       (List.map
-          (fun s -> Printf.sprintf "\"%s\"" (Tel.json_escape s))
-          (Tel.active_spans ())));
-  add "],\n";
-  (* flight-recorder tail *)
-  add "  \"flight\": {\n";
-  add (Printf.sprintf "    \"recorded\": %d,\n" (Flight.recorded ()));
-  add (Printf.sprintf "    \"dropped\": %d,\n" (Flight.dropped ()));
-  add (Printf.sprintf "    \"events\": %s\n" (Flight.to_json ~n:last ()));
-  add "  },\n";
-  (* registered sections *)
-  add "  \"sections\": {\n";
-  let rendered =
-    List.map
-      (fun (name, f) ->
-        let v =
-          try f ()
-          with e ->
-            Printf.sprintf "{\"error\": \"%s\"}"
-              (Tel.json_escape (Printexc.to_string e))
-        in
-        Printf.sprintf "    \"%s\": %s" (Tel.json_escape name) v)
-      !sections
+  let opt k f = function Some x -> [ (k, f x) ] | None -> [] in
+  let origin =
+    match addr with
+    | Some a -> opt "fault_origin" Fun.id (try !attribution a with _ -> None)
+    | None -> []
   in
-  add (String.concat ",\n" rendered);
-  add "\n  }\n}\n";
-  Buffer.contents buf
+  (* rendered inside the guard, so a value the printer rejects (a NaN)
+     is contained like a raising provider *)
+  let section (name, f) =
+    ( name,
+      try
+        let v = f () in
+        ignore (Json.to_string v);
+        v
+      with e ->
+        Json.Obj [ ("error", Json.String (Printexc.to_string e)) ] )
+  in
+  Json.Obj
+    ([ ("schema_version", Json.Int schema_version);
+       ("reason", Json.String (reason_name reason));
+       ("detail", Json.String detail) ]
+     @ opt "stage" (fun s -> Json.String s) stage
+     @ opt "fault_addr" (fun a -> Json.Int a) addr
+     @ origin
+     @ [ (* currently-open telemetry spans, innermost first *)
+         ("active_spans",
+          Json.List (List.map (fun s -> Json.String s) (Tel.active_spans ())));
+         ("flight",
+          Json.Obj
+            [ ("recorded", Json.Int (Flight.recorded ()));
+              ("dropped", Json.Int (Flight.dropped ()));
+              ("events", Flight.to_json ~n:last ()) ]);
+         ("sections", Json.Obj (List.map section !sections)) ])
 
 let write ?(last = default_tail) ?stage ?addr ~reason ~detail path =
-  let oc = open_out path in
-  output_string oc (report ~last ?stage ?addr ~reason ~detail ());
-  close_out oc
+  Json.to_file ~pretty:true path (report ~last ?stage ?addr ~reason ~detail ())

@@ -27,6 +27,8 @@
     does not perturb simulated cycles and costs well under the bench
     wall-clock tolerance. *)
 
+module Json = Obrew_json.Json
+
 (* ------------------------------------------------------------------ *)
 (* Event taxonomy                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -212,16 +214,13 @@ let last n =
   drop (max 0 (!have - n)) (List.rev !acc)
 
 let event_json e =
-  Printf.sprintf
-    "{\"seq\": %d, \"kind\": \"%s\", \"a\": %d, \"b\": %d, \
-     \"subject\": \"%s\", \"detail\": \"%s\"}"
-    e.seq (kind_name e.ekind) e.a e.b
-    (Obrew_telemetry.Telemetry.json_escape e.subject)
-    (Obrew_telemetry.Telemetry.json_escape e.detail)
+  Json.Obj
+    [ ("seq", Json.Int e.seq); ("kind", Json.String (kind_name e.ekind));
+      ("a", Json.Int e.a); ("b", Json.Int e.b);
+      ("subject", Json.String e.subject); ("detail", Json.String e.detail) ]
 
 (** JSON array of the last [n] retained events, oldest-first. *)
-let to_json ?(n = max_int) () =
-  "[" ^ String.concat ", " (List.map event_json (last n)) ^ "]"
+let to_json ?(n = max_int) () = Json.List (List.map event_json (last n))
 
 let event_to_string e =
   let payload =

@@ -23,6 +23,7 @@
     one [bool ref] per potential record. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Compact ids                                                         *)
@@ -209,113 +210,90 @@ let reset () =
 let remarks_schema_version = 1
 let profile_schema_version = 1
 
-let esc = Tel.json_escape
-
 (** Flat JSON of every optimizer remark, lift order preserved. *)
 let export_remarks () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema_version\":%d,\"remarks\":[" remarks_schema_version);
-  let first = ref true in
+  let rs = ref [] in
   iter_remarks (fun r ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"pass\":\"%s\",\"action\":\"%s\",\"guest_addr\":%d,\"ord\":%d,\
-            \"detail\":\"%s\"}"
-           (esc r.pass) (action_name r.action) (addr r.prov) (ord r.prov)
-           (esc r.detail)));
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+      rs :=
+        Json.Obj
+          [ ("pass", Json.String r.pass);
+            ("action", Json.String (action_name r.action));
+            ("guest_addr", Json.Int (addr r.prov));
+            ("ord", Json.Int (ord r.prov));
+            ("detail", Json.String r.detail) ]
+        :: !rs);
+  Json.Obj
+    [ ("schema_version", Json.Int remarks_schema_version);
+      ("remarks", Json.List (List.rev !rs)) ]
+
+(* (address, cycles, execs) rows, most cycles first *)
+let by_cycles iter =
+  let rows = ref [] in
+  iter (fun a cy ex -> rows := (a, cy, ex) :: !rows);
+  List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
+
+let insn_rows () =
+  by_cycles (fun f ->
+      iter_insn_profile (fun ~addr ~cycles ~execs -> f addr cycles execs))
+
+let block_rows () =
+  by_cycles (fun f ->
+      iter_block_profile (fun ~entry ~cycles ~execs -> f entry cycles execs))
+
+let take n l = List.filteri (fun i _ -> i < n) l
 
 (** Profile JSON: top-[top] hot addresses by simulated cycles with
     their cycle share, plus the per-superblock counters.  Addresses
     inside an emitted function's host ranges also carry the guest
     address they originate from. *)
 let export_profile ?(top = 20) () =
-  let rows = ref [] in
-  iter_insn_profile (fun ~addr ~cycles ~execs ->
-      rows := (addr, cycles, execs) :: !rows);
-  let rows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
-  in
   let total_cycles, total_execs = profile_totals () in
-  let shown = List.filteri (fun i _ -> i < top) rows in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema_version\":%d,\"total_cycles\":%d,\"total_execs\":%d,\
-        \"rows\":["
-       profile_schema_version total_cycles total_execs);
-  let first = ref true in
-  List.iter
-    (fun (a, cy, ex) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      let share =
-        if total_cycles = 0 then 0.0
-        else float_of_int cy /. float_of_int total_cycles
-      in
-      let guest =
-        match guest_of_host a with
-        | Some p -> Printf.sprintf ",\"guest_addr\":%d" (addr p)
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"addr\":%d,\"cycles\":%d,\"execs\":%d,\"share\":%.6f%s}" a cy ex
-           share guest))
-    shown;
-  Buffer.add_string buf "],\"blocks\":[";
-  let brows = ref [] in
-  iter_block_profile (fun ~entry ~cycles ~execs ->
-      brows := (entry, cycles, execs) :: !brows);
-  let brows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !brows
+  let row (a, cy, ex) =
+    let share =
+      if total_cycles = 0 then 0.0
+      else float_of_int cy /. float_of_int total_cycles
+    in
+    Json.Obj
+      ([ ("addr", Json.Int a); ("cycles", Json.Int cy);
+         ("execs", Json.Int ex); ("share", Json.fixed 6 share) ]
+       @
+       match guest_of_host a with
+       | Some p -> [ ("guest_addr", Json.Int (addr p)) ]
+       | None -> [])
   in
-  let first = ref true in
-  List.iter
-    (fun (a, cy, ex) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"entry\":%d,\"cycles\":%d,\"execs\":%d}" a cy ex))
-    (List.filteri (fun i _ -> i < top) brows);
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let block (a, cy, ex) =
+    Json.Obj
+      [ ("entry", Json.Int a); ("cycles", Json.Int cy);
+        ("execs", Json.Int ex) ]
+  in
+  Json.Obj
+    [ ("schema_version", Json.Int profile_schema_version);
+      ("total_cycles", Json.Int total_cycles);
+      ("total_execs", Json.Int total_execs);
+      ("rows", Json.List (List.map row (take top (insn_rows ()))));
+      ("blocks", Json.List (List.map block (take top (block_rows ())))) ]
 
 (** Human-readable top-[top] table (the [--profile] output). *)
 let format_profile ?(top = 20) () =
-  let rows = ref [] in
-  iter_insn_profile (fun ~addr ~cycles ~execs ->
-      rows := (addr, cycles, execs) :: !rows);
-  let rows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
-  in
+  let rows = insn_rows () in
   let total, _ = profile_totals () in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "profile: %d simulated cycles over %d hot addresses\n"
        total (List.length rows));
   Buffer.add_string buf "    address       cycles      execs  share\n";
-  List.iteri
-    (fun i (a, cy, ex) ->
-      if i < top then begin
-        let share =
-          if total = 0 then 0.0
-          else 100.0 *. float_of_int cy /. float_of_int total
-        in
-        let origin =
-          match guest_of_host a with
-          | Some p -> Printf.sprintf "  <- guest 0x%x" (addr p)
-          | None -> ""
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "  0x%08x %12d %10d %5.1f%%%s\n" a cy ex share
-             origin)
-      end)
-    rows;
+  List.iter
+    (fun (a, cy, ex) ->
+      let share =
+        if total = 0 then 0.0
+        else 100.0 *. float_of_int cy /. float_of_int total
+      in
+      let origin =
+        match guest_of_host a with
+        | Some p -> Printf.sprintf "  <- guest 0x%x" (addr p)
+        | None -> ""
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "  0x%08x %12d %10d %5.1f%%%s\n" a cy ex share origin))
+    (take top rows);
   Buffer.contents buf
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc

@@ -37,6 +37,7 @@ module Err = Obrew_fault.Err
 module Guards = Obrew_fault.Guards
 module Quarantine = Obrew_fault.Quarantine
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_json.Json
 module Flight = Obrew_observe.Flight
 module H = Health
 
@@ -596,57 +597,44 @@ let stats_to_string () =
 (** Sentinel-stats export, schema checked by [validate_bench --sentinel]. *)
 let stats_json () =
   let s = stats () in
-  String.concat "\n"
-    [ "{";
-      "  \"schema_version\": 1,";
-      Printf.sprintf "  \"checks\": %d," s.st_checks;
-      Printf.sprintf "  \"divergences\": %d," s.st_divergences;
-      Printf.sprintf "  \"quarantined\": %d," s.st_quarantined;
-      Printf.sprintf "  \"demotions\": %d," s.st_demotions;
-      Printf.sprintf "  \"healed\": %d," s.st_healed;
-      Printf.sprintf "  \"heal_retries\": %d," s.st_heal_retries;
-      Printf.sprintf "  \"blocked_serves\": %d" s.st_blocked_serves;
-      "}"; "" ]
+  Json.ints
+    [ ("schema_version", 1); ("checks", s.st_checks);
+      ("divergences", s.st_divergences); ("quarantined", s.st_quarantined);
+      ("demotions", s.st_demotions); ("healed", s.st_healed);
+      ("heal_retries", s.st_heal_retries);
+      ("blocked_serves", s.st_blocked_serves) ]
 
-let write_stats_json (path : string) =
-  let oc = open_out path in
-  output_string oc (stats_json ());
-  close_out oc
+let sorted_requests () =
+  Hashtbl.fold (fun _ r acc -> r :: acc) requests []
+  |> List.sort (fun a b -> compare a.rq_key b.rq_key)
 
 (** Per-request health view: one row per registry entry, sorted by
     request key — the black-box report's "health" section. *)
 let health_json () =
-  let rows =
-    Hashtbl.fold (fun _ r acc -> r :: acc) requests []
-    |> List.sort (fun a b -> compare a.rq_key b.rq_key)
-  in
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun r ->
-           let state, checks, streak, divergences, faults =
-             match r.rq_health with
-             | Some h ->
-               ( H.state_name h.H.e_state, h.H.e_checks, h.H.e_streak,
-                 h.H.e_divergences, h.H.e_faults )
-             | None -> ("native", 0, 0, 0, 0)
-           in
-           Printf.sprintf
-             "{\"request\": \"%s\", \"mode\": \"%s\", \"state\": \"%s\", \
-              \"demoted\": %b, \"serves\": %d, \"checks\": %d, \
-              \"streak\": %d, \"divergences\": %d, \"faults\": %d, \
-              \"heal_attempts\": %d}"
-             (Tel.json_escape r.rq_key)
-             (Modes.transform_name r.rq_mode)
-             state (demoted r) r.rq_serves checks streak divergences faults
-             r.rq_heal_attempts)
-         rows)
-  ^ "]"
+  Json.List
+    (List.map
+       (fun r ->
+         let state, checks, streak, divergences, faults =
+           match r.rq_health with
+           | Some h ->
+             ( H.state_name h.H.e_state, h.H.e_checks, h.H.e_streak,
+               h.H.e_divergences, h.H.e_faults )
+           | None -> ("native", 0, 0, 0, 0)
+         in
+         Json.Obj
+           [ ("request", Json.String r.rq_key);
+             ("mode", Json.String (Modes.transform_name r.rq_mode));
+             ("state", Json.String state); ("demoted", Json.Bool (demoted r));
+             ("serves", Json.Int r.rq_serves); ("checks", Json.Int checks);
+             ("streak", Json.Int streak);
+             ("divergences", Json.Int divergences);
+             ("faults", Json.Int faults);
+             ("heal_attempts", Json.Int r.rq_heal_attempts) ])
+       (sorted_requests ()))
 
 (** One human-readable line per registry entry, for [obrew_cli report]. *)
 let health_lines () =
-  Hashtbl.fold (fun _ r acc -> r :: acc) requests []
-  |> List.sort (fun a b -> compare a.rq_key b.rq_key)
+  sorted_requests ()
   |> List.map (fun r ->
          let state =
            match r.rq_health with

@@ -21,6 +21,8 @@
     practice for the millisecond-scale spans recorded here (same
     substitution DESIGN.md makes for wall-clock benches). *)
 
+module Json = Obrew_json.Json
+
 (* ------------------------------------------------------------------ *)
 (* Global switch                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -298,37 +300,6 @@ let enable ?(capacity = default_capacity) () =
 
 let disable () = enabled := false
 
-(* ------------------------------------------------------------------ *)
-(* JSON helpers                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* iterate retained events oldest-first *)
-let iter_events f =
-  let s = sink in
-  let n = retained () in
-  let start = s.next - n in
-  for k = start to s.next - 1 do
-    let i = k mod s.cap in
-    f ~name:s.e_name.(i) ~kind:s.e_kind.(i) ~ts:s.e_ts.(i)
-      ~dur:s.e_dur.(i) ~args:s.e_args.(i)
-  done
-
 (** Iterate retained events whose global index is >= [start]
     (oldest-first).  Lets a caller take a watermark with
     [events_recorded ()] and later aggregate only the events recorded
@@ -342,6 +313,9 @@ let iter_events_from start f =
       ~dur:s.e_dur.(i) ~args:s.e_args.(i)
   done
 
+(* iterate retained events oldest-first *)
+let iter_events f = iter_events_from 0 f
+
 (* ------------------------------------------------------------------ *)
 (* Exporter 1: chrome://tracing                                        *)
 (* ------------------------------------------------------------------ *)
@@ -349,34 +323,27 @@ let iter_events_from start f =
 (** Trace-event JSON loadable by chrome://tracing / Perfetto: complete
     spans as ph "X" (ts/dur in microseconds), instants as ph "i". *)
 let export_chrome_trace () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
+  let us ns = Json.fixed 3 (float_of_int ns /. 1e3) in
+  let evs = ref [] in
   iter_events (fun ~name ~kind ~ts ~dur ~args ->
-      if !first then first := false else Buffer.add_char buf ',';
-      let common =
-        Printf.sprintf "\"name\":\"%s\",\"pid\":1,\"tid\":1,\"ts\":%.3f"
-          (json_escape name)
-          (float_of_int ts /. 1e3)
+      let phase =
+        if kind = 0 then [ ("ph", Json.String "X"); ("dur", us dur) ]
+        else [ ("ph", Json.String "i"); ("s", Json.String "g") ]
       in
-      let argfield =
-        if args = "" then ""
-        else Printf.sprintf ",\"args\":{\"detail\":\"%s\"}" (json_escape args)
+      let args =
+        if args = "" then []
+        else [ ("args", Json.Obj [ ("detail", Json.String args) ]) ]
       in
-      if kind = 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%.3f%s}" common
-             (float_of_int dur /. 1e3)
-             argfield)
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"g\"%s}" common argfield));
-  Buffer.add_string buf "],";
-  Buffer.add_string buf
-    (Printf.sprintf "\"displayTimeUnit\":\"ms\",\"otherData\":{\
-                     \"dropped_events\":%d}}"
-       (dropped ()));
-  Buffer.contents buf
+      evs :=
+        Json.Obj
+          ([ ("name", Json.String name); ("pid", Json.Int 1);
+             ("tid", Json.Int 1); ("ts", us ts) ]
+           @ phase @ args)
+        :: !evs);
+  Json.Obj
+    [ ("traceEvents", Json.List (List.rev !evs));
+      ("displayTimeUnit", Json.String "ms");
+      ("otherData", Json.Obj [ ("dropped_events", Json.Int (dropped ())) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Exporter 2: flat metrics JSON                                       *)
@@ -392,51 +359,22 @@ let metrics_schema_version = 2
     percentiles, and per-name span aggregates (count / total / max
     ns) computed over the retained events. *)
 let export_metrics () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n" metrics_schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_recorded\": %d,\n" (events_recorded ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_dropped\": %d,\n" (dropped ()));
-  (* counters *)
-  Buffer.add_string buf "  \"counters\": {";
-  let cs =
-    List.sort compare (List.map (fun c -> (c.cname, c.n)) !counters)
+  let histogram h =
+    let buckets = ref [] in
+    for b = num_buckets - 1 downto 0 do
+      if h.buckets.(b) > 0 then
+        buckets :=
+          Json.List [ Json.Int (bucket_low b); Json.Int h.buckets.(b) ]
+          :: !buckets
+    done;
+    Json.Obj
+      [ ("count", Json.Int h.hcount); ("sum", Json.Int h.hsum);
+        ("p50", Json.Int (percentile h 50.));
+        ("p90", Json.Int (percentile h 90.));
+        ("p99", Json.Int (percentile h 99.));
+        ("p999", Json.Int (percentile h 99.9));
+        ("buckets", Json.List !buckets) ]
   in
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-          cs));
-  Buffer.add_string buf "},\n";
-  (* histograms *)
-  Buffer.add_string buf "  \"histograms\": {";
-  let hs = List.sort (fun a b -> compare a.hname b.hname) !histograms in
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun h ->
-            let nz = ref [] in
-            Array.iteri
-              (fun b n -> if n > 0 then nz := (b, n) :: !nz)
-              h.buckets;
-            let bks =
-              String.concat ", "
-                (List.map
-                   (fun (b, n) ->
-                     Printf.sprintf "[%d, %d]" (bucket_low b) n)
-                   (List.rev !nz))
-            in
-            Printf.sprintf
-              "\"%s\": {\"count\": %d, \"sum\": %d, \"p50\": %d, \
-               \"p90\": %d, \"p99\": %d, \"p999\": %d, \"buckets\": [%s]}"
-              (json_escape h.hname) h.hcount h.hsum (percentile h 50.)
-              (percentile h 90.) (percentile h 99.) (percentile h 99.9)
-              bks)
-          hs));
-  Buffer.add_string buf "},\n";
   (* span aggregates from the retained ring *)
   let tbl : (string, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   iter_events (fun ~name ~kind ~ts:_ ~dur ~args:_ ->
@@ -445,26 +383,23 @@ let export_metrics () =
           Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl name)
         in
         Hashtbl.replace tbl name (c + 1, tot + dur, max mx dur));
-  let spans =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
-  Buffer.add_string buf "  \"spans\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (name, (c, tot, mx)) ->
-            Printf.sprintf
-              "\"%s\": {\"count\": %d, \"total_ns\": %d, \"max_ns\": %d}"
-              (json_escape name) c tot mx)
-          spans));
-  Buffer.add_string buf "}\n}\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* File output                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+  Json.Obj
+    [ ("schema_version", Json.Int metrics_schema_version);
+      ("events_recorded", Json.Int (events_recorded ()));
+      ("events_dropped", Json.Int (dropped ()));
+      ("counters",
+       Json.ints (sorted (List.map (fun c -> (c.cname, c.n)) !counters)));
+      ("histograms",
+       Json.Obj
+         (sorted (List.map (fun h -> (h.hname, histogram h)) !histograms)));
+      ("spans",
+       Json.Obj
+         (sorted
+            (Hashtbl.fold
+               (fun name (c, tot, mx) acc ->
+                 ( name,
+                   Json.ints [ ("count", c); ("total_ns", tot); ("max_ns", mx) ]
+                 )
+                 :: acc)
+               tbl []))) ]

@@ -123,22 +123,18 @@ let note ctl fmt =
 (** Per-site JSON rows (registration order) — the black-box report's
     "tier" section. *)
 let sites_json sites =
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun s ->
-           Printf.sprintf
-             "{\"site\": \"%s\", \"level\": \"%s\", \"thunk\": %d, \
-              \"target\": %d, \"pinned\": %b, \"queued\": %b, \
-              \"slices\": %d, \"compiles\": %d, \"patches\": %d, \
-              \"attempts\": %d}"
-             (site_key s) (level_name s.s_level) s.s_thunk s.s_target
-             s.s_pinned s.s_queued s.s_slices s.s_compiles s.s_patches
-             s.s_attempts)
-         sites)
-  ^ "]"
-
-let table_json ctl = sites_json ctl.sites
+  let module J = Obrew_json.Json in
+  J.List
+    (List.map
+       (fun s ->
+         J.Obj
+           [ ("site", J.String (site_key s));
+             ("level", J.String (level_name s.s_level));
+             ("thunk", J.Int s.s_thunk); ("target", J.Int s.s_target);
+             ("pinned", J.Bool s.s_pinned); ("queued", J.Bool s.s_queued);
+             ("slices", J.Int s.s_slices); ("compiles", J.Int s.s_compiles);
+             ("patches", J.Int s.s_patches); ("attempts", J.Int s.s_attempts) ])
+       sites)
 
 (* ------------------------------------------------------------------ *)
 (* Hotness                                                             *)

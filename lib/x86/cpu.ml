@@ -585,6 +585,26 @@ let cache_stats cpu =
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
 
+(** The one JSON view of the engine counters: the "superblocks" object
+    of BENCH_*.json and, with [schema_version], the CLI's [--stats-json]
+    artifact and the black-box "engine" section. *)
+let cache_stats_json ?schema_version s =
+  let module J = Obrew_json.Json in
+  let int k v = (k, J.Int v) in
+  J.Obj
+    ((match schema_version with
+      | Some v -> [ int "schema_version" v ]
+      | None -> [])
+     @ [ int "hits" s.block_hits; int "misses" s.block_misses;
+         int "chained" s.block_chained; int "flushes" s.block_flushes;
+         int "live" s.blocks_live; int "traces" s.traces_built;
+         int "trace_side_exits" s.trace_side_exits;
+         int "ic_hits" s.ic_hits; int "ic_misses" s.ic_misses;
+         ("fused_pairs", J.ints s.fused_pairs);
+         int "flag_records" s.flag_records;
+         int "flag_materialized" s.flag_materialized;
+         int "flag_dead_writes" s.flag_dead_writes ])
+
 (** Fold [f acc entry execs static_cost] over every valid cached
     superblock — the tier controller's hotness scan.  [execs] counts
     executions since the block was translated (a re-translation or

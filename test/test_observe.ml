@@ -19,14 +19,25 @@ module Flight = Obrew_observe.Flight
 module Blackbox = Obrew_observe.Blackbox
 module Sen = Obrew_sentinel.Sentinel
 module H = Obrew_sentinel.Health
+module Json = Obrew_json.Json
 
 let check = Alcotest.check
 let cint = Alcotest.int
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+(* every artifact is checked through print -> parse, so the tests see
+   what a consumer of the file sees *)
+let reparse v = Json.parse (Json.to_string ~pretty:true v)
+
+(* [at v ["a"; "b"]] is field b of field a of [v] *)
+let rec at v = function
+  | [] -> v
+  | k :: ks -> (
+    match Json.member k v with
+    | Some x -> at x ks
+    | None -> Alcotest.failf "missing field %s" k)
+
+let check_json what want got =
+  Alcotest.(check bool) what true (got = want)
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: ring exactness                                     *)
@@ -81,9 +92,13 @@ let test_ring_json_escapes () =
   Flight.clear ();
   Flight.emit ~subject:"with \"quotes\"" ~detail:"and \\slash"
     Flight.Error;
-  let j = Flight.to_json () in
-  Alcotest.(check bool) "escaped quote" true (contains j "\\\"quotes\\\"");
-  Alcotest.(check bool) "escaped slash" true (contains j "\\\\slash")
+  match reparse (Flight.to_json ()) with
+  | Json.List [ e ] ->
+    check_json "quoted subject" (Json.String "with \"quotes\"")
+      (at e [ "subject" ]);
+    check_json "backslash detail" (Json.String "and \\slash")
+      (at e [ "detail" ])
+  | _ -> Alcotest.fail "expected one event"
 
 (* ------------------------------------------------------------------ *)
 (* Black box: golden report under a deterministic saboteur             *)
@@ -140,13 +155,25 @@ let test_blackbox_causal_chain () =
   in
   Blackbox.unregister_section "quarantine";
   Blackbox.unregister_section "health";
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "report has %s" sub) true
-        (contains r sub))
-    [ "\"schema_version\": 1"; "\"reason\": \"sentinel-divergence\"";
-      "\"flight\""; "\"sections\""; "fault.sabotaged";
-      "sentinel.quarantine"; "\"quarantine\""; "\"health\"" ]
+  let r = reparse r in
+  check_json "schema" (Json.Int 1) (at r [ "schema_version" ]);
+  check_json "reason" (Json.String "sentinel-divergence") (at r [ "reason" ]);
+  let tail =
+    match at r [ "flight"; "events" ] with
+    | Json.List evs -> List.map (fun e -> at e [ "kind" ]) evs
+    | _ -> Alcotest.fail "flight.events is not a list"
+  in
+  Alcotest.(check bool) "tail carries the chain" true
+    (chain_holds
+       (List.map (fun k -> Json.String k)
+          [ "fault.sabotaged"; "sentinel.divergence"; "sentinel.quarantine" ])
+       tail);
+  (match at r [ "sections"; "quarantine" ] with
+   | Json.List (_ :: _) -> ()
+   | _ -> Alcotest.fail "quarantine section is empty");
+  match at r [ "sections"; "health" ] with
+  | Json.List (_ :: _) -> ()
+  | _ -> Alcotest.fail "health section is empty"
 
 let test_blackbox_section_failure_contained () =
   Flight.clear ();
@@ -155,25 +182,28 @@ let test_blackbox_section_failure_contained () =
     Blackbox.report ~reason:Blackbox.Manual ~detail:"section crash" ()
   in
   Blackbox.unregister_section "bad";
-  Alcotest.(check bool) "report still renders" true
-    (contains r "\"schema_version\": 1");
-  Alcotest.(check bool) "provider error is contained" true
-    (contains r "provider died")
+  let r = reparse r in
+  check_json "report still renders" (Json.Int 1) (at r [ "schema_version" ]);
+  check_json "provider error is contained"
+    (Json.String (Printexc.to_string (Failure "provider died")))
+    (at r [ "sections"; "bad"; "error" ])
 
 let test_blackbox_attribution () =
   Flight.clear ();
   let prev = !Blackbox.attribution in
   Blackbox.attribution :=
-    (fun a -> if a = 4096 then Some "{\"guest_addr\": 77}" else None);
+    (fun a ->
+      if a = 4096 then Some (Json.Obj [ ("guest_addr", Json.Int 77) ])
+      else None);
   Fun.protect ~finally:(fun () -> Blackbox.attribution := prev) (fun () ->
       let r =
         Blackbox.report ~addr:4096 ~reason:Blackbox.Typed_error
           ~detail:"attributed" ()
       in
-      Alcotest.(check bool) "fault_addr present" true
-        (contains r "\"fault_addr\": 4096");
-      Alcotest.(check bool) "origin attributed" true
-        (contains r "\"guest_addr\": 77"))
+      let r = reparse r in
+      check_json "fault_addr present" (Json.Int 4096) (at r [ "fault_addr" ]);
+      check_json "origin attributed" (Json.Int 77)
+        (at r [ "fault_origin"; "guest_addr" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Percentiles: exact-rank vs a naive sorted reference                 *)
@@ -219,13 +249,23 @@ let test_histogram_export_v2 () =
   Fun.protect ~finally:Tel.disable (fun () ->
       let h = Tel.histogram "h.v2" in
       List.iter (Tel.observe h) [ 5; 100; 1000 ];
-      let m = Tel.export_metrics () in
+      let m = reparse (Tel.export_metrics ()) in
+      check_json "schema v2" (Json.Int 2) (at m [ "schema_version" ]);
+      let h = at m [ "histograms"; "h.v2" ] in
+      check_json "count" (Json.Int 3) (at h [ "count" ]);
       List.iter
-        (fun sub ->
-          Alcotest.(check bool) (Printf.sprintf "metrics has %s" sub) true
-            (contains m sub))
-        [ "\"schema_version\": 2"; "\"p50\""; "\"p99\""; "\"p999\"";
-          "\"buckets\"" ])
+        (fun (p, want) -> check_json p (Json.Int want) (at h [ p ]))
+        [ ("p50", Tel.percentile (Tel.histogram "h.v2") 50.);
+          ("p99", Tel.percentile (Tel.histogram "h.v2") 99.);
+          ("p999", Tel.percentile (Tel.histogram "h.v2") 99.9) ];
+      check_json "buckets as [low, count]"
+        (Json.List
+           (List.map
+              (fun v ->
+                Json.List
+                  [ Json.Int (Tel.bucket_low (Tel.bucket_of v)); Json.Int 1 ])
+              [ 5; 100; 1000 ]))
+        (at h [ "buckets" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Clock injection                                                     *)

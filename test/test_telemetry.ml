@@ -2,14 +2,10 @@
    histograms and the two exporters. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_json.Json
 
 let check = Alcotest.check
 let cint = Alcotest.int
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* each test starts from a clean, enabled sink *)
 let with_tel ?capacity f =
@@ -67,22 +63,34 @@ let test_histogram_buckets () =
 
 let test_exports_parse () =
   with_tel (fun () ->
-      ignore (Tel.span "a" ~args:"with \"quotes\" and \\slash" (fun () -> ()));
+      let args = "with \"quotes\" and \\slash" in
+      ignore (Tel.span "a" ~args (fun () -> ()));
       Tel.instant "b";
       Tel.incr_c (Tel.counter "c");
       Tel.observe (Tel.histogram "h") 7;
-      (* both exporters must emit well-formed output even with args
-         that need escaping *)
-      let trace = Tel.export_chrome_trace () in
-      let metrics = Tel.export_metrics () in
-      Alcotest.(check bool) "trace mentions span" true
-        (contains trace "\"ph\":\"X\"");
-      Alcotest.(check bool) "trace escapes args" true
-        (contains trace "\\\"quotes\\\"");
-      Alcotest.(check bool) "metrics schema" true
-        (contains metrics "\"schema_version\"");
-      Alcotest.(check bool) "metrics histogram" true
-        (contains metrics "\"h\""))
+      (* both exporters must survive print -> parse, args that need
+         escaping included *)
+      let reparse v = Json.parse (Json.to_string v) in
+      let field v k =
+        match Json.member k v with
+        | Some x -> x
+        | None -> Alcotest.failf "missing field %s" k
+      in
+      let same what want got = Alcotest.(check bool) what true (want = got) in
+      (match field (reparse (Tel.export_chrome_trace ())) "traceEvents" with
+       | Json.List [ span; inst ] ->
+         same "span phase" (Json.String "X") (field span "ph");
+         same "span args" (Json.String args)
+           (field (field span "args") "detail");
+         same "instant name" (Json.String "b") (field inst "name");
+         same "instant phase" (Json.String "i") (field inst "ph")
+       | _ -> Alcotest.fail "expected two trace events");
+      let metrics = reparse (Tel.export_metrics ()) in
+      same "metrics schema" (Json.Int Tel.metrics_schema_version)
+        (field metrics "schema_version");
+      same "counter" (Json.Int 1) (field (field metrics "counters") "c");
+      same "histogram count" (Json.Int 1)
+        (field (field (field metrics "histograms") "h") "count"))
 
 let () =
   Alcotest.run "telemetry"

@@ -14,347 +14,234 @@
    any row's wall time regressed by more than the tolerance (default
    10%) — the first consumer of the cross-PR bench trajectory.  It also
    prints the aggregate emulated-MIPS delta, and `--tol-mips PCT` makes
-   a throughput drop beyond PCT a hard failure.  Uses a small
-   recursive-descent JSON parser to stay dependency-free. *)
+   a throughput drop beyond PCT a hard failure.
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+   Each artifact's shape is one declarative field spec below, checked
+   by [check] over the [Json] module's parser; only the invariants that
+   relate several fields to each other are written out as code. *)
+
+module Json = Obrew_json.Json
 
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Parser                                                              *)
+(* Field specs                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %c at offset %d, found %c" c !pos c'
-    | None -> fail "expected %c at offset %d, found end of input" c !pos
-  in
-  let parse_lit lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string at offset %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char b '"'
-         | Some '\\' -> Buffer.add_char b '\\'
-         | Some '/' -> Buffer.add_char b '/'
-         | Some 'b' -> Buffer.add_char b '\b'
-         | Some 'f' -> Buffer.add_char b '\012'
-         | Some 'n' -> Buffer.add_char b '\n'
-         | Some 'r' -> Buffer.add_char b '\r'
-         | Some 't' -> Buffer.add_char b '\t'
-         | Some 'u' ->
-           (* validation never inspects non-ASCII content; a
-              placeholder keeps the parser total *)
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           pos := !pos + 4;
-           Buffer.add_char b '?'
-         | _ -> fail "bad escape at offset %d" !pos);
-        advance ();
-        go ())
-      | Some c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let slice = String.sub s start (!pos - start) in
-    match float_of_string_opt slice with
-    | Some f -> Num f
-    | None -> fail "bad number %S at offset %d" slice start
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } at offset %d" !pos
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elems (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] at offset %d" !pos
-        in
-        elems []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> parse_lit "true" (Bool true)
-    | Some 'f' -> parse_lit "false" (Bool false)
-    | Some 'n' -> parse_lit "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
+type spec =
+  | Any
+  | Int of string * (int -> bool)     (* what the constraint says, test *)
+  | Num of string * (float -> bool)   (* an Int or a Float *)
+  | Str of string * (string -> bool)
+  | Arr of spec                       (* every element *)
+  | Fields of (string * spec) list    (* object with at least these *)
+  | Map of spec                       (* object: every member's value *)
+  | Counts                            (* counters, nested objects allowed *)
+  | Nonempty of spec                  (* non-empty array or object *)
 
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
-(* ------------------------------------------------------------------ *)
+let any_int = Int ("an integer", fun _ -> true)
+let int_min k = Int (Printf.sprintf ">= %d" k, fun n -> n >= k)
+let nat = int_min 0
+let int_in l =
+  Int ("one of " ^ String.concat "|" (List.map string_of_int l),
+       fun n -> List.mem n l)
+let num = Num ("a number", fun _ -> true)
+let num_nat = Num (">= 0", fun x -> x >= 0.0)
+let str = Str ("a string", fun _ -> true)
+let nonempty_str = Str ("non-empty", fun s -> s <> "")
+let one_of l = Str ("one of " ^ String.concat "|" l, fun s -> List.mem s l)
 
-let field ctx o k =
-  match o with
-  | Obj kvs -> (
-    match List.assoc_opt k kvs with
-    | Some v -> v
-    | None -> fail "%s: missing field %S" ctx k)
-  | _ -> fail "%s: expected an object" ctx
+let number = function
+  | Json.Int n -> float_of_int n
+  | Json.Float f -> f
+  | _ -> nan
 
-let as_num ctx = function
-  | Num f -> f
-  | _ -> fail "%s: expected a number" ctx
+let rec check ctx spec (v : Json.t) =
+  match (spec, v) with
+  | Any, _ -> ()
+  | Int (what, ok), Json.Int n ->
+    if not (ok n) then fail "%s: %d is not %s" ctx n what
+  | Num (what, ok), (Json.Int _ | Json.Float _) ->
+    let x = number v in
+    if not (ok x) then fail "%s: %g is not %s" ctx x what
+  | Str (what, ok), Json.String s ->
+    if not (ok s) then fail "%s: %S is not %s" ctx s what
+  | Arr elt, Json.List l ->
+    List.iteri (fun i x -> check (Printf.sprintf "%s[%d]" ctx i) elt x) l
+  | Fields fs, Json.Obj kvs ->
+    List.iter
+      (fun (k, sp) ->
+        match List.assoc_opt k kvs with
+        | Some x -> check (ctx ^ "." ^ k) sp x
+        | None -> fail "%s: missing field %S" ctx k)
+      fs
+  | Map elt, Json.Obj kvs ->
+    List.iter (fun (k, x) -> check (Printf.sprintf "%s[%s]" ctx k) elt x) kvs
+  | Counts, Json.Obj kvs ->
+    List.iter
+      (fun (k, x) ->
+        check (ctx ^ "." ^ k) (match x with Json.Obj _ -> Counts | _ -> nat) x)
+      kvs
+  | Nonempty _, (Json.List [] | Json.Obj []) -> fail "%s: is empty" ctx
+  | Nonempty sp, _ -> check ctx sp v
+  | _ ->
+    fail "%s: expected %s" ctx
+      (match spec with
+       | Int _ -> "an integer"
+       | Num _ -> "a number"
+       | Str _ -> "a string"
+       | Arr _ -> "an array"
+       | _ -> "an object")
 
-let as_int ctx v =
-  let f = as_num ctx v in
-  if Float.is_integer f then int_of_float f
-  else fail "%s: expected an integer, got %g" ctx f
+(* Typed reads by path, for the cross-field invariants and [compare]. *)
+let rec get ctx v = function
+  | [] -> v
+  | k :: ks -> (
+    match v with
+    | Json.Obj kvs -> (
+      match List.assoc_opt k kvs with
+      | Some x -> get (ctx ^ "." ^ k) x ks
+      | None -> fail "%s: missing field %S" ctx k)
+    | _ -> fail "%s: expected an object" ctx)
 
-let as_str ctx = function
-  | Str s -> s
-  | _ -> fail "%s: expected a string" ctx
+let read spec conv ctx v path =
+  let x = get ctx v path in
+  let ctx = String.concat "." (ctx :: path) in
+  check ctx spec x;
+  conv x
 
-let as_obj ctx = function
-  | Obj kvs -> kvs
-  | _ -> fail "%s: expected an object" ctx
-
-let as_arr ctx = function
-  | Arr l -> l
-  | _ -> fail "%s: expected an array" ctx
+let int_at = read any_int (function Json.Int n -> n | _ -> 0)
+let num_at = read num number
+let str_at = read str (function Json.String s -> s | _ -> "")
+let list_at = read (Arr Any) (function Json.List l -> l | _ -> [])
+let obj_at = read (Map Any) (function Json.Obj kvs -> kvs | _ -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Schemas                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Counter objects may nest one level (e.g. superblocks.fused_pairs is a
-   per-pattern breakdown); every leaf must be a non-negative integer. *)
-let rec check_counts ctx v =
-  List.iter
-    (fun (k, n) ->
-      let kctx = ctx ^ "." ^ k in
-      match n with
-      | Obj _ -> check_counts kctx n
-      | _ -> if as_int kctx n < 0 then fail "%s: negative" kctx)
-    (as_obj ctx v)
-
 (* BENCH files: v1 lacked the tail-latency objects, v2 added
    serve_latency/stage_latency to the fig9 sections; both shapes remain
-   readable so old baselines stay comparable. *)
-let check_bench path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 && sv <> 2 then
-    fail "%s: unsupported schema_version %d" ctx sv;
-  let section = as_str (ctx ^ ".section") (field ctx j "section") in
-  if not (String.length section > 3 && String.sub section 0 3 = "fig") then
-    fail "%s: bad section %S" ctx section;
-  if as_int (ctx ^ ".sz") (field ctx j "sz") < 3 then fail "%s: sz < 3" ctx;
-  if as_int (ctx ^ ".iters") (field ctx j "iters") < 1 then
-    fail "%s: iters < 1" ctx;
-  let rows = as_obj (ctx ^ ".rows") (field ctx j "rows") in
-  if rows = [] then fail "%s: rows is empty" ctx;
-  List.iter
-    (fun (name, row) ->
-      let rctx = Printf.sprintf "%s.rows[%s]" ctx name in
-      ignore (as_str (rctx ^ ".kind") (field rctx row "kind"));
-      ignore (as_str (rctx ^ ".mode") (field rctx row "mode"));
-      if as_int (rctx ^ ".cycles") (field rctx row "cycles") <= 0 then
-        fail "%s: cycles <= 0" rctx;
-      if as_int (rctx ^ ".insns") (field rctx row "insns") <= 0 then
-        fail "%s: insns <= 0" rctx;
-      if as_int (rctx ^ ".wall_ns") (field rctx row "wall_ns") < 0 then
-        fail "%s: wall_ns < 0" rctx;
-      ignore (as_num (rctx ^ ".wall_s") (field rctx row "wall_s")))
-    rows;
-  if as_num (ctx ^ ".emulated_mips") (field ctx j "emulated_mips") < 0.0 then
-    fail "%s: emulated_mips < 0" ctx;
-  let hr =
-    as_num (ctx ^ ".superblock_hit_rate") (field ctx j "superblock_hit_rate")
-  in
-  if hr < 0.0 || hr > 1.0 then
-    fail "%s: superblock_hit_rate %g out of [0,1]" ctx hr;
-  check_counts (ctx ^ ".superblocks") (field ctx j "superblocks");
+   readable so old baselines stay comparable.  Counter objects may nest
+   (superblocks.fused_pairs is a per-pattern breakdown); every leaf
+   must be a non-negative integer. *)
+let bench_spec =
+  [ ("schema_version", int_in [ 1; 2 ]);
+    ("section",
+     Str ("fig*", fun s -> String.length s > 3 && String.sub s 0 3 = "fig"));
+    ("sz", int_min 3);
+    ("iters", int_min 1);
+    ("rows",
+     Nonempty
+       (Map
+          (Fields
+             [ ("kind", str); ("mode", str); ("cycles", int_min 1);
+               ("insns", int_min 1); ("wall_ns", nat); ("wall_s", num) ])));
+    ("emulated_mips", num_nat);
+    ("superblock_hit_rate", Num ("in [0,1]", fun x -> x >= 0.0 && x <= 1.0));
+    ("superblocks", Counts);
+    ("transform_memo", Counts);
+    ("dbrew_memo", Counts) ]
+
+let bench_v2_spec =
+  [ ("serve_latency",
+     Fields
+       [ ("serves", int_min 1); ("p50_us", nat); ("p90_us", nat);
+         ("p99_us", nat); ("p999_us", nat);
+         ("throughput_rps", Num ("> 0", fun x -> x > 0.0)) ]);
+    ("stage_latency",
+     Nonempty
+       (Map
+          (Fields
+             [ ("spans", int_min 1); ("p50_ns", nat); ("p90_ns", nat);
+               ("p99_ns", nat) ]))) ]
+
+let monotone ctx v keys =
+  let ps = List.map (fun k -> int_at ctx v [ k ]) keys in
+  if List.sort compare ps <> ps then
+    fail "%s: percentiles not monotone (%s)" ctx
+      (String.concat "/" (List.map string_of_int ps))
+
+let check_bench ctx j =
+  check ctx (Fields bench_spec) j;
+  let sv = int_at ctx j [ "schema_version" ] in
   (* the indirect-branch inline-cache counters travel as a pair: a file
      reporting hits without misses (or vice versa) is malformed.  Both
      absent is fine — baselines predating the counters stay readable. *)
-  let sb = as_obj (ctx ^ ".superblocks") (field ctx j "superblocks") in
-  (match (List.mem_assoc "ic_hits" sb, List.mem_assoc "ic_misses" sb) with
-   | true, false | false, true ->
-     fail "%s: superblocks needs ic_hits and ic_misses together" ctx
-   | _ -> ());
-  check_counts (ctx ^ ".transform_memo") (field ctx j "transform_memo");
-  check_counts (ctx ^ ".dbrew_memo") (field ctx j "dbrew_memo");
+  let sb = obj_at ctx j [ "superblocks" ] in
+  if List.mem_assoc "ic_hits" sb <> List.mem_assoc "ic_misses" sb then
+    fail "%s: superblocks needs ic_hits and ic_misses together" ctx;
   if sv >= 2 then begin
-    let sl = field ctx j "serve_latency" in
-    let sctx = ctx ^ ".serve_latency" in
-    let g k = as_int (sctx ^ "." ^ k) (field sctx sl k) in
-    if g "serves" < 1 then fail "%s: serves < 1" sctx;
-    let p50 = g "p50_us" and p90 = g "p90_us" in
-    let p99 = g "p99_us" and p999 = g "p999_us" in
-    if p50 < 0 then fail "%s: negative p50_us" sctx;
-    if not (p50 <= p90 && p90 <= p99 && p99 <= p999) then
-      fail "%s: percentiles not monotone (%d/%d/%d/%d)" sctx p50 p90 p99
-        p999;
-    if as_num (sctx ^ ".throughput_rps") (field sctx sl "throughput_rps")
-       <= 0.0
-    then fail "%s: throughput_rps <= 0" sctx;
-    let stages = as_obj (ctx ^ ".stage_latency") (field ctx j "stage_latency") in
-    if stages = [] then fail "%s: stage_latency is empty" ctx;
+    check ctx (Fields bench_v2_spec) j;
+    monotone (ctx ^ ".serve_latency") (get ctx j [ "serve_latency" ])
+      [ "p50_us"; "p90_us"; "p99_us"; "p999_us" ];
     List.iter
       (fun (name, row) ->
-        let rctx = Printf.sprintf "%s.stage_latency[%s]" ctx name in
-        if as_int (rctx ^ ".spans") (field rctx row "spans") < 1 then
-          fail "%s: spans < 1" rctx;
-        let q50 = as_int (rctx ^ ".p50_ns") (field rctx row "p50_ns") in
-        let q90 = as_int (rctx ^ ".p90_ns") (field rctx row "p90_ns") in
-        let q99 = as_int (rctx ^ ".p99_ns") (field rctx row "p99_ns") in
-        if q50 < 0 then fail "%s: negative p50_ns" rctx;
-        if not (q50 <= q90 && q90 <= q99) then
-          fail "%s: percentiles not monotone (%d/%d/%d)" rctx q50 q90 q99)
-      stages
+        monotone
+          (Printf.sprintf "%s.stage_latency[%s]" ctx name)
+          row [ "p50_ns"; "p90_ns"; "p99_ns" ])
+      (obj_at ctx j [ "stage_latency" ])
   end;
-  Printf.printf "%s: OK (schema v%d, %d rows)\n" ctx sv (List.length rows)
+  Printf.printf "%s: OK (schema v%d, %d rows)\n" ctx sv
+    (List.length (obj_at ctx j [ "rows" ]))
 
-let remark_actions =
-  [ "deleted"; "merged"; "hoisted"; "unrolled"; "specialized" ]
+let remarks_spec =
+  [ ("schema_version", int_in [ 1 ]);
+    ("remarks",
+     Arr
+       (Fields
+          [ ("pass", nonempty_str);
+            ("action",
+             one_of [ "deleted"; "merged"; "hoisted"; "unrolled";
+                      "specialized" ]);
+            ("guest_addr", nat); ("ord", nat); ("detail", str) ])) ]
 
-let check_remarks path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
-  let rs = as_arr (ctx ^ ".remarks") (field ctx j "remarks") in
-  List.iteri
-    (fun i r ->
-      let rctx = Printf.sprintf "%s.remarks[%d]" ctx i in
-      if as_str (rctx ^ ".pass") (field rctx r "pass") = "" then
-        fail "%s: empty pass" rctx;
-      let action = as_str (rctx ^ ".action") (field rctx r "action") in
-      if not (List.mem action remark_actions) then
-        fail "%s: unknown action %S" rctx action;
-      if as_int (rctx ^ ".guest_addr") (field rctx r "guest_addr") < 0 then
-        fail "%s: negative guest_addr" rctx;
-      if as_int (rctx ^ ".ord") (field rctx r "ord") < 0 then
-        fail "%s: negative ord" rctx;
-      ignore (as_str (rctx ^ ".detail") (field rctx r "detail")))
-    rs;
-  Printf.printf "%s: OK (%d remarks)\n" ctx (List.length rs)
+let check_remarks ctx j =
+  check ctx (Fields remarks_spec) j;
+  Printf.printf "%s: OK (%d remarks)\n" ctx
+    (List.length (list_at ctx j [ "remarks" ]))
 
-let check_profile path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
-  let total = as_int (ctx ^ ".total_cycles") (field ctx j "total_cycles") in
-  if total < 0 then fail "%s: negative total_cycles" ctx;
-  if as_int (ctx ^ ".total_execs") (field ctx j "total_execs") < 0 then
-    fail "%s: negative total_execs" ctx;
-  let rows = as_arr (ctx ^ ".rows") (field ctx j "rows") in
+let profile_spec =
+  [ ("schema_version", int_in [ 1 ]);
+    ("total_cycles", nat);
+    ("total_execs", nat);
+    ("rows",
+     Arr
+       (Fields
+          [ ("addr", nat); ("cycles", nat); ("execs", int_min 1);
+            ("share", Num ("in [0,1]", fun x -> x >= 0.0 && x <= 1.0)) ]));
+    ("blocks",
+     Arr (Fields [ ("entry", nat); ("cycles", nat); ("execs", int_min 1) ])) ]
+
+let check_profile ctx j =
+  check ctx (Fields profile_spec) j;
+  let total = int_at ctx j [ "total_cycles" ] in
+  let rows = list_at ctx j [ "rows" ] in
   List.iteri
     (fun i r ->
       let rctx = Printf.sprintf "%s.rows[%d]" ctx i in
-      if as_int (rctx ^ ".addr") (field rctx r "addr") < 0 then
-        fail "%s: negative addr" rctx;
-      let cy = as_int (rctx ^ ".cycles") (field rctx r "cycles") in
-      if cy < 0 then fail "%s: negative cycles" rctx;
-      if cy > total then fail "%s: cycles exceed total_cycles" rctx;
-      if as_int (rctx ^ ".execs") (field rctx r "execs") <= 0 then
-        fail "%s: execs <= 0" rctx;
-      let share = as_num (rctx ^ ".share") (field rctx r "share") in
-      if share < 0.0 || share > 1.0 then
-        fail "%s: share %g out of [0,1]" rctx share)
+      if int_at rctx r [ "cycles" ] > total then
+        fail "%s: cycles exceed total_cycles" rctx)
     rows;
-  let blocks = as_arr (ctx ^ ".blocks") (field ctx j "blocks") in
-  List.iteri
-    (fun i b ->
-      let bctx = Printf.sprintf "%s.blocks[%d]" ctx i in
-      if as_int (bctx ^ ".entry") (field bctx b "entry") < 0 then
-        fail "%s: negative entry" bctx;
-      if as_int (bctx ^ ".cycles") (field bctx b "cycles") < 0 then
-        fail "%s: negative cycles" bctx;
-      if as_int (bctx ^ ".execs") (field bctx b "execs") <= 0 then
-        fail "%s: execs <= 0" bctx)
-    blocks;
   Printf.printf "%s: OK (%d rows, %d blocks, %d cycles)\n" ctx
-    (List.length rows) (List.length blocks) total
+    (List.length rows) (List.length (list_at ctx j [ "blocks" ])) total
 
 (* Sentinel runtime-validation stats (written by `stencil
    --sentinel-json`).  The counter inequalities are structural: every
    quarantine entry was produced by a divergence, and every demotion
    implies at least one check ran. *)
-let sentinel_counters =
-  [ "checks"; "divergences"; "quarantined"; "demotions"; "healed";
-    "heal_retries"; "blocked_serves" ]
+let sentinel_spec =
+  ("schema_version", int_in [ 1 ])
+  :: List.map
+       (fun k -> (k, nat))
+       [ "checks"; "divergences"; "quarantined"; "demotions"; "healed";
+         "heal_retries"; "blocked_serves" ]
 
-let check_sentinel ~min_divergences ~min_demotions path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
-  let get k = as_int (ctx ^ "." ^ k) (field ctx j k) in
-  List.iter
-    (fun k -> if get k < 0 then fail "%s: negative %s" ctx k)
-    sentinel_counters;
+let check_sentinel ~min_divergences ~min_demotions ctx j =
+  check ctx (Fields sentinel_spec) j;
+  let get k = int_at ctx j [ k ] in
   if get "quarantined" > get "divergences" then
     fail "%s: quarantined (%d) exceeds divergences (%d)" ctx
       (get "quarantined") (get "divergences");
@@ -380,62 +267,52 @@ let check_sentinel ~min_divergences ~min_demotions path (j : json) =
    — the tiered run spends fewer simulated cycles than the never-tier
    control — must hold in the file CI archives. *)
 let tier_strategies = [ "tiered"; "always"; "never" ]
-let tier_levels = [ "cold"; "warm"; "hot" ]
 
-let check_tier path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 && sv <> 2 then
-    fail "%s: unsupported schema_version %d" ctx sv;
-  let section = as_str (ctx ^ ".section") (field ctx j "section") in
-  if section <> "tier" then fail "%s: bad section %S" ctx section;
-  if as_int (ctx ^ ".sz") (field ctx j "sz") < 3 then fail "%s: sz < 3" ctx;
-  let slices = as_int (ctx ^ ".slices") (field ctx j "slices") in
-  if slices < 1 then fail "%s: slices < 1" ctx;
-  if as_int (ctx ^ ".hot_threshold") (field ctx j "hot_threshold") < 1 then
-    fail "%s: hot_threshold < 1" ctx;
-  let strategies = field ctx j "strategies" in
-  let strat name =
-    field (ctx ^ ".strategies") strategies name
-  in
-  let get s k = as_int (Printf.sprintf "%s.%s.%s" ctx s k) (field s (strat s) k) in
-  let getf s k = as_num (Printf.sprintf "%s.%s.%s" ctx s k) (field s (strat s) k) in
+let strategy_spec =
+  Fields
+    (("total_cycles", int_min 1)
+     :: List.map
+          (fun k -> (k, nat))
+          [ "total_insns"; "cycles_to_peak"; "slices_to_peak";
+            "reached_peak"; "hot_sites"; "patches"; "tierups"; "demotions";
+            "compiles" ]
+     @ List.map (fun k -> (k, num_nat))
+         [ "compile_s"; "wall_s"; "time_to_peak_s" ]
+     @ [ ("sites",
+          Nonempty
+            (Map
+               (Fields
+                  [ ("level", one_of [ "cold"; "warm"; "hot" ]);
+                    ("slices", nat); ("compiles", nat); ("patches", nat) ])))
+       ])
+
+let tier_spec =
+  [ ("schema_version", int_in [ 1; 2 ]);
+    ("section", one_of [ "tier" ]);
+    ("sz", int_min 3);
+    ("slices", int_min 1);
+    ("hot_threshold", int_min 1);
+    ("strategies",
+     Fields (List.map (fun s -> (s, strategy_spec)) tier_strategies)) ]
+
+let check_tier ctx j =
+  check ctx (Fields tier_spec) j;
+  let slices = int_at ctx j [ "slices" ] in
+  let get s k = int_at ctx j [ "strategies"; s; k ] in
   List.iter
     (fun s ->
-      List.iter
-        (fun k -> if get s k < 0 then fail "%s.%s: negative %s" ctx s k)
-        [ "total_cycles"; "total_insns"; "cycles_to_peak"; "slices_to_peak";
-          "reached_peak"; "hot_sites"; "patches"; "tierups"; "demotions";
-          "compiles" ];
-      List.iter
-        (fun k -> if getf s k < 0.0 then fail "%s.%s: negative %s" ctx s k)
-        [ "compile_s"; "wall_s"; "time_to_peak_s" ];
-      if get s "total_cycles" = 0 then fail "%s.%s: total_cycles = 0" ctx s;
       if get s "tierups" > get s "compiles" then
         fail "%s.%s: tierups exceed compiles" ctx s;
       if get s "demotions" > get s "compiles" then
         fail "%s.%s: demotions exceed compiles" ctx s;
-      let sites =
-        as_obj (Printf.sprintf "%s.%s.sites" ctx s) (field s (strat s) "sites")
+      let total =
+        List.fold_left
+          (fun acc (_, row) -> acc + int_at ctx row [ "slices" ])
+          0
+          (obj_at ctx j [ "strategies"; s; "sites" ])
       in
-      if sites = [] then fail "%s.%s: no sites" ctx s;
-      let total_slices = ref 0 in
-      List.iter
-        (fun (name, row) ->
-          let rctx = Printf.sprintf "%s.%s.sites[%s]" ctx s name in
-          let lvl = as_str (rctx ^ ".level") (field rctx row "level") in
-          if not (List.mem lvl tier_levels) then
-            fail "%s: unknown level %S" rctx lvl;
-          total_slices :=
-            !total_slices + as_int (rctx ^ ".slices") (field rctx row "slices");
-          if as_int (rctx ^ ".compiles") (field rctx row "compiles") < 0 then
-            fail "%s: negative compiles" rctx;
-          if as_int (rctx ^ ".patches") (field rctx row "patches") < 0 then
-            fail "%s: negative patches" rctx)
-        sites;
-      if !total_slices <> slices then
-        fail "%s.%s: site slices sum to %d, expected %d" ctx s !total_slices
-          slices)
+      if total <> slices then
+        fail "%s.%s: site slices sum to %d, expected %d" ctx s total slices)
     tier_strategies;
   if get "never" "tierups" <> 0 || get "never" "patches" <> 0 then
     fail "%s: never-tier control tiered up or patched" ctx;
@@ -460,149 +337,127 @@ let check_tier path (j : json) =
    that a given causal chain of event kinds appears in the tail as an
    ordered subsequence (e.g. inject -> divergence -> quarantine ->
    demote). *)
-let blackbox_reasons =
-  [ "typed-error"; "sentinel-divergence"; "uncaught-exception"; "manual" ]
+let blackbox_spec =
+  [ ("schema_version", int_in [ 1 ]);
+    ("reason",
+     one_of
+       [ "typed-error"; "sentinel-divergence"; "uncaught-exception";
+         "manual" ]);
+    ("detail", str);
+    ("active_spans", Arr str);
+    ("flight",
+     Fields
+       [ ("recorded", nat); ("dropped", nat);
+         ("events",
+          Arr (Fields [ ("seq", any_int); ("kind", nonempty_str) ])) ]);
+    ("sections", Nonempty (Map Any)) ]
 
-let check_blackbox ~require_chain path (j : json) =
-  let ctx = Filename.basename path in
-  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
-  if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
-  let reason = as_str (ctx ^ ".reason") (field ctx j "reason") in
-  if not (List.mem reason blackbox_reasons) then
-    fail "%s: unknown reason %S" ctx reason;
-  ignore (as_str (ctx ^ ".detail") (field ctx j "detail"));
-  List.iteri
-    (fun i s -> ignore (as_str (Printf.sprintf "%s.active_spans[%d]" ctx i) s))
-    (as_arr (ctx ^ ".active_spans") (field ctx j "active_spans"));
-  let fl = field ctx j "flight" in
+let check_blackbox ~require_chain ctx j =
+  check ctx (Fields blackbox_spec) j;
+  let evs = list_at ctx j [ "flight"; "events" ] in
   let fctx = ctx ^ ".flight" in
-  if as_int (fctx ^ ".recorded") (field fctx fl "recorded") < 0 then
-    fail "%s: negative recorded" fctx;
-  if as_int (fctx ^ ".dropped") (field fctx fl "dropped") < 0 then
-    fail "%s: negative dropped" fctx;
-  let evs = as_arr (fctx ^ ".events") (field fctx fl "events") in
-  let last_seq = ref (-1) in
-  let kinds =
-    List.mapi
-      (fun i e ->
-        let ectx = Printf.sprintf "%s.events[%d]" fctx i in
-        let seq = as_int (ectx ^ ".seq") (field ectx e "seq") in
-        if seq <= !last_seq then
-          fail "%s: seq %d not strictly increasing (prev %d)" ectx seq
-            !last_seq;
-        last_seq := seq;
-        let kind = as_str (ectx ^ ".kind") (field ectx e "kind") in
-        if kind = "" then fail "%s: empty kind" ectx;
-        kind)
-      evs
+  ignore
+    (List.fold_left
+       (fun (i, prev) e ->
+         let seq = int_at fctx e [ "seq" ] in
+         if seq <= prev then
+           fail "%s.events[%d]: seq %d not strictly increasing (prev %d)" fctx
+             i seq prev;
+         (i + 1, seq))
+       (0, -1) evs);
+  let kinds = List.map (fun e -> str_at fctx e [ "kind" ]) evs in
+  let rec sub need have =
+    match (need, have) with
+    | [], _ -> true
+    | _, [] -> false
+    | n :: ns, h :: hs -> if n = h then sub ns hs else sub need hs
   in
-  let sections = as_obj (ctx ^ ".sections") (field ctx j "sections") in
-  if sections = [] then fail "%s: sections is empty" ctx;
-  (match require_chain with
-   | [] -> ()
-   | chain ->
-     let rec sub need have =
-       match (need, have) with
-       | [], _ -> true
-       | _, [] -> false
-       | n :: ns, h :: hs -> if n = h then sub ns hs else sub need hs
-     in
-     if not (sub chain kinds) then
-       fail "%s: event tail lacks the ordered chain %s" ctx
-         (String.concat " -> " chain));
+  if not (sub require_chain kinds) then
+    fail "%s: event tail lacks the ordered chain %s" ctx
+      (String.concat " -> " require_chain);
   Printf.printf "%s: OK (reason %s, %d event(s), %d section(s)%s)\n" ctx
-    reason (List.length evs) (List.length sections)
+    (str_at ctx j [ "reason" ]) (List.length evs)
+    (List.length (obj_at ctx j [ "sections" ]))
     (if require_chain = [] then ""
      else ", causal chain " ^ String.concat " -> " require_chain)
 
-let check_trace path (j : json) =
-  let ctx = Filename.basename path in
-  let evs = as_arr (ctx ^ ".traceEvents") (field ctx j "traceEvents") in
-  if evs = [] then fail "%s: traceEvents is empty" ctx;
+let trace_spec =
+  [ ("traceEvents",
+     Nonempty
+       (Arr
+          (Fields
+             [ ("name", nonempty_str); ("ph", one_of [ "X"; "i" ]);
+               ("ts", num_nat) ])));
+    ("otherData", Fields [ ("dropped_events", any_int) ]) ]
+
+let check_trace ctx j =
+  check ctx (Fields trace_spec) j;
+  let evs = list_at ctx j [ "traceEvents" ] in
+  (* complete spans ("X") also carry a duration *)
   List.iteri
     (fun i e ->
       let ectx = Printf.sprintf "%s.traceEvents[%d]" ctx i in
-      let name = as_str (ectx ^ ".name") (field ectx e "name") in
-      if name = "" then fail "%s: empty name" ectx;
-      let ph = as_str (ectx ^ ".ph") (field ectx e "ph") in
-      (match ph with
-       | "X" ->
-         if as_num (ectx ^ ".dur") (field ectx e "dur") < 0.0 then
-           fail "%s: negative dur" ectx
-       | "i" -> ()
-       | _ -> fail "%s: unexpected phase %S" ectx ph);
-      if as_num (ectx ^ ".ts") (field ectx e "ts") < 0.0 then
-        fail "%s: negative ts" ectx)
+      if str_at ectx e [ "ph" ] = "X" then
+        check ectx (Fields [ ("dur", num_nat) ]) e)
     evs;
-  let dropped =
-    as_int (ctx ^ ".otherData.dropped_events")
-      (field ctx (field ctx j "otherData") "dropped_events")
-  in
   Printf.printf "%s: OK (%d events, %d dropped)\n" ctx (List.length evs)
-    dropped
+    (int_at ctx j [ "otherData"; "dropped_events" ])
 
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let load path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  try Json.parse s
+  with Json.Parse_error m -> fail "%s: %s" (Filename.basename path) m
+
+(* percentage change from [b] to [c]; 0 when there is no baseline *)
+let delta b c = if b = 0.0 then 0.0 else 100.0 *. ((c /. b) -. 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* compare: wall-time regression gate over two BENCH files             *)
 (* ------------------------------------------------------------------ *)
 
 (* Index a BENCH file's rows by their "Kind/Mode" name. *)
-let bench_rows ctx (j : json) : (string * (int * int)) list =
+let bench_rows ctx j =
   List.map
     (fun (name, row) ->
       let rctx = Printf.sprintf "%s.rows[%s]" ctx name in
       ( name,
-        ( as_int (rctx ^ ".wall_ns") (field rctx row "wall_ns"),
-          as_int (rctx ^ ".cycles") (field rctx row "cycles") ) ))
-    (as_obj (ctx ^ ".rows") (field ctx j "rows"))
+        ( float_of_int (int_at rctx row [ "wall_ns" ]),
+          float_of_int (int_at rctx row [ "cycles" ]) ) ))
+    (obj_at ctx j [ "rows" ])
 
 (* serve-latency tail: only present in schema-v2 files, so the gate is
    conditional — a v1 baseline compares cleanly against a v2 current *)
-let serve_p99 ctx (j : json) =
-  match j with
-  | Obj kvs -> (
-    match List.assoc_opt "serve_latency" kvs with
-    | Some sl ->
-      Some (as_int (ctx ^ ".serve_latency.p99_us") (field ctx sl "p99_us"))
-    | None -> None)
-  | _ -> None
+let serve_p99 ctx j =
+  Option.map
+    (fun sl -> int_at (ctx ^ ".serve_latency") sl [ "p99_us" ])
+    (Json.member "serve_latency" j)
 
 let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
-  let load p = parse (read_file p) in
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
-  let bsec = as_str (bctx ^ ".section") (field bctx base "section") in
-  let csec = as_str (cctx ^ ".section") (field cctx cur "section") in
+  let bsec = str_at bctx base [ "section" ] in
+  let csec = str_at cctx cur [ "section" ] in
   if bsec <> csec then
     fail "compare: section mismatch (%s vs %s)" bsec csec;
   let brows = bench_rows bctx base in
   let crows = bench_rows cctx cur in
-  let regressions = ref [] in
-  List.iter
-    (fun (name, (bw, bc)) ->
-      match List.assoc_opt name crows with
-      | None -> Printf.printf "  %-28s dropped from current\n" name
-      | Some (cw, cc) ->
-        let dw =
-          if bw = 0 then 0.0
-          else 100.0 *. (float_of_int cw /. float_of_int bw -. 1.0)
-        in
-        let dc =
-          if bc = 0 then 0.0
-          else 100.0 *. (float_of_int cc /. float_of_int bc -. 1.0)
-        in
-        Printf.printf "  %-28s wall %+7.1f%%  cycles %+7.1f%%\n" name dw dc;
-        if dw > tol then regressions := (name, dw) :: !regressions)
-    brows;
+  let regressions =
+    List.filter_map
+      (fun (name, (bw, bc)) ->
+        match List.assoc_opt name crows with
+        | None ->
+          Printf.printf "  %-28s dropped from current\n" name;
+          None
+        | Some (cw, cc) ->
+          let dw = delta bw cw in
+          Printf.printf "  %-28s wall %+7.1f%%  cycles %+7.1f%%\n" name dw
+            (delta bc cc);
+          if dw > tol then Some (name, dw) else None)
+      brows
+  in
   List.iter
     (fun (name, _) ->
       if not (List.mem_assoc name brows) then
@@ -613,11 +468,9 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
      --tol-mips turns a drop beyond the given percentage into a failure.
      MIPS regressions are drops (current below baseline), unlike wall
      time where regressions are increases. *)
-  let bmips = as_num (bctx ^ ".emulated_mips") (field bctx base "emulated_mips") in
-  let cmips = as_num (cctx ^ ".emulated_mips") (field cctx cur "emulated_mips") in
-  let dmips =
-    if bmips = 0.0 then 0.0 else 100.0 *. (cmips /. bmips -. 1.0)
-  in
+  let bmips = num_at bctx base [ "emulated_mips" ] in
+  let cmips = num_at cctx cur [ "emulated_mips" ] in
+  let dmips = delta bmips cmips in
   Printf.printf "  %-28s %8.2f -> %8.2f  (%+.1f%%)\n" "emulated_mips" bmips
     cmips dmips;
   let mips_failed =
@@ -635,39 +488,32 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
      failure.  Skipped when either file predates the latency schema. *)
   let p99_failed =
     match (serve_p99 bctx base, serve_p99 cctx cur) with
-    | Some bp, Some cp ->
-      let d =
-        if bp = 0 then 0.0
-        else 100.0 *. (float_of_int cp /. float_of_int bp -. 1.0)
-      in
+    | Some bp, Some cp -> (
+      let d = delta (float_of_int bp) (float_of_int cp) in
       Printf.printf "  %-28s %8d -> %8d us (%+.1f%%)\n" "serve_p99_us" bp cp
         d;
-      (match tol_p99 with
-       | Some t when d > t ->
-         Printf.eprintf
-           "FAIL %s: serve p99 regressed %.1f%% (%d -> %d us, tolerance \
-            %.0f%%)\n"
-           bsec d bp cp t;
-         true
-       | _ -> false)
+      match tol_p99 with
+      | Some t when d > t ->
+        Printf.eprintf
+          "FAIL %s: serve p99 regressed %.1f%% (%d -> %d us, tolerance \
+           %.0f%%)\n"
+          bsec d bp cp t;
+        true
+      | _ -> false)
     | _ ->
       if tol_p99 <> None then
         Printf.printf "  %-28s (not present in both files, gate skipped)\n"
           "serve_p99_us";
       false
   in
-  match !regressions with
-  | [] ->
-    if mips_failed || p99_failed then exit 1;
-    Printf.printf "compare %s: OK (%d rows, tolerance %.0f%%)\n" bsec
-      (List.length brows) tol
-  | rs ->
-    List.iter
-      (fun (name, dw) ->
-        Printf.eprintf "FAIL %s: wall time of %s regressed %.1f%% (> %.0f%%)\n"
-          bsec name dw tol)
-      (List.rev rs);
-    exit 1
+  List.iter
+    (fun (name, dw) ->
+      Printf.eprintf "FAIL %s: wall time of %s regressed %.1f%% (> %.0f%%)\n"
+        bsec name dw tol)
+    regressions;
+  if regressions <> [] || mips_failed || p99_failed then exit 1;
+  Printf.printf "compare %s: OK (%d rows, tolerance %.0f%%)\n" bsec
+    (List.length brows) tol
 
 (* ------------------------------------------------------------------ *)
 (* compare-tier: per-strategy cycle gate over two tier figures         *)
@@ -678,175 +524,137 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
    total_cycles fails the gate.  Wall-clock fields (compile_s,
    time_to_peak_s) are printed for the record, never gated. *)
 let compare_tier ~tol base_path cur_path =
-  let load p = parse (read_file p) in
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
-  let section ctx j = as_str (ctx ^ ".section") (field ctx j "section") in
-  if section bctx base <> "tier" || section cctx cur <> "tier" then
-    fail "compare-tier: both files must have section \"tier\"";
-  let strat ctx j name =
-    field (ctx ^ ".strategies") (field ctx j "strategies") name
+  if str_at bctx base [ "section" ] <> "tier"
+     || str_at cctx cur [ "section" ] <> "tier"
+  then fail "compare-tier: both files must have section \"tier\"";
+  let regressions =
+    List.filter_map
+      (fun name ->
+        let int ctx j k = int_at ctx j [ "strategies"; name; k ] in
+        let num ctx j k = num_at ctx j [ "strategies"; name; k ] in
+        let bcy = int bctx base "total_cycles" in
+        let ccy = int cctx cur "total_cycles" in
+        let d = delta (float_of_int bcy) (float_of_int ccy) in
+        Printf.printf
+          "  %-8s cycles %9d -> %9d (%+.2f%%)  time-to-peak %.3f -> %.3f ms\n"
+          name bcy ccy d
+          (num bctx base "time_to_peak_s" *. 1e3)
+          (num cctx cur "time_to_peak_s" *. 1e3);
+        if d > tol then Some (name, d) else None)
+      tier_strategies
   in
-  let regressions = ref [] in
   List.iter
-    (fun name ->
-      let b = strat bctx base name and c = strat cctx cur name in
-      let bcy = as_int (name ^ ".total_cycles") (field name b "total_cycles") in
-      let ccy = as_int (name ^ ".total_cycles") (field name c "total_cycles") in
-      let d =
-        if bcy = 0 then 0.0
-        else 100.0 *. (float_of_int ccy /. float_of_int bcy -. 1.0)
-      in
-      let bt = as_num (name ^ ".time_to_peak_s") (field name b "time_to_peak_s") in
-      let ct = as_num (name ^ ".time_to_peak_s") (field name c "time_to_peak_s") in
-      Printf.printf
-        "  %-8s cycles %9d -> %9d (%+.2f%%)  time-to-peak %.3f -> %.3f ms\n"
-        name bcy ccy d (bt *. 1e3) (ct *. 1e3);
-      if d > tol then regressions := (name, d) :: !regressions)
-    tier_strategies;
-  match !regressions with
-  | [] ->
-    Printf.printf "compare-tier: OK (%d strategies, tolerance %.1f%%)\n"
-      (List.length tier_strategies) tol
-  | rs ->
-    List.iter
-      (fun (name, d) ->
-        Printf.eprintf
-          "FAIL tier: total_cycles of %s regressed %.2f%% (> %.1f%%)\n" name d
-          tol)
-      (List.rev rs);
-    exit 1
+    (fun (name, d) ->
+      Printf.eprintf
+        "FAIL tier: total_cycles of %s regressed %.2f%% (> %.1f%%)\n" name d
+        tol)
+    regressions;
+  if regressions <> [] then exit 1;
+  Printf.printf "compare-tier: OK (%d strategies, tolerance %.1f%%)\n"
+    (List.length tier_strategies) tol
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let usage () =
+  prerr_endline
+    "usage: validate_bench [--trace FILE | --remarks FILE | --profile \
+     FILE | --sentinel FILE | --tier FILE | --blackbox FILE | \
+     BENCH_*.json] ...\n\
+    \       [--sentinel-min-divergences N] [--sentinel-min-demotions N]\n\
+    \       [--blackbox-require-chain k1,k2,...]\n\
+    \       validate_bench compare BASELINE.json CURRENT.json [--tol PCT] \
+     [--tol-mips PCT] [--tol-p99 PCT]\n\
+    \       validate_bench compare-tier BASELINE.json CURRENT.json \
+     [--tol PCT]";
+  exit 2
+
+let die msg = prerr_endline msg; exit 2
+
+(* run a compare subcommand: a failed read or check exits 1 *)
+let gate f =
+  try f () with Bad m | Sys_error m -> Printf.eprintf "FAIL %s\n" m; exit 1
+
+(* the percentage [flags] given (last one wins) and the file operands *)
+let compare_args flags rest =
+  let rec go tols files = function
+    | fl :: t :: tl when List.mem fl flags ->
+      go ((fl, float_of_string t) :: tols) files tl
+    | [ fl ] when List.mem fl flags ->
+      die (String.concat "/" flags ^ " need a percentage argument")
+    | f :: tl -> go tols (f :: files) tl
+    | [] -> ((fun fl -> List.assoc_opt fl tols), List.rev files)
+  in
+  go [] [] rest
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  if args = [] then begin
-    prerr_endline
-      "usage: validate_bench [--trace FILE | --remarks FILE | --profile \
-       FILE | --sentinel FILE | --tier FILE | --blackbox FILE | \
-       BENCH_*.json] ...\n\
-      \       [--sentinel-min-divergences N] [--sentinel-min-demotions N]\n\
-      \       [--blackbox-require-chain k1,k2,...]\n\
-      \       validate_bench compare BASELINE.json CURRENT.json [--tol PCT] \
-       [--tol-mips PCT] [--tol-p99 PCT]\n\
-      \       validate_bench compare-tier BASELINE.json CURRENT.json \
-       [--tol PCT]";
-    exit 2
-  end;
-  let failed = ref false in
-  let checked kind f check =
-    try check f (parse (read_file f)) with
-    | Bad m -> Printf.eprintf "FAIL %s\n" m; failed := true
-    | Sys_error m -> Printf.eprintf "FAIL %s\n" m; failed := true
-    | exception_ ->
-      Printf.eprintf "FAIL %s %s: %s\n" kind f
-        (Printexc.to_string exception_);
-      failed := true
-  in
-  (match args with
-   | "compare" :: rest ->
-     let tol = ref 10.0 in
-     let tol_mips = ref None in
-     let tol_p99 = ref None in
-     let files = ref [] in
-     let rec go = function
-       | "--tol" :: t :: tl -> tol := float_of_string t; go tl
-       | "--tol-mips" :: t :: tl ->
-         tol_mips := Some (float_of_string t);
-         go tl
-       | "--tol-p99" :: t :: tl ->
-         tol_p99 := Some (float_of_string t);
-         go tl
-       | ("--tol" | "--tol-mips" | "--tol-p99") :: [] ->
-         prerr_endline "--tol/--tol-mips/--tol-p99 need a percentage argument";
-         exit 2
-       | f :: tl -> files := f :: !files; go tl
-       | [] -> ()
-     in
-     go rest;
-     (match List.rev !files with
-      | [ base; cur ] -> (
-        try
-          compare_bench ~tol:!tol ~tol_mips:!tol_mips ~tol_p99:!tol_p99 base
-            cur
-        with
-        | Bad m -> Printf.eprintf "FAIL %s\n" m; exit 1
-        | Sys_error m -> Printf.eprintf "FAIL %s\n" m; exit 1)
-      | _ ->
-        prerr_endline
-          "usage: validate_bench compare BASELINE.json CURRENT.json \
-           [--tol PCT] [--tol-mips PCT] [--tol-p99 PCT]";
-        exit 2)
-   | "compare-tier" :: rest ->
-     let tol = ref 0.0 in
-     let files = ref [] in
-     let rec go = function
-       | "--tol" :: t :: tl -> tol := float_of_string t; go tl
-       | "--tol" :: [] ->
-         prerr_endline "--tol needs a percentage argument";
-         exit 2
-       | f :: tl -> files := f :: !files; go tl
-       | [] -> ()
-     in
-     go rest;
-     (match List.rev !files with
-      | [ base; cur ] -> (
-        try compare_tier ~tol:!tol base cur with
-        | Bad m -> Printf.eprintf "FAIL %s\n" m; exit 1
-        | Sys_error m -> Printf.eprintf "FAIL %s\n" m; exit 1)
-      | _ ->
-        prerr_endline
-          "usage: validate_bench compare-tier BASELINE.json CURRENT.json \
-           [--tol PCT]";
-        exit 2)
-   | _ ->
-     (* thresholds apply to every --sentinel file, wherever they appear
-        on the command line, so hoist them before the file sweep *)
-     let min_div = ref 0 in
-     let min_dem = ref 0 in
-     let chain = ref [] in
-     let rec hoist = function
-       | "--sentinel-min-divergences" :: n :: tl ->
-         min_div := int_of_string n;
-         hoist tl
-       | "--sentinel-min-demotions" :: n :: tl ->
-         min_dem := int_of_string n;
-         hoist tl
-       | "--blackbox-require-chain" :: ks :: tl ->
-         chain :=
-           List.filter (fun k -> k <> "")
-             (List.map String.trim (String.split_on_char ',' ks));
-         hoist tl
-       | ("--sentinel-min-divergences" | "--sentinel-min-demotions") :: [] ->
-         prerr_endline "--sentinel-min-* need an integer argument";
-         exit 2
-       | [ "--blackbox-require-chain" ] ->
-         prerr_endline
-           "--blackbox-require-chain needs a comma-separated kind list";
-         exit 2
-       | a :: tl -> a :: hoist tl
-       | [] -> []
-     in
-     let args = hoist args in
-     let rec go = function
-       | [] -> ()
-       | "--trace" :: f :: tl -> checked "trace" f check_trace; go tl
-       | "--remarks" :: f :: tl -> checked "remarks" f check_remarks; go tl
-       | "--profile" :: f :: tl -> checked "profile" f check_profile; go tl
-       | "--sentinel" :: f :: tl ->
-         checked "sentinel" f
-           (check_sentinel ~min_divergences:!min_div ~min_demotions:!min_dem);
-         go tl
-       | "--tier" :: f :: tl -> checked "tier" f check_tier; go tl
-       | "--blackbox" :: f :: tl ->
-         checked "blackbox" f (check_blackbox ~require_chain:!chain);
-         go tl
-       | ("--trace" | "--remarks" | "--profile" | "--sentinel" | "--tier"
-         | "--blackbox")
-         :: [] ->
-         prerr_endline "flag needs a file argument";
-         exit 2
-       | f :: tl -> checked "bench" f check_bench; go tl
-     in
-     go args);
-  if !failed then exit 1
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> usage ()
+  | "compare" :: rest -> (
+    let tol, files = compare_args [ "--tol"; "--tol-mips"; "--tol-p99" ] rest in
+    match files with
+    | [ base; cur ] ->
+      gate (fun () ->
+          compare_bench
+            ~tol:(Option.value ~default:10.0 (tol "--tol"))
+            ~tol_mips:(tol "--tol-mips") ~tol_p99:(tol "--tol-p99") base cur)
+    | _ -> usage ())
+  | "compare-tier" :: rest -> (
+    let tol, files = compare_args [ "--tol" ] rest in
+    match files with
+    | [ base; cur ] ->
+      gate (fun () ->
+          compare_tier ~tol:(Option.value ~default:0.0 (tol "--tol")) base cur)
+    | _ -> usage ())
+  | args ->
+    (* thresholds apply to every --sentinel file, wherever they appear
+       on the command line, so read them all before any file is checked *)
+    let min_div = ref 0 and min_dem = ref 0 and chain = ref [] in
+    let rec parse = function
+      | "--sentinel-min-divergences" :: n :: tl ->
+        min_div := int_of_string n;
+        parse tl
+      | "--sentinel-min-demotions" :: n :: tl ->
+        min_dem := int_of_string n;
+        parse tl
+      | "--blackbox-require-chain" :: ks :: tl ->
+        chain :=
+          List.filter (fun k -> k <> "")
+            (List.map String.trim (String.split_on_char ',' ks));
+        parse tl
+      | [ ("--sentinel-min-divergences" | "--sentinel-min-demotions") ] ->
+        die "--sentinel-min-* need an integer argument"
+      | [ "--blackbox-require-chain" ] ->
+        die "--blackbox-require-chain needs a comma-separated kind list"
+      | ("--trace" | "--remarks" | "--profile" | "--sentinel" | "--tier"
+        | "--blackbox" as fl) :: f :: tl -> (fl, f) :: parse tl
+      | [ ("--trace" | "--remarks" | "--profile" | "--sentinel" | "--tier"
+          | "--blackbox") ] -> die "flag needs a file argument"
+      | f :: tl -> ("bench", f) :: parse tl
+      | [] -> []
+    in
+    let files = parse args in
+    let check_of = function
+      | "--trace" -> check_trace
+      | "--remarks" -> check_remarks
+      | "--profile" -> check_profile
+      | "--sentinel" ->
+        check_sentinel ~min_divergences:!min_div ~min_demotions:!min_dem
+      | "--tier" -> check_tier
+      | "--blackbox" -> check_blackbox ~require_chain:!chain
+      | _ -> check_bench
+    in
+    let failed = ref false in
+    List.iter
+      (fun (kind, f) ->
+        try check_of kind (Filename.basename f) (load f) with
+        | Bad m | Sys_error m -> Printf.eprintf "FAIL %s\n" m; failed := true
+        | e ->
+          Printf.eprintf "FAIL %s %s: %s\n" kind f (Printexc.to_string e);
+          failed := true)
+      files;
+    if !failed then exit 1
