@@ -1357,7 +1357,7 @@ let emit_func_impl ?(global_addr = fun g -> err "unresolved global @%s" g)
     Insn.item list * int array =
   Obrew_fault.Fault.point "backend.isel";
   split_critical_edges f;
-  Cfg.prune_unreachable f;
+  ignore (Cfg.prune_unreachable f);
   let al = allocate f in
   (* alloca frame offsets *)
   let alloca_off = Hashtbl.create 4 in

@@ -226,6 +226,23 @@ let map_operands f op =
   | Shuffle (t, a, b, m) -> Shuffle (t, f a, f b, m)
   | Intr (i, args) -> Intr (i, List.map f args)
 
+(** Does [p] hold for any operand of [op]?  {!operands} without the
+    list. *)
+let exists_operand p op =
+  match op with
+  | Bin (_, _, a, b) | FBin (_, _, a, b) | Icmp (_, _, a, b)
+  | Fcmp (_, _, a, b) | Store (_, a, b, _) | InsertElt (_, a, b, _)
+  | Shuffle (_, a, b, _) -> p a || p b
+  | Select (_, c, a, b) -> p c || p a || p b
+  | Cast (_, _, v, _) | Load (_, v, _) | ExtractElt (_, v, _) -> p v
+  | Gep (base, elts) ->
+    p base
+    || List.exists (function GConst _ -> false | GScaled (v, _) -> p v) elts
+  | Phi (_, ins) -> List.exists (fun (_, v) -> p v) ins
+  | CallDirect (_, _, args) | Intr (_, args) -> List.exists p args
+  | CallPtr (f, _, args) -> p f || List.exists p args
+  | Alloca _ -> false
+
 let term_operands = function
   | Ret (Some v) -> [ v ]
   | Ret None | Unreachable | Br _ -> []

@@ -28,7 +28,7 @@ let pure_op = function
   | Load _ | Store _ | Phi _ | CallDirect _ | CallPtr _ | Alloca _ -> false
 
 let run (f : func) : bool =
-  Cfg.prune_unreachable f;
+  let pruned = Cfg.prune_unreachable f in
   let dom = Dom.compute f in
   let live = Cfg.reachable f in
   let children = Hashtbl.create 16 in
@@ -97,4 +97,4 @@ let run (f : func) : bool =
   in
   walk (entry_block f).bid;
   Util.apply_subst f subst;
-  !changed
+  !changed || pruned

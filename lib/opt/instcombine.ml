@@ -254,12 +254,12 @@ let simplify ctx (i : instr) : outcome =
     | Phi (_, []) -> Keep
     | Phi (_, ins) -> (
       (* all inputs equal (ignoring self-references) -> that value *)
-      let self = V i.id in
-      let non_self = List.filter (fun (_, v) -> v <> self) ins in
-      match non_self with
-      | [] -> Keep
-      | (_, v0) :: rest ->
-        if List.for_all (fun (_, v) -> v = v0) rest then Value v0 else Keep)
+      let self = function V id -> id = i.id | _ -> false in
+      match List.find_opt (fun (_, v) -> not (self v)) ins with
+      | None -> Keep
+      | Some (_, v0) ->
+        if List.for_all (fun (_, v) -> self v || v = v0) ins then Value v0
+        else Keep)
     | ExtractElt (vt, v, lane) -> (
       match def ctx v with
       | Some (InsertElt (_, v0, s, l0)) ->
@@ -311,73 +311,106 @@ let simplify ctx (i : instr) : outcome =
       | _ -> Keep)
     | _ -> Keep)
 
-(** One instcombine sweep over a function; true when anything changed. *)
-let run_once ?(fast_math = false)
-    ?(const_load = fun ~addr:_ ~len:_ -> None)
-    ?(global_lookup = fun _ -> None) (f : func) : bool =
+(* A rewritten instruction is simplified again at once; this bounds the
+   rewrites of one instruction in one sweep. *)
+let settle_fuel = 20
+
+(* The per-run tables: the current defining instruction of every value
+   id (kept current as instructions are rewritten) and the value types
+   (rewrites keep an instruction's type, so these never go stale). *)
+let make_ctx ~fast_math ~const_load ~global_lookup (f : func) =
   let defs = Util.def_table f in
-  let tenv = Util.type_env f in
   let ctx =
     { dfn =
         (fun id ->
           match Hashtbl.find_opt defs id with
           | Some i -> Some i.op
           | None -> None);
-      tenv; fast_math; const_load; global_lookup }
+      tenv = Util.type_env f; fast_math; const_load; global_lookup }
   in
+  (defs, ctx)
+
+let remark_value (i : instr) =
+  (* attribute constant folds to the fold pass, constant memory reads to
+     the specializer, the rest to plain combining *)
+  let pass, action, detail =
+    match i.op with
+    | Load _ ->
+      ("instcombine", Prov.Specialized,
+       "load from constant memory folded to its value")
+    | _ ->
+      if Fold.fold_op i.ty i.op <> None then
+        ("fold", Prov.Specialized, "constant expression folded")
+      else
+        ("instcombine", Prov.Merged, "replaced by an equivalent existing value")
+  in
+  Prov.record ~pass ~action ~prov:i.prov ~detail
+
+(* One sweep in block order.  Each instruction is rewritten in place
+   until no rule applies; an instruction replaced by a value is removed
+   and its uses are substituted. *)
+let sweep defs ctx (f : func) : bool =
   let changed = ref false in
   let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
+  let mentioned = Util.mentions subst in
+  let refresh (i : instr) = Hashtbl.replace defs i.id i in
+  let rec settle (i : instr) fuel =
+    match simplify ctx i with
+    | Keep -> Some i
+    | Value v ->
+      changed := true;
+      Hashtbl.replace subst i.id (Util.resolve subst v);
+      if !Prov.enabled then remark_value i;
+      None
+    | Op op ->
+      changed := true;
+      let i' = { i with op } in
+      refresh i';
+      if !Prov.enabled then
+        Prov.record ~pass:"instcombine" ~action:Prov.Specialized
+          ~prov:i.prov ~detail:"rewritten to a simpler form";
+      if fuel > 1 then settle i' (fuel - 1) else Some i'
+  in
   List.iter
     (fun b ->
       b.instrs <-
         List.filter_map
           (fun i ->
-            let i = { i with op = map_operands (Util.resolve subst) i.op } in
-            match simplify ctx i with
-            | Keep -> Some i
-            | Value v ->
-              changed := true;
-              Hashtbl.replace subst i.id (Util.resolve subst v);
-              if !Prov.enabled then begin
-                (* attribute constant folds to the fold pass, constant
-                   memory reads to the specializer, the rest to plain
-                   combining *)
-                let pass, action, detail =
-                  match i.op with
-                  | Load _ ->
-                    ("instcombine", Prov.Specialized,
-                     "load from constant memory folded to its value")
-                  | _ ->
-                    if Fold.fold_op i.ty i.op <> None then
-                      ("fold", Prov.Specialized,
-                       "constant expression folded")
-                    else
-                      ("instcombine", Prov.Merged,
-                       "replaced by an equivalent existing value")
-                in
-                Prov.record ~pass ~action ~prov:i.prov ~detail
-              end;
-              None
-            | Op op ->
-              changed := true;
-              let i' = { i with op } in
-              Hashtbl.replace defs i.id i';
-              if !Prov.enabled then
-                Prov.record ~pass:"instcombine" ~action:Prov.Specialized
-                  ~prov:i.prov ~detail:"rewritten to a simpler form";
-              Some i')
+            let i =
+              if Hashtbl.length subst > 0 && exists_operand mentioned i.op
+              then begin
+                let i = { i with op = map_operands (Util.resolve subst) i.op } in
+                refresh i;
+                i
+              end
+              else i
+            in
+            settle i settle_fuel)
           b.instrs)
     f.blocks;
-  Util.apply_subst f subst;
+  (* uses met before their value was substituted (phi back edges) *)
+  Util.apply_subst ~on_rebuilt:refresh f subst;
   !changed
 
-let run ?fast_math ?const_load ?global_lookup (f : func) : bool =
+let no_const_load ~addr:_ ~len:_ = None
+let no_globals _ = None
+
+(** One instcombine sweep over a function; true when anything changed. *)
+let run_once ?(fast_math = false) ?(const_load = no_const_load)
+    ?(global_lookup = no_globals) (f : func) : bool =
+  let defs, ctx = make_ctx ~fast_math ~const_load ~global_lookup f in
+  sweep defs ctx f
+
+(** Sweep to a fixpoint, building the tables once. *)
+let run ?(fast_math = false) ?(const_load = no_const_load)
+    ?(global_lookup = no_globals) (f : func) : bool =
+  let defs, ctx = make_ctx ~fast_math ~const_load ~global_lookup f in
   let changed = ref false in
   let continue_ = ref true in
   let budget = ref 20 in
   while !continue_ && !budget > 0 do
     decr budget;
-    let c = run_once ?fast_math ?const_load ?global_lookup f in
+    let c = sweep defs ctx f in
     changed := !changed || c;
     continue_ := c
   done;

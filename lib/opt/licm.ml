@@ -8,7 +8,6 @@ module Prov = Obrew_provenance.Provenance
 
 (* natural loops: (header, body set, preheader) *)
 let loops (f : func) : (int * (int, unit) Hashtbl.t * int) list =
-  Cfg.prune_unreachable f;
   let dom = Dom.compute f in
   let preds = Cfg.predecessors f in
   let backs =
@@ -60,6 +59,7 @@ let hoistable = function
   | Load _ | Store _ | Phi _ | CallDirect _ | CallPtr _ | Alloca _ -> false
 
 let run (f : func) : bool =
+  let pruned = Cfg.prune_unreachable f in
   let changed = ref false in
   List.iter
     (fun (_, body, pre) ->
@@ -129,4 +129,4 @@ let run (f : func) : bool =
           f.blocks
       done)
     (loops f);
-  !changed
+  !changed || pruned

@@ -7,18 +7,22 @@ open Ins
 module Prov = Obrew_provenance.Provenance
 
 (* Retarget phi inputs in [blk] when predecessor [from] is renamed to
-   [to_]. *)
+   [to_]; only the phis naming [from] are rebuilt. *)
 let rename_phi_pred (blk : block) ~from ~to_ =
-  blk.instrs <-
-    List.map
-      (fun i ->
-        match i.op with
-        | Phi (t, ins) ->
-          { i with
-            op = Phi (t, List.map (fun (p, v) ->
-                          ((if p = from then to_ else p), v)) ins) }
-        | _ -> i)
-      blk.instrs
+  let names_from i =
+    match i.op with Phi (_, ins) -> List.mem_assoc from ins | _ -> false
+  in
+  if List.exists names_from blk.instrs then
+    blk.instrs <-
+      List.map
+        (fun i ->
+          match i.op with
+          | Phi (t, ins) when names_from i ->
+            { i with
+              op = Phi (t, List.map (fun (p, v) ->
+                            ((if p = from then to_ else p), v)) ins) }
+          | _ -> i)
+        blk.instrs
 
 let fold_constant_branches (f : func) : bool =
   let changed = ref false in
@@ -65,74 +69,82 @@ let fold_constant_branches (f : func) : bool =
   !changed
 
 (* Merge [b] with its unique successor [c] when [c] has exactly one
-   predecessor. *)
+   predecessor.  A merge leaves every other block's mergeability as it
+   was (the absorbed block's successors trade it for [b] as a
+   predecessor), so one walk in block order, growing each block along
+   its whole chain, makes the same merges in the same order as
+   restarting the search after each.  The phi substitutions are
+   collected in one map, resolved as they are added, and applied once;
+   each chain is appended once. *)
 let merge_chains (f : func) : bool =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let preds = Cfg.predecessors f in
-    let entry_bid = (entry_block f).bid in
-    let mergeable =
-      List.find_opt
-        (fun b ->
-          match b.term with
-          | Br c when c <> b.bid && c <> entry_bid ->
-            (match Hashtbl.find_opt preds c with
-             | Some [ p ] -> p = b.bid
-             | _ -> false)
-          | _ -> false)
-        f.blocks
+  let preds = Cfg.predecessors f in
+  let find = Cfg.block_finder f in
+  let entry_bid = (entry_block f).bid in
+  let absorbed = Hashtbl.create 16 in
+  let subst = Hashtbl.create 16 in
+  let next_merge b =
+    match b.term with
+    | Br c when c <> b.bid && c <> entry_bid -> (
+      match Hashtbl.find_opt preds c with
+      | Some [ p ] when p = b.bid -> Some c
+      | _ -> None)
+    | _ -> None
+  in
+  let grow b =
+    (* bodies of the absorbed blocks, last first *)
+    let rec absorb bodies =
+      match next_merge b with
+      | None -> bodies
+      | Some c ->
+        let cb = find c in
+        (* phis in c have a single incoming: replace by their value *)
+        let body =
+          List.filter_map
+            (fun i ->
+              let merged v =
+                Hashtbl.replace subst i.id (Util.resolve subst v);
+                if !Prov.enabled then
+                  Prov.record ~pass:"simplifycfg" ~action:Prov.Merged
+                    ~prov:i.prov
+                    ~detail:
+                      (Printf.sprintf
+                         "single-input phi eliminated merging bb%d into bb%d"
+                         c b.bid);
+                None
+              in
+              match i.op with
+              | Phi (_, [ (_, v) ]) -> merged v
+              | Phi (_, ins) -> (
+                (* sole pred: all inputs must come from b *)
+                match List.assoc_opt b.bid ins with
+                | Some v -> merged v
+                | None -> Some i)
+              | _ -> Some i)
+            cb.instrs
+        in
+        b.term <- cb.term;
+        Hashtbl.replace absorbed c ();
+        (* successors of c now have predecessor b instead of c *)
+        List.iter
+          (fun s ->
+            rename_phi_pred (find s) ~from:c ~to_:b.bid;
+            Hashtbl.replace preds s
+              (List.map (fun p -> if p = c then b.bid else p)
+                 (Option.value ~default:[] (Hashtbl.find_opt preds s))))
+          (successors b.term);
+        absorb (body :: bodies)
     in
-    match mergeable with
-    | None -> ()
-    | Some b ->
-      let c =
-        match b.term with
-        | Br c -> c
-        | _ ->
-          Obrew_fault.Err.fail Obrew_fault.Err.Opt
-            "simplifycfg: mergeable block lost its Br terminator"
-      in
-      let cb = find_block f c in
-      (* phis in c have a single incoming: replace by their value *)
-      let subst = Hashtbl.create 4 in
-      let body =
-        List.filter_map
-          (fun i ->
-            let merged v =
-              Hashtbl.replace subst i.id v;
-              if !Prov.enabled then
-                Prov.record ~pass:"simplifycfg" ~action:Prov.Merged
-                  ~prov:i.prov
-                  ~detail:
-                    (Printf.sprintf
-                       "single-input phi eliminated merging bb%d into bb%d"
-                       c b.bid);
-              None
-            in
-            match i.op with
-            | Phi (_, [ (_, v) ]) -> merged v
-            | Phi (_, ins) -> (
-              (* sole pred: all inputs must come from b *)
-              match List.assoc_opt b.bid ins with
-              | Some v -> merged v
-              | None -> Some i)
-            | _ -> Some i)
-          cb.instrs
-      in
-      b.instrs <- b.instrs @ body;
-      b.term <- cb.term;
-      f.blocks <- List.filter (fun x -> x.bid <> c) f.blocks;
-      (* successors of c now have predecessor b instead of c *)
-      List.iter
-        (fun s -> rename_phi_pred (find_block f s) ~from:c ~to_:b.bid)
-        (successors b.term);
-      Util.apply_subst f subst;
-      changed := true;
-      continue_ := true
-  done;
-  !changed
+    match absorb [] with
+    | [] -> ()
+    | bodies -> b.instrs <- List.concat (b.instrs :: List.rev bodies)
+  in
+  List.iter (fun b -> if not (Hashtbl.mem absorbed b.bid) then grow b) f.blocks;
+  if Hashtbl.length absorbed = 0 then false
+  else begin
+    f.blocks <- List.filter (fun x -> not (Hashtbl.mem absorbed x.bid)) f.blocks;
+    Util.apply_subst f subst;
+    true
+  end
 
 (* Skip blocks that contain nothing but an unconditional branch, when
    the target's phis can be retargeted unambiguously. *)
@@ -202,14 +214,12 @@ let skip_empty_blocks (f : func) : bool =
         changed := true
       end)
     empties;
-  if !changed then Cfg.prune_unreachable f;
+  if !changed then ignore (Cfg.prune_unreachable f);
   !changed
 
 let run_once (f : func) : bool =
   let c1 = fold_constant_branches f in
-  let reach0 = List.length f.blocks in
-  Cfg.prune_unreachable f;
-  let c2 = List.length f.blocks <> reach0 in
+  let c2 = Cfg.prune_unreachable f in
   let c3 = merge_chains f in
   let c4 = skip_empty_blocks f in
   c1 || c2 || c3 || c4

@@ -27,7 +27,6 @@ type loop_info = {
 }
 
 let find_loop (f : func) : loop_info option =
-  Cfg.prune_unreachable f;
   let dom = Dom.compute f in
   let preds = Cfg.predecessors f in
   (* back edges *)
@@ -407,8 +406,11 @@ let make_lcssa (f : func) (li : loop_info) =
     pipeline in between folds the per-iteration branch; a zero-trip
     loop gets a final peel whose cloned header folds straight to the
     exit, making the original loop unreachable).  Returns true when
-    something was peeled; call repeatedly until it returns false. *)
-let run_once ?(fast_math = false) (f : func) : bool =
+    something was peeled; call repeatedly until it returns false.
+    Unreachable blocks are pruned first; [pruned] is set when that
+    changed the function. *)
+let run_once ?(fast_math = false) ~pruned (f : func) : bool =
+  if Cfg.prune_unreachable f then pruned := true;
   match find_loop f with
   | None -> false
   | Some li -> (
@@ -447,9 +449,10 @@ let run_once ?(fast_math = false) (f : func) : bool =
 (** Fully unroll all eligible loops. *)
 let run ?fast_math (f : func) : bool =
   let changed = ref false in
+  let pruned = ref false in
   let budget = ref (max_count * 4) in
-  while run_once ?fast_math f && !budget > 0 do
+  while run_once ?fast_math ~pruned f && !budget > 0 do
     decr budget;
     changed := true
   done;
-  !changed
+  !changed || !pruned

@@ -3,9 +3,15 @@
 open Obrew_ir
 open Ins
 
+(* A table sized for every value of [f], so filling it never rehashes. *)
+let value_table (f : func) =
+  Hashtbl.create
+    (List.fold_left (fun n b -> n + List.length b.instrs)
+       (List.length f.params) f.blocks)
+
 (** Map from value id to its defining instruction. *)
 let def_table (f : func) : (int, instr) Hashtbl.t =
-  let t = Hashtbl.create 64 in
+  let t = value_table f in
   List.iter
     (fun b -> List.iter (fun i -> Hashtbl.replace t i.id i) b.instrs)
     f.blocks;
@@ -29,17 +35,38 @@ let rec resolve (map : (int, value) Hashtbl.t) (v : value) : value =
   | CVec (t, vs) -> CVec (t, List.map (resolve map) vs)
   | _ -> v
 
-(** Apply a substitution map over every operand in the function. *)
-let apply_subst (f : func) (map : (int, value) Hashtbl.t) =
-  if Hashtbl.length map > 0 then
+(** Does [v] name a value that [map] substitutes? *)
+let rec mentions (map : (int, value) Hashtbl.t) (v : value) : bool =
+  match v with
+  | V id -> Hashtbl.mem map id
+  | CVec (_, vs) -> List.exists (mentions map) vs
+  | _ -> false
+
+(** Apply a substitution map over every operand in the function.  Only
+    the instructions and terminators that use a substituted value are
+    rebuilt; [on_rebuilt] sees each rebuilt instruction. *)
+let apply_subst ?(on_rebuilt = ignore) (f : func)
+    (map : (int, value) Hashtbl.t) =
+  if Hashtbl.length map > 0 then begin
+    let mentioned = mentions map in
+    let uses i = exists_operand mentioned i.op in
     List.iter
       (fun b ->
-        b.instrs <-
-          List.map
-            (fun i -> { i with op = map_operands (resolve map) i.op })
-            b.instrs;
-        b.term <- map_term_operands (resolve map) b.term)
+        if List.exists uses b.instrs then
+          b.instrs <-
+            List.map
+              (fun i ->
+                if uses i then begin
+                  let i = { i with op = map_operands (resolve map) i.op } in
+                  on_rebuilt i;
+                  i
+                end
+                else i)
+              b.instrs;
+        if List.exists mentioned (term_operands b.term) then
+          b.term <- map_term_operands (resolve map) b.term)
       f.blocks
+  end
 
 (** Number of uses of each value id (operands + terminators). *)
 let use_counts (f : func) : (int, int) Hashtbl.t =
@@ -59,7 +86,7 @@ let use_counts (f : func) : (int, int) Hashtbl.t =
 
 (** Type environment for {!Verify.type_of_value}. *)
 let type_env (f : func) : (int, ty) Hashtbl.t =
-  let t = Hashtbl.create 64 in
+  let t = value_table f in
   List.iter2 (fun ty id -> Hashtbl.replace t id ty) f.sg.args f.params;
   List.iter
     (fun b ->

@@ -115,6 +115,153 @@ let test_simplify_cfg_constant_branch () =
   check cint "one block" 1 (List.length f.blocks);
   check ci64 "took then branch" 5L (run_i64 m "f" [ 5L ])
 
+(* [build ()] twice: one copy is optimized by [pass], the other is the
+   reference; both must verify and agree on every argument. *)
+let check_pass_preserves ~pass build args =
+  let reference = { funcs = [ build () ]; globals = [] } in
+  let f = build () in
+  let m = { funcs = [ f ]; globals = [] } in
+  let changed = pass f in
+  check (Alcotest.list Alcotest.string) "verifies" [] (Verify.check f);
+  List.iter
+    (fun a ->
+      check ci64 (Printf.sprintf "f(%Ld)" a) (run_i64 reference "f" [ a ])
+        (run_i64 m "f" [ a ]))
+    args;
+  (changed, f)
+
+let phis (f : func) =
+  List.concat_map
+    (fun (bl : block) ->
+      List.filter_map
+        (fun i -> match i.op with Phi (_, ins) -> Some ins | _ -> None)
+        bl.instrs)
+    f.blocks
+
+let test_simplify_cfg_chain_merge () =
+  (* entry -> mid -> last; last's single-input phi takes mid's phi, so
+     its substitution resolves through the chain *)
+  let build () =
+    let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+    let entry = Builder.current_bid b in
+    let mid = Builder.new_block b in
+    let last = Builder.new_block b in
+    let x = Builder.bin b Add I64 (V 0) (CInt (I64, 1L)) in
+    Builder.br b mid;
+    Builder.position b mid;
+    let p1 = Builder.insert_phi b mid ~ty:I64 [ (entry, x) ] in
+    let y = Builder.bin b Mul I64 p1 (CInt (I64, 3L)) in
+    Builder.br b last;
+    Builder.position b last;
+    let p2 = Builder.insert_phi b last ~ty:I64 [ (mid, p1) ] in
+    let r = Builder.bin b Add I64 p2 y in
+    Builder.ret b (Some r);
+    Builder.func b
+  in
+  let changed, f =
+    check_pass_preserves ~pass:Simplify_cfg.run build [ 0L; 5L; -9L ]
+  in
+  Alcotest.(check bool) "reports a change" true changed;
+  check cint "one block" 1 (List.length f.blocks);
+  check cint "no phis" 0 (List.length (phis f))
+
+let test_simplify_cfg_forwarding () =
+  (* entry branches to an empty block [fwd] that only jumps to [join];
+     the branch is retargeted and join's phi takes the input from entry *)
+  let build () =
+    let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+    let fwd = Builder.new_block b in
+    let other = Builder.new_block b in
+    let join = Builder.new_block b in
+    let c = Builder.icmp b Slt I64 (V 0) (CInt (I64, 0L)) in
+    Builder.condbr b c fwd other;
+    Builder.position b fwd;
+    Builder.br b join;
+    Builder.position b other;
+    let y = Builder.bin b Mul I64 (V 0) (CInt (I64, 2L)) in
+    Builder.br b join;
+    Builder.position b join;
+    let p = Builder.insert_phi b join ~ty:I64 [ (fwd, V 0); (other, y) ] in
+    Builder.ret b (Some p);
+    Builder.func b
+  in
+  let changed, f =
+    check_pass_preserves ~pass:Simplify_cfg.run build [ -4L; 0L; 7L ]
+  in
+  Alcotest.(check bool) "reports a change" true changed;
+  check cint "forwarding block removed" 3 (List.length f.blocks);
+  let entry = (entry_block f).bid in
+  Alcotest.(check bool) "phi input now from entry" true
+    (List.exists (List.mem_assoc entry) (phis f))
+
+let test_simplify_cfg_reports_phi_prune () =
+  (* join's phi names [other], which never branches to join: pruning
+     the input is the only change, and it must be reported *)
+  let build () =
+    let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+    let entry = Builder.current_bid b in
+    let join = Builder.new_block b in
+    let other = Builder.new_block b in
+    let c = Builder.icmp b Slt I64 (V 0) (CInt (I64, 0L)) in
+    Builder.condbr b c join other;
+    Builder.position b join;
+    let p =
+      Builder.insert_phi b join ~ty:I64
+        [ (entry, V 0); (other, CInt (I64, 7L)) ]
+    in
+    Builder.ret b (Some p);
+    Builder.position b other;
+    Builder.ret b (Some (CInt (I64, 0L)));
+    Builder.func b
+  in
+  let f = build () in
+  Alcotest.(check bool) "input from a non-predecessor is an error" true
+    (Verify.check f <> []);
+  Alcotest.(check bool) "reports a change" true (Simplify_cfg.run f);
+  check (Alcotest.list Alcotest.string) "verifies" [] (Verify.check f);
+  check cint "blocks kept" 3 (List.length f.blocks);
+  check cint "one phi input left" 1
+    (List.length (List.concat (phis f)));
+  let m = { funcs = [ f ]; globals = [] } in
+  check ci64 "runs" (-3L) (run_i64 m "f" [ -3L ])
+
+(* --- instcombine settles a rewrite in one sweep --- *)
+
+let test_instcombine_settles () =
+  (* sub x, 3 becomes add x, -3, which then merges with x = add a, 5:
+     one sweep reaches add a, 2, with one remark per rewrite step *)
+  let module Prov = Obrew_provenance.Provenance in
+  let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+  let x = Builder.bin b Add I64 (V 0) (CInt (I64, 5L)) in
+  let s = Builder.bin b Sub I64 x (CInt (I64, 3L)) in
+  Builder.ret b (Some s);
+  let f = Builder.func b in
+  let sid = match s with V id -> id | _ -> assert false in
+  Prov.reset ();
+  Prov.enable ();
+  let changed, rewrites =
+    Fun.protect
+      ~finally:(fun () -> Prov.disable (); Prov.reset ())
+      (fun () ->
+        let changed = Instcombine.run_once f in
+        let n = ref 0 in
+        Prov.iter_remarks (fun r ->
+            if r.Prov.detail = "rewritten to a simpler form" then incr n);
+        (changed, !n))
+  in
+  Alcotest.(check bool) "changed" true changed;
+  let op =
+    List.find_map
+      (fun i -> if i.id = sid then Some i.op else None)
+      (entry_block f).instrs
+  in
+  Alcotest.(check bool) "final form after one sweep" true
+    (op = Some (Bin (Add, I64, V 0, CInt (I64, 2L))));
+  check cint "one remark per rewrite step" 2 rewrites;
+  Alcotest.(check bool) "second sweep finds nothing" false
+    (Instcombine.run_once f);
+  check ci64 "value" 42L (run_i64 { funcs = [ f ]; globals = [] } "f" [ 40L ])
+
 (* --- mem2reg --- *)
 
 let test_mem2reg_scalar () =
@@ -654,16 +801,112 @@ let prop_backend_preserves_expressions =
           || QCheck2.Test.fail_reportf "backend mismatch (%Ld,%Ld)" a b)
         [ (0L, 0L); (5L, 9L); (-3L, 70L); (Int64.min_int, 1L) ])
 
+(* --- golden optimized-IR digests ---------------------------------------
+
+   The optimizer's output on real lifted kernels is pinned by the MD5
+   of its printed IR: a change meant to make a pass faster must leave
+   every digest as it was.  One line per transform, "<name> <hex>". *)
+
+let digests_file = "opt_ir_digests.txt"
+
+let regen_command =
+  "OBREW_REGEN_DIGESTS=test/corpus/" ^ digests_file
+  ^ " dune exec test/test_opt.exe"
+
+(* The points4 and groups8 shapes at sz 11, every kind x style, for the
+   three modes that run the optimizer. *)
+let golden_digests () : (string * string) list =
+  let open Obrew_core in
+  let module S = Obrew_stencil.Stencil in
+  let shapes =
+    [ ("points4", [ (S.factor4, S.points4) ]); ("groups8", S.groups8) ]
+  in
+  List.concat_map
+    (fun (shape, groups) ->
+      let env = Modes.build ~sz:11 ~groups () in
+      List.concat_map
+        (fun kind ->
+          List.concat_map
+            (fun style ->
+              List.map
+                (fun mode ->
+                  let name =
+                    String.concat "/"
+                      [ shape; Modes.kind_name kind; Modes.style_name style;
+                        Modes.transform_name mode ]
+                  in
+                  env.Modes.last_ir <- None;
+                  (try
+                     ignore
+                       (Modes.transform ~use_memo:false env kind style mode)
+                   with e ->
+                     Alcotest.failf "%s: transform failed: %s" name
+                       (Printexc.to_string e));
+                  match env.Modes.last_ir with
+                  | Some m ->
+                    (name, Digest.to_hex (Digest.string (Pp_ir.modul m)))
+                  | None -> Alcotest.failf "%s: no optimized IR" name)
+                [ Modes.Llvm; Modes.LlvmFix; Modes.DBrewLlvm ])
+            [ Modes.Element; Modes.Line ])
+        [ Modes.Direct; Modes.Flat; Modes.Sorted ])
+    shapes
+
+let write_digests path =
+  let oc = open_out path in
+  Printf.fprintf oc "# optimized-IR digests; regenerate with:\n# %s\n"
+    regen_command;
+  List.iter (fun (n, d) -> Printf.fprintf oc "%s %s\n" n d) (golden_digests ());
+  close_out oc
+
+let read_digests () =
+  (* runtest executes next to the copied corpus/; dune exec runs from
+     the root of the checkout *)
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "corpus" digests_file;
+        Filename.concat "test/corpus" digests_file ]
+  in
+  In_channel.with_open_text path In_channel.input_lines
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ n; d ] -> (n, d)
+         | _ -> Alcotest.failf "%s: malformed line %S" digests_file l)
+
+let test_golden_digests () =
+  let want = read_digests () in
+  let got = golden_digests () in
+  check (Alcotest.list Alcotest.string) "same transforms" (List.map fst want)
+    (List.map fst got);
+  List.iter2
+    (fun (n, d) (_, d') ->
+      if d <> d' then
+        Alcotest.failf
+          "%s: optimized IR changed (digest %s, golden %s); if the change \
+           is intended, regenerate with: %s"
+          n d' d regen_command)
+    want got
+
 let () =
+  (match Sys.getenv_opt "OBREW_REGEN_DIGESTS" with
+   | Some path -> write_digests path; exit 0
+   | None -> ());
   Alcotest.run "opt"
     [ ("fold+combine",
        [ Alcotest.test_case "constant folding" `Quick test_constfold;
          Alcotest.test_case "add chain" `Quick test_add_chain_merge;
          Alcotest.test_case "icmp sub zero" `Quick test_icmp_sub_zero;
-         Alcotest.test_case "facet cleanup" `Quick test_facet_cleanup ]);
+         Alcotest.test_case "facet cleanup" `Quick test_facet_cleanup;
+         Alcotest.test_case "settles in one sweep" `Quick
+           test_instcombine_settles ]);
       ("cfg",
        [ Alcotest.test_case "constant branch" `Quick
-           test_simplify_cfg_constant_branch ]);
+           test_simplify_cfg_constant_branch;
+         Alcotest.test_case "chain merge" `Quick test_simplify_cfg_chain_merge;
+         Alcotest.test_case "forwarding block" `Quick
+           test_simplify_cfg_forwarding;
+         Alcotest.test_case "phi prune reported" `Quick
+           test_simplify_cfg_reports_phi_prune ]);
       ("mem2reg",
        [ Alcotest.test_case "scalar slot" `Quick test_mem2reg_scalar;
          Alcotest.test_case "branched stores" `Quick test_mem2reg_branches ]);
@@ -685,4 +928,7 @@ let () =
        [ Alcotest.test_case "pipeline preserves semantics" `Quick
            test_differential;
          QCheck_alcotest.to_alcotest prop_optimizer_preserves_expressions;
-         QCheck_alcotest.to_alcotest prop_backend_preserves_expressions ]) ]
+         QCheck_alcotest.to_alcotest prop_backend_preserves_expressions ]);
+      ("golden",
+       [ Alcotest.test_case "optimized-IR digests" `Quick test_golden_digests ])
+    ]

@@ -348,6 +348,8 @@ let compare_cases =
       "section mismatch";
     cmp "wall time regressed" [] (bump (row @ [ "wall_ns" ]) (( * ) 10))
       "wall time of Direct/Native regressed";
+    cmp "cycles drifted" [ "--tol"; "300" ] (bump (row @ [ "cycles" ]) pred)
+      "cycles of Direct/Native drifted";
     cmp "MIPS dropped" [ "--tol-mips"; "75" ]
       (set [ "emulated_mips" ] (Json.Float 0.001))
       "emulated_mips dropped";

@@ -12,9 +12,11 @@
    of silently producing unreadable artifacts.  The `compare`
    subcommand diffs two BENCH files row by row and exits nonzero when
    any row's wall time regressed by more than the tolerance (default
-   10%) — the first consumer of the cross-PR bench trajectory.  It also
-   prints the aggregate emulated-MIPS delta, and `--tol-mips PCT` makes
-   a throughput drop beyond PCT a hard failure.
+   10%) — the first consumer of the cross-PR bench trajectory — or when
+   any row's simulated cycles differ at all: cycles are the paper's
+   result and deterministic, so they change only with the baseline.  It
+   also prints the aggregate emulated-MIPS delta, and `--tol-mips PCT`
+   makes a throughput drop beyond PCT a hard failure.
 
    Each artifact's shape is one declarative field spec below, checked
    by [check] over the [Json] module's parser; only the invariants that
@@ -414,7 +416,7 @@ let load path =
 let delta b c = if b = 0.0 then 0.0 else 100.0 *. ((c /. b) -. 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* compare: wall-time regression gate over two BENCH files             *)
+(* compare: wall-time and exact-cycle gate over two BENCH files       *)
 (* ------------------------------------------------------------------ *)
 
 (* Index a BENCH file's rows by their "Kind/Mode" name. *)
@@ -444,6 +446,7 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
     fail "compare: section mismatch (%s vs %s)" bsec csec;
   let brows = bench_rows bctx base in
   let crows = bench_rows cctx cur in
+  let drifts = ref [] in
   let regressions =
     List.filter_map
       (fun (name, (bw, bc)) ->
@@ -455,6 +458,7 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
           let dw = delta bw cw in
           Printf.printf "  %-28s wall %+7.1f%%  cycles %+7.1f%%\n" name dw
             (delta bc cc);
+          if cc <> bc then drifts := (name, bc, cc) :: !drifts;
           if dw > tol then Some (name, dw) else None)
       brows
   in
@@ -511,7 +515,14 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
       Printf.eprintf "FAIL %s: wall time of %s regressed %.1f%% (> %.0f%%)\n"
         bsec name dw tol)
     regressions;
-  if regressions <> [] || mips_failed || p99_failed then exit 1;
+  (* exact gate: simulated cycles are machine-independent *)
+  List.iter
+    (fun (name, bc, cc) ->
+      Printf.eprintf "FAIL %s: cycles of %s drifted (%.0f -> %.0f)\n" bsec
+        name bc cc)
+    (List.rev !drifts);
+  if regressions <> [] || !drifts <> [] || mips_failed || p99_failed then
+    exit 1;
   Printf.printf "compare %s: OK (%d rows, tolerance %.0f%%)\n" bsec
     (List.length brows) tol
 
