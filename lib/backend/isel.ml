@@ -23,7 +23,7 @@ let err fmt = Obrew_fault.Err.fail Obrew_fault.Err.Isel fmt
 let split_critical_edges (f : func) =
   let preds = Cfg.predecessors f in
   let multi_pred b =
-    List.length (Option.value ~default:[] (Hashtbl.find_opt preds b)) > 1
+    List.length (Option.value ~default:[] (Idtbl.find_opt preds b)) > 1
   in
   List.iter
     (fun (blk : block) ->
@@ -73,8 +73,8 @@ let split_critical_edges (f : func) =
 type ctx = {
   f : func;
   al : alloc;
-  tenv : (int, ty) Hashtbl.t;
-  defs : (int, instr) Hashtbl.t;
+  tenv : ty Idtbl.t;
+  defs : instr Idtbl.t;
   global_addr : string -> int;
   func_addr : string -> int;
   mutable out : Insn.item list; (* reversed *)
@@ -86,7 +86,7 @@ type ctx = {
   alloca_off : (int, int) Hashtbl.t; (* alloca value id -> frame offset *)
   alloca_size : int;
   frame_total : int; (* spill + alloca area *)
-  use_counts : (int, int) Hashtbl.t;
+  use_counts : int Idtbl.t;
   addr_only : (int, unit) Hashtbl.t; (* geps folded away entirely *)
 }
 
@@ -104,7 +104,7 @@ let fresh_label ctx =
   l
 
 let loc_of ctx id =
-  match Hashtbl.find_opt ctx.al.locs id with
+  match Idtbl.find_opt ctx.al.locs id with
   | Some l -> l
   | None -> err "value %%%d has no location" id
 
@@ -281,7 +281,7 @@ let xdef ctx id (body : Reg.xmm -> unit) =
   | LSlot off ->
     body scratch_xmm0;
     let t =
-      Option.value ~default:F64 (Hashtbl.find_opt ctx.tenv id)
+      Option.value ~default:F64 (Idtbl.find_opt ctx.tenv id)
     in
     emit_xstore ctx (xmm_load_kind t) (slot_mem off) scratch_xmm0
   | LReg _ -> err "X-class value allocated to gpr"
@@ -305,7 +305,7 @@ let rec fold_gep ctx (base : value) (elts : gep_elt list) :
     | CPtr a -> (`None, a)
     | Global g -> (`None, ctx.global_addr g)
     | V id -> (
-      match Hashtbl.find_opt ctx.defs id with
+      match Idtbl.find_opt ctx.defs id with
       | Some { op = Gep (b2, e2); _ } -> (
         (* flatten one level *)
         match fold_gep ctx b2 e2 with
@@ -325,7 +325,7 @@ let rec fold_gep ctx (base : value) (elts : gep_elt list) :
   let base_reg =
     match base_reg with
     | `Vbase id -> (
-      match Hashtbl.find_opt ctx.al.locs id with
+      match Idtbl.find_opt ctx.al.locs id with
       | Some (LReg r) -> `Reg r
       | _ -> `Bad)
     | (`None | `Reg _ | `Bad) as b -> b
@@ -345,7 +345,7 @@ let rec fold_gep ctx (base : value) (elts : gep_elt list) :
     let index_reg v =
       match v with
       | V iid -> (
-        match Hashtbl.find_opt ctx.al.locs iid with
+        match Idtbl.find_opt ctx.al.locs iid with
         | Some (LReg ir) when not (Reg.equal ir Reg.RSP) -> Some ir
         | _ -> None)
       | _ -> None
@@ -368,7 +368,7 @@ let rec fold_gep ctx (base : value) (elts : gep_elt list) :
 let rec pval ctx ~into (v : value) : Reg.gpr =
   match v with
   | V id -> (
-    match Hashtbl.find_opt ctx.defs id with
+    match Idtbl.find_opt ctx.defs id with
     | Some { op = Gep (base, elts); _ }
       when Hashtbl.mem ctx.addr_only id ->
       materialize_gep ctx ~into base elts
@@ -422,7 +422,7 @@ let addr_of ctx ~into (p : value) : Insn.mem_addr =
   | CPtr a -> Insn.mem_abs a
   | Global g -> Insn.mem_abs (ctx.global_addr g)
   | V id -> (
-    match Hashtbl.find_opt ctx.defs id with
+    match Idtbl.find_opt ctx.defs id with
     | Some { op = Gep (base, elts); _ } -> (
       match fold_gep ctx base elts with
       | Some m -> m
@@ -1302,7 +1302,7 @@ let fusable_cond ctx (blk : block) (c : value) : instr option =
     match List.rev blk.instrs with
     | last :: _
       when last.id = id
-           && Option.value ~default:0 (Hashtbl.find_opt ctx.use_counts id) = 1
+           && Option.value ~default:0 (Idtbl.find_opt ctx.use_counts id) = 1
       -> (
       match last.op with
       | Icmp _ | Fcmp _ -> Some last

@@ -21,7 +21,7 @@ type loc =
 let loc_equal a b = a = b
 
 type alloc = {
-  locs : (int, loc) Hashtbl.t;       (* value id -> location *)
+  locs : loc Idtbl.t;                (* value id -> location *)
   frame_size : int;                  (* spill area size, 16-aligned *)
   used_callee_saved : Reg.gpr list;  (* callee-saved GPRs we must save *)
   order : int list;                  (* linearized block order *)
@@ -52,24 +52,25 @@ type interval = {
 (** Compute live intervals over the linearized block order.  Phi
     inputs are treated as uses at the end of the predecessor; phi
     defs start at their block's head. *)
-let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
+let intervals (f : func) : interval list * int list =
   let order = Cfg.rpo f in
   let tenv = Obrew_opt.Util.type_env f in
+  let find_block = Cfg.block_finder f in
   (* number instructions *)
-  let pos : (int, int) Hashtbl.t = Hashtbl.create 64 in (* value id -> def position *)
-  let block_range : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let pos : int Idtbl.t = Idtbl.for_values f in (* value id -> def position *)
+  let block_range : (int * int) Idtbl.t = Idtbl.for_blocks f in
   let n = ref 0 in
   List.iter
     (fun bid ->
-      let blk = find_block f bid in
+      let blk = find_block bid in
       let start = !n in
       List.iter
         (fun i ->
-          Hashtbl.replace pos i.id !n;
+          Idtbl.replace pos i.id !n;
           incr n)
         blk.instrs;
       incr n; (* terminator slot *)
-      Hashtbl.replace block_range bid (start, !n - 1))
+      Idtbl.replace block_range bid (start, !n - 1))
     order;
   (* liveness: backward iteration *)
   let live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
@@ -83,7 +84,7 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
       if p < iv.istart then iv.istart <- p;
       if p > iv.iend then iv.iend <- p
     | None ->
-      let vty = Option.value ~default:I64 (Hashtbl.find_opt tenv vid) in
+      let vty = Option.value ~default:I64 (Idtbl.find_opt tenv vid) in
       Hashtbl.replace ivs vid
         { vid; cls = class_of_ty vty; vty; istart = p; iend = p;
           crosses_call = false }
@@ -100,14 +101,14 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
     changed := false;
     List.iter
       (fun bid ->
-        let blk = find_block f bid in
+        let blk = find_block bid in
         let li = Hashtbl.find live_in bid in
         (* live-out = union of successors' live-in minus their phi defs,
            plus our phi contributions to successors *)
         let live : (int, unit) Hashtbl.t = Hashtbl.create 16 in
         List.iter
           (fun s ->
-            let sblk = find_block f s in
+            let sblk = find_block s in
             let sli = Hashtbl.find live_in s in
             Hashtbl.iter (fun v () -> Hashtbl.replace live v ()) sli;
             List.iter
@@ -124,7 +125,7 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
                 | _ -> ())
               sblk.instrs)
           (successors blk.term);
-        let _, bend = Hashtbl.find block_range bid in
+        let _, bend = Idtbl.find block_range bid in
         Hashtbl.iter (fun v () -> touch v bend) live;
         (* walk instructions backward *)
         List.iter
@@ -135,7 +136,7 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
           (List.concat_map (uses_of_value []) (term_operands blk.term));
         List.iter
           (fun i ->
-            let p = Hashtbl.find pos i.id in
+            let p = Idtbl.find pos i.id in
             (* def *)
             touch i.id p;
             Hashtbl.remove live i.id;
@@ -149,7 +150,7 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
                 (List.concat_map (uses_of_value []) (operands op)))
           (List.rev blk.instrs);
         (* new live-in *)
-        let bstart, _ = Hashtbl.find block_range bid in
+        let bstart, _ = Idtbl.find block_range bid in
         Hashtbl.iter (fun v () -> touch v bstart) live;
         Hashtbl.iter
           (fun v () ->
@@ -166,10 +167,10 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
   List.iter
     (fun bid ->
       let li = Hashtbl.find live_in bid in
-      let ps = Option.value ~default:[] (Hashtbl.find_opt preds bid) in
+      let ps = Option.value ~default:[] (Idtbl.find_opt preds bid) in
       List.iter
         (fun p ->
-          match Hashtbl.find_opt block_range p with
+          match Idtbl.find_opt block_range p with
           | Some (_, pend) -> Hashtbl.iter (fun v () -> touch v pend) li
           | None -> ())
         ps)
@@ -178,7 +179,7 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
      at each use: keep their operands alive for the gep's lifetime *)
   List.iter
     (fun bid ->
-      let blk = find_block f bid in
+      let blk = find_block bid in
       List.iter
         (fun i ->
           match i.op with
@@ -199,12 +200,12 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
   let call_positions = ref [] in
   List.iter
     (fun bid ->
-      let blk = find_block f bid in
+      let blk = find_block bid in
       List.iter
         (fun i ->
           match i.op with
           | CallDirect _ | CallPtr _ ->
-            call_positions := Hashtbl.find pos i.id :: !call_positions
+            call_positions := Idtbl.find pos i.id :: !call_positions
           | _ -> ())
         blk.instrs)
     order;
@@ -217,12 +218,12 @@ let intervals (f : func) : interval list * int list * (int, int) Hashtbl.t =
       then iv.crosses_call <- true)
     ivs;
   let lst = Hashtbl.fold (fun _ iv acc -> iv :: acc) ivs [] in
-  (List.sort (fun a b -> compare a.istart b.istart) lst, order, pos)
+  (List.sort (fun a b -> compare a.istart b.istart) lst, order)
 
 (** Linear scan. *)
 let allocate_impl (f : func) : alloc =
-  let ivs, order, _pos = intervals f in
-  let locs : (int, loc) Hashtbl.t = Hashtbl.create 64 in
+  let ivs, order = intervals f in
+  let locs : loc Idtbl.t = Idtbl.for_values f in
   let active : (interval * loc) list ref = ref [] in
   let free_callee = ref callee_saved_pool in
   let free_caller = ref caller_saved_pool in
@@ -289,7 +290,7 @@ let allocate_impl (f : func) : alloc =
               LXmm x
             | [] -> alloc_slot iv.vty)
       in
-      Hashtbl.replace locs iv.vid l;
+      Idtbl.replace locs iv.vid l;
       (match l with LSlot _ -> () | _ -> active := (iv, l) :: !active))
     ivs;
   let frame = (!next_slot + 15) land lnot 15 in

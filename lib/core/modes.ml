@@ -112,6 +112,62 @@ let lift_entry env ~name ~config entry sg =
 
 let o3_opts = { Pipeline.o3 with fast_math = true }
 
+(* Rewrite the kernel at [orig] with DBrew, the stencil parameter and
+   its memory fixed; returns the address of the rewritten code. *)
+let dbrew_rewrite env ~configure_rewriter ~use_memo kind orig =
+  staged Err.Encode (fun () ->
+      let r = Api.dbrew_new env.img orig in
+      configure_rewriter r;
+      Api.dbrew_set_par r 0 (Int64.of_int (stencil_arg env kind));
+      let lo, hi = stencil_range env kind in
+      Api.dbrew_set_mem r lo hi;
+      let a = Api.dbrew_rewrite ~memo:use_memo r in
+      match r.Api.last_error with
+      | Some e -> raise (Err.Error e)
+      | None -> a)
+
+(* The module an LLVM mode hands to the optimizer, and the function in
+   it that becomes the kernel. *)
+let lift_module env ~lift_config ~configure_rewriter ~use_memo kind style t =
+  let sg = kernel_sig style in
+  let orig = native_addr env kind style in
+  match t with
+  | Llvm ->
+    let f = lift_entry env ~name:"jit" ~config:lift_config orig sg in
+    ({ Ins.funcs = [ f ]; globals = [] }, f)
+  | LlvmFix ->
+    (* Sec. IV: copy the fixed memory region into the module as a
+       global constant; wrap the always-inline lifted function *)
+    let f = lift_entry env ~name:"lifted" ~config:lift_config orig sg in
+    f.always_inline <- true;
+    let lo, hi = stencil_range env kind in
+    let bytes = Mem.read_bytes env.img.Image.cpu.Cpu.mem lo (hi - lo) in
+    let g = { Ins.gname = "fixmem"; bytes; galign = 16; constant = true } in
+    let b = Builder.create ~name:"jit" ~sg in
+    let params = (Builder.func b).params in
+    let args =
+      Ins.Global "fixmem" :: List.tl (List.map (fun id -> Ins.V id) params)
+    in
+    ignore (Builder.call b "lifted" sg args);
+    Builder.ret b None;
+    let wrapper = Builder.func b in
+    ({ Ins.funcs = [ f; wrapper ]; globals = [ g ] }, wrapper)
+  | DBrewLlvm ->
+    let a = dbrew_rewrite env ~configure_rewriter ~use_memo kind orig in
+    let f = lift_entry env ~name:"jit" ~config:lift_config a sg in
+    ({ Ins.funcs = [ f ]; globals = [] }, f)
+  | Native | DBrew -> invalid_arg "Modes.lift_module: not an LLVM mode"
+
+let verify_ctx = function
+  | LlvmFix -> "llvm fixation"
+  | DBrewLlvm -> "dbrew+llvm"
+  | _ -> "llvm identity"
+
+let lifted env kind style t =
+  fst
+    (lift_module env ~lift_config:Lift.default_config
+       ~configure_rewriter:ignore ~use_memo:false kind style t)
+
 (* Fingerprint of a transformation request: everything the produced
    kernel depends on.  The fixed-memory contents are digested because
    LlvmFix/DBrew fold them into the code; the function-valued fields of
@@ -150,7 +206,6 @@ let c_memo_miss = Tel.counter "transform.memo_misses"
 let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
     ?(opt = o3_opts) ?(checked = false) ?guards (env : env) (kind : kind)
     (style : style) (t : transform) : int * float =
-  let sg = kernel_sig style in
   let orig = native_addr env kind style in
   let t0 = Tel.Clock.now () in
   (* apply the resource-guard bundle to every stage it covers *)
@@ -227,73 +282,24 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
       (fun () ->
     match t with
     | Native -> orig
-    | Llvm ->
-      let f = lift_entry env ~name:"jit" ~config:lift_config orig sg in
-      let m = { Ins.funcs = [ f ]; globals = [] } in
-      optimize m;
-      staged Err.Verify (fun () -> Verify.assert_ok ~ctx:"llvm identity" f);
-      env.last_ir <- Some m;
-      staged Err.Encode (fun () -> Jit.install_func env.img f)
-    | LlvmFix ->
-      (* Sec. IV: copy the fixed memory region into the module as a
-         global constant; wrap the always-inline lifted function *)
-      let f = lift_entry env ~name:"lifted" ~config:lift_config orig sg in
-      f.always_inline <- true;
-      let lo, hi = stencil_range env kind in
-      let bytes = Mem.read_bytes env.img.Image.cpu.Cpu.mem lo (hi - lo) in
-      let g =
-        { Ins.gname = "fixmem"; bytes; galign = 16; constant = true }
+    | DBrew -> dbrew_rewrite env ~configure_rewriter ~use_memo kind orig
+    | Llvm | LlvmFix | DBrewLlvm ->
+      let m, kernel =
+        lift_module env ~lift_config ~configure_rewriter ~use_memo kind style
+          t
       in
-      let b = Builder.create ~name:"jit" ~sg in
-      let params = (Builder.func b).params in
-      let args =
-        Ins.Global "fixmem"
-        :: List.tl (List.map (fun id -> Ins.V id) params)
-      in
-      ignore (Builder.call b "lifted" sg args);
-      Builder.ret b None;
-      let wrapper = Builder.func b in
-      let m = { Ins.funcs = [ f; wrapper ]; globals = [ g ] } in
       optimize m;
       staged Err.Verify (fun () ->
-          Verify.assert_ok ~ctx:"llvm fixation" wrapper);
+          Verify.assert_ok ~ctx:(verify_ctx t) kernel);
       env.last_ir <- Some m;
       staged Err.Encode (fun () ->
-          ignore (Jit.install_global env.img g);
-          (* the callee is normally fully inlined, but lower
+          List.iter (fun g -> ignore (Jit.install_global env.img g)) m.globals;
+          (* LLVM-fix's callee is normally fully inlined, but lower
              optimization levels may keep the call *)
-          ignore (Jit.install_func env.img f);
-          Jit.install_func env.img wrapper)
-    | DBrew -> (
-      staged Err.Encode (fun () ->
-          let r = Api.dbrew_new env.img orig in
-          configure_rewriter r;
-          Api.dbrew_set_par r 0 (Int64.of_int (stencil_arg env kind));
-          let lo, hi = stencil_range env kind in
-          Api.dbrew_set_mem r lo hi;
-          let a = Api.dbrew_rewrite ~memo:use_memo r in
-          match r.Api.last_error with
-          | Some e -> raise (Err.Error e)
-          | None -> a))
-    | DBrewLlvm -> (
-      let a =
-        staged Err.Encode (fun () ->
-            let r = Api.dbrew_new env.img orig in
-            configure_rewriter r;
-            Api.dbrew_set_par r 0 (Int64.of_int (stencil_arg env kind));
-            let lo, hi = stencil_range env kind in
-            Api.dbrew_set_mem r lo hi;
-            let a = Api.dbrew_rewrite ~memo:use_memo r in
-            match r.Api.last_error with
-            | Some e -> raise (Err.Error e)
-            | None -> a)
-      in
-      let f = lift_entry env ~name:"jit" ~config:lift_config a sg in
-      let m = { Ins.funcs = [ f ]; globals = [] } in
-      optimize m;
-      staged Err.Verify (fun () -> Verify.assert_ok ~ctx:"dbrew+llvm" f);
-      env.last_ir <- Some m;
-      staged Err.Encode (fun () -> Jit.install_func env.img f)))
+          List.iter
+            (fun f -> if f != kernel then ignore (Jit.install_func env.img f))
+            m.funcs;
+          Jit.install_func env.img kernel))
   in
   (match key with Some k -> Hashtbl.replace env.memo k addr | None -> ());
   (addr, Tel.Clock.now () -. t0)

@@ -92,6 +92,12 @@ val transform :
   ?guards:Obrew_fault.Guards.t ->
   env -> kind -> style -> transform -> int * float
 
+(** The unoptimized module that {!transform} hands the optimizer for
+    an LLVM mode ([Llvm], [LlvmFix] or [DBrewLlvm]); DBrew+LLVM rewrites
+    the kernel with DBrew first.  Nothing is installed.
+    @raise Invalid_argument for [Native] and [DBrew]. *)
+val lifted : env -> kind -> style -> transform -> Obrew_ir.Ins.modul
+
 type safe_result = {
   kernel : int;            (** always a runnable drop-in replacement *)
   used : transform;        (** the mode that finally succeeded *)

@@ -5,42 +5,41 @@ open Ins
 
 (** Map from block id to its predecessors' ids (in deterministic
     order), considering only reachable blocks. *)
-let predecessors (f : func) : (int, int list) Hashtbl.t
-    =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace preds b.bid []) f.blocks;
-  (* built in reverse, then flipped once *)
+let predecessors (f : func) : int list Idtbl.t =
+  let preds = Idtbl.for_blocks f in
+  List.iter (fun b -> Idtbl.replace preds b.bid []) f.blocks;
+  (* blocks last to first, so prepending leaves each list in block
+     order *)
   List.iter
     (fun b ->
       List.iter
         (fun s ->
-          let cur = try Hashtbl.find preds s with Not_found -> [] in
-          Hashtbl.replace preds s (b.bid :: cur))
+          let cur = Option.value ~default:[] (Idtbl.find_opt preds s) in
+          Idtbl.replace preds s (b.bid :: cur))
         (successors b.term))
-    f.blocks;
-  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
+    (List.rev f.blocks);
   preds
 
 (** Block lookup by id in constant time; raises like {!Ins.find_block}
     for an id that names no block. *)
 let block_finder (f : func) : int -> block =
-  let t = Hashtbl.create 16 in
+  let t = Idtbl.for_blocks f in
   List.iter
-    (fun b -> if not (Hashtbl.mem t b.bid) then Hashtbl.add t b.bid b)
+    (fun b -> if not (Idtbl.mem t b.bid) then Idtbl.replace t b.bid b)
     f.blocks;
   fun bid ->
-    match Hashtbl.find_opt t bid with
+    match Idtbl.find_opt t bid with
     | Some b -> b
     | None -> invalid_arg (Printf.sprintf "%s: no block %d" f.fname bid)
 
 (* Depth-first walk from the entry; [post] sees each block id after its
    successors. *)
-let dfs (f : func) ~(post : int -> unit) : (int, unit) Hashtbl.t =
+let dfs (f : func) ~(post : int -> unit) : unit Idtbl.t =
   let find = block_finder f in
-  let seen = Hashtbl.create 16 in
+  let seen = Idtbl.for_blocks f in
   let rec go bid =
-    if not (Hashtbl.mem seen bid) then begin
-      Hashtbl.replace seen bid ();
+    if not (Idtbl.mem seen bid) then begin
+      Idtbl.replace seen bid ();
       List.iter go (successors (find bid).term);
       post bid
     end
@@ -49,7 +48,7 @@ let dfs (f : func) ~(post : int -> unit) : (int, unit) Hashtbl.t =
   seen
 
 (** Blocks reachable from the entry. *)
-let reachable (f : func) : (int, unit) Hashtbl.t = dfs f ~post:ignore
+let reachable (f : func) : unit Idtbl.t = dfs f ~post:ignore
 
 (** Reverse postorder of reachable blocks, entry first. *)
 let rpo (f : func) : int list =
@@ -63,19 +62,24 @@ let rpo (f : func) : int list =
 let prune_unreachable (f : func) : bool =
   let live = reachable f in
   let n = List.length f.blocks in
-  f.blocks <- List.filter (fun b -> Hashtbl.mem live b.bid) f.blocks;
+  f.blocks <- List.filter (fun b -> Idtbl.mem live b.bid) f.blocks;
   let changed = ref (List.length f.blocks <> n) in
   let preds = predecessors f in
   List.iter
     (fun b ->
-      let ps = try Hashtbl.find preds b.bid with Not_found -> [] in
+      let ps = Option.value ~default:[] (Idtbl.find_opt preds b.bid) in
       let from_pred (p, _) = List.mem p ps in
       let loses i =
         match i.op with
         | Phi (_, ins) -> not (List.for_all from_pred ins)
         | _ -> false
       in
-      if List.exists loses b.instrs then begin
+      (* phis lead the block *)
+      let rec phis_lose = function
+        | ({ op = Phi _; _ } as i) :: tl -> loses i || phis_lose tl
+        | _ -> false
+      in
+      if phis_lose b.instrs then begin
         changed := true;
         b.instrs <-
           List.map

@@ -3,27 +3,27 @@
 open Ins
 
 type t = {
-  idom : (int, int) Hashtbl.t; (* immediate dominator; entry maps to itself *)
-  order : (int, int) Hashtbl.t; (* RPO index *)
+  idom : int Idtbl.t; (* immediate dominator; entry maps to itself *)
+  order : int Idtbl.t; (* RPO index *)
   entry : int;
 }
 
 let compute (f : func) : t =
   let order_list = Cfg.rpo f in
   let entry = List.hd order_list in
-  let order = Hashtbl.create 16 in
-  List.iteri (fun i b -> Hashtbl.replace order b i) order_list;
+  let order = Idtbl.for_blocks f in
+  List.iteri (fun i b -> Idtbl.replace order b i) order_list;
   let preds = Cfg.predecessors f in
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom entry entry;
+  let idom = Idtbl.for_blocks f in
+  Idtbl.replace idom entry entry;
   let intersect a b =
     let a = ref a and b = ref b in
     while !a <> !b do
-      while Hashtbl.find order !a > Hashtbl.find order !b do
-        a := Hashtbl.find idom !a
+      while Idtbl.find order !a > Idtbl.find order !b do
+        a := Idtbl.find idom !a
       done;
-      while Hashtbl.find order !b > Hashtbl.find order !a do
-        b := Hashtbl.find idom !b
+      while Idtbl.find order !b > Idtbl.find order !a do
+        b := Idtbl.find idom !b
       done
     done;
     !a
@@ -36,15 +36,15 @@ let compute (f : func) : t =
         if b <> entry then begin
           let ps =
             List.filter
-              (fun p -> Hashtbl.mem order p && Hashtbl.mem idom p)
-              (try Hashtbl.find preds b with Not_found -> [])
+              (fun p -> Idtbl.mem order p && Idtbl.mem idom p)
+              (Option.value ~default:[] (Idtbl.find_opt preds b))
           in
           match ps with
           | [] -> ()
           | first :: rest ->
             let nd = List.fold_left intersect first rest in
-            if Hashtbl.find_opt idom b <> Some nd then begin
-              Hashtbl.replace idom b nd;
+            if Idtbl.find_opt idom b <> Some nd then begin
+              Idtbl.replace idom b nd;
               changed := true
             end
         end)
@@ -57,8 +57,8 @@ let dominates t a b =
   let rec up x =
     if x = a then true
     else if x = t.entry then false
-    else up (Hashtbl.find t.idom x)
+    else up (Idtbl.find t.idom x)
   in
   a = b || up b
 
-let idom t b = if b = t.entry then None else Hashtbl.find_opt t.idom b
+let idom t b = if b = t.entry then None else Idtbl.find_opt t.idom b

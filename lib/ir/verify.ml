@@ -8,7 +8,7 @@ type def_site = DParam | DInstr of int * int (* block id, index *)
 
 let type_of_value types = function
   | V id -> (
-    match Hashtbl.find_opt types id with
+    match Idtbl.find_opt types id with
     | Some t -> t
     | None -> invalid_arg (Printf.sprintf "no type for %%%d" id))
   | CInt (t, _) -> t
@@ -23,22 +23,35 @@ let check (f : func) : string list =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := (f.fname ^ ": " ^ s) :: !errs) fmt in
   (* def sites and types *)
-  let defs : (int, def_site) Hashtbl.t = Hashtbl.create 64 in
-  let types : (int, ty) Hashtbl.t = Hashtbl.create 64 in
+  let defs : def_site Idtbl.t = Idtbl.for_values f in
+  let types : ty Idtbl.t = Idtbl.for_values f in
+  (* value tables throughout the optimizer are arrays sized by
+     [next_id], so every id must lie below it *)
+  let in_range what id =
+    let ok = id >= 0 && id < f.next_id in
+    if not ok then
+      err "%s id %%%d not in [0, next_id=%d)" what id f.next_id;
+    id >= 0
+  in
   List.iter2
     (fun t id ->
-      Hashtbl.replace defs id DParam;
-      Hashtbl.replace types id t)
+      if in_range "parameter" id then begin
+        Idtbl.replace defs id DParam;
+        Idtbl.replace types id t
+      end)
     f.sg.args f.params;
   List.iter
     (fun b ->
       List.iteri
         (fun i ins ->
-          if Hashtbl.mem defs ins.id then err "duplicate definition %%%d" ins.id;
-          Hashtbl.replace defs ins.id (DInstr (b.bid, i));
-          match ins.ty with
-          | Some t -> Hashtbl.replace types ins.id t
-          | None -> ())
+          if in_range "value" ins.id then begin
+            if Idtbl.mem defs ins.id then
+              err "duplicate definition %%%d" ins.id;
+            Idtbl.replace defs ins.id (DInstr (b.bid, i));
+            match ins.ty with
+            | Some t -> Idtbl.replace types ins.id t
+            | None -> ()
+          end)
         b.instrs)
     f.blocks;
   let live = Cfg.reachable f in
@@ -67,11 +80,11 @@ let check (f : func) : string list =
     let check_use ~where v (bid, idx) =
       match v with
       | V id -> (
-        match Hashtbl.find_opt defs id with
+        match Idtbl.find_opt defs id with
         | None -> err "%s: use of undefined %%%d" where id
         | Some DParam -> ()
         | Some (DInstr (db, di)) ->
-          if not (Hashtbl.mem live bid) then ()
+          if not (Idtbl.mem live bid) then ()
           else if db = bid then begin
             if di >= idx then
               err "%s: %%%d used before its definition in bb%d" where id bid
@@ -99,12 +112,12 @@ let check (f : func) : string list =
     in
     List.iter
       (fun b ->
-        if not (Hashtbl.mem live b.bid) then ()
+        if not (Idtbl.mem live b.bid) then ()
         else begin
           let bp =
             List.filter
-              (fun p -> Hashtbl.mem live p)
-              (try Hashtbl.find preds b.bid with Not_found -> [])
+              (fun p -> Idtbl.mem live p)
+              (Option.value ~default:[] (Idtbl.find_opt preds b.bid))
           in
           let seen_nonphi = ref false in
           List.iteri

@@ -7,12 +7,12 @@ open Ins
 module Prov = Obrew_provenance.Provenance
 
 let run (f : func) : bool =
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let live : unit Idtbl.t = Idtbl.for_values f in
   let work = Queue.create () in
   let rec mark_value = function
     | V id ->
-      if not (Hashtbl.mem live id) then begin
-        Hashtbl.replace live id ();
+      if not (Idtbl.mem live id) then begin
+        Idtbl.replace live id ();
         Queue.add id work
       end
     | CVec (_, vs) -> List.iter mark_value vs
@@ -25,7 +25,7 @@ let run (f : func) : bool =
       List.iter
         (fun i ->
           if has_side_effect i.op then begin
-            Hashtbl.replace live i.id ();
+            Idtbl.replace live i.id ();
             List.iter mark_value (operands i.op)
           end)
         b.instrs;
@@ -34,23 +34,25 @@ let run (f : func) : bool =
   (* transitive closure *)
   while not (Queue.is_empty work) do
     let id = Queue.pop work in
-    match Hashtbl.find_opt defs id with
+    match Idtbl.find_opt defs id with
     | Some i -> List.iter mark_value (operands i.op)
     | None -> ()
   done;
   let changed = ref false in
+  let dead i = not (has_side_effect i.op || Idtbl.mem live i.id) in
   List.iter
     (fun b ->
-      let n0 = List.length b.instrs in
-      b.instrs <-
-        List.filter
-          (fun i ->
-            let keep = has_side_effect i.op || Hashtbl.mem live i.id in
-            if (not keep) && !Prov.enabled then
-              Prov.record ~pass:"dce" ~action:Prov.Deleted ~prov:i.prov
-                ~detail:(Printf.sprintf "dead value %%%d removed" i.id);
-            keep)
-          b.instrs;
-      if List.length b.instrs <> n0 then changed := true)
+      if List.exists dead b.instrs then begin
+        changed := true;
+        b.instrs <-
+          List.filter
+            (fun i ->
+              let d = dead i in
+              if d && !Prov.enabled then
+                Prov.record ~pass:"dce" ~action:Prov.Deleted ~prov:i.prov
+                  ~detail:(Printf.sprintf "dead value %%%d removed" i.id);
+              not d)
+            b.instrs
+      end)
     f.blocks;
   !changed

@@ -31,33 +31,39 @@ let run (f : func) : bool =
   let pruned = Cfg.prune_unreachable f in
   let dom = Dom.compute f in
   let live = Cfg.reachable f in
-  let children = Hashtbl.create 16 in
+  let children = Idtbl.for_blocks f in
   List.iter
     (fun b ->
-      if Hashtbl.mem live b.bid then
+      if Idtbl.mem live b.bid then
         match Dom.idom dom b.bid with
         | Some p when p <> b.bid ->
-          Hashtbl.replace children p
-            (b.bid :: Option.value ~default:[] (Hashtbl.find_opt children p))
+          Idtbl.replace children p
+            (b.bid :: Option.value ~default:[] (Idtbl.find_opt children p))
         | _ -> ())
     f.blocks;
   let table : (op, value) Hashtbl.t = Hashtbl.create 64 in
-  let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
+  let subst : value Idtbl.t = Idtbl.for_values f in
+  let mentioned = Util.mentions subst in
   let changed = ref false in
+  let find = Cfg.block_finder f in
   let rec walk bid =
-    let blk = find_block f bid in
+    let blk = find bid in
     let undo = ref [] in
     (* block-local load table, invalidated by stores/calls *)
     let loads : (value * ty, value) Hashtbl.t = Hashtbl.create 8 in
     blk.instrs <-
-      List.filter_map
+      Util.filter_map_shared
         (fun i ->
-          let i = { i with op = map_operands (Util.resolve subst) i.op } in
+          let i =
+            if exists_operand mentioned i.op then
+              { i with op = map_operands (Util.resolve subst) i.op }
+            else i
+          in
           match i.op with
           | Load (t, p, _) -> (
             match Hashtbl.find_opt loads (p, t) with
             | Some v ->
-              Hashtbl.replace subst i.id v;
+              Idtbl.replace subst i.id v;
               changed := true;
               if !Prov.enabled then
                 Prov.record ~pass:"gvn" ~action:Prov.Merged ~prov:i.prov
@@ -79,7 +85,7 @@ let run (f : func) : bool =
             let key = normalize op in
             match Hashtbl.find_opt table key with
             | Some v ->
-              Hashtbl.replace subst i.id v;
+              Idtbl.replace subst i.id v;
               changed := true;
               if !Prov.enabled then
                 Prov.record ~pass:"gvn" ~action:Prov.Merged ~prov:i.prov
@@ -91,8 +97,9 @@ let run (f : func) : bool =
               Some i)
           | _ -> Some i)
         blk.instrs;
-    blk.term <- map_term_operands (Util.resolve subst) blk.term;
-    List.iter walk (Option.value ~default:[] (Hashtbl.find_opt children bid));
+    if List.exists mentioned (term_operands blk.term) then
+      blk.term <- map_term_operands (Util.resolve subst) blk.term;
+    List.iter walk (Option.value ~default:[] (Idtbl.find_opt children bid));
     List.iter (Hashtbl.remove table) !undo
   in
   walk (entry_block f).bid;

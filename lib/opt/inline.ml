@@ -17,33 +17,33 @@ let default_threshold = 220
    for the caller to patch. *)
 let clone_into (caller : func) (callee : func) (args : value list) :
     int * (int * value option) list =
-  let id_map : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let arg_map : (int, value) Hashtbl.t = Hashtbl.create 8 in
-  List.iter2 (fun pid arg -> Hashtbl.replace arg_map pid arg) callee.params
+  let id_map : int Idtbl.t = Idtbl.for_values callee in
+  let arg_map : value Idtbl.t = Idtbl.for_values callee in
+  List.iter2 (fun pid arg -> Idtbl.replace arg_map pid arg) callee.params
     args;
-  let blk_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let blk_map : int Idtbl.t = Idtbl.for_blocks callee in
   let next_bid =
     ref (1 + List.fold_left (fun m b -> max m b.bid) 0 caller.blocks)
   in
   List.iter
     (fun (b : block) ->
-      Hashtbl.replace blk_map b.bid !next_bid;
+      Idtbl.replace blk_map b.bid !next_bid;
       incr next_bid)
     callee.blocks;
   let fid id =
-    match Hashtbl.find_opt id_map id with
+    match Idtbl.find_opt id_map id with
     | Some x -> x
     | None ->
       let x = caller.next_id in
       caller.next_id <- x + 1;
-      Hashtbl.replace id_map id x;
+      Idtbl.replace id_map id x;
       x
   in
-  let fblk b = Hashtbl.find blk_map b in
+  let fblk b = Idtbl.find blk_map b in
   let rec rv v =
     match v with
     | V id -> (
-      match Hashtbl.find_opt arg_map id with
+      match Idtbl.find_opt arg_map id with
       | Some a -> a
       | None -> V (fid id))
     | CVec (t, vs) -> CVec (t, List.map rv vs)
@@ -124,14 +124,14 @@ let inline_site (caller : func) (bid : int) (call_id : int)
     (fun (rb, _) -> (find_block caller rb).term <- Br tail_bid)
     rets;
   (* wire up the call's result value *)
-  let subst = Hashtbl.create 4 in
+  let subst = Idtbl.for_values caller in
   (match call.ty with
    | None -> ()
    | Some t -> (
      match rets with
-     | [] -> Hashtbl.replace subst call.id (Undef t)
-     | [ (_, Some v) ] -> Hashtbl.replace subst call.id v
-     | [ (_, None) ] -> Hashtbl.replace subst call.id (Undef t)
+     | [] -> Idtbl.replace subst call.id (Undef t)
+     | [ (_, Some v) ] -> Idtbl.replace subst call.id v
+     | [ (_, None) ] -> Idtbl.replace subst call.id (Undef t)
      | many ->
        let pid = caller.next_id in
        caller.next_id <- pid + 1;
@@ -143,7 +143,7 @@ let inline_site (caller : func) (bid : int) (call_id : int)
        tail_blk.instrs <-
          { id = pid; ty = Some t; op = Phi (t, incoming); prov = call.prov }
          :: tail_blk.instrs;
-       Hashtbl.replace subst call.id (V pid)));
+       Idtbl.replace subst call.id (V pid)));
   Util.apply_subst caller subst
 
 type config = {

@@ -10,7 +10,7 @@ module Prov = Obrew_provenance.Provenance
 
 type ctx = {
   dfn : int -> op option;        (* defining op of a value id *)
-  tenv : (int, ty) Hashtbl.t;
+  vty : int -> ty option;        (* type of a value id *)
   fast_math : bool;
   (* read [len] constant bytes at [addr], if that address range is
      known-constant (globals or fixed memory regions) *)
@@ -270,9 +270,7 @@ let simplify ctx (i : instr) : outcome =
           Value (Undef (match vt with Vec (_, e) -> e | _ -> vt))
         else
           let n =
-            match Hashtbl.find_opt ctx.tenv
-                    (match a with V id -> id | _ -> -1)
-            with
+            match (match a with V id -> ctx.vty id | _ -> None) with
             | Some (Vec (n, _)) -> n
             | _ -> (
               match a with
@@ -290,7 +288,7 @@ let simplify ctx (i : instr) : outcome =
       let n_of v =
         match v with
         | V id -> (
-          match Hashtbl.find_opt ctx.tenv id with
+          match ctx.vty id with
           | Some (Vec (n, _)) -> Some n
           | _ -> None)
         | CVec (Vec (n, _), _) | Undef (Vec (n, _)) -> Some n
@@ -315,18 +313,24 @@ let simplify ctx (i : instr) : outcome =
    rewrites of one instruction in one sweep. *)
 let settle_fuel = 20
 
-(* The per-run tables: the current defining instruction of every value
-   id (kept current as instructions are rewritten) and the value types
-   (rewrites keep an instruction's type, so these never go stale). *)
+(* The per-run table: the current defining instruction of every value
+   id, kept current as instructions are rewritten.  Rewrites keep an
+   instruction's type, so it also gives the value types. *)
 let make_ctx ~fast_math ~const_load ~global_lookup (f : func) =
   let defs = Util.def_table f in
+  let params = List.combine f.params f.sg.args in
   let ctx =
     { dfn =
         (fun id ->
-          match Hashtbl.find_opt defs id with
+          match Idtbl.find_opt defs id with
           | Some i -> Some i.op
           | None -> None);
-      tenv = Util.type_env f; fast_math; const_load; global_lookup }
+      vty =
+        (fun id ->
+          match Idtbl.find_opt defs id with
+          | Some i -> i.ty
+          | None -> List.assoc_opt id params);
+      fast_math; const_load; global_lookup }
   in
   (defs, ctx)
 
@@ -351,15 +355,15 @@ let remark_value (i : instr) =
    and its uses are substituted. *)
 let sweep defs ctx (f : func) : bool =
   let changed = ref false in
-  let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
+  let subst : value Idtbl.t = Idtbl.for_values f in
   let mentioned = Util.mentions subst in
-  let refresh (i : instr) = Hashtbl.replace defs i.id i in
+  let refresh (i : instr) = Idtbl.replace defs i.id i in
   let rec settle (i : instr) fuel =
     match simplify ctx i with
     | Keep -> Some i
     | Value v ->
       changed := true;
-      Hashtbl.replace subst i.id (Util.resolve subst v);
+      Idtbl.replace subst i.id (Util.resolve subst v);
       if !Prov.enabled then remark_value i;
       None
     | Op op ->
@@ -374,10 +378,10 @@ let sweep defs ctx (f : func) : bool =
   List.iter
     (fun b ->
       b.instrs <-
-        List.filter_map
+        Util.filter_map_shared
           (fun i ->
             let i =
-              if Hashtbl.length subst > 0 && exists_operand mentioned i.op
+              if not (Idtbl.is_empty subst) && exists_operand mentioned i.op
               then begin
                 let i = { i with op = map_operands (Util.resolve subst) i.op } in
                 refresh i;

@@ -34,7 +34,7 @@ let loops (f : func) : (int * (int, unit) Hashtbl.t * int) list =
       let rec up x =
         if not (Hashtbl.mem body x) then begin
           Hashtbl.replace body x ();
-          List.iter up (Option.value ~default:[] (Hashtbl.find_opt preds x))
+          List.iter up (Option.value ~default:[] (Idtbl.find_opt preds x))
         end
       in
       up latch)
@@ -44,7 +44,7 @@ let loops (f : func) : (int * (int, unit) Hashtbl.t * int) list =
       let outside =
         List.filter
           (fun p -> not (Hashtbl.mem body p))
-          (Option.value ~default:[] (Hashtbl.find_opt preds header))
+          (Option.value ~default:[] (Idtbl.find_opt preds header))
       in
       match outside with
       | [ pre ] -> (header, body, pre) :: acc

@@ -17,20 +17,20 @@ type access =
 
 (* Dominance frontiers (Cooper–Harvey–Kennedy). *)
 let dominance_frontiers (f : func) (dom : Dom.t) :
-    (int, int list) Hashtbl.t =
-  let df = Hashtbl.create 16 in
+    int list Idtbl.t =
+  let df = Idtbl.for_blocks f in
   let add b x =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt df b) in
-    if not (List.mem x cur) then Hashtbl.replace df b (x :: cur)
+    let cur = Option.value ~default:[] (Idtbl.find_opt df b) in
+    if not (List.mem x cur) then Idtbl.replace df b (x :: cur)
   in
   let preds = Cfg.predecessors f in
   let live = Cfg.reachable f in
   List.iter
     (fun b ->
-      if Hashtbl.mem live b.bid then begin
+      if Idtbl.mem live b.bid then begin
         let ps =
-          List.filter (fun p -> Hashtbl.mem live p)
-            (Option.value ~default:[] (Hashtbl.find_opt preds b.bid))
+          List.filter (fun p -> Idtbl.mem live p)
+            (Option.value ~default:[] (Idtbl.find_opt preds b.bid))
         in
         if List.length ps >= 2 then
           List.iter
@@ -48,10 +48,11 @@ let dominance_frontiers (f : func) (dom : Dom.t) :
 
 (* Is every use of [aid] (and of const-gep pointers derived from it) a
    load or store address?  Returns the derived-pointer map on success. *)
-let analyze_alloca (f : func) (aid : int) : (int, int) Hashtbl.t option =
+let analyze_alloca (f : func) (aid : int) : int Idtbl.t option =
   (* derived: value id -> constant byte offset from the alloca *)
-  let derived = Hashtbl.create 8 in
-  Hashtbl.replace derived aid 0;
+  let derived = Idtbl.for_values f in
+  Idtbl.replace derived aid 0;
+  let non_const = ref false in
   (* first collect const-gep derivations (iterate to chase chains) *)
   let changed = ref true in
   while !changed do
@@ -61,8 +62,8 @@ let analyze_alloca (f : func) (aid : int) : (int, int) Hashtbl.t option =
         List.iter
           (fun i ->
             match i.op with
-            | Gep (V base, elts) when Hashtbl.mem derived base
-                                      && not (Hashtbl.mem derived i.id) -> (
+            | Gep (V base, elts) when Idtbl.mem derived base
+                                      && not (Idtbl.mem derived i.id) -> (
               let off =
                 List.fold_left
                   (fun acc e ->
@@ -71,24 +72,26 @@ let analyze_alloca (f : func) (aid : int) : (int, int) Hashtbl.t option =
                     | Some a, GScaled (CInt (_, x), s) ->
                       Some (a + (Int64.to_int x * s))
                     | _ -> None)
-                  (Some (Hashtbl.find derived base))
+                  (Some (Idtbl.find derived base))
                   elts
               in
               match off with
               | Some o ->
-                Hashtbl.replace derived i.id o;
+                Idtbl.replace derived i.id o;
                 changed := true
-              | None -> Hashtbl.replace derived i.id min_int)
+              | None ->
+                Idtbl.replace derived i.id min_int;
+                non_const := true)
             | _ -> ())
           b.instrs)
       f.blocks
   done;
   (* non-constant gep discovered? *)
-  if Hashtbl.fold (fun _ o acc -> acc || o = min_int) derived false then None
+  if !non_const then None
   else begin
     (* check every use *)
     let ok = ref true in
-    let is_derived = function V id -> Hashtbl.mem derived id | _ -> false in
+    let is_derived = function V id -> Idtbl.mem derived id | _ -> false in
     List.iter
       (fun b ->
         List.iter
@@ -114,7 +117,7 @@ let analyze_alloca (f : func) (aid : int) : (int, int) Hashtbl.t option =
   end
 
 (* Slots: every (offset, size) must be either identical or disjoint. *)
-let collect_slots (f : func) (derived : (int, int) Hashtbl.t) :
+let collect_slots (f : func) (derived : int Idtbl.t) :
     (slot list * access list) option =
   let accesses = ref [] in
   let bad = ref false in
@@ -123,12 +126,12 @@ let collect_slots (f : func) (derived : (int, int) Hashtbl.t) :
       List.iter
         (fun i ->
           match i.op with
-          | Load (t, V p, _) when Hashtbl.mem derived p ->
+          | Load (t, V p, _) when Idtbl.mem derived p ->
             accesses :=
-              ALoad (b.bid, i.id, t, Hashtbl.find derived p) :: !accesses
-          | Store (t, v, V p, _) when Hashtbl.mem derived p ->
+              ALoad (b.bid, i.id, t, Idtbl.find derived p) :: !accesses
+          | Store (t, v, V p, _) when Idtbl.mem derived p ->
             accesses :=
-              AStore (b.bid, i.id, t, Hashtbl.find derived p, v) :: !accesses
+              AStore (b.bid, i.id, t, Idtbl.find derived p, v) :: !accesses
           | _ -> ())
         b.instrs)
     f.blocks;
@@ -222,22 +225,22 @@ let promote_alloca (f : func) (aid : int) : bool =
             let b = Queue.pop work in
             List.iter
               (fun d ->
-                if Hashtbl.mem live d && not (Hashtbl.mem result d) then begin
+                if Idtbl.mem live d && not (Hashtbl.mem result d) then begin
                   Hashtbl.replace result d ();
                   if not (Hashtbl.mem seen d) then begin
                     Hashtbl.replace seen d ();
                     Queue.add d work
                   end
                 end)
-              (Option.value ~default:[] (Hashtbl.find_opt df b))
+              (Option.value ~default:[] (Idtbl.find_opt df b))
           done;
           result
         in
         (* create (still-empty) phi nodes *)
         let phi_of : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
         (* (block, slot off) -> phi id *)
-        let phi_incoming : (int, (int * value) list ref) Hashtbl.t =
-          Hashtbl.create 8
+        let phi_incoming : (int * value) list ref Idtbl.t =
+          Idtbl.for_values f
         in
         List.iter
           (fun slot ->
@@ -247,24 +250,25 @@ let promote_alloca (f : func) (aid : int) : bool =
                 let id = f.next_id in
                 f.next_id <- id + 1;
                 Hashtbl.replace phi_of (bid, slot.off) id;
-                Hashtbl.replace phi_incoming id (ref []))
+                Idtbl.replace phi_incoming id (ref []))
               pbs)
           slots;
         (* rename via dominator-tree walk *)
-        let children = Hashtbl.create 16 in
+        let children = Idtbl.for_blocks f in
         List.iter
           (fun b ->
-            if Hashtbl.mem live b.bid then
+            if Idtbl.mem live b.bid then
               match Dom.idom dom b.bid with
               | Some p when p <> b.bid ->
-                Hashtbl.replace children p
-                  (b.bid :: Option.value ~default:[] (Hashtbl.find_opt children p))
+                Idtbl.replace children p
+                  (b.bid :: Option.value ~default:[] (Idtbl.find_opt children p))
               | _ -> ())
           f.blocks;
-        let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
+        let find = Cfg.block_finder f in
+        let subst : value Idtbl.t = Idtbl.for_values f in
         let slot_at off = List.find (fun s -> s.off = off) slots in
         let rec walk bid (env : (int * value) list) =
-          let blk = find_block f bid in
+          let blk = find bid in
           (* phis defined here enter the environment *)
           let env = ref env in
           List.iter
@@ -279,8 +283,8 @@ let promote_alloca (f : func) (aid : int) : bool =
           List.iter
             (fun i ->
               match i.op with
-              | Load (t, V p, _) when Hashtbl.mem derived p ->
-                let off = Hashtbl.find derived p in
+              | Load (t, V p, _) when Idtbl.mem derived p ->
+                let off = Idtbl.find derived p in
                 let slot = slot_at off in
                 let cur =
                   Option.value ~default:(Undef slot.sty)
@@ -292,7 +296,7 @@ let promote_alloca (f : func) (aid : int) : bool =
                 (match cv with
                  | Some v ->
                    out := List.rev_append casts !out;
-                   Hashtbl.replace subst i.id v;
+                   Idtbl.replace subst i.id v;
                    if !Prov.enabled then
                      Prov.record ~pass:"mem2reg" ~action:Prov.Merged
                        ~prov:i.prov
@@ -300,8 +304,8 @@ let promote_alloca (f : func) (aid : int) : bool =
                          (Printf.sprintf "stack load at offset %d promoted \
                                           to SSA value" off)
                  | None -> out := i :: !out)
-              | Store (t, v, V p, _) when Hashtbl.mem derived p ->
-                let off = Hashtbl.find derived p in
+              | Store (t, v, V p, _) when Idtbl.mem derived p ->
+                let off = Idtbl.find derived p in
                 let slot = slot_at off in
                 let casts, cv =
                   coerce f ~prov:i.prov ~from_t:t ~to_t:slot.sty v
@@ -331,7 +335,7 @@ let promote_alloca (f : func) (aid : int) : bool =
                       Option.value ~default:(Undef slot.sty)
                         (List.assoc_opt slot.off !env)
                     in
-                    let r = Hashtbl.find phi_incoming pid in
+                    let r = Idtbl.find phi_incoming pid in
                     r := (bid, cur) :: !r
                   | None -> ())
                 slots)
@@ -339,15 +343,15 @@ let promote_alloca (f : func) (aid : int) : bool =
           (* recurse into dominated blocks *)
           List.iter
             (fun c -> walk c !env)
-            (Option.value ~default:[] (Hashtbl.find_opt children bid));
+            (Option.value ~default:[] (Idtbl.find_opt children bid));
         in
         walk (entry_block f).bid [];
         (* materialize phi nodes *)
         Hashtbl.iter
           (fun (bid, off) pid ->
             let slot = slot_at off in
-            let blk = find_block f bid in
-            let incoming = !(Hashtbl.find phi_incoming pid) in
+            let blk = find bid in
+            let incoming = !(Idtbl.find phi_incoming pid) in
             blk.instrs <-
               { id = pid; ty = Some slot.sty; op = Phi (slot.sty, incoming);
                 prov = aprov }
@@ -360,7 +364,7 @@ let promote_alloca (f : func) (aid : int) : bool =
               List.filter
                 (fun i ->
                   let drop =
-                    Hashtbl.mem derived i.id
+                    Idtbl.mem derived i.id
                     && (i.id = aid || match i.op with Gep _ -> true
                                                     | Alloca _ -> true
                                                     | _ -> false)

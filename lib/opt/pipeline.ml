@@ -49,10 +49,26 @@ let bump name =
    substitutes an executor that snapshots, verifies and drops. *)
 let run_func_with ~(exec : string -> (unit -> bool) -> bool)
     ~(opts : options) (m : modul) (f : func) : unit =
+  (* A pass is a function of the IR, and a run that reports no change
+     leaves the IR as it was.  So a pass whose last run reported no
+     change, with no change reported by any pass since, would find the
+     same function and change nothing again: it is skipped, and a
+     skipped run is no run (no span, fault point or snapshot).  [clean]
+     holds those passes. *)
+  let clean = ref [] in
   (* every pass application — via {!run} or {!run_checked} — becomes a
      telemetry span named opt.<pass>, reproducing Fig. 10's per-stage
      time breakdown as trace data *)
-  let exec name g = Tel.span ("opt." ^ name) ~args:f.fname (fun () -> exec name g) in
+  let exec name g =
+    if List.mem name !clean then false
+    else begin
+      let changed =
+        Tel.span ("opt." ^ name) ~args:f.fname (fun () -> exec name g)
+      in
+      clean := if changed then [] else name :: !clean;
+      changed
+    end
+  in
   if opts.level = 0 then ()
   else begin
     let glookup name = List.find_opt (fun g -> g.gname = name) m.globals in

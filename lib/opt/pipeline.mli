@@ -38,6 +38,15 @@ val stats : stats
 (** Optimize one function of [m] in place. *)
 val run_func : ?opts:options -> Ins.modul -> Ins.func -> unit
 
+(** {!run_func} with every pass run routed through [exec name run]:
+    [run ()] applies pass [name] and returns whether it changed the
+    function, and [exec] returns the result it reports.  A pass whose
+    last run reported no change, with no change reported by any pass
+    since, is skipped without calling [exec]. *)
+val run_func_with :
+  exec:(string -> (unit -> bool) -> bool) ->
+  opts:options -> Ins.modul -> Ins.func -> unit
+
 (** Optimize every function of the module in place. *)
 val run : ?opts:options -> Ins.modul -> unit
 

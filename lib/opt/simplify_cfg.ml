@@ -80,12 +80,12 @@ let merge_chains (f : func) : bool =
   let preds = Cfg.predecessors f in
   let find = Cfg.block_finder f in
   let entry_bid = (entry_block f).bid in
-  let absorbed = Hashtbl.create 16 in
-  let subst = Hashtbl.create 16 in
+  let absorbed = Idtbl.for_blocks f in
+  let subst = Idtbl.for_values f in
   let next_merge b =
     match b.term with
     | Br c when c <> b.bid && c <> entry_bid -> (
-      match Hashtbl.find_opt preds c with
+      match Idtbl.find_opt preds c with
       | Some [ p ] when p = b.bid -> Some c
       | _ -> None)
     | _ -> None
@@ -102,7 +102,7 @@ let merge_chains (f : func) : bool =
           List.filter_map
             (fun i ->
               let merged v =
-                Hashtbl.replace subst i.id (Util.resolve subst v);
+                Idtbl.replace subst i.id (Util.resolve subst v);
                 if !Prov.enabled then
                   Prov.record ~pass:"simplifycfg" ~action:Prov.Merged
                     ~prov:i.prov
@@ -123,14 +123,14 @@ let merge_chains (f : func) : bool =
             cb.instrs
         in
         b.term <- cb.term;
-        Hashtbl.replace absorbed c ();
+        Idtbl.replace absorbed c ();
         (* successors of c now have predecessor b instead of c *)
         List.iter
           (fun s ->
             rename_phi_pred (find s) ~from:c ~to_:b.bid;
-            Hashtbl.replace preds s
+            Idtbl.replace preds s
               (List.map (fun p -> if p = c then b.bid else p)
-                 (Option.value ~default:[] (Hashtbl.find_opt preds s))))
+                 (Option.value ~default:[] (Idtbl.find_opt preds s))))
           (successors b.term);
         absorb (body :: bodies)
     in
@@ -138,10 +138,10 @@ let merge_chains (f : func) : bool =
     | [] -> ()
     | bodies -> b.instrs <- List.concat (b.instrs :: List.rev bodies)
   in
-  List.iter (fun b -> if not (Hashtbl.mem absorbed b.bid) then grow b) f.blocks;
-  if Hashtbl.length absorbed = 0 then false
+  List.iter (fun b -> if not (Idtbl.mem absorbed b.bid) then grow b) f.blocks;
+  if Idtbl.is_empty absorbed then false
   else begin
-    f.blocks <- List.filter (fun x -> not (Hashtbl.mem absorbed x.bid)) f.blocks;
+    f.blocks <- List.filter (fun x -> not (Idtbl.mem absorbed x.bid)) f.blocks;
     Util.apply_subst f subst;
     true
   end
@@ -176,8 +176,8 @@ let skip_empty_blocks (f : func) : bool =
             "simplifycfg: forwarding block lost its Br terminator"
       in
       let tb = find_block f tgt in
-      let bpreds = try Hashtbl.find preds b.bid with Not_found -> [] in
-      let tpreds = try Hashtbl.find preds tgt with Not_found -> [] in
+      let bpreds = Option.value ~default:[] (Idtbl.find_opt preds b.bid) in
+      let tpreds = Option.value ~default:[] (Idtbl.find_opt preds tgt) in
       (* safe when no phi conflict: each pred of b must not already be
          a pred of tgt (else the phi would need merged values), and b
          must have at least one predecessor *)

@@ -45,7 +45,7 @@ let find_loop (f : func) : loop_info option =
     let rec up b =
       if not (Hashtbl.mem body b) then begin
         Hashtbl.replace body b ();
-        List.iter up (Option.value ~default:[] (Hashtbl.find_opt preds b))
+        List.iter up (Option.value ~default:[] (Idtbl.find_opt preds b))
       end
     in
     up latch;
@@ -58,7 +58,7 @@ let find_loop (f : func) : loop_info option =
       let hpreds =
         List.filter
           (fun p -> not (in_body p))
-          (Option.value ~default:[] (Hashtbl.find_opt preds header))
+          (Option.value ~default:[] (Idtbl.find_opt preds header))
       in
       match hpreds with
       | [ preheader ] -> (
@@ -76,7 +76,7 @@ let find_loop (f : func) : loop_info option =
         match exits with
         | [ (exit_src, exit_blk) ] ->
           let epreds =
-            Option.value ~default:[] (Hashtbl.find_opt preds exit_blk)
+            Option.value ~default:[] (Idtbl.find_opt preds exit_blk)
           in
           if epreds = [ exit_src ] then
             Some
@@ -106,7 +106,7 @@ let trip_count (f : func) (li : loop_info) : int option =
             (List.assoc_opt li.preheader ins, List.assoc_opt li.latch ins)
           with
           | Some (CInt (_, init)), Some (V nid) -> (
-            match Hashtbl.find_opt defs nid with
+            match Idtbl.find_opt defs nid with
             | Some { op = Bin (Add, _, V pv, CInt (_, step)); _ }
               when pv = i.id ->
               Some (i.id, nid, init, step, t)
@@ -124,7 +124,7 @@ let trip_count (f : func) (li : loop_info) : int option =
   | CondBr (V cid, t, e) -> (
     let exit_on_true = t = li.exit_blk in
     ignore e;
-    match Hashtbl.find_opt defs cid with
+    match Idtbl.find_opt defs cid with
     | Some { op = Icmp (p, ct, V x, CInt (_, bound)); _ } -> (
       (* x must be the iv or its incremented value *)
       let iv =
@@ -170,51 +170,51 @@ let trip_count (f : func) (li : loop_info) : int option =
 
 (* Peel one iteration off the front of the loop. *)
 let peel_once (f : func) (li : loop_info) : loop_info =
-  let blk_map = Hashtbl.create 8 in
+  let blk_map = Idtbl.for_blocks f in
   let next_bid =
     ref (1 + List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks)
   in
   List.iter
     (fun b ->
-      Hashtbl.replace blk_map b !next_bid;
+      Idtbl.replace blk_map b !next_bid;
       incr next_bid)
     li.body;
-  let id_map = Hashtbl.create 64 in
+  let id_map = Idtbl.for_values f in
   let fid id =
-    match Hashtbl.find_opt id_map id with
+    match Idtbl.find_opt id_map id with
     | Some x -> x
     | None ->
       let x = f.next_id in
       f.next_id <- x + 1;
-      Hashtbl.replace id_map id x;
+      Idtbl.replace id_map id x;
       x
   in
   (* header phis are replaced by their preheader value in the clone *)
   let hb = find_block f li.header in
-  let header_phi_subst = Hashtbl.create 8 in
+  let header_phi_subst = Idtbl.for_values f in
   List.iter
     (fun i ->
       match i.op with
       | Phi (_, ins) -> (
         match List.assoc_opt li.preheader ins with
-        | Some v -> Hashtbl.replace header_phi_subst i.id v
+        | Some v -> Idtbl.replace header_phi_subst i.id v
         | None -> ())
       | _ -> ())
     hb.instrs;
   (* collect defs inside the body so we know which values to remap *)
-  let body_defs = Hashtbl.create 64 in
+  let body_defs = Idtbl.for_values f in
   List.iter
     (fun bid ->
       List.iter
-        (fun i -> Hashtbl.replace body_defs i.id ())
+        (fun i -> Idtbl.replace body_defs i.id ())
         (find_block f bid).instrs)
     li.body;
   let rec rv2 v =
     match v with
     | V id ->
-      if Hashtbl.mem header_phi_subst id then
-        Hashtbl.find header_phi_subst id
-      else if Hashtbl.mem body_defs id then V (fid id)
+      if Idtbl.mem header_phi_subst id then
+        Idtbl.find header_phi_subst id
+      else if Idtbl.mem body_defs id then V (fid id)
       else v
     | CVec (t, vs) -> CVec (t, List.map rv2 vs)
     | _ -> v
@@ -222,7 +222,7 @@ let peel_once (f : func) (li : loop_info) : loop_info =
   let in_body b = List.mem b li.body in
   let fblk b =
     if b = li.header then li.header (* backedge goes to the original *)
-    else if in_body b then Hashtbl.find blk_map b
+    else if in_body b then Idtbl.find blk_map b
     else b
   in
   let cloned =
@@ -244,7 +244,7 @@ let peel_once (f : func) (li : loop_info) : loop_info =
                         ( t,
                           List.map
                             (fun (p, v) ->
-                              ((if in_body p then Hashtbl.find blk_map p else p),
+                              ((if in_body p then Idtbl.find blk_map p else p),
                                rv2 v))
                             ins ) }
               | op ->
@@ -260,11 +260,11 @@ let peel_once (f : func) (li : loop_info) : loop_info =
           | Ret v -> Ret (Option.map rv2 v)
           | Unreachable -> Unreachable
         in
-        { bid = Hashtbl.find blk_map bid; instrs; term })
+        { bid = Idtbl.find blk_map bid; instrs; term })
       li.body
   in
   f.blocks <- f.blocks @ cloned;
-  let clone_of b = Hashtbl.find blk_map b in
+  let clone_of b = Idtbl.find blk_map b in
   (* preheader now branches to the clone of the header *)
   let pb = find_block f li.preheader in
   let rt x = if x = li.header then clone_of li.header else x in
@@ -316,11 +316,11 @@ let peel_once (f : func) (li : loop_info) : loop_info =
    phis in the exit block (LCSSA), otherwise peeling breaks SSA. *)
 let make_lcssa (f : func) (li : loop_info) =
   let in_body b = List.mem b li.body in
-  let body_defs = Hashtbl.create 64 in
+  let body_defs = Idtbl.for_values f in
   List.iter
     (fun bid ->
       List.iter
-        (fun i -> if i.ty <> None then Hashtbl.replace body_defs i.id bid)
+        (fun i -> if i.ty <> None then Idtbl.replace body_defs i.id bid)
         (find_block f bid).instrs)
     li.body;
   (* find outside uses *)
@@ -328,7 +328,7 @@ let make_lcssa (f : func) (li : loop_info) =
   let needed = Hashtbl.create 8 in
   let scan_use bid v =
     match v with
-    | V id when Hashtbl.mem body_defs id && not (in_body bid) ->
+    | V id when Idtbl.mem body_defs id && not (in_body bid) ->
       Hashtbl.replace needed id ()
     | _ -> ()
   in
@@ -346,16 +346,18 @@ let make_lcssa (f : func) (li : loop_info) =
     f.blocks;
   if Hashtbl.length needed > 0 then begin
     let eb = find_block f li.exit_blk in
-    let subst = Hashtbl.create 8 in
+    let subst = Idtbl.for_values f in
+    (* the new phis, which must keep referring to the original value *)
+    let lcssa_ids = ref [] in
     Hashtbl.iter
       (fun id () ->
-        let t = Hashtbl.find tenv id in
+        let t = Idtbl.find tenv id in
         let pid = f.next_id in
         f.next_id <- pid + 1;
         eb.instrs <-
           { id = pid; ty = Some t; op = Phi (t, [ (li.exit_src, V id) ]);
             prov =
-              (match Hashtbl.find_opt body_defs id with
+              (match Idtbl.find_opt body_defs id with
                | Some bid -> (
                  match
                    List.find_opt (fun i -> i.id = id)
@@ -365,23 +367,17 @@ let make_lcssa (f : func) (li : loop_info) =
                  | None -> Prov.none)
                | None -> Prov.none) }
           :: eb.instrs;
-        Hashtbl.replace subst id (V pid))
+        Idtbl.replace subst id (V pid);
+        lcssa_ids := pid :: !lcssa_ids)
       needed;
-    (* replace uses outside the loop (except the LCSSA phis we just
-       created, which must keep referring to the original value) *)
-    let lcssa_ids =
-      Hashtbl.fold
-        (fun _ v acc ->
-          match v with V id -> id :: acc | _ -> acc)
-        subst []
-    in
+    (* replace uses outside the loop, except in the LCSSA phis *)
     List.iter
       (fun (b : block) ->
         if not (in_body b.bid) then begin
           b.instrs <-
             List.map
               (fun i ->
-                if List.mem i.id lcssa_ids then i
+                if List.mem i.id !lcssa_ids then i
                 else
                   match i.op with
                   | Phi (t, ins) ->

@@ -3,51 +3,50 @@
 open Obrew_ir
 open Ins
 
-(* A table sized for every value of [f], so filling it never rehashes. *)
-let value_table (f : func) =
-  Hashtbl.create
-    (List.fold_left (fun n b -> n + List.length b.instrs)
-       (List.length f.params) f.blocks)
-
 (** Map from value id to its defining instruction. *)
-let def_table (f : func) : (int, instr) Hashtbl.t =
-  let t = value_table f in
+let def_table (f : func) : instr Idtbl.t =
+  let t = Idtbl.for_values f in
   List.iter
-    (fun b -> List.iter (fun i -> Hashtbl.replace t i.id i) b.instrs)
+    (fun b -> List.iter (fun i -> Idtbl.replace t i.id i) b.instrs)
     f.blocks;
   t
 
-(** Map from value id to the block defining it. *)
-let def_block (f : func) : (int, int) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun b -> List.iter (fun i -> Hashtbl.replace t i.id b.bid) b.instrs)
-    f.blocks;
-  t
+(** [List.filter_map g l], except that it returns [l] itself when [g]
+    returns every element physically unchanged, so a pass that rewrites
+    nothing allocates nothing.  [g] sees the elements in order. *)
+let rec filter_map_shared g l =
+  match l with
+  | [] -> l
+  | x :: tl -> (
+    let y = g x in
+    let tl' = filter_map_shared g tl in
+    match y with
+    | Some y when y == x && tl' == tl -> l
+    | Some y -> y :: tl'
+    | None -> tl')
 
 (** Follow substitution chains to a fixpoint. *)
-let rec resolve (map : (int, value) Hashtbl.t) (v : value) : value =
+let rec resolve (map : value Idtbl.t) (v : value) : value =
   match v with
   | V id -> (
-    match Hashtbl.find_opt map id with
+    match Idtbl.find_opt map id with
     | Some v' when v' <> v -> resolve map v'
     | _ -> v)
   | CVec (t, vs) -> CVec (t, List.map (resolve map) vs)
   | _ -> v
 
 (** Does [v] name a value that [map] substitutes? *)
-let rec mentions (map : (int, value) Hashtbl.t) (v : value) : bool =
+let rec mentions (map : value Idtbl.t) (v : value) : bool =
   match v with
-  | V id -> Hashtbl.mem map id
+  | V id -> Idtbl.mem map id
   | CVec (_, vs) -> List.exists (mentions map) vs
   | _ -> false
 
 (** Apply a substitution map over every operand in the function.  Only
     the instructions and terminators that use a substituted value are
     rebuilt; [on_rebuilt] sees each rebuilt instruction. *)
-let apply_subst ?(on_rebuilt = ignore) (f : func)
-    (map : (int, value) Hashtbl.t) =
-  if Hashtbl.length map > 0 then begin
+let apply_subst ?(on_rebuilt = ignore) (f : func) (map : value Idtbl.t) =
+  if not (Idtbl.is_empty map) then begin
     let mentioned = mentions map in
     let uses i = exists_operand mentioned i.op in
     List.iter
@@ -69,11 +68,11 @@ let apply_subst ?(on_rebuilt = ignore) (f : func)
   end
 
 (** Number of uses of each value id (operands + terminators). *)
-let use_counts (f : func) : (int, int) Hashtbl.t =
-  let t = Hashtbl.create 64 in
+let use_counts (f : func) : int Idtbl.t =
+  let t = Idtbl.for_values f in
   let rec count = function
     | V id ->
-      Hashtbl.replace t id (1 + Option.value ~default:0 (Hashtbl.find_opt t id))
+      Idtbl.replace t id (1 + Option.value ~default:0 (Idtbl.find_opt t id))
     | CVec (_, vs) -> List.iter count vs
     | _ -> ()
   in
@@ -85,19 +84,17 @@ let use_counts (f : func) : (int, int) Hashtbl.t =
   t
 
 (** Type environment for {!Verify.type_of_value}. *)
-let type_env (f : func) : (int, ty) Hashtbl.t =
-  let t = value_table f in
-  List.iter2 (fun ty id -> Hashtbl.replace t id ty) f.sg.args f.params;
+let type_env (f : func) : ty Idtbl.t =
+  let t = Idtbl.for_values f in
+  List.iter2 (fun ty id -> Idtbl.replace t id ty) f.sg.args f.params;
   List.iter
     (fun b ->
       List.iter
-        (fun i -> match i.ty with Some ty -> Hashtbl.replace t i.id ty
+        (fun i -> match i.ty with Some ty -> Idtbl.replace t i.id ty
                                 | None -> ())
         b.instrs)
     f.blocks;
   t
-
-let ty_of env v = Verify.type_of_value env v
 
 (** Remap all value ids and block ids in a function by [fid]/[fblk]
     (used by inlining and unrolling when splicing blocks). *)

@@ -34,23 +34,23 @@ let find_plan (f : func) : plan option =
   let preds = Cfg.predecessors f in
   let live = Cfg.reachable f in
   let candidate (hb : block) =
-    if not (Hashtbl.mem live hb.bid) then None
+    if not (Idtbl.mem live hb.bid) then None
     else
       match hb.term with
       | CondBr (V cid, t, e) when t = hb.bid && e <> hb.bid -> (
         let bp =
           List.filter
-            (fun p -> Hashtbl.mem live p)
-            (Option.value ~default:[] (Hashtbl.find_opt preds hb.bid))
+            (fun p -> Idtbl.mem live p)
+            (Option.value ~default:[] (Idtbl.find_opt preds hb.bid))
         in
         match List.filter (fun p -> p <> hb.bid) bp with
         | [ preheader ] when List.mem hb.bid bp -> (
           let defs = Util.def_table f in
-          match Hashtbl.find_opt defs cid with
+          match Idtbl.find_opt defs cid with
           | Some { op = Icmp (Slt, I64, V nid, bound); _ } -> (
-            match Hashtbl.find_opt defs nid with
+            match Idtbl.find_opt defs nid with
             | Some { op = Bin (Add, I64, V ivid, CInt (_, 1L)); _ } -> (
-              match Hashtbl.find_opt defs ivid with
+              match Idtbl.find_opt defs ivid with
               | Some { op = Phi (I64, ins); _ } when List.length ins = 2 -> (
                 match
                   (List.assoc_opt preheader ins, List.assoc_opt hb.bid ins)
@@ -121,12 +121,12 @@ let run ~width ?(aligned = false) (f : func) : bool =
             match i.op with
             | Load (F64, addr, _) when is_inv addr -> ()
             | Load (F64, V g, _) -> (
-              match Hashtbl.find_opt defs g with
+              match Idtbl.find_opt defs g with
               | Some { op = Gep (base, elts); _ }
                 when is_inv base && gep_ok ~iv:p.iv ~is_inv elts -> ()
               | _ -> ok := false)
             | Store (F64, _, V g, _) -> (
-              match Hashtbl.find_opt defs g with
+              match Idtbl.find_opt defs g with
               | Some { op = Gep (base, elts); _ }
                 when is_inv base && gep_ok ~iv:p.iv ~is_inv elts -> ()
               | _ -> ok := false)

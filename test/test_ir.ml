@@ -152,6 +152,11 @@ let test_call () =
   List.iter Verify.assert_ok m.funcs;
   check ci64 "4x" 44L (run_i64 m "main" [ 11L ])
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_verifier_catches_errors () =
   (* use before def in a dominating sense *)
   let f = build_max () in
@@ -179,7 +184,21 @@ let test_verifier_catches_errors () =
       blk2.instrs;
   (match Verify.check f2 with
    | [] -> Alcotest.fail "verifier missed type error"
-   | _ -> ())
+   | _ -> ());
+  (* ids at or above next_id, which the optimizer's id-indexed tables
+     do not cover *)
+  let id_error what errs =
+    if not (List.exists (fun e -> contains e "next_id") errs) then
+      Alcotest.failf "verifier missed an out-of-range %s id" what
+  in
+  let f3 = build_max () in
+  f3.next_id <- f3.next_id - 1;
+  id_error "value" (Verify.check f3);
+  let f4 = build_max () in
+  let f4 =
+    { f4 with params = List.map (fun id -> id + f4.next_id) f4.params }
+  in
+  id_error "parameter" (Verify.check f4)
 
 let test_dom () =
   let f = build_sum () in
@@ -187,11 +206,6 @@ let test_dom () =
   let entry = (entry_block f).bid in
   Alcotest.(check bool) "entry dominates all" true
     (List.for_all (fun (b : block) -> Dom.dominates dom entry b.bid) f.blocks)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_printer () =
   let f = build_max () in

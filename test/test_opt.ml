@@ -813,16 +813,52 @@ let regen_command =
   "OBREW_REGEN_DIGESTS=test/corpus/" ^ digests_file
   ^ " dune exec test/test_opt.exe"
 
-(* The points4 and groups8 shapes at sz 11, every kind x style, for the
-   three modes that run the optimizer. *)
-let golden_digests () : (string * string) list =
+(* The four stencil shapes drawn for obench's specialize-mix workload
+   ([Obench.family], seed 2017), copied as literals: 5, 6, 7 and 9
+   points in 2, 3, 5 and 9 coefficient groups.  They are the largest
+   DBrew+LLVM inputs of that workload. *)
+let drawn_shapes =
+  [ ("5p2g",
+     [ (0.21455266268897111, [ (-1, -1); (1, -1) ]);
+       (0.19029822487401926, [ (0, -1); (0, 1); (-1, 1) ]) ]);
+    ("6p3g",
+     [ (0.12224154617951466, [ (1, -1) ]);
+       (0.15475549918299514, [ (1, 1); (0, 1) ]);
+       (0.18941581848483169, [ (0, 0); (-1, 1); (-1, -1) ]) ]);
+    ("7p5g",
+     [ (0.1402408332149358, [ (0, -1) ]);
+       (0.14375848122098317, [ (1, -1); (0, 1) ]);
+       (0.13359067962181434, [ (0, 0) ]);
+       (0.13058758854053823, [ (1, 0) ]);
+       (0.15403196809037259, [ (1, 1); (-1, -1) ]) ]);
+    ("9p9g",
+     [ (0.14070216233359731, [ (1, -1) ]);
+       (0.12516567049195795, [ (1, 1) ]);
+       (0.11429175538918249, [ (-1, -1) ]);
+       (0.099246152134007684, [ (0, 1) ]);
+       (0.11836133253059257, [ (-1, 1) ]);
+       (0.084541324573812582, [ (0, -1) ]);
+       (0.13546205838061487, [ (1, 0) ]);
+       (0.07724740754645272, [ (0, 0) ]);
+       (0.10498213661978187, [ (-1, 0) ]) ]) ]
+
+(* At sz 11, for the three modes that run the optimizer: the points4
+   and groups8 shapes under every kind x style, and the drawn shapes
+   under the kinds that read the stencil from memory (Direct hard-codes
+   the paper's stencil whatever the environment holds).  Each case is
+   (name, environment, kind, style, mode). *)
+let golden_cases () =
   let open Obrew_core in
   let module S = Obrew_stencil.Stencil in
+  let all_kinds = [ Modes.Direct; Modes.Flat; Modes.Sorted ] in
   let shapes =
-    [ ("points4", [ (S.factor4, S.points4) ]); ("groups8", S.groups8) ]
+    [ ("points4", [ (S.factor4, S.points4) ], all_kinds);
+      ("groups8", S.groups8, all_kinds) ]
+    @ List.map (fun (n, g) -> (n, g, [ Modes.Flat; Modes.Sorted ]))
+        drawn_shapes
   in
   List.concat_map
-    (fun (shape, groups) ->
+    (fun (shape, groups, kinds) ->
       let env = Modes.build ~sz:11 ~groups () in
       List.concat_map
         (fun kind ->
@@ -835,21 +871,29 @@ let golden_digests () : (string * string) list =
                       [ shape; Modes.kind_name kind; Modes.style_name style;
                         Modes.transform_name mode ]
                   in
-                  env.Modes.last_ir <- None;
-                  (try
-                     ignore
-                       (Modes.transform ~use_memo:false env kind style mode)
-                   with e ->
-                     Alcotest.failf "%s: transform failed: %s" name
-                       (Printexc.to_string e));
-                  match env.Modes.last_ir with
-                  | Some m ->
-                    (name, Digest.to_hex (Digest.string (Pp_ir.modul m)))
-                  | None -> Alcotest.failf "%s: no optimized IR" name)
+                  (name, env, kind, style, mode))
                 [ Modes.Llvm; Modes.LlvmFix; Modes.DBrewLlvm ])
             [ Modes.Element; Modes.Line ])
-        [ Modes.Direct; Modes.Flat; Modes.Sorted ])
+        kinds)
     shapes
+
+(* The optimized module of a golden case's transform. *)
+let transform_ir (name, env, kind, style, mode) =
+  let open Obrew_core in
+  env.Modes.last_ir <- None;
+  (try ignore (Modes.transform ~use_memo:false env kind style mode)
+   with e ->
+     Alcotest.failf "%s: transform failed: %s" name (Printexc.to_string e));
+  match env.Modes.last_ir with
+  | Some m -> m
+  | None -> Alcotest.failf "%s: no optimized IR" name
+
+let ir_digest m = Digest.to_hex (Digest.string (Pp_ir.modul m))
+
+let golden_digests () : (string * string) list =
+  List.map
+    (fun ((name, _, _, _, _) as case) -> (name, ir_digest (transform_ir case)))
+    (golden_cases ())
 
 let write_digests path =
   let oc = open_out path in
@@ -886,6 +930,67 @@ let test_golden_digests () =
            is intended, regenerate with: %s"
           n d' d regen_command)
     want got
+
+(* The pipeline skips a pass whose last run reported no change while no
+   pass has reported one since.  That is exact only if a run reporting
+   no change leaves the function as it was.  [run_checking_clean] runs
+   the pipeline over [f] and fails on any pass run that breaks this. *)
+let run_checking_clean name ~opts m (f : func) =
+  let exec pass run =
+    let before = Pp_ir.func f and next_id = f.next_id in
+    let changed = run () in
+    if (not changed) && (f.next_id <> next_id || Pp_ir.func f <> before)
+    then
+      Alcotest.failf "%s: %s reported no change but changed %s" name pass
+        f.fname;
+    changed
+  in
+  Pipeline.run_func_with ~exec ~opts m f
+
+(* Every pass run is checked over the lifted golden kernels and over
+   the native compile of {!Obrew_core.Modes.build} (minic code, and the
+   direct line kernel under forced vectorization); the checking executor
+   must not change the result.  A second pipeline run over a lifted
+   kernel's fixpoint then runs every pass at most once. *)
+let test_clean_runs_change_nothing () =
+  let o3 = Obrew_core.Modes.o3_opts in
+  List.iter
+    (fun (name, env, kind, style, mode) ->
+      let lifted () = Obrew_core.Modes.lifted env kind style mode in
+      let m = lifted () in
+      List.iter (run_checking_clean name ~opts:o3 m) m.funcs;
+      let plain = lifted () in
+      Pipeline.run ~opts:o3 plain;
+      check Alcotest.string (name ^ " same IR") (ir_digest plain) (ir_digest m);
+      List.iter
+        (fun (f : func) ->
+          let runs = ref [] in
+          let exec pass run =
+            if List.mem pass !runs then
+              Alcotest.failf "%s: %s ran twice over the fixpoint of %s" name
+                pass f.fname;
+            runs := pass :: !runs;
+            run ()
+          in
+          Pipeline.run_func_with ~exec ~opts:o3 m f)
+        m.funcs)
+    (golden_cases ());
+  (* the options {!Obrew_core.Modes.build} compiles each function with *)
+  let native_opts (f : func) =
+    if f.fname = "line_direct" then
+      { Pipeline.o3 with force_vector_width = Some 2 }
+    else Pipeline.o3
+  in
+  let lower () =
+    Obrew_minic.Lower.lower (Obrew_stencil.Stencil.program ~sz:11)
+  in
+  let m = lower () in
+  List.iter (fun f -> run_checking_clean "native" ~opts:(native_opts f) m f)
+    m.funcs;
+  let plain = lower () in
+  List.iter (fun f -> Pipeline.run_func ~opts:(native_opts f) plain f)
+    plain.funcs;
+  check Alcotest.string "native same IR" (ir_digest plain) (ir_digest m)
 
 let () =
   (match Sys.getenv_opt "OBREW_REGEN_DIGESTS" with
@@ -930,5 +1035,7 @@ let () =
          QCheck_alcotest.to_alcotest prop_optimizer_preserves_expressions;
          QCheck_alcotest.to_alcotest prop_backend_preserves_expressions ]);
       ("golden",
-       [ Alcotest.test_case "optimized-IR digests" `Quick test_golden_digests ])
+       [ Alcotest.test_case "optimized-IR digests" `Quick test_golden_digests;
+         Alcotest.test_case "clean runs change nothing" `Quick
+           test_clean_runs_change_nothing ])
     ]
