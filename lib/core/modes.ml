@@ -144,9 +144,9 @@ let lift_module env ~lift_config ~configure_rewriter ~use_memo kind style t =
     let bytes = Mem.read_bytes env.img.Image.cpu.Cpu.mem lo (hi - lo) in
     let g = { Ins.gname = "fixmem"; bytes; galign = 16; constant = true } in
     let b = Builder.create ~name:"jit" ~sg in
-    let params = (Builder.func b).params in
     let args =
-      Ins.Global "fixmem" :: List.tl (List.map (fun id -> Ins.V id) params)
+      Ins.Global "fixmem"
+      :: List.tl (List.map (fun id -> Ins.V id) (Builder.params b))
     in
     ignore (Builder.call b "lifted" sg args);
     Builder.ret b None;

@@ -1,10 +1,21 @@
-(** Imperative construction of IR functions. *)
+(** Imperative construction of IR functions.
+
+    Inserting an instruction costs O(1): the current block's newest
+    instructions are kept newest-first in [tail].  Blocks are looked up
+    through an index of the blocks the builder created.  [position],
+    [set_term], [insert_phi], [block] and [func] flush the tail into its
+    block, so a function obtained from [func] (or a block from [block])
+    is complete up to that point. *)
 
 open Ins
 
 type t = {
   func : func;
-  mutable cur : block option;
+  index : (int, block) Hashtbl.t; (* bid -> every block created here *)
+  mutable cur : block;
+  mutable tail : instr list;
+  (* instructions inserted into [cur] since the last flush, newest
+     first *)
   mutable cur_prov : int;
   (* provenance id stamped on inserted instructions; the lifter points
      it at the guest instruction currently being lifted *)
@@ -19,9 +30,22 @@ let create ~name ~(sg : signature) : t =
     { fname = name; sg; params; blocks = [ entry ];
       next_id = List.length sg.args; always_inline = false }
   in
-  { func = f; cur = Some entry; cur_prov = 0 }
+  let index = Hashtbl.create 16 in
+  Hashtbl.replace index 0 entry;
+  { func = f; index; cur = entry; tail = []; cur_prov = 0 }
 
-let func b = b.func
+let flush b =
+  if b.tail <> [] then begin
+    b.cur.instrs <- b.cur.instrs @ List.rev b.tail;
+    b.tail <- []
+  end
+
+let func b =
+  flush b;
+  b.func
+
+(** Parameter value ids, in order; unlike [func], never flushes. *)
+let params b = b.func.params
 
 (** Provenance id attached to instructions inserted from now on. *)
 let set_prov b p = b.cur_prov <- p
@@ -33,33 +57,35 @@ let fresh_id b =
   b.func.next_id <- id + 1;
   id
 
+(** The block [bid], complete up to now. *)
+let block b bid =
+  flush b;
+  match Hashtbl.find_opt b.index bid with
+  | Some bl -> bl
+  | None ->
+    invalid_arg (Printf.sprintf "%s: no block %d" b.func.fname bid)
+
 (** Allocate a new empty block; does not change the insertion point. *)
 let new_block b : int =
-  let bid =
-    1 + List.fold_left (fun m bl -> max m bl.bid) 0 b.func.blocks
-  in
-  b.func.blocks <- b.func.blocks @ [ { bid; instrs = []; term = Unreachable } ];
+  let bid = Hashtbl.length b.index in
+  let bl = { bid; instrs = []; term = Unreachable } in
+  Hashtbl.replace b.index bid bl;
+  b.func.blocks <- b.func.blocks @ [ bl ];
   bid
 
-let position b bid = b.cur <- Some (find_block b.func bid)
+let position b bid = b.cur <- block b bid
 
-let current_bid b =
-  match b.cur with
-  | Some bl -> bl.bid
-  | None -> invalid_arg "Builder: no current block"
+let current_bid b = b.cur.bid
 
 let insert b ~ty op : value =
-  match b.cur with
-  | None -> invalid_arg "Builder: no current block"
-  | Some bl ->
-    let id = fresh_id b in
-    bl.instrs <- bl.instrs @ [ { id; ty; op; prov = b.cur_prov } ];
-    V id
+  let id = fresh_id b in
+  b.tail <- { id; ty; op; prov = b.cur_prov } :: b.tail;
+  V id
 
 (** Insert a phi at the *front* of the given block (phis must precede
     ordinary instructions). *)
 let insert_phi b bid ~ty incoming : value =
-  let bl = find_block b.func bid in
+  let bl = block b bid in
   let id = fresh_id b in
   bl.instrs <-
     { id; ty = Some ty; op = Phi (ty, incoming); prov = b.cur_prov }
@@ -67,9 +93,8 @@ let insert_phi b bid ~ty incoming : value =
   V id
 
 let set_term b term =
-  match b.cur with
-  | None -> invalid_arg "Builder: no current block"
-  | Some bl -> bl.term <- term
+  flush b;
+  b.cur.term <- term
 
 (* convenience wrappers *)
 
@@ -96,6 +121,8 @@ let insertelt b vty v s lane =
 let shuffle b rty a bb mask = insert b ~ty:(Some rty) (Shuffle (rty, a, bb, mask))
 let intr b i ~ty args = insert b ~ty:(Some ty) (Intr (i, args))
 
-let ret b v = set_term b (Ret v)
+(* inlined, so that a literal [ret b None] compiles to one static
+   [Ret None] shared by every function instead of a block per call *)
+let[@inline] ret b v = set_term b (Ret v)
 let br b bid = set_term b (Br bid)
 let condbr b c t e = set_term b (CondBr (c, t, e))

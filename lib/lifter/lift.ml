@@ -269,16 +269,41 @@ let v4f32 = Vec (4, F32)
 let v2i64 = Vec (2, I64)
 let v4i32 = Vec (4, I32)
 
+(* Facet caches hold one slot per register and non-primary facet:
+   [gpr_facet_slots] GPR facets (F_i32, F_i16, F_i8, F_i8h) and
+   [xmm_facet_slots] XMM facets (X_f64 ... X_v4i32), at
+   [reg * slots + facet_slot facet]. *)
+let gpr_facet_slots = 4
+let xmm_facet_slots = 6
+
+let facet_slot = function
+  | F_i32 | X_f64 -> 0
+  | F_i16 | X_f32 -> 1
+  | F_i8 | X_v2f64 -> 2
+  | F_i8h | X_v4f32 -> 3
+  | X_v2i64 -> 4
+  | X_v4i32 -> 5
+
 type rstate = {
   gpr : value array;                  (* i64 facet (primary) *)
   gpr_ptr : value option array;       (* pointer facet *)
   xmm : value array;                  (* i128 facet (primary) *)
   mutable flags : value array;        (* zf sf cf of pf af *)
-  gpr_facets : (int * facet, value) Hashtbl.t;
-  xmm_facets : (int * facet, value) Hashtbl.t;
+  gpr_facets : value option array;    (* 16 x gpr_facet_slots *)
+  xmm_facets : value option array;    (* 16 x xmm_facet_slots *)
   (* flag cache: width type + cmp operands (Sec. III-D) *)
   mutable cmp_cache : (ty * value * value) option;
 }
+
+(* A state with every register undefined and empty facet caches. *)
+let empty_rstate () =
+  { gpr = Array.make 16 (Undef I64);
+    gpr_ptr = Array.make 16 None;
+    xmm = Array.make 16 (Undef I128);
+    flags = Array.make 6 (Undef I1);
+    gpr_facets = Array.make (16 * gpr_facet_slots) None;
+    xmm_facets = Array.make (16 * xmm_facet_slots) None;
+    cmp_cache = None }
 
 let zf_i = 0
 let sf_i = 1
@@ -290,8 +315,22 @@ let af_i = 5
 let snapshot (s : rstate) =
   { gpr = Array.copy s.gpr; gpr_ptr = Array.copy s.gpr_ptr;
     xmm = Array.copy s.xmm; flags = Array.copy s.flags;
-    gpr_facets = Hashtbl.copy s.gpr_facets;
-    xmm_facets = Hashtbl.copy s.xmm_facets; cmp_cache = s.cmp_cache }
+    gpr_facets = Array.copy s.gpr_facets;
+    xmm_facets = Array.copy s.xmm_facets; cmp_cache = s.cmp_cache }
+
+(* A raw block's entry phis, in the order they head the block: gpr i64
+   (slots 0..15), gpr ptr (16..31), xmm (32..47), flags (48..53). *)
+let phi_slots = 54
+
+let phi_ty k =
+  if k < 16 then I64 else if k < 32 then Ptr 0 else if k < 48 then I128
+  else I1
+
+let phi_slot (s : rstate) k : value option =
+  if k < 16 then Some s.gpr.(k)
+  else if k < 32 then s.gpr_ptr.(k - 16)
+  else if k < 48 then Some s.xmm.(k - 32)
+  else Some s.flags.(k - 48)
 
 type lstate = {
   cfg : config;
@@ -300,8 +339,9 @@ type lstate = {
   (* per raw-block results *)
   block_of_addr : (int, int) Hashtbl.t;  (* x86 addr -> IR block id *)
   final_states : (int, rstate) Hashtbl.t; (* IR block id -> exit state *)
-  entry_phis : (int, (int * ty) array) Hashtbl.t;
-  (* IR bid -> phi ids for [16 gpr i64; 16 gpr ptr; 16 xmm i128; 6 flags] *)
+  entry_states : (int, rstate) Hashtbl.t;
+  (* raw block's IR block id -> entry state, every primary facet an
+     entry phi (see {!phi_slot}) *)
 }
 
 let ty_of_width = function
@@ -315,40 +355,51 @@ let facet_of_width = function
 
 let get_gpr64 st r = st.cur.gpr.(Reg.index r)
 
+(* facet cache access; a no-op without [facet_cache] *)
+let gpr_facet st i fk =
+  if st.cfg.facet_cache then
+    st.cur.gpr_facets.((i * gpr_facet_slots) + facet_slot fk)
+  else None
+
+let cache_gpr_facet st i fk v =
+  if st.cfg.facet_cache then
+    st.cur.gpr_facets.((i * gpr_facet_slots) + facet_slot fk) <- Some v
+
+let xmm_facet st x fk =
+  if st.cfg.facet_cache then
+    st.cur.xmm_facets.((x * xmm_facet_slots) + facet_slot fk)
+  else None
+
+let cache_xmm_facet st x fk v =
+  if st.cfg.facet_cache then
+    st.cur.xmm_facets.((x * xmm_facet_slots) + facet_slot fk) <- Some v
+
 let get_gpr st w r : value =
   let i = Reg.index r in
   if w = Insn.W64 then st.cur.gpr.(i)
   else begin
     let fk = facet_of_width w in
-    let cached =
-      if st.cfg.facet_cache then Hashtbl.find_opt st.cur.gpr_facets (i, fk)
-      else None
-    in
-    match cached with
+    match gpr_facet st i fk with
     | Some v -> v
     | None ->
       let t = ty_of_width w in
       let v =
         Builder.cast st.b Trunc ~src_ty:I64 st.cur.gpr.(i) ~dst_ty:t
       in
-      if st.cfg.facet_cache then Hashtbl.replace st.cur.gpr_facets (i, fk) v;
+      cache_gpr_facet st i fk v;
       v
   end
 
 let get_gpr8h st r : value =
   let i = Reg.index r in
-  let cached =
-    if st.cfg.facet_cache then Hashtbl.find_opt st.cur.gpr_facets (i, F_i8h)
-    else None
-  in
-  match cached with
+  match gpr_facet st i F_i8h with
   | Some v -> v
   | None ->
     let sh =
       Builder.bin st.b LShr I64 st.cur.gpr.(i) (CInt (I64, 8L))
     in
     let v = Builder.cast st.b Trunc ~src_ty:I64 sh ~dst_ty:I8 in
-    if st.cfg.facet_cache then Hashtbl.replace st.cur.gpr_facets (i, F_i8h) v;
+    cache_gpr_facet st i F_i8h v;
     v
 
 (* pointer facet, materializing inttoptr when absent *)
@@ -363,16 +414,11 @@ let get_gpr_ptr st r : value =
     st.cur.gpr_ptr.(i) <- Some p;
     p
 
-let clear_gpr_facets st i =
-  Hashtbl.iter
-    (fun (j, fk) _ -> if j = i then Hashtbl.remove st.cur.gpr_facets (j, fk))
-    (Hashtbl.copy st.cur.gpr_facets)
-
 let set_gpr64 ?ptr st r v =
   let i = Reg.index r in
   st.cur.gpr.(i) <- v;
   st.cur.gpr_ptr.(i) <- ptr;
-  clear_gpr_facets st i
+  Array.fill st.cur.gpr_facets (i * gpr_facet_slots) gpr_facet_slots None
 
 let set_gpr st w r (v : value) =
   let i = Reg.index r in
@@ -382,8 +428,7 @@ let set_gpr st w r (v : value) =
     (* 32-bit writes zero the upper half (Fig. 4a) *)
     let z = Builder.cast st.b Zext ~src_ty:I32 v ~dst_ty:I64 in
     set_gpr64 st r z;
-    if st.cfg.facet_cache then
-      Hashtbl.replace st.cur.gpr_facets (i, F_i32) v
+    cache_gpr_facet st i F_i32 v
   | Insn.W16 | Insn.W8 ->
     (* narrow writes preserve the untouched bits via masking (Fig. 4a) *)
     let t = ty_of_width w in
@@ -395,10 +440,7 @@ let set_gpr st w r (v : value) =
     let z = Builder.cast st.b Zext ~src_ty:t v ~dst_ty:I64 in
     let merged = Builder.bin st.b Or I64 kept z in
     set_gpr64 st r merged;
-    if st.cfg.facet_cache then
-      Hashtbl.replace st.cur.gpr_facets
-        (i, (if w = Insn.W16 then F_i16 else F_i8))
-        v
+    cache_gpr_facet st i (if w = Insn.W16 then F_i16 else F_i8) v
 
 let set_gpr8h st r (v : value) =
   let i = Reg.index r in
@@ -408,7 +450,7 @@ let set_gpr8h st r (v : value) =
   let sh = Builder.bin st.b Shl I64 z (CInt (I64, 8L)) in
   let merged = Builder.bin st.b Or I64 kept sh in
   set_gpr64 st r merged;
-  if st.cfg.facet_cache then Hashtbl.replace st.cur.gpr_facets (i, F_i8h) v
+  cache_gpr_facet st i F_i8h v
 
 (* ---------------- xmm facets ---------------- *)
 
@@ -418,60 +460,43 @@ let facet_ty = function
   | F_i32 -> I32 | F_i16 -> I16 | F_i8 | F_i8h -> I8
 
 let get_xmm_vec st x (fk : facet) : value =
-  let cached =
-    if st.cfg.facet_cache then Hashtbl.find_opt st.cur.xmm_facets (x, fk)
-    else None
-  in
-  match cached with
+  match xmm_facet st x fk with
   | Some v -> v
   | None ->
     let t = facet_ty fk in
     let v = Builder.cast st.b Bitcast ~src_ty:I128 st.cur.xmm.(x) ~dst_ty:t in
-    if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, fk) v;
+    cache_xmm_facet st x fk v;
     v
 
 (* scalar lane-0 facets use extractelement on the vector facet so the
    optimizer can track the value's origin (Sec. III-C1) *)
 let get_xmm_f64 st x : value =
-  let cached =
-    if st.cfg.facet_cache then Hashtbl.find_opt st.cur.xmm_facets (x, X_f64)
-    else None
-  in
-  match cached with
+  match xmm_facet st x X_f64 with
   | Some v -> v
   | None ->
     let vec = get_xmm_vec st x X_v2f64 in
     let v = Builder.extractelt st.b v2f64 vec 0 in
-    if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, X_f64) v;
+    cache_xmm_facet st x X_f64 v;
     v
 
 let get_xmm_f32 st x : value =
-  let cached =
-    if st.cfg.facet_cache then Hashtbl.find_opt st.cur.xmm_facets (x, X_f32)
-    else None
-  in
-  match cached with
+  match xmm_facet st x X_f32 with
   | Some v -> v
   | None ->
     let vec = get_xmm_vec st x X_v4f32 in
     let v = Builder.extractelt st.b v4f32 vec 0 in
-    if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, X_f32) v;
+    cache_xmm_facet st x X_f32 v;
     v
-
-let clear_xmm_facets st x =
-  Hashtbl.iter
-    (fun (j, fk) _ -> if j = x then Hashtbl.remove st.cur.xmm_facets (j, fk))
-    (Hashtbl.copy st.cur.xmm_facets)
 
 let set_xmm128 st x v =
   st.cur.xmm.(x) <- v;
-  clear_xmm_facets st x
+  Array.fill st.cur.xmm_facets (x * xmm_facet_slots) xmm_facet_slots None
 
 let set_xmm_vec st x fk (v : value) =
   let t = facet_ty fk in
   let i = Builder.cast st.b Bitcast ~src_ty:t v ~dst_ty:I128 in
   set_xmm128 st x i;
-  if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, fk) v
+  cache_xmm_facet st x fk v
 
 (* write scalar f64 lane 0; [zero_upper] per instruction semantics *)
 let set_xmm_f64 st x ~zero_upper (v : value) =
@@ -483,7 +508,7 @@ let set_xmm_f64 st x ~zero_upper (v : value) =
       Builder.insertelt st.b v2f64 old v 0
   in
   set_xmm_vec st x X_v2f64 vec;
-  if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, X_f64) v
+  cache_xmm_facet st x X_f64 v
 
 let set_xmm_f32 st x ~zero_upper (v : value) =
   let vec =
@@ -496,7 +521,7 @@ let set_xmm_f32 st x ~zero_upper (v : value) =
       Builder.insertelt st.b v4f32 old v 0
   in
   set_xmm_vec st x X_v4f32 vec;
-  if st.cfg.facet_cache then Hashtbl.replace st.cur.xmm_facets (x, X_f32) v
+  cache_xmm_facet st x X_f32 v
 
 (* ---------------- memory operands ---------------- *)
 
@@ -1080,15 +1105,6 @@ let lift_insn st (i : Insn.insn) : unit =
       | Some sg -> sg
       | None -> err "call to 0x%x: no signature declared (Sec. III-A)" target
     in
-    let int_args, _ =
-      List.fold_left
-        (fun (acc, idx) t ->
-          match t with
-          | F64 -> (acc, idx)
-          | _ -> (acc @ [ (t, idx) ], idx + 1))
-        ([], 0) sg.args
-    in
-    ignore int_args;
     (* gather arguments per the ABI *)
     let iregs = [| Reg.RDI; Reg.RSI; Reg.RDX; Reg.RCX; Reg.R8; Reg.R9 |] in
     let ii = ref 0 and fi = ref 0 in
@@ -1369,18 +1385,10 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   let has_calls = call_ras <> [] in
   let b = Builder.create ~name ~sg in
   let st =
-    { cfg = config; b;
-      cur =
-        { gpr = Array.make 16 (Undef I64);
-          gpr_ptr = Array.make 16 None;
-          xmm = Array.make 16 (Undef I128);
-          flags = Array.make 6 (Undef I1);
-          gpr_facets = Hashtbl.create 16;
-          xmm_facets = Hashtbl.create 16;
-          cmp_cache = None };
+    { cfg = config; b; cur = empty_rstate ();
       block_of_addr = Hashtbl.create 16;
       final_states = Hashtbl.create 16;
-      entry_phis = Hashtbl.create 16 }
+      entry_states = Hashtbl.create 16 }
   in
   (* entry block: virtual stack + parameter binding (Sec. III-A/F) *)
   let stack = Builder.alloca b config.stack_size 16 in
@@ -1397,7 +1405,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   let ii = ref 0 and fi = ref 0 in
   List.iteri
     (fun pi t ->
-      let pv = V (List.nth (Builder.func b).params pi) in
+      let pv = V (List.nth (Builder.params b) pi) in
       match t with
       | F64 ->
         let vec =
@@ -1405,8 +1413,8 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
         in
         let i128 = Builder.cast b Bitcast ~src_ty:v2f64 vec ~dst_ty:I128 in
         st.cur.xmm.(!fi) <- i128;
-        Hashtbl.replace st.cur.xmm_facets (!fi, X_f64) pv;
-        Hashtbl.replace st.cur.xmm_facets (!fi, X_v2f64) vec;
+        cache_xmm_facet st !fi X_f64 pv;
+        cache_xmm_facet st !fi X_v2f64 vec;
         incr fi
       | Ptr _ ->
         let iv = Builder.cast b PtrToInt ~src_ty:(Ptr 0) pv ~dst_ty:I64 in
@@ -1469,46 +1477,27 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     raw;
   add_pred (bid_of entry) 0 (* the IR entry block *)
   |> ignore;
-  (* create phis *)
+  (* reserve each raw block's entry phis, one per primary facet: ids
+     are allocated flags 5..0, xmm 15..0, gpr ptr 15..0, gpr i64 15..0,
+     which puts them in {!phi_slot} order when listed by descending id.
+     The phis themselves are built once their incomings are known. *)
   List.iter
     (fun rb ->
-      let bid = bid_of rb.start in
-      Builder.set_prov b (Hashtbl.find prov_of_bid bid);
-      let phis = ref [] in
-      let mk ty =
-        match Builder.insert_phi b bid ~ty [] with
-        | V id ->
-          phis := (id, ty) :: !phis;
-          V id
-        | _ -> err "insert_phi returned a non-SSA value"
-      in
-      (* order: flags (6), xmm (16), gpr ptr (16), gpr i64 (16) — we
-         insert at the front so build in reverse *)
-      let st' =
-        { gpr = Array.make 16 (Undef I64);
-          gpr_ptr = Array.make 16 None;
-          xmm = Array.make 16 (Undef I128);
-          flags = Array.make 6 (Undef I1);
-          gpr_facets = Hashtbl.create 16;
-          xmm_facets = Hashtbl.create 16;
-          cmp_cache = None }
-      in
+      let s = empty_rstate () in
+      let phi () = V (Builder.fresh_id b) in
       for fi = 5 downto 0 do
-        st'.flags.(fi) <- mk I1
+        s.flags.(fi) <- phi ()
       done;
       for x = 15 downto 0 do
-        st'.xmm.(x) <- mk I128
+        s.xmm.(x) <- phi ()
       done;
       for r = 15 downto 0 do
-        st'.gpr_ptr.(r) <- Some (mk (Ptr 0))
+        s.gpr_ptr.(r) <- Some (phi ())
       done;
       for r = 15 downto 0 do
-        st'.gpr.(r) <- mk I64
+        s.gpr.(r) <- phi ()
       done;
-      Hashtbl.replace st.entry_phis bid (Array.of_list !phis);
-      (* stash the entry state for this block *)
-      Hashtbl.replace st.final_states (-bid - 1000) st'
-      (* entry states keyed negatively; final states keyed by bid *))
+      Hashtbl.replace st.entry_states (bid_of rb.start) s)
     raw;
   (* push a constant return address onto the virtual stack (the store
      half of in-region call/ret pairing) *)
@@ -1565,8 +1554,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
          [`Jcc] condition reconstruction should be attributed to (the
          cmp/test normally ends the block) *)
       Builder.set_prov b (Hashtbl.find prov_of_bid bid);
-      let entry_st = Hashtbl.find st.final_states (-bid - 1000) in
-      st.cur <- snapshot entry_st;
+      st.cur <- snapshot (Hashtbl.find st.entry_states bid);
       let ord = ref (Hashtbl.find ord_base rb.start) in
       List.iter
         (fun (a, i) ->
@@ -1618,77 +1606,58 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
        | `Ret -> emit_ret ());
       Hashtbl.replace st.final_states bid (snapshot st.cur))
     raw;
-  (* fill in phi incomings from predecessor final states *)
+  (* build each raw block's entry phis from its predecessors' exit
+     states *)
   Hashtbl.replace st.final_states 0 entry_state;
   let f = Builder.func b in
-  (* inttoptr casts materialized at the end of predecessor blocks are
-     buffered and appended only after all phi-filling is done — a block
-     that is its own predecessor would otherwise lose them when its
-     instruction list is rewritten *)
-  let pending : (int * instr) list ref = ref [] in
+  (* inttoptr casts materialized at the end of predecessor blocks,
+     newest first per block; appended only after every phi is built,
+     which keeps them after the lifted code of a block that is its own
+     predecessor *)
+  let pending : (int, instr list) Hashtbl.t = Hashtbl.create 16 in
+  let incoming k (p, (ps : rstate)) =
+    match phi_slot ps k with
+    | Some v -> (p, v)
+    | None ->
+      (* a pointer phi whose predecessor has no pointer facet *)
+      let id = Builder.fresh_id b in
+      let ins =
+        { id; ty = Some (Ptr 0);
+          op = Cast (IntToPtr, I64, ps.gpr.(k - 16), Ptr 0);
+          prov =
+            Option.value ~default:Prov.none (Hashtbl.find_opt prov_of_bid p) }
+      in
+      let earlier = Option.value ~default:[] (Hashtbl.find_opt pending p) in
+      Hashtbl.replace pending p (ins :: earlier);
+      (p, V id)
+  in
   List.iter
     (fun rb ->
       let bid = bid_of rb.start in
-      let bp = Option.value ~default:[] (Hashtbl.find_opt preds bid) in
-      let blk = find_block f bid in
-      let phis = Hashtbl.find st.entry_phis bid in
-      (* phis array order corresponds to: gpr i64 (0..15), gpr ptr
-         (16..31), xmm (32..47), flags (48..53) *)
-      let value_for (k : int) (ps : rstate) (pbid : int) : value =
-        if k < 16 then ps.gpr.(k)
-        else if k < 32 then begin
-          let r = k - 16 in
-          match ps.gpr_ptr.(r) with
-          | Some p -> p
-          | None ->
-            (* materialize inttoptr at the end of the predecessor *)
-            let id = f.next_id in
-            f.next_id <- id + 1;
-            pending :=
-              (pbid,
-               { id; ty = Some (Ptr 0);
-                 op = Cast (IntToPtr, I64, ps.gpr.(r), Ptr 0);
-                 prov =
-                   Option.value ~default:Prov.none
-                     (Hashtbl.find_opt prov_of_bid pbid) })
-              :: !pending;
-            V id
-        end
-        else if k < 48 then ps.xmm.(k - 32)
-        else ps.flags.(k - 48)
-      in
-      blk.instrs <-
+      let entry_st = Hashtbl.find st.entry_states bid in
+      let pstates =
         List.map
-          (fun ins ->
-            match ins.op with
-            | Phi (t, []) -> (
-              (* which facet slot is this? *)
-              let k =
-                let rec find i =
-                  if i >= Array.length phis then -1
-                  else if fst phis.(i) = ins.id then i
-                  else find (i + 1)
-                in
-                find 0
-              in
-              if k < 0 then ins
-              else
-                let incoming =
-                  List.map
-                    (fun p ->
-                      let ps = Hashtbl.find st.final_states p in
-                      (p, value_for k ps p))
-                    bp
-                in
-                { ins with op = Phi (t, incoming) })
-            | _ -> ins)
-          blk.instrs)
+          (fun p -> (p, Hashtbl.find st.final_states p))
+          (Option.value ~default:[] (Hashtbl.find_opt preds bid))
+      in
+      let prov = Hashtbl.find prov_of_bid bid in
+      let phis =
+        Array.init phi_slots (fun k ->
+            match phi_slot entry_st k with
+            | Some (V id) ->
+              let ty = phi_ty k in
+              { id; ty = Some ty; op = Phi (ty, List.map (incoming k) pstates);
+                prov }
+            | _ -> err "entry phi slot %d holds no phi" k)
+      in
+      let blk = Builder.block b bid in
+      blk.instrs <- Array.to_list phis @ blk.instrs)
     raw;
-  List.iter
-    (fun (pbid, ins) ->
-      let pblk = find_block f pbid in
-      pblk.instrs <- pblk.instrs @ [ ins ])
-    (List.rev !pending);
+  Hashtbl.iter
+    (fun p ins ->
+      let blk = Builder.block b p in
+      blk.instrs <- blk.instrs @ List.rev ins)
+    pending;
   f
 
 let lift ?config ~read ~entry ~name (sg : signature) : func =

@@ -19,7 +19,7 @@ type env = {
   vtypes : (string, ty) Hashtbl.t;   (* name -> declared type *)
   fsigs : (string, signature) Hashtbl.t;
   fname : string;
-  ret : ty option;
+  sg : signature;
 }
 
 (* every expression evaluates to i64, f64 or ptr; pointers and ints
@@ -30,8 +30,7 @@ let rec expr env (e : Ast.expr) : value * ty =
   | Ast.Int n -> (CInt (I64, n), I64)
   | Ast.Flt f -> (CF64 f, F64)
   | Ast.Param i -> (
-    let f = Builder.func bld in
-    match List.nth_opt f.params i, List.nth_opt f.sg.args i with
+    match List.nth_opt (Builder.params bld) i, List.nth_opt env.sg.args i with
     | Some id, Some t -> (V id, t)
     | _ -> err "%s: no parameter %d" env.fname i)
   | Ast.Var n -> (
@@ -183,7 +182,7 @@ let rec stmt env (s : Ast.stmt) : bool (* fallthrough continues? *) =
     ignore (expr env e);
     true
   | Ast.Return eo ->
-    (match eo, env.ret with
+    (match eo, env.sg.ret with
      | None, None -> Builder.ret bld None
      | Some e, Some t ->
        let v = coerce env (expr env e) t in
@@ -243,7 +242,7 @@ let lower_fn (fsigs : (string, signature) Hashtbl.t) (f : Ast.fn) : func =
   let b = Builder.create ~name:f.name ~sg in
   let env =
     { b; vars = Hashtbl.create 16; vtypes = Hashtbl.create 16; fsigs;
-      fname = f.name; ret = sg.ret }
+      fname = f.name; sg }
   in
   let falls = List.fold_left (fun k s -> k && stmt env s) true f.body in
   if falls then begin

@@ -213,6 +213,132 @@ let test_printer () =
   Alcotest.(check bool) "mentions icmp" true (contains s "icmp slt");
   Alcotest.(check bool) "mentions select" true (contains s "select")
 
+(* --- the buffered Builder against a list-append reference -----------
+
+   [Builder] buffers the current block's newest instructions and looks
+   blocks up through an index.  [Ref_builder] is the plain model it
+   must be indistinguishable from: every insert appends to the block's
+   list and every lookup scans the function. *)
+
+module Ref_builder = struct
+  type t = { func : func; mutable cur : block; mutable prov : int }
+
+  let create ~name ~(sg : signature) =
+    let entry = { bid = 0; instrs = []; term = Unreachable } in
+    { func =
+        { fname = name; sg; params = List.mapi (fun i _ -> i) sg.args;
+          blocks = [ entry ]; next_id = List.length sg.args;
+          always_inline = false };
+      cur = entry; prov = 0 }
+
+  let fresh_id b =
+    let id = b.func.next_id in
+    b.func.next_id <- id + 1;
+    id
+
+  let new_block b =
+    let bid = 1 + List.fold_left (fun m bl -> max m bl.bid) 0 b.func.blocks in
+    b.func.blocks <- b.func.blocks @ [ { bid; instrs = []; term = Unreachable } ];
+    bid
+
+  let position b bid = b.cur <- find_block b.func bid
+
+  let insert b ~ty op =
+    let id = fresh_id b in
+    b.cur.instrs <- b.cur.instrs @ [ { id; ty; op; prov = b.prov } ];
+    V id
+
+  let insert_phi b bid ~ty incoming =
+    let bl = find_block b.func bid in
+    let id = fresh_id b in
+    bl.instrs <-
+      { id; ty = Some ty; op = Phi (ty, incoming); prov = b.prov } :: bl.instrs;
+    V id
+end
+
+type builder_op =
+  | New_block
+  | Position of int
+  | Insert of int
+  | Insert_phi of int
+  | Set_term of int
+  | Set_prov of int
+  | Func
+
+let show_builder_op = function
+  | New_block -> "new_block"
+  | Position k -> Printf.sprintf "position %d" k
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Insert_phi k -> Printf.sprintf "insert_phi %d" k
+  | Set_term k -> Printf.sprintf "set_term %d" k
+  | Set_prov k -> Printf.sprintf "set_prov %d" k
+  | Func -> "func"
+
+let gen_builder_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 0 80)
+    (frequency
+       [ (2, pure New_block);
+         (3, map (fun k -> Position k) nat);
+         (10, map (fun k -> Insert k) nat);
+         (3, map (fun k -> Insert_phi k) nat);
+         (2, map (fun k -> Set_term k) nat);
+         (1, map (fun k -> Set_prov k) small_nat);
+         (2, pure Func) ])
+
+(* Drive both builders with [ops]; after every [Func] (and at the end)
+   the functions must print the same and be structurally equal.  Block
+   and value operands are drawn from [k] modulo what exists, which both
+   sides agree on as long as they agree at all. *)
+let builder_matches_reference ops =
+  let sg = { args = [ I64 ]; ret = Some I64 } in
+  let b = Builder.create ~name:"f" ~sg in
+  let r = Ref_builder.create ~name:"f" ~sg in
+  let nblocks = ref 1 in
+  let agree () =
+    let f = Builder.func b in
+    let pf = Pp_ir.func f and pr = Pp_ir.func r.func in
+    if pf <> pr || f <> r.func then
+      QCheck2.Test.fail_reportf "buffered:\n%s\nreference:\n%s" pf pr;
+    true
+  in
+  List.for_all
+    (fun op ->
+      let operand k = V (k mod r.func.next_id) in
+      (match op with
+       | New_block ->
+         let x = Builder.new_block b and y = Ref_builder.new_block r in
+         if x <> y then QCheck2.Test.fail_reportf "new_block %d vs %d" x y;
+         incr nblocks
+       | Position k ->
+         Builder.position b (k mod !nblocks);
+         Ref_builder.position r (k mod !nblocks)
+       | Insert k ->
+         let op = Bin (Add, I64, operand k, CInt (I64, Int64.of_int k)) in
+         ignore (Builder.insert b ~ty:(Some I64) op);
+         ignore (Ref_builder.insert r ~ty:(Some I64) op)
+       | Insert_phi k ->
+         let bid = k mod !nblocks and inc = [ (0, operand k) ] in
+         ignore (Builder.insert_phi b bid ~ty:I64 inc);
+         ignore (Ref_builder.insert_phi r bid ~ty:I64 inc)
+       | Set_term k ->
+         let t = if k mod 3 = 0 then Ret (Some (operand k)) else Br (k mod !nblocks) in
+         Builder.set_term b t;
+         r.cur.term <- t
+       | Set_prov k ->
+         Builder.set_prov b k;
+         r.prov <- k
+       | Func -> ignore (agree ()));
+      true)
+    ops
+  && agree ()
+
+let prop_builder_matches_reference =
+  QCheck2.Test.make ~name:"buffered builder = list-append reference"
+    ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_builder_op ops))
+    gen_builder_ops builder_matches_reference
+
 let () =
   Alcotest.run "ir"
     [ ("build+interp",
@@ -225,4 +351,6 @@ let () =
       ("verify",
        [ Alcotest.test_case "catches errors" `Quick test_verifier_catches_errors;
          Alcotest.test_case "dominators" `Quick test_dom;
-         Alcotest.test_case "printer" `Quick test_printer ]) ]
+         Alcotest.test_case "printer" `Quick test_printer ]);
+      ("builder",
+       [ QCheck_alcotest.to_alcotest prop_builder_matches_reference ]) ]

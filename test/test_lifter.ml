@@ -465,7 +465,60 @@ let test_fig5_addsd_shape () =
       check Alcotest.bool (frag ^ " present") true (contains printed frag))
     [ "bitcast"; "extractelement"; "fadd"; "insertelement" ]
 
+(* --- golden lifted-IR digests -------------------------------------------
+
+   The optimized-IR digests of [test_opt] can hide a lifter change that
+   the optimizer normalises away, so the lifter's own output is pinned
+   too: the module each golden case hands to the optimizer, and the
+   points4 kernels lifted under every single-knob ablation. *)
+
+module Modes = Obrew_core.Modes
+
+let lift_digests =
+  { Golden.file = "lift_ir_digests.txt"; exe = "test_lifter"; what = "lifted IR" }
+
+let ablation_configs =
+  let d = Lift.default_config in
+  [ ("default", d);
+    ("no-flag-cache", { d with Lift.flag_cache = false });
+    ("no-facet-cache", { d with Lift.facet_cache = false });
+    ("inttoptr", { d with Lift.use_gep = false }) ]
+
+let lifted_digests () =
+  let golden =
+    List.map
+      (fun (name, env, kind, style, mode) ->
+        (name, Golden.ir_digest (Modes.lifted env kind style mode)))
+      (Golden.cases ())
+  in
+  let env = Golden.points4_env () in
+  let read = Mem.read_u8 env.Modes.img.Image.cpu.Cpu.mem in
+  let ablations =
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun style ->
+            List.map
+              (fun (cname, config) ->
+                let f =
+                  Lift.lift ~config ~read
+                    ~entry:(Modes.native_addr env kind style)
+                    ~name:"lifted" (Modes.kernel_sig style)
+                in
+                ( String.concat "/"
+                    [ "ablation"; "points4"; Modes.kind_name kind;
+                      Modes.style_name style; cname ],
+                  Golden.digest_string (Pp_ir.func f) ))
+              ablation_configs)
+          Golden.all_styles)
+      Golden.all_kinds
+  in
+  golden @ ablations
+
+let test_lifted_digests () = Golden.check lift_digests (lifted_digests ())
+
 let () =
+  Golden.regen_if_asked lift_digests lifted_digests;
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lifter"
     [ ("fig6",
@@ -492,5 +545,7 @@ let () =
            test_indirect_call_chain_differential ]);
       ("property",
        [ qt prop_differential; qt prop_differential_optimized ]);
-      ("fig5", [ Alcotest.test_case "addsd shape" `Quick test_fig5_addsd_shape ])
+      ("fig5", [ Alcotest.test_case "addsd shape" `Quick test_fig5_addsd_shape ]);
+      ("golden",
+       [ Alcotest.test_case "lifted-IR digests" `Quick test_lifted_digests ])
     ]

@@ -801,81 +801,10 @@ let prop_backend_preserves_expressions =
           || QCheck2.Test.fail_reportf "backend mismatch (%Ld,%Ld)" a b)
         [ (0L, 0L); (5L, 9L); (-3L, 70L); (Int64.min_int, 1L) ])
 
-(* --- golden optimized-IR digests ---------------------------------------
+(* --- golden optimized-IR digests --------------------------------------- *)
 
-   The optimizer's output on real lifted kernels is pinned by the MD5
-   of its printed IR: a change meant to make a pass faster must leave
-   every digest as it was.  One line per transform, "<name> <hex>". *)
-
-let digests_file = "opt_ir_digests.txt"
-
-let regen_command =
-  "OBREW_REGEN_DIGESTS=test/corpus/" ^ digests_file
-  ^ " dune exec test/test_opt.exe"
-
-(* The four stencil shapes drawn for obench's specialize-mix workload
-   ([Obench.family], seed 2017), copied as literals: 5, 6, 7 and 9
-   points in 2, 3, 5 and 9 coefficient groups.  They are the largest
-   DBrew+LLVM inputs of that workload. *)
-let drawn_shapes =
-  [ ("5p2g",
-     [ (0.21455266268897111, [ (-1, -1); (1, -1) ]);
-       (0.19029822487401926, [ (0, -1); (0, 1); (-1, 1) ]) ]);
-    ("6p3g",
-     [ (0.12224154617951466, [ (1, -1) ]);
-       (0.15475549918299514, [ (1, 1); (0, 1) ]);
-       (0.18941581848483169, [ (0, 0); (-1, 1); (-1, -1) ]) ]);
-    ("7p5g",
-     [ (0.1402408332149358, [ (0, -1) ]);
-       (0.14375848122098317, [ (1, -1); (0, 1) ]);
-       (0.13359067962181434, [ (0, 0) ]);
-       (0.13058758854053823, [ (1, 0) ]);
-       (0.15403196809037259, [ (1, 1); (-1, -1) ]) ]);
-    ("9p9g",
-     [ (0.14070216233359731, [ (1, -1) ]);
-       (0.12516567049195795, [ (1, 1) ]);
-       (0.11429175538918249, [ (-1, -1) ]);
-       (0.099246152134007684, [ (0, 1) ]);
-       (0.11836133253059257, [ (-1, 1) ]);
-       (0.084541324573812582, [ (0, -1) ]);
-       (0.13546205838061487, [ (1, 0) ]);
-       (0.07724740754645272, [ (0, 0) ]);
-       (0.10498213661978187, [ (-1, 0) ]) ]) ]
-
-(* At sz 11, for the three modes that run the optimizer: the points4
-   and groups8 shapes under every kind x style, and the drawn shapes
-   under the kinds that read the stencil from memory (Direct hard-codes
-   the paper's stencil whatever the environment holds).  Each case is
-   (name, environment, kind, style, mode). *)
-let golden_cases () =
-  let open Obrew_core in
-  let module S = Obrew_stencil.Stencil in
-  let all_kinds = [ Modes.Direct; Modes.Flat; Modes.Sorted ] in
-  let shapes =
-    [ ("points4", [ (S.factor4, S.points4) ], all_kinds);
-      ("groups8", S.groups8, all_kinds) ]
-    @ List.map (fun (n, g) -> (n, g, [ Modes.Flat; Modes.Sorted ]))
-        drawn_shapes
-  in
-  List.concat_map
-    (fun (shape, groups, kinds) ->
-      let env = Modes.build ~sz:11 ~groups () in
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun style ->
-              List.map
-                (fun mode ->
-                  let name =
-                    String.concat "/"
-                      [ shape; Modes.kind_name kind; Modes.style_name style;
-                        Modes.transform_name mode ]
-                  in
-                  (name, env, kind, style, mode))
-                [ Modes.Llvm; Modes.LlvmFix; Modes.DBrewLlvm ])
-            [ Modes.Element; Modes.Line ])
-        kinds)
-    shapes
+let opt_digests =
+  { Golden.file = "opt_ir_digests.txt"; exe = "test_opt"; what = "optimized IR" }
 
 (* The optimized module of a golden case's transform. *)
 let transform_ir (name, env, kind, style, mode) =
@@ -888,48 +817,13 @@ let transform_ir (name, env, kind, style, mode) =
   | Some m -> m
   | None -> Alcotest.failf "%s: no optimized IR" name
 
-let ir_digest m = Digest.to_hex (Digest.string (Pp_ir.modul m))
-
 let golden_digests () : (string * string) list =
   List.map
-    (fun ((name, _, _, _, _) as case) -> (name, ir_digest (transform_ir case)))
-    (golden_cases ())
+    (fun ((name, _, _, _, _) as case) ->
+      (name, Golden.ir_digest (transform_ir case)))
+    (Golden.cases ())
 
-let write_digests path =
-  let oc = open_out path in
-  Printf.fprintf oc "# optimized-IR digests; regenerate with:\n# %s\n"
-    regen_command;
-  List.iter (fun (n, d) -> Printf.fprintf oc "%s %s\n" n d) (golden_digests ());
-  close_out oc
-
-let read_digests () =
-  (* runtest executes next to the copied corpus/; dune exec runs from
-     the root of the checkout *)
-  let path =
-    List.find Sys.file_exists
-      [ Filename.concat "corpus" digests_file;
-        Filename.concat "test/corpus" digests_file ]
-  in
-  In_channel.with_open_text path In_channel.input_lines
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  |> List.map (fun l ->
-         match String.split_on_char ' ' l with
-         | [ n; d ] -> (n, d)
-         | _ -> Alcotest.failf "%s: malformed line %S" digests_file l)
-
-let test_golden_digests () =
-  let want = read_digests () in
-  let got = golden_digests () in
-  check (Alcotest.list Alcotest.string) "same transforms" (List.map fst want)
-    (List.map fst got);
-  List.iter2
-    (fun (n, d) (_, d') ->
-      if d <> d' then
-        Alcotest.failf
-          "%s: optimized IR changed (digest %s, golden %s); if the change \
-           is intended, regenerate with: %s"
-          n d' d regen_command)
-    want got
+let test_golden_digests () = Golden.check opt_digests (golden_digests ())
 
 (* The pipeline skips a pass whose last run reported no change while no
    pass has reported one since.  That is exact only if a run reporting
@@ -961,7 +855,8 @@ let test_clean_runs_change_nothing () =
       List.iter (run_checking_clean name ~opts:o3 m) m.funcs;
       let plain = lifted () in
       Pipeline.run ~opts:o3 plain;
-      check Alcotest.string (name ^ " same IR") (ir_digest plain) (ir_digest m);
+      check Alcotest.string (name ^ " same IR") (Golden.ir_digest plain)
+        (Golden.ir_digest m);
       List.iter
         (fun (f : func) ->
           let runs = ref [] in
@@ -974,7 +869,7 @@ let test_clean_runs_change_nothing () =
           in
           Pipeline.run_func_with ~exec ~opts:o3 m f)
         m.funcs)
-    (golden_cases ());
+    (Golden.cases ());
   (* the options {!Obrew_core.Modes.build} compiles each function with *)
   let native_opts (f : func) =
     if f.fname = "line_direct" then
@@ -990,12 +885,11 @@ let test_clean_runs_change_nothing () =
   let plain = lower () in
   List.iter (fun f -> Pipeline.run_func ~opts:(native_opts f) plain f)
     plain.funcs;
-  check Alcotest.string "native same IR" (ir_digest plain) (ir_digest m)
+  check Alcotest.string "native same IR" (Golden.ir_digest plain)
+    (Golden.ir_digest m)
 
 let () =
-  (match Sys.getenv_opt "OBREW_REGEN_DIGESTS" with
-   | Some path -> write_digests path; exit 0
-   | None -> ());
+  Golden.regen_if_asked opt_digests golden_digests;
   Alcotest.run "opt"
     [ ("fold+combine",
        [ Alcotest.test_case "constant folding" `Quick test_constfold;
