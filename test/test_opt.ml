@@ -817,13 +817,49 @@ let transform_ir (name, env, kind, style, mode) =
   | Some m -> m
   | None -> Alcotest.failf "%s: no optimized IR" name
 
-let golden_digests () : (string * string) list =
+let code_digests_file =
+  { Golden.file = "code_digests.txt"; exe = "test_opt"; what = "machine code" }
+
+(* Fixed addresses for the symbols an optimized module refers to, so
+   the assembled bytes depend on the code alone. *)
+let code_base = 0x100000
+let symbol_addr name = 0x400000 + ((Hashtbl.hash name land 0xfff) * 0x100)
+
+(* The MD5 of every function of [m], selected and assembled as
+   {!Obrew_backend.Jit.install_func} does, at [code_base]. *)
+let code_digest (m : modul) =
   List.map
-    (fun ((name, _, _, _, _) as case) ->
-      (name, Golden.ir_digest (transform_ir case)))
-    (Golden.cases ())
+    (fun (f : func) ->
+      let items, _ =
+        Obrew_backend.Isel.emit_func_with_prov ~global_addr:symbol_addr
+          ~func_addr:symbol_addr f
+      in
+      let bytes, _, _ = Obrew_x86.Encode.assemble ~base:code_base items in
+      f.fname ^ ":" ^ Golden.digest_string bytes)
+    m.funcs
+  |> String.concat "," |> Golden.digest_string
+
+(* Each golden case's optimized-IR digest and machine-code digest, from
+   one transform (the IR is printed before instruction selection). *)
+let golden_results =
+  lazy
+    (List.map
+       (fun ((name, _, _, _, _) as case) ->
+         let m = transform_ir case in
+         let ir = Golden.ir_digest m in
+         (name, (ir, code_digest m)))
+       (Golden.cases ()))
+
+let golden_digests () =
+  List.map (fun (n, (ir, _)) -> (n, ir)) (Lazy.force golden_results)
+
+let golden_code_digests () =
+  List.map (fun (n, (_, code)) -> (n, code)) (Lazy.force golden_results)
 
 let test_golden_digests () = Golden.check opt_digests (golden_digests ())
+
+let test_golden_code_digests () =
+  Golden.check code_digests_file (golden_code_digests ())
 
 (* The pipeline skips a pass whose last run reported no change while no
    pass has reported one since.  That is exact only if a run reporting
@@ -890,6 +926,7 @@ let test_clean_runs_change_nothing () =
 
 let () =
   Golden.regen_if_asked opt_digests golden_digests;
+  Golden.regen_if_asked code_digests_file golden_code_digests;
   Alcotest.run "opt"
     [ ("fold+combine",
        [ Alcotest.test_case "constant folding" `Quick test_constfold;
@@ -930,6 +967,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_backend_preserves_expressions ]);
       ("golden",
        [ Alcotest.test_case "optimized-IR digests" `Quick test_golden_digests;
+         Alcotest.test_case "machine-code digests" `Quick
+           test_golden_code_digests;
          Alcotest.test_case "clean runs change nothing" `Quick
            test_clean_runs_change_nothing ])
     ]
