@@ -52,10 +52,13 @@ let set_prov b p = b.cur_prov <- p
 
 let cur_prov b = b.cur_prov
 
-let fresh_id b =
+(** Reserve [n] consecutive value ids; returns the first. *)
+let reserve_ids b n =
   let id = b.func.next_id in
-  b.func.next_id <- id + 1;
+  b.func.next_id <- id + n;
   id
+
+let fresh_id b = reserve_ids b 1
 
 (** The block [bid], complete up to now. *)
 let block b bid =

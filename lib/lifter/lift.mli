@@ -12,9 +12,12 @@
     - [call]/[ret] mapped to IR calls/returns, leaving inlining
       decisions to the optimizer.
 
-    The result is deliberately naive — heavy with per-block φ-nodes and
-    flag algebra — exactly as the paper describes; the optimizer is
-    responsible for cleaning it up. *)
+    Registers and flags become SSA values by on-demand construction
+    (Braun et al., CC 2013): a block gets a φ-node only for a register
+    or flag it reads before writing, and trivial φ-nodes are removed as
+    the blocks are sealed.  The result is otherwise deliberately naive —
+    heavy with flag algebra and facet casts — exactly as the paper
+    describes; the optimizer is responsible for cleaning it up. *)
 
 type config = {
   flag_cache : bool;   (** Sec. III-D; off = the Fig. 6b failure mode *)
