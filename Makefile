@@ -67,15 +67,18 @@ profile:
 	dune exec bin/obrew_cli.exe -- stencil --profile \
 	  --profile-out profile.json --remarks remarks.json
 
-# Differential translation-validation campaign: 500 randomized cases
-# through every semantic tier (single-step CPU, superblock engine,
-# lifted IR, optimized IR, JIT code); divergences are shrunk and
-# persisted under _bench/oracle/*.repro.
+# Differential translation-validation campaigns (default, indirect
+# and the looping fusion profile) through every semantic tier
+# (single-step CPU, superblock engine, lifted IR, optimized IR, JIT
+# code); divergences are shrunk and persisted under
+# _bench/oracle/*.repro.
 fuzz:
 	dune exec bin/obrew_cli.exe -- fuzz --seeds 500 --tiers all \
 	  --out _bench/oracle --stats
 	dune exec bin/obrew_cli.exe -- fuzz --seeds 500 --tiers all \
 	  --profile indirect --out _bench/oracle --stats
+	dune exec bin/obrew_cli.exe -- fuzz --seeds 1000 --seed 7 --tiers all \
+	  --profile fusion --out _bench/oracle --stats
 
 # Fixed-seed fault-injection smoke: ~500 random injection plans against
 # the fail-safe pipeline (see test/test_fault.ml).
