@@ -54,8 +54,9 @@ let () =
     (Printf.sprintf "raw lifted IR (%d instructions; excerpt)"
        (Pp_ir.size f))
     (fun () ->
-      (* the full dump is dominated by per-block phi nodes (Sec. III-C);
-         show the loop body after a DCE sweep *)
+      (* the full dump is dominated by facet casts and flag algebra
+         the block never uses (Sec. III-C/D); show it after a DCE
+         sweep *)
       let f' =
         Lift.lift ~read:(Mem.read_u8 img.Image.cpu.Cpu.mem) ~entry:fn
           ~name:"clamp_sum" sg
