@@ -98,7 +98,7 @@ let write_json section (fields : (string * Json.t) list) =
 
 (* bump when the shape of the BENCH_*.json files changes; consumers
    (CI's validator, trajectory tooling) key on this *)
-let bench_schema_version = 2
+let bench_schema_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: per-instruction lifting                                     *)
@@ -269,78 +269,6 @@ let fig9 env (style : Modes.style) =
   Printf.printf
     "memo caches: transform %d hits / %d misses, dbrew %d hits / %d misses\n"
     mh mm dh dm;
-  (* --- tail latency ----------------------------------------------- *)
-  (* Measured last: every comparability-gated counter above is already
-     captured, so these extra serves cannot perturb the cycle, memo or
-     superblock numbers CI diffs against the baseline. *)
-  let n_serves = 32 and stage_transforms = 8 in
-  let was_enabled = !Tel.enabled in
-  if not was_enabled then Tel.enable ();
-  let mark = Tel.events_recorded () in
-  (* per-stage: cold (unmemoized) transforms; the pipeline's spans are
-     aggregated from the telemetry sink below *)
-  (try
-     for _ = 1 to stage_transforms do
-       ignore
-         (Modes.transform ~use_memo:false env Modes.Flat style
-            Modes.DBrewLlvm)
-     done
-   with Obrew_fault.Err.Error _ -> ());
-  let stage_tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  Tel.iter_events_from mark (fun ~name ~kind ~ts:_ ~dur ~args:_ ->
-      if kind = 0 then
-        match Hashtbl.find_opt stage_tbl name with
-        | Some l -> l := dur :: !l
-        | None -> Hashtbl.add stage_tbl name (ref [ dur ]));
-  (* end-to-end: one serve = memoized transform + single-iteration run
-     — the steady-state request a client of the rewriter waits for *)
-  let sh = Tel.histogram ("bench.serve.fig" ^ label) in
-  let t_serves = Unix.gettimeofday () in
-  (try
-     for _ = 1 to n_serves do
-       let t0 = Unix.gettimeofday () in
-       let k, _ = Modes.transform env Modes.Flat style Modes.DBrewLlvm in
-       ignore (Modes.run env Modes.Flat style ~kernel:k ~iters:1);
-       Tel.observe sh
-         (max 1 (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-     done
-   with Obrew_fault.Err.Error _ -> ());
-  let serve_wall = Unix.gettimeofday () -. t_serves in
-  if not was_enabled then Tel.disable ();
-  let p50 = Tel.percentile sh 50.0 and p90 = Tel.percentile sh 90.0 in
-  let p99 = Tel.percentile sh 99.0 and p999 = Tel.percentile sh 99.9 in
-  let throughput =
-    if serve_wall > 0.0 then float_of_int sh.Tel.hcount /. serve_wall
-    else 0.0
-  in
-  Printf.printf
-    "serve latency (%d serve(s), flat/%s, DBrew+LLVM): p50 %d us, p90 %d \
-     us, p99 %d us, p99.9 %d us  |  %.0f req/s\n"
-    sh.Tel.hcount (Modes.style_name style) p50 p90 p99 p999 throughput;
-  let exact_pct sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0
-    else
-      sorted.(max 0
-                (min (n - 1)
-                   (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
-  in
-  let stage_rows =
-    Hashtbl.fold (fun name l acc -> (name, !l) :: acc) stage_tbl []
-    |> List.sort compare
-    |> List.map (fun (name, durs) ->
-           let a = Array.of_list durs in
-           Array.sort compare a;
-           ( name,
-             Array.length a,
-             exact_pct a 50.0, exact_pct a 90.0, exact_pct a 99.0 ))
-  in
-  Printf.printf "stage latency over %d cold transform(s) (ns, p50/p90/p99):\n"
-    stage_transforms;
-  List.iter
-    (fun (name, c, s50, s90, s99) ->
-      Printf.printf "  %-20s %4d span(s) %10d %10d %10d\n" name c s50 s90 s99)
-    stage_rows;
   if !rows = [] then begin
     Printf.eprintf "bench: fig%s produced no results — refusing to write \
                     an empty report\n" label;
@@ -355,22 +283,7 @@ let fig9 env (style : Modes.style) =
       ("superblock_hit_rate", Json.fixed 6 hit_rate);
       ("superblocks", Cpu.cache_stats_json stats);
       ("transform_memo", Json.ints [ ("hits", mh); ("misses", mm) ]);
-      ("dbrew_memo", Json.ints [ ("hits", dh); ("misses", dm) ]);
-      ("serve_latency",
-       Json.Obj
-         [ ("serves", Json.Int sh.Tel.hcount); ("p50_us", Json.Int p50);
-           ("p90_us", Json.Int p90); ("p99_us", Json.Int p99);
-           ("p999_us", Json.Int p999);
-           ("throughput_rps", Json.fixed 6 throughput) ]);
-      ("stage_latency",
-       Json.Obj
-         (List.map
-            (fun (name, c, s50, s90, s99) ->
-              ( name,
-                Json.ints
-                  [ ("spans", c); ("p50_ns", s50); ("p90_ns", s90);
-                    ("p99_ns", s99) ] ))
-            stage_rows)) ]
+      ("dbrew_memo", Json.ints [ ("hits", dh); ("misses", dm) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: transformation times (Bechamel, one Test per mode)         *)

@@ -170,6 +170,7 @@ module Srepro = Obrew_sentinel.Srepro
 module Tier = Obrew_tier.Tier
 module Flight = Obrew_observe.Flight
 module Blackbox = Obrew_observe.Blackbox
+module Err = Obrew_fault.Err
 module Quarantine = Obrew_fault.Quarantine
 module Json = Obrew_json.Json
 
@@ -896,17 +897,12 @@ let fuzz_cmd =
     let s = Dr.run_campaign cfg in
     print_string (Dr.pp_summary s);
     if stats then begin
-      let show name = Printf.printf "  %-24s %d\n" name (Tel.counter name).Tel.n in
       Printf.printf "telemetry:\n";
-      show "oracle.cases";
-      show "oracle.divergences";
-      show "oracle.cases_skipped";
-      show "oracle.shrink_steps";
       List.iter
-        (fun t ->
-          show ("oracle.runs." ^ Or_.tier_name t);
-          show ("oracle.skips." ^ Or_.tier_name t))
-        tiers
+        (fun (c : Tel.counter) ->
+          if String.starts_with ~prefix:"oracle." c.Tel.cname then
+            Printf.printf "  %-24s %d\n" c.Tel.cname c.Tel.n)
+        (List.sort (fun a b -> compare a.Tel.cname b.Tel.cname) !Tel.counters)
     end;
     telemetry_finish trace metrics;
     if s.Dr.s_failures <> [] then exit 1

@@ -191,9 +191,6 @@ let transform_key env ~(lift_config : Lift.config)
 
 let memo_stats env = (env.memo_hits, env.memo_misses)
 
-let c_memo_hit = Tel.counter "transform.memo_hits"
-let c_memo_miss = Tel.counter "transform.memo_misses"
-
 (** Apply [t] to the kernel [(kind, style)].  Returns the address of
     the drop-in replacement and the transformation (compile) time in
     seconds — the quantity of Fig. 10.
@@ -268,13 +265,9 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
   match served with
   | Some addr ->
     env.memo_hits <- env.memo_hits + 1;
-    Tel.incr_c c_memo_hit;
     (addr, Tel.Clock.now () -. t0)
   | None ->
-  if use_memo then begin
-    env.memo_misses <- env.memo_misses + 1;
-    Tel.incr_c c_memo_miss
-  end;
+  if use_memo then env.memo_misses <- env.memo_misses + 1;
   let addr =
     Tel.span
       ("transform." ^ transform_name t)

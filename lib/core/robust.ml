@@ -17,7 +17,6 @@ type t = {
   (* sentinel: shadow-validation outcomes (see Obrew_sentinel) *)
   mutable sentinel_checks : int;       (* shadow validations performed *)
   mutable sentinel_divergences : int;  (* validations that caught a bug *)
-  mutable sentinel_quarantined : int;  (* translations blacklisted *)
   mutable sentinel_demotions : int;    (* serves re-pointed down the chain *)
   mutable sentinel_healed : int;       (* requests restored to their tier *)
 }
@@ -26,8 +25,8 @@ let stats =
   { safe_runs = 0; degraded = 0; attempts = 0; failures = 0;
     dropped_passes = 0; by_stage = Hashtbl.create 8;
     by_mode = Hashtbl.create 8;
-    sentinel_checks = 0; sentinel_divergences = 0; sentinel_quarantined = 0;
-    sentinel_demotions = 0; sentinel_healed = 0 }
+    sentinel_checks = 0; sentinel_divergences = 0; sentinel_demotions = 0;
+    sentinel_healed = 0 }
 
 let reset () =
   stats.safe_runs <- 0;
@@ -39,7 +38,6 @@ let reset () =
   Hashtbl.reset stats.by_mode;
   stats.sentinel_checks <- 0;
   stats.sentinel_divergences <- 0;
-  stats.sentinel_quarantined <- 0;
   stats.sentinel_demotions <- 0;
   stats.sentinel_healed <- 0
 
@@ -63,9 +61,6 @@ let record_sentinel_check () =
 
 let record_sentinel_divergence () =
   stats.sentinel_divergences <- stats.sentinel_divergences + 1
-
-let record_sentinel_quarantine () =
-  stats.sentinel_quarantined <- stats.sentinel_quarantined + 1
 
 let record_sentinel_demotion () =
   stats.sentinel_demotions <- stats.sentinel_demotions + 1
@@ -94,14 +89,6 @@ let to_string () =
     (fun (m, n) ->
       Buffer.add_string b (Printf.sprintf "  landed on %-10s %d\n" m n))
     (List.sort compare modes);
-  if stats.sentinel_checks > 0 || stats.sentinel_quarantined > 0 then
-    Buffer.add_string b
-      (Printf.sprintf
-         "sentinel: %d check(s), %d divergence(s), %d quarantined, \
-          %d demotion(s), %d healed\n"
-         stats.sentinel_checks stats.sentinel_divergences
-         stats.sentinel_quarantined stats.sentinel_demotions
-         stats.sentinel_healed);
   Buffer.contents b
 
 (** The counters as JSON — the black-box report's "robust" section. *)
@@ -112,6 +99,5 @@ let to_json () =
       ("dropped_passes", stats.dropped_passes);
       ("sentinel_checks", stats.sentinel_checks);
       ("sentinel_divergences", stats.sentinel_divergences);
-      ("sentinel_quarantined", stats.sentinel_quarantined);
       ("sentinel_demotions", stats.sentinel_demotions);
       ("sentinel_healed", stats.sentinel_healed) ]

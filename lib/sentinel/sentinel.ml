@@ -41,13 +41,6 @@ module Json = Obrew_json.Json
 module Flight = Obrew_observe.Flight
 module H = Health
 
-let c_checks = Tel.counter "sentinel.checks"
-let c_divergences = Tel.counter "sentinel.divergences"
-let c_quarantined = Tel.counter "sentinel.quarantined"
-let c_demotions = Tel.counter "sentinel.demotions"
-let c_healed = Tel.counter "sentinel.healed"
-let c_heal_retries = Tel.counter "sentinel.heal_retries"
-
 (** Sink for the sentinel's quarantine/demotion/heal lines (the README
     troubleshooting table documents the formats).  Silent by default. *)
 let log : (string -> unit) ref = ref ignore
@@ -340,7 +333,6 @@ let condemn ~out_dir env (req : req) (mode : Modes.transform) (kernel : int)
     (oc : outcome) : unit =
   let detail = describe_outcome oc in
   Robust.record_sentinel_divergence ();
-  Tel.incr_c c_divergences;
   Flight.(
     emit Sentinel_divergence ~a:kernel ~b:(now ())
       ~subject:(Modes.transform_name mode) ~detail);
@@ -354,8 +346,6 @@ let condemn ~out_dir env (req : req) (mode : Modes.transform) (kernel : int)
     if not (Quarantine.mem digest) then begin
       Quarantine.add ~digest ~mode:(Modes.transform_name mode) ~detail
         ~tick:(now ());
-      Robust.record_sentinel_quarantine ();
-      Tel.incr_c c_quarantined;
       let want_fault =
         match oc with Shadow_fault _ -> true | _ -> false
       in
@@ -389,7 +379,6 @@ let rec acquire ~(policy : H.policy) ?guards ~out_dir env (req : req)
   end
   else begin
     Robust.record_sentinel_check ();
-    Tel.incr_c c_checks;
     match shadow_check ~salt:(now ()) env req.rq_kind req.rq_style ~kernel with
     | Clean | Ref_skip _ ->
       let digest =
@@ -403,7 +392,6 @@ let rec acquire ~(policy : H.policy) ?guards ~out_dir env (req : req)
     | (Diverged _ | Shadow_fault _) as oc -> (
       condemn ~out_dir env req used kernel oc;
       Robust.record_sentinel_demotion ();
-      Tel.incr_c c_demotions;
       Flight.(
         emit Sentinel_demote ~b:(now ()) ~subject:req.rq_key
           ~detail:("from " ^ Modes.transform_name used));
@@ -480,11 +468,9 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
     (* self-healing recompilation of the requested tier *)
     req.rq_heal_attempts <- req.rq_heal_attempts + 1;
     incr heal_retries_count;
-    Tel.incr_c c_heal_retries;
     acquire ~policy ?guards ~out_dir env req want;
     if not (demoted req) then begin
       Robust.record_sentinel_heal ();
-      Tel.incr_c c_healed;
       Flight.(
         emit Sentinel_heal ~a:req.rq_heal_attempts ~b:(now ())
           ~subject:req.rq_key
@@ -516,7 +502,6 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
       H.record_invocation h;
       if H.due policy h then begin
         Robust.record_sentinel_check ();
-        Tel.incr_c c_checks;
         let oc =
           shadow_check ~salt:h.H.e_invocations env kind style
             ~kernel:req.rq_kernel
@@ -537,7 +522,6 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
         if condemned then begin
           condemn ~out_dir env req req.rq_mode req.rq_kernel oc;
           Robust.record_sentinel_demotion ();
-          Tel.incr_c c_demotions;
           Flight.(
             emit Sentinel_demote ~b:(now ()) ~subject:req.rq_key
               ~detail:("from " ^ Modes.transform_name req.rq_mode));

@@ -36,11 +36,7 @@ module H = Obrew_sentinel.Health
 module Tel = Obrew_telemetry.Telemetry
 module Flight = Obrew_observe.Flight
 
-let c_tierup = Tel.counter "tier.tierups"
-let c_patch = Tel.counter "tier.patches"
-let c_demote = Tel.counter "tier.demotions"
 let c_enqueue = Tel.counter "tier.enqueues"
-let c_compile = Tel.counter "tier.compiles"
 let h_queue = Tel.histogram "tier.queue_depth"
 
 (* ------------------------------------------------------------------ *)
@@ -207,7 +203,6 @@ let retarget ctl s kernel =
     s.s_baseline <- raw_hotness ctl s.s_range;
     s.s_patches <- s.s_patches + 1;
     ctl.patches <- ctl.patches + 1;
-    Tel.incr_c c_patch;
     if !Tel.enabled then Tel.instant "tier.patch" ~args:(site_key s);
     Flight.(
       emit Tier_patch ~a:kernel ~b:ctl.tick ~subject:(site_key s))
@@ -228,7 +223,6 @@ let tier_up ctl s lvl =
   let want = mode_of_level lvl in
   ctl.compiles <- ctl.compiles + 1;
   s.s_compiles <- s.s_compiles + 1;
-  Tel.incr_c c_compile;
   Flight.(
     emit Tier_compile ~b:ctl.tick ~subject:(site_key s)
       ~detail:("want " ^ Modes.transform_name want));
@@ -241,7 +235,6 @@ let tier_up ctl s lvl =
   ctl.compile_s <- ctl.compile_s +. (Tel.Clock.now () -. t0);
   if sv.Sen.sv_demoted then begin
     ctl.demotions <- ctl.demotions + 1;
-    Tel.incr_c c_demote;
     s.s_attempts <- s.s_attempts + 1;
     Flight.(
       emit Tier_demote ~a:s.s_attempts ~b:ctl.tick ~subject:(site_key s)
@@ -271,7 +264,6 @@ let tier_up ctl s lvl =
     retarget ctl s sv.Sen.sv_kernel;
     s.s_level <- lvl;
     ctl.tierups <- ctl.tierups + 1;
-    Tel.incr_c c_tierup;
     Flight.(
       emit Tier_up ~a:sv.Sen.sv_kernel ~b:ctl.tick ~subject:(site_key s)
         ~detail:(level_name lvl ^ ", " ^ Modes.transform_name sv.Sen.sv_mode));

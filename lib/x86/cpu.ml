@@ -26,25 +26,10 @@ module Prov = Obrew_provenance.Provenance
 (* emulator failures are typed [Err.Emulate] errors *)
 let err fmt = Err.fail Err.Emulate fmt
 
-(* engine telemetry: registered counters are direct pointers, so the
-   hot loops pay one unconditional increment, never a lookup *)
+(* Engine events are tallied once, in this CPU's own fields (read via
+   {!cache_stats}); a fork counts its own.  Telemetry keeps only what
+   no field counts: block executions and the block-length histogram. *)
 let c_sb_exec = Tel.counter "sb.blocks_executed"
-let c_sb_hit = Tel.counter "sb.cache_hits"
-let c_sb_miss = Tel.counter "sb.cache_misses"
-let c_sb_chain = Tel.counter "sb.chain_hits"
-let c_sb_ic_hit = Tel.counter "sb.ic_hits"
-let c_sb_ic_miss = Tel.counter "sb.ic_misses"
-let c_sb_flush = Tel.counter "sb.flushes"
-let c_sb_trace = Tel.counter "sb.traces_built"
-let c_sb_sidexit = Tel.counter "sb.trace_side_exits"
-let c_fuse_cmpjcc = Tel.counter "sb.fuse.cmp_jcc"
-let c_fuse_mov_alu = Tel.counter "sb.fuse.mov_alu"
-let c_fuse_lea_mem = Tel.counter "sb.fuse.lea_mem"
-let c_fuse_spill = Tel.counter "sb.fuse.spill"
-let c_fuse_other = Tel.counter "sb.fuse.other"
-let c_fl_rec = Tel.counter "sb.flag_records"
-let c_fl_mat = Tel.counter "sb.flag_materializations"
-let c_fl_dead = Tel.counter "sb.flag_dead_writes"
 let h_sb_len = Tel.histogram "sb.block_insns"
 
 (** Block kinds: a plain straight-line block, a straight-line block
@@ -352,22 +337,18 @@ let materialize cpu =
   | FlAdd ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    Tel.incr_c c_fl_mat;
     flags_add cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
   | FlSub ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    Tel.incr_c c_fl_mat;
     flags_sub cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
   | FlLogic ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    Tel.incr_c c_fl_mat;
     flags_logic cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 2)
   | FlImul ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    Tel.incr_c c_fl_mat;
     let a = Bigarray.Array1.unsafe_get cpu.flbuf 0 in
     let b = Bigarray.Array1.unsafe_get cpu.flbuf 1 in
     let w = cpu.fl_w in
@@ -517,7 +498,6 @@ let max_insn_len = 15
     caches are cleared entirely. *)
 let flush_code ?range cpu =
   cpu.sb_flushes <- cpu.sb_flushes + 1;
-  Tel.incr_c c_sb_flush;
   if !Tel.enabled then
     Tel.instant "sb.flush"
       ~args:
@@ -1846,23 +1826,17 @@ let is_store = function
 let count_fusion cpu i1 i2 =
   match (i1, i2) with
   | (Alu (Cmp, _, _, _) | Test _), Jcc _ ->
-    cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
-    Tel.incr_c c_fuse_cmpjcc
+    cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1
   | (Mov _ | Movabs _), (Alu _ | Test _) ->
-    cpu.fu_mov_alu <- cpu.fu_mov_alu + 1;
-    Tel.incr_c c_fuse_mov_alu
+    cpu.fu_mov_alu <- cpu.fu_mov_alu + 1
   | Lea _, i2 when mentions_mem i2 ->
-    cpu.fu_lea_mem <- cpu.fu_lea_mem + 1;
-    Tel.incr_c c_fuse_lea_mem
+    cpu.fu_lea_mem <- cpu.fu_lea_mem + 1
   | (Setcc _, _ | _, Setcc _) ->
-    cpu.fu_spill <- cpu.fu_spill + 1;
-    Tel.incr_c c_fuse_spill
+    cpu.fu_spill <- cpu.fu_spill + 1
   | i1, i2 when is_store i1 && is_store i2 ->
-    cpu.fu_spill <- cpu.fu_spill + 1;
-    Tel.incr_c c_fuse_spill
+    cpu.fu_spill <- cpu.fu_spill + 1
   | _ ->
-    cpu.fu_other <- cpu.fu_other + 1;
-    Tel.incr_c c_fuse_other
+    cpu.fu_other <- cpu.fu_other + 1
 
 (* Branch predicates evaluated directly on a comparison's operands:
    the textbook identities between cmp a,b / test a,b flags and the
@@ -2086,13 +2060,7 @@ let build_block cpu entry : sblock =
   let ops =
     Array.mapi (fun k ins -> translate ~dead_flags:dead.(k) cpu.cost ins) insns
   in
-  Array.iter
-    (fun d ->
-      if d then begin
-        cpu.fl_dead <- cpu.fl_dead + 1;
-        Tel.incr_c c_fl_dead
-      end)
-    dead;
+  Array.iter (fun d -> if d then cpu.fl_dead <- cpu.fl_dead + 1) dead;
   let slots, slot_rips, slot_costs, slot_insns =
     build_slots cpu ~side_exit_at:(fun _ -> false) insns rips costs ops
   in
@@ -2183,19 +2151,16 @@ let lookup_block cpu addr : sblock =
   let c = Array.unsafe_get cpu.bcache slot in
   if c.sb_entry = addr && c.sb_valid then begin
     cpu.sb_hits <- cpu.sb_hits + 1;
-    Tel.incr_c c_sb_hit;
     c
   end
   else
     match Hashtbl.find_opt cpu.blocks addr with
     | Some b when b.sb_valid ->
       cpu.sb_hits <- cpu.sb_hits + 1;
-      Tel.incr_c c_sb_hit;
       Array.unsafe_set cpu.bcache slot b;
       b
     | _ ->
       cpu.sb_misses <- cpu.sb_misses + 1;
-      Tel.incr_c c_sb_miss;
       let b = build_block cpu addr in
       Hashtbl.replace cpu.blocks addr b;
       Array.unsafe_set cpu.bcache slot b;
@@ -2233,8 +2198,7 @@ let exec_block_fast cpu (b : sblock) =
     done;
     cpu.icount <- cpu.icount + !ic;
     cpu.cycles <- cpu.cycles + !static + !penalties + cpu.pen;
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1;
-    Tel.incr_c c_sb_sidexit
+    cpu.sb_side_exits <- cpu.sb_side_exits + 1
   | e ->
     (* per-slot accounting for the prefix before the fault, exactly
        as the single-step engine leaves it (a fused slot never
@@ -2285,8 +2249,7 @@ let exec_block_profiled cpu (b : sblock) =
     cpu.icount <- cpu.icount + !k + 1;
     cpu.cycles <- cpu.cycles + !total;
     Prov.record_block b.sb_entry ~cycles:!total ~insns:(!k + 1);
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1;
-    Tel.incr_c c_sb_sidexit
+    cpu.sb_side_exits <- cpu.sb_side_exits + 1
   | e ->
     cpu.icount <- cpu.icount + !k;
     cpu.cycles <- cpu.cycles + !total;
@@ -2323,20 +2286,17 @@ let ic_next cpu (prev : sblock) addr : sblock =
     match prev.sb_ic1 with
     | Some b when b.sb_entry = addr && b.sb_valid ->
       cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
-      Tel.incr_c c_sb_ic_hit;
       b
     | _ -> (
       match prev.sb_ic2 with
       | Some b when b.sb_entry = addr && b.sb_valid ->
         cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
-        Tel.incr_c c_sb_ic_hit;
         (* MRU promotion keeps the hot target in the first probe *)
         prev.sb_ic2 <- prev.sb_ic1;
         prev.sb_ic1 <- Some b;
         b
       | _ ->
         cpu.sb_ic_misses <- cpu.sb_ic_misses + 1;
-        Tel.incr_c c_sb_ic_miss;
         let b = lookup_block cpu addr in
         (match prev.sb_ic1 with
          | None -> prev.sb_ic1 <- Some b
@@ -2358,13 +2318,11 @@ let next_block cpu (prev : sblock) addr : sblock =
     match prev.sb_link1 with
     | Some b when b.sb_entry = addr && b.sb_valid ->
       cpu.sb_chained <- cpu.sb_chained + 1;
-      Tel.incr_c c_sb_chain;
       b
     | _ ->
       (match prev.sb_link2 with
        | Some b when b.sb_entry = addr && b.sb_valid ->
          cpu.sb_chained <- cpu.sb_chained + 1;
-         Tel.incr_c c_sb_chain;
          b
        | _ ->
          let b = lookup_block cpu addr in
@@ -2410,8 +2368,7 @@ let run ?(max_insns = 2_000_000_000) cpu =
               let tr = build_trace cpu b in
               b.sb_valid <- false;
               Hashtbl.replace cpu.blocks b.sb_entry tr;
-              cpu.sb_traces <- cpu.sb_traces + 1;
-              Tel.incr_c c_sb_trace
+              cpu.sb_traces <- cpu.sb_traces + 1
             end
           end
           | KStraight | KTrace -> ());

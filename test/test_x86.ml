@@ -668,6 +668,27 @@ let test_indirect_loop_differential () =
   check cint "indirect block never promoted to a trace" 0
     stats.Cpu.traces_built
 
+(* Engine counters belong to one CPU, and each event is counted once,
+   in its fields: a fork (the sentinel's shadow probes run on one)
+   starts with every counter at zero, and running code on it leaves the
+   parent's counters exactly as they were. *)
+let test_fork_counts_apart () =
+  let img = fresh () in
+  let fn = Image.install_code img indirect_loop_items in
+  let r, _ = Image.call ~engine:Cpu.Superblocks img ~fn in
+  let parent = Cpu.cache_stats img.Image.cpu in
+  check cbool "parent counted its run" true
+    (parent.Cpu.block_hits > 0 && parent.Cpu.ic_hits > 0);
+  let shadow = Image.fork img in
+  check cbool "fork starts at zero" true
+    (Cpu.cache_stats shadow.Image.cpu = Cpu.cache_stats (Cpu.create ()));
+  let r', _ = Image.call ~engine:Cpu.Superblocks shadow ~fn in
+  check ci64 "fork computes the same" r r';
+  check cbool "fork counted its own run" true
+    ((Cpu.cache_stats shadow.Image.cpu).Cpu.block_hits > 0);
+  check cbool "parent unchanged" true
+    (Cpu.cache_stats img.Image.cpu = parent)
+
 (* ---------- trace promotion ---------- *)
 
 (* A tight self-loop executed past the promotion threshold must be
@@ -863,6 +884,7 @@ let () =
            test_indirect_inline_cache;
          Alcotest.test_case "indirect loop differential" `Quick
            test_indirect_loop_differential;
+         Alcotest.test_case "fork counts apart" `Quick test_fork_counts_apart;
          Alcotest.test_case "trace promotion" `Quick test_trace_promotion;
          qt prop_engine_differential;
          qt prop_engine_differential_traced ])

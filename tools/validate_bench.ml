@@ -124,13 +124,16 @@ let obj_at = read (Map Any) (function Json.Obj kvs -> kvs | _ -> [])
 (* Schemas                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* BENCH files: v1 lacked the tail-latency objects, v2 added
-   serve_latency/stage_latency to the fig9 sections; both shapes remain
-   readable so old baselines stay comparable.  Counter objects may nest
-   (superblocks.fused_pairs is a per-pattern breakdown); every leaf
-   must be a non-negative integer. *)
+(* BENCH files: every schema version shares this spec.  It ignores
+   members it does not name, so the committed v2 baselines, which still
+   carry serve_latency/stage_latency objects, stay valid and
+   comparable.  The tier figure shares the version number.  Counter
+   objects may nest (superblocks.fused_pairs is a per-pattern
+   breakdown); every leaf must be a non-negative integer. *)
+let bench_versions = int_in [ 1; 2; 3 ]
+
 let bench_spec =
-  [ ("schema_version", int_in [ 1; 2 ]);
+  [ ("schema_version", bench_versions);
     ("section",
      Str ("fig*", fun s -> String.length s > 3 && String.sub s 0 3 = "fig"));
     ("sz", int_min 3);
@@ -147,25 +150,6 @@ let bench_spec =
     ("transform_memo", Counts);
     ("dbrew_memo", Counts) ]
 
-let bench_v2_spec =
-  [ ("serve_latency",
-     Fields
-       [ ("serves", int_min 1); ("p50_us", nat); ("p90_us", nat);
-         ("p99_us", nat); ("p999_us", nat);
-         ("throughput_rps", Num ("> 0", fun x -> x > 0.0)) ]);
-    ("stage_latency",
-     Nonempty
-       (Map
-          (Fields
-             [ ("spans", int_min 1); ("p50_ns", nat); ("p90_ns", nat);
-               ("p99_ns", nat) ]))) ]
-
-let monotone ctx v keys =
-  let ps = List.map (fun k -> int_at ctx v [ k ]) keys in
-  if List.sort compare ps <> ps then
-    fail "%s: percentiles not monotone (%s)" ctx
-      (String.concat "/" (List.map string_of_int ps))
-
 let check_bench ctx j =
   check ctx (Fields bench_spec) j;
   let sv = int_at ctx j [ "schema_version" ] in
@@ -175,17 +159,6 @@ let check_bench ctx j =
   let sb = obj_at ctx j [ "superblocks" ] in
   if List.mem_assoc "ic_hits" sb <> List.mem_assoc "ic_misses" sb then
     fail "%s: superblocks needs ic_hits and ic_misses together" ctx;
-  if sv >= 2 then begin
-    check ctx (Fields bench_v2_spec) j;
-    monotone (ctx ^ ".serve_latency") (get ctx j [ "serve_latency" ])
-      [ "p50_us"; "p90_us"; "p99_us"; "p999_us" ];
-    List.iter
-      (fun (name, row) ->
-        monotone
-          (Printf.sprintf "%s.stage_latency[%s]" ctx name)
-          row [ "p50_ns"; "p90_ns"; "p99_ns" ])
-      (obj_at ctx j [ "stage_latency" ])
-  end;
   Printf.printf "%s: OK (schema v%d, %d rows)\n" ctx sv
     (List.length (obj_at ctx j [ "rows" ]))
 
@@ -289,7 +262,7 @@ let strategy_spec =
        ])
 
 let tier_spec =
-  [ ("schema_version", int_in [ 1; 2 ]);
+  [ ("schema_version", bench_versions);
     ("section", one_of [ "tier" ]);
     ("sz", int_min 3);
     ("slices", int_min 1);
@@ -429,14 +402,7 @@ let bench_rows ctx j =
           float_of_int (int_at rctx row [ "cycles" ]) ) ))
     (obj_at ctx j [ "rows" ])
 
-(* serve-latency tail: only present in schema-v2 files, so the gate is
-   conditional — a v1 baseline compares cleanly against a v2 current *)
-let serve_p99 ctx j =
-  Option.map
-    (fun sl -> int_at (ctx ^ ".serve_latency") sl [ "p99_us" ])
-    (Json.member "serve_latency" j)
-
-let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
+let compare_bench ~tol ~tol_mips base_path cur_path =
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
@@ -487,29 +453,6 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
       true
     | _ -> false
   in
-  (* Tail-latency gate: serve p99 is a wall-clock figure, so regressions
-     are increases; --tol-p99 turns a rise beyond the band into a hard
-     failure.  Skipped when either file predates the latency schema. *)
-  let p99_failed =
-    match (serve_p99 bctx base, serve_p99 cctx cur) with
-    | Some bp, Some cp -> (
-      let d = delta (float_of_int bp) (float_of_int cp) in
-      Printf.printf "  %-28s %8d -> %8d us (%+.1f%%)\n" "serve_p99_us" bp cp
-        d;
-      match tol_p99 with
-      | Some t when d > t ->
-        Printf.eprintf
-          "FAIL %s: serve p99 regressed %.1f%% (%d -> %d us, tolerance \
-           %.0f%%)\n"
-          bsec d bp cp t;
-        true
-      | _ -> false)
-    | _ ->
-      if tol_p99 <> None then
-        Printf.printf "  %-28s (not present in both files, gate skipped)\n"
-          "serve_p99_us";
-      false
-  in
   List.iter
     (fun (name, dw) ->
       Printf.eprintf "FAIL %s: wall time of %s regressed %.1f%% (> %.0f%%)\n"
@@ -521,8 +464,7 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
       Printf.eprintf "FAIL %s: cycles of %s drifted (%.0f -> %.0f)\n" bsec
         name bc cc)
     (List.rev !drifts);
-  if regressions <> [] || !drifts <> [] || mips_failed || p99_failed then
-    exit 1;
+  if regressions <> [] || !drifts <> [] || mips_failed then exit 1;
   Printf.printf "compare %s: OK (%d rows, tolerance %.0f%%)\n" bsec
     (List.length brows) tol
 
@@ -579,7 +521,7 @@ let usage () =
     \       [--sentinel-min-divergences N] [--sentinel-min-demotions N]\n\
     \       [--blackbox-require-chain k1,k2,...]\n\
     \       validate_bench compare BASELINE.json CURRENT.json [--tol PCT] \
-     [--tol-mips PCT] [--tol-p99 PCT]\n\
+     [--tol-mips PCT]\n\
     \       validate_bench compare-tier BASELINE.json CURRENT.json \
      [--tol PCT]";
   exit 2
@@ -606,13 +548,13 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | [] -> usage ()
   | "compare" :: rest -> (
-    let tol, files = compare_args [ "--tol"; "--tol-mips"; "--tol-p99" ] rest in
+    let tol, files = compare_args [ "--tol"; "--tol-mips" ] rest in
     match files with
     | [ base; cur ] ->
       gate (fun () ->
           compare_bench
             ~tol:(Option.value ~default:10.0 (tol "--tol"))
-            ~tol_mips:(tol "--tol-mips") ~tol_p99:(tol "--tol-p99") base cur)
+            ~tol_mips:(tol "--tol-mips") base cur)
     | _ -> usage ())
   | "compare-tier" :: rest -> (
     let tol, files = compare_args [ "--tol" ] rest in
