@@ -6,50 +6,20 @@ open Obrew_ir
 open Ins
 module Prov = Obrew_provenance.Provenance
 
-(* natural loops: (header, body set, preheader) *)
-let loops (f : func) : (int * (int, unit) Hashtbl.t * int) list =
-  let dom = Dom.compute f in
+(* natural loops with a preheader: (header, body set, preheader) *)
+let loops (f : func) : (int * unit Idtbl.t * int) list =
   let preds = Cfg.predecessors f in
-  let backs =
-    List.concat_map
-      (fun (b : block) ->
-        List.filter_map
-          (fun s -> if Dom.dominates dom s b.bid then Some (b.bid, s) else None)
-          (successors b.term))
-      f.blocks
-  in
-  (* merge loops sharing a header *)
-  let by_header = Hashtbl.create 8 in
-  List.iter
-    (fun (latch, header) ->
-      let body =
-        match Hashtbl.find_opt by_header header with
-        | Some b -> b
-        | None ->
-          let b = Hashtbl.create 8 in
-          Hashtbl.replace b header ();
-          Hashtbl.replace by_header header b;
-          b
-      in
-      let rec up x =
-        if not (Hashtbl.mem body x) then begin
-          Hashtbl.replace body x ();
-          List.iter up (Option.value ~default:[] (Idtbl.find_opt preds x))
-        end
-      in
-      up latch)
-    backs;
-  Hashtbl.fold
-    (fun header body acc ->
+  List.filter_map
+    (fun (l : Loops.loop) ->
       let outside =
         List.filter
-          (fun p -> not (Hashtbl.mem body p))
-          (Option.value ~default:[] (Idtbl.find_opt preds header))
+          (fun p -> not (Idtbl.mem l.body p))
+          (Option.value ~default:[] (Idtbl.find_opt preds l.header))
       in
       match outside with
-      | [ pre ] -> (header, body, pre) :: acc
-      | _ -> acc)
-    by_header []
+      | [ pre ] -> Some (l.header, l.body, pre)
+      | _ -> None)
+    (Loops.natural f)
 
 (* pure and safe to execute speculatively (division can trap) *)
 let hoistable = function
@@ -63,7 +33,7 @@ let run (f : func) : bool =
   let changed = ref false in
   List.iter
     (fun (_, body, pre) ->
-      let in_body b = Hashtbl.mem body b in
+      let in_body b = Idtbl.mem body b in
       (* ids defined inside the loop *)
       let body_defs = Hashtbl.create 32 in
       List.iter
