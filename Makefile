@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci`.
 
-.PHONY: all build test bench bench-quick bench-mips bench-tier report blackbox-smoke trace profile fuzz fuzz-smoke examples ci clean
+.PHONY: all build test bench bench-quick bench-mips bench-paper bench-tier report blackbox-smoke trace profile fuzz fuzz-smoke examples ci clean
 
 all: build
 
@@ -27,6 +27,11 @@ bench-mips:
 	dune exec tools/validate_bench.exe -- compare \
 	  bench/baselines/BENCH_fig9a.json _bench/BENCH_fig9a.json \
 	  --tol 300 --tol-mips 25
+
+# The Fig. 9a/9b tables of EXPERIMENTS.md (65x65 matrix, 10 Jacobi
+# iterations, simulated Mcycles): re-check them after a codegen change.
+bench-paper:
+	dune exec bench/main.exe -- --only fig9a --only fig9b --sz 65 --iters 10
 
 # Tiered-compilation figure (fixed workload, deterministic simulated
 # cycles), gated bit-for-bit against the committed baseline.

@@ -6,10 +6,21 @@ open Obrew_x86
 open Obrew_ir
 open Ins
 
-(** Copy a global's initial bytes into fresh data memory. *)
+(** Copy a global's initial bytes into data memory: fresh memory for a
+    mutable global, and for a constant one the copy of the same bytes
+    installed before, if any (the fixed memory of a repeated LLVM-fix
+    request), so that its code can be deduplicated too. *)
 let install_global (img : Image.t) (g : global) : int =
-  let a = Image.alloc_data ~align:g.galign img (max 1 (String.length g.bytes)) in
-  Mem.write_bytes img.Image.cpu.Cpu.mem a g.bytes;
+  let a =
+    if g.constant then Image.install_const_data ~align:g.galign img g.bytes
+    else begin
+      let a =
+        Image.alloc_data ~align:g.galign img (max 1 (String.length g.bytes))
+      in
+      Mem.write_bytes img.Image.cpu.Cpu.mem a g.bytes;
+      a
+    end
+  in
   Image.define img g.gname a;
   a
 

@@ -40,6 +40,23 @@ let caller_saved_pool = [ Reg.RSI; Reg.RDI; Reg.R8; Reg.R9 ]
 let xmm_pool = [ 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ]
 (* xmm0-3 reserved for argument/return plumbing *)
 
+(** Where the System V convention passes each argument of [sg]. *)
+let arg_locations (sg : signature) : loc list =
+  let iregs = [ Reg.RDI; Reg.RSI; Reg.RDX; Reg.RCX; Reg.R8; Reg.R9 ] in
+  let ii = ref 0 and fi = ref 0 in
+  List.map
+    (fun t ->
+      match class_of_ty t with
+      | X ->
+        let l = LXmm !fi in
+        incr fi;
+        l
+      | G ->
+        let l = LReg (List.nth iregs !ii) in
+        incr ii;
+        l)
+    sg.args
+
 type interval = {
   vid : int;
   cls : rclass;
@@ -47,7 +64,14 @@ type interval = {
   mutable istart : int;
   mutable iend : int;
   mutable crosses_call : bool;
+  mutable weight : int; (* spill cost: defs and uses, loop-scaled *)
 }
+
+(* A def or use inside [d] nested natural loops weighs [loop_weight]^d;
+   depths past [max_depth] weigh as [max_depth], so a sum cannot
+   overflow. *)
+let loop_weight = 8
+let max_depth = 10
 
 (** Compute live intervals over the linearized block order.  Phi
     inputs are treated as uses at the end of the predecessor; phi
@@ -73,21 +97,24 @@ let intervals (f : func) : interval list * int list =
       Idtbl.replace block_range bid (start, !n - 1))
     order;
   (* liveness: backward iteration *)
-  let live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun bid -> Hashtbl.replace live_in bid (Hashtbl.create 16)) order;
+  let live_in : (int, unit) Hashtbl.t Idtbl.t = Idtbl.for_blocks f in
+  List.iter (fun bid -> Idtbl.replace live_in bid (Hashtbl.create 16)) order;
   let preds = Cfg.predecessors f in
-  ignore preds;
-  let ivs : (int, interval) Hashtbl.t = Hashtbl.create 64 in
+  let ivs : interval Idtbl.t = Idtbl.for_values f in
+  let all = ref [] in
   let touch vid p =
-    match Hashtbl.find_opt ivs vid with
+    match Idtbl.find_opt ivs vid with
     | Some iv ->
       if p < iv.istart then iv.istart <- p;
       if p > iv.iend then iv.iend <- p
     | None ->
       let vty = Option.value ~default:I64 (Idtbl.find_opt tenv vid) in
-      Hashtbl.replace ivs vid
+      let iv =
         { vid; cls = class_of_ty vty; vty; istart = p; iend = p;
-          crosses_call = false }
+          crosses_call = false; weight = 0 }
+      in
+      Idtbl.replace ivs vid iv;
+      all := iv :: !all
   in
   (* params defined at position -1 *)
   List.iter (fun pid -> touch pid (-1)) f.params;
@@ -102,14 +129,14 @@ let intervals (f : func) : interval list * int list =
     List.iter
       (fun bid ->
         let blk = find_block bid in
-        let li = Hashtbl.find live_in bid in
+        let li = Idtbl.find live_in bid in
         (* live-out = union of successors' live-in minus their phi defs,
            plus our phi contributions to successors *)
         let live : (int, unit) Hashtbl.t = Hashtbl.create 16 in
         List.iter
           (fun s ->
             let sblk = find_block s in
-            let sli = Hashtbl.find live_in s in
+            let sli = Idtbl.find live_in s in
             Hashtbl.iter (fun v () -> Hashtbl.replace live v ()) sli;
             List.iter
               (fun i ->
@@ -166,7 +193,7 @@ let intervals (f : func) : interval list * int list =
      to the end of every predecessor of B that appears later *)
   List.iter
     (fun bid ->
-      let li = Hashtbl.find live_in bid in
+      let li = Idtbl.find live_in bid in
       let ps = Option.value ~default:[] (Idtbl.find_opt preds bid) in
       List.iter
         (fun p ->
@@ -184,17 +211,50 @@ let intervals (f : func) : interval list * int list =
         (fun i ->
           match i.op with
           | Gep _ -> (
-            match Hashtbl.find_opt ivs i.id with
+            match Idtbl.find_opt ivs i.id with
             | Some giv ->
               List.iter
                 (fun u ->
-                  match Hashtbl.find_opt ivs u with
+                  match Idtbl.find_opt ivs u with
                   | Some oiv -> if giv.iend > oiv.iend then oiv.iend <- giv.iend
                   | None -> ())
                 (List.concat_map (uses_of_value []) (operands i.op))
             | None -> ())
           | _ -> ())
         blk.instrs)
+    order;
+  (* spill weights; a phi input counts in its predecessor *)
+  let depth = Loops.depths f in
+  let scale bid =
+    let d = Option.value ~default:0 (Idtbl.find_opt depth bid) in
+    let rec pow k = if k = 0 then 1 else loop_weight * pow (k - 1) in
+    pow (min d max_depth)
+  in
+  let count w vid =
+    match Idtbl.find_opt ivs vid with
+    | Some iv -> iv.weight <- iv.weight + w
+    | None -> ()
+  in
+  (match order with
+   | entry :: _ -> List.iter (count (scale entry)) f.params
+   | [] -> ());
+  List.iter
+    (fun bid ->
+      let blk = find_block bid in
+      let w = scale bid in
+      List.iter
+        (fun i ->
+          count w i.id;
+          match i.op with
+          | Phi (_, ins) ->
+            List.iter
+              (fun (p, v) -> List.iter (count (scale p)) (uses_of_value [] v))
+              ins
+          | op ->
+            List.iter (count w) (List.concat_map (uses_of_value []) (operands op)))
+        blk.instrs;
+      List.iter (count w)
+        (List.concat_map (uses_of_value []) (term_operands blk.term)))
     order;
   (* mark call crossings *)
   let call_positions = ref [] in
@@ -209,25 +269,36 @@ let intervals (f : func) : interval list * int list =
           | _ -> ())
         blk.instrs)
     order;
-  Hashtbl.iter
-    (fun _ iv ->
+  List.iter
+    (fun iv ->
       if
         List.exists
           (fun cp -> iv.istart < cp && cp < iv.iend)
           !call_positions
       then iv.crosses_call <- true)
-    ivs;
-  let lst = Hashtbl.fold (fun _ iv acc -> iv :: acc) ivs [] in
-  (List.sort (fun a b -> compare a.istart b.istart) lst, order)
+    !all;
+  (List.sort (fun a b -> compare (a.istart, a.vid) (b.istart, b.vid)) !all,
+   order)
 
-(** Linear scan. *)
+(* [a] goes to a slot before [b]: it is cheaper, or as cheap and ends
+   later *)
+let spills_first a b =
+  a.weight < b.weight || (a.weight = b.weight && a.iend > b.iend)
+
+(** Linear scan.  When no register of an interval's class is free, the
+    cheaper of the interval and the cheapest active interval whose
+    register it may take goes to a slot (Poletto and Sarkar's eviction
+    step, with spill weights for the furthest end).  A call-crossing
+    interval may take only a callee-saved GPR; an XMM value that
+    crosses a call lives in a slot. *)
 let allocate_impl (f : func) : alloc =
   let ivs, order = intervals f in
   let locs : loc Idtbl.t = Idtbl.for_values f in
   let active : (interval * loc) list ref = ref [] in
-  let free_callee = ref callee_saved_pool in
-  let free_caller = ref caller_saved_pool in
-  let free_xmm = ref xmm_pool in
+  let regs = List.map (fun r -> LReg r) in
+  let free_callee = ref (regs callee_saved_pool) in
+  let free_caller = ref (regs caller_saved_pool) in
+  let free_xmm = ref (List.map (fun x -> LXmm x) xmm_pool) in
   let used_callee = ref [] in
   let next_slot = ref 0 in
   let alloc_slot ivty =
@@ -236,12 +307,53 @@ let allocate_impl (f : func) : alloc =
     next_slot := off + size;
     LSlot off
   in
-  let release = function
-    | LReg r ->
-      if List.mem r callee_saved_pool then free_callee := r :: !free_callee
-      else free_caller := r :: !free_caller
-    | LXmm x -> free_xmm := x :: !free_xmm
-    | LSlot _ -> ()
+  let callee_saved = function
+    | LReg r -> List.mem r callee_saved_pool
+    | LXmm _ | LSlot _ -> false
+  in
+  let release l =
+    let pool =
+      match l with
+      | LReg _ -> if callee_saved l then free_callee else free_caller
+      | LXmm _ | LSlot _ -> free_xmm
+    in
+    pool := l :: !pool
+  in
+  (* a parameter takes the register it arrives in when that is free *)
+  let arrives : loc Idtbl.t = Idtbl.for_values f in
+  List.iter2 (Idtbl.replace arrives) f.params (arg_locations f.sg);
+  let take iv pool =
+    match !pool with
+    | [] -> None
+    | first :: _ ->
+      let l =
+        match Idtbl.find_opt arrives iv.vid with
+        | Some l when List.mem l !pool -> l
+        | _ -> first
+      in
+      pool := List.filter (( <> ) l) !pool;
+      (match l with
+       | LReg r when callee_saved l && not (List.mem r !used_callee) ->
+         used_callee := r :: !used_callee
+       | _ -> ());
+      Some l
+  in
+  let take_free iv =
+    match iv.cls, iv.crosses_call with
+    | G, false -> (
+      match take iv free_caller with
+      | Some l -> Some l
+      | None -> take iv free_callee)
+    | G, true -> take iv free_callee
+    | X, false -> take iv free_xmm
+    | X, true -> None
+  in
+  (* may [iv] take the register [l] from an active interval? *)
+  let may_take iv l =
+    match iv.cls, l with
+    | G, LReg _ -> (not iv.crosses_call) || callee_saved l
+    | X, LXmm _ -> not iv.crosses_call
+    | _ -> false
   in
   List.iter
     (fun iv ->
@@ -252,43 +364,24 @@ let allocate_impl (f : func) : alloc =
       List.iter (fun (_, l) -> release l) expired;
       active := still;
       let l =
-        match iv.cls with
-        | G -> (
-          (* prefer callee-saved when crossing calls; otherwise either *)
-          let take_callee () =
-            match !free_callee with
-            | r :: tl ->
-              free_callee := tl;
-              if not (List.mem r !used_callee) then
-                used_callee := r :: !used_callee;
-              Some (LReg r)
-            | [] -> None
+        match take_free iv with
+        | Some l -> l
+        | None -> (
+          let victim =
+            List.fold_left
+              (fun acc ((a, l) as c) ->
+                match acc with
+                | _ when not (may_take iv l) -> acc
+                | Some (b, _) when not (spills_first a b) -> acc
+                | _ -> Some c)
+              None !active
           in
-          let take_caller () =
-            match !free_caller with
-            | r :: tl ->
-              free_caller := tl;
-              Some (LReg r)
-            | [] -> None
-          in
-          let choice =
-            if iv.crosses_call then take_callee ()
-            else
-              match take_caller () with
-              | Some l -> Some l
-              | None -> take_callee ()
-          in
-          match choice with
-          | Some l -> l
-          | None -> alloc_slot iv.vty)
-        | X -> (
-          if iv.crosses_call then alloc_slot iv.vty
-          else
-            match !free_xmm with
-            | x :: tl ->
-              free_xmm := tl;
-              LXmm x
-            | [] -> alloc_slot iv.vty)
+          match victim with
+          | Some (v, l) when spills_first v iv ->
+            Idtbl.replace locs v.vid (alloc_slot v.vty);
+            active := List.filter (fun (a, _) -> a != v) !active;
+            l
+          | _ -> alloc_slot iv.vty)
       in
       Idtbl.replace locs iv.vid l;
       (match l with LSlot _ -> () | _ -> active := (iv, l) :: !active))

@@ -31,7 +31,8 @@ let is_allones t = function
 let def ctx = function V id -> ctx.dfn id | _ -> None
 
 (* Resolve a pointer value to (Global g, byte offset) or (absolute
-   address) when statically known, looking through GEPs. *)
+   address) when statically known, looking through GEPs and through
+   an address computed as an integer ([inttoptr (ptrtoint p + c)]). *)
 let rec ptr_root ctx (v : value) : [ `Global of string * int | `Abs of int ] option =
   match v with
   | Global g -> Some (`Global (g, 0))
@@ -50,8 +51,24 @@ let rec ptr_root ctx (v : value) : [ `Global of string * int | `Abs of int ] opt
        | Some off, Some (`Global (g, o)) -> Some (`Global (g, o + off))
        | Some off, Some (`Abs a) -> Some (`Abs (a + off))
        | _ -> None)
-    | Some (Cast (IntToPtr, _, CInt (_, x), _)) ->
-      Some (`Abs (Int64.to_int x))
+    | Some (Cast (IntToPtr, _, x, _)) -> int_root ctx x
+    | _ -> None)
+  | _ -> None
+
+(* The same for a 64-bit integer holding an address. *)
+and int_root ctx (v : value) =
+  let plus c = function
+    | Some (`Global (g, o)) -> Some (`Global (g, o + Int64.to_int c))
+    | Some (`Abs a) -> Some (`Abs (a + Int64.to_int c))
+    | None -> None
+  in
+  match v with
+  | CInt (_, x) -> Some (`Abs (Int64.to_int x))
+  | V _ -> (
+    match def ctx v with
+    | Some (Cast (PtrToInt, _, p, I64)) -> ptr_root ctx p
+    | Some (Bin (Add, I64, a, CInt (_, c)))
+    | Some (Bin (Add, I64, CInt (_, c), a)) -> plus c (int_root ctx a)
     | _ -> None)
   | _ -> None
 

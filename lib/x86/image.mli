@@ -14,6 +14,9 @@ type t = {
   (** content-addressed install cache: item-list digest -> address *)
   code_digests : (int, string * int) Hashtbl.t;
   (** entry address -> (digest, length) of the installed host bytes *)
+  data_memo : (string, int) Hashtbl.t;
+  (** content-addressed constant data: (alignment, bytes) digest ->
+      address *)
   mutable install_hits : int;
   mutable install_misses : int;
   mutable patches : int;
@@ -35,6 +38,13 @@ val fork : t -> t
 
 (** Reserve [size] zeroed data bytes with the given alignment. *)
 val alloc_data : ?align:int -> t -> int -> int
+
+(** [install_const_data ~align t bytes] places read-only [bytes] in
+    data memory and returns their address.  Content-addressed like
+    {!install_code}: the same bytes at the same alignment are placed
+    once, so code that embeds their address can be deduplicated too.
+    Nothing may write to the returned memory. *)
+val install_const_data : align:int -> t -> string -> int
 
 (** Reset the stack pointer (between independent runs). *)
 val reset_stack : t -> unit

@@ -185,6 +185,25 @@ let test_globals () =
   check ci64 "tbl[0]" 111L r0;
   check ci64 "tbl[1]" 222L r1
 
+let test_global_placement () =
+  (* a constant global's bytes are placed once per content; a mutable
+     global always gets fresh memory *)
+  let g constant name =
+    { gname = name; bytes = "\001\002\003\004\005\006\007\008"; galign = 8;
+      constant }
+  in
+  let img = Image.create () in
+  let c1 = Jit.install_global img (g true "c1") in
+  let c2 = Jit.install_global img (g true "c2") in
+  let m1 = Jit.install_global img (g false "m1") in
+  let m2 = Jit.install_global img (g false "m2") in
+  check Alcotest.int "constant: same address" c1 c2;
+  check Alcotest.int "bound by name" c1 (Image.lookup img "c2");
+  Alcotest.(check bool) "mutable: fresh memory" true
+    (m1 <> m2 && m1 <> c1 && m2 <> c1);
+  check ci64 "mutable copy holds the bytes" 0x0807060504030201L
+    (Mem.read_u64 img.Image.cpu.Cpu.mem m2)
+
 let test_vector_backend () =
   (* <2 x double> add via the backend *)
   let vty = Vec (2, F64) in
@@ -338,6 +357,7 @@ let () =
          Alcotest.test_case "float" `Quick test_float_pipeline;
          Alcotest.test_case "calls" `Quick test_calls;
          Alcotest.test_case "globals" `Quick test_globals;
+         Alcotest.test_case "global placement" `Quick test_global_placement;
          Alcotest.test_case "vectors" `Quick test_vector_backend ]);
       ("pipeline",
        [ Alcotest.test_case "fp roundtrip" `Quick test_roundtrip_pipeline;

@@ -455,6 +455,25 @@ let test_transform_memo () =
             Modes.DBrewLlvm);
   check cint "bypass does not hit" 1 (fst (Modes.memo_stats env))
 
+let test_fix_installs_once () =
+  (* LLVM-fix copies the fixed memory into a constant global, which is
+     placed once per content: a repeated request adds no data, and code
+     that keeps the global's address compiles to the same items, so it
+     installs at the same address *)
+  let open Obrew_core in
+  let env = Modes.build ~sz:11 () in
+  let transform () =
+    fst (Modes.transform ~use_memo:false env Modes.Sorted Modes.Line
+           Modes.LlvmFix)
+  in
+  let a1 = transform () in
+  let data = env.Modes.img.Image.next_data in
+  let misses = env.Modes.img.Image.install_misses in
+  let a2 = transform () in
+  check cint "same kernel address" a1 a2;
+  check cint "no new install" misses env.Modes.img.Image.install_misses;
+  check cint "no new data" data env.Modes.img.Image.next_data
+
 (* ---------- property-based differential testing ---------- *)
 
 (* random straight-line programs over rax/rcx/rdx/rsi/rdi with a random
@@ -602,7 +621,9 @@ let run_suites () =
       ("memo",
        [ Alcotest.test_case "rewrite memo cache" `Quick test_rewrite_memo;
          Alcotest.test_case "transform memo cache" `Quick
-           test_transform_memo ]) ]
+           test_transform_memo;
+         Alcotest.test_case "repeated LLVM-fix installs once" `Quick
+           test_fix_installs_once ]) ]
 
 
 let () = run_suites ()
