@@ -146,48 +146,29 @@ let merge_chains (f : func) : bool =
     true
   end
 
-(* Skip blocks that contain nothing but an unconditional branch, when
-   the target's phis can be retargeted unambiguously. *)
+(* Skip every block that holds nothing but an unconditional branch,
+   when the target's phis can be retargeted unambiguously.  One walk in
+   block order: the predecessor table is kept current (a skipped
+   block's predecessors become its target's), so each block is judged
+   by the edges the skips before it left. *)
 let skip_empty_blocks (f : func) : bool =
-  let changed = ref false in
   let entry_bid = (entry_block f).bid in
   let preds = Cfg.predecessors f in
-  (* one block per invocation: the predecessor map goes stale once we
-     retarget edges, and processing a second empty block against stale
-     information can create duplicate phi inputs *)
-  let empties =
-    match
-      List.find_opt
-        (fun b ->
-          b.bid <> entry_bid && b.instrs = []
-          && (match b.term with Br t -> t <> b.bid | _ -> false))
-        f.blocks
-    with
-    | Some b -> [ b ]
-    | None -> []
-  in
-  List.iter
-    (fun b ->
-      let tgt =
-        match b.term with
-        | Br t -> t
-        | _ ->
-          Obrew_fault.Err.fail Obrew_fault.Err.Opt
-            "simplifycfg: forwarding block lost its Br terminator"
-      in
-      let tb = find_block f tgt in
-      let bpreds = Option.value ~default:[] (Idtbl.find_opt preds b.bid) in
-      let tpreds = Option.value ~default:[] (Idtbl.find_opt preds tgt) in
-      (* safe when no phi conflict: each pred of b must not already be
-         a pred of tgt (else the phi would need merged values), and b
-         must have at least one predecessor *)
-      let conflict = List.exists (fun p -> List.mem p tpreds) bpreds in
-      if bpreds <> [] && not conflict then begin
-        (* retarget all branches to b directly to tgt *)
+  let find = Cfg.block_finder f in
+  let preds_of bid = Option.value ~default:[] (Idtbl.find_opt preds bid) in
+  let skip b =
+    match b.term with
+    | Br tgt when tgt <> b.bid && b.bid <> entry_bid && b.instrs = [] ->
+      let bpreds = preds_of b.bid and tpreds = preds_of tgt in
+      (* b must have a predecessor, and none may already branch to
+         tgt (tgt's phis would need two values for one edge) *)
+      if bpreds = [] || List.exists (fun p -> List.mem p tpreds) bpreds
+      then false
+      else begin
+        let rt x = if x = b.bid then tgt else x in
         List.iter
           (fun p ->
-            let pb = find_block f p in
-            let rt x = if x = b.bid then tgt else x in
+            let pb = find p in
             pb.term <-
               (match pb.term with
                | Br x -> Br (rt x)
@@ -195,6 +176,7 @@ let skip_empty_blocks (f : func) : bool =
                | t -> t))
           bpreds;
         (* phis in tgt: duplicate the incoming from b for each pred *)
+        let tb = find tgt in
         tb.instrs <-
           List.map
             (fun i ->
@@ -210,12 +192,17 @@ let skip_empty_blocks (f : func) : bool =
                 | None -> i)
               | _ -> i)
             tb.instrs;
+        Idtbl.replace preds tgt
+          (List.filter (fun p -> p <> b.bid) tpreds @ bpreds);
+        Idtbl.replace preds b.bid [];
         b.term <- Unreachable;
-        changed := true
-      end)
-    empties;
-  if !changed then ignore (Cfg.prune_unreachable f);
-  !changed
+        true
+      end
+    | _ -> false
+  in
+  let changed = List.fold_left (fun c b -> skip b || c) false f.blocks in
+  if changed then ignore (Cfg.prune_unreachable f);
+  changed
 
 let run_once (f : func) : bool =
   let c1 = fold_constant_branches f in
@@ -224,7 +211,7 @@ let run_once (f : func) : bool =
   let c4 = skip_empty_blocks f in
   c1 || c2 || c3 || c4
 
-(* run to a fixpoint: skip_empty_blocks handles one block at a time *)
+(* run to a fixpoint: a merge or skip can expose another *)
 let run (f : func) : bool =
   let changed = ref false in
   let budget = ref 100 in
