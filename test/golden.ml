@@ -118,15 +118,19 @@ let read d =
          | [ n; h ] -> (n, h)
          | _ -> Alcotest.failf "%s: malformed line %S" d.file l)
 
+(* Fails on any changed digest, naming every changed case at once. *)
 let check d got =
   let want = read d in
   Alcotest.check (Alcotest.list Alcotest.string) "same cases"
     (List.map fst want) (List.map fst got);
-  List.iter2
-    (fun (n, h) (_, h') ->
-      if h <> h' then
-        Alcotest.failf
-          "%s: %s changed (digest %s, golden %s); if the change is intended, \
-           regenerate with: %s"
-          n d.what h' h (regen_command d))
-    want got
+  let changed =
+    List.filter_map
+      (fun ((n, h), (_, h')) -> if h <> h' then Some n else None)
+      (List.combine want got)
+  in
+  if changed <> [] then
+    Alcotest.failf
+      "%s: %s changed in %d of %d cases:\n  %s\nif the change is intended, \
+       regenerate with: %s"
+      d.file d.what (List.length changed) (List.length want)
+      (String.concat "\n  " changed) (regen_command d)
