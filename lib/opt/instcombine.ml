@@ -160,6 +160,34 @@ let rec canon_elts ctx (elts : gep_elt list) : gep_elt list * bool =
     (out', true)
   else (out, false)
 
+(* --- phi webs ------------------------------------------------------- *)
+
+(* Phis that take each other as inputs (a loop-carried value passed
+   around a cycle) form a web.  When every input that is not a web phi
+   is one value [v], every phi of the web equals [v] (Braun et al.,
+   CC 2013, Sec. 3.3; LLVM's PHIsEqualValue).  The walk gives up past
+   [web_limit] phis.  [Undef] is a value like any other. *)
+let web_limit = 16
+
+let phi_web_value ctx (root : int) : value option =
+  let seen = ref [] and outside = ref None in
+  let rec phi id ins =
+    List.mem id !seen
+    || List.length !seen < web_limit
+       && (seen := id :: !seen;
+           List.for_all (fun (_, v) -> input v) ins)
+  and input v =
+    match v, def ctx v with
+    | V id, Some (Phi (_, ins)) -> phi id ins
+    | _ -> (
+      match !outside with
+      | None -> outside := Some v; true
+      | Some v0 -> v = v0)
+  in
+  match ctx.dfn root with
+  | Some (Phi (_, ins)) when phi root ins -> !outside
+  | _ -> None
+
 (* --- the rule set ---------------------------------------------------- *)
 
 let simplify ctx (i : instr) : outcome =
@@ -276,7 +304,10 @@ let simplify ctx (i : instr) : outcome =
       | None -> Keep
       | Some (_, v0) ->
         if List.for_all (fun (_, v) -> self v || v = v0) ins then Value v0
-        else Keep)
+        else (
+          match phi_web_value ctx i.id with
+          | Some v -> Value v
+          | None -> Keep))
     | ExtractElt (vt, v, lane) -> (
       match def ctx v with
       | Some (InsertElt (_, v0, s, l0)) ->

@@ -96,6 +96,9 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
       p "dce" (fun () -> Dce.run f);
       !changed
     in
+    (* most of a lifted function is dead on arrival (every flag and
+       facet is emitted eagerly): delete it before anything walks it *)
+    pass "dce" (fun () -> Dce.run f);
     pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);
     let budget = ref fuel in
     while round () && !budget > 0 do decr budget done;
