@@ -19,7 +19,8 @@ type options = {
   (* constant memory oracle for fixation/setmem-style specialization *)
   const_load : addr:int -> len:int -> string option;
   verify_each : bool;           (* run the verifier after each pass *)
-  fuel : int;                   (* fixpoint rounds per pass group *)
+  fuel : int;                   (* fixpoint rounds per pass group, and
+                                   unroll runs *)
 }
 
 let o3 =
@@ -73,7 +74,9 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
   else begin
     let glookup name = List.find_opt (fun g -> g.gname = name) m.globals in
     let check name = if opts.verify_each then Verify.assert_ok ~ctx:name f in
-    let pass name p = if exec name p then begin bump name; check name end in
+    (* run pass [name]; true when it changed the function *)
+    let changes name g = exec name g && (bump name; check name; true) in
+    let pass name g = ignore (changes name g) in
     let instcombine () =
       Instcombine.run ~fast_math:opts.fast_math ~const_load:opts.const_load
         ~global_lookup:glookup f
@@ -83,12 +86,10 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
         resolve_addr = opts.resolve_addr }
     in
     let fuel = max 1 opts.fuel in
-    (* main scalar pipeline to fixpoint *)
+    (* main scalar pipeline *)
     let round () =
       let changed = ref false in
-      let p name g =
-        if exec name g then begin changed := true; bump name; check name end
-      in
+      let p name g = if changes name g then changed := true in
       p "simplifycfg" (fun () -> Simplify_cfg.run f);
       p "instcombine" instcombine;
       p "mem2reg" (fun () -> Mem2reg.run f);
@@ -96,29 +97,34 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
       p "dce" (fun () -> Dce.run f);
       !changed
     in
+    let to_fixpoint rounds =
+      let budget = ref rounds in
+      while round () && !budget > 0 do decr budget done
+    in
     (* most of a lifted function is dead on arrival (every flag and
        facet is emitted eagerly): delete it before anything walks it *)
     pass "dce" (fun () -> Dce.run f);
     pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);
-    let budget = ref fuel in
-    while round () && !budget > 0 do decr budget done;
+    to_fixpoint fuel;
     (* loop transforms, then re-run the scalar pipeline *)
     if opts.level >= 2 then begin
       pass "licm" (fun () -> Licm.run f);
-      let budget = ref (max 1 (fuel / 2)) in
-      while round () && !budget > 0 do decr budget done;
-      pass "unroll" (fun () -> Unroll.run ~fast_math:opts.fast_math f);
-      (* clean up after unrolling so remaining loops are canonical
-         before vectorization *)
+      to_fixpoint (max 1 (fuel / 2));
+      (* each unroll run peels one loop and leaves the peeled branches
+         to the scalar rounds, which fold them and so leave remaining
+         loops canonical before vectorization *)
       let budget = ref fuel in
-      while round () && !budget > 0 do decr budget done;
+      while
+        let peeled = changes "unroll" (fun () -> Unroll.run f) in
+        to_fixpoint fuel;
+        peeled && !budget > 0
+      do decr budget done;
       (match opts.force_vector_width with
        | Some w when opts.level >= 2 ->
          pass "vectorize" (fun () ->
              Vectorize.run ~width:w ~aligned:opts.vector_aligned f)
        | _ -> ());
-      let budget = ref fuel in
-      while round () && !budget > 0 do decr budget done
+      to_fixpoint fuel
     end
   end
 

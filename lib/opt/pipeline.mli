@@ -19,8 +19,9 @@ type options = {
   const_load : addr:int -> len:int -> string option;
   (** constant-memory oracle for setmem-style specialization *)
   verify_each : bool;                (** run the verifier after passes *)
-  fuel : int;                        (** fixpoint rounds per pass group
-                                         (resource guard) *)
+  fuel : int;                        (** fixpoint rounds per pass group,
+                                         and unroll runs (resource
+                                         guard) *)
 }
 
 (** -O3 with fast-math, no forced vectorization. *)

@@ -4,11 +4,11 @@
     constant trip counts; LLVM's -O3 fully unrolls them (Sec. IV/VI).
     We find natural loops whose induction variable, step and bound are
     constants, simulate the exit condition to obtain the trip count,
-    and peel the body that many times; constant folding and CFG
-    simplification then dissolve the per-iteration branches.  Loops
-    whose count times body size exceeds the threshold are left alone
-    (LLVM behaves the same way, which is why the 649-element line loop
-    is never unrolled). *)
+    and peel the body that many times; the pipeline's constant folding
+    and CFG simplification then dissolve the per-iteration branches.
+    Loops whose count times body size exceeds the threshold are left
+    alone (LLVM behaves the same way, which is why the 649-element line
+    loop is never unrolled). *)
 
 open Obrew_ir
 open Ins
@@ -23,73 +23,43 @@ type loop_info = {
   body : int list;       (* includes header and latch *)
   preheader : int;       (* unique predecessor of header outside loop *)
   exit_src : int;        (* loop block with the exit edge *)
-  exit_blk : int;        (* target outside the loop; unique pred = exit_src *)
+  exit_blk : int;        (* target of the exit edge *)
 }
 
-let find_loop (f : func) : loop_info option =
-  let dom = Dom.compute f in
+(* The natural loops with one back edge, one preheader and one exit
+   edge; each body in block order. *)
+let find_loops (f : func) : loop_info list =
   let preds = Cfg.predecessors f in
-  (* back edges *)
-  let backs =
-    List.concat_map
-      (fun (b : block) ->
-        List.filter_map
-          (fun s -> if Dom.dominates dom s b.bid then Some (b.bid, s) else None)
-          (successors b.term))
-      f.blocks
-  in
-  let try_loop (latch, header) =
-    (* body: blocks that reach latch without passing header *)
-    let body = Hashtbl.create 8 in
-    Hashtbl.replace body header ();
-    let rec up b =
-      if not (Hashtbl.mem body b) then begin
-        Hashtbl.replace body b ();
-        List.iter up (Option.value ~default:[] (Idtbl.find_opt preds b))
-      end
-    in
-    up latch;
-    let in_body b = Hashtbl.mem body b in
-    (* unique back edge to this header? *)
-    let backs_to_h = List.filter (fun (_, h) -> h = header) backs in
-    if List.length backs_to_h <> 1 then None
-    else
-      (* unique preheader *)
-      let hpreds =
-        List.filter
-          (fun p -> not (in_body p))
-          (Option.value ~default:[] (Idtbl.find_opt preds header))
-      in
-      match hpreds with
-      | [ preheader ] -> (
-        (* single exit edge *)
+  let preds_of b = Option.value ~default:[] (Idtbl.find_opt preds b) in
+  List.filter_map
+    (fun (l : Loops.loop) ->
+      let in_body b = Idtbl.mem l.body b in
+      match List.partition in_body (preds_of l.header) with
+      | [ latch ], [ preheader ] -> (
+        let body = List.filter (fun (b : block) -> in_body b.bid) f.blocks in
         let exits =
           List.concat_map
             (fun (b : block) ->
-              if in_body b.bid then
-                List.filter_map
-                  (fun s -> if in_body s then None else Some (b.bid, s))
-                  (successors b.term)
-              else [])
-            f.blocks
+              List.filter_map
+                (fun s -> if in_body s then None else Some (b.bid, s))
+                (successors b.term))
+            body
         in
         match exits with
         | [ (exit_src, exit_blk) ] ->
-          let epreds =
-            Option.value ~default:[] (Idtbl.find_opt preds exit_blk)
-          in
-          if epreds = [ exit_src ] then
-            Some
-              { header; latch;
-                body = Hashtbl.fold (fun b () acc -> b :: acc) body [];
-                preheader; exit_src; exit_blk }
-          else None
+          Some
+            { header = l.header; latch;
+              body = List.map (fun (b : block) -> b.bid) body;
+              preheader; exit_src; exit_blk }
         | _ -> None)
-      | _ -> None
-  in
-  List.fold_left
-    (fun acc be -> match acc with Some _ -> acc | None -> try_loop be)
-    None backs
+      | _ -> None)
+    (Loops.natural f)
+
+(* A loop that tests in a header distinct from its latch runs the test
+   before the body, so it exits from its header one time more than the
+   body runs; a rotated (do-while) loop — including every single-block
+   loop — tests after the body. *)
+let tests_in_header li = li.exit_src = li.header && li.header <> li.latch
 
 (* Trip count by concrete simulation of the induction variable. *)
 let trip_count (f : func) (li : loop_info) : int option =
@@ -121,9 +91,8 @@ let trip_count (f : func) (li : loop_info) : int option =
   (* the exit branch *)
   let eb = find_block f li.exit_src in
   match eb.term with
-  | CondBr (V cid, t, e) -> (
+  | CondBr (V cid, t, _) -> (
     let exit_on_true = t = li.exit_blk in
-    ignore e;
     match Idtbl.find_opt defs cid with
     | Some { op = Icmp (p, ct, V x, CInt (_, bound)); _ } -> (
       (* x must be the iv or its incremented value *)
@@ -143,37 +112,32 @@ let trip_count (f : func) (li : loop_info) : int option =
           | Interp.I 1L -> true
           | _ -> false
         in
-        (* A non-rotated loop tests in a header distinct from the
-           latch, before the body runs; a rotated (do-while) loop —
-           including every single-block loop — tests after the body. *)
-        let header_style =
-          li.exit_src = li.header && li.header <> li.latch
-        in
+        (* the number of times the body runs *)
         let rec sim i count =
           if count > max_count then None
           else begin
             (* value tested this iteration *)
             let tested = if test_on_next then Int64.add i step else i in
-            let exit_now = cmp tested = exit_on_true in
-            if header_style then
-              if exit_now then Some count
-              else sim (Int64.add i step) (count + 1)
-            else if exit_now then Some (count + 1)
+            if cmp tested = exit_on_true then
+              Some (if tests_in_header li then count else count + 1)
             else sim (Int64.add i step) (count + 1)
           end
         in
-        ignore ivid;
         sim init 0
       | _ -> None)
     | _ -> None)
   | _ -> None
 
-(* Peel one iteration off the front of the loop. *)
+(* A block id above every block of [f]. *)
+let fresh_bid (f : func) =
+  1 + List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks
+
+(* Peel one iteration off the front of the loop; the result is the
+   loop with the copy's latch as its preheader, ready for the next
+   peel. *)
 let peel_once (f : func) (li : loop_info) : loop_info =
   let blk_map = Idtbl.for_blocks f in
-  let next_bid =
-    ref (1 + List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks)
-  in
+  let next_bid = ref (fresh_bid f) in
   List.iter
     (fun b ->
       Idtbl.replace blk_map b !next_bid;
@@ -398,57 +362,61 @@ let make_lcssa (f : func) (li : loop_info) =
       f.blocks
   end
 
-(** Peel one iteration off one constant-trip-count loop (the scalar
-    pipeline in between folds the per-iteration branch; a zero-trip
-    loop gets a final peel whose cloned header folds straight to the
-    exit, making the original loop unreachable).  Returns true when
-    something was peeled; call repeatedly until it returns false.
-    Unreachable blocks are pruned first; [pruned] is set when that
-    changed the function. *)
-let run_once ?(fast_math = false) ~pruned (f : func) : bool =
-  if Cfg.prune_unreachable f then pruned := true;
-  match find_loop f with
-  | None -> false
-  | Some li -> (
-    match trip_count f li with
-    | None -> false
-    | Some count ->
-      let body_size =
-        List.fold_left
-          (fun acc b -> acc + List.length (find_block f b).instrs)
-          0 li.body
-      in
-      if count * body_size > size_threshold then false
-      else begin
-        if !Prov.enabled then begin
-          let hprov =
-            match (find_block f li.header).instrs with
-            | i :: _ -> i.prov
-            | [] -> Prov.none
-          in
-          Prov.record ~pass:"unroll" ~action:Prov.Unrolled ~prov:hprov
-            ~detail:
-              (Printf.sprintf
-                 "iteration peeled off loop at bb%d (trip count %d)"
-                 li.header count)
-        end;
-        make_lcssa f li;
-        ignore (peel_once f li);
-        ignore (Instcombine.run ~fast_math f);
-        ignore (Simplify_cfg.run f);
-        ignore (Instcombine.run ~fast_math f);
-        ignore (Simplify_cfg.run f);
-        ignore (Dce.run f);
-        true
-      end)
+(* Split the exit edge if the exit block has other predecessors, so
+   that the loop has an exit block of its own for the LCSSA phis. *)
+let dedicate_exit (f : func) (li : loop_info) : loop_info =
+  if Idtbl.find_opt (Cfg.predecessors f) li.exit_blk = Some [ li.exit_src ]
+  then li
+  else begin
+    let bid = fresh_bid f in
+    let swap x y b = if b = x then y else b in
+    let sb = find_block f li.exit_src and eb = find_block f li.exit_blk in
+    sb.term <-
+      Util.remap_term ~fid:Fun.id ~fblk:(swap li.exit_blk bid) sb.term;
+    eb.instrs <-
+      List.map
+        (Util.remap_instr ~fid:Fun.id ~fblk:(swap li.exit_src bid))
+        eb.instrs;
+    f.blocks <- f.blocks @ [ { bid; instrs = []; term = Br li.exit_blk } ];
+    { li with exit_blk = bid }
+  end
 
-(** Fully unroll all eligible loops. *)
-let run ?fast_math (f : func) : bool =
-  let changed = ref false in
-  let pruned = ref false in
-  let budget = ref (max_count * 4) in
-  while run_once ?fast_math ~pruned f && !budget > 0 do
-    decr budget;
-    changed := true
-  done;
-  !changed || !pruned
+(** Peel the first loop of {!find_loops} whose trip count is constant,
+    with its count times its body size within the threshold, once per
+    iteration.  The peeled copies keep their branches: the pipeline's
+    scalar passes fold them, which leaves the original loop
+    unreachable.  A trip count that was too low leaves it in place,
+    still correct.  Unreachable blocks are pruned first; returns true
+    when that or a peel changed the function. *)
+let run (f : func) : bool =
+  let pruned = Cfg.prune_unreachable f in
+  let countable li =
+    let body_size =
+      List.fold_left
+        (fun acc b -> acc + List.length (find_block f b).instrs)
+        0 li.body
+    in
+    match trip_count f li with
+    | Some count when count * body_size <= size_threshold -> Some (li, count)
+    | _ -> None
+  in
+  match List.find_map countable (find_loops f) with
+  | None -> pruned
+  | Some (li, count) ->
+    let peels = if tests_in_header li then count + 1 else count in
+    if !Prov.enabled then begin
+      let hprov =
+        match (find_block f li.header).instrs with
+        | i :: _ -> i.prov
+        | [] -> Prov.none
+      in
+      Prov.record ~pass:"unroll" ~action:Prov.Unrolled ~prov:hprov
+        ~detail:
+          (Printf.sprintf "loop at bb%d peeled %d times (trip count %d)"
+             li.header peels count)
+    end;
+    let li = dedicate_exit f li in
+    make_lcssa f li;
+    let rec peel li n = if n > 0 then peel (peel_once f li) (n - 1) in
+    peel li peels;
+    true

@@ -118,19 +118,24 @@ let read d =
          | [ n; h ] -> (n, h)
          | _ -> Alcotest.failf "%s: malformed line %S" d.file l)
 
-(* Fails on any changed digest, naming every changed case at once. *)
-let check d got =
+(* The cases of [got] whose digest differs from [d]'s. *)
+let changed d got =
+  let want = read d in
+  List.filter_map
+    (fun (n, h) -> if List.assoc_opt n want = Some h then None else Some n)
+    got
+
+(* Fails on any changed digest, naming every changed case at once, each
+   followed by [note case] when that is not empty. *)
+let check ?(note = fun _ -> "") d got =
   let want = read d in
   Alcotest.check (Alcotest.list Alcotest.string) "same cases"
     (List.map fst want) (List.map fst got);
-  let changed =
-    List.filter_map
-      (fun ((n, h), (_, h')) -> if h <> h' then Some n else None)
-      (List.combine want got)
-  in
+  let changed = changed d got in
+  let line n = match note n with "" -> n | s -> n ^ " (" ^ s ^ ")" in
   if changed <> [] then
     Alcotest.failf
       "%s: %s changed in %d of %d cases:\n  %s\nif the change is intended, \
        regenerate with: %s"
       d.file d.what (List.length changed) (List.length want)
-      (String.concat "\n  " changed) (regen_command d)
+      (String.concat "\n  " (List.map line changed)) (regen_command d)

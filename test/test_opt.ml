@@ -779,6 +779,169 @@ let test_unroll_respects_threshold () =
   Alcotest.(check bool) "loop remains" true (List.length f.blocks > 1);
   check ci64 "still correct" 333328333350000L (run_i64 m "f" [])
 
+(* Unroll only peels: with every other pass skipped, the peeled copies
+   of the loop block keep their branches. *)
+let test_unroll_leaves_folding () =
+  let f = build_const_loop ~n:5 in
+  let m = { funcs = [ f ]; globals = [] } in
+  let exec name run = name = "unroll" && run () in
+  Pipeline.run_func_with ~exec ~opts:Pipeline.o3 m f;
+  Verify.assert_ok f;
+  (* entry, loop and exit, and one copy of the loop per iteration *)
+  check cint "peeled blocks remain" 8 (List.length f.blocks);
+  check ci64 "after" 30L (run_i64 m "f" [])
+
+(* The cleanup after a peel is the pipeline's own passes, so the
+   verifier gate's drop of a pass holds through unrolling. *)
+let test_unroll_keeps_dropped_pass () =
+  let module Prov = Obrew_provenance.Provenance in
+  let module Fault = Obrew_fault.Fault in
+  let f = build_const_loop ~n:5 in
+  let m = { funcs = [ f ]; globals = [] } in
+  Prov.reset ();
+  Prov.enable ();
+  Fault.install [ Fault.arm "opt.instcombine" ];
+  let dropped, passes =
+    Fun.protect
+      ~finally:(fun () -> Fault.clear (); Prov.disable (); Prov.reset ())
+      (fun () ->
+        let dropped = Pipeline.run_checked m in
+        let passes = ref [] in
+        Prov.iter_remarks (fun r -> passes := r.Prov.pass :: !passes);
+        (List.map fst dropped, !passes))
+  in
+  check (Alcotest.list Alcotest.string) "dropped" [ "instcombine" ] dropped;
+  check cint "one unroll remark for the loop" 1
+    (List.length (List.filter (( = ) "unroll") passes));
+  Alcotest.(check bool) "no instcombine or fold remark" false
+    (List.exists (fun p -> p = "instcombine" || p = "fold") passes);
+  Verify.assert_ok f;
+  check ci64 "after" 30L (run_i64 m "f" [])
+
+(* --- property: counted loops --- *)
+
+(* A loop over the induction variable init, init + step, ... whose body
+   runs [trips] times.  A [rotated] loop tests the stepped value after
+   the body, so its body runs at least once; otherwise the header tests
+   the value before the body.  [slack] moves an slt/sgt bound off the
+   first value that fails.  The body applies [chain] to the induction
+   variable, xors the result with the accumulator's value before the
+   loop (a use of the previous loop's result after that loop) and adds
+   it to the accumulator. *)
+type counted_loop = {
+  rotated : bool;
+  init : int;
+  step : int;
+  pred : icmp_pred;
+  slack : int;
+  trips : int;
+  chain : (binop * int) list;
+}
+
+let gen_counted_loop =
+  let open QCheck2.Gen in
+  let* rotated = bool in
+  let* trips = int_range (if rotated then 1 else 0) 30 in
+  let* step = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+  let* pred = oneofl [ Ne; (if step > 0 then Slt else Sgt) ] in
+  let* slack = if pred = Ne then return 0 else int_range 0 (abs step - 1) in
+  let* init = int_range (-20) 20 in
+  let* chain =
+    list_size (int_range 0 40)
+      (pair (oneofl [ Add; Sub; Mul; Xor; Or; And ]) (int_range (-50) 50))
+  in
+  return { rotated; init; step; pred; slack; trips; chain }
+
+(* The tested values are init + k * step, from k = 0 in the header and
+   from k = 1 after the body; the first to fail is the one at
+   k = trips. *)
+let counted_bound l =
+  let first_fail = l.init + (l.trips * l.step) in
+  if l.step > 0 then first_fail - l.slack else first_fail + l.slack
+
+(* two phis, the chain, the xor, the add, the step and the test *)
+let counted_size l = List.length l.chain + 6
+
+let print_counted_loop l =
+  Printf.sprintf "{%s init=%d step=%d %s bound=%d trips=%d chain=%d}"
+    (if l.rotated then "rotated" else "header-tested")
+    l.init l.step
+    (match l.pred with Ne -> "ne" | Slt -> "slt" | _ -> "sgt")
+    (counted_bound l) l.trips (List.length l.chain)
+
+(* [loops] in sequence, each adding to the accumulator, which starts at
+   the argument and is returned *)
+let build_counted_loops loops : func =
+  let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+  let c n = CInt (I64, Int64.of_int n) in
+  let incoming = ref [] in
+  let acc =
+    List.fold_left
+      (fun acc_in l ->
+        let pre = Builder.current_bid b in
+        let header = Builder.new_block b in
+        let latch = if l.rotated then header else Builder.new_block b in
+        let exit = Builder.new_block b in
+        Builder.br b header;
+        Builder.position b header;
+        let iv = Builder.insert_phi b header ~ty:I64 [ (pre, c l.init) ] in
+        let acc = Builder.insert_phi b header ~ty:I64 [ (pre, acc_in) ] in
+        let test v = Builder.icmp b l.pred I64 v (c (counted_bound l)) in
+        if not l.rotated then begin
+          Builder.condbr b (test iv) latch exit;
+          Builder.position b latch
+        end;
+        let x =
+          List.fold_left (fun x (op, k) -> Builder.bin b op I64 x (c k)) iv
+            l.chain
+        in
+        let acc' = Builder.bin b Add I64 acc (Builder.bin b Xor I64 x acc_in) in
+        let iv' = Builder.bin b Add I64 iv (c l.step) in
+        if l.rotated then Builder.condbr b (test iv') header exit
+        else Builder.br b header;
+        incoming := (iv, (latch, iv')) :: (acc, (latch, acc')) :: !incoming;
+        Builder.position b exit;
+        if l.rotated then acc' else acc)
+      (V 0) loops
+  in
+  Builder.ret b (Some acc);
+  let f = Builder.func b in
+  List.iter (fun (phi, inc) -> add_incoming f phi inc) !incoming;
+  f
+
+(* O3 keeps the value of one or two counted loops, every pass run
+   leaves IR that verifies, and no loop whose trip count times body size
+   is within the unroll threshold is left. *)
+let prop_counted_loops =
+  QCheck2.Test.make ~name:"O3 unrolls counted loops" ~count:200
+    ~print:(fun ls -> String.concat "; " (List.map print_counted_loop ls))
+    QCheck2.Gen.(list_size (int_range 1 2) gen_counted_loop)
+    (fun loops ->
+      let m0 = { funcs = [ build_counted_loops loops ]; globals = [] } in
+      let f = build_counted_loops loops in
+      let m = { funcs = [ f ]; globals = [] } in
+      let dropped = Pipeline.run_checked m in
+      ignore (Cfg.prune_unreachable f);
+      let over =
+        List.filter
+          (fun l -> l.trips * counted_size l > Unroll.size_threshold)
+          loops
+      in
+      let left = List.length (Loops.natural f) in
+      (dropped = []
+       || QCheck2.Test.fail_reportf "dropped %s"
+            (String.concat ", " (List.map fst dropped)))
+      && List.for_all
+        (fun a ->
+          let want = run_i64 m0 "f" [ a ] and got = run_i64 m "f" [ a ] in
+          want = got
+          || QCheck2.Test.fail_reportf "f(%Ld): %Ld, O3 gives %Ld" a want got)
+        [ 0L; 7L; -123456789L ]
+      && (left <= List.length over
+          || QCheck2.Test.fail_reportf
+               "%d loops left, %d over the threshold:\n%s" left
+               (List.length over) (Pp_ir.func f)))
+
 (* --- vectorizer --- *)
 
 let build_axpy () =
@@ -1413,7 +1576,18 @@ let test_golden_stack_promoted () =
   check (Alcotest.list Alcotest.string) "DBrew+LLVM cases keeping an alloca"
     [] kept
 
-let test_golden_digests () = Golden.check opt_digests (golden_digests ())
+(* A changed optimized-IR case says whether its machine code changed
+   too: a change that moves only block ids or block order leaves the
+   code as it was. *)
+let test_golden_digests () =
+  let code_changed =
+    Golden.changed code_digests_file (golden_code_digests ())
+  in
+  let note n =
+    if List.mem n code_changed then "machine code changed"
+    else "machine code unchanged"
+  in
+  Golden.check ~note opt_digests (golden_digests ())
 
 let test_golden_code_digests () =
   Golden.check code_digests_file (golden_code_digests ())
@@ -1509,7 +1683,12 @@ let () =
       ("inline", [ Alcotest.test_case "always inline" `Quick test_inline ]);
       ("unroll",
        [ Alcotest.test_case "full unroll" `Quick test_full_unroll;
-         Alcotest.test_case "threshold" `Quick test_unroll_respects_threshold ]);
+         Alcotest.test_case "threshold" `Quick test_unroll_respects_threshold;
+         Alcotest.test_case "leaves the folding to the pipeline" `Quick
+           test_unroll_leaves_folding;
+         Alcotest.test_case "a dropped pass stays dropped" `Quick
+           test_unroll_keeps_dropped_pass;
+         QCheck_alcotest.to_alcotest prop_counted_loops ]);
       ("vectorize",
        [ Alcotest.test_case "axpy width 2" `Quick test_vectorize;
          Alcotest.test_case "off by default" `Quick
