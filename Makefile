@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci`.
 
-.PHONY: all build test bench bench-quick bench-mips bench-paper bench-tier report blackbox-smoke trace profile fuzz fuzz-smoke examples ci clean
+.PHONY: all build test bench bench-quick bench-mips bench-paper bench-tier ledger report blackbox-smoke trace profile fuzz fuzz-smoke examples ci clean
 
 all: build
 
@@ -40,6 +40,13 @@ bench-tier:
 	dune exec tools/validate_bench.exe -- --tier _bench/BENCH_tier.json
 	dune exec tools/validate_bench.exe -- compare-tier \
 	  bench/baselines/BENCH_tier.json _bench/BENCH_tier.json
+
+# Per-layer ledger of the transform-heavy obench workload: self time
+# per request of every span row (decode, lift, each optimizer pass,
+# isel, regalloc, emit, install, the run), next to the end-to-end
+# metrics with tracing off and on.
+ledger:
+	python3 obench/run.py --workload specialize-mix --seed 1 --seconds 10 --trace 1
 
 # Consolidated observability status view under a deterministic
 # saboteur fault: engine counters, sentinel health, quarantine

@@ -25,6 +25,11 @@ let split_critical_edges (f : func) =
   let multi_pred b =
     List.length (Option.value ~default:[] (Idtbl.find_opt preds b)) > 1
   in
+  let find = Cfg.block_finder f in
+  let next_bid =
+    ref (1 + List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks)
+  in
+  let added = ref [] in (* the forwarding blocks, newest first *)
   List.iter
     (fun (blk : block) ->
       match blk.term with
@@ -32,13 +37,11 @@ let split_critical_edges (f : func) =
         let fix target =
           if multi_pred target then begin
             (* new forwarding block *)
-            let nb =
-              1 + List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks
-            in
-            f.blocks <-
-              f.blocks @ [ { bid = nb; instrs = []; term = Br target } ];
+            let nb = !next_bid in
+            incr next_bid;
+            added := { bid = nb; instrs = []; term = Br target } :: !added;
             (* retarget the phi inputs in [target] *)
-            let tb = find_block f target in
+            let tb = find target in
             tb.instrs <-
               List.map
                 (fun i ->
@@ -64,7 +67,8 @@ let split_critical_edges (f : func) =
       | _ -> ())
     (List.filter (fun (b : block) -> match b.term with CondBr _ -> true
                                                      | _ -> false)
-       f.blocks)
+       f.blocks);
+  if !added <> [] then f.blocks <- f.blocks @ List.rev !added
 
 (* ------------------------------------------------------------------ *)
 (* Emission context                                                    *)
@@ -1414,12 +1418,12 @@ let emit_func_impl ?(global_addr = fun g -> err "unresolved global @%s" g)
        param_moves);
   (* body *)
   let tail_moves, head_moves = edge_moves ctx in
-  let order = al.order in
-  let arr = Array.of_list order in
+  let find = Cfg.block_finder f in
+  let arr = Array.of_list al.order in
   Array.iteri
     (fun idx bid ->
       let next = if idx + 1 < Array.length arr then Some arr.(idx + 1) else None in
-      let blk = find_block f bid in
+      let blk = find bid in
       label ctx bid;
       (match Hashtbl.find_opt head_moves bid with
        | Some ms -> parallel_moves ctx ms

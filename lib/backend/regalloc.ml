@@ -61,10 +61,10 @@ type interval = {
   vid : int;
   cls : rclass;
   vty : ty;
-  mutable istart : int;
-  mutable iend : int;
-  mutable crosses_call : bool;
-  mutable weight : int; (* spill cost: defs and uses, loop-scaled *)
+  istart : int;
+  iend : int;
+  crosses_call : bool;
+  weight : int; (* spill cost: defs and uses, loop-scaled *)
 }
 
 (* A def or use inside [d] nested natural loops weighs [loop_weight]^d;
@@ -73,155 +73,117 @@ type interval = {
 let loop_weight = 8
 let max_depth = 10
 
-(** Compute live intervals over the linearized block order.  Phi
-    inputs are treated as uses at the end of the predecessor; phi
-    defs start at their block's head. *)
+(** Compute live intervals over the linearized block order.  A value's
+    interval covers its definition (a parameter's at -1, a phi's at its
+    block's head), its uses, the start of each block it is live into
+    and the end of each block it is live out of.  A phi input is a use
+    at the end of its predecessor.
+
+    Liveness explores paths backward from the uses (Brandner et al.,
+    "Computing Liveness Sets for SSA-Form Programs", INRIA RR-7503,
+    2011): from each use, walk the predecessors up to the defining
+    block, marking the value live-in at each block reached and live-out
+    at each predecessor.  A per-block stamp stops the walk at a block
+    the value already reached, so the cost is the size of the live sets,
+    on any CFG.  Value ids must lie below [f.next_id]. *)
 let intervals (f : func) : interval list * int list =
   let order = Cfg.rpo f in
-  let tenv = Obrew_opt.Util.type_env f in
   let find_block = Cfg.block_finder f in
-  (* number instructions *)
-  let pos : int Idtbl.t = Idtbl.for_values f in (* value id -> def position *)
-  let block_range : (int * int) Idtbl.t = Idtbl.for_blocks f in
-  let n = ref 0 in
+  let nv = f.next_id in
+  let nb = 1 + List.fold_left (fun m b -> max m b.bid) 0 f.blocks in
+  (* block id -> position of its first instruction and of its
+     terminator; -1 for a block outside [order] *)
+  let bstart = Array.make nb (-1) and bend = Array.make nb (-1) in
+  let defblk = Array.make nv (-1) in (* value id -> defining block *)
+  let lo = Array.make nv max_int and hi = Array.make nv min_int in
+  let touch v p =
+    if p < lo.(v) then lo.(v) <- p;
+    if p > hi.(v) then hi.(v) <- p
+  in
+  let rec iter_uses g = function
+    | V id -> g id
+    | CVec (_, vs) -> List.iter (iter_uses g) vs
+    | _ -> ()
+  in
+  (* number instructions; defs *)
+  let n = ref 0 and calls = ref [] in
+  List.iter (fun pid -> touch pid (-1)) f.params;
+  List.iter
+    (fun bid ->
+      bstart.(bid) <- !n;
+      List.iter
+        (fun i ->
+          defblk.(i.id) <- bid;
+          touch i.id !n;
+          (match i.op with
+           | CallDirect _ | CallPtr _ -> calls := !n :: !calls
+           | _ -> ());
+          incr n)
+        (find_block bid).instrs;
+      bend.(bid) <- !n;
+      incr n)
+    order;
+  (* uses; [live_in.(v)]: blocks a use makes [v] live into *)
+  let live_in = Array.make nv [] in
+  let use_in bid p v =
+    touch v p;
+    if defblk.(v) <> bid then live_in.(v) <- bid :: live_in.(v)
+  in
   List.iter
     (fun bid ->
       let blk = find_block bid in
-      let start = !n in
+      let p = ref bstart.(bid) in
+      let use v = use_in bid !p v in
       List.iter
         (fun i ->
-          Idtbl.replace pos i.id !n;
-          incr n)
+          (match i.op with
+           | Phi (_, ins) ->
+             List.iter
+               (fun (pb, v) ->
+                 if pb < nb && bend.(pb) >= 0 then
+                   iter_uses (use_in pb bend.(pb)) v)
+               ins
+           | op -> ignore (exists_operand (fun v -> iter_uses use v; false) op));
+          incr p)
         blk.instrs;
-      incr n; (* terminator slot *)
-      Idtbl.replace block_range bid (start, !n - 1))
+      List.iter (iter_uses use) (term_operands blk.term))
     order;
-  (* liveness: backward iteration *)
-  let live_in : (int, unit) Hashtbl.t Idtbl.t = Idtbl.for_blocks f in
-  List.iter (fun bid -> Idtbl.replace live_in bid (Hashtbl.create 16)) order;
   let preds = Cfg.predecessors f in
-  let ivs : interval Idtbl.t = Idtbl.for_values f in
-  let all = ref [] in
-  let touch vid p =
-    match Idtbl.find_opt ivs vid with
-    | Some iv ->
-      if p < iv.istart then iv.istart <- p;
-      if p > iv.iend then iv.iend <- p
-    | None ->
-      let vty = Option.value ~default:I64 (Idtbl.find_opt tenv vid) in
-      let iv =
-        { vid; cls = class_of_ty vty; vty; istart = p; iend = p;
-          crosses_call = false; weight = 0 }
-      in
-      Idtbl.replace ivs vid iv;
-      all := iv :: !all
-  in
-  (* params defined at position -1 *)
-  List.iter (fun pid -> touch pid (-1)) f.params;
-  let rec uses_of_value acc = function
-    | V id -> id :: acc
-    | CVec (_, vs) -> List.fold_left uses_of_value acc vs
-    | _ -> acc
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun bid ->
-        let blk = find_block bid in
-        let li = Idtbl.find live_in bid in
-        (* live-out = union of successors' live-in minus their phi defs,
-           plus our phi contributions to successors *)
-        let live : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun s ->
-            let sblk = find_block s in
-            let sli = Idtbl.find live_in s in
-            Hashtbl.iter (fun v () -> Hashtbl.replace live v ()) sli;
-            List.iter
-              (fun i ->
-                match i.op with
-                | Phi (_, ins) ->
-                  Hashtbl.remove live i.id;
-                  (match List.assoc_opt bid ins with
-                   | Some v ->
-                     List.iter
-                       (fun u -> Hashtbl.replace live u ())
-                       (uses_of_value [] v)
-                   | None -> ())
-                | _ -> ())
-              sblk.instrs)
-          (successors blk.term);
-        let _, bend = Idtbl.find block_range bid in
-        Hashtbl.iter (fun v () -> touch v bend) live;
-        (* walk instructions backward *)
-        List.iter
-          (fun u -> Hashtbl.replace live u ())
-          (List.concat_map (uses_of_value []) (term_operands blk.term));
-        List.iter
-          (fun u -> touch u bend)
-          (List.concat_map (uses_of_value []) (term_operands blk.term));
-        List.iter
-          (fun i ->
-            let p = Idtbl.find pos i.id in
-            (* def *)
-            touch i.id p;
-            Hashtbl.remove live i.id;
-            match i.op with
-            | Phi _ -> () (* inputs handled at preds *)
-            | op ->
-              List.iter
-                (fun u ->
-                  Hashtbl.replace live u ();
-                  touch u p)
-                (List.concat_map (uses_of_value []) (operands op)))
-          (List.rev blk.instrs);
-        (* new live-in *)
-        let bstart, _ = Idtbl.find block_range bid in
-        Hashtbl.iter (fun v () -> touch v bstart) live;
-        Hashtbl.iter
-          (fun v () ->
-            if not (Hashtbl.mem li v) then begin
-              Hashtbl.replace li v ();
-              changed := true
-            end)
-          live)
-      (List.rev order)
+  let stamp = Array.make nb (-1) in (* block -> last value live into it *)
+  for v = 0 to nv - 1 do
+    let rec walk = function
+      | [] -> ()
+      | bid :: rest when stamp.(bid) = v -> walk rest
+      | bid :: rest ->
+        stamp.(bid) <- v;
+        touch v bstart.(bid);
+        walk
+          (List.fold_left
+             (fun rest p ->
+               if bend.(p) < 0 then rest
+               else begin
+                 touch v bend.(p);
+                 if defblk.(v) = p then rest else p :: rest
+               end)
+             rest
+             (Option.value ~default:[] (Idtbl.find_opt preds bid)))
+    in
+    walk live_in.(v)
   done;
-  (* extend intervals of values live-in at loop headers across the
-     whole loop: approximate by extending any value live-in of block B
-     to the end of every predecessor of B that appears later *)
-  List.iter
-    (fun bid ->
-      let li = Idtbl.find live_in bid in
-      let ps = Option.value ~default:[] (Idtbl.find_opt preds bid) in
-      List.iter
-        (fun p ->
-          match Idtbl.find_opt block_range p with
-          | Some (_, pend) -> Hashtbl.iter (fun v () -> touch v pend) li
-          | None -> ())
-        ps)
-    order;
   (* the selector folds GEPs into addressing modes, re-evaluating them
      at each use: keep their operands alive for the gep's lifetime *)
   List.iter
     (fun bid ->
-      let blk = find_block bid in
       List.iter
         (fun i ->
           match i.op with
-          | Gep _ -> (
-            match Idtbl.find_opt ivs i.id with
-            | Some giv ->
-              List.iter
-                (fun u ->
-                  match Idtbl.find_opt ivs u with
-                  | Some oiv -> if giv.iend > oiv.iend then oiv.iend <- giv.iend
-                  | None -> ())
-                (List.concat_map (uses_of_value []) (operands i.op))
-            | None -> ())
+          | Gep _ ->
+            let e = hi.(i.id) in
+            List.iter
+              (iter_uses (fun u -> if e > hi.(u) then hi.(u) <- e))
+              (operands i.op)
           | _ -> ())
-        blk.instrs)
+        (find_block bid).instrs)
     order;
   (* spill weights; a phi input counts in its predecessor *)
   let depth = Loops.depths f in
@@ -230,11 +192,8 @@ let intervals (f : func) : interval list * int list =
     let rec pow k = if k = 0 then 1 else loop_weight * pow (k - 1) in
     pow (min d max_depth)
   in
-  let count w vid =
-    match Idtbl.find_opt ivs vid with
-    | Some iv -> iv.weight <- iv.weight + w
-    | None -> ()
-  in
+  let weight = Array.make nv 0 in
+  let count w v = weight.(v) <- weight.(v) + w in
   (match order with
    | entry :: _ -> List.iter (count (scale entry)) f.params
    | [] -> ());
@@ -247,38 +206,37 @@ let intervals (f : func) : interval list * int list =
           count w i.id;
           match i.op with
           | Phi (_, ins) ->
-            List.iter
-              (fun (p, v) -> List.iter (count (scale p)) (uses_of_value [] v))
-              ins
-          | op ->
-            List.iter (count w) (List.concat_map (uses_of_value []) (operands op)))
+            List.iter (fun (p, v) -> iter_uses (count (scale p)) v) ins
+          | op -> List.iter (iter_uses (count w)) (operands op))
         blk.instrs;
-      List.iter (count w)
-        (List.concat_map (uses_of_value []) (term_operands blk.term)))
+      List.iter (iter_uses (count w)) (term_operands blk.term))
     order;
-  (* mark call crossings *)
-  let call_positions = ref [] in
-  List.iter
-    (fun bid ->
-      let blk = find_block bid in
-      List.iter
-        (fun i ->
-          match i.op with
-          | CallDirect _ | CallPtr _ ->
-            call_positions := Idtbl.find pos i.id :: !call_positions
-          | _ -> ())
-        blk.instrs)
-    order;
-  List.iter
-    (fun iv ->
-      if
-        List.exists
-          (fun cp -> iv.istart < cp && cp < iv.iend)
-          !call_positions
-      then iv.crosses_call <- true)
-    !all;
-  (List.sort (fun a b -> compare (a.istart, a.vid) (b.istart, b.vid)) !all,
-   order)
+  (* an interval crosses a call at a position strictly inside it: find
+     the first call after its start *)
+  let calls = Array.of_list (List.rev !calls) in
+  let crosses_call istart iend =
+    let rec first_after l h =
+      if l >= h then l
+      else
+        let m = (l + h) / 2 in
+        if calls.(m) > istart then first_after l m else first_after (m + 1) h
+    in
+    let k = first_after 0 (Array.length calls) in
+    k < Array.length calls && calls.(k) < iend
+  in
+  let tenv = Obrew_opt.Util.type_env f in
+  let all = ref [] in
+  for v = nv - 1 downto 0 do
+    if lo.(v) <= hi.(v) then begin
+      let vty = Option.value ~default:I64 (Idtbl.find_opt tenv v) in
+      all :=
+        { vid = v; cls = class_of_ty vty; vty; istart = lo.(v); iend = hi.(v);
+          crosses_call = crosses_call lo.(v) hi.(v); weight = weight.(v) }
+        :: !all
+    end
+  done;
+  (* by start, then by value id *)
+  (List.stable_sort (fun a b -> Int.compare a.istart b.istart) !all, order)
 
 (* [a] goes to a slot before [b]: it is cheaper, or as cheap and ends
    later *)

@@ -283,7 +283,8 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
       in
       optimize m;
       staged Err.Verify (fun () ->
-          Verify.assert_ok ~ctx:(verify_ctx t) kernel);
+          Tel.span "ir.verify" ~args:kernel.fname (fun () ->
+              Verify.assert_ok ~ctx:(verify_ctx t) kernel));
       env.last_ir <- Some m;
       staged Err.Encode (fun () ->
           List.iter (fun g -> ignore (Jit.install_global env.img g)) m.globals;

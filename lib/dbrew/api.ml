@@ -138,8 +138,9 @@ let dbrew_rewrite ?(memo = true) (r : t) : int =
     if memo then incr memo_misses;
     match
       let items =
-        Rewriter.rewrite ~cfg:r.cfg ~mem:r.img.Image.cpu.Cpu.mem
-          ~entry:r.entry
+        Obrew_telemetry.Telemetry.span "dbrew.rewrite" (fun () ->
+            Rewriter.rewrite ~cfg:r.cfg ~mem:r.img.Image.cpu.Cpu.mem
+              ~entry:r.entry)
       in
       let items = Sabotage.maybe_corrupt "sabotage.rewrite.item" items in
       (items, Image.install_code ~dedup:true r.img items)

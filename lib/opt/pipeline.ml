@@ -101,9 +101,17 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
       let budget = ref rounds in
       while round () && !budget > 0 do decr budget done
     in
+    (* value ids reach the backend's tables, which are sized by
+       [next_id]: renumbering them densely, in their old order, keeps
+       those tables as long as the live function and moves no code.
+       It is no pass: it cannot fail and changes no behaviour. *)
+    let compact () =
+      Tel.span "ir.compact" ~args:f.fname (fun () -> Util.compact f)
+    in
     (* most of a lifted function is dead on arrival (every flag and
        facet is emitted eagerly): delete it before anything walks it *)
     pass "dce" (fun () -> Dce.run f);
+    compact ();
     pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);
     to_fixpoint fuel;
     (* loop transforms, then re-run the scalar pipeline *)
@@ -125,7 +133,8 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
              Vectorize.run ~width:w ~aligned:opts.vector_aligned f)
        | _ -> ());
       to_fixpoint fuel
-    end
+    end;
+    compact ()
   end
 
 let default_exec name g =

@@ -289,11 +289,17 @@ let make_lcssa (f : func) (li : loop_info) =
     li.body;
   (* find outside uses *)
   let tenv = Util.type_env f in
-  let needed = Hashtbl.create 8 in
+  (* the values used outside the loop, each once; their phis are made
+     in value-id order, so the phis' ids follow the ids of the values *)
+  let needed = Idtbl.for_values f in
+  let needed_ids = ref [] in
   let scan_use bid v =
     match v with
-    | V id when Idtbl.mem body_defs id && not (in_body bid) ->
-      Hashtbl.replace needed id ()
+    | V id
+      when Idtbl.mem body_defs id && (not (in_body bid))
+           && not (Idtbl.mem needed id) ->
+      Idtbl.replace needed id ();
+      needed_ids := id :: !needed_ids
     | _ -> ()
   in
   List.iter
@@ -308,13 +314,13 @@ let make_lcssa (f : func) (li : loop_info) =
         b.instrs;
       List.iter (scan_use b.bid) (term_operands b.term))
     f.blocks;
-  if Hashtbl.length needed > 0 then begin
+  if !needed_ids <> [] then begin
     let eb = find_block f li.exit_blk in
     let subst = Idtbl.for_values f in
     (* the new phis, which must keep referring to the original value *)
     let lcssa_ids = ref [] in
-    Hashtbl.iter
-      (fun id () ->
+    List.iter
+      (fun id ->
         let t = Idtbl.find tenv id in
         let pid = f.next_id in
         f.next_id <- pid + 1;
@@ -333,7 +339,7 @@ let make_lcssa (f : func) (li : loop_info) =
           :: eb.instrs;
         Idtbl.replace subst id (V pid);
         lcssa_ids := pid :: !lcssa_ids)
-      needed;
+      (List.sort compare !needed_ids);
     (* replace uses outside the loop, except in the LCSSA phis *)
     List.iter
       (fun (b : block) ->

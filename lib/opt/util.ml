@@ -122,3 +122,55 @@ let remap_term ~fid ~fblk (t : terminator) : terminator =
   | Br b -> Br (fblk b)
   | CondBr (c, a, b) -> CondBr (rv c, fblk a, fblk b)
   | Unreachable -> Unreachable
+
+(** Renumber [f]'s value ids densely, keeping their order: the [k]-th
+    smallest id in use (as a parameter, a definition or an operand)
+    becomes [k], and [next_id] becomes the number of ids in use.  Every
+    table sized by [next_id] after it is as long as the live function.
+    {!Builder.create} numbers the parameters [0..n-1], so they keep
+    their ids.  A function naming an id outside [0, next_id) is left as
+    it is, for {!Verify.check} to report. *)
+let compact (f : func) : unit =
+  let n = f.next_id in
+  let rank = Array.make n (-1) in
+  let exception Out_of_range in
+  let mark id =
+    if id < 0 || id >= n then raise Out_of_range else rank.(id) <- 0
+  in
+  let rec mark_value = function
+    | V id -> mark id
+    | CVec (_, vs) -> List.iter mark_value vs
+    | _ -> ()
+  in
+  let mark_operand v = mark_value v; false in
+  match
+    List.iter mark f.params;
+    List.iter
+      (fun b ->
+        List.iter
+          (fun i ->
+            mark i.id;
+            ignore (exists_operand mark_operand i.op))
+          b.instrs;
+        List.iter mark_value (term_operands b.term))
+      f.blocks
+  with
+  | exception Out_of_range -> ()
+  | () ->
+    let k = ref 0 in
+    for id = 0 to n - 1 do
+      if rank.(id) = 0 then begin
+        rank.(id) <- !k;
+        incr k
+      end
+    done;
+    List.iter (fun p -> assert (rank.(p) = p)) f.params;
+    if !k < n then begin
+      let fid id = rank.(id) and fblk b = b in
+      List.iter
+        (fun b ->
+          b.instrs <- List.map (remap_instr ~fid ~fblk) b.instrs;
+          b.term <- remap_term ~fid ~fblk b.term)
+        f.blocks;
+      f.next_id <- !k
+    end

@@ -83,22 +83,8 @@ let lookup t name =
   | Some a -> a
   | None -> invalid_arg ("Image.lookup: undefined symbol " ^ name)
 
-(** Assemble [items] at the next code address, write the bytes into
-    emulated memory and return the entry address.  If [name] is given
-    the address is also recorded in the symbol table.  Only the caches
-    covering the freshly written range are invalidated, so unrelated
-    superblocks (and their chain links) survive the install.
-
-    With [dedup] the install is content-addressed: if the exact same
-    item sequence was installed before, its address is reused (and
-    re-bound to [name]) instead of emitting a duplicate copy.
-
-    Quarantine: the digest of the final host bytes is checked against
-    {!Obrew_fault.Quarantine} — blacklisted content is refused with a
-    typed [Install] error (both on a fresh install and on a dedup hit
-    whose recorded digest was quarantined since), so a deterministic
-    recompilation of broken code cannot be served again. *)
-let install_code ?name ?(dedup = false) t (items : Insn.item list) =
+(* {!install_code} without its span *)
+let install_code_impl ?name ~dedup t (items : Insn.item list) =
   Obrew_fault.Fault.point "install.code";
   (* content-addressing is a memo: while fault injection is live it
      must not short-circuit the encoder, or injected encode faults
@@ -154,6 +140,25 @@ let install_code ?name ?(dedup = false) t (items : Insn.item list) =
       emit Cache_install ~a:base ~b:(String.length bytes)
         ~subject:(Option.value ~default:"" name));
     base
+
+(** Assemble [items] at the next code address, write the bytes into
+    emulated memory and return the entry address.  If [name] is given
+    the address is also recorded in the symbol table.  Only the caches
+    covering the freshly written range are invalidated, so unrelated
+    superblocks (and their chain links) survive the install.
+
+    With [dedup] the install is content-addressed: if the exact same
+    item sequence was installed before, its address is reused (and
+    re-bound to [name]) instead of emitting a duplicate copy.
+
+    Quarantine: the digest of the final host bytes is checked against
+    {!Obrew_fault.Quarantine} — blacklisted content is refused with a
+    typed [Install] error (both on a fresh install and on a dedup hit
+    whose recorded digest was quarantined since), so a deterministic
+    recompilation of broken code cannot be served again. *)
+let install_code ?name ?(dedup = false) t items =
+  Obrew_telemetry.Telemetry.span "install.code"
+    ?args:name (fun () -> install_code_impl ?name ~dedup t items)
 
 (** Raw code bytes (e.g. produced by re-encoding a DBrew result, or
     replayed from a sentinel reproducer — hence no quarantine check:

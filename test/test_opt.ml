@@ -1507,6 +1507,459 @@ let prop_backend_under_pressure =
           | _ -> QCheck2.Test.fail_report "expected an integer")
         [ (1L, 3L, 0.5); (5L, -7L, 1.25); (12L, 100L, -2.0) ])
 
+(* --- liveness: one pass over the uses = the round-robin fixpoint --- *)
+
+(* The allocator's liveness before it explored paths from the uses: a
+   round-robin fixpoint over Hashtbl live sets, each value live into a
+   block then extended to the end of every predecessor of the block.
+   Kept here as the reference the one-pass liveness must reproduce. *)
+type ref_interval = {
+  vid : int;
+  vty : ty;
+  mutable istart : int;
+  mutable iend : int;
+  mutable crosses_call : bool;
+  mutable weight : int;
+}
+
+let reference_intervals (f : func) : Ra.interval list =
+  let order = Cfg.rpo f in
+  let tenv = Util.type_env f in
+  let find_block = Cfg.block_finder f in
+  (* number instructions *)
+  let pos : int Idtbl.t = Idtbl.for_values f in (* value id -> def position *)
+  let block_range : (int * int) Idtbl.t = Idtbl.for_blocks f in
+  let n = ref 0 in
+  List.iter
+    (fun bid ->
+      let blk = find_block bid in
+      let start = !n in
+      List.iter
+        (fun i ->
+          Idtbl.replace pos i.id !n;
+          incr n)
+        blk.instrs;
+      incr n; (* terminator slot *)
+      Idtbl.replace block_range bid (start, !n - 1))
+    order;
+  (* liveness: backward iteration *)
+  let live_in : (int, unit) Hashtbl.t Idtbl.t = Idtbl.for_blocks f in
+  List.iter (fun bid -> Idtbl.replace live_in bid (Hashtbl.create 16)) order;
+  let preds = Cfg.predecessors f in
+  let ivs : ref_interval Idtbl.t = Idtbl.for_values f in
+  let all = ref [] in
+  let touch vid p =
+    match Idtbl.find_opt ivs vid with
+    | Some iv ->
+      if p < iv.istart then iv.istart <- p;
+      if p > iv.iend then iv.iend <- p
+    | None ->
+      let vty = Option.value ~default:I64 (Idtbl.find_opt tenv vid) in
+      let iv =
+        { vid; vty; istart = p; iend = p; crosses_call = false; weight = 0 }
+      in
+      Idtbl.replace ivs vid iv;
+      all := iv :: !all
+  in
+  (* params defined at position -1 *)
+  List.iter (fun pid -> touch pid (-1)) f.params;
+  let rec uses_of_value acc = function
+    | V id -> id :: acc
+    | CVec (_, vs) -> List.fold_left uses_of_value acc vs
+    | _ -> acc
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun bid ->
+        let blk = find_block bid in
+        let li = Idtbl.find live_in bid in
+        (* live-out = union of successors' live-in (which holds no phi
+           of theirs), plus our phi contributions to successors.  The
+           allocator's fixpoint also removed each successor phi here,
+           after the inputs of the phis before it were added: a phi
+           input that is a later phi of the same block, or a value live
+           into the other successor, was lost (see
+           [test_regalloc_phi_reads_later_phi]). *)
+        let live : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+        List.iter
+          (fun s ->
+            let sblk = find_block s in
+            let sli = Idtbl.find live_in s in
+            Hashtbl.iter (fun v () -> Hashtbl.replace live v ()) sli;
+            List.iter
+              (fun i ->
+                match i.op with
+                | Phi (_, ins) ->
+                  (match List.assoc_opt bid ins with
+                   | Some v ->
+                     List.iter
+                       (fun u -> Hashtbl.replace live u ())
+                       (uses_of_value [] v)
+                   | None -> ())
+                | _ -> ())
+              sblk.instrs)
+          (successors blk.term);
+        let _, bend = Idtbl.find block_range bid in
+        Hashtbl.iter (fun v () -> touch v bend) live;
+        (* walk instructions backward *)
+        List.iter
+          (fun u -> Hashtbl.replace live u ())
+          (List.concat_map (uses_of_value []) (term_operands blk.term));
+        List.iter
+          (fun u -> touch u bend)
+          (List.concat_map (uses_of_value []) (term_operands blk.term));
+        List.iter
+          (fun i ->
+            let p = Idtbl.find pos i.id in
+            (* def *)
+            touch i.id p;
+            Hashtbl.remove live i.id;
+            match i.op with
+            | Phi _ -> () (* inputs handled at preds *)
+            | op ->
+              List.iter
+                (fun u ->
+                  Hashtbl.replace live u ();
+                  touch u p)
+                (List.concat_map (uses_of_value []) (operands op)))
+          (List.rev blk.instrs);
+        (* new live-in *)
+        let bstart, _ = Idtbl.find block_range bid in
+        Hashtbl.iter (fun v () -> touch v bstart) live;
+        Hashtbl.iter
+          (fun v () ->
+            if not (Hashtbl.mem li v) then begin
+              Hashtbl.replace li v ();
+              changed := true
+            end)
+          live)
+      (List.rev order)
+  done;
+  (* extend intervals of values live-in at loop headers across the
+     whole loop: approximate by extending any value live-in of block B
+     to the end of every predecessor of B that appears later *)
+  List.iter
+    (fun bid ->
+      let li = Idtbl.find live_in bid in
+      let ps = Option.value ~default:[] (Idtbl.find_opt preds bid) in
+      List.iter
+        (fun p ->
+          match Idtbl.find_opt block_range p with
+          | Some (_, pend) -> Hashtbl.iter (fun v () -> touch v pend) li
+          | None -> ())
+        ps)
+    order;
+  (* the selector folds GEPs into addressing modes, re-evaluating them
+     at each use: keep their operands alive for the gep's lifetime *)
+  List.iter
+    (fun bid ->
+      let blk = find_block bid in
+      List.iter
+        (fun i ->
+          match i.op with
+          | Gep _ -> (
+            match Idtbl.find_opt ivs i.id with
+            | Some giv ->
+              List.iter
+                (fun u ->
+                  match Idtbl.find_opt ivs u with
+                  | Some oiv -> if giv.iend > oiv.iend then oiv.iend <- giv.iend
+                  | None -> ())
+                (List.concat_map (uses_of_value []) (operands i.op))
+            | None -> ())
+          | _ -> ())
+        blk.instrs)
+    order;
+  (* spill weights; a phi input counts in its predecessor *)
+  let depth = Loops.depths f in
+  let scale bid =
+    let d = Option.value ~default:0 (Idtbl.find_opt depth bid) in
+    let rec pow k = if k = 0 then 1 else Ra.loop_weight * pow (k - 1) in
+    pow (min d Ra.max_depth)
+  in
+  let count w vid =
+    match Idtbl.find_opt ivs vid with
+    | Some iv -> iv.weight <- iv.weight + w
+    | None -> ()
+  in
+  (match order with
+   | entry :: _ -> List.iter (count (scale entry)) f.params
+   | [] -> ());
+  List.iter
+    (fun bid ->
+      let blk = find_block bid in
+      let w = scale bid in
+      List.iter
+        (fun i ->
+          count w i.id;
+          match i.op with
+          | Phi (_, ins) ->
+            List.iter
+              (fun (p, v) -> List.iter (count (scale p)) (uses_of_value [] v))
+              ins
+          | op ->
+            List.iter (count w) (List.concat_map (uses_of_value []) (operands op)))
+        blk.instrs;
+      List.iter (count w)
+        (List.concat_map (uses_of_value []) (term_operands blk.term)))
+    order;
+  (* mark call crossings *)
+  let call_positions = ref [] in
+  List.iter
+    (fun bid ->
+      let blk = find_block bid in
+      List.iter
+        (fun i ->
+          match i.op with
+          | CallDirect _ | CallPtr _ ->
+            call_positions := Idtbl.find pos i.id :: !call_positions
+          | _ -> ())
+        blk.instrs)
+    order;
+  List.iter
+    (fun iv ->
+      if
+        List.exists
+          (fun cp -> iv.istart < cp && cp < iv.iend)
+          !call_positions
+      then iv.crosses_call <- true)
+    !all;
+  List.sort (fun a b -> compare (a.istart, a.vid) (b.istart, b.vid)) !all
+  |> List.map (fun r ->
+         { Ra.vid = r.vid; cls = Ra.class_of_ty r.vty; vty = r.vty;
+           istart = r.istart; iend = r.iend; crosses_call = r.crosses_call;
+           weight = r.weight })
+
+let live_equal what (f : func) =
+  let got, _ = Ra.intervals f in
+  let want = reference_intervals f in
+  let show (iv : Ra.interval) =
+    Printf.sprintf "%%%d [%d,%d]%s w%d" iv.vid iv.istart iv.iend
+      (if iv.crosses_call then " call" else "") iv.weight
+  in
+  got = want
+  || QCheck2.Test.fail_reportf "%s: one-pass\n  %s\nfixpoint\n  %s\n%s" what
+       (String.concat "\n  " (List.map show got))
+       (String.concat "\n  " (List.map show want))
+       (Pp_ir.func f)
+
+(* A random CFG: block [i] ends in a return or branches to one or two
+   blocks drawn from all of them, so loops nest, overlap and have
+   several entries.  Each reachable block has phis (i64 and pointer)
+   and a body of adds, GEPs, loads and calls over values that dominate
+   it; each phi input is drawn from the values available at the end of
+   its predecessor.  Picks index the values in scope. *)
+type rand_block = {
+  exits : [ `Ret | `Br of int | `Cond of int * int ];
+  phis : (bool * int list) list; (* pointer phi?, a pick per predecessor *)
+  body : ([ `Add | `Gep | `Load | `Call ] * int * int) list;
+  picks : int * int; (* the returned value or the compared pair *)
+}
+
+let gen_rand_cfg =
+  let open QCheck2.Gen in
+  let* n = int_range 2 9 in
+  let pick = int_range 0 1000 in
+  list_repeat n
+    (let* exits =
+       frequency
+         [ (1, return `Ret);
+           (3, map (fun t -> `Br t) (int_range 0 (n - 1)));
+           (5, map2 (fun t e -> `Cond (t, e)) (int_range 0 (n - 1))
+                 (int_range 0 (n - 1))) ]
+     in
+     let* phis = list_size (int_range 0 3) (pair bool (list_repeat n pick)) in
+     let* body =
+       list_size (int_range 0 6)
+         (triple (oneofl [ `Add; `Add; `Gep; `Load; `Call ]) pick pick)
+     in
+     let* picks = pair pick pick in
+     return { exits; phis; body; picks })
+
+let build_rand_cfg (spec : rand_block list) : func =
+  let b =
+    Builder.create ~name:"f" ~sg:{ args = [ Ptr 0; I64; I64 ]; ret = Some I64 }
+  in
+  let f = Builder.func b in
+  (* block [k] has the id [k] *)
+  List.iteri (fun k _ -> if k > 0 then ignore (Builder.new_block b)) spec;
+  let spec = Array.of_list spec in
+  Array.iteri
+    (fun k s ->
+      (find_block f k).term <-
+        (match s.exits with
+         | `Ret -> Ret None
+         | `Br t -> Br t
+         | `Cond (t, e) -> CondBr (CInt (I1, 1L), t, e)))
+    spec;
+  ignore (Cfg.prune_unreachable f);
+  let dom = Dom.compute f in
+  let preds = Cfg.predecessors f in
+  (* values defined in each block, newest first, as (id, is pointer) *)
+  let defs = Idtbl.for_blocks f in
+  let params = [ (0, true); (1, false); (2, false) ] in
+  let rec scope bid =
+    Option.value ~default:[] (Idtbl.find_opt defs bid)
+    @ match Dom.idom dom bid with Some d -> scope d | None -> params
+  in
+  let choose vals ptr k =
+    let vs = List.filter (fun (_, p) -> p = ptr) vals in
+    V (fst (List.nth vs (k mod List.length vs)))
+  in
+  let fresh () =
+    let id = f.next_id in
+    f.next_id <- id + 1;
+    id
+  in
+  let instr ty op = { id = fresh (); ty = Some ty; op; prov = 0 } in
+  let phi_inputs = ref [] in
+  List.iter
+    (fun bid ->
+      let s = spec.(bid) and blk = find_block f bid in
+      let def i ptr =
+        Idtbl.replace defs bid
+          ((i.id, ptr) :: Option.value ~default:[] (Idtbl.find_opt defs bid));
+        i
+      in
+      let phis =
+        List.map
+          (fun (ptr, ks) ->
+            let i = def (instr (if ptr then Ptr 0 else I64) (Phi (I64, []))) ptr in
+            phi_inputs := (bid, i.id, ptr, ks) :: !phi_inputs;
+            i)
+          (if bid = 0 then [] else s.phis)
+      in
+      let body =
+        List.map
+          (fun (kind, x, y) ->
+            let vals = scope bid in
+            match kind with
+            | `Add ->
+              def (instr I64 (Bin (Add, I64, choose vals false x, choose vals false y)))
+                false
+            | `Gep ->
+              def
+                (instr (Ptr 0)
+                   (Gep (choose vals true x, [ GScaled (choose vals false y, 8); GConst 8 ])))
+                true
+            | `Load -> def (instr I64 (Load (I64, choose vals true x, 8))) false
+            | `Call ->
+              def
+                (instr I64
+                   (CallDirect
+                      ("g", { args = [ I64; Ptr 0 ]; ret = Some I64 },
+                       [ choose vals false x; choose vals true y ])))
+                false)
+          s.body
+      in
+      let vals = scope bid in
+      let x, y = s.picks in
+      let tail, term =
+        match blk.term with
+        | CondBr (_, t, e) ->
+          let c = instr I1 (Icmp (Slt, I64, choose vals false x, choose vals false y)) in
+          ([ c ], CondBr (V c.id, t, e))
+        | Ret _ -> ([], Ret (Some (choose vals false x)))
+        | t -> ([], t)
+      in
+      blk.instrs <- phis @ body @ tail;
+      blk.term <- term)
+    (Cfg.rpo f);
+  (* phi inputs: the values in scope at the end of each predecessor *)
+  List.iter
+    (fun (bid, pid, ptr, ks) ->
+      let ps = Option.value ~default:[] (Idtbl.find_opt preds bid) in
+      let ins =
+        List.mapi (fun j p -> (p, choose (scope p) ptr (List.nth ks j))) ps
+      in
+      let blk = find_block f bid in
+      blk.instrs <-
+        List.map
+          (fun i ->
+            if i.id = pid then { i with op = Phi ((if ptr then Ptr 0 else I64), ins) }
+            else i)
+          blk.instrs)
+    !phi_inputs;
+  f
+
+(* On the CFG as built, and with its critical edges split as
+   instruction selection splits them before it allocates. *)
+let prop_liveness_is_the_fixpoint =
+  QCheck2.Test.make ~name:"one-pass liveness = the fixpoint" ~count:500
+    gen_rand_cfg
+    (fun spec ->
+      let f = build_rand_cfg spec in
+      Verify.assert_ok ~ctx:"random cfg" f;
+      live_equal "as built" f
+      && (Obrew_backend.Isel.split_critical_edges f;
+          live_equal "split" f))
+
+(* fib: [a] takes [b] around the loop and is listed before it.  [b] is
+   read at the end of the latch, so it stays live to there although its
+   last use in the loop body comes earlier; the old fixpoint lost it
+   there, gave its register to a later temporary and returned garbage
+   from the JIT. *)
+let test_regalloc_phi_reads_later_phi () =
+  let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+  let loop = Builder.new_block b in
+  let exit = Builder.new_block b in
+  let c k = CInt (I64, Int64.of_int k) in
+  Builder.br b loop;
+  Builder.position b loop;
+  (* a phi goes to the head of its block: insert in reverse *)
+  let i = Builder.insert_phi b loop ~ty:I64 [ (0, c 0) ] in
+  let vb = Builder.insert_phi b loop ~ty:I64 [ (0, c 1) ] in
+  let va = Builder.insert_phi b loop ~ty:I64 [ (0, c 0) ] in
+  let s = Builder.bin b Add I64 va vb in
+  let i' = Builder.bin b Add I64 i (c 1) in
+  let w = Builder.bin b Add I64 (Builder.bin b Mul I64 s (c 7)) i' in
+  Builder.condbr b (Builder.icmp b Slt I64 i' (V 0)) loop exit;
+  Builder.position b exit;
+  Builder.ret b (Some (Builder.bin b Add I64 s w));
+  let f = Builder.func b in
+  add_incoming f va (loop, vb);
+  add_incoming f vb (loop, s);
+  add_incoming f i (loop, i');
+  let m = { funcs = [ f ]; globals = [] } in
+  let want = List.map (fun n -> run_i64 m "f" [ n ]) [ 1L; 5L; 10L ] in
+  let img = Obrew_x86.Image.create () in
+  ignore (Obrew_backend.Jit.install_module img m);
+  let fn = Obrew_x86.Image.lookup img "f" in
+  check (Alcotest.list ci64) "jit = interp" want
+    (List.map (fun n -> fst (Obrew_x86.Image.call img ~fn ~args:[ n ]))
+       [ 1L; 5L; 10L ])
+
+(* entry -> A and entry -> B enter the cycle A <-> B twice; [x] is used
+   only in A, but B reaches A, so [x] is live to the end of B, which
+   comes after A *)
+let test_live_around_irreducible_cycle () =
+  let b = Builder.create ~name:"f" ~sg:{ args = [ I64 ]; ret = Some I64 } in
+  let blk_a = Builder.new_block b in
+  let blk_b = Builder.new_block b in
+  let blk_x = Builder.new_block b in
+  let lt v k = Builder.icmp b Slt I64 v (CInt (I64, Int64.of_int k)) in
+  let x = Builder.bin b Add I64 (V 0) (CInt (I64, 1L)) in
+  Builder.condbr b (lt (V 0) 0) blk_a blk_b;
+  Builder.position b blk_a;
+  let a = Builder.bin b Add I64 x (CInt (I64, 2L)) in
+  Builder.condbr b (lt a 10) blk_b blk_x;
+  Builder.position b blk_b;
+  let y = Builder.bin b Add I64 (V 0) (CInt (I64, 3L)) in
+  Builder.condbr b (lt y 20) blk_a blk_x;
+  Builder.position b blk_x;
+  Builder.ret b (Some (V 0));
+  let f = Builder.func b in
+  check (Alcotest.list cint) "linear order" [ 0; blk_a; blk_b; blk_x ]
+    (Cfg.rpo f);
+  ignore (live_equal "irreducible" f);
+  let ivs, _ = Ra.intervals f in
+  let iv = List.find (fun (iv : Ra.interval) -> V iv.vid = x) ivs in
+  (* positions: entry 0-2, A 3-5, B 6-8 (its branch at 8), X 9 *)
+  check (Alcotest.pair cint cint) "x: from its def to the end of B" (0, 8)
+    (iv.istart, iv.iend)
+
 (* --- golden optimized-IR digests --------------------------------------- *)
 
 let opt_digests =
@@ -1549,6 +2002,8 @@ let code_digest (m : modul) =
    whether it is a DBrew+LLVM transform whose optimized IR keeps an
    alloca, from one transform (the IR is printed before instruction
    selection). *)
+let copy_func (f : func) : func = Marshal.(from_string (to_string f []) 0)
+
 let golden_results =
   lazy
     (List.map
@@ -1556,21 +2011,23 @@ let golden_results =
          let m = transform_ir case in
          let ir = Golden.ir_digest m in
          let stack_kept = mode = Obrew_core.Modes.DBrewLlvm && has_alloca m in
-         (name, (ir, code_digest m, stack_kept)))
+         (* selection splits edges in place: keep the optimizer's output *)
+         let funcs = List.map copy_func m.funcs in
+         (name, (ir, code_digest m, stack_kept, funcs)))
        (Golden.cases ()))
 
 let golden_digests () =
-  List.map (fun (n, (ir, _, _)) -> (n, ir)) (Lazy.force golden_results)
+  List.map (fun (n, (ir, _, _, _)) -> (n, ir)) (Lazy.force golden_results)
 
 let golden_code_digests () =
-  List.map (fun (n, (_, code, _)) -> (n, code)) (Lazy.force golden_results)
+  List.map (fun (n, (_, code, _, _)) -> (n, code)) (Lazy.force golden_results)
 
 (* DBrew+LLVM lifts the native stack as one alloca (Sec. III-F); in
    every golden case O3 promotes it to SSA values. *)
 let test_golden_stack_promoted () =
   let kept =
     List.filter_map
-      (fun (n, (_, _, stack_kept)) -> if stack_kept then Some n else None)
+      (fun (n, (_, _, stack_kept, _)) -> if stack_kept then Some n else None)
       (Lazy.force golden_results)
   in
   check (Alcotest.list Alcotest.string) "DBrew+LLVM cases keeping an alloca"
@@ -1591,6 +2048,115 @@ let test_golden_digests () =
 
 let test_golden_code_digests () =
   Golden.check code_digests_file (golden_code_digests ())
+
+(* --- compaction: dense ids, same order, same code --- *)
+
+(* Every id occurrence of [f] in a fixed walk: the parameters, then
+   each instruction's id and operands, then each terminator's. *)
+let id_walk (f : func) : int list =
+  let acc = ref (List.rev f.params) in
+  let rec value = function
+    | V id -> acc := id :: !acc
+    | CVec (_, vs) -> List.iter value vs
+    | _ -> ()
+  in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          acc := i.id :: !acc;
+          List.iter value (operands i.op))
+        b.instrs;
+      List.iter value (term_operands b.term))
+    f.blocks;
+  List.rev !acc
+
+let distinct_ids f = List.length (List.sort_uniq compare (id_walk f))
+
+(* [f] with every id above the parameters moved up by [gap id], a
+   monotone map: the copy names the same values in the same order *)
+let spread ~gap (f : func) : func =
+  let k = List.length f.params in
+  let shift = Array.make (f.next_id + 1) 0 in
+  for id = k to f.next_id do
+    shift.(id) <- (if id = k then 0 else shift.(id - 1)) + gap id
+  done;
+  let fid id = if id < k then id else id + shift.(id) in
+  { f with
+    blocks =
+      List.map
+        (fun b ->
+          { b with
+            instrs = List.map (Util.remap_instr ~fid ~fblk:Fun.id) b.instrs;
+            term = Util.remap_term ~fid ~fblk:Fun.id b.term })
+        f.blocks;
+    next_id = fid f.next_id }
+
+(* [compact f] renumbers [f] in place: its ids are 0..next_id-1, and the
+   walk pairs each old id with one new id, in the same order *)
+let compacted_in_order (f : func) =
+  let before = id_walk f in
+  Util.compact f;
+  let after = id_walk f in
+  let pairs = List.sort_uniq compare (List.combine before after) in
+  let news = List.map snd pairs in
+  (List.length news = f.next_id
+   || QCheck2.Test.fail_reportf "next_id %d, %d ids" f.next_id
+        (List.length news))
+  && (news = List.init f.next_id Fun.id
+      || QCheck2.Test.fail_report "ids not dense, or not in their old order")
+
+(* Spread counted loops (phis, several blocks) and a random expression
+   dag apart by random gaps: compacting keeps the function valid and its
+   result, leaves its ids dense and in their old order, and gives back
+   the function the builder made (which numbers densely). *)
+let prop_compact =
+  QCheck2.Test.make ~name:"compaction keeps ids in order" ~count:200
+    QCheck2.Gen.(
+      triple (list_size (int_range 1 2) gen_counted_loop) gen_expr_func
+        (list_repeat 16 (int_range 0 5)))
+    (fun (loops, tree, gaps) ->
+      let gap id = List.nth gaps (id mod 16) in
+      List.for_all
+        (fun (f, args) ->
+          let g = spread ~gap f in
+          let m = { funcs = [ g ]; globals = [] } in
+          let want = List.map (fun a -> run_i64 m "f" a) args in
+          (Verify.check g = []
+           || QCheck2.Test.fail_reportf "spread:\n%s" (Pp_ir.func g))
+          && compacted_in_order g
+          && (Verify.check g = []
+              || QCheck2.Test.fail_reportf "compacted:\n%s" (Pp_ir.func g))
+          && (List.map (fun a -> run_i64 m "f" a) args = want
+              || QCheck2.Test.fail_report "result changed")
+          && (g = f
+              || QCheck2.Test.fail_reportf "not the built function:\n%s"
+                   (Pp_ir.func g)))
+        [ (build_counted_loops loops, [ [ 0L ]; [ 7L ] ]);
+          (build_expr_func tree, [ [ 0L; 0L ]; [ 13L; -64L ] ]) ])
+
+(* The optimized function of every golden case: its ids are dense after
+   the pipeline; spread apart, it selects to the same code, item for
+   item, and compacts back to itself. *)
+let test_golden_compaction () =
+  List.iter
+    (fun (name, (_, _, _, funcs)) ->
+      List.iter
+        (fun (f : func) ->
+          let what = name ^ " " ^ f.fname in
+          check cint (what ^ ": next_id = distinct ids") (distinct_ids f)
+            f.next_id;
+          let g = spread ~gap:(fun id -> 1 + (id mod 3)) f in
+          let code f =
+            Obrew_backend.Isel.emit_func ~global_addr:symbol_addr
+              ~func_addr:symbol_addr (copy_func f)
+          in
+          if code g <> code f then
+            Alcotest.failf "%s: spread ids select other code" what;
+          Util.compact g;
+          if g <> f then Alcotest.failf "%s: compaction did not give it back" what)
+        funcs)
+    (Lazy.force golden_results)
 
 (* The pipeline skips a pass whose last run reported no change while no
    pass has reported one since.  That is exact only if a run reporting
@@ -1710,13 +2276,21 @@ let () =
            (test_regalloc_spills_outside_loop `Xmm);
          Alcotest.test_case "call crossing steals callee-saved" `Quick
            test_regalloc_call_steals_callee_saved;
-         QCheck_alcotest.to_alcotest prop_backend_under_pressure ]);
+         QCheck_alcotest.to_alcotest prop_backend_under_pressure;
+         Alcotest.test_case "live around an irreducible cycle" `Quick
+           test_live_around_irreducible_cycle;
+         Alcotest.test_case "a phi input that is a later phi" `Quick
+           test_regalloc_phi_reads_later_phi;
+         QCheck_alcotest.to_alcotest prop_liveness_is_the_fixpoint ]);
+      ("compact", [ QCheck_alcotest.to_alcotest prop_compact ]);
       ("golden",
        [ Alcotest.test_case "optimized-IR digests" `Quick test_golden_digests;
          Alcotest.test_case "machine-code digests" `Quick
            test_golden_code_digests;
          Alcotest.test_case "DBrew+LLVM stack promoted" `Quick
            test_golden_stack_promoted;
+         Alcotest.test_case "compaction is invisible to the backend" `Quick
+           test_golden_compaction;
          Alcotest.test_case "clean runs change nothing" `Quick
            test_clean_runs_change_nothing ])
     ]
