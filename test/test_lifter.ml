@@ -734,6 +734,30 @@ let lifted_digests () =
 
 let test_lifted_digests () = Golden.check lift_digests (lifted_digests ())
 
+(* The same lifts after the optimizer's leading [dce] and id compaction,
+   printed with their value ids: what a lift leaves for the optimizer.
+   A lifter change that only skips code DCE would delete must leave
+   these digests as they are. *)
+let dce_digests =
+  { Golden.file = "lift_dce_digests.txt"; exe = "test_lifter";
+    what = "lifted IR after DCE" }
+
+let lifted_dce_digests () =
+  List.map
+    (fun (name, (m : Ins.modul)) ->
+      (* a deep copy: the lifts are shared with the other golden cases *)
+      let m : Ins.modul = Marshal.from_string (Marshal.to_string m []) 0 in
+      List.iter
+        (fun f ->
+          ignore (Dce.run f);
+          Util.compact f)
+        m.funcs;
+      (name, Golden.digest_string (Pp_ir.modul m)))
+    (Lazy.force golden_lifts)
+
+let test_lifted_dce_digests () =
+  Golden.check dce_digests (lifted_dce_digests ())
+
 let test_no_trivial_phis () =
   List.iter
     (fun (name, (m : Ins.modul)) ->
@@ -747,6 +771,7 @@ let test_no_trivial_phis () =
 
 let () =
   Golden.regen_if_asked lift_digests lifted_digests;
+  Golden.regen_if_asked dce_digests lifted_dce_digests;
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lifter"
     [ ("fig6",
@@ -777,5 +802,7 @@ let () =
       ("fig5", [ Alcotest.test_case "addsd shape" `Quick test_fig5_addsd_shape ]);
       ("golden",
        [ Alcotest.test_case "lifted-IR digests" `Quick test_lifted_digests;
+         Alcotest.test_case "lifted-IR digests after DCE" `Quick
+           test_lifted_dce_digests;
          Alcotest.test_case "no trivial phis" `Quick test_no_trivial_phis ])
     ]
