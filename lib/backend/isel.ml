@@ -1382,7 +1382,7 @@ let emit_func_impl ?(global_addr = fun g -> err "unresolved global @%s" g)
   let frame_total = base_total + (if misalign = 0 then 0 else 16 - misalign) in
   let max_bid = List.fold_left (fun m (b : block) -> max m b.bid) 0 f.blocks in
   let ctx =
-    { f; al; tenv = Obrew_opt.Util.type_env f; defs = Obrew_opt.Util.def_table f;
+    { f; al; tenv = al.tenv; defs = Obrew_opt.Util.def_table f;
       global_addr; func_addr; out = []; provs = []; cur_prov = 0;
       next_label = max_bid + 2;
       alloca_off; alloca_size; frame_total;

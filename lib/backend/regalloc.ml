@@ -25,6 +25,7 @@ type alloc = {
   frame_size : int;                  (* spill area size, 16-aligned *)
   used_callee_saved : Reg.gpr list;  (* callee-saved GPRs we must save *)
   order : int list;                  (* linearized block order *)
+  tenv : ty Idtbl.t;                 (* value id -> type, for isel *)
 }
 
 (* registers reserved as scratch for the instruction selector *)
@@ -85,8 +86,9 @@ let max_depth = 10
     block, marking the value live-in at each block reached and live-out
     at each predecessor.  A per-block stamp stops the walk at a block
     the value already reached, so the cost is the size of the live sets,
-    on any CFG.  Value ids must lie below [f.next_id]. *)
-let intervals (f : func) : interval list * int list =
+    on any CFG.  Value ids must lie below [f.next_id].  [tenv], the
+    function's {!Obrew_opt.Util.type_env}, is built when not given. *)
+let intervals ?tenv (f : func) : interval list * int list =
   let order = Cfg.rpo f in
   let find_block = Cfg.block_finder f in
   let nv = f.next_id in
@@ -224,7 +226,9 @@ let intervals (f : func) : interval list * int list =
     let k = first_after 0 (Array.length calls) in
     k < Array.length calls && calls.(k) < iend
   in
-  let tenv = Obrew_opt.Util.type_env f in
+  let tenv =
+    match tenv with Some t -> t | None -> Obrew_opt.Util.type_env f
+  in
   let all = ref [] in
   for v = nv - 1 downto 0 do
     if lo.(v) <= hi.(v) then begin
@@ -250,7 +254,8 @@ let spills_first a b =
     interval may take only a callee-saved GPR; an XMM value that
     crosses a call lives in a slot. *)
 let allocate_impl (f : func) : alloc =
-  let ivs, order = intervals f in
+  let tenv = Obrew_opt.Util.type_env f in
+  let ivs, order = intervals ~tenv f in
   let locs : loc Idtbl.t = Idtbl.for_values f in
   let active : (interval * loc) list ref = ref [] in
   let regs = List.map (fun r -> LReg r) in
@@ -315,12 +320,15 @@ let allocate_impl (f : func) : alloc =
   in
   List.iter
     (fun iv ->
-      (* expire old intervals *)
-      let expired, still =
-        List.partition (fun (i, _) -> i.iend < iv.istart) !active
-      in
-      List.iter (fun (_, l) -> release l) expired;
-      active := still;
+      (* expire old intervals; [active] keeps its order, which the
+         victim fold below breaks ties by *)
+      if List.exists (fun (i, _) -> i.iend < iv.istart) !active then begin
+        let expired, still =
+          List.partition (fun (i, _) -> i.iend < iv.istart) !active
+        in
+        List.iter (fun (_, l) -> release l) expired;
+        active := still
+      end;
       let l =
         match take_free iv with
         | Some l -> l
@@ -345,7 +353,7 @@ let allocate_impl (f : func) : alloc =
       (match l with LSlot _ -> () | _ -> active := (iv, l) :: !active))
     ivs;
   let frame = (!next_slot + 15) land lnot 15 in
-  { locs; frame_size = frame; used_callee_saved = !used_callee; order }
+  { locs; frame_size = frame; used_callee_saved = !used_callee; order; tenv }
 
 (** Linear scan, as a [backend.regalloc] telemetry span. *)
 let allocate (f : func) : alloc =

@@ -187,7 +187,7 @@ let transform_key env ~(lift_config : Lift.config)
            opt.Pipeline.fuel ),
          checked, (guards : Guards.t option),
          native_addr env kind style, Digest.string fixed )
-       [])
+       [ Marshal.No_sharing ])
 
 let memo_stats env = (env.memo_hits, env.memo_misses)
 

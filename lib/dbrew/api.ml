@@ -100,7 +100,7 @@ let memo_key (r : t) =
          r.cfg.Rewriter.inline_depth, r.cfg.Rewriter.max_emit,
          r.cfg.Rewriter.max_variants, r.cfg.Rewriter.max_seconds,
          code_digest mem r.entry )
-       [])
+       [ Marshal.No_sharing ])
 
 (** Rewrite; returns the new function's address (a drop-in replacement
     with the same signature).  On failure the error handler decides;

@@ -512,8 +512,11 @@ let post_emit ts (io : io) (i : insn) =
     | _ -> ())
   | None, _ -> ()
 
-(* emit [i] with operand substitution/folding, then update the state *)
+(* emit [i] with operand substitution/folding, then update the state;
+   the emission is the [dbrew.emit] span, the state update is part of
+   the meta-emulation *)
 let emit_subst rw ts (i : insn) (io : io) =
+  Obrew_telemetry.Telemetry.span "dbrew.emit" (fun () ->
   let i' =
     match i with
     | Mov (w, dst, src) ->
@@ -581,8 +584,8 @@ let emit_subst rw ts (i : insn) (io : io) =
     | Nop _ -> i
     | _ -> fail "emit_subst on a control instruction"
   in
+  emit rw i');
   (* the state update must see the ORIGINAL operands for slot tracking *)
-  emit rw i';
   post_emit ts io i
 
 (* decode helper; failures propagate as typed [Decode] errors with the
@@ -593,6 +596,7 @@ let emit_subst rw ts (i : insn) (io : io) =
    wherever the specialized copy lands (and resolve_addr/fold_mem see
    an ordinary known-base address). *)
 let fetch rw pc =
+  Obrew_telemetry.Telemetry.span "dbrew.decode" (fun () ->
   let i, len = Decode.decode ~read:(Mem.read_u8 rw.mem) pc in
   let i =
     Insn.map_mem
@@ -601,7 +605,7 @@ let fetch rw pc =
         else m)
       i
   in
-  (i, len)
+  (i, len))
 
 exception Trace_done
 

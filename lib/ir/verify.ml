@@ -55,13 +55,14 @@ let check (f : func) : string list =
         b.instrs)
     f.blocks;
   let live = Cfg.reachable f in
-  let block_ids = List.map (fun b -> b.bid) f.blocks in
+  let block_ids : unit Idtbl.t = Idtbl.for_blocks f in
+  List.iter (fun b -> Idtbl.replace block_ids b.bid ()) f.blocks;
   (* CFG targets exist *)
   List.iter
     (fun b ->
       List.iter
         (fun s ->
-          if not (List.mem s block_ids) then
+          if not (Idtbl.mem block_ids s) then
             err "bb%d branches to missing bb%d" b.bid s)
         (successors b.term))
     f.blocks;
@@ -81,16 +82,16 @@ let check (f : func) : string list =
       match v with
       | V id -> (
         match Idtbl.find_opt defs id with
-        | None -> err "%s: use of undefined %%%d" where id
+        | None -> err "%t: use of undefined %%%d" where id
         | Some DParam -> ()
         | Some (DInstr (db, di)) ->
           if not (Idtbl.mem live bid) then ()
           else if db = bid then begin
             if di >= idx then
-              err "%s: %%%d used before its definition in bb%d" where id bid
+              err "%t: %%%d used before its definition in bb%d" where id bid
           end
           else if not (Dom.dominates dom db bid) then
-            err "%s: def of %%%d (bb%d) does not dominate use (bb%d)" where
+            err "%t: def of %%%d (bb%d) does not dominate use (bb%d)" where
               id db bid)
       | _ -> ()
     in
@@ -100,15 +101,15 @@ let check (f : func) : string list =
       | _ ->
         let got = tyv v in
         if got <> want then
-          err "%s: expected %s, got %s" where (ty_name want) (ty_name got)
+          err "%t: expected %s, got %s" where (ty_name want) (ty_name got)
     in
     let expect_int ~where t =
       if not (is_int t || (match t with Vec (_, e) -> is_int e | _ -> false))
-      then err "%s: %s is not an integer type" where (ty_name t)
+      then err "%t: %s is not an integer type" where (ty_name t)
     in
     let expect_fp ~where t =
       if not (is_float t || (match t with Vec (_, e) -> is_float e | _ -> false))
-      then err "%s: %s is not a float type" where (ty_name t)
+      then err "%t: %s is not a float type" where (ty_name t)
     in
     List.iter
       (fun b ->
@@ -122,26 +123,27 @@ let check (f : func) : string list =
           let seen_nonphi = ref false in
           List.iteri
             (fun idx ins ->
-              let where = Printf.sprintf "bb%d/%%%d" b.bid ins.id in
+              (* the context of an error message, formatted only for one *)
+              let where () = Printf.sprintf "bb%d/%%%d" b.bid ins.id in
               (match ins.op with
                | Phi (t, incoming) ->
-                 if !seen_nonphi then err "%s: phi after non-phi" where;
+                 if !seen_nonphi then err "%t: phi after non-phi" where;
                  let inblocks = List.map fst incoming in
                  List.iter
                    (fun p ->
                      if not (List.mem p inblocks) then
-                       err "%s: missing phi input for pred bb%d" where p)
+                       err "%t: missing phi input for pred bb%d" where p)
                    bp;
                  List.iter
                    (fun (p, v) ->
                      if not (List.mem p bp) then
-                       err "%s: phi input from non-pred bb%d" where p
+                       err "%t: phi input from non-pred bb%d" where p
                      else begin
                        expect_ty ~where t v;
                        check_use ~where v (p, max_int)
                      end)
                    incoming;
-                 if ins.ty <> Some t then err "%s: phi type mismatch" where
+                 if ins.ty <> Some t then err "%t: phi type mismatch" where
                | op ->
                  seen_nonphi := true;
                  List.iter (fun v -> check_use ~where v (b.bid, idx))
@@ -151,70 +153,70 @@ let check (f : func) : string list =
                     expect_int ~where t;
                     expect_ty ~where t a;
                     expect_ty ~where t bb;
-                    if ins.ty <> Some t then err "%s: result type" where
+                    if ins.ty <> Some t then err "%t: result type" where
                   | FBin (_, t, a, bb) ->
                     expect_fp ~where t;
                     expect_ty ~where t a;
                     expect_ty ~where t bb;
-                    if ins.ty <> Some t then err "%s: result type" where
+                    if ins.ty <> Some t then err "%t: result type" where
                   | Icmp (_, t, a, bb) ->
                     expect_ty ~where t a;
                     expect_ty ~where t bb;
-                    if ins.ty <> Some I1 then err "%s: icmp yields i1" where
+                    if ins.ty <> Some I1 then err "%t: icmp yields i1" where
                   | Fcmp (_, t, a, bb) ->
                     expect_fp ~where t;
                     expect_ty ~where t a;
                     expect_ty ~where t bb;
-                    if ins.ty <> Some I1 then err "%s: fcmp yields i1" where
+                    if ins.ty <> Some I1 then err "%t: fcmp yields i1" where
                   | Select (t, c, a, bb) ->
                     expect_ty ~where I1 c;
                     expect_ty ~where t a;
                     expect_ty ~where t bb;
-                    if ins.ty <> Some t then err "%s: result type" where
+                    if ins.ty <> Some t then err "%t: result type" where
                   | Cast (k, st, v, dt) ->
                     expect_ty ~where st v;
-                    if ins.ty <> Some dt then err "%s: result type" where;
+                    if ins.ty <> Some dt then err "%t: result type" where;
                     let sb = ty_bits st and db = ty_bits dt in
                     (match k with
                      | Trunc ->
                        if not (is_int st && is_int dt && sb > db) then
-                         err "%s: bad trunc %s->%s" where (ty_name st)
+                         err "%t: bad trunc %s->%s" where (ty_name st)
                            (ty_name dt)
                      | Zext | Sext ->
                        if not (is_int st && is_int dt && sb < db) then
-                         err "%s: bad ext" where
+                         err "%t: bad ext" where
                      | Bitcast ->
-                       if sb <> db then err "%s: bitcast width mismatch" where
+                       if sb <> db then err "%t: bitcast width mismatch" where
                      | IntToPtr ->
                        if not (is_int st && is_ptr dt) then
-                         err "%s: bad inttoptr" where
+                         err "%t: bad inttoptr" where
                      | PtrToInt ->
                        if not (is_ptr st && is_int dt) then
-                         err "%s: bad ptrtoint" where
+                         err "%t: bad ptrtoint" where
                      | FpToSi ->
                        if not (is_float st && is_int dt) then
-                         err "%s: bad fptosi" where
+                         err "%t: bad fptosi" where
                      | SiToFp ->
                        if not (is_int st && is_float dt) then
-                         err "%s: bad sitofp" where
+                         err "%t: bad sitofp" where
                      | FpExt ->
                        if not (st = F32 && dt = F64) then
-                         err "%s: bad fpext" where
+                         err "%t: bad fpext" where
                      | FpTrunc ->
                        if not (st = F64 && dt = F32) then
-                         err "%s: bad fptrunc" where)
+                         err "%t: bad fptrunc" where)
                   | Load (t, p, _) ->
                     if not (is_ptr (tyv p)) then
-                      err "%s: load from non-pointer" where;
-                    if ins.ty <> Some t then err "%s: result type" where
+                      err "%t: load from non-pointer" where;
+                    if ins.ty <> Some t then err "%t: result type" where
                   | Store (t, v, p, _) ->
                     expect_ty ~where t v;
                     if not (is_ptr (tyv p)) then
-                      err "%s: store to non-pointer" where;
-                    if ins.ty <> None then err "%s: store has no result" where
+                      err "%t: store to non-pointer" where;
+                    if ins.ty <> None then err "%t: store has no result" where
                   | Gep (base, elts) ->
                     if not (is_ptr (tyv base)) then
-                      err "%s: gep base not a pointer" where;
+                      err "%t: gep base not a pointer" where;
                     List.iter
                       (function
                         | GConst _ -> ()
@@ -223,43 +225,43 @@ let check (f : func) : string list =
                   | Phi _ -> assert false
                   | CallDirect (_, sg, args) | CallPtr (_, sg, args) ->
                     (try List.iter2 (fun t v -> expect_ty ~where t v) sg.args args
-                     with Invalid_argument _ -> err "%s: arity mismatch" where);
-                    if ins.ty <> sg.ret then err "%s: call result type" where
+                     with Invalid_argument _ -> err "%t: arity mismatch" where);
+                    if ins.ty <> sg.ret then err "%t: call result type" where
                   | Alloca _ ->
                     if ins.ty <> Some (Ptr 0) then
-                      err "%s: alloca yields ptr" where
+                      err "%t: alloca yields ptr" where
                   | ExtractElt (t, v, l) ->
                     expect_ty ~where t v;
                     (match t with
                      | Vec (n, e) ->
-                       if l < 0 || l >= n then err "%s: lane out of range" where;
-                       if ins.ty <> Some e then err "%s: result type" where
-                     | _ -> err "%s: extractelement needs vector" where)
+                       if l < 0 || l >= n then err "%t: lane out of range" where;
+                       if ins.ty <> Some e then err "%t: result type" where
+                     | _ -> err "%t: extractelement needs vector" where)
                   | InsertElt (t, v, s, l) ->
                     expect_ty ~where t v;
                     (match t with
                      | Vec (n, e) ->
-                       if l < 0 || l >= n then err "%s: lane out of range" where;
+                       if l < 0 || l >= n then err "%t: lane out of range" where;
                        expect_ty ~where e s;
-                       if ins.ty <> Some t then err "%s: result type" where
-                     | _ -> err "%s: insertelement needs vector" where)
+                       if ins.ty <> Some t then err "%t: result type" where
+                     | _ -> err "%t: insertelement needs vector" where)
                   | Shuffle (rt, a, bb, mask) ->
                     let ta = tyv a in
                     (match ta, rt with
                      | Vec (n, e), Vec (rn, re) ->
                        expect_ty ~where ta bb;
-                       if re <> e then err "%s: shuffle lane type" where;
+                       if re <> e then err "%t: shuffle lane type" where;
                        if rn <> Array.length mask then
-                         err "%s: mask length" where;
+                         err "%t: mask length" where;
                        Array.iter
                          (fun i ->
-                           if i >= 2 * n then err "%s: mask index" where)
+                           if i >= 2 * n then err "%t: mask index" where)
                          mask
-                     | _ -> err "%s: shuffle needs vectors" where)
+                     | _ -> err "%t: shuffle needs vectors" where)
                   | Intr _ -> ())))
             b.instrs;
           (* terminator *)
-          let where = Printf.sprintf "bb%d/term" b.bid in
+          let where () = Printf.sprintf "bb%d/term" b.bid in
           List.iter (fun v -> check_use ~where v (b.bid, max_int))
             (term_operands b.term);
           (match b.term with
@@ -267,8 +269,8 @@ let check (f : func) : string list =
              (match v, f.sg.ret with
               | None, None -> ()
               | Some v, Some t -> expect_ty ~where t v
-              | None, Some _ -> err "%s: missing return value" where
-              | Some _, None -> err "%s: unexpected return value" where)
+              | None, Some _ -> err "%t: missing return value" where
+              | Some _, None -> err "%t: unexpected return value" where)
            | CondBr (c, _, _) -> expect_ty ~where I1 c
            | Br _ | Unreachable -> ())
         end)

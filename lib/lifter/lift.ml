@@ -8,7 +8,9 @@
       the SSA form is built on demand: a block gets a phi only for a
       register or flag it reads before writing (see {!seal});
     - the six status flags as individual [i1] values, plus the *flag
-      cache* that reconstructs comparison predicates (Sec. III-D);
+      cache* that reconstructs comparison predicates (Sec. III-D); a
+      flag is built only where some path reads it (see
+      {!flag_liveness});
     - a virtual stack allocated with [alloca] (Sec. III-F);
     - [call]/[ret] mapped to IR calls and returns, leaving inlining
       decisions to the optimizer (Sec. III-B). *)
@@ -291,7 +293,7 @@ type rstate = {
   gpr : value array;                  (* i64 facet (primary) *)
   gpr_ptr : value option array;       (* pointer facet *)
   xmm : value array;                  (* i128 facet (primary) *)
-  mutable flags : value array;        (* zf sf cf of pf af *)
+  flags : value array;                (* zf sf cf of pf af *)
   gpr_facets : value option array;    (* 16 x gpr_facet_slots *)
   xmm_facets : value option array;    (* 16 x xmm_facet_slots *)
   (* flag cache: width type + cmp operands (Sec. III-D) *)
@@ -315,11 +317,28 @@ let of_i = 3
 let pf_i = 4
 let af_i = 5
 
+(* flag sets as bit masks, bit [i] for flag [i] *)
+let all_flags = 0x3f
+let zf_b = 1 lsl zf_i
+let sf_b = 1 lsl sf_i
+let cf_b = 1 lsl cf_i
+let of_b = 1 lsl of_i
+let pf_b = 1 lsl pf_i
+let af_b = 1 lsl af_i
+
+(* A block's exit state: what {!seal} and the guard chains read of it.
+   The facet caches and the flag cache are block-local, so only the
+   primary facets, the pointer facets and the flags are kept. *)
+type exit_state = {
+  x_gpr : value array;
+  x_ptr : value option array;
+  x_xmm : value array;
+  x_flags : value array;
+}
+
 let snapshot (s : rstate) =
-  { gpr = Array.copy s.gpr; gpr_ptr = Array.copy s.gpr_ptr;
-    xmm = Array.copy s.xmm; flags = Array.copy s.flags;
-    gpr_facets = Array.copy s.gpr_facets;
-    xmm_facets = Array.copy s.xmm_facets; cmp_cache = s.cmp_cache }
+  { x_gpr = Array.copy s.gpr; x_ptr = Array.copy s.gpr_ptr;
+    x_xmm = Array.copy s.xmm; x_flags = Array.copy s.flags }
 
 (* SSA construction (Braun et al., "Simple and Efficient Construction
    of SSA Form", CC 2013).  A raw block has one variable per primary
@@ -336,19 +355,24 @@ let phi_ty k =
   if k < 16 then I64 else if k < 32 then Ptr 0 else if k < 48 then I128
   else I1
 
-let phi_slot (s : rstate) k : value option =
-  if k < 16 then Some s.gpr.(k)
-  else if k < 32 then s.gpr_ptr.(k - 16)
-  else if k < 48 then Some s.xmm.(k - 32)
-  else Some s.flags.(k - 48)
+(* The value slot [k] holds in exit state [s]; a pointer slot without a
+   pointer facet holds the integer facet, which a phi reads through an
+   [inttoptr] (see {!seal}). *)
+let exit_value (s : exit_state) k =
+  if k < 16 then s.x_gpr.(k)
+  else if k < 32 then
+    match s.x_ptr.(k - 16) with Some p -> p | None -> s.x_gpr.(k - 16)
+  else if k < 48 then s.x_xmm.(k - 32)
+  else s.x_flags.(k - 48)
 
 (* The reserved ids of a block run flags 5..0, xmm 15..0, gpr ptr 15..0,
    gpr i64 15..0 from its [base], so slot [k] holds [base + 53 - k]: the
    needed phis, listed in slot order, come out by descending id. *)
 let slot_id base k = base + phi_slots - 1 - k
 
-let entry_rstate base =
-  let s = empty_rstate () in
+(* Reset the working state [s] for the raw block whose reserved ids
+   start at [base]: its slots hold those ids, its caches are empty. *)
+let enter_block (s : rstate) base =
   for r = 0 to 15 do
     s.gpr.(r) <- V (slot_id base r);
     s.gpr_ptr.(r) <- Some (V (slot_id base (16 + r)));
@@ -357,15 +381,20 @@ let entry_rstate base =
   for fi = 0 to 5 do
     s.flags.(fi) <- V (slot_id base (48 + fi))
   done;
-  s
+  Array.fill s.gpr_facets 0 (Array.length s.gpr_facets) None;
+  Array.fill s.xmm_facets 0 (Array.length s.xmm_facets) None;
+  s.cmp_cache <- None
 
 type lstate = {
   cfg : config;
   b : Builder.t;
-  mutable cur : rstate;
+  cur : rstate;  (* the working state, reset at each raw block *)
+  (* the flags live after the instruction being lifted: a write of
+     any other flag is dead (see {!flag_liveness}) *)
+  mutable live : int;
   (* per raw-block results *)
   block_of_addr : (int, int) Hashtbl.t;  (* x86 addr -> IR block id *)
-  final_states : (int, rstate) Hashtbl.t; (* IR block id -> exit state *)
+  final_states : (int, exit_state) Hashtbl.t; (* IR block id -> exit state *)
   (* the reserved entry-phi ids are [phi_lo, phi_hi); raw block [j]
      (in discovery order) owns [phi_lo + j * phi_slots, ...) *)
   mutable phi_lo : int;
@@ -669,55 +698,67 @@ let xop_vec st fk = function
 let set_flag st i v = st.cur.flags.(i) <- v
 let get_flag st i = used st st.cur.flags.(i)
 
+(* Flag [i] is read on some path before its next write. *)
+let live st i = st.live land (1 lsl i) <> 0
+
+(* The value [mk] builds for flag [i], or [Undef] when no path reads
+   the flag: the IR [mk] would build is dead on arrival. *)
+let when_live st i mk = if live st i then mk () else Undef I1
+let def_flag st i mk = set_flag st i (when_live st i mk)
+
 let bool_not st v = Builder.bin st.b Xor I1 v (CInt (I1, 1L))
 
-(* szp flags from a result value of type [t] *)
-let set_szp st t r =
-  set_flag st zf_i (Builder.icmp st.b Eq t r (CInt (t, 0L)));
-  set_flag st sf_i (Builder.icmp st.b Slt t r (CInt (t, 0L)));
+(* szp flags from a result value of type [t]; zf only with [zf] *)
+let set_szp ?(zf = true) st t r =
+  if zf then
+    def_flag st zf_i (fun () -> Builder.icmp st.b Eq t r (CInt (t, 0L)));
+  def_flag st sf_i (fun () -> Builder.icmp st.b Slt t r (CInt (t, 0L)));
   (* parity via ctpop over the low byte (Sec. III-D) *)
-  let low =
-    if t = I8 then r else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
-  in
-  let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
-  let band = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
-  set_flag st pf_i
-    (Builder.icmp st.b Eq I8 band (CInt (I8, 0L)))
+  def_flag st pf_i (fun () ->
+      let low =
+        if t = I8 then r else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
+      in
+      let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
+      let band = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
+      Builder.icmp st.b Eq I8 band (CInt (I8, 0L)))
 
 let set_af st t a bv r =
-  let x1 = Builder.bin st.b Xor t a bv in
-  let x2 = Builder.bin st.b Xor t x1 r in
-  let bit = Builder.bin st.b And t x2 (CInt (t, 0x10L)) in
-  set_flag st af_i (Builder.icmp st.b Ne t bit (CInt (t, 0L)))
+  def_flag st af_i (fun () ->
+      let x1 = Builder.bin st.b Xor t a bv in
+      let x2 = Builder.bin st.b Xor t x1 r in
+      let bit = Builder.bin st.b And t x2 (CInt (t, 0x10L)) in
+      Builder.icmp st.b Ne t bit (CInt (t, 0L)))
 
 (* overflow via bitwise operations (Sec. III-D discourages the
    intrinsics) *)
 let set_of_add st t a bv r =
-  let x1 = Builder.bin st.b Xor t a r in
-  let x2 = Builder.bin st.b Xor t bv r in
-  let m = Builder.bin st.b And t x1 x2 in
-  set_flag st of_i (Builder.icmp st.b Slt t m (CInt (t, 0L)))
+  def_flag st of_i (fun () ->
+      let x1 = Builder.bin st.b Xor t a r in
+      let x2 = Builder.bin st.b Xor t bv r in
+      let m = Builder.bin st.b And t x1 x2 in
+      Builder.icmp st.b Slt t m (CInt (t, 0L)))
 
 let set_of_sub st t a bv r =
-  let x1 = Builder.bin st.b Xor t a bv in
-  let x2 = Builder.bin st.b Xor t a r in
-  let m = Builder.bin st.b And t x1 x2 in
-  set_flag st of_i (Builder.icmp st.b Slt t m (CInt (t, 0L)))
+  def_flag st of_i (fun () ->
+      let x1 = Builder.bin st.b Xor t a bv in
+      let x2 = Builder.bin st.b Xor t a r in
+      let m = Builder.bin st.b And t x1 x2 in
+      Builder.icmp st.b Slt t m (CInt (t, 0L)))
 
-let flags_add st t a bv r =
+(* [cf:false] leaves cf to the caller (adc/sbb compute their own) *)
+let flags_add ?(cf = true) st t a bv r =
   set_szp st t r;
-  set_flag st cf_i (Builder.icmp st.b Ult t r a);
+  if cf then def_flag st cf_i (fun () -> Builder.icmp st.b Ult t r a);
   set_of_add st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- None
 
-let flags_sub ?(is_cmp = false) st t a bv r =
-  set_szp st t r;
-  (* basic integer comparisons for cf (and zf above) *)
-  set_flag st cf_i (Builder.icmp st.b Ult t a bv);
-  if is_cmp then
-    (* zf of a compare is exactly equality of the operands *)
-    set_flag st zf_i (Builder.icmp st.b Eq t a bv);
+let flags_sub ?(is_cmp = false) ?(cf = true) st t a bv r =
+  (* zf of a compare is exactly equality of the operands, set below *)
+  set_szp ~zf:(not is_cmp) st t r;
+  (* basic integer comparisons for cf (and zf) *)
+  if cf then def_flag st cf_i (fun () -> Builder.icmp st.b Ult t a bv);
+  if is_cmp then def_flag st zf_i (fun () -> Builder.icmp st.b Eq t a bv);
   set_of_sub st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- (if is_cmp then Some (t, a, bv) else None)
@@ -929,19 +970,16 @@ let lift_insn st (i : Insn.insn) : unit =
         Builder.bin st.b (if op = Insn.Adc then Add else Sub) t r0 cin
       in
       (* flags approximated through the same formulas as the emulator *)
-      if op = Insn.Adc then flags_add st t a bv r
-      else flags_sub st t a bv r;
+      if op = Insn.Adc then flags_add ~cf:false st t a bv r
+      else flags_sub ~cf:false st t a bv r;
       (* carry: exact treatment requires the carry-in; model it *)
-      (if op = Insn.Adc then begin
-         let c1 = Builder.icmp st.b Ult t r0 a in
-         let c2 = Builder.icmp st.b Ult t r r0 in
-         set_flag st cf_i (Builder.bin st.b Or I1 c1 c2)
-       end
-       else begin
-         let c1 = Builder.icmp st.b Ult t a bv in
-         let c2 = Builder.icmp st.b Ult t r0 cin in
-         set_flag st cf_i (Builder.bin st.b Or I1 c1 c2)
-       end);
+      def_flag st cf_i (fun () ->
+          let c1, c2 =
+            if op = Insn.Adc then
+              (Builder.icmp st.b Ult t r0 a, Builder.icmp st.b Ult t r r0)
+            else (Builder.icmp st.b Ult t a bv, Builder.icmp st.b Ult t r0 cin)
+          in
+          Builder.bin st.b Or I1 c1 c2);
       write_operand st w dst r)
   | Insn.Test (w, a, b) ->
     let t = ty_of_width w in
@@ -964,23 +1002,25 @@ let lift_insn st (i : Insn.insn) : unit =
     in
     let r = Builder.bin st.b Mul t a bv in
     (* overflow flags: match the emulator's formulas *)
-    (match w with
-     | Insn.W64 ->
-       let nz = Builder.icmp st.b Ne t a (CInt (t, 0L)) in
-       let q = Builder.select st.b t nz a (CInt (t, 1L)) in
-       let dv = Builder.bin st.b SDiv t r q in
-       let neq = Builder.icmp st.b Ne t dv bv in
-       let ovf = Builder.bin st.b And I1 nz neq in
-       set_flag st cf_i ovf;
-       set_flag st of_i ovf
-     | _ ->
-       let a64 = Builder.cast st.b Sext ~src_ty:t a ~dst_ty:I64 in
-       let b64 = Builder.cast st.b Sext ~src_ty:t bv ~dst_ty:I64 in
-       let p = Builder.bin st.b Mul I64 a64 b64 in
-       let r64 = Builder.cast st.b Sext ~src_ty:t r ~dst_ty:I64 in
-       let ovf = Builder.icmp st.b Ne I64 r64 p in
-       set_flag st cf_i ovf;
-       set_flag st of_i ovf);
+    let ovf =
+      if not (live st cf_i || live st of_i) then Undef I1
+      else
+        match w with
+        | Insn.W64 ->
+          let nz = Builder.icmp st.b Ne t a (CInt (t, 0L)) in
+          let q = Builder.select st.b t nz a (CInt (t, 1L)) in
+          let dv = Builder.bin st.b SDiv t r q in
+          let neq = Builder.icmp st.b Ne t dv bv in
+          Builder.bin st.b And I1 nz neq
+        | _ ->
+          let a64 = Builder.cast st.b Sext ~src_ty:t a ~dst_ty:I64 in
+          let b64 = Builder.cast st.b Sext ~src_ty:t bv ~dst_ty:I64 in
+          let p = Builder.bin st.b Mul I64 a64 b64 in
+          let r64 = Builder.cast st.b Sext ~src_ty:t r ~dst_ty:I64 in
+          Builder.icmp st.b Ne I64 r64 p
+    in
+    def_flag st cf_i (fun () -> ovf);
+    def_flag st of_i (fun () -> ovf);
     (* zf/sf/pf from the result exactly as the emulator's set_szp *)
     set_szp st t r;
     set_flag st af_i (CInt (I1, 0L));
@@ -1031,8 +1071,13 @@ let lift_insn st (i : Insn.insn) : unit =
     let masked_imm =
       match cnt with Insn.ShImm n -> Some (n land cmask) | Insn.ShCl -> None
     in
+    (* every flag but af is written, and only the live ones are built:
+       with a CL count each keeps its old value through a select, so a
+       dead one is neither read nor written *)
     (match masked_imm with
      | Some 0 -> ()
+     | _ when st.live land lnot af_b = 0 ->
+       st.cur.cmp_cache <- None
      | _ ->
        let keep =
          match cnt with
@@ -1040,48 +1085,60 @@ let lift_insn st (i : Insn.insn) : unit =
          | Insn.ShImm _ -> None
        in
        let setf i v =
-         match keep with
-         | Some k ->
-           set_flag st i (Builder.select st.b I1 k (get_flag st i) v)
-         | None -> set_flag st i v
+         def_flag st i (fun () ->
+             match keep with
+             | Some k -> Builder.select st.b I1 k (get_flag st i) v
+             | None -> v)
        in
-       let zf = Builder.icmp st.b Eq t r (CInt (t, 0L)) in
-       let sf = Builder.icmp st.b Slt t r (CInt (t, 0L)) in
-       let low =
-         if t = I8 then r else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
+       let zf =
+         when_live st zf_i (fun () -> Builder.icmp st.b Eq t r (CInt (t, 0L)))
        in
-       let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
-       let pband = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
-       let pf = Builder.icmp st.b Eq I8 pband (CInt (I8, 0L)) in
+       let sf =
+         when_live st sf_i (fun () -> Builder.icmp st.b Slt t r (CInt (t, 0L)))
+       in
+       let pf =
+         when_live st pf_i (fun () ->
+             let low =
+               if t = I8 then r
+               else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
+             in
+             let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
+             let pband = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
+             Builder.icmp st.b Eq I8 pband (CInt (I8, 0L)))
+       in
        (* cf/of: the [bits - n] / [n - 1] shift amounts wrap in type [t]
           when the count exceeds the operand width; an IR shift by >=
           bits yields 0 (sign-fill for AShr), which matches the
           emulator's [n <= bits] guards bit for bit *)
+       let cf_needed = live st cf_i || (op = Insn.Shl && live st of_i) in
        let cf =
-         match op with
-         | Insn.Shl ->
-           let sh = Builder.bin st.b Sub t (CInt (t, Int64.of_int bits)) n in
-           let bit = Builder.bin st.b LShr t a sh in
-           let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-           Builder.icmp st.b Ne t band (CInt (t, 0L))
-         | Insn.Shr ->
-           let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
-           let bit = Builder.bin st.b LShr t a n1 in
-           let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-           Builder.icmp st.b Ne t band (CInt (t, 0L))
-         | Insn.Sar ->
-           let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
-           let bit = Builder.bin st.b AShr t a n1 in
-           let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-           Builder.icmp st.b Ne t band (CInt (t, 0L))
+         if not cf_needed then Undef I1
+         else
+           match op with
+           | Insn.Shl ->
+             let sh = Builder.bin st.b Sub t (CInt (t, Int64.of_int bits)) n in
+             let bit = Builder.bin st.b LShr t a sh in
+             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
+             Builder.icmp st.b Ne t band (CInt (t, 0L))
+           | Insn.Shr ->
+             let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
+             let bit = Builder.bin st.b LShr t a n1 in
+             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
+             Builder.icmp st.b Ne t band (CInt (t, 0L))
+           | Insn.Sar ->
+             let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
+             let bit = Builder.bin st.b AShr t a n1 in
+             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
+             Builder.icmp st.b Ne t band (CInt (t, 0L))
        in
        let ov =
-         match op with
-         | Insn.Shl ->
-           let msbr = Builder.icmp st.b Slt t r (CInt (t, 0L)) in
-           Builder.bin st.b Xor I1 msbr cf
-         | Insn.Shr -> Builder.icmp st.b Slt t a (CInt (t, 0L))
-         | Insn.Sar -> CInt (I1, 0L)
+         when_live st of_i (fun () ->
+             match op with
+             | Insn.Shl ->
+               let msbr = Builder.icmp st.b Slt t r (CInt (t, 0L)) in
+               Builder.bin st.b Xor I1 msbr cf
+             | Insn.Shr -> Builder.icmp st.b Slt t a (CInt (t, 0L))
+             | Insn.Sar -> CInt (I1, 0L))
        in
        setf zf_i zf;
        setf sf_i sf;
@@ -1097,9 +1154,11 @@ let lift_insn st (i : Insn.insn) : unit =
     | Insn.Neg ->
       let r = Builder.bin st.b Sub t (CInt (t, 0L)) a in
       set_szp st t r;
-      set_flag st cf_i (Builder.icmp st.b Ne t a (CInt (t, 0L)));
-      let m = Builder.bin st.b And t a r in
-      set_flag st of_i (Builder.icmp st.b Slt t m (CInt (t, 0L)));
+      def_flag st cf_i (fun () -> Builder.icmp st.b Ne t a (CInt (t, 0L)));
+      def_flag st of_i (fun () ->
+          let m = Builder.bin st.b And t a r in
+          Builder.icmp st.b Slt t m (CInt (t, 0L)));
+      (* af is left as it was *)
       st.cur.cmp_cache <- None;
       write_operand st w dst r
     | Insn.Not ->
@@ -1110,13 +1169,11 @@ let lift_insn st (i : Insn.insn) : unit =
       let r =
         Builder.bin st.b (if op = Insn.Inc then Add else Sub) t a one
       in
-      (* inc/dec preserve cf *)
-      let cf = get_flag st cf_i in
+      (* inc/dec preserve cf: its slot is left as it was *)
       set_szp st t r;
       if op = Insn.Inc then set_of_add st t a one r
       else set_of_sub st t a one r;
       set_af st t a one r;
-      set_flag st cf_i cf;
       st.cur.cmp_cache <- None;
       write_operand st w dst r)
   | Insn.Push src ->
@@ -1185,7 +1242,7 @@ let lift_insn st (i : Insn.insn) : unit =
           set_gpr64 st r (Undef I64))
       Reg.caller_saved;
     for x = 0 to 15 do set_xmm128 st x (Undef I128) done;
-    st.cur.flags <- Array.map (fun _ -> Undef I1) st.cur.flags;
+    Array.fill st.cur.flags 0 6 (Undef I1);
     st.cur.cmp_cache <- None;
     (match sg.ret with
      | Some F64 -> set_xmm_f64 st 0 ~zero_upper:true res
@@ -1353,9 +1410,9 @@ let lift_insn st (i : Insn.insn) : unit =
       else (get_xmm_f32 st dst, xop_f32 st src)
     in
     let t = if p = Insn.Sd then F64 else F32 in
-    set_flag st zf_i (Builder.fcmp st.b Ueq t a bv);
-    set_flag st cf_i (Builder.fcmp st.b Ult t a bv);
-    set_flag st pf_i (Builder.fcmp st.b Uno t a bv);
+    def_flag st zf_i (fun () -> Builder.fcmp st.b Ueq t a bv);
+    def_flag st cf_i (fun () -> Builder.fcmp st.b Ult t a bv);
+    def_flag st pf_i (fun () -> Builder.fcmp st.b Uno t a bv);
     set_flag st of_i (CInt (I1, 0L));
     set_flag st sf_i (CInt (I1, 0L));
     set_flag st af_i (CInt (I1, 0L));
@@ -1398,6 +1455,167 @@ let lift_insn st (i : Insn.insn) : unit =
   | Insn.Jmp _ | Insn.JmpInd _ | Insn.Jcc _ | Insn.Ret ->
     err "terminator reached in straight-line lifting"
   | Insn.Ud2 | Insn.Int3 -> err "trap instruction"
+
+(* ------------------------------------------------------------------ *)
+(* Flag liveness                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Most flags a block computes are overwritten before anything reads
+   them (Sec. III-D lifts each flag as its own value).  A backward
+   fixpoint over the raw blocks finds, after every instruction, the
+   flags some path still reads, and the flag writers above build only
+   those.  A flag that no path reads would be dead IR, so skipping it
+   removes only instructions DCE would remove, and nothing else moves.
+
+   The read and kill sets follow the lifter's semantics above, not the
+   ISA's: a flag is killed only where every path through [lift_insn]
+   overwrites it without reading it, and read wherever [get_flag] may
+   read it.  A condition the flag cache answers reads no flag. *)
+
+(* the flags [cond_value] reads for [c] when the flag cache misses *)
+let cc_reads (c : Insn.cc) =
+  match c with
+  | Insn.E | Insn.NE -> zf_b
+  | Insn.B | Insn.AE -> cf_b
+  | Insn.BE | Insn.A -> cf_b lor zf_b
+  | Insn.L | Insn.GE -> sf_b lor of_b
+  | Insn.LE | Insn.G -> zf_b lor sf_b lor of_b
+  | Insn.S | Insn.NS -> sf_b
+  | Insn.P | Insn.NP -> pf_b
+  | Insn.O | Insn.NO -> of_b
+
+(* the conditions [cond_value] answers from the flag cache *)
+let cached_cc (c : Insn.cc) =
+  match c with
+  | Insn.E | Insn.NE | Insn.B | Insn.AE | Insn.BE | Insn.A | Insn.L
+  | Insn.GE | Insn.LE | Insn.G ->
+    true
+  | Insn.S | Insn.NS | Insn.P | Insn.NP | Insn.O | Insn.NO -> false
+
+(* (reads, kills) of one instruction; [cond c] is what a condition
+   [c] reads at that point *)
+let flag_effect ~cond (i : Insn.insn) =
+  match i with
+  | Insn.Alu ((Insn.Adc | Insn.Sbb), _, _, _) -> (cf_b, all_flags)
+  | Insn.Alu (_, _, _, _) | Insn.Test _ | Insn.Imul2 _ | Insn.Imul3 _
+  | Insn.Ucomis _ | Insn.Call _ ->
+    (0, all_flags)
+  | Insn.Unop (Insn.Neg, _, _) -> (0, all_flags land lnot af_b)
+  | Insn.Unop ((Insn.Inc | Insn.Dec), _, _) -> (0, all_flags land lnot cf_b)
+  | Insn.Shift (_, w, _, Insn.ShImm n)
+    when n land (if w = Insn.W64 then 63 else 31) <> 0 ->
+    (* a CL count keeps every flag through a select, and a zero count
+       writes none: those are no kill *)
+    (0, all_flags land lnot af_b)
+  | Insn.Cmov (c, _, _, _) | Insn.Setcc (c, _) -> (cond c, 0)
+  | Insn.Nop _ | Insn.Mov _ | Insn.Movabs _ | Insn.Movzx _ | Insn.Movsx _
+  | Insn.Lea _ | Insn.Idiv _ | Insn.Cqo | Insn.Cdq | Insn.Shift _
+  | Insn.Unop (Insn.Not, _, _) | Insn.Push _ | Insn.Pop _ | Insn.Leave
+  | Insn.CallInd _ | Insn.Ret | Insn.Jmp _ | Insn.JmpInd _ | Insn.Jcc _
+  | Insn.SseMov _ | Insn.MovqXR _ | Insn.MovqRX _ | Insn.SseArith _
+  | Insn.SseLogic _ | Insn.Cvtsi2sd _ | Insn.Cvttsd2si _ | Insn.Cvtsd2ss _
+  | Insn.Cvtss2sd _ | Insn.Unpcklpd _ | Insn.Shufpd _ | Insn.Padd _
+  | Insn.Ud2 | Insn.Int3 ->
+    (0, 0)
+
+(* Whether [i] sets the flag cache ([Some true]), clears it ([Some
+   false]) or leaves it as it is: [lift_insn]'s writes of [cmp_cache]. *)
+let cache_write (i : Insn.insn) =
+  match i with
+  | Insn.Alu (Insn.Cmp, _, _, _) -> Some true
+  | Insn.Shift (_, w, _, Insn.ShImm n)
+    when n land (if w = Insn.W64 then 63 else 31) = 0 ->
+    None
+  | Insn.Alu _ | Insn.Test _ | Insn.Imul2 _ | Insn.Imul3 _ | Insn.Idiv _
+  | Insn.Shift _ | Insn.Unop ((Insn.Neg | Insn.Inc | Insn.Dec), _, _)
+  | Insn.Call _ | Insn.Ucomis _ ->
+    Some false
+  | _ -> None
+
+(* The (reads, kills) of each instruction of [rb] and the reads of its
+   terminator.  The flag cache is block-local and, with [flag_cache],
+   answers a cached condition from a [cmp] until the next instruction
+   that clears it. *)
+let block_effects ~flag_cache rb =
+  let cached = ref false in
+  let cond c = if !cached && cached_cc c then 0 else cc_reads c in
+  let effects =
+    Array.of_list
+      (List.map
+         (fun (_, i) ->
+           let e = flag_effect ~cond i in
+           (match cache_write i with
+            | Some c -> cached := flag_cache && c
+            | None -> ());
+           e)
+         rb.insns)
+  in
+  (effects, match rb.term with `Jcc (c, _, _) -> cond c | _ -> 0)
+
+(* The flags live after each instruction of each raw block, by block
+   index.  A block's successors are its IR edges: branch targets, the
+   callee of an in-region call, the candidates of a switch and, for a
+   [Ret], the call continuations [call_ras] its guard chain dispatches
+   to.  An address outside the region keeps every flag live. *)
+let flag_liveness ~flag_cache (raw : raw_block array) ~call_ras :
+    int array array =
+  let n = Array.length raw in
+  let index = Hashtbl.create n in
+  Array.iteri (fun j rb -> Hashtbl.replace index rb.start j) raw;
+  let succs rb =
+    match rb.term with
+    | `Jmp t | `Fall t | `CallDir (t, _) -> [ t ]
+    | `Jcc (_, t, f) -> [ t; f ]
+    | `Switch (_, ts) | `CallSwitch (_, ts, _) -> ts
+    | `Ret -> call_ras
+    | `IndExit -> []
+  in
+  let effects = Array.map (block_effects ~flag_cache) raw in
+  (* live-in = gen lor (live-out land lnot kill), per block *)
+  let gen = Array.make n 0 and kill = Array.make n 0 in
+  Array.iteri
+    (fun j _ ->
+      let eff, term = effects.(j) in
+      let g = ref term and k = ref 0 in
+      for x = Array.length eff - 1 downto 0 do
+        let r, kx = eff.(x) in
+        g := r lor (!g land lnot kx);
+        k := !k lor kx
+      done;
+      gen.(j) <- !g;
+      kill.(j) <- !k)
+    raw;
+  let live_in = Array.copy gen in
+  let live_out j =
+    List.fold_left
+      (fun m a ->
+        m lor (match Hashtbl.find_opt index a with
+               | Some s -> live_in.(s)
+               | None -> all_flags))
+      0 (succs raw.(j))
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for j = n - 1 downto 0 do
+      let li = gen.(j) lor (live_out j land lnot kill.(j)) in
+      if li <> live_in.(j) then begin
+        live_in.(j) <- li;
+        changed := true
+      end
+    done
+  done;
+  Array.mapi
+    (fun j (eff, term) ->
+      let after = Array.make (Array.length eff) 0 in
+      let live = ref (live_out j lor term) in
+      for x = Array.length eff - 1 downto 0 do
+        after.(x) <- !live;
+        let r, k = eff.(x) in
+        live := r lor (!live land lnot k)
+      done;
+      after)
+    effects
 
 (* ------------------------------------------------------------------ *)
 (* Function-level driver                                               *)
@@ -1444,10 +1662,7 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
     st.pending <- List.tl st.pending;
     let k = slot_of n in
     List.iter
-      (fun (_, ps) ->
-        match phi_slot ps k with
-        | Some v -> ignore (used st v)
-        | None -> ignore (used st ps.gpr.(k - 16)))
+      (fun (_, ps) -> ignore (used st (exit_value ps k)))
       pstates.(n / phi_slots)
   done;
   let incomings = Array.make nphis [] in
@@ -1460,13 +1675,13 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
   (* pointer-facet casts per predecessor block, newest first *)
   let casts : (int, instr list) Hashtbl.t = Hashtbl.create 16 in
   let incoming k (p, ps) =
-    match phi_slot ps k with
-    | Some v -> (p, v)
-    | None ->
+    if k < 16 || k >= 32 || Option.is_some ps.x_ptr.(k - 16) then
+      (p, exit_value ps k)
+    else
       let id = Builder.fresh_id b in
       let ins =
         { id; ty = Some (Ptr 0);
-          op = Cast (IntToPtr, I64, ps.gpr.(k - 16), Ptr 0);
+          op = Cast (IntToPtr, I64, ps.x_gpr.(k - 16), Ptr 0);
           prov = prov_of_bid p }
       in
       let earlier = Option.value ~default:[] (Hashtbl.find_opt casts p) in
@@ -1488,16 +1703,23 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
   (* [Some v] when every incoming is the phi itself or [v] ([Undef]
      when there is no other), [None] for a phi that stays *)
   let trivial_value n =
-    let self = V (lo + n) in
-    let rec go same = function
-      | [] -> Some (Option.value same ~default:(Undef (phi_ty (slot_of n))))
+    let self = lo + n in
+    (* value ids compare as ints; only constants need [=] *)
+    let same a b =
+      match a, b with
+      | V x, V y -> x = y
+      | V _, _ | _, V _ -> false
+      | _ -> a = b
+    in
+    let rec go same_v = function
+      | [] -> Some (Option.value same_v ~default:(Undef (phi_ty (slot_of n))))
       | (_, v) :: tl -> (
         let v = Util.resolve subst v in
-        match same with
-        | _ when v = self -> go same tl
-        | None -> go (Some v) tl
-        | Some s when s = v -> go same tl
-        | Some _ -> None)
+        match v, same_v with
+        | V id, _ when id = self -> go same_v tl
+        | _, None -> go (Some v) tl
+        | _, Some s when same s v -> go same_v tl
+        | _, Some _ -> None)
     in
     go None incomings.(n)
   in
@@ -1563,7 +1785,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   let has_calls = call_ras <> [] in
   let b = Builder.create ~name ~sg in
   let st =
-    { cfg = config; b; cur = empty_rstate ();
+    { cfg = config; b; cur = empty_rstate (); live = all_flags;
       block_of_addr = Hashtbl.create 16;
       final_states = Hashtbl.create 16;
       phi_lo = 0; phi_hi = 0; needed = Bytes.empty; pending = [] }
@@ -1656,6 +1878,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   |> ignore;
   (* reserve the entry-phi ids of every raw block (see {!phi_slots}) *)
   let raw = Array.of_list raw in
+  let live_after = flag_liveness ~flag_cache:config.flag_cache raw ~call_ras in
   let nphis = phi_slots * Array.length raw in
   st.phi_lo <- Builder.reserve_ids b nphis;
   st.phi_hi <- st.phi_lo + nphis;
@@ -1715,12 +1938,13 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
          [`Jcc] condition reconstruction should be attributed to (the
          cmp/test normally ends the block) *)
       Builder.set_prov b (Hashtbl.find prov_of_bid bid);
-      st.cur <- entry_rstate (st.phi_lo + (j * phi_slots));
+      enter_block st.cur (st.phi_lo + (j * phi_slots));
       let ord = ref (Hashtbl.find ord_base rb.start) in
-      List.iter
-        (fun (a, i) ->
+      List.iteri
+        (fun x (a, i) ->
           Builder.set_prov b (Prov.make ~addr:a ~ord:!ord);
           incr ord;
+          st.live <- live_after.(j).(x);
           lift_insn st i)
         rb.insns;
       (match rb.term with

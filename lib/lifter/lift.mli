@@ -7,7 +7,8 @@
       additionally carry a pointer facet so memory operands become
       [getelementptr] (III-C, III-E);
     - the six status flags as individual [i1] values plus the
-      {e flag cache} reconstructing comparison predicates (III-D);
+      {e flag cache} reconstructing comparison predicates (III-D),
+      each flag built only where some path reads it;
     - a virtual stack allocated with [alloca] (III-F);
     - [call]/[ret] mapped to IR calls/returns, leaving inlining
       decisions to the optimizer.

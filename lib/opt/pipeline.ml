@@ -108,8 +108,9 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
     let compact () =
       Tel.span "ir.compact" ~args:f.fname (fun () -> Util.compact f)
     in
-    (* most of a lifted function is dead on arrival (every flag and
-       facet is emitted eagerly): delete it before anything walks it *)
+    (* about half of a lifted function is dead on arrival (facets and
+       stack traffic are emitted eagerly): delete it before anything
+       walks it *)
     pass "dce" (fun () -> Dce.run f);
     compact ();
     pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);

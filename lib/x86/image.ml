@@ -90,8 +90,12 @@ let install_code_impl ?name ~dedup t (items : Insn.item list) =
      must not short-circuit the encoder, or injected encode faults
      would depend on what happened to be installed earlier *)
   let dedup = dedup && not (Obrew_fault.Fault.active ()) in
+  (* the key is the items' structure: with sharing detection, equal
+     lists built with differently shared operands would key apart *)
   let key =
-    if dedup then Some (Digest.string (Marshal.to_string items [])) else None
+    if dedup then
+      Some (Digest.string (Marshal.to_string items [ Marshal.No_sharing ]))
+    else None
   in
   let quarantined addr =
     match Hashtbl.find_opt t.code_digests addr with

@@ -200,6 +200,34 @@ let test_verifier_catches_errors () =
   in
   id_error "parameter" (Verify.check f4)
 
+(* The context each message starts with: the function, then the block
+   and the instruction ([bbN/%id]) or its terminator ([bbN/term]). *)
+let test_verifier_messages () =
+  let corrupt f =
+    let blk = entry_block f in
+    blk.instrs <-
+      List.map
+        (fun i ->
+          match i.op with
+          | Icmp (p, t, _, b) -> { i with op = Icmp (p, t, V 999, b) }
+          | _ -> i)
+        blk.instrs;
+    blk
+  in
+  let f = build_max () in
+  let blk = corrupt f in
+  blk.term <- Ret (Some (V 2));
+  Alcotest.(check (list string)) "instruction and terminator context"
+    [ "max: bb0/%2: use of undefined %999"; "max: no type for %999";
+      "max: bb0/term: expected i64, got i1" ]
+    (Verify.check f);
+  (* an unreachable block: the CFG walk never follows its branch *)
+  let f2 = build_max () in
+  f2.blocks <- f2.blocks @ [ { bid = 1; instrs = []; term = Br 7 } ];
+  Alcotest.(check (list string)) "missing branch target"
+    [ "max: bb1 branches to missing bb7" ]
+    (Verify.check f2)
+
 let test_dom () =
   let f = build_sum () in
   let dom = Dom.compute f in
@@ -350,6 +378,7 @@ let () =
          Alcotest.test_case "calls" `Quick test_call ]);
       ("verify",
        [ Alcotest.test_case "catches errors" `Quick test_verifier_catches_errors;
+         Alcotest.test_case "error messages" `Quick test_verifier_messages;
          Alcotest.test_case "dominators" `Quick test_dom;
          Alcotest.test_case "printer" `Quick test_printer ]);
       ("builder",

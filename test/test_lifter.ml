@@ -27,8 +27,8 @@ let setup ?config ~sg items =
   (img, fn, f, { Ins.funcs = [ f ]; globals = [] })
 
 (* run both sides; integer result *)
-let both_i64 (img, fn, _f, m) args =
-  let native, _ = Image.call img ~fn ~args in
+let both_i64 ?engine (img, fn, _f, m) args =
+  let native, _ = Image.call ?engine img ~fn ~args in
   let ctx = Interp.create ~mem:img.Image.cpu.Cpu.mem m in
   let lifted =
     match Interp.run ctx "lifted" (List.map (fun v -> Interp.I v) args) with
@@ -506,7 +506,9 @@ let gen_multiblock =
   let open QCheck2.Gen in
   let reg = oneofl [ Reg.RAX; Reg.RCX; Reg.RDX; Reg.RSI; Reg.RDI ] in
   let low = oneofl [ Reg.RAX; Reg.RCX; Reg.RDX ] in
-  let cc = oneofl [ E; NE; L; GE; LE; G; B; A; S; NS ] in
+  (* no P/NP: the parity of a pointer base's low byte differs between
+     the native stack and the lifted code's virtual stack *)
+  let cc = oneofl [ E; NE; L; GE; LE; G; B; A; BE; AE; S; NS; O; NO ] in
   let slot = map (fun k -> mem_base ~disp:(8 * k) Reg.R9) (int_range 0 3) in
   let setter =
     oneof
@@ -555,7 +557,20 @@ let gen_multiblock =
             [ Mov (W64, OReg Reg.R9, OReg Reg.RSP);
               Alu (Sub, W64, OReg Reg.R9, OImm 128L) ];
             [ Lea (Reg.R9, mem_base ~disp:(-96) Reg.RSP);
-              Alu (Or, W64, OReg Reg.R9, OImm 0L) ] ] ]
+              Alu (Or, W64, OReg Reg.R9, OImm 0L) ] ];
+        (* partial flag writers: inc/dec keep cf, neg keeps af, a shift
+           by cl keeps every flag when the masked count is 0 *)
+        (let* op = oneofl [ Inc; Dec; Neg ] in
+         let* w = oneofl [ W8; W32; W64 ] in
+         let* d = low in
+         return [ Unop (op, w, OReg d) ]);
+        (let* op = oneofl [ Shl; Shr; Sar ] in
+         let* w = oneofl [ W32; W64 ] in
+         let* d = oneofl [ Reg.RAX; Reg.RDX; Reg.RSI ] in
+         let* cnt =
+           oneof [ return ShCl; map (fun n -> ShImm n) (int_range 0 5) ]
+         in
+         return [ Shift (op, w, OReg d, cnt) ]) ]
   in
   (* consumers of the flags as the last setter left them *)
   let consume =
@@ -566,7 +581,12 @@ let gen_multiblock =
          return [ Cmov (c, W64, d, OReg s) ]);
         (let* c = cc in
          let* d = low in
-         return [ Setcc (c, OReg d) ]) ]
+         return [ Setcc (c, OReg d) ]);
+        (let* op = oneofl [ Adc; Sbb ] in
+         let* w = oneofl [ W32; W64 ] in
+         let* d = reg in
+         let* s = reg in
+         return [ Alu (op, w, OReg d, OReg s) ]) ]
   in
   let leaf = oneof [ map (fun is -> Code is) code; map (fun is -> Code is) consume ] in
   let rec segment depth =
@@ -613,6 +633,24 @@ let multiblock_items shapes =
   @ List.concat_map (emit_shape next) shapes
   @ [ I Ret ]
 
+(* Instructions of [f] that read an [Undef] flag.  A lift whose entry
+   defines every flag reads none: a flag the lifter left [Undef] as
+   dead while some path reads it shows up here. *)
+let undef_flag_reads (f : Ins.func) =
+  let undef = List.exists (fun v -> v = Ins.Undef Ins.I1) in
+  List.concat_map
+    (fun (b : Ins.block) ->
+      List.filter_map
+        (fun (i : Ins.instr) ->
+          if undef (Ins.operands i.op) then Some (Pp_ir.instr i) else None)
+        b.instrs
+      @ (if undef (Ins.term_operands b.term) then
+           [ Printf.sprintf "bb%d/term" b.bid ]
+         else []))
+    f.blocks
+
+(* The raw lift, which no DCE has touched, and its O3 optimization
+   against the single-step engine. *)
 let prop_multiblock =
   QCheck2.Test.make ~name:"lifted multi-block = native, unoptimized and O3"
     ~count:300
@@ -634,7 +672,7 @@ let prop_multiblock =
       let agree what =
         List.for_all
           (fun args ->
-            let native, lifted = both_i64 s args in
+            let native, lifted = both_i64 ~engine:Cpu.SingleStep s args in
             native = lifted
             || QCheck2.Test.fail_reportf "%s: native=%Ld lifted=%Ld\n%s" what
                  native lifted (Pp_ir.func f))
@@ -642,12 +680,90 @@ let prop_multiblock =
       in
       (trivial_phis f = []
       || QCheck2.Test.fail_reportf "trivial phi in\n%s" (Pp_ir.func f))
-      && agree "unoptimized"
+      && (undef_flag_reads f = []
+         || QCheck2.Test.fail_reportf "undef flag read by %s in\n%s"
+              (String.concat ", " (undef_flag_reads f)) (Pp_ir.func f))
+      && agree "O0"
       && begin
         Pipeline.run m;
         Verify.assert_ok ~ctx:"O3 on multi-block lift" f;
         agree "O3"
       end)
+
+(* ---- flag liveness ---- *)
+
+(* The lifter builds a flag only where some path reads it, so DCE finds
+   no dead [i1] value in these lifts, none is read as [Undef], and the
+   unoptimized lift agrees with the single-step engine. *)
+let check_flag_lift name items cases =
+  let ((_, _, f, _) as s) = setup ~sg:(i64_sig 2) items in
+  Alcotest.(check (list string)) (name ^ ": undef flag reads") []
+    (undef_flag_reads f);
+  let i1s (f : Ins.func) =
+    List.fold_left
+      (fun n (b : Ins.block) ->
+        List.fold_left
+          (fun n (i : Ins.instr) -> if i.ty = Some Ins.I1 then n + 1 else n)
+          n b.instrs)
+      0 f.blocks
+  in
+  let g : Ins.func = Marshal.from_string (Marshal.to_string f []) 0 in
+  ignore (Dce.run g);
+  Alcotest.(check int) (name ^ ": every i1 is live") (i1s g) (i1s f);
+  List.iter
+    (fun args ->
+      let native, lifted = both_i64 ~engine:Cpu.SingleStep s args in
+      check ci64
+        (Printf.sprintf "%s(%s)" name
+           (String.concat "," (List.map Int64.to_string args)))
+        native lifted)
+    cases
+
+let flag_cases =
+  [ [ 3L; 5L ]; [ 5L; 3L ]; [ -3L; 5L ]; [ 5L; -3L ]; [ 4L; 4L ];
+    [ Int64.min_int; 1L ] ]
+
+(* sf and of written by a sub cross a block that writes no flag and are
+   read by a cmov two blocks later *)
+let test_flag_live_across_blocks () =
+  check_flag_lift "across"
+    [ I (Alu (Sub, W64, OReg Reg.RDI, OReg Reg.RSI));
+      I (Jmp (Lbl 1));
+      L 1;
+      I (Mov (W64, OReg Reg.RAX, OReg Reg.RDI));
+      I (Jmp (Lbl 2));
+      L 2;
+      I (Cmov (L, W64, Reg.RAX, OReg Reg.RSI));
+      I Ret ]
+    flag_cases
+
+(* cf of the sub is killed by the test on the fall-through path only,
+   so it is live after the sub and meets the test's cf in a phi *)
+let test_flag_killed_on_one_path () =
+  check_flag_lift "one path"
+    [ I (Mov (W64, OReg Reg.RAX, OReg Reg.RDI));
+      I (Alu (Sub, W64, OReg Reg.RDI, OReg Reg.RSI));
+      I (Jcc (L, Lbl 1));
+      I (Test (W64, OReg Reg.RDI, OReg Reg.RDI));
+      I (Jmp (Lbl 2));
+      L 1;
+      I (Mov (W64, OReg Reg.RDX, OImm 5L));
+      L 2;
+      I (Setcc (B, OReg Reg.RAX));
+      I Ret ]
+    flag_cases
+
+(* the loop's [jl] is answered by the flag cache from the [cmp], so no
+   flag of the [cmp] is read and none is built *)
+let test_flag_cache_reads_nothing () =
+  check_flag_lift "cached"
+    [ I (Mov (W64, OReg Reg.RAX, OReg Reg.RDI));
+      L 1;
+      I (Alu (Add, W64, OReg Reg.RAX, OImm 1L));
+      I (Alu (Cmp, W64, OReg Reg.RAX, OReg Reg.RSI));
+      I (Jcc (L, Lbl 1));
+      I Ret ]
+    [ [ 3L; 5L ]; [ 5L; 3L ]; [ -2L; 4L ]; [ 4L; 4L ] ]
 
 (* ---- Fig. 5 shapes ---- *)
 
@@ -799,6 +915,13 @@ let () =
       ("property",
        [ qt prop_differential; qt prop_differential_optimized;
          qt prop_multiblock ]);
+      ("flag liveness",
+       [ Alcotest.test_case "live across two blocks" `Quick
+           test_flag_live_across_blocks;
+         Alcotest.test_case "killed on one of two paths" `Quick
+           test_flag_killed_on_one_path;
+         Alcotest.test_case "cached condition reads no flag" `Quick
+           test_flag_cache_reads_nothing ]);
       ("fig5", [ Alcotest.test_case "addsd shape" `Quick test_fig5_addsd_shape ]);
       ("golden",
        [ Alcotest.test_case "lifted-IR digests" `Quick test_lifted_digests;

@@ -850,6 +850,22 @@ let prop_engine_differential_traced =
         QCheck.Test.fail_reportf "architectural state diverges under traces"
       else true)
 
+(* The dedup key of an install is the items' structure: the same list
+   built with and without shared operands installs once. *)
+let test_install_dedup_sharing () =
+  let img = Image.create () in
+  let items m m' =
+    [ I (Mov (W64, OReg Reg.RAX, OMem m));
+      I (Alu (Add, W64, OMem m', OReg Reg.RAX)); I Ret ]
+  in
+  let mk () = Sys.opaque_identity (mem_base ~disp:8 Reg.RDI) in
+  let m = mk () in
+  let shared = items m m in
+  let unshared = items (mk ()) (mk ()) in
+  let a = Image.install_code ~dedup:true img shared in
+  let b = Image.install_code ~dedup:true img unshared in
+  check cint "one address" a b
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "x86"
@@ -886,6 +902,8 @@ let () =
            test_indirect_loop_differential;
          Alcotest.test_case "fork counts apart" `Quick test_fork_counts_apart;
          Alcotest.test_case "trace promotion" `Quick test_trace_promotion;
+         Alcotest.test_case "install dedup ignores sharing" `Quick
+           test_install_dedup_sharing;
          qt prop_engine_differential;
          qt prop_engine_differential_traced ])
     ]
