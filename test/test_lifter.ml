@@ -915,7 +915,7 @@ let () =
       ("property",
        [ qt prop_differential; qt prop_differential_optimized;
          qt prop_multiblock ]);
-      ("flag liveness",
+      ("live flags",
        [ Alcotest.test_case "live across two blocks" `Quick
            test_flag_live_across_blocks;
          Alcotest.test_case "killed on one of two paths" `Quick

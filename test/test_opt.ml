@@ -1118,6 +1118,51 @@ let test_licm_keeps_variant () =
   Verify.assert_ok ~ctx:"licm variant" f;
   check ci64 "unchanged behaviour" before (run_i64 m "f" [ 0L; 2L; 4L ])
 
+(* Two loops in sequence: once the empty block between them is gone,
+   the second loop's preheader is the first loop's header, which also
+   branches back into the first loop.  The second loop's invariant
+   [xor] must not be hoisted into the first loop, where it would run on
+   every trip (and count against the first loop's unroll size). *)
+let test_licm_loops_in_sequence () =
+  let loop ~trips chain =
+    { rotated = false; init = 0; step = 1; pred = Ne; slack = 0; trips;
+      chain }
+  in
+  let f =
+    build_counted_loops [ loop ~trips:5 []; loop ~trips:3 [ (And, 0); (Or, 5) ] ]
+  in
+  let m = { funcs = [ f ]; globals = [] } in
+  let before = run_i64 m "f" [ 9L ] in
+  ignore (Instcombine.run f);
+  ignore (Simplify_cfg.run f);
+  let first = List.hd (Loops.natural f) in
+  let size_of_first () =
+    List.fold_left
+      (fun n (b : block) ->
+        if Idtbl.mem first.body b.bid then n + List.length b.instrs else n)
+      0 f.blocks
+  in
+  let size = size_of_first () in
+  Alcotest.(check bool) "hoisted something" true (Licm.run f);
+  Verify.assert_ok ~ctx:"licm loops in sequence" f;
+  check ci64 "same result" before (run_i64 m "f" [ 9L ]);
+  Alcotest.(check int) "first loop keeps its size" size (size_of_first ());
+  Alcotest.(check (list int)) "no invariant left in a loop" []
+    (List.concat_map
+       (fun (l : Loops.loop) ->
+         List.concat_map
+           (fun (b : block) ->
+             if Idtbl.mem l.body b.bid then
+               List.filter_map
+                 (fun i ->
+                   match i.op with
+                   | Bin (Xor, _, _, CInt _) -> Some i.id
+                   | _ -> None)
+                 b.instrs
+             else [])
+           f.blocks)
+       (Loops.natural f))
+
 let test_licm_load_with_store_in_loop () =
   (* a loop containing a store must not hoist loads *)
   let b = Builder.create ~name:"f" ~sg:{ args = [ Ptr 0; I64 ]; ret = Some I64 } in
@@ -2263,7 +2308,9 @@ let () =
        [ Alcotest.test_case "hoists invariant" `Quick test_licm_hoists_invariant;
          Alcotest.test_case "keeps variant" `Quick test_licm_keeps_variant;
          Alcotest.test_case "stores block loads" `Quick
-           test_licm_load_with_store_in_loop ]);
+           test_licm_load_with_store_in_loop;
+         Alcotest.test_case "loops in sequence" `Quick
+           test_licm_loops_in_sequence ]);
       ("differential",
        [ Alcotest.test_case "pipeline preserves semantics" `Quick
            test_differential;
