@@ -46,6 +46,10 @@ type rw = {
   labels : (int, (int * Meta.t * int) list) Hashtbl.t;
   (* pc -> variants: (label, state at trace point, stack drift) *)
   work : work_item Queue.t;
+  decoded : (int, insn * int) Hashtbl.t;
+  (* pc -> fetched instruction; the meta-emulation visits an address
+     once per variant and unrolled trip, and the code does not change
+     during a rewrite *)
 }
 and work_item = {
   w_pc : int;
@@ -596,16 +600,23 @@ let emit_subst rw ts (i : insn) (io : io) =
    wherever the specialized copy lands (and resolve_addr/fold_mem see
    an ordinary known-base address). *)
 let fetch rw pc =
-  Obrew_telemetry.Telemetry.span "dbrew.decode" (fun () ->
-  let i, len = Decode.decode ~read:(Mem.read_u8 rw.mem) pc in
-  let i =
-    Insn.map_mem
-      (fun (m : mem_addr) ->
-        if m.rip then { m with rip = false; disp = m.disp + pc + len }
-        else m)
-      i
-  in
-  (i, len))
+  match Hashtbl.find_opt rw.decoded pc with
+  | Some d -> d
+  | None ->
+    let d =
+      Obrew_telemetry.Telemetry.span "dbrew.decode" (fun () ->
+          let i, len = Decode.decode ~read:(Mem.read_u8 rw.mem) pc in
+          let i =
+            Insn.map_mem
+              (fun (m : mem_addr) ->
+                if m.rip then { m with rip = false; disp = m.disp + pc + len }
+                else m)
+              i
+          in
+          (i, len))
+    in
+    Hashtbl.replace rw.decoded pc d;
+    d
 
 exception Trace_done
 
@@ -912,7 +923,8 @@ let rewrite ~(cfg : config) ~(mem : Mem.t) ~entry : item list =
       deadline = Obrew_telemetry.Telemetry.Clock.now () +. cfg.max_seconds;
       out = []; emitted = 0;
       next_label = 0;
-      labels = Hashtbl.create 32; work = Queue.create () }
+      labels = Hashtbl.create 32; work = Queue.create ();
+      decoded = Hashtbl.create 128 }
   in
   let st = Meta.create () in
   (* fixed parameters, Fig. 3 *)

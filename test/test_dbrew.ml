@@ -109,6 +109,28 @@ let test_loop_unrolling () =
   Alcotest.(check bool) "loop fully unrolled" false has_jcc;
   Alcotest.(check bool) "tiny result" true (List.length code <= 3)
 
+(* the unrolled loop of [test_loop_unrolling] visits its body five
+   times; the rewriter decodes each of its five instructions once *)
+let test_fetch_decodes_once () =
+  let img = Image.create () in
+  let fn =
+    Image.install_code img
+      [ I (Alu (Xor, W32, OReg Reg.RAX, OReg Reg.RAX));
+        L 0;
+        I (Alu (Add, W64, OReg Reg.RAX, OReg Reg.RDI));
+        I (Unop (Dec, W64, OReg Reg.RDI));
+        I (Jcc (NE, Lbl 0));
+        I Ret ]
+  in
+  let r = Api.dbrew_new img fn in
+  Api.dbrew_set_par r 0 5L;
+  let decoded = Obrew_telemetry.Telemetry.counter "decode.insns" in
+  let before = decoded.Obrew_telemetry.Telemetry.n in
+  let fn' = Api.dbrew_rewrite ~memo:false r in
+  check cint "decodes" 5 (decoded.Obrew_telemetry.Telemetry.n - before);
+  let n, _ = Image.call img ~fn:fn' ~args:[ 0L ] in
+  check ci64 "sum 1..5" 15L n
+
 let test_loop_with_unknown_body () =
   (* for i in 0..3: acc += a[i]; data unknown but trip count fixed *)
   let img = Image.create () in
@@ -617,7 +639,9 @@ let run_suites () =
          Alcotest.test_case "jump table devirtualized" `Quick
            test_jump_table_devirtualized;
          Alcotest.test_case "indirect call devirtualized" `Quick
-           test_indirect_call_devirtualized ]);
+           test_indirect_call_devirtualized;
+         Alcotest.test_case "fetch decodes once" `Quick
+           test_fetch_decodes_once ]);
       ("memo",
        [ Alcotest.test_case "rewrite memo cache" `Quick test_rewrite_memo;
          Alcotest.test_case "transform memo cache" `Quick
