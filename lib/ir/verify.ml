@@ -54,10 +54,10 @@ let check (f : func) : string list =
           end)
         b.instrs)
     f.blocks;
-  let live = Cfg.reachable f in
   let block_ids : unit Idtbl.t = Idtbl.for_blocks f in
   List.iter (fun b -> Idtbl.replace block_ids b.bid ()) f.blocks;
-  (* CFG targets exist *)
+  (* CFG targets exist: checked before anything walks the CFG, which
+     cannot follow a branch to a missing block *)
   List.iter
     (fun b ->
       List.iter
@@ -68,6 +68,7 @@ let check (f : func) : string list =
     f.blocks;
   if !errs <> [] then List.rev !errs
   else begin
+    let live = Cfg.reachable f in
     let dom = Dom.compute f in
     let preds = Cfg.predecessors f in
     let tyv v =

@@ -221,12 +221,17 @@ let test_verifier_messages () =
     [ "max: bb0/%2: use of undefined %999"; "max: no type for %999";
       "max: bb0/term: expected i64, got i1" ]
     (Verify.check f);
-  (* an unreachable block: the CFG walk never follows its branch *)
+  (* a reachable branch to a missing block is reported, before any CFG
+     walk could trip over it, and assert_ok raises the typed error *)
   let f2 = build_max () in
-  f2.blocks <- f2.blocks @ [ { bid = 1; instrs = []; term = Br 7 } ];
+  let entry = entry_block f2 in
+  entry.term <- Br 7;
   Alcotest.(check (list string)) "missing branch target"
-    [ "max: bb1 branches to missing bb7" ]
-    (Verify.check f2)
+    [ Printf.sprintf "max: bb%d branches to missing bb7" entry.bid ]
+    (Verify.check f2);
+  match Verify.assert_ok f2 with
+  | () -> Alcotest.fail "assert_ok accepted a branch to a missing block"
+  | exception Obrew_fault.Err.Error { stage = Obrew_fault.Err.Verify; _ } -> ()
 
 let test_dom () =
   let f = build_sum () in
