@@ -191,6 +191,35 @@ let transform_key env ~(lift_config : Lift.config)
 
 let memo_stats env = (env.memo_hits, env.memo_misses)
 
+(* The functions of [m] other than [kernel] that the kernel still
+   reaches through calls or function references, in module order.
+   LLVM-fix's always-inline callee is dead once -O3 has inlined it,
+   and like LLVM with a dead internal function we do not emit it. *)
+let live_callees (m : Ins.modul) (kernel : Ins.func) =
+  let refs (f : Ins.func) =
+    let names = function Ins.Global n -> [ n ] | _ -> [] in
+    List.concat_map
+      (fun (b : Ins.block) ->
+        List.concat_map names (Ins.term_operands b.term)
+        @ List.concat_map
+            (fun (i : Ins.instr) ->
+              (match i.op with Ins.CallDirect (n, _, _) -> [ n ] | _ -> [])
+              @ List.concat_map names (Ins.operands i.op))
+            b.instrs)
+      f.blocks
+  in
+  let rec visit live name =
+    if List.mem name live then live
+    else
+      match List.find_opt (fun (f : Ins.func) -> f.fname = name) m.funcs with
+      | Some f -> List.fold_left visit (name :: live) (refs f)
+      | None -> live
+  in
+  let live = List.fold_left visit [ kernel.fname ] (refs kernel) in
+  List.filter
+    (fun (f : Ins.func) -> f != kernel && List.mem f.fname live)
+    m.funcs
+
 (** Apply [t] to the kernel [(kind, style)].  Returns the address of
     the drop-in replacement and the transformation (compile) time in
     seconds — the quantity of Fig. 10.
@@ -291,8 +320,8 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
           (* LLVM-fix's callee is normally fully inlined, but lower
              optimization levels may keep the call *)
           List.iter
-            (fun f -> if f != kernel then ignore (Jit.install_func env.img f))
-            m.funcs;
+            (fun f -> ignore (Jit.install_func env.img f))
+            (live_callees m kernel);
           Jit.install_func env.img kernel))
   in
   (match key with Some k -> Hashtbl.replace env.memo k addr | None -> ());

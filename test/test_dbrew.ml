@@ -496,6 +496,23 @@ let test_fix_installs_once () =
   check cint "no new install" misses env.Modes.img.Image.install_misses;
   check cint "no new data" data env.Modes.img.Image.next_data
 
+(* -O3 inlines LLVM-fix's always-inline callee into the wrapper, which
+   then calls nothing: only the kernel is compiled and installed, and
+   the kernel still computes what the native code does *)
+let test_fix_skips_dead_callee () =
+  let open Obrew_core in
+  let env = Modes.build ~sz:11 () in
+  let img = env.Modes.img in
+  let misses = img.Image.install_misses in
+  let a =
+    fst (Modes.transform ~use_memo:false env Modes.Flat Modes.Element
+           Modes.LlvmFix)
+  in
+  check cint "one code install" (misses + 1) img.Image.install_misses;
+  check Alcotest.bool "dead callee not installed" false
+    (Hashtbl.mem img.Image.symbols "lifted");
+  check cint "kernel is the jit function" a (Image.lookup img "jit")
+
 (* ---------- property-based differential testing ---------- *)
 
 (* random straight-line programs over rax/rcx/rdx/rsi/rdi with a random
@@ -647,7 +664,9 @@ let run_suites () =
          Alcotest.test_case "transform memo cache" `Quick
            test_transform_memo;
          Alcotest.test_case "repeated LLVM-fix installs once" `Quick
-           test_fix_installs_once ]) ]
+           test_fix_installs_once;
+         Alcotest.test_case "LLVM-fix installs no dead callee" `Quick
+           test_fix_skips_dead_callee ]) ]
 
 
 let () = run_suites ()
