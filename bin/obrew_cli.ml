@@ -52,7 +52,7 @@ let stats_json_arg =
   Arg.(value & opt (some string) None
        & info [ "stats-json" ] ~docv:"FILE"
          ~doc:"Write the execution-engine counters (superblocks, traces, \
-               mega-op fusion, lazy flags) as JSON to FILE; '-' for \
+               cmp/jcc pairs, lazy flags) as JSON to FILE; '-' for \
                stdout.")
 
 let fallback_arg =
@@ -764,9 +764,9 @@ let fuzz_cmd =
   let profile_arg =
     Arg.(value & opt string "uniform" & info [ "profile" ] ~docv:"P"
            ~doc:"Case-shape bias: 'uniform' draws from the whole ISA \
-                 subset, 'fusion' skews toward fusible adjacent pairs \
-                 and tight backedge loops to stress the superblock \
-                 engine's traces and mega-op fusion, 'indirect' skews \
+                 subset, 'fusion' skews toward adjacent pairs (cmp/jcc, \
+                 spills) and tight backedge loops to stress the \
+                 superblock engine's traces and lazy flags, 'indirect' skews \
                  toward jump tables, computed gotos and call/ret \
                  chains to stress indirect control flow.")
   in

@@ -286,10 +286,10 @@ let gen_jcc r lbl =
 
 (* ---------- fusion-profile generators ---------- *)
 
-(* adjacent pairs the superblock engine's mega-op fuser recognizes:
-   mov-imm feeding an ALU op, lea feeding a memory access, cmp/test
-   immediately followed by jcc, and push/pop spill pairs.  Emitting
-   them back to back makes the runs that [build_slots] folds. *)
+(* adjacent pairs that stress the superblock engine: mov-imm feeding
+   an ALU op, lea feeding a memory access, cmp/test immediately
+   followed by jcc (which the engine runs as one predicated op), and
+   push/pop spill pairs, emitted back to back. *)
 let gen_fused_pair r _lbl =
   let w = pick r [| Insn.W32; Insn.W64 |] in
   match int r 4 with
@@ -454,8 +454,8 @@ let gen_indirect_call r lbl =
 
 (** Generation profiles.  [Uniform] draws from the full ISA subset with
     the historical weights; [Fusion] skews heavily toward adjacent
-    fusible pairs and tight backedge loops to stress the superblock
-    engine's mega-op fusion, trace extension and lazy-flag machinery;
+    pairs and tight backedge loops to stress the superblock engine's
+    cmp/jcc pairing, trace extension and lazy-flag machinery;
     [Indirect] skews toward jump tables, computed gotos and in-region
     call/ret chains to stress indirect control flow end to end (lifter
     target enumeration, inline-cache dispatch, DBrew

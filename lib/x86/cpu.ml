@@ -10,12 +10,12 @@
       re-fetches through the per-address decode cache on every
       instruction, and
     - the translation-block engine ({!run}), which pre-decodes
-      straight-line superblocks into flat arrays with precomputed
-      per-instruction cycle costs and executes them with an inner loop
-      that touches neither a hash table nor the decoder.  Blocks are
-      chained: each block keeps a small inline cache of successor
-      blocks, so steady-state loops run entirely inside the code
-      cache. *)
+      straight-line superblocks and translates each into one threaded
+      chain of closures: every instruction's closure does its work and
+      tail-calls the next one's, so a block costs one call and touches
+      neither a hash table nor the decoder.  Blocks are chained: each
+      block keeps a small inline cache of successor blocks, so
+      steady-state loops run entirely inside the code cache. *)
 
 open Insn
 open Obrew_fault
@@ -32,9 +32,6 @@ let err fmt = Err.fail Err.Emulate fmt
 let c_sb_exec = Tel.counter "sb.blocks_executed"
 let h_sb_len = Tel.histogram "sb.block_insns"
 
-(** Block kinds: a plain straight-line block, a straight-line block
-    whose terminator is a conditional backedge to its own entry (a
-    trace candidate), or an already-promoted trace. *)
 (* Unboxed 64-bit register files.  Plain [int64 array] cells hold
    pointers to boxed values, so every store pays the GC write barrier
    ([caml_modify]) — measurably the hottest function in the engine.
@@ -49,6 +46,9 @@ let i64buf n : i64buf =
   Bigarray.Array1.fill b 0L;
   b
 
+(** Block kinds: a plain straight-line block, a straight-line block
+    whose terminator is a conditional backedge to its own entry (a
+    trace candidate), or an already-promoted trace. *)
 type sb_kind = KStraight | KLoopHead | KTrace
 
 (** A pre-decoded superblock: instructions up to and including the
@@ -58,23 +58,18 @@ type sb_kind = KStraight | KLoopHead | KTrace
     ([sb_ranges]); hot self-loop blocks are promoted to traces that
     unroll the loop body across the backedge with side-exits.
 
-    Execution runs over the *fused* slot arrays ([sb_slots] etc.),
-    where adjacent instruction pairs may have been combined into one
-    closure; the per-instruction arrays ([sb_ops]/[sb_rips]/...) are
-    kept for the profiled twin, which needs exact per-address
-    attribution. *)
+    Execution enters [sb_chain] once; it runs [sb_len] instructions
+    (the body, or [sb_len / n] unrolled copies of it for a trace)
+    unless a trace side exit leaves early. *)
 type sblock = {
   sb_entry : int;
-  sb_insns : insn array;
-  sb_ops : op_fn array;           (* translated, one per instruction *)
-  sb_rips : int array;            (* rip after each instruction *)
-  sb_addrs : int array;           (* guest address of each instruction *)
-  sb_costs : int array;           (* static Cost.insn_cost per insn *)
-  sb_static : int;                (* sum of sb_costs *)
-  sb_slots : op_fn array;         (* fused execution slots *)
-  sb_slot_rips : int array;       (* rip after a slot's first insn *)
-  sb_slot_costs : int array;      (* static cost of the whole slot *)
-  sb_slot_insns : int array;      (* instructions per slot (1 or 2) *)
+  sb_body : body;                 (* the decoded instructions; a trace
+                                     shares its loop block's body *)
+  sb_len : int;                   (* instructions in a full run *)
+  sb_static : int;                (* static cost of a full run *)
+  sb_chain : op;                  (* the threaded chain *)
+  mutable sb_prof : op option;    (* the profiler's chain, built on the
+                                     block's first profiled execution *)
   sb_ranges : (int * int) list;   (* covered byte ranges [lo, hi) *)
   sb_kind : sb_kind;
   mutable sb_execs : int;         (* executions (always counted): drives
@@ -96,9 +91,27 @@ type sblock = {
   mutable sb_ic2 : sblock option;
 }
 
-(* a translated instruction: executes against the CPU state and
-   returns the dynamic cycle penalty *)
-and op_fn = t -> int
+(* one straight-line run of decoded instructions, per instruction *)
+and body = {
+  bd_insns : insn array;
+  bd_addrs : int array;           (* guest address *)
+  bd_costs : int array;           (* static Cost.insn_cost *)
+  bd_tmpls : tmpl array;          (* translation, see {!translate} *)
+  bd_static : int;                (* sum of bd_costs *)
+  bd_fall : int;                  (* rip after the last instruction *)
+}
+
+(* A threaded op: runs one instruction (or a predicated cmp/test+jcc
+   pair) and tail-calls the op of the next one.  A chain returns the
+   number of instructions it executed: its final continuation returns
+   the chain's length, a trace side exit returns its own index + 1. *)
+and op = t -> int
+
+(* [tmpl k next]: the op of an instruction at index [k] of a chain,
+   continuing with [next].  Operands are resolved once, when the
+   template is made, so a trace instantiates each of its unrolled
+   copies without translating the instruction again. *)
+and tmpl = int -> op -> op
 
 (* Deferred flag state: ALU closures record the operation instead of
    computing all six flags; [materialize] forces the record into the
@@ -136,11 +149,7 @@ and t = {
   mutable sb_ic_misses : int;  (* indirect transitions that missed the IC *)
   mutable sb_traces : int;     (* blocks promoted to traces *)
   mutable sb_side_exits : int; (* early exits taken out of a trace *)
-  mutable fu_cmpjcc : int;     (* fused pairs created, by pattern *)
-  mutable fu_mov_alu : int;
-  mutable fu_lea_mem : int;
-  mutable fu_spill : int;
-  mutable fu_other : int;
+  mutable fu_cmpjcc : int;     (* predicated cmp/test+jcc ops created *)
   mutable fl_op : flag_src;    (* pending lazy flag record *)
   mutable fl_w : width;
   flbuf : i64buf;              (* record operands: a, b, result *)
@@ -148,14 +157,20 @@ and t = {
   mutable fl_mats : int;       (* records actually materialized *)
   mutable fl_dead : int;       (* flag writes elided by liveness *)
   mutable pen : int;           (* scratch penalty accumulator of exec *)
+  mutable acc : int;           (* dynamic penalties of the running chain *)
+  mutable at : int;            (* chain index of the last instruction
+                                  entered that can raise *)
+  mutable pmark : int;         (* [acc] at the profiler's last probe *)
   cost : Cost.t;
 }
 
 (* never-valid sentinel filling empty [bcache] slots *)
 let dummy_block =
-  { sb_entry = -1; sb_insns = [||]; sb_ops = [||]; sb_rips = [||];
-    sb_addrs = [||]; sb_costs = [||]; sb_static = 0; sb_slots = [||];
-    sb_slot_rips = [||]; sb_slot_costs = [||]; sb_slot_insns = [||];
+  { sb_entry = -1;
+    sb_body =
+      { bd_insns = [||]; bd_addrs = [||]; bd_costs = [||]; bd_tmpls = [||];
+        bd_static = 0; bd_fall = 0 };
+    sb_len = 0; sb_static = 0; sb_chain = (fun _ -> 0); sb_prof = None;
     sb_ranges = []; sb_kind = KStraight; sb_execs = 0; sb_valid = false;
     sb_link1 = None; sb_link2 = None; sb_ind = false; sb_ic1 = None;
     sb_ic2 = None }
@@ -172,11 +187,10 @@ let create ?(cost = Cost.default) () =
     sb_hits = 0; sb_misses = 0; sb_flushes = 0; sb_chained = 0;
     sb_ic_hits = 0; sb_ic_misses = 0;
     sb_traces = 0; sb_side_exits = 0;
-    fu_cmpjcc = 0; fu_mov_alu = 0; fu_lea_mem = 0; fu_spill = 0;
-    fu_other = 0;
+    fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
-    pen = 0; cost }
+    pen = 0; acc = 0; at = 0; pmark = 0; cost }
 
 (* -------- scalar helpers -------- *)
 
@@ -403,32 +417,35 @@ let cond cpu c =
 
 (* -------- stack -------- *)
 
-(* Hot closures below open-code the aligned-page fast path of
-   Mem.read_u64/write_u64: the page lookup stays a (pointer-returning)
-   call but Bytes.get/set_int64_le are primitives that compile unboxed
-   at the use site, where calling Mem.read_u64 would box its int64
-   return on every load.  The literals 12/0xFFF/0xFF8 are tied to the
-   page layout by this check. *)
+(* [load64]/[store64] open-code the aligned-page fast path of
+   Mem.read_u64/write_u64 into the hot closures that inline them: the
+   page lookup stays a (pointer-returning) call but
+   Bytes.get/set_int64_le are primitives that compile unboxed at the
+   use site, where calling Mem.read_u64 would box its int64 return on
+   every load.  The literals 12/0xFFF/0xFF8 are tied to the page layout
+   by this check. *)
 let () = assert (Mem.page_bits = 12 && Mem.page_size = 4096)
+
+let[@inline] load64 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
+  else Mem.read_u64 cpu.mem a
+
+let[@inline] store64 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
+  else Mem.write_u64 cpu.mem a v
 
 let rsp_i = Reg.index Reg.RSP
 
 let push64 cpu v =
   let sp = Int64.to_int cpu.regs.{rsp_i} - 8 in
   cpu.regs.{rsp_i} <- Int64.of_int sp;
-  let a = sp land addr_mask in
-  let off = a land 0xFFF in
-  if off <= 0xFF8 then Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-  else Mem.write_u64 cpu.mem a v
+  store64 cpu (sp land addr_mask) v
 
 let pop64 cpu =
   let sp = Int64.to_int cpu.regs.{rsp_i} in
-  let a = sp land addr_mask in
-  let off = a land 0xFFF in
-  let v =
-    if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-    else Mem.read_u64 cpu.mem a
-  in
+  let v = load64 cpu (sp land addr_mask) in
   cpu.regs.{rsp_i} <- Int64.of_int (sp + 8);
   v
 
@@ -546,7 +563,7 @@ type cache_stats = {
   blocks_live : int;     (* blocks currently cached *)
   traces_built : int;    (* self-loop blocks promoted to traces *)
   trace_side_exits : int;(* early exits taken out of a trace *)
-  fused_pairs : (string * int) list; (* fused pairs created, by pattern *)
+  fused_pairs : (string * int) list; (* predicated pairs created, by pattern *)
   flag_records : int;    (* lazy flag records created *)
   flag_materialized : int; (* records forced by an actual flag read *)
   flag_dead_writes : int;  (* flag writes elided by block-local liveness *)
@@ -558,10 +575,7 @@ let cache_stats cpu =
     ic_hits = cpu.sb_ic_hits; ic_misses = cpu.sb_ic_misses;
     blocks_live = Hashtbl.length cpu.blocks;
     traces_built = cpu.sb_traces; trace_side_exits = cpu.sb_side_exits;
-    fused_pairs =
-      [ ("cmp_jcc", cpu.fu_cmpjcc); ("mov_alu", cpu.fu_mov_alu);
-        ("lea_mem", cpu.fu_lea_mem); ("spill", cpu.fu_spill);
-        ("other", cpu.fu_other) ];
+    fused_pairs = [ ("cmp_jcc", cpu.fu_cmpjcc) ];
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
 
@@ -602,8 +616,7 @@ let reset_cache_stats cpu =
   cpu.sb_flushes <- 0; cpu.sb_chained <- 0;
   cpu.sb_ic_hits <- 0; cpu.sb_ic_misses <- 0;
   cpu.sb_traces <- 0; cpu.sb_side_exits <- 0;
-  cpu.fu_cmpjcc <- 0; cpu.fu_mov_alu <- 0; cpu.fu_lea_mem <- 0;
-  cpu.fu_spill <- 0; cpu.fu_other <- 0;
+  cpu.fu_cmpjcc <- 0;
   cpu.fl_records <- 0; cpu.fl_mats <- 0; cpu.fl_dead <- 0
 
 let target_addr = function
@@ -963,13 +976,15 @@ let step cpu =
 
 (* -------- instruction translation -------- *)
 
-(* [translate] pre-compiles one decoded instruction into a closure
-   with operand kinds, register indices, widths and immediates
-   resolved at translation time, so the block engine's inner loop pays
-   neither the outer instruction dispatch nor the per-access operand
-   matches.  Every closure returns the dynamic cycle penalty, exactly
-   like {!exec}, and semantics are kept identical by reusing the same
-   flag/memory helpers; infrequent forms simply fall back to [exec]. *)
+(* [translate] pre-compiles one decoded instruction into a template
+   with operand kinds, register indices, widths and immediates resolved
+   at translation time.  Instantiated with the instruction's index in a
+   chain and the op of the next instruction, the template gives a
+   threaded op (see {!op}): the block engine then pays neither the
+   outer instruction dispatch, nor the per-access operand matches, nor
+   a dispatch loop between instructions.  Semantics are kept identical
+   to {!exec} by reusing the same flag/memory helpers; infrequent forms
+   simply fall back to [exec]. *)
 
 (* Pre-resolve an addressing mode into a direct closure: the operand's
    base/index/displacement shape is dispatched once at translation
@@ -1039,13 +1054,7 @@ let rd_operand w (op : operand) : t -> int64 =
      | W8 -> fun cpu -> Int64.of_int (Mem.read_u8 cpu.mem (af cpu))
      | W16 -> fun cpu -> Int64.of_int (Mem.read_u16 cpu.mem (af cpu))
      | W32 -> fun cpu -> Int64.of_int (Mem.read_u32 cpu.mem (af cpu))
-     | W64 ->
-       fun cpu ->
-         let a = af cpu in
-         let off = a land 0xFFF in
-         if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a)
+     | W64 -> fun cpu -> load64 cpu (af cpu))
 
 let wr_operand w (op : operand) : t -> int64 -> unit =
   match op with
@@ -1067,16 +1076,62 @@ let wr_operand w (op : operand) : t -> int64 -> unit =
      | W64 -> fun cpu v -> Mem.write_u64 cpu.mem (af cpu) v)
   | OImm _ -> fun _ _ -> err "cannot write to an immediate"
 
-let fp_fun = function
-  | FAdd -> ( +. )
-  | FSub -> ( -. )
-  | FMul -> ( *. )
-  | FDiv -> ( /. )
-  | FMin -> fun a b -> if a < b then a else b
-  | FMax -> fun a b -> if a > b then a else b
-  | FSqrt -> fun _ b -> sqrt b
+(* lazy flag records of the translated ALU ops (see {!materialize}) *)
+let[@inline] record_arith cpu src w a b r =
+  cpu.fl_op <- src;
+  cpu.fl_w <- w;
+  A1.unsafe_set cpu.flbuf 0 a;
+  A1.unsafe_set cpu.flbuf 1 b;
+  A1.unsafe_set cpu.flbuf 2 r;
+  cpu.fl_records <- cpu.fl_records + 1
 
-let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
+let[@inline] record_logic cpu w r =
+  cpu.fl_op <- FlLogic;
+  cpu.fl_w <- w;
+  A1.unsafe_set cpu.flbuf 2 r;
+  cpu.fl_records <- cpu.fl_records + 1
+
+let[@inline] record_imul cpu w a b =
+  A1.unsafe_set cpu.flbuf 0 a;
+  A1.unsafe_set cpu.flbuf 1 b;
+  cpu.fl_op <- FlImul;
+  cpu.fl_w <- w;
+  cpu.fl_records <- cpu.fl_records + 1
+
+(* [threaded f] is [f].  Going through the identity keeps the compiler
+   from merging a template [fun k next -> fun cpu -> ...] into one
+   three-argument function: instantiating the template then allocates
+   the op closure itself, and running the op needs no currying
+   trampoline. *)
+let threaded (f : op) : op = Sys.opaque_identity f
+
+(* A RIP-relative operand is a constant once the instruction's end
+   address [rip] is known: fold it into the displacement, so that no op
+   reads [cpu.rip] to address memory. *)
+let fold_rip ~rip i =
+  let rel = ref false in
+  let i' =
+    map_mem
+      (fun m ->
+        if m.rip then begin
+          rel := true;
+          { m with rip = false; disp = m.disp + rip }
+        end
+        else m)
+      i
+  in
+  if !rel then i' else i
+
+(* An op ends by tail-calling [next].  [rip] is the address after the
+   instruction, whose RIP-relative operands are already folded (see
+   {!build_block}); an op writes [cpu.rip] only where it is observable:
+   control transfers set it to their target, and the ops that can
+   raise — the aligned-move checks and the [exec] fallback — store it
+   together with their chain index [k] in [cpu.at], so a fault leaves
+   the rip the single-step engine would and the block executor can
+   account the executed prefix exactly.  The chain's end stores the
+   fall-through rip of a block that ends in no control transfer. *)
+let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   match i with
   (* dead-flag variants: the block-local liveness scan proved this
      insn's flag write is overwritten before any reader/exit/fault, so
@@ -1088,525 +1143,569 @@ let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
     let di = Reg.index d and rd_s = rd_operand w src in
     (match (op, w) with
      | Add, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
+           (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu));
+         next cpu
      | Add, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
               (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
+              0xFFFFFFFFL);
+         next cpu
      | Sub, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
+           (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu));
+         next cpu
      | Sub, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
               (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
+              0xFFFFFFFFL);
+         next cpu
      | And, _ ->
        (* source read is already masked to [w], so the AND masks the
           stale upper destination bits itself *)
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logand (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
+           (Int64.logand (A1.unsafe_get cpu.regs di) (rd_s cpu));
+         next cpu
      | Or, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
+           (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu));
+         next cpu
      | Or, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
               (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
+              0xFFFFFFFFL);
+         next cpu
      | Xor, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
+           (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu));
+         next cpu
      | Xor, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
               (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
+              0xFFFFFFFFL);
+         next cpu
      | (Cmp | Adc | Sbb), _ -> assert false)
   | Alu ((Add | Sub | And | Or | Xor) as op, w, dst, src) when dead_flags ->
     let rd_d = rd_operand w dst and rd_s = rd_operand w src in
     let wr_d = wr_operand w dst in
     (match op with
-     | Add -> fun cpu -> wr_d cpu (trunc w (Int64.add (rd_d cpu) (rd_s cpu))); 0
-     | Sub -> fun cpu -> wr_d cpu (trunc w (Int64.sub (rd_d cpu) (rd_s cpu))); 0
-     | And -> fun cpu -> wr_d cpu (Int64.logand (rd_d cpu) (rd_s cpu)); 0
-     | Or -> fun cpu -> wr_d cpu (Int64.logor (rd_d cpu) (rd_s cpu)); 0
-     | Xor -> fun cpu -> wr_d cpu (Int64.logxor (rd_d cpu) (rd_s cpu)); 0
+     | Add ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr_d cpu (trunc w (Int64.add (rd_d cpu) (rd_s cpu)));
+         next cpu
+     | Sub ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr_d cpu (trunc w (Int64.sub (rd_d cpu) (rd_s cpu)));
+         next cpu
+     | And ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr_d cpu (Int64.logand (rd_d cpu) (rd_s cpu));
+         next cpu
+     | Or ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr_d cpu (Int64.logor (rd_d cpu) (rd_s cpu));
+         next cpu
+     | Xor ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr_d cpu (Int64.logxor (rd_d cpu) (rd_s cpu));
+         next cpu
      | Cmp | Adc | Sbb -> assert false)
-  | Alu (Cmp, _, _, _) when dead_flags -> (fun _ -> 0)
-  | Test _ when dead_flags -> (fun _ -> 0)
+  | (Alu (Cmp, _, _, _) | Test _) when dead_flags -> fun _ next -> next
   | Imul2 (w, dst, src) when dead_flags ->
     let rd = rd_operand w src in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       set_reg cpu w dst
         (trunc w (Int64.mul (sext w (get_reg cpu w dst)) (sext w (rd cpu))));
-      0
+      next cpu
   | Imul3 (W64, dst, src, imm) when dead_flags ->
     let rd = rd_operand W64 src and di = Reg.index dst in
-    fun cpu -> A1.unsafe_set cpu.regs di (Int64.mul (rd cpu) imm); 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs di (Int64.mul (rd cpu) imm);
+      next cpu
   | Imul3 (w, dst, src, imm) when dead_flags ->
     let rd = rd_operand w src in
     let b = sext w (trunc w imm) in
-    fun cpu -> set_reg cpu w dst (trunc w (Int64.mul (sext w (rd cpu)) b)); 0
+    fun _ next -> threaded @@ fun cpu ->
+      set_reg cpu w dst (trunc w (Int64.mul (sext w (rd cpu)) b));
+      next cpu
   | Mov (W64, OReg d, OReg s) ->
     let d = Reg.index d and s = Reg.index s in
-    fun cpu -> cpu.regs.{d} <- cpu.regs.{s}; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (A1.unsafe_get cpu.regs s);
+      next cpu
   | Mov (W64, OReg d, OMem m) ->
     let d = Reg.index d and af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      A1.unsafe_set cpu.regs d
-        (if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a);
-      0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (load64 cpu (af cpu));
+      next cpu
   | Mov (W32, OReg d, OMem m) ->
     let d = Reg.index d and af = addr_of m in
-    fun cpu -> cpu.regs.{d} <- Int64.of_int (Mem.read_u32 cpu.mem (af cpu)); 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (Int64.of_int (Mem.read_u32 cpu.mem (af cpu)));
+      next cpu
   | Mov (W64, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      let v = A1.unsafe_get cpu.regs s in
-      if off <= 0xFF8 then
-        Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-      else Mem.write_u64 cpu.mem a v;
-      0
+    fun _ next -> threaded @@ fun cpu ->
+      store64 cpu (af cpu) (A1.unsafe_get cpu.regs s);
+      next cpu
   | Mov (W32, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of m in
-    fun cpu ->
-      Mem.write_u32 cpu.mem (af cpu) (Int64.to_int cpu.regs.{s}); 0
-  | Mov (W64, OReg d, OImm v) ->
+    fun _ next -> threaded @@ fun cpu ->
+      Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
+      next cpu
+  | Mov (W64, OReg d, OImm v) | Movabs (d, v) ->
     let d = Reg.index d in
-    fun cpu -> cpu.regs.{d} <- v; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d v;
+      next cpu
   | Mov (W32, OReg d, OImm v) ->
     let d = Reg.index d and v = trunc W32 v in
-    fun cpu -> cpu.regs.{d} <- v; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d v;
+      next cpu
   | Mov (w, dst, src) ->
     let rd = rd_operand w src and wr = wr_operand w dst in
-    fun cpu -> wr cpu (rd cpu); 0
-  | Movabs (r, v) ->
-    let d = Reg.index r in
-    fun cpu -> cpu.regs.{d} <- v; 0
+    fun _ next -> threaded @@ fun cpu ->
+      wr cpu (rd cpu);
+      next cpu
   | Movzx ((W64 | W32), d, sw, src) ->
     (* the source read is already zero-extended past [sw] *)
     let d = Reg.index d and rd = rd_operand sw src in
-    fun cpu -> cpu.regs.{d} <- rd cpu; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (rd cpu);
+      next cpu
   | Movzx (dw, dst, sw, src) ->
     let rd = rd_operand sw src in
-    fun cpu -> set_reg cpu dw dst (rd cpu); 0
+    fun _ next -> threaded @@ fun cpu ->
+      set_reg cpu dw dst (rd cpu);
+      next cpu
   | Movsx (W64, d, sw, src) ->
     let d = Reg.index d and rd = rd_operand sw src in
-    fun cpu -> cpu.regs.{d} <- sext sw (rd cpu); 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (sext sw (rd cpu));
+      next cpu
   | Movsx (dw, dst, sw, src) ->
     let rd = rd_operand sw src in
-    fun cpu -> set_reg cpu dw dst (trunc dw (sext sw (rd cpu))); 0
+    fun _ next -> threaded @@ fun cpu ->
+      set_reg cpu dw dst (trunc dw (sext sw (rd cpu)));
+      next cpu
   | Lea (dst, m) ->
     let d = Reg.index dst and eff = eff_of { m with seg = None } in
-    fun cpu -> cpu.regs.{d} <- eff cpu; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs d (eff cpu);
+      next cpu
   | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, ((W64 | W32) as w),
          OReg d, src) ->
     (* register destination: read and write the GPR cell directly, so
        the common ALU forms cost one arity-1 closure call for the
        source operand and no generic write dispatch *)
     let di = Reg.index d and rd_s = rd_operand w src in
-    let rec_add cpu a b r =
-      cpu.fl_op <- FlAdd; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
-    let rec_sub cpu a b r =
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
-    let rec_logic cpu r =
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
     (match (op, w) with
      | Add, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
          let b = rd_s cpu in
          let r = Int64.add a b in
-         rec_add cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
+         record_arith cpu FlAdd w a b r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Add, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
          let b = rd_s cpu in
          let r = Int64.logand (Int64.add a b) 0xFFFFFFFFL in
-         rec_add cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
+         record_arith cpu FlAdd w a b r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Sub, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
          let b = rd_s cpu in
          let r = Int64.sub a b in
-         rec_sub cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
+         record_arith cpu FlSub w a b r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Sub, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
          let b = rd_s cpu in
          let r = Int64.logand (Int64.sub a b) 0xFFFFFFFFL in
-         rec_sub cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
+         record_arith cpu FlSub w a b r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Cmp, W64 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
          let b = rd_s cpu in
-         rec_sub cpu a b (Int64.sub a b); 0
+         record_arith cpu FlSub w a b (Int64.sub a b);
+         next cpu
      | Cmp, _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
          let b = rd_s cpu in
-         rec_sub cpu a b (Int64.logand (Int64.sub a b) 0xFFFFFFFFL); 0
+         record_arith cpu FlSub w a b
+           (Int64.logand (Int64.sub a b) 0xFFFFFFFFL);
+         next cpu
      | And, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logand a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
+       fun _ next -> threaded @@ fun cpu ->
+         let r = Int64.logand (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         record_logic cpu w r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Or, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logor a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
+       fun _ next -> threaded @@ fun cpu ->
+         let r = Int64.logor (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         record_logic cpu w r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | Xor, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logxor a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
+       fun _ next -> threaded @@ fun cpu ->
+         let r = Int64.logxor (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         record_logic cpu w r;
+         A1.unsafe_set cpu.regs di r;
+         next cpu
      | (Adc | Sbb), _ -> assert false)
-  | Alu (op, w, dst, src) ->
+  | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, w, dst, src) ->
     let rd_d = rd_operand w dst and rd_s = rd_operand w src in
     let wr_d = wr_operand w dst in
     (match op with
      | Add ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = rd_d cpu in
          let b = rd_s cpu in
          let r = trunc w (Int64.add a b) in
-         cpu.fl_op <- FlAdd; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
+         record_arith cpu FlAdd w a b r;
+         wr_d cpu r;
+         next cpu
      | Sub ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = rd_d cpu in
          let b = rd_s cpu in
          let r = trunc w (Int64.sub a b) in
-         cpu.fl_op <- FlSub; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
+         record_arith cpu FlSub w a b r;
+         wr_d cpu r;
+         next cpu
      | Cmp ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let a = rd_d cpu in
          let b = rd_s cpu in
-         cpu.fl_op <- FlSub; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-         Bigarray.Array1.unsafe_set cpu.flbuf 2 (trunc w (Int64.sub a b));
-         cpu.fl_records <- cpu.fl_records + 1;
-         0
+         record_arith cpu FlSub w a b (trunc w (Int64.sub a b));
+         next cpu
      | And ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let r = Int64.logand (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
+         record_logic cpu w r;
+         wr_d cpu r;
+         next cpu
      | Or ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let r = Int64.logor (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
+         record_logic cpu w r;
+         wr_d cpu r;
+         next cpu
      | Xor ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let r = Int64.logxor (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Adc | Sbb -> (fun cpu -> exec cpu i))
+         record_logic cpu w r;
+         wr_d cpu r;
+         next cpu
+     | Adc | Sbb -> assert false)
   | Test (w, a, b) ->
     let rd_a = rd_operand w a and rd_b = rd_operand w b in
-    fun cpu ->
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 (Int64.logand (rd_a cpu) (rd_b cpu));
-      cpu.fl_records <- cpu.fl_records + 1;
-      0
-  | Unop (op, w, dst) ->
+    fun _ next -> threaded @@ fun cpu ->
+      record_logic cpu w (Int64.logand (rd_a cpu) (rd_b cpu));
+      next cpu
+  | Unop ((Inc | Dec | Not) as op, w, dst) ->
     let rd = rd_operand w dst and wr = wr_operand w dst in
     (match op with
      | Inc ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          materialize cpu; (* inc preserves CF: need its live value *)
          let a = rd cpu in
          let r = trunc w (Int64.add a 1L) in
          let cf = cpu.cf in
          flags_add cpu w a 1L r;
-         cpu.cf <- cf; wr cpu r; 0
+         cpu.cf <- cf;
+         wr cpu r;
+         next cpu
      | Dec ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          materialize cpu;
          let a = rd cpu in
          let r = trunc w (Int64.sub a 1L) in
          let cf = cpu.cf in
          flags_sub cpu w a 1L r;
-         cpu.cf <- cf; wr cpu r; 0
-     | Not -> (fun cpu -> wr cpu (trunc w (Int64.lognot (rd cpu))); 0)
-     | Neg -> (fun cpu -> exec cpu i))
+         cpu.cf <- cf;
+         wr cpu r;
+         next cpu
+     | _ ->
+       fun _ next -> threaded @@ fun cpu ->
+         wr cpu (trunc w (Int64.lognot (rd cpu)));
+         next cpu)
   | Push src ->
     let rd = rd_operand W64 src in
-    fun cpu -> push64 cpu (rd cpu); 0
+    fun _ next -> threaded @@ fun cpu ->
+      push64 cpu (rd cpu);
+      next cpu
   | Pop dst ->
     let wr = wr_operand W64 dst in
-    fun cpu -> wr cpu (pop64 cpu); 0
+    fun _ next -> threaded @@ fun cpu ->
+      wr cpu (pop64 cpu);
+      next cpu
   | Call (Abs a) ->
-    fun cpu ->
-      push64 cpu (Int64.of_int cpu.rip);
-      cpu.rip <- a; 0
+    fun _ next -> threaded @@ fun cpu ->
+      push64 cpu (Int64.of_int rip);
+      cpu.rip <- a;
+      next cpu
   | CallInd op ->
     let rd = rd_operand W64 op in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let tgt = Int64.to_int (rd cpu) land addr_mask in
-      push64 cpu (Int64.of_int cpu.rip);
-      cpu.rip <- tgt; 0
-  | Ret -> (fun cpu -> cpu.rip <- Int64.to_int (pop64 cpu) land addr_mask; 0)
-  | Jmp (Abs a) -> (fun cpu -> cpu.rip <- a; 0)
+      push64 cpu (Int64.of_int rip);
+      cpu.rip <- tgt;
+      next cpu
+  | Ret ->
+    fun _ next -> threaded @@ fun cpu ->
+      cpu.rip <- Int64.to_int (pop64 cpu) land addr_mask;
+      next cpu
+  | Jmp (Abs a) ->
+    fun _ next -> threaded @@ fun cpu ->
+      cpu.rip <- a;
+      next cpu
   | JmpInd op ->
     let rd = rd_operand W64 op in
-    fun cpu -> cpu.rip <- Int64.to_int (rd cpu) land addr_mask; 0
+    fun _ next -> threaded @@ fun cpu ->
+      cpu.rip <- Int64.to_int (rd cpu) land addr_mask;
+      next cpu
   | Jcc (cc, Abs a) ->
     let taken = c.branch_taken and not_taken = c.branch_not_taken in
-    fun cpu ->
-      if cond cpu cc then begin cpu.rip <- a; taken end
-      else not_taken
+    fun _ next -> threaded @@ fun cpu ->
+      if cond cpu cc then begin
+        cpu.rip <- a;
+        cpu.acc <- cpu.acc + taken
+      end
+      else begin
+        cpu.rip <- rip;
+        cpu.acc <- cpu.acc + not_taken
+      end;
+      next cpu
   | Cmov (cc, w, dst, src) ->
     let rd = rd_operand w src in
     (match w with
      | W32 ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let v = rd cpu in
          if cond cpu cc then set_reg cpu W32 dst v
          else set_reg cpu W32 dst (get_reg cpu W32 dst);
-         0
+         next cpu
      | _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let v = rd cpu in
          if cond cpu cc then set_reg cpu w dst v;
-         0)
+         next cpu)
   | Setcc (cc, dst) ->
     let wr = wr_operand W8 dst in
-    fun cpu -> wr cpu (if cond cpu cc then 1L else 0L); 0
+    fun _ next -> threaded @@ fun cpu ->
+      wr cpu (if cond cpu cc then 1L else 0L);
+      next cpu
   | Imul2 (w, dst, src) ->
     (* flags (SF/ZF/PF and the overflow-derived CF/OF) are recorded
        lazily: [FlImul] materialization recomputes the product from the
        sign-extended operands, so skipping set_szp + the overflow check
        here is unobservable *)
     let rd = rd_operand w src in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let a = sext w (get_reg cpu w dst) in
       let b = sext w (rd cpu) in
-      let r = trunc w (Int64.mul a b) in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      cpu.fl_op <- FlImul; cpu.fl_w <- w;
-      cpu.fl_records <- cpu.fl_records + 1;
-      set_reg cpu w dst r; 0
+      record_imul cpu w a b;
+      set_reg cpu w dst (trunc w (Int64.mul a b));
+      next cpu
   | Imul3 (W64, dst, src, imm) ->
     let rd = rd_operand W64 src in
     let di = Reg.index dst in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let a = rd cpu in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 imm;
-      cpu.fl_op <- FlImul; cpu.fl_w <- W64;
-      cpu.fl_records <- cpu.fl_records + 1;
-      A1.unsafe_set cpu.regs di (Int64.mul a imm); 0
+      record_imul cpu W64 a imm;
+      A1.unsafe_set cpu.regs di (Int64.mul a imm);
+      next cpu
   | Imul3 (w, dst, src, imm) ->
     let rd = rd_operand w src in
     let b = sext w (trunc w imm) in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let a = sext w (rd cpu) in
-      let r = trunc w (Int64.mul a b) in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      cpu.fl_op <- FlImul; cpu.fl_w <- w;
-      cpu.fl_records <- cpu.fl_records + 1;
-      set_reg cpu w dst r; 0
+      record_imul cpu w a b;
+      set_reg cpu w dst (trunc w (Int64.mul a b));
+      next cpu
   | SseMov (Movsd, Xr d, Xr s) ->
-    fun cpu -> cpu.xlo.{d} <- cpu.xlo.{s}; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xlo d (A1.unsafe_get cpu.xlo s);
+      next cpu
   | SseMov (Movsd, Xr d, Xm m) ->
     let af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      A1.unsafe_set cpu.xlo d
-        (if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a);
-      A1.unsafe_set cpu.xhi d 0L; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xlo d (load64 cpu (af cpu));
+      A1.unsafe_set cpu.xhi d 0L;
+      next cpu
   | SseMov (Movsd, Xm m, Xr s) ->
     let af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      let v = A1.unsafe_get cpu.xlo s in
-      if off <= 0xFF8 then
-        Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-      else Mem.write_u64 cpu.mem a v;
-      0
+    fun _ next -> threaded @@ fun cpu ->
+      store64 cpu (af cpu) (A1.unsafe_get cpu.xlo s);
+      next cpu
   | SseMov (Movq, Xr d, Xr s) ->
-    fun cpu ->
-      cpu.xlo.{d} <- cpu.xlo.{s};
-      cpu.xhi.{d} <- 0L; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xlo d (A1.unsafe_get cpu.xlo s);
+      A1.unsafe_set cpu.xhi d 0L;
+      next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xr s) ->
-    fun cpu ->
-      cpu.xlo.{d} <- cpu.xlo.{s};
-      cpu.xhi.{d} <- cpu.xhi.{s}; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xlo d (A1.unsafe_get cpu.xlo s);
+      A1.unsafe_set cpu.xhi d (A1.unsafe_get cpu.xhi s);
+      next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xm m) ->
     let af = addr_of m in
-    fun cpu ->
+    fun k next -> threaded @@ fun cpu ->
+      cpu.rip <- rip;
+      cpu.at <- k;
       let a = af cpu in
       if not (is_16aligned a) then err "misaligned movaps load";
-      cpu.xlo.{d} <- Mem.read_u64 cpu.mem a;
-      cpu.xhi.{d} <- Mem.read_u64 cpu.mem (a + 8); 0
+      A1.unsafe_set cpu.xlo d (Mem.read_u64 cpu.mem a);
+      A1.unsafe_set cpu.xhi d (Mem.read_u64 cpu.mem (a + 8));
+      next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xm m, Xr s) ->
     let af = addr_of m in
-    fun cpu ->
+    fun k next -> threaded @@ fun cpu ->
+      cpu.rip <- rip;
+      cpu.at <- k;
       let a = af cpu in
       if not (is_16aligned a) then err "misaligned movaps store";
-      Mem.write_u64 cpu.mem a cpu.xlo.{s};
-      Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s}; 0
+      Mem.write_u64 cpu.mem a (A1.unsafe_get cpu.xlo s);
+      Mem.write_u64 cpu.mem (a + 8) (A1.unsafe_get cpu.xhi s);
+      next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xr d, Xm m) ->
     let up = c.unaligned_vec and af = addr_of m in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
-      cpu.xlo.{d} <- Mem.read_u64 cpu.mem a;
-      cpu.xhi.{d} <- Mem.read_u64 cpu.mem (a + 8);
-      if is_16aligned a then 0 else up
+      A1.unsafe_set cpu.xlo d (Mem.read_u64 cpu.mem a);
+      A1.unsafe_set cpu.xhi d (Mem.read_u64 cpu.mem (a + 8));
+      if not (is_16aligned a) then cpu.acc <- cpu.acc + up;
+      next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xm m, Xr s) ->
     let up = c.unaligned_vec and af = addr_of m in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
-      Mem.write_u64 cpu.mem a cpu.xlo.{s};
-      Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s};
-      if is_16aligned a then 0 else up
+      Mem.write_u64 cpu.mem a (A1.unsafe_get cpu.xlo s);
+      Mem.write_u64 cpu.mem (a + 8) (A1.unsafe_get cpu.xhi s);
+      if not (is_16aligned a) then cpu.acc <- cpu.acc + up;
+      next cpu
   | MovqXR (x, r) ->
     let r = Reg.index r in
-    fun cpu ->
-      cpu.xlo.{x} <- cpu.regs.{r};
-      cpu.xhi.{x} <- 0L; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xlo x (A1.unsafe_get cpu.regs r);
+      A1.unsafe_set cpu.xhi x 0L;
+      next cpu
   | MovqRX (r, x) ->
     let r = Reg.index r in
-    fun cpu -> cpu.regs.{r} <- cpu.xlo.{x}; 0
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.regs r (A1.unsafe_get cpu.xlo x);
+      next cpu
   | SseArith ((FAdd | FSub | FMul | FDiv) as op, Sd, dst, src) ->
     (* per-op closures with the float work written out inline: the whole
-       bits->float->op->bits chain stays unboxed (calling through the
-       [fp_fun] closure, or through the [f64]/[b64] wrappers, would box
+       bits->float->op->bits chain stays unboxed (calling [fp_bin], or
+       going through the [f64]/[b64] wrappers, would box
        both operands and the result on every scalar FP instruction) *)
     (match src with
      | Xr s ->
        (match op with
         | FAdd ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
                   +. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
+            next cpu
         | FSub ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
                   -. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
+            next cpu
         | FMul ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
                   *. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
+            next cpu
         | _ ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
                   /. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0)
+            next cpu)
      | Xm m ->
        let af = addr_of m in
        (match op with
         | FAdd ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  +. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
+                  +. Int64.float_of_bits (load64 cpu (af cpu))));
+            next cpu
         | FSub ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  -. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
+                  -. Int64.float_of_bits (load64 cpu (af cpu))));
+            next cpu
         | FMul ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  *. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
+                  *. Int64.float_of_bits (load64 cpu (af cpu))));
+            next cpu
         | _ ->
-          fun cpu ->
+          fun _ next -> threaded @@ fun cpu ->
             A1.unsafe_set cpu.xlo dst
               (Int64.bits_of_float
                  (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  /. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0))
+                  /. Int64.float_of_bits (load64 cpu (af cpu))));
+            next cpu))
   | SseArith (op, Sd, dst, src) ->
-    let f = fp_fun op in
     (match src with
      | Xr s ->
-       fun cpu ->
-         cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) (f64 cpu.xlo.{s})); 0
+       fun _ next -> threaded @@ fun cpu ->
+         cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) (f64 cpu.xlo.{s}));
+         next cpu
      | Xm m ->
        let af = addr_of m in
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          let b = f64 (Mem.read_u64 cpu.mem (af cpu)) in
-         cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) b); 0)
+         cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) b);
+         next cpu)
   | SseArith ((FAdd | FSub | FMul | FDiv) as op, Pd, dst, Xr s) ->
     (* register source: no alignment penalty possible; per-op closures
        keep both lanes' float chains unboxed (see the Sd arms) *)
     (match op with
      | FAdd ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
@@ -1615,9 +1714,9 @@ let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
                +. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
+         next cpu
      | FSub ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
@@ -1626,9 +1725,9 @@ let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
                -. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
+         next cpu
      | FMul ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
@@ -1637,9 +1736,9 @@ let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
                *. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
+         next cpu
      | _ ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
@@ -1648,41 +1747,45 @@ let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
            (Int64.bits_of_float
               (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
                /. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0)
+         next cpu)
   | SseArith (op, Pd, dst, (Xr _ as src)) ->
-    let f = fp_fun op in
-    fun cpu ->
+    fun _ next -> threaded @@ fun cpu ->
       let slo, shi = xop_load128 cpu src in
-      cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) (f64 slo));
-      cpu.xhi.{dst} <- b64 (f (f64 cpu.xhi.{dst}) (f64 shi));
-      0
+      cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) (f64 slo));
+      cpu.xhi.{dst} <- b64 (fp_bin op (f64 cpu.xhi.{dst}) (f64 shi));
+      next cpu
   | SseLogic (op, dst, Xr s) ->
     (* per-op closures: calling through an Int64.logxor alias would go
        via caml_apply2 on every execution *)
     (match op with
      | Pxor | Xorps | Xorpd ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.logxor (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
          A1.unsafe_set cpu.xhi dst
            (Int64.logxor (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0
+         next cpu
      | Pand | Andps | Andpd ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.logand (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
          A1.unsafe_set cpu.xhi dst
            (Int64.logand (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0
+         next cpu
      | Por ->
-       fun cpu ->
+       fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.xlo dst
            (Int64.logor (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
          A1.unsafe_set cpu.xhi dst
            (Int64.logor (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0)
-  | Nop _ -> (fun _ -> 0)
-  | _ -> (fun cpu -> exec cpu i)
+         next cpu)
+  | Nop _ -> fun _ next -> next
+  | _ ->
+    fun k next -> threaded @@ fun cpu ->
+      cpu.rip <- rip;
+      cpu.at <- k;
+      cpu.acc <- cpu.acc + exec cpu i;
+      next cpu
 
 (* -------- translation-block engine -------- *)
 
@@ -1733,45 +1836,6 @@ let decode_prefix cpu entry ~max =
   in
   go entry 0 [] entry 0 []
 
-(* -------- mega-op fusion -------- *)
-
-(* Raised by a trace side-exit: the current slot ran to completion,
-   set rip to the fall-through target and stashed its branch penalty
-   in [cpu.pen]; the block loop converts this into an exact early
-   block completion.  Constant exception: raising it allocates
-   nothing. *)
-exception Trace_exit
-
-(* Fusible instructions: their translated closures can never raise, so
-   a fused slot either runs completely or not at all and the engine's
-   exact executed-prefix accounting survives.  (Memory never faults —
-   {!Mem} is demand-paged — so the raising forms are only traps,
-   division, aligned-move checks and unresolved labels.) *)
-let fusible (i : insn) =
-  match i with
-  | Mov _ | Movabs _ | Movzx _ | Movsx _ | Lea _ -> true
-  | Alu ((Add | Sub | Cmp | And | Or | Xor), _, _, _) -> true
-  | Test _ | Shift _ -> true
-  | Unop ((Inc | Dec | Not), _, _) -> true
-  | Push _ | Pop _ -> true
-  | Setcc _ | Cmov _ -> true
-  | SseMov ((Movsd | Movss | Movq | Movups | Movupd | Movdqu), _, _) -> true
-  | SseMov ((Movaps | Movapd | Movdqa), Xr _, Xr _) -> true
-  | Imul2 _ | Imul3 _ -> true
-  | MovqXR _ | MovqRX _ -> true
-  | SseArith (_, (Sd | Ss), _, _) -> true
-  | SseLogic _ -> true
-  | Nop _ -> true
-  | _ -> false
-
-(* control flow allowed as the second element of a fused pair (the
-   pair closure advances rip before running it, so a branch sees the
-   same rip as its unfused translation) *)
-let fusible_tail (i : insn) =
-  match i with
-  | Jcc (_, Abs _) | Jmp (Abs _) | Ret -> true
-  | _ -> fusible i
-
 (* -------- block-local flag liveness --------
 
    The lifter's flag-consumption analysis (lib/lifter/lift.ml flag
@@ -1795,8 +1859,26 @@ let flags_read = function
   | Unop _ | Shift _ -> true
   | _ -> false
 
-let never_raises i =
-  match i with Jcc _ -> true | _ -> fusible i
+(* Instructions the scan may look past: their execution can never
+   raise.  (Memory never faults — {!Mem} is demand-paged — so the
+   raising forms are only traps, division, aligned-move checks and
+   unresolved labels; the list is conservative beyond that.) *)
+let never_raises (i : insn) =
+  match i with
+  | Mov _ | Movabs _ | Movzx _ | Movsx _ | Lea _ -> true
+  | Alu ((Add | Sub | Cmp | And | Or | Xor), _, _, _) -> true
+  | Test _ | Shift _ -> true
+  | Unop ((Inc | Dec | Not), _, _) -> true
+  | Push _ | Pop _ -> true
+  | Setcc _ | Cmov _ | Jcc _ -> true
+  | SseMov ((Movsd | Movss | Movq | Movups | Movupd | Movdqu), _, _) -> true
+  | SseMov ((Movaps | Movapd | Movdqa), Xr _, Xr _) -> true
+  | Imul2 _ | Imul3 _ -> true
+  | MovqXR _ | MovqRX _ -> true
+  | SseArith (_, (Sd | Ss), _, _) -> true
+  | SseLogic _ -> true
+  | Nop _ -> true
+  | _ -> false
 
 let dead_flag_writes (insns : insn array) =
   let n = Array.length insns in
@@ -1812,233 +1894,190 @@ let dead_flag_writes (insns : insn array) =
   done;
   dead
 
-let mentions_mem (i : insn) =
-  let seen = ref false in
-  ignore (map_mem (fun m -> seen := true; m) i);
-  !seen
-
-let is_store = function
-  | Mov (_, OMem _, _) | SseMov (_, Xm _, Xr _) | Setcc (_, OMem _)
-  | Push _ -> true
-  | _ -> false
-
-(* per-pattern fusion counters (pairs created at translation time) *)
-let count_fusion cpu i1 i2 =
-  match (i1, i2) with
-  | (Alu (Cmp, _, _, _) | Test _), Jcc _ ->
-    cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1
-  | (Mov _ | Movabs _), (Alu _ | Test _) ->
-    cpu.fu_mov_alu <- cpu.fu_mov_alu + 1
-  | Lea _, i2 when mentions_mem i2 ->
-    cpu.fu_lea_mem <- cpu.fu_lea_mem + 1
-  | (Setcc _, _ | _, Setcc _) ->
-    cpu.fu_spill <- cpu.fu_spill + 1
-  | i1, i2 when is_store i1 && is_store i2 ->
-    cpu.fu_spill <- cpu.fu_spill + 1
-  | _ ->
-    cpu.fu_other <- cpu.fu_other + 1
+(* -------- threaded chains -------- *)
 
 (* Branch predicates evaluated directly on a comparison's operands:
    the textbook identities between cmp a,b / test a,b flags and the
-   condition codes, specialized per width at translation time.  Used
-   by fused cmp/test+jcc so the common path records the lazy flags but
-   never materializes them. *)
-let sub_pred w cc : int64 -> int64 -> int64 -> bool =
+   condition codes.  Inlined into the predicated cmp/test+jcc ops, so
+   the common path records the lazy flags but never materializes
+   them, and no operand is boxed for a predicate call. *)
+let[@inline] sub_holds w cc a b r =
   match cc with
-  | E -> fun _ _ r -> r = 0L
-  | NE -> fun _ _ r -> r <> 0L
-  | B -> fun a b _ -> Int64.unsigned_compare a b < 0
-  | AE -> fun a b _ -> Int64.unsigned_compare a b >= 0
-  | BE -> fun a b _ -> Int64.unsigned_compare a b <= 0
-  | A -> fun a b _ -> Int64.unsigned_compare a b > 0
-  | S -> fun _ _ r -> msb w r
-  | NS -> fun _ _ r -> not (msb w r)
-  | L -> fun a b _ -> sext w a < sext w b
-  | GE -> fun a b _ -> sext w a >= sext w b
-  | LE -> fun a b _ -> sext w a <= sext w b
-  | G -> fun a b _ -> sext w a > sext w b
-  | O ->
-    fun a b r ->
-      msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r))
-  | NO ->
-    fun a b r ->
-      not (msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r)))
-  | P -> fun _ _ r -> parity_even r
-  | NP -> fun _ _ r -> not (parity_even r)
+  | E -> r = 0L
+  | NE -> r <> 0L
+  | B -> Int64.unsigned_compare a b < 0
+  | AE -> Int64.unsigned_compare a b >= 0
+  | BE -> Int64.unsigned_compare a b <= 0
+  | A -> Int64.unsigned_compare a b > 0
+  | S -> msb w r
+  | NS -> not (msb w r)
+  | L -> sext w a < sext w b
+  | GE -> sext w a >= sext w b
+  | LE -> sext w a <= sext w b
+  | G -> sext w a > sext w b
+  | O -> msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r))
+  | NO -> not (msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r)))
+  | P -> parity_even r
+  | NP -> not (parity_even r)
 
-let logic_pred w cc : int64 -> bool =
+let[@inline] logic_holds w cc r =
   match cc with
-  | E | BE -> fun r -> r = 0L
-  | NE | A -> fun r -> r <> 0L
-  | B | O -> fun _ -> false
-  | AE | NO -> fun _ -> true
-  | S | L -> fun r -> msb w r
-  | NS | GE -> fun r -> not (msb w r)
-  | LE -> fun r -> r = 0L || msb w r
-  | G -> fun r -> r <> 0L && not (msb w r)
-  | P -> parity_even
-  | NP -> fun r -> not (parity_even r)
+  | E | BE -> r = 0L
+  | NE | A -> r <> 0L
+  | B | O -> false
+  | AE | NO -> true
+  | S | L -> msb w r
+  | NS | GE -> not (msb w r)
+  | LE -> r = 0L || msb w r
+  | G -> r <> 0L && not (msb w r)
+  | P -> parity_even r
+  | NP -> not (parity_even r)
 
-(* fused cmp+jcc / test+jcc: one closure computes the comparison,
-   records the lazy flags and branches on the direct predicate.  The
-   [side_exit] variant is the trace backedge form: staying in the
-   trace is a plain return, leaving it raises {!Trace_exit}. *)
-let fuse_cmp_jcc (c : Cost.t) w rd_a rd_b cc ~tgt ~ft ~side_exit : op_fn =
-  let pred = sub_pred w cc in
+(* A cmp/test and the direct jcc after it as one predicated op: it
+   computes the comparison, records the lazy flags and branches on the
+   direct predicate.  [rip] is the rip after the cmp/test (its operand
+   may be RIP-relative), [ft] the one after the jcc, and [k] the
+   cmp/test's index.  The [side_exit] form is a trace's inner
+   backedge: while the branch is taken it runs on into the next
+   unrolled copy, otherwise it leaves the chain after the pair. *)
+let pair_tmpl (c : Cost.t) i1 cc ~tgt ~ft ~side_exit : tmpl =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  if side_exit then
-    fun cpu ->
-      let a = rd_a cpu in
-      let b = rd_b cpu in
-      let r = trunc w (Int64.sub a b) in
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred a b r then taken
-      else begin
-        cpu.rip <- ft;
-        cpu.pen <- not_taken;
-        raise Trace_exit
-      end
-  else
-    fun cpu ->
-      let a = rd_a cpu in
-      let b = rd_b cpu in
-      let r = trunc w (Int64.sub a b) in
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred a b r then begin cpu.rip <- tgt; taken end
-      else begin cpu.rip <- ft; not_taken end
+  match i1 with
+  | Alu (Cmp, w, d, s) ->
+    let rd_a = rd_operand w d and rd_b = rd_operand w s in
+    if side_exit then
+      fun k next -> threaded @@ fun cpu ->
+        let a = rd_a cpu in
+        let b = rd_b cpu in
+        let r = trunc w (Int64.sub a b) in
+        record_arith cpu FlSub w a b r;
+        if sub_holds w cc a b r then begin
+          cpu.acc <- cpu.acc + taken;
+          next cpu
+        end
+        else begin
+          cpu.rip <- ft;
+          cpu.acc <- cpu.acc + not_taken;
+          k + 2
+        end
+    else
+      fun _ next -> threaded @@ fun cpu ->
+        let a = rd_a cpu in
+        let b = rd_b cpu in
+        let r = trunc w (Int64.sub a b) in
+        record_arith cpu FlSub w a b r;
+        if sub_holds w cc a b r then begin
+          cpu.rip <- tgt;
+          cpu.acc <- cpu.acc + taken
+        end
+        else begin
+          cpu.rip <- ft;
+          cpu.acc <- cpu.acc + not_taken
+        end;
+        next cpu
+  | Test (w, d, s) ->
+    let rd_a = rd_operand w d and rd_b = rd_operand w s in
+    if side_exit then
+      fun k next -> threaded @@ fun cpu ->
+        let r = Int64.logand (rd_a cpu) (rd_b cpu) in
+        record_logic cpu w r;
+        if logic_holds w cc r then begin
+          cpu.acc <- cpu.acc + taken;
+          next cpu
+        end
+        else begin
+          cpu.rip <- ft;
+          cpu.acc <- cpu.acc + not_taken;
+          k + 2
+        end
+    else
+      fun _ next -> threaded @@ fun cpu ->
+        let r = Int64.logand (rd_a cpu) (rd_b cpu) in
+        record_logic cpu w r;
+        if logic_holds w cc r then begin
+          cpu.rip <- tgt;
+          cpu.acc <- cpu.acc + taken
+        end
+        else begin
+          cpu.rip <- ft;
+          cpu.acc <- cpu.acc + not_taken
+        end;
+        next cpu
+  | _ -> invalid_arg "Cpu.pair_tmpl"
 
-let fuse_test_jcc (c : Cost.t) w rd_a rd_b cc ~tgt ~ft ~side_exit : op_fn =
-  let pred = logic_pred w cc in
+(* an unpaired trace backedge: evaluate the condition (materializing
+   if needed) and leave the chain on fall-through *)
+let side_exit_tmpl (c : Cost.t) cc ~ft : tmpl =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  if side_exit then
-    fun cpu ->
-      let r = Int64.logand (rd_a cpu) (rd_b cpu) in
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred r then taken
-      else begin
-        cpu.rip <- ft;
-        cpu.pen <- not_taken;
-        raise Trace_exit
-      end
-  else
-    fun cpu ->
-      let r = Int64.logand (rd_a cpu) (rd_b cpu) in
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred r then begin cpu.rip <- tgt; taken end
-      else begin cpu.rip <- ft; not_taken end
-
-(* generic pair fusion: run the first closure, advance rip past the
-   second instruction (what the per-slot loop would have done), run
-   the second *)
-let fuse_pair (f1 : op_fn) rip2 (f2 : op_fn) : op_fn =
- fun cpu ->
-  let p = f1 cpu in
-  cpu.rip <- rip2;
-  p + f2 cpu
-
-(* unfused trace backedge: evaluate the condition (materializing if
-   needed) and side-exit on fall-through *)
-let side_exit_jcc (c : Cost.t) cc ~ft : op_fn =
-  let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  fun cpu ->
-    if cond cpu cc then taken
+  fun k next -> threaded @@ fun cpu ->
+    if cond cpu cc then begin
+      cpu.acc <- cpu.acc + taken;
+      next cpu
+    end
     else begin
       cpu.rip <- ft;
-      cpu.pen <- not_taken;
-      raise Trace_exit
+      cpu.acc <- cpu.acc + not_taken;
+      k + 1
     end
 
-(* Greedy left-to-right pairing of a block's instructions into fused
-   execution slots.  [side_exit_at k] marks instruction indices whose
-   (backedge Jcc) translation must be the side-exit variant — those
-   are never swallowed by a generic pair, only by the specialized
-   cmp/test+jcc fusion which has its own side-exit form. *)
-(* cap on instructions folded into one fused mega-op closure *)
-let max_fuse_run = 8
+(* the continuation that ends a chain of [len] instructions; [fall] is
+   the rip to leave when the last instruction transfers no control (a
+   block cut at the size cap or before an undecodable instruction) *)
+let finish len ~fall : op =
+  match fall with
+  | Some rip -> threaded @@ fun cpu -> cpu.rip <- rip; len
+  | None -> threaded @@ fun _ -> len
 
-let build_slots cpu ~side_exit_at (insns : insn array) (rips : int array)
-    (costs : int array) (ops : op_fn array) =
-  let c = cpu.cost in
+(* the profiler's probe after the instruction at [addr]: it is charged
+   its static cost plus the penalties added since the previous probe *)
+let probe addr cost (next : op) : op =
+  threaded @@ fun cpu ->
+    let p = cpu.acc - cpu.pmark in
+    cpu.pmark <- cpu.acc;
+    Prov.record_insn addr (cost + p);
+    next cpu
+
+(* Thread [copies] copies of [bd] into one chain, back to front.  In a
+   trace ([copies > 1]) the backedge of every copy but the last is a
+   side exit.  The engine's chain runs a cmp/test and the jcc after it
+   as one predicated op; the profiler's chain ([profile]) keeps them
+   apart and probes after every instruction. *)
+let build_chain cpu (bd : body) ~copies ~profile : op =
+  let c = cpu.cost and insns = bd.bd_insns in
   let n = Array.length insns in
-  (* a cmp/test immediately followed by a direct jcc is reserved for
-     predicate fusion (which evaluates the condition straight off the
-     lazy record); a generic run must not swallow the cmp/test *)
-  let predpair_at i =
-    i + 1 < n
-    && (match (insns.(i), insns.(i + 1)) with
-        | (Alu (Cmp, _, _, _) | Test _), Jcc (_, Abs _) -> true
-        | _ -> false)
+  (* the template of a copy's last one or two instructions, and how
+     many instructions it runs *)
+  let tail ~side_exit =
+    match insns.(n - 1) with
+    | Jcc (cc, Abs tgt)
+      when n >= 2 && (not profile)
+           && (match insns.(n - 2) with
+               | Alu (Cmp, _, _, _) | Test _ -> true
+               | _ -> false) ->
+      ( pair_tmpl c insns.(n - 2) cc ~tgt ~ft:bd.bd_fall ~side_exit,
+        2 )
+    | Jcc (cc, _) when side_exit -> (side_exit_tmpl c cc ~ft:bd.bd_fall, 1)
+    | _ -> (bd.bd_tmpls.(n - 1), 1)
   in
-  let slots = ref [] in
-  let k = ref 0 in
-  while !k < n do
-    let j = !k + 1 in
-    let fused =
-      if j >= n then None
-      else
-        match (insns.(!k), insns.(j)) with
-        | (Alu (Cmp, w, d, s) as i1), (Jcc (cc, Abs tgt) as i2) ->
-          count_fusion cpu i1 i2;
-          Some
-            ( fuse_cmp_jcc c w (rd_operand w d) (rd_operand w s) cc ~tgt
-                ~ft:rips.(j) ~side_exit:(side_exit_at j),
-              2, costs.(!k) + costs.(j) )
-        | (Test (w, d, s) as i1), (Jcc (cc, Abs tgt) as i2) ->
-          count_fusion cpu i1 i2;
-          Some
-            ( fuse_test_jcc c w (rd_operand w d) (rd_operand w s) cc ~tgt
-                ~ft:rips.(j) ~side_exit:(side_exit_at j),
-              2, costs.(!k) + costs.(j) )
-        | i1, _ when fusible i1 && not (side_exit_at j) ->
-          (* maximal-run mega-op: fold consecutive provably non-raising
-             insns (optionally ending in a direct branch) into one
-             nested closure, eliminating per-slot dispatch for the
-             interior *)
-          let e = ref j in
-          while
-            !e < n && !e - !k < max_fuse_run
-            && not (side_exit_at !e)
-            && fusible insns.(!e)
-            && not (predpair_at !e)
-          do incr e done;
-          if
-            !e < n && !e - !k < max_fuse_run
-            && not (side_exit_at !e)
-            && fusible_tail insns.(!e)
-            && not (fusible insns.(!e))
-          then incr e;
-          let len = !e - !k in
-          if len < 2 then None
-          else begin
-            let op = ref ops.(!k) and cost = ref costs.(!k) in
-            for i = !k + 1 to !e - 1 do
-              count_fusion cpu insns.(i - 1) insns.(i);
-              op := fuse_pair !op rips.(i) ops.(i);
-              cost := !cost + costs.(i)
-            done;
-            Some (!op, len, !cost)
-          end
-        | _ -> None
-    in
-    (match fused with
-     | Some (op, len, cost) ->
-       slots := (op, rips.(!k), cost, len) :: !slots;
-       k := !k + len
-     | None ->
-       slots := (ops.(!k), rips.(!k), costs.(!k), 1) :: !slots;
-       incr k)
+  let last = tail ~side_exit:false in
+  let inner = if copies > 1 then tail ~side_exit:true else last in
+  let link j next =
+    if profile then probe bd.bd_addrs.(j) bd.bd_costs.(j) next else next
+  in
+  let fall =
+    if Decode.is_terminator insns.(n - 1) then None else Some bd.bd_fall
+  in
+  let next = ref (finish (copies * n) ~fall) in
+  for copy = copies - 1 downto 0 do
+    let base = copy * n in
+    let tm, w = if copy = copies - 1 then last else inner in
+    next := tm (base + n - w) (link (n - 1) !next);
+    if w = 2 then cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
+    for j = n - 1 - w downto 0 do
+      next := bd.bd_tmpls.(j) (base + j) (link j !next)
+    done
   done;
-  let arr = Array.of_list (List.rev !slots) in
-  ( Array.map (fun (o, _, _, _) -> o) arr,
-    Array.map (fun (_, r, _, _) -> r) arr,
-    Array.map (fun (_, _, c, _) -> c) arr,
-    Array.map (fun (_, _, _, i) -> i) arr )
+  !next
 
 let build_block cpu entry : sblock =
   let args = if !Tel.enabled then Printf.sprintf "0x%x" entry else "" in
@@ -2051,18 +2090,21 @@ let build_block cpu entry : sblock =
   let addrs = Array.make n 0 in
   List.iteri
     (fun k (a, i, next) ->
-      insns.(k) <- i;
+      insns.(k) <- fold_rip ~rip:next i;
       rips.(k) <- next;
       addrs.(k) <- a)
     run;
   let costs = Cost.insn_costs cpu.cost insns in
   let dead = dead_flag_writes insns in
-  let ops =
-    Array.mapi (fun k ins -> translate ~dead_flags:dead.(k) cpu.cost ins) insns
+  let tmpls =
+    Array.mapi
+      (fun k ins -> translate ~dead_flags:dead.(k) cpu.cost ~rip:rips.(k) ins)
+      insns
   in
   Array.iter (fun d -> if d then cpu.fl_dead <- cpu.fl_dead + 1) dead;
-  let slots, slot_rips, slot_costs, slot_insns =
-    build_slots cpu ~side_exit_at:(fun _ -> false) insns rips costs ops
+  let bd =
+    { bd_insns = insns; bd_addrs = addrs; bd_costs = costs; bd_tmpls = tmpls;
+      bd_static = Array.fold_left ( + ) 0 costs; bd_fall = rips.(n - 1) }
   in
   let ranges = List.filter (fun (lo, hi) -> hi > lo) ranges in
   let kind =
@@ -2080,18 +2122,15 @@ let build_block cpu entry : sblock =
      KLoopHead (that requires a direct Jcc backedge) and therefore
      never promoted to a trace *)
   let ind =
-    n >= 1
-    && (match insns.(n - 1) with
-        | JmpInd _ | CallInd _ | Ret -> true
-        | _ -> false)
+    match insns.(n - 1) with
+    | JmpInd _ | CallInd _ | Ret -> true
+    | _ -> false
   in
-  { sb_entry = entry; sb_insns = insns; sb_ops = ops; sb_rips = rips;
-    sb_addrs = addrs; sb_costs = costs;
-    sb_static = Array.fold_left ( + ) 0 costs;
-    sb_slots = slots; sb_slot_rips = slot_rips; sb_slot_costs = slot_costs;
-    sb_slot_insns = slot_insns; sb_ranges = ranges; sb_kind = kind;
-    sb_execs = 0; sb_valid = true; sb_link1 = None; sb_link2 = None;
-    sb_ind = ind; sb_ic1 = None; sb_ic2 = None })
+  { sb_entry = entry; sb_body = bd; sb_len = n; sb_static = bd.bd_static;
+    sb_chain = build_chain cpu bd ~copies:1 ~profile:false; sb_prof = None;
+    sb_ranges = ranges; sb_kind = kind; sb_execs = 0; sb_valid = true;
+    sb_link1 = None; sb_link2 = None; sb_ind = ind; sb_ic1 = None;
+    sb_ic2 = None })
 
 (* -------- trace extension -------- *)
 
@@ -2102,7 +2141,7 @@ let trace_threshold = 4
 let max_unroll = 16
 
 (* instruction budget for an unrolled trace body; traces may exceed
-   [max_block_insns] since their slots are built once and reused *)
+   [max_block_insns] since their chain is built once and reused *)
 let max_trace_insns = 256
 
 (* Promote a hot self-loop block (body + backedge Jcc to its own
@@ -2110,38 +2149,16 @@ let max_trace_insns = 256
    backedge; every non-final backedge copy becomes a side-exit that
    leaves the trace with exact accounting when the loop ends, and the
    final copy keeps a normal Jcc whose taken edge chains straight back
-   to the trace itself. *)
+   to the trace itself.  The copies reuse the loop block's templates. *)
 let build_trace cpu (b : sblock) : sblock =
-  let n = Array.length b.sb_insns in
-  let u = min max_unroll (max_trace_insns / n) in
-  let total = u * n in
-  let insns = Array.init total (fun k -> b.sb_insns.(k mod n)) in
-  let rips = Array.init total (fun k -> b.sb_rips.(k mod n)) in
-  let addrs = Array.init total (fun k -> b.sb_addrs.(k mod n)) in
-  let costs = Array.init total (fun k -> b.sb_costs.(k mod n)) in
-  let side_exit_at k = (k + 1) mod n = 0 && k < total - 1 in
-  let ops =
-    Array.init total (fun k ->
-        if side_exit_at k then
-          match insns.(k) with
-          | Jcc (cc, Abs _) -> side_exit_jcc cpu.cost cc ~ft:rips.(k)
-          | _ -> assert false
-        else
-          (* reuse the base block's already-translated closure: every
-             non-side-exit position is the same insn at the same rip,
-             so re-translating u*n copies is pure promotion-time waste *)
-          b.sb_ops.(k mod n))
-  in
-  let slots, slot_rips, slot_costs, slot_insns =
-    build_slots cpu ~side_exit_at insns rips costs ops
-  in
-  Tel.observe h_sb_len total;
-  { sb_entry = b.sb_entry; sb_insns = insns; sb_ops = ops; sb_rips = rips;
-    sb_addrs = addrs; sb_costs = costs;
-    sb_static = Array.fold_left ( + ) 0 costs;
-    sb_slots = slots; sb_slot_rips = slot_rips; sb_slot_costs = slot_costs;
-    sb_slot_insns = slot_insns; sb_ranges = b.sb_ranges; sb_kind = KTrace;
-    sb_execs = 0; sb_valid = true; sb_link1 = None; sb_link2 = None;
+  let bd = b.sb_body in
+  let u = min max_unroll (max_trace_insns / b.sb_len) in
+  Tel.observe h_sb_len (u * b.sb_len);
+  { sb_entry = b.sb_entry; sb_body = bd; sb_len = u * b.sb_len;
+    sb_static = u * bd.bd_static;
+    sb_chain = build_chain cpu bd ~copies:u ~profile:false; sb_prof = None;
+    sb_ranges = b.sb_ranges; sb_kind = KTrace; sb_execs = 0;
+    sb_valid = true; sb_link1 = None; sb_link2 = None;
     (* a trace is only ever built from a KLoopHead, whose terminator is
        a direct Jcc backedge — it can never carry an indirect IC *)
     sb_ind = false; sb_ic1 = None; sb_ic2 = None }
@@ -2166,100 +2183,67 @@ let lookup_block cpu addr : sblock =
       Array.unsafe_set cpu.bcache slot b;
       b
 
-(* Execute one superblock.  Observably equivalent to {!step}-ing
-   through it — rip is advanced past the instruction before it
-   executes (calls push it, non-taken Jcc falls through to it) — but
-   fetch, decode and the static cost computation are all hoisted out
-   of the loop, and cycles/icount are written back once per block
-   (with the executed prefix accounted exactly if an instruction
-   faults). *)
-let exec_block_fast cpu (b : sblock) =
-  Tel.incr_c c_sb_exec;
-  let ops = b.sb_slots and rips = b.sb_slot_rips in
-  let n = Array.length ops in
-  let penalties = ref 0 in
-  let k = ref 0 in
-  try
-    while !k < n do
-      cpu.rip <- Array.unsafe_get rips !k;
-      penalties := !penalties + (Array.unsafe_get ops !k) cpu;
-      incr k
-    done;
-    cpu.icount <- cpu.icount + Array.length b.sb_insns;
-    cpu.cycles <- cpu.cycles + b.sb_static + !penalties
-  with
-  | Trace_exit ->
-    (* the side-exit slot ran to completion: account it fully, with
-       its branch penalty stashed in [pen] by the raise *)
-    let static = ref 0 and ic = ref 0 in
-    for j = 0 to !k do
-      static := !static + b.sb_slot_costs.(j);
-      ic := !ic + b.sb_slot_insns.(j)
-    done;
-    cpu.icount <- cpu.icount + !ic;
-    cpu.cycles <- cpu.cycles + !static + !penalties + cpu.pen;
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1
-  | e ->
-    (* per-slot accounting for the prefix before the fault, exactly
-       as the single-step engine leaves it (a fused slot never
-       raises, so the faulting slot is a single instruction) *)
-    let static = ref 0 and ic = ref 0 in
-    for j = 0 to !k - 1 do
-      static := !static + b.sb_slot_costs.(j);
-      ic := !ic + b.sb_slot_insns.(j)
-    done;
-    cpu.icount <- cpu.icount + !ic;
-    cpu.cycles <- cpu.cycles + !static + !penalties;
-    materialize cpu;
-    raise e
+(* static cost of the first [m] instructions of a chain over [bd] (a
+   trace's chain repeats the body) *)
+let prefix_cost bd m =
+  let n = Array.length bd.bd_costs in
+  let s = ref (m / n * bd.bd_static) in
+  for j = 0 to (m mod n) - 1 do
+    s := !s + bd.bd_costs.(j)
+  done;
+  !s
 
-(* Profiled twin of {!exec_block_fast}: attributes every simulated
-   cycle (static cost + dynamic penalty) to the guest address of the
-   instruction that spent it, and the block total to the superblock
-   entry.  The per-insn sums equal the engine's cycle writeback
-   exactly, including the executed prefix of a faulting block and the
-   partial iterations of a side-exiting trace.  It runs over the
-   unfused per-instruction arrays so attribution stays per-address
-   even where the fast path executes fused slots. *)
-let exec_block_profiled cpu (b : sblock) =
-  Tel.incr_c c_sb_exec;
-  let ops = b.sb_ops and rips = b.sb_rips and costs = b.sb_costs in
-  let addrs = b.sb_addrs in
-  let n = Array.length ops in
-  let total = ref 0 in
-  let k = ref 0 in
-  try
-    while !k < n do
-      cpu.rip <- Array.unsafe_get rips !k;
-      let c = costs.(!k) + (Array.unsafe_get ops !k) cpu in
-      Prov.record_insn (Array.unsafe_get addrs !k) c;
-      total := !total + c;
-      incr k
-    done;
-    cpu.icount <- cpu.icount + n;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:n
-  with
-  | Trace_exit ->
-    (* the exiting backedge executed: attribute its static cost plus
-       the stashed branch penalty to its own address *)
-    let c = costs.(!k) + cpu.pen in
-    Prov.record_insn addrs.(!k) c;
-    total := !total + c;
-    cpu.icount <- cpu.icount + !k + 1;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:(!k + 1);
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1
-  | e ->
-    cpu.icount <- cpu.icount + !k;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:!k;
-    materialize cpu;
-    raise e
+let prof_chain cpu (b : sblock) =
+  match b.sb_prof with
+  | Some ch -> ch
+  | None ->
+    let copies = b.sb_len / Array.length b.sb_body.bd_insns in
+    let ch = build_chain cpu b.sb_body ~copies ~profile:true in
+    b.sb_prof <- Some ch;
+    ch
 
-(* the fast path pays exactly one branch when profiling is off *)
+(* Execute one superblock: a single call into its chain.  Observably
+   equivalent to {!step}-ing through it, but cycles/icount are written
+   back once: the static cost of the instructions run plus the
+   penalties they added to [acc].  A side exit returns how many
+   instructions ran and a raising instruction left its index in [at],
+   so both account exactly the executed prefix.  With profiling on the
+   block runs the profiler's chain, whose probes charge every cycle to
+   the address that spent it, so per-address sums equal the engine's
+   writeback. *)
 let exec_block cpu (b : sblock) =
-  if !Prov.enabled then exec_block_profiled cpu b else exec_block_fast cpu b
+  Tel.incr_c c_sb_exec;
+  let prof = !Prov.enabled in
+  let chain = if prof then prof_chain cpu b else b.sb_chain in
+  cpu.acc <- 0;
+  cpu.pmark <- 0;
+  match chain cpu with
+  | m when m = b.sb_len ->
+    let cy = b.sb_static + cpu.acc in
+    cpu.icount <- cpu.icount + m;
+    cpu.cycles <- cpu.cycles + cy;
+    if prof then Prov.record_block b.sb_entry ~cycles:cy ~insns:m
+  | m ->
+    (* a trace side exit after instruction [m - 1], the backedge,
+       whose probe did not run *)
+    let bd = b.sb_body in
+    let cy = prefix_cost bd m + cpu.acc in
+    cpu.icount <- cpu.icount + m;
+    cpu.cycles <- cpu.cycles + cy;
+    cpu.sb_side_exits <- cpu.sb_side_exits + 1;
+    if prof then begin
+      let j = (m - 1) mod Array.length bd.bd_costs in
+      Prov.record_insn bd.bd_addrs.(j) (bd.bd_costs.(j) + cpu.acc - cpu.pmark);
+      Prov.record_block b.sb_entry ~cycles:cy ~insns:m
+    end
+  | exception e ->
+    let k = cpu.at in
+    let cy = prefix_cost b.sb_body k + cpu.acc in
+    cpu.icount <- cpu.icount + k;
+    cpu.cycles <- cpu.cycles + cy;
+    if prof then Prov.record_block b.sb_entry ~cycles:cy ~insns:k;
+    materialize cpu;
+    raise e
 
 (* Indirect-terminator successor lookup: a 2-way inline cache of
    predicted targets.  A cached prediction is trusted only after
@@ -2363,7 +2347,7 @@ let run ?(max_insns = 2_000_000_000) cpu =
           (match b.sb_kind with KLoopHead -> begin
             if
               b.sb_execs = trace_threshold
-              && 2 * Array.length b.sb_insns <= max_trace_insns
+              && 2 * b.sb_len <= max_trace_insns
             then begin
               let tr = build_trace cpu b in
               b.sb_valid <- false;

@@ -176,6 +176,57 @@ let profiled_run engine =
 let test_profile_superblocks () = profiled_run Cpu.Superblocks
 let test_profile_single_step () = profiled_run Cpu.SingleStep
 
+(* A counted loop promoted to a trace.  The first two calls end the
+   loop in an inner unrolled copy, so they leave through side exits;
+   the third traps inside the trace (an idiv by rsi - rcx).  The
+   per-address sums must still equal the engine's cycle counter, and
+   both engines must count the same cycles. *)
+let loop_code =
+  let open Insn in
+  let open Reg in
+  [ I (Mov (W64, OReg R9, OImm 0L));
+    I (Mov (W64, OReg RCX, OImm 0L));
+    L 0;
+    I (Alu (Add, W64, OReg R9, OReg RCX));
+    I (Mov (W64, OReg RAX, OReg RCX));
+    I Cqo;
+    I (Mov (W64, OReg R8, OReg RSI));
+    I (Alu (Sub, W64, OReg R8, OReg RCX));
+    I (Idiv (W64, OReg R8));
+    I (Alu (Add, W64, OReg RCX, OImm 1L));
+    I (Alu (Cmp, W64, OReg RCX, OReg RDI));
+    I (Jcc (L, Lbl 0));
+    I (Mov (W64, OReg RAX, OReg R9));
+    I Ret ]
+
+let profiled_loop engine =
+  with_prov (fun () ->
+      let img = Image.create () in
+      let fn = Image.install_code img loop_code in
+      let cpu = img.Image.cpu in
+      let c0 = cpu.Cpu.cycles in
+      let r1, _ = Image.call ~engine img ~fn ~args:[ 40L; 1000L ] in
+      let r2, _ = Image.call ~engine img ~fn ~args:[ 23L; 1000L ] in
+      check Alcotest.int64 "sum 0..39" 780L r1;
+      check Alcotest.int64 "sum 0..22" 253L r2;
+      (match Image.call ~engine img ~fn ~args:[ 50L; 30L ] with
+       | _ -> Alcotest.fail "the third call must trap"
+       | exception Obrew_fault.Err.Error _ -> ());
+      let engine_cycles = cpu.Cpu.cycles - c0 in
+      let prof_cycles, _ = Prov.profile_totals () in
+      check cint "profiler sums to the engine total" engine_cycles
+        prof_cycles;
+      (engine_cycles, Cpu.cache_stats cpu))
+
+let test_profile_trace_exits () =
+  let sb_cycles, s = profiled_loop Cpu.Superblocks in
+  check Alcotest.bool "loop promoted to a trace" true
+    (s.Cpu.traces_built >= 1);
+  check Alcotest.bool "calls left through side exits" true
+    (s.Cpu.trace_side_exits >= 2);
+  let ss_cycles, _ = profiled_loop Cpu.SingleStep in
+  check cint "engines count the same cycles" ss_cycles sb_cycles
+
 (* Profiling off must leave the counters untouched. *)
 let test_disabled_records_nothing () =
   Prov.reset ();
@@ -229,6 +280,8 @@ let () =
             test_profile_superblocks;
           Alcotest.test_case "single-step: cycles sum exactly" `Quick
             test_profile_single_step;
+          Alcotest.test_case "trace side exits and a fault sum exactly"
+            `Quick test_profile_trace_exits;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing ] );
       ( "annotate",

@@ -717,8 +717,8 @@ let test_trace_promotion () =
 (* ---------- differential: superblock engine vs single-step ---------- *)
 
 (* Everything observable about a finished run: registers, flags, SSE
-   state, the data array, and the cycle/instruction accounting (the
-   cost model is part of the semantics). *)
+   state, rip, the data array, and the cycle/instruction accounting
+   (the cost model is part of the semantics). *)
 type observation = {
   o_regs : int64 array;
   o_xlo : int64 array;
@@ -726,10 +726,14 @@ type observation = {
   o_flags : bool * bool * bool * bool * bool * bool;
   o_cycles : int;
   o_icount : int;
+  o_rip : int;
   o_mem : string;
 }
 
-let observe ?(iters = 3L) engine (body : item list) : observation =
+(* Run the loop skeleton around [body] for [iters] iterations and
+   return the CPU, its data array, and the error the run raised, if
+   any. *)
+let run_skeleton ~iters engine (body : item list) =
   let img = fresh () in
   let cpu = img.Image.cpu in
   let arr =
@@ -744,7 +748,14 @@ let observe ?(iters = 3L) engine (body : item list) : observation =
         I Ret ]
   in
   let fn = Image.install_code img items in
-  ignore (Image.call ~engine img ~fn ~args:[ iters; Int64.of_int arr ]);
+  let fault =
+    match Image.call ~engine img ~fn ~args:[ iters; Int64.of_int arr ] with
+    | _ -> None
+    | exception Obrew_fault.Err.Error e -> Some (Obrew_fault.Err.to_string e)
+  in
+  (cpu, arr, fault)
+
+let snapshot cpu arr =
   { o_regs = Array.init 16 (fun i -> cpu.Cpu.regs.{i});
     o_xlo = Array.init 16 (fun i -> cpu.Cpu.xlo.{i});
     o_xhi = Array.init 16 (fun i -> cpu.Cpu.xhi.{i});
@@ -753,7 +764,13 @@ let observe ?(iters = 3L) engine (body : item list) : observation =
        cpu.Cpu.af);
     o_cycles = cpu.Cpu.cycles;
     o_icount = cpu.Cpu.icount;
+    o_rip = cpu.Cpu.rip;
     o_mem = Mem.read_bytes cpu.Cpu.mem arr 64 }
+
+let observe ?(iters = 3L) engine (body : item list) : observation =
+  match run_skeleton ~iters engine body with
+  | cpu, arr, None -> snapshot cpu arr
+  | _, _, Some e -> failwith e
 
 (* straight-line body instructions that are safe inside the skeleton:
    no traps, no control flow, rdi/rsi/rsp/rbp untouched *)
@@ -850,6 +867,77 @@ let prop_engine_differential_traced =
         QCheck.Test.fail_reportf "architectural state diverges under traces"
       else true)
 
+(* Faults inside a trace: the loop runs past the promotion threshold
+   and its body holds a sequence that traps only on the iteration where
+   rdi = [k] — an idiv by rdi - k, or a movaps from (or to) the data
+   array at an offset that is 8 on that iteration and 0 on the others.
+   [k] is drawn so the trap fires after promotion, in some unrolled
+   copy of the trace.  Where it fires, both engines must raise the same
+   error and leave the same registers, flags, rip and memory, with the
+   same cycle and instruction counts: the executed prefix of the trace is
+   charged exactly, and the trapping instruction not at all. *)
+let trap_iters = 16
+
+let trap_seq k kind =
+  let open Reg in
+  let k = Int64.of_int k in
+  match kind with
+  | 0 ->
+    [ Mov (W64, OReg R11, OReg RDI); Alu (Sub, W64, OReg R11, OImm k); Cqo;
+      Idiv (W64, OReg R11) ]
+  | _ ->
+    let at = mem_base R11 in
+    [ Mov (W64, OReg R11, OReg RSI); Lea (R10, mem_base ~disp:8 RSI);
+      Alu (Cmp, W64, OReg RDI, OImm k); Cmov (E, W64, R11, OReg R10);
+      (if kind = 1 then SseMov (Movaps, Xr 0, Xm at)
+       else SseMov (Movaps, Xm at, Xr 1)) ]
+
+let gen_trap_body : (insn list * int * int * int) QCheck.Gen.t =
+  let open QCheck.Gen in
+  (* the loop block runs [Cpu.trace_threshold] times before promotion *)
+  let* k = int_range 1 (trap_iters - Cpu.trace_threshold) in
+  let* kind = int_bound 2 in
+  let* body = list_size (int_bound 10) gen_body_insn in
+  let* pos = int_bound (List.length body) in
+  return (body, pos, k, kind)
+
+let trap_items (body, pos, k, kind) =
+  List.map
+    (fun i -> I i)
+    (List.filteri (fun j _ -> j < pos) body
+     @ trap_seq k kind
+     @ List.filteri (fun j _ -> j >= pos) body)
+
+let prop_trace_faults =
+  QCheck.Test.make ~count:150 ~name:"faults inside a trace == single-step"
+    (QCheck.make
+       ~print:(fun c ->
+         String.concat "; "
+           (List.map (function I i -> Pp.insn i | it -> Pp.item it)
+              (trap_items c)))
+       gen_trap_body)
+    (fun c ->
+      let items = trap_items c in
+      let iters = Int64.of_int trap_iters in
+      let cpu_a, arr_a, fa = run_skeleton ~iters Cpu.Superblocks items in
+      let cpu_b, arr_b, fb = run_skeleton ~iters Cpu.SingleStep items in
+      let a = snapshot cpu_a arr_a and b = snapshot cpu_b arr_b in
+      let s = Cpu.cache_stats cpu_a in
+      if fa = None || fa <> fb then
+        QCheck.Test.fail_reportf "faults differ: %s vs %s"
+          (Option.value ~default:"none" fa)
+          (Option.value ~default:"none" fb)
+      else if s.Cpu.traces_built < 1 then
+        QCheck.Test.fail_reportf "the loop was not promoted to a trace"
+      else if a.o_cycles <> b.o_cycles || a.o_icount <> b.o_icount then
+        QCheck.Test.fail_reportf
+          "cost accounting diverges at the fault: cycles %d vs %d, \
+           icount %d vs %d"
+          a.o_cycles b.o_cycles a.o_icount b.o_icount
+      else if a <> b then
+        QCheck.Test.fail_reportf "architectural state diverges at the fault"
+      else true)
+
 (* The dedup key of an install is the items' structure: the same list
    built with and without shared operands installs once. *)
 let test_install_dedup_sharing () =
@@ -905,5 +993,6 @@ let () =
          Alcotest.test_case "install dedup ignores sharing" `Quick
            test_install_dedup_sharing;
          qt prop_engine_differential;
-         qt prop_engine_differential_traced ])
+         qt prop_engine_differential_traced;
+         qt prop_trace_faults ])
     ]

@@ -170,8 +170,8 @@ let bench_cases =
     bench "superblocks not an object" (set [ "superblocks" ] (int 1))
       "expected an object";
     bench "negative nested counter"
-      (set [ "superblocks"; "fused_pairs"; "spill" ] (int (-1)))
-      "fused_pairs.spill";
+      (set [ "superblocks"; "fused_pairs"; "cmp_jcc" ] (int (-1)))
+      "fused_pairs.cmp_jcc";
     bench "ic_hits without ic_misses" (del [ "superblocks"; "ic_misses" ])
       "ic_hits and ic_misses together";
     bench "negative transform_memo" (set [ "transform_memo"; "hits" ] (int (-1)))
