@@ -414,7 +414,7 @@ let emulate rw ts (i : insn) (io : io) ~(mem_imm : int64 option) : unit =
    | _ ->
      (* emulator failures propagate as typed [Emulate] errors *)
      Fault.point "emulate.scratch";
-     ignore (Cpu.exec cpu i'));
+     Cpu.exec cpu i');
   (* read back *)
   List.iter (fun r -> set ts.st r (Known (Cpu.get_reg64 cpu r))) io.wr;
   if io.wf then begin

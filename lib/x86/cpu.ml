@@ -156,8 +156,8 @@ and t = {
   mutable fl_records : int;    (* lazy flag records created *)
   mutable fl_mats : int;       (* records actually materialized *)
   mutable fl_dead : int;       (* flag writes elided by liveness *)
-  mutable pen : int;           (* scratch penalty accumulator of exec *)
-  mutable acc : int;           (* dynamic penalties of the running chain *)
+  mutable acc : int;           (* dynamic cycle penalties of the running
+                                  instruction or chain *)
   mutable at : int;            (* chain index of the last instruction
                                   entered that can raise *)
   mutable pmark : int;         (* [acc] at the profiler's last probe *)
@@ -190,7 +190,7 @@ let create ?(cost = Cost.default) () =
     fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
-    pen = 0; acc = 0; at = 0; pmark = 0; cost }
+    acc = 0; at = 0; pmark = 0; cost }
 
 (* -------- scalar helpers -------- *)
 
@@ -624,17 +624,17 @@ let target_addr = function
   | Lbl l -> err "cannot execute unresolved label .L%d" l
 
 (* The dynamic penalty (branch direction, vector misalignment) is
-   accumulated in [cpu.pen] rather than a local [ref] so that the hot
-   loop performs no per-instruction allocation. *)
+   added to [cpu.acc], which a chain of translated ops shares.  It is
+   added after the last point where the instruction can raise, so a
+   faulting instruction adds none, as {!step} charges it nothing. *)
 let exec cpu (i : insn) =
   (* the eager interpreter reads and writes the flag fields directly,
      so any pending lazy record must be forced first *)
   materialize cpu;
   let c = cpu.cost in
-  cpu.pen <- 0;
   let check_align16 m =
     let a = resolve cpu m in
-    if not (is_16aligned a) then cpu.pen <- cpu.pen + c.unaligned_vec
+    if not (is_16aligned a) then cpu.acc <- cpu.acc + c.unaligned_vec
   in
   (match i with
    | Mov (w, dst, src) -> write_op cpu w dst (read_op cpu w src)
@@ -809,9 +809,9 @@ let exec cpu (i : insn) =
    | Jcc (cc, t) ->
      if cond cpu cc then begin
        cpu.rip <- target_addr t;
-       cpu.pen <- cpu.pen + c.branch_taken
+       cpu.acc <- cpu.acc + c.branch_taken
      end
-     else cpu.pen <- cpu.pen + c.branch_not_taken
+     else cpu.acc <- cpu.acc + c.branch_not_taken
    | Cmov (cc, w, dst, src) ->
      (* the load happens regardless of the condition *)
      let v = read_op cpu w src in
@@ -961,16 +961,16 @@ let exec cpu (i : insn) =
       | _ -> err "unsupported padd lane width")
    | Nop _ -> ()
    | Ud2 -> err "ud2 executed"
-   | Int3 -> err "int3 executed");
-  cpu.pen
+   | Int3 -> err "int3 executed")
 
 let step cpu =
   let a = cpu.rip in
   let i, len = fetch cpu cpu.rip in
   cpu.rip <- cpu.rip + len;
-  let penalty = exec cpu i in
+  cpu.acc <- 0;
+  exec cpu i;
   cpu.icount <- cpu.icount + 1;
-  let c = Cost.insn_cost cpu.cost i + penalty in
+  let c = Cost.insn_cost cpu.cost i + cpu.acc in
   cpu.cycles <- cpu.cycles + c;
   if !Prov.enabled then Prov.record_insn a c
 
@@ -1784,7 +1784,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
     fun k next -> threaded @@ fun cpu ->
       cpu.rip <- rip;
       cpu.at <- k;
-      cpu.acc <- cpu.acc + exec cpu i;
+      exec cpu i;
       next cpu
 
 (* -------- translation-block engine -------- *)
