@@ -990,9 +990,16 @@ let step cpu =
    base/index/displacement shape is dispatched once at translation
    time, so the per-execution path is plain native-int arithmetic.
    Native int sums agree with the Int64 path because the final mask to
-   48 bits commutes with wrap-around at both 2^63 and 2^64. *)
-let addr_of (m : mem_addr) : t -> int =
-  if m.seg <> None || m.rip then fun cpu -> resolve cpu m
+   48 bits commutes with wrap-around at both 2^63 and 2^64.  A
+   RIP-relative operand is a constant, the end address [rip] of its
+   instruction plus the displacement, so no op reads [cpu.rip] to
+   address memory. *)
+let fold_rip ~rip (m : mem_addr) =
+  if m.rip then { m with rip = false; disp = m.disp + rip } else m
+
+let addr_of ~rip (m : mem_addr) : t -> int =
+  let m = fold_rip ~rip m in
+  if m.seg <> None then fun cpu -> resolve cpu m
   else
     let disp = m.disp in
     match (m.base, m.index) with
@@ -1018,8 +1025,9 @@ let addr_of (m : mem_addr) : t -> int =
     | None, None -> fun _ -> disp land addr_mask
 
 (* full 64-bit effective address for lea, same pre-resolution *)
-let eff_of (m : mem_addr) : t -> int64 =
-  if m.seg <> None || m.rip then fun cpu -> effective cpu m
+let eff_of ~rip (m : mem_addr) : t -> int64 =
+  let m = fold_rip ~rip m in
+  if m.seg <> None then fun cpu -> effective cpu m
   else
     let disp = Int64.of_int m.disp in
     match (m.base, m.index) with
@@ -1037,7 +1045,7 @@ let eff_of (m : mem_addr) : t -> int64 =
           disp
     | None, _ -> fun cpu -> effective cpu m
 
-let rd_operand w (op : operand) : t -> int64 =
+let rd_operand ~rip w (op : operand) : t -> int64 =
   match op with
   | OReg r ->
     let i = Reg.index r in
@@ -1049,14 +1057,14 @@ let rd_operand w (op : operand) : t -> int64 =
   | OReg8H r -> fun cpu -> get_reg8h cpu r
   | OImm v -> let v = trunc w v in fun _ -> v
   | OMem m ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     (match w with
      | W8 -> fun cpu -> Int64.of_int (Mem.read_u8 cpu.mem (af cpu))
      | W16 -> fun cpu -> Int64.of_int (Mem.read_u16 cpu.mem (af cpu))
      | W32 -> fun cpu -> Int64.of_int (Mem.read_u32 cpu.mem (af cpu))
      | W64 -> fun cpu -> load64 cpu (af cpu))
 
-let wr_operand w (op : operand) : t -> int64 -> unit =
+let wr_operand ~rip w (op : operand) : t -> int64 -> unit =
   match op with
   | OReg r ->
     let i = Reg.index r in
@@ -1066,7 +1074,7 @@ let wr_operand w (op : operand) : t -> int64 -> unit =
      | _ -> fun cpu v -> set_reg cpu w r v)
   | OReg8H r -> fun cpu v -> set_reg8h cpu r v
   | OMem m ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     (match w with
      | W8 -> fun cpu v -> Mem.write_u8 cpu.mem (af cpu) (Int64.to_int v)
      | W16 -> fun cpu v -> Mem.write_u16 cpu.mem (af cpu) (Int64.to_int v)
@@ -1105,26 +1113,8 @@ let[@inline] record_imul cpu w a b =
    trampoline. *)
 let threaded (f : op) : op = Sys.opaque_identity f
 
-(* A RIP-relative operand is a constant once the instruction's end
-   address [rip] is known: fold it into the displacement, so that no op
-   reads [cpu.rip] to address memory. *)
-let fold_rip ~rip i =
-  let rel = ref false in
-  let i' =
-    map_mem
-      (fun m ->
-        if m.rip then begin
-          rel := true;
-          { m with rip = false; disp = m.disp + rip }
-        end
-        else m)
-      i
-  in
-  if !rel then i' else i
-
 (* An op ends by tail-calling [next].  [rip] is the address after the
-   instruction, whose RIP-relative operands are already folded (see
-   {!build_block}); an op writes [cpu.rip] only where it is observable:
+   instruction; an op writes [cpu.rip] only where it is observable:
    control transfers set it to their target, and the ops that can
    raise — the aligned-move checks and the [exec] fallback — store it
    together with their chain index [k] in [cpu.at], so a fault leaves
@@ -1140,7 +1130,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Alu ((Add | Sub | And | Or | Xor) as op, ((W64 | W32) as w), OReg d,
          src)
     when dead_flags ->
-    let di = Reg.index d and rd_s = rd_operand w src in
+    let di = Reg.index d and rd_s = rd_operand ~rip w src in
     (match (op, w) with
      | Add, W64 ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1199,8 +1189,8 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          next cpu
      | (Cmp | Adc | Sbb), _ -> assert false)
   | Alu ((Add | Sub | And | Or | Xor) as op, w, dst, src) when dead_flags ->
-    let rd_d = rd_operand w dst and rd_s = rd_operand w src in
-    let wr_d = wr_operand w dst in
+    let rd_d = rd_operand ~rip w dst and rd_s = rd_operand ~rip w src in
+    let wr_d = wr_operand ~rip w dst in
     (match op with
      | Add ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1225,18 +1215,18 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Cmp | Adc | Sbb -> assert false)
   | (Alu (Cmp, _, _, _) | Test _) when dead_flags -> fun _ next -> next
   | Imul2 (w, dst, src) when dead_flags ->
-    let rd = rd_operand w src in
+    let rd = rd_operand ~rip w src in
     fun _ next -> threaded @@ fun cpu ->
       set_reg cpu w dst
         (trunc w (Int64.mul (sext w (get_reg cpu w dst)) (sext w (rd cpu))));
       next cpu
   | Imul3 (W64, dst, src, imm) when dead_flags ->
-    let rd = rd_operand W64 src and di = Reg.index dst in
+    let rd = rd_operand ~rip W64 src and di = Reg.index dst in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs di (Int64.mul (rd cpu) imm);
       next cpu
   | Imul3 (w, dst, src, imm) when dead_flags ->
-    let rd = rd_operand w src in
+    let rd = rd_operand ~rip w src in
     let b = sext w (trunc w imm) in
     fun _ next -> threaded @@ fun cpu ->
       set_reg cpu w dst (trunc w (Int64.mul (sext w (rd cpu)) b));
@@ -1247,22 +1237,22 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.regs d (A1.unsafe_get cpu.regs s);
       next cpu
   | Mov (W64, OReg d, OMem m) ->
-    let d = Reg.index d and af = addr_of m in
+    let d = Reg.index d and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs d (load64 cpu (af cpu));
       next cpu
   | Mov (W32, OReg d, OMem m) ->
-    let d = Reg.index d and af = addr_of m in
+    let d = Reg.index d and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs d (Int64.of_int (Mem.read_u32 cpu.mem (af cpu)));
       next cpu
   | Mov (W64, OMem m, OReg s) ->
-    let s = Reg.index s and af = addr_of m in
+    let s = Reg.index s and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       store64 cpu (af cpu) (A1.unsafe_get cpu.regs s);
       next cpu
   | Mov (W32, OMem m, OReg s) ->
-    let s = Reg.index s and af = addr_of m in
+    let s = Reg.index s and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
       next cpu
@@ -1277,33 +1267,33 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.regs d v;
       next cpu
   | Mov (w, dst, src) ->
-    let rd = rd_operand w src and wr = wr_operand w dst in
+    let rd = rd_operand ~rip w src and wr = wr_operand ~rip w dst in
     fun _ next -> threaded @@ fun cpu ->
       wr cpu (rd cpu);
       next cpu
   | Movzx ((W64 | W32), d, sw, src) ->
     (* the source read is already zero-extended past [sw] *)
-    let d = Reg.index d and rd = rd_operand sw src in
+    let d = Reg.index d and rd = rd_operand ~rip sw src in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs d (rd cpu);
       next cpu
   | Movzx (dw, dst, sw, src) ->
-    let rd = rd_operand sw src in
+    let rd = rd_operand ~rip sw src in
     fun _ next -> threaded @@ fun cpu ->
       set_reg cpu dw dst (rd cpu);
       next cpu
   | Movsx (W64, d, sw, src) ->
-    let d = Reg.index d and rd = rd_operand sw src in
+    let d = Reg.index d and rd = rd_operand ~rip sw src in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs d (sext sw (rd cpu));
       next cpu
   | Movsx (dw, dst, sw, src) ->
-    let rd = rd_operand sw src in
+    let rd = rd_operand ~rip sw src in
     fun _ next -> threaded @@ fun cpu ->
       set_reg cpu dw dst (trunc dw (sext sw (rd cpu)));
       next cpu
   | Lea (dst, m) ->
-    let d = Reg.index dst and eff = eff_of { m with seg = None } in
+    let d = Reg.index dst and eff = eff_of ~rip { m with seg = None } in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.regs d (eff cpu);
       next cpu
@@ -1312,7 +1302,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
     (* register destination: read and write the GPR cell directly, so
        the common ALU forms cost one arity-1 closure call for the
        source operand and no generic write dispatch *)
-    let di = Reg.index d and rd_s = rd_operand w src in
+    let di = Reg.index d and rd_s = rd_operand ~rip w src in
     (match (op, w) with
      | Add, W64 ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1361,26 +1351,29 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          next cpu
      | And, _ ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logand (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         let a = trunc w (A1.unsafe_get cpu.regs di) in
+         let r = Int64.logand a (rd_s cpu) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | Or, _ ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logor (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         let a = trunc w (A1.unsafe_get cpu.regs di) in
+         let r = Int64.logor a (rd_s cpu) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | Xor, _ ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logxor (trunc w (A1.unsafe_get cpu.regs di)) (rd_s cpu) in
+         let a = trunc w (A1.unsafe_get cpu.regs di) in
+         let r = Int64.logxor a (rd_s cpu) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | (Adc | Sbb), _ -> assert false)
   | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, w, dst, src) ->
-    let rd_d = rd_operand w dst and rd_s = rd_operand w src in
-    let wr_d = wr_operand w dst in
+    let rd_d = rd_operand ~rip w dst and rd_s = rd_operand ~rip w src in
+    let wr_d = wr_operand ~rip w dst in
     (match op with
      | Add ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1424,12 +1417,12 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          next cpu
      | Adc | Sbb -> assert false)
   | Test (w, a, b) ->
-    let rd_a = rd_operand w a and rd_b = rd_operand w b in
+    let rd_a = rd_operand ~rip w a and rd_b = rd_operand ~rip w b in
     fun _ next -> threaded @@ fun cpu ->
       record_logic cpu w (Int64.logand (rd_a cpu) (rd_b cpu));
       next cpu
   | Unop ((Inc | Dec | Not) as op, w, dst) ->
-    let rd = rd_operand w dst and wr = wr_operand w dst in
+    let rd = rd_operand ~rip w dst and wr = wr_operand ~rip w dst in
     (match op with
      | Inc ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1456,12 +1449,12 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          wr cpu (trunc w (Int64.lognot (rd cpu)));
          next cpu)
   | Push src ->
-    let rd = rd_operand W64 src in
+    let rd = rd_operand ~rip W64 src in
     fun _ next -> threaded @@ fun cpu ->
       push64 cpu (rd cpu);
       next cpu
   | Pop dst ->
-    let wr = wr_operand W64 dst in
+    let wr = wr_operand ~rip W64 dst in
     fun _ next -> threaded @@ fun cpu ->
       wr cpu (pop64 cpu);
       next cpu
@@ -1471,7 +1464,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.rip <- a;
       next cpu
   | CallInd op ->
-    let rd = rd_operand W64 op in
+    let rd = rd_operand ~rip W64 op in
     fun _ next -> threaded @@ fun cpu ->
       let tgt = Int64.to_int (rd cpu) land addr_mask in
       push64 cpu (Int64.of_int rip);
@@ -1486,7 +1479,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.rip <- a;
       next cpu
   | JmpInd op ->
-    let rd = rd_operand W64 op in
+    let rd = rd_operand ~rip W64 op in
     fun _ next -> threaded @@ fun cpu ->
       cpu.rip <- Int64.to_int (rd cpu) land addr_mask;
       next cpu
@@ -1503,7 +1496,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       end;
       next cpu
   | Cmov (cc, w, dst, src) ->
-    let rd = rd_operand w src in
+    let rd = rd_operand ~rip w src in
     (match w with
      | W32 ->
        fun _ next -> threaded @@ fun cpu ->
@@ -1517,7 +1510,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          if cond cpu cc then set_reg cpu w dst v;
          next cpu)
   | Setcc (cc, dst) ->
-    let wr = wr_operand W8 dst in
+    let wr = wr_operand ~rip W8 dst in
     fun _ next -> threaded @@ fun cpu ->
       wr cpu (if cond cpu cc then 1L else 0L);
       next cpu
@@ -1526,7 +1519,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
        lazily: [FlImul] materialization recomputes the product from the
        sign-extended operands, so skipping set_szp + the overflow check
        here is unobservable *)
-    let rd = rd_operand w src in
+    let rd = rd_operand ~rip w src in
     fun _ next -> threaded @@ fun cpu ->
       let a = sext w (get_reg cpu w dst) in
       let b = sext w (rd cpu) in
@@ -1534,7 +1527,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       set_reg cpu w dst (trunc w (Int64.mul a b));
       next cpu
   | Imul3 (W64, dst, src, imm) ->
-    let rd = rd_operand W64 src in
+    let rd = rd_operand ~rip W64 src in
     let di = Reg.index dst in
     fun _ next -> threaded @@ fun cpu ->
       let a = rd cpu in
@@ -1542,7 +1535,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.regs di (Int64.mul a imm);
       next cpu
   | Imul3 (w, dst, src, imm) ->
-    let rd = rd_operand w src in
+    let rd = rd_operand ~rip w src in
     let b = sext w (trunc w imm) in
     fun _ next -> threaded @@ fun cpu ->
       let a = sext w (rd cpu) in
@@ -1554,13 +1547,13 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.xlo d (A1.unsafe_get cpu.xlo s);
       next cpu
   | SseMov (Movsd, Xr d, Xm m) ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       A1.unsafe_set cpu.xlo d (load64 cpu (af cpu));
       A1.unsafe_set cpu.xhi d 0L;
       next cpu
   | SseMov (Movsd, Xm m, Xr s) ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       store64 cpu (af cpu) (A1.unsafe_get cpu.xlo s);
       next cpu
@@ -1575,7 +1568,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.xhi d (A1.unsafe_get cpu.xhi s);
       next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xm m) ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     fun k next -> threaded @@ fun cpu ->
       cpu.rip <- rip;
       cpu.at <- k;
@@ -1585,7 +1578,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.xhi d (Mem.read_u64 cpu.mem (a + 8));
       next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xm m, Xr s) ->
-    let af = addr_of m in
+    let af = addr_of ~rip m in
     fun k next -> threaded @@ fun cpu ->
       cpu.rip <- rip;
       cpu.at <- k;
@@ -1595,7 +1588,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       Mem.write_u64 cpu.mem (a + 8) (A1.unsafe_get cpu.xhi s);
       next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xr d, Xm m) ->
-    let up = c.unaligned_vec and af = addr_of m in
+    let up = c.unaligned_vec and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
       A1.unsafe_set cpu.xlo d (Mem.read_u64 cpu.mem a);
@@ -1603,7 +1596,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       if not (is_16aligned a) then cpu.acc <- cpu.acc + up;
       next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xm m, Xr s) ->
-    let up = c.unaligned_vec and af = addr_of m in
+    let up = c.unaligned_vec and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
       Mem.write_u64 cpu.mem a (A1.unsafe_get cpu.xlo s);
@@ -1658,7 +1651,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
                   /. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
             next cpu)
      | Xm m ->
-       let af = addr_of m in
+       let af = addr_of ~rip m in
        (match op with
         | FAdd ->
           fun _ next -> threaded @@ fun cpu ->
@@ -1695,7 +1688,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) (f64 cpu.xlo.{s}));
          next cpu
      | Xm m ->
-       let af = addr_of m in
+       let af = addr_of ~rip m in
        fun _ next -> threaded @@ fun cpu ->
          let b = f64 (Mem.read_u64 cpu.mem (af cpu)) in
          cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) b);
@@ -1940,11 +1933,11 @@ let[@inline] logic_holds w cc r =
    cmp/test's index.  The [side_exit] form is a trace's inner
    backedge: while the branch is taken it runs on into the next
    unrolled copy, otherwise it leaves the chain after the pair. *)
-let pair_tmpl (c : Cost.t) i1 cc ~tgt ~ft ~side_exit : tmpl =
+let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
   match i1 with
   | Alu (Cmp, w, d, s) ->
-    let rd_a = rd_operand w d and rd_b = rd_operand w s in
+    let rd_a = rd_operand ~rip w d and rd_b = rd_operand ~rip w s in
     if side_exit then
       fun k next -> threaded @@ fun cpu ->
         let a = rd_a cpu in
@@ -1976,7 +1969,7 @@ let pair_tmpl (c : Cost.t) i1 cc ~tgt ~ft ~side_exit : tmpl =
         end;
         next cpu
   | Test (w, d, s) ->
-    let rd_a = rd_operand w d and rd_b = rd_operand w s in
+    let rd_a = rd_operand ~rip w d and rd_b = rd_operand ~rip w s in
     if side_exit then
       fun k next -> threaded @@ fun cpu ->
         let r = Int64.logand (rd_a cpu) (rd_b cpu) in
@@ -2054,7 +2047,8 @@ let build_chain cpu (bd : body) ~copies ~profile : op =
            && (match insns.(n - 2) with
                | Alu (Cmp, _, _, _) | Test _ -> true
                | _ -> false) ->
-      ( pair_tmpl c insns.(n - 2) cc ~tgt ~ft:bd.bd_fall ~side_exit,
+      ( pair_tmpl c insns.(n - 2) cc ~rip:bd.bd_addrs.(n - 1) ~tgt
+          ~ft:bd.bd_fall ~side_exit,
         2 )
     | Jcc (cc, _) when side_exit -> (side_exit_tmpl c cc ~ft:bd.bd_fall, 1)
     | _ -> (bd.bd_tmpls.(n - 1), 1)
@@ -2090,7 +2084,7 @@ let build_block cpu entry : sblock =
   let addrs = Array.make n 0 in
   List.iteri
     (fun k (a, i, next) ->
-      insns.(k) <- fold_rip ~rip:next i;
+      insns.(k) <- i;
       rips.(k) <- next;
       addrs.(k) <- a)
     run;
