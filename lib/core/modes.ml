@@ -192,20 +192,17 @@ let transform_key env ~(lift_config : Lift.config)
 let memo_stats env = (env.memo_hits, env.memo_misses)
 
 (* The functions of [m] other than [kernel] that the kernel still
-   reaches through calls or function references, in module order.
+   calls, directly or through another such function, in module order.
    LLVM-fix's always-inline callee is dead once -O3 has inlined it,
    and like LLVM with a dead internal function we do not emit it. *)
 let live_callees (m : Ins.modul) (kernel : Ins.func) =
   let refs (f : Ins.func) =
-    let names = function Ins.Global n -> [ n ] | _ -> [] in
     List.concat_map
       (fun (b : Ins.block) ->
-        List.concat_map names (Ins.term_operands b.term)
-        @ List.concat_map
-            (fun (i : Ins.instr) ->
-              (match i.op with Ins.CallDirect (n, _, _) -> [ n ] | _ -> [])
-              @ List.concat_map names (Ins.operands i.op))
-            b.instrs)
+        List.filter_map
+          (fun (i : Ins.instr) ->
+            match i.op with Ins.CallDirect (n, _, _) -> Some n | _ -> None)
+          b.instrs)
       f.blocks
   in
   let rec visit live name =
