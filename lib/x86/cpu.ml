@@ -196,21 +196,24 @@ let create ?(cost = Cost.default) () =
 
 let addr_mask = (1 lsl 48) - 1
 
-let trunc w (v : int64) =
+(* The scalar helpers are inlined: a call that takes or returns an
+   [int64] boxes it, and inlined with a constant width each one folds
+   to a single operation. *)
+let[@inline] trunc w (v : int64) =
   match w with
   | W8 -> Int64.logand v 0xFFL
   | W16 -> Int64.logand v 0xFFFFL
   | W32 -> Int64.logand v 0xFFFFFFFFL
   | W64 -> v
 
-let sext w (v : int64) =
+let[@inline] sext w (v : int64) =
   match w with
   | W8 -> Int64.shift_right (Int64.shift_left v 56) 56
   | W16 -> Int64.shift_right (Int64.shift_left v 48) 48
   | W32 -> Int64.shift_right (Int64.shift_left v 32) 32
   | W64 -> v
 
-let msb w v =
+let[@inline] msb w v =
   Int64.logand (Int64.shift_right_logical v (width_bits w - 1)) 1L = 1L
 
 let parity_even (v : int64) =
@@ -222,13 +225,13 @@ let parity_even (v : int64) =
 
 (* -------- register access -------- *)
 
-let get_reg cpu w r = trunc w cpu.regs.{Reg.index r}
+let[@inline] get_reg cpu w r = trunc w cpu.regs.{Reg.index r}
 let get_reg64 cpu r = cpu.regs.{Reg.index r}
 
 let get_reg8h cpu r =
   Int64.logand (Int64.shift_right_logical cpu.regs.{Reg.index r} 8) 0xFFL
 
-let set_reg cpu w r v =
+let[@inline] set_reg cpu w r v =
   let i = Reg.index r in
   match w with
   | W64 -> cpu.regs.{i} <- v
@@ -280,19 +283,76 @@ let effective cpu (m : mem_addr) : int64 =
 
 let resolve cpu (m : mem_addr) = Int64.to_int (effective cpu m) land addr_mask
 
+(* The loads and stores of both engines.  Each open-codes the
+   in-page case: {!Mem.page}'s TLB hit test inlines, and
+   [Bytes.get/set_int64_le] are primitives that compile unboxed at the
+   use site, where calling [Mem.read_u64] would box its result on every
+   load.  An access that crosses a page goes out of line through {!Mem};
+   [rebox] re-boxes what such a call returns, so that a match whose
+   other arms compute an [int64] still returns it unboxed.  The
+   literals 12/0xFFF are tied to the page layout by this check. *)
+let () = assert (Mem.page_bits = 12 && Mem.page_size = 4096)
+
+let[@inline] rebox (v : int64) = Int64.add v 0L
+
+let[@inline] load8 cpu a =
+  Char.code (Bytes.unsafe_get (Mem.page cpu.mem (a lsr 12)) (a land 0xFFF))
+
+let[@inline] load16 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFFE then Bytes.get_uint16_le (Mem.page cpu.mem (a lsr 12)) off
+  else Mem.read_u16 cpu.mem a
+
+let[@inline] load32 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFFC then begin
+    let p = Mem.page cpu.mem (a lsr 12) in
+    Bytes.get_uint16_le p off lor (Bytes.get_uint16_le p (off + 2) lsl 16)
+  end
+  else Mem.read_u32 cpu.mem a
+
+let[@inline] load64 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
+  else rebox (Mem.read_u64 cpu.mem a)
+
+let[@inline] store8 cpu a v =
+  Bytes.unsafe_set (Mem.page cpu.mem (a lsr 12)) (a land 0xFFF)
+    (Char.unsafe_chr (v land 0xFF))
+
+let[@inline] store16 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFFE then
+    Bytes.set_uint16_le (Mem.page cpu.mem (a lsr 12)) off (v land 0xFFFF)
+  else Mem.write_u16 cpu.mem a v
+
+let[@inline] store32 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFFC then begin
+    let p = Mem.page cpu.mem (a lsr 12) in
+    Bytes.set_uint16_le p off (v land 0xFFFF);
+    Bytes.set_uint16_le p (off + 2) ((v lsr 16) land 0xFFFF)
+  end
+  else Mem.write_u32 cpu.mem a v
+
+let[@inline] store64 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
+  else Mem.write_u64 cpu.mem a v
+
 let load cpu w a =
   match w with
-  | W8 -> Int64.of_int (Mem.read_u8 cpu.mem a)
-  | W16 -> Int64.of_int (Mem.read_u16 cpu.mem a)
-  | W32 -> Int64.of_int (Mem.read_u32 cpu.mem a)
-  | W64 -> Mem.read_u64 cpu.mem a
+  | W8 -> Int64.of_int (load8 cpu a)
+  | W16 -> Int64.of_int (load16 cpu a)
+  | W32 -> Int64.of_int (load32 cpu a)
+  | W64 -> load64 cpu a
 
 let store cpu w a (v : int64) =
   match w with
-  | W8 -> Mem.write_u8 cpu.mem a (Int64.to_int v)
-  | W16 -> Mem.write_u16 cpu.mem a (Int64.to_int v)
-  | W32 -> Mem.write_u32 cpu.mem a (Int64.to_int (trunc W32 v))
-  | W64 -> Mem.write_u64 cpu.mem a v
+  | W8 -> store8 cpu a (Int64.to_int v)
+  | W16 -> store16 cpu a (Int64.to_int v)
+  | W32 -> store32 cpu a (Int64.to_int v)
+  | W64 -> store64 cpu a v
 
 (* -------- operand access -------- *)
 
@@ -417,33 +477,14 @@ let cond cpu c =
 
 (* -------- stack -------- *)
 
-(* [load64]/[store64] open-code the aligned-page fast path of
-   Mem.read_u64/write_u64 into the hot closures that inline them: the
-   page lookup stays a (pointer-returning) call but
-   Bytes.get/set_int64_le are primitives that compile unboxed at the
-   use site, where calling Mem.read_u64 would box its int64 return on
-   every load.  The literals 12/0xFFF/0xFF8 are tied to the page layout
-   by this check. *)
-let () = assert (Mem.page_bits = 12 && Mem.page_size = 4096)
-
-let[@inline] load64 cpu a =
-  let off = a land 0xFFF in
-  if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-  else Mem.read_u64 cpu.mem a
-
-let[@inline] store64 cpu a v =
-  let off = a land 0xFFF in
-  if off <= 0xFF8 then Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-  else Mem.write_u64 cpu.mem a v
-
 let rsp_i = Reg.index Reg.RSP
 
-let push64 cpu v =
+let[@inline] push64 cpu v =
   let sp = Int64.to_int cpu.regs.{rsp_i} - 8 in
   cpu.regs.{rsp_i} <- Int64.of_int sp;
   store64 cpu (sp land addr_mask) v
 
-let pop64 cpu =
+let[@inline] pop64 cpu =
   let sp = Int64.to_int cpu.regs.{rsp_i} in
   let v = load64 cpu (sp land addr_mask) in
   cpu.regs.{rsp_i} <- Int64.of_int (sp + 8);
@@ -451,8 +492,8 @@ let pop64 cpu =
 
 (* -------- SSE helpers -------- *)
 
-let f64 (bits : int64) = Int64.float_of_bits bits
-let b64 (f : float) = Int64.bits_of_float f
+let[@inline] f64 (bits : int64) = Int64.float_of_bits bits
+let[@inline] b64 (f : float) = Int64.bits_of_float f
 
 let f32 (bits : int64) =
   Int32.float_of_bits (Int64.to_int32 bits)
@@ -462,19 +503,19 @@ let b32 (f : float) =
 
 let xop_load64 cpu = function
   | Xr x -> cpu.xlo.{x}
-  | Xm m -> Mem.read_u64 cpu.mem (resolve cpu m)
+  | Xm m -> load64 cpu (resolve cpu m)
 
 let xop_load128 cpu = function
   | Xr x -> (cpu.xlo.{x}, cpu.xhi.{x})
   | Xm m ->
     let a = resolve cpu m in
-    (Mem.read_u64 cpu.mem a, Mem.read_u64 cpu.mem (a + 8))
+    (load64 cpu a, load64 cpu (a + 8))
 
 let xop_load32 cpu = function
   | Xr x -> Int64.logand cpu.xlo.{x} 0xFFFFFFFFL
-  | Xm m -> Int64.of_int (Mem.read_u32 cpu.mem (resolve cpu m))
+  | Xm m -> Int64.of_int (load32 cpu (resolve cpu m))
 
-let fp_bin op a b =
+let[@inline] fp_bin op a b =
   match op with
   | FAdd -> a +. b
   | FSub -> a -. b
@@ -834,14 +875,14 @@ let exec cpu (i : insn) =
       | Movss, Xr d, (Xm _ as m) ->
         cpu.xlo.{d} <- xop_load32 cpu m;
         cpu.xhi.{d} <- 0L
-      | Movsd, Xm m, Xr s -> Mem.write_u64 cpu.mem (resolve cpu m) cpu.xlo.{s}
+      | Movsd, Xm m, Xr s -> store64 cpu (resolve cpu m) cpu.xlo.{s}
       | Movss, Xm m, Xr s ->
-        Mem.write_u32 cpu.mem (resolve cpu m)
+        store32 cpu (resolve cpu m)
           (Int64.to_int (Int64.logand cpu.xlo.{s} 0xFFFFFFFFL))
       | Movq, Xr d, s ->
         cpu.xlo.{d} <- xop_load64 cpu s;
         cpu.xhi.{d} <- 0L
-      | Movq, Xm m, Xr s -> Mem.write_u64 cpu.mem (resolve cpu m) cpu.xlo.{s}
+      | Movq, Xm m, Xr s -> store64 cpu (resolve cpu m) cpu.xlo.{s}
       | (Movups | Movupd | Movdqu), Xr d, s ->
         (match s with Xm m -> check_align16 m | Xr _ -> ());
         let lo, hi = xop_load128 cpu s in
@@ -859,13 +900,13 @@ let exec cpu (i : insn) =
       | (Movups | Movupd | Movdqu), Xm m, Xr s ->
         check_align16 m;
         let a = resolve cpu m in
-        Mem.write_u64 cpu.mem a cpu.xlo.{s};
-        Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s}
+        store64 cpu a cpu.xlo.{s};
+        store64 cpu (a + 8) cpu.xhi.{s}
       | (Movaps | Movapd | Movdqa), Xm m, Xr s ->
         let a = resolve cpu m in
         if not (is_16aligned a) then err "misaligned movaps store";
-        Mem.write_u64 cpu.mem a cpu.xlo.{s};
-        Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s}
+        store64 cpu a cpu.xlo.{s};
+        store64 cpu (a + 8) cpu.xhi.{s}
       | _, Xm _, Xm _ -> err "SSE mem-to-mem move")
    | MovqXR (x, r) ->
      cpu.xlo.{x} <- get_reg64 cpu r;
@@ -1024,65 +1065,127 @@ let addr_of ~rip (m : mem_addr) : t -> int =
         land addr_mask
     | None, None -> fun _ -> disp land addr_mask
 
-(* full 64-bit effective address for lea, same pre-resolution *)
-let eff_of ~rip (m : mem_addr) : t -> int64 =
+(* -------- operand shapes --------
+
+   Translation turns each operand into a shape, and the ops read and
+   write it through the inlined [get]/[put]/[eff_get], whose match on
+   the shape compiles into the op itself.  A closure that returned the
+   value would box it: an OCaml function cannot return an [int64]
+   unboxed, so every call of such a reader allocates three words.  The
+   match keeps the value in a register from the load to its use.  Only
+   the rare shapes keep a closure: high-byte registers, segment-based
+   addresses and an immediate destination ([rebox] keeps the match
+   unboxed around them). *)
+
+(* a source operand, read at width [w] (zero-extended) *)
+type src =
+  | SReg of int                 (* a whole register (W64) *)
+  | SRegM of int * int64        (* a register's low bits: index, mask *)
+  | SImm of int64               (* an immediate, truncated to [w] *)
+  | SMem8 of (t -> int)         (* memory at the address the closure gives *)
+  | SMem16 of (t -> int)
+  | SMem32 of (t -> int)
+  | SMem64 of (t -> int)
+  | SFn of (t -> int64)         (* a high-byte register *)
+
+(* a destination operand, written at width [w] *)
+type dst =
+  | DReg of int                 (* a whole register (W64) *)
+  | DReg32 of int               (* W32: the write zeroes bits 63:32 *)
+  | DRegM of int * int64        (* W16/W8: only the mask's bits change *)
+  | DMem8 of (t -> int)
+  | DMem16 of (t -> int)
+  | DMem32 of (t -> int)
+  | DMem64 of (t -> int)
+  | DFn of (t -> int64 -> unit) (* a high-byte register, an immediate *)
+
+(* a full 64-bit effective address, what lea computes *)
+type eff =
+  | EB of int * int64           (* base + disp *)
+  | EBI of int * int * int64 * int64 (* base + index * scale + disp *)
+  | EFn of (t -> int64)         (* no base, or a segment *)
+
+let src_of ~rip w (op : operand) : src =
+  match op with
+  | OReg r ->
+    let i = Reg.index r in
+    (match w with
+     | W64 -> SReg i
+     | W32 -> SRegM (i, 0xFFFFFFFFL)
+     | W16 -> SRegM (i, 0xFFFFL)
+     | W8 -> SRegM (i, 0xFFL))
+  | OReg8H r -> SFn (fun cpu -> get_reg8h cpu r)
+  | OImm v -> SImm (trunc w v)
+  | OMem m ->
+    let af = addr_of ~rip m in
+    (match w with
+     | W8 -> SMem8 af
+     | W16 -> SMem16 af
+     | W32 -> SMem32 af
+     | W64 -> SMem64 af)
+
+let dst_of ~rip w (op : operand) : dst =
+  match op with
+  | OReg r ->
+    let i = Reg.index r in
+    (match w with
+     | W64 -> DReg i
+     | W32 -> DReg32 i
+     | W16 -> DRegM (i, 0xFFFFL)
+     | W8 -> DRegM (i, 0xFFL))
+  | OReg8H r -> DFn (fun cpu v -> set_reg8h cpu r v)
+  | OMem m ->
+    let af = addr_of ~rip m in
+    (match w with
+     | W8 -> DMem8 af
+     | W16 -> DMem16 af
+     | W32 -> DMem32 af
+     | W64 -> DMem64 af)
+  | OImm _ -> DFn (fun _ _ -> err "cannot write to an immediate")
+
+let eff_of ~rip (m : mem_addr) : eff =
   let m = fold_rip ~rip m in
-  if m.seg <> None then fun cpu -> effective cpu m
-  else
-    let disp = Int64.of_int m.disp in
-    match (m.base, m.index) with
-    | Some b, None ->
-      let b = Reg.index b in
-      if m.disp = 0 then fun cpu -> A1.unsafe_get cpu.regs b
-      else fun cpu -> Int64.add (A1.unsafe_get cpu.regs b) disp
-    | Some b, Some (i, s) ->
-      let b = Reg.index b and i = Reg.index i in
-      let f = Int64.of_int (scale_factor s) in
-      fun cpu ->
-        Int64.add
-          (Int64.add (A1.unsafe_get cpu.regs b)
-             (Int64.mul (A1.unsafe_get cpu.regs i) f))
-          disp
-    | None, _ -> fun cpu -> effective cpu m
+  match (m.seg, m.base, m.index) with
+  | None, Some b, None -> EB (Reg.index b, Int64.of_int m.disp)
+  | None, Some b, Some (i, s) ->
+    EBI (Reg.index b, Reg.index i, Int64.of_int (scale_factor s),
+         Int64.of_int m.disp)
+  | _ -> EFn (fun cpu -> effective cpu m)
 
-let rd_operand ~rip w (op : operand) : t -> int64 =
-  match op with
-  | OReg r ->
-    let i = Reg.index r in
-    (match w with
-     | W64 -> fun cpu -> A1.unsafe_get cpu.regs i
-     | W32 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFFFFFL
-     | W16 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFL
-     | W8 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFL)
-  | OReg8H r -> fun cpu -> get_reg8h cpu r
-  | OImm v -> let v = trunc w v in fun _ -> v
-  | OMem m ->
-    let af = addr_of ~rip m in
-    (match w with
-     | W8 -> fun cpu -> Int64.of_int (Mem.read_u8 cpu.mem (af cpu))
-     | W16 -> fun cpu -> Int64.of_int (Mem.read_u16 cpu.mem (af cpu))
-     | W32 -> fun cpu -> Int64.of_int (Mem.read_u32 cpu.mem (af cpu))
-     | W64 -> fun cpu -> load64 cpu (af cpu))
+let[@inline] get cpu (s : src) : int64 =
+  match s with
+  | SReg i -> A1.unsafe_get cpu.regs i
+  | SRegM (i, m) -> Int64.logand (A1.unsafe_get cpu.regs i) m
+  | SImm v -> rebox v
+  | SMem8 af -> Int64.of_int (load8 cpu (af cpu))
+  | SMem16 af -> Int64.of_int (load16 cpu (af cpu))
+  | SMem32 af -> Int64.of_int (load32 cpu (af cpu))
+  | SMem64 af -> load64 cpu (af cpu)
+  | SFn f -> rebox (f cpu)
 
-let wr_operand ~rip w (op : operand) : t -> int64 -> unit =
-  match op with
-  | OReg r ->
-    let i = Reg.index r in
-    (match w with
-     | W64 -> fun cpu v -> A1.unsafe_set cpu.regs i v
-     | W32 -> fun cpu v -> cpu.regs.{i} <- trunc W32 v
-     | _ -> fun cpu v -> set_reg cpu w r v)
-  | OReg8H r -> fun cpu v -> set_reg8h cpu r v
-  | OMem m ->
-    let af = addr_of ~rip m in
-    (match w with
-     | W8 -> fun cpu v -> Mem.write_u8 cpu.mem (af cpu) (Int64.to_int v)
-     | W16 -> fun cpu v -> Mem.write_u16 cpu.mem (af cpu) (Int64.to_int v)
-     | W32 ->
-       fun cpu v ->
-         Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (trunc W32 v))
-     | W64 -> fun cpu v -> Mem.write_u64 cpu.mem (af cpu) v)
-  | OImm _ -> fun _ _ -> err "cannot write to an immediate"
+let[@inline] put cpu (d : dst) (v : int64) =
+  match d with
+  | DReg i -> A1.unsafe_set cpu.regs i v
+  | DReg32 i -> A1.unsafe_set cpu.regs i (Int64.logand v 0xFFFFFFFFL)
+  | DRegM (i, m) ->
+    A1.unsafe_set cpu.regs i
+      (Int64.logor
+         (Int64.logand (A1.unsafe_get cpu.regs i) (Int64.lognot m))
+         (Int64.logand v m))
+  | DMem8 af -> store8 cpu (af cpu) (Int64.to_int v)
+  | DMem16 af -> store16 cpu (af cpu) (Int64.to_int v)
+  | DMem32 af -> store32 cpu (af cpu) (Int64.to_int v)
+  | DMem64 af -> store64 cpu (af cpu) v
+  | DFn f -> f cpu v
+
+let[@inline] eff_get cpu (e : eff) : int64 =
+  match e with
+  | EB (b, d) -> Int64.add (A1.unsafe_get cpu.regs b) d
+  | EBI (b, i, f, d) ->
+    Int64.add
+      (Int64.add (A1.unsafe_get cpu.regs b) (Int64.mul (A1.unsafe_get cpu.regs i) f))
+      d
+  | EFn f -> rebox (f cpu)
 
 (* lazy flag records of the translated ALU ops (see {!materialize}) *)
 let[@inline] record_arith cpu src w a b r =
@@ -1130,30 +1233,30 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Alu ((Add | Sub | And | Or | Xor) as op, ((W64 | W32) as w), OReg d,
          src)
     when dead_flags ->
-    let di = Reg.index d and rd_s = rd_operand ~rip w src in
+    let di = Reg.index d and s = src_of ~rip w src in
     (match (op, w) with
      | Add, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu));
+           (Int64.add (A1.unsafe_get cpu.regs di) (get cpu s));
          next cpu
      | Add, _ ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
-              (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu))
+              (Int64.add (A1.unsafe_get cpu.regs di) (get cpu s))
               0xFFFFFFFFL);
          next cpu
      | Sub, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu));
+           (Int64.sub (A1.unsafe_get cpu.regs di) (get cpu s));
          next cpu
      | Sub, _ ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
-              (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu))
+              (Int64.sub (A1.unsafe_get cpu.regs di) (get cpu s))
               0xFFFFFFFFL);
          next cpu
      | And, _ ->
@@ -1161,75 +1264,76 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
           stale upper destination bits itself *)
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logand (A1.unsafe_get cpu.regs di) (rd_s cpu));
+           (Int64.logand (A1.unsafe_get cpu.regs di) (get cpu s));
          next cpu
      | Or, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu));
+           (Int64.logor (A1.unsafe_get cpu.regs di) (get cpu s));
          next cpu
      | Or, _ ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
-              (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu))
+              (Int64.logor (A1.unsafe_get cpu.regs di) (get cpu s))
               0xFFFFFFFFL);
          next cpu
      | Xor, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
-           (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu));
+           (Int64.logxor (A1.unsafe_get cpu.regs di) (get cpu s));
          next cpu
      | Xor, _ ->
        fun _ next -> threaded @@ fun cpu ->
          A1.unsafe_set cpu.regs di
            (Int64.logand
-              (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu))
+              (Int64.logxor (A1.unsafe_get cpu.regs di) (get cpu s))
               0xFFFFFFFFL);
          next cpu
      | (Cmp | Adc | Sbb), _ -> assert false)
   | Alu ((Add | Sub | And | Or | Xor) as op, w, dst, src) when dead_flags ->
-    let rd_d = rd_operand ~rip w dst and rd_s = rd_operand ~rip w src in
-    let wr_d = wr_operand ~rip w dst in
+    let a = src_of ~rip w dst and s = src_of ~rip w src in
+    let d = dst_of ~rip w dst in
     (match op with
      | Add ->
        fun _ next -> threaded @@ fun cpu ->
-         wr_d cpu (trunc w (Int64.add (rd_d cpu) (rd_s cpu)));
+         put cpu d (trunc w (Int64.add (get cpu a) (get cpu s)));
          next cpu
      | Sub ->
        fun _ next -> threaded @@ fun cpu ->
-         wr_d cpu (trunc w (Int64.sub (rd_d cpu) (rd_s cpu)));
+         put cpu d (trunc w (Int64.sub (get cpu a) (get cpu s)));
          next cpu
      | And ->
        fun _ next -> threaded @@ fun cpu ->
-         wr_d cpu (Int64.logand (rd_d cpu) (rd_s cpu));
+         put cpu d (Int64.logand (get cpu a) (get cpu s));
          next cpu
      | Or ->
        fun _ next -> threaded @@ fun cpu ->
-         wr_d cpu (Int64.logor (rd_d cpu) (rd_s cpu));
+         put cpu d (Int64.logor (get cpu a) (get cpu s));
          next cpu
      | Xor ->
        fun _ next -> threaded @@ fun cpu ->
-         wr_d cpu (Int64.logxor (rd_d cpu) (rd_s cpu));
+         put cpu d (Int64.logxor (get cpu a) (get cpu s));
          next cpu
      | Cmp | Adc | Sbb -> assert false)
   | (Alu (Cmp, _, _, _) | Test _) when dead_flags -> fun _ next -> next
   | Imul2 (w, dst, src) when dead_flags ->
-    let rd = rd_operand ~rip w src in
+    let a = src_of ~rip w (OReg dst) and s = src_of ~rip w src in
+    let d = dst_of ~rip w (OReg dst) in
     fun _ next -> threaded @@ fun cpu ->
-      set_reg cpu w dst
-        (trunc w (Int64.mul (sext w (get_reg cpu w dst)) (sext w (rd cpu))));
+      put cpu d
+        (trunc w (Int64.mul (sext w (get cpu a)) (sext w (get cpu s))));
       next cpu
   | Imul3 (W64, dst, src, imm) when dead_flags ->
-    let rd = rd_operand ~rip W64 src and di = Reg.index dst in
+    let s = src_of ~rip W64 src and di = Reg.index dst in
     fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs di (Int64.mul (rd cpu) imm);
+      A1.unsafe_set cpu.regs di (Int64.mul (get cpu s) imm);
       next cpu
   | Imul3 (w, dst, src, imm) when dead_flags ->
-    let rd = rd_operand ~rip w src in
+    let s = src_of ~rip w src and d = dst_of ~rip w (OReg dst) in
     let b = sext w (trunc w imm) in
     fun _ next -> threaded @@ fun cpu ->
-      set_reg cpu w dst (trunc w (Int64.mul (sext w (rd cpu)) b));
+      put cpu d (trunc w (Int64.mul (sext w (get cpu s)) b));
       next cpu
   | Mov (W64, OReg d, OReg s) ->
     let d = Reg.index d and s = Reg.index s in
@@ -1244,7 +1348,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Mov (W32, OReg d, OMem m) ->
     let d = Reg.index d and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs d (Int64.of_int (Mem.read_u32 cpu.mem (af cpu)));
+      A1.unsafe_set cpu.regs d (Int64.of_int (load32 cpu (af cpu)));
       next cpu
   | Mov (W64, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of ~rip m in
@@ -1254,7 +1358,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Mov (W32, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
-      Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
+      store32 cpu (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
       next cpu
   | Mov (W64, OReg d, OImm v) | Movabs (d, v) ->
     let d = Reg.index d in
@@ -1267,47 +1371,36 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.regs d v;
       next cpu
   | Mov (w, dst, src) ->
-    let rd = rd_operand ~rip w src and wr = wr_operand ~rip w dst in
+    let s = src_of ~rip w src and d = dst_of ~rip w dst in
     fun _ next -> threaded @@ fun cpu ->
-      wr cpu (rd cpu);
-      next cpu
-  | Movzx ((W64 | W32), d, sw, src) ->
-    (* the source read is already zero-extended past [sw] *)
-    let d = Reg.index d and rd = rd_operand ~rip sw src in
-    fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs d (rd cpu);
+      put cpu d (get cpu s);
       next cpu
   | Movzx (dw, dst, sw, src) ->
-    let rd = rd_operand ~rip sw src in
+    (* the source read is already zero-extended past [sw] *)
+    let s = src_of ~rip sw src and d = dst_of ~rip dw (OReg dst) in
     fun _ next -> threaded @@ fun cpu ->
-      set_reg cpu dw dst (rd cpu);
-      next cpu
-  | Movsx (W64, d, sw, src) ->
-    let d = Reg.index d and rd = rd_operand ~rip sw src in
-    fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs d (sext sw (rd cpu));
+      put cpu d (get cpu s);
       next cpu
   | Movsx (dw, dst, sw, src) ->
-    let rd = rd_operand ~rip sw src in
+    let s = src_of ~rip sw src and d = dst_of ~rip dw (OReg dst) in
     fun _ next -> threaded @@ fun cpu ->
-      set_reg cpu dw dst (trunc dw (sext sw (rd cpu)));
+      put cpu d (trunc dw (sext sw (get cpu s)));
       next cpu
   | Lea (dst, m) ->
-    let d = Reg.index dst and eff = eff_of ~rip { m with seg = None } in
+    let d = Reg.index dst and e = eff_of ~rip { m with seg = None } in
     fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs d (eff cpu);
+      A1.unsafe_set cpu.regs d (eff_get cpu e);
       next cpu
   | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, ((W64 | W32) as w),
          OReg d, src) ->
     (* register destination: read and write the GPR cell directly, so
-       the common ALU forms cost one arity-1 closure call for the
-       source operand and no generic write dispatch *)
-    let di = Reg.index d and rd_s = rd_operand ~rip w src in
+       the common ALU forms dispatch only on the source's shape *)
+    let di = Reg.index d and s = src_of ~rip w src in
     (match (op, w) with
      | Add, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
+         let b = get cpu s in
          let r = Int64.add a b in
          record_arith cpu FlAdd w a b r;
          A1.unsafe_set cpu.regs di r;
@@ -1315,7 +1408,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Add, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
+         let b = get cpu s in
          let r = Int64.logand (Int64.add a b) 0xFFFFFFFFL in
          record_arith cpu FlAdd w a b r;
          A1.unsafe_set cpu.regs di r;
@@ -1323,7 +1416,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Sub, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
+         let b = get cpu s in
          let r = Int64.sub a b in
          record_arith cpu FlSub w a b r;
          A1.unsafe_set cpu.regs di r;
@@ -1331,7 +1424,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Sub, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
+         let b = get cpu s in
          let r = Int64.logand (Int64.sub a b) 0xFFFFFFFFL in
          record_arith cpu FlSub w a b r;
          A1.unsafe_set cpu.regs di r;
@@ -1339,124 +1432,124 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Cmp, W64 ->
        fun _ next -> threaded @@ fun cpu ->
          let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
+         let b = get cpu s in
          record_arith cpu FlSub w a b (Int64.sub a b);
          next cpu
      | Cmp, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
+         let b = get cpu s in
          record_arith cpu FlSub w a b
            (Int64.logand (Int64.sub a b) 0xFFFFFFFFL);
          next cpu
      | And, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logand a (rd_s cpu) in
+         let r = Int64.logand a (get cpu s) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | Or, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logor a (rd_s cpu) in
+         let r = Int64.logor a (get cpu s) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | Xor, _ ->
        fun _ next -> threaded @@ fun cpu ->
          let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logxor a (rd_s cpu) in
+         let r = Int64.logxor a (get cpu s) in
          record_logic cpu w r;
          A1.unsafe_set cpu.regs di r;
          next cpu
      | (Adc | Sbb), _ -> assert false)
   | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, w, dst, src) ->
-    let rd_d = rd_operand ~rip w dst and rd_s = rd_operand ~rip w src in
-    let wr_d = wr_operand ~rip w dst in
+    let a = src_of ~rip w dst and s = src_of ~rip w src in
+    let d = dst_of ~rip w dst in
     (match op with
      | Add ->
        fun _ next -> threaded @@ fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
+         let a = get cpu a in
+         let b = get cpu s in
          let r = trunc w (Int64.add a b) in
          record_arith cpu FlAdd w a b r;
-         wr_d cpu r;
+         put cpu d r;
          next cpu
      | Sub ->
        fun _ next -> threaded @@ fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
+         let a = get cpu a in
+         let b = get cpu s in
          let r = trunc w (Int64.sub a b) in
          record_arith cpu FlSub w a b r;
-         wr_d cpu r;
+         put cpu d r;
          next cpu
      | Cmp ->
        fun _ next -> threaded @@ fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
+         let a = get cpu a in
+         let b = get cpu s in
          record_arith cpu FlSub w a b (trunc w (Int64.sub a b));
          next cpu
      | And ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logand (rd_d cpu) (rd_s cpu) in
+         let r = Int64.logand (get cpu a) (get cpu s) in
          record_logic cpu w r;
-         wr_d cpu r;
+         put cpu d r;
          next cpu
      | Or ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logor (rd_d cpu) (rd_s cpu) in
+         let r = Int64.logor (get cpu a) (get cpu s) in
          record_logic cpu w r;
-         wr_d cpu r;
+         put cpu d r;
          next cpu
      | Xor ->
        fun _ next -> threaded @@ fun cpu ->
-         let r = Int64.logxor (rd_d cpu) (rd_s cpu) in
+         let r = Int64.logxor (get cpu a) (get cpu s) in
          record_logic cpu w r;
-         wr_d cpu r;
+         put cpu d r;
          next cpu
      | Adc | Sbb -> assert false)
   | Test (w, a, b) ->
-    let rd_a = rd_operand ~rip w a and rd_b = rd_operand ~rip w b in
+    let a = src_of ~rip w a and b = src_of ~rip w b in
     fun _ next -> threaded @@ fun cpu ->
-      record_logic cpu w (Int64.logand (rd_a cpu) (rd_b cpu));
+      record_logic cpu w (Int64.logand (get cpu a) (get cpu b));
       next cpu
   | Unop ((Inc | Dec | Not) as op, w, dst) ->
-    let rd = rd_operand ~rip w dst and wr = wr_operand ~rip w dst in
+    let s = src_of ~rip w dst and d = dst_of ~rip w dst in
     (match op with
      | Inc ->
        fun _ next -> threaded @@ fun cpu ->
          materialize cpu; (* inc preserves CF: need its live value *)
-         let a = rd cpu in
+         let a = get cpu s in
          let r = trunc w (Int64.add a 1L) in
          let cf = cpu.cf in
          flags_add cpu w a 1L r;
          cpu.cf <- cf;
-         wr cpu r;
+         put cpu d r;
          next cpu
      | Dec ->
        fun _ next -> threaded @@ fun cpu ->
          materialize cpu;
-         let a = rd cpu in
+         let a = get cpu s in
          let r = trunc w (Int64.sub a 1L) in
          let cf = cpu.cf in
          flags_sub cpu w a 1L r;
          cpu.cf <- cf;
-         wr cpu r;
+         put cpu d r;
          next cpu
      | _ ->
        fun _ next -> threaded @@ fun cpu ->
-         wr cpu (trunc w (Int64.lognot (rd cpu)));
+         put cpu d (trunc w (Int64.lognot (get cpu s)));
          next cpu)
   | Push src ->
-    let rd = rd_operand ~rip W64 src in
+    let s = src_of ~rip W64 src in
     fun _ next -> threaded @@ fun cpu ->
-      push64 cpu (rd cpu);
+      push64 cpu (get cpu s);
       next cpu
   | Pop dst ->
-    let wr = wr_operand ~rip W64 dst in
+    let d = dst_of ~rip W64 dst in
     fun _ next -> threaded @@ fun cpu ->
-      wr cpu (pop64 cpu);
+      put cpu d (pop64 cpu);
       next cpu
   | Call (Abs a) ->
     fun _ next -> threaded @@ fun cpu ->
@@ -1464,9 +1557,9 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.rip <- a;
       next cpu
   | CallInd op ->
-    let rd = rd_operand ~rip W64 op in
+    let s = src_of ~rip W64 op in
     fun _ next -> threaded @@ fun cpu ->
-      let tgt = Int64.to_int (rd cpu) land addr_mask in
+      let tgt = Int64.to_int (get cpu s) land addr_mask in
       push64 cpu (Int64.of_int rip);
       cpu.rip <- tgt;
       next cpu
@@ -1479,9 +1572,9 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.rip <- a;
       next cpu
   | JmpInd op ->
-    let rd = rd_operand ~rip W64 op in
+    let s = src_of ~rip W64 op in
     fun _ next -> threaded @@ fun cpu ->
-      cpu.rip <- Int64.to_int (rd cpu) land addr_mask;
+      cpu.rip <- Int64.to_int (get cpu s) land addr_mask;
       next cpu
   | Jcc (cc, Abs a) ->
     let taken = c.branch_taken and not_taken = c.branch_not_taken in
@@ -1496,51 +1589,53 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       end;
       next cpu
   | Cmov (cc, w, dst, src) ->
-    let rd = rd_operand ~rip w src in
+    let s = src_of ~rip w src and d = dst_of ~rip w (OReg dst) in
     (match w with
      | W32 ->
+       (* a W32 cmov writes its destination either way: the move not
+          taken still zeroes bits 63:32 *)
+       let keep = src_of ~rip W32 (OReg dst) in
        fun _ next -> threaded @@ fun cpu ->
-         let v = rd cpu in
-         if cond cpu cc then set_reg cpu W32 dst v
-         else set_reg cpu W32 dst (get_reg cpu W32 dst);
+         let v = get cpu s in
+         put cpu d (if cond cpu cc then v else get cpu keep);
          next cpu
      | _ ->
        fun _ next -> threaded @@ fun cpu ->
-         let v = rd cpu in
-         if cond cpu cc then set_reg cpu w dst v;
+         let v = get cpu s in
+         if cond cpu cc then put cpu d v;
          next cpu)
   | Setcc (cc, dst) ->
-    let wr = wr_operand ~rip W8 dst in
+    let d = dst_of ~rip W8 dst in
     fun _ next -> threaded @@ fun cpu ->
-      wr cpu (if cond cpu cc then 1L else 0L);
+      put cpu d (if cond cpu cc then 1L else 0L);
       next cpu
   | Imul2 (w, dst, src) ->
     (* flags (SF/ZF/PF and the overflow-derived CF/OF) are recorded
        lazily: [FlImul] materialization recomputes the product from the
        sign-extended operands, so skipping set_szp + the overflow check
        here is unobservable *)
-    let rd = rd_operand ~rip w src in
+    let a = src_of ~rip w (OReg dst) and s = src_of ~rip w src in
+    let d = dst_of ~rip w (OReg dst) in
     fun _ next -> threaded @@ fun cpu ->
-      let a = sext w (get_reg cpu w dst) in
-      let b = sext w (rd cpu) in
+      let a = sext w (get cpu a) in
+      let b = sext w (get cpu s) in
       record_imul cpu w a b;
-      set_reg cpu w dst (trunc w (Int64.mul a b));
+      put cpu d (trunc w (Int64.mul a b));
       next cpu
   | Imul3 (W64, dst, src, imm) ->
-    let rd = rd_operand ~rip W64 src in
-    let di = Reg.index dst in
+    let s = src_of ~rip W64 src and di = Reg.index dst in
     fun _ next -> threaded @@ fun cpu ->
-      let a = rd cpu in
+      let a = get cpu s in
       record_imul cpu W64 a imm;
       A1.unsafe_set cpu.regs di (Int64.mul a imm);
       next cpu
   | Imul3 (w, dst, src, imm) ->
-    let rd = rd_operand ~rip w src in
+    let s = src_of ~rip w src and d = dst_of ~rip w (OReg dst) in
     let b = sext w (trunc w imm) in
     fun _ next -> threaded @@ fun cpu ->
-      let a = sext w (rd cpu) in
+      let a = sext w (get cpu s) in
       record_imul cpu w a b;
-      set_reg cpu w dst (trunc w (Int64.mul a b));
+      put cpu d (trunc w (Int64.mul a b));
       next cpu
   | SseMov (Movsd, Xr d, Xr s) ->
     fun _ next -> threaded @@ fun cpu ->
@@ -1574,8 +1669,8 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.at <- k;
       let a = af cpu in
       if not (is_16aligned a) then err "misaligned movaps load";
-      A1.unsafe_set cpu.xlo d (Mem.read_u64 cpu.mem a);
-      A1.unsafe_set cpu.xhi d (Mem.read_u64 cpu.mem (a + 8));
+      A1.unsafe_set cpu.xlo d (load64 cpu a);
+      A1.unsafe_set cpu.xhi d (load64 cpu (a + 8));
       next cpu
   | SseMov ((Movaps | Movapd | Movdqa), Xm m, Xr s) ->
     let af = addr_of ~rip m in
@@ -1584,23 +1679,23 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       cpu.at <- k;
       let a = af cpu in
       if not (is_16aligned a) then err "misaligned movaps store";
-      Mem.write_u64 cpu.mem a (A1.unsafe_get cpu.xlo s);
-      Mem.write_u64 cpu.mem (a + 8) (A1.unsafe_get cpu.xhi s);
+      store64 cpu a (A1.unsafe_get cpu.xlo s);
+      store64 cpu (a + 8) (A1.unsafe_get cpu.xhi s);
       next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xr d, Xm m) ->
     let up = c.unaligned_vec and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
-      A1.unsafe_set cpu.xlo d (Mem.read_u64 cpu.mem a);
-      A1.unsafe_set cpu.xhi d (Mem.read_u64 cpu.mem (a + 8));
+      A1.unsafe_set cpu.xlo d (load64 cpu a);
+      A1.unsafe_set cpu.xhi d (load64 cpu (a + 8));
       if not (is_16aligned a) then cpu.acc <- cpu.acc + up;
       next cpu
   | SseMov ((Movups | Movupd | Movdqu), Xm m, Xr s) ->
     let up = c.unaligned_vec and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
       let a = af cpu in
-      Mem.write_u64 cpu.mem a (A1.unsafe_get cpu.xlo s);
-      Mem.write_u64 cpu.mem (a + 8) (A1.unsafe_get cpu.xhi s);
+      store64 cpu a (A1.unsafe_get cpu.xlo s);
+      store64 cpu (a + 8) (A1.unsafe_get cpu.xhi s);
       if not (is_16aligned a) then cpu.acc <- cpu.acc + up;
       next cpu
   | MovqXR (x, r) ->
@@ -1690,7 +1785,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
      | Xm m ->
        let af = addr_of ~rip m in
        fun _ next -> threaded @@ fun cpu ->
-         let b = f64 (Mem.read_u64 cpu.mem (af cpu)) in
+         let b = f64 (load64 cpu (af cpu)) in
          cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) b);
          next cpu)
   | SseArith ((FAdd | FSub | FMul | FDiv) as op, Pd, dst, Xr s) ->
@@ -1741,11 +1836,24 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
               (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
                /. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
          next cpu)
-  | SseArith (op, Pd, dst, (Xr _ as src)) ->
+  | SseArith (op, Pd, dst, Xr s) ->
     fun _ next -> threaded @@ fun cpu ->
-      let slo, shi = xop_load128 cpu src in
-      cpu.xlo.{dst} <- b64 (fp_bin op (f64 cpu.xlo.{dst}) (f64 slo));
-      cpu.xhi.{dst} <- b64 (fp_bin op (f64 cpu.xhi.{dst}) (f64 shi));
+      A1.unsafe_set cpu.xlo dst
+        (b64 (fp_bin op (f64 (A1.unsafe_get cpu.xlo dst))
+                (f64 (A1.unsafe_get cpu.xlo s))));
+      A1.unsafe_set cpu.xhi dst
+        (b64 (fp_bin op (f64 (A1.unsafe_get cpu.xhi dst))
+                (f64 (A1.unsafe_get cpu.xhi s))));
+      next cpu
+  | Unpcklpd (dst, Xr s) ->
+    (* the source's low lane becomes the destination's high lane *)
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xhi dst (A1.unsafe_get cpu.xlo s);
+      next cpu
+  | Unpcklpd (dst, Xm m) ->
+    let af = addr_of ~rip m in
+    fun _ next -> threaded @@ fun cpu ->
+      A1.unsafe_set cpu.xhi dst (load64 cpu (af cpu));
       next cpu
   | SseLogic (op, dst, Xr s) ->
     (* per-op closures: calling through an Int64.logxor alias would go
@@ -1937,11 +2045,11 @@ let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
   match i1 with
   | Alu (Cmp, w, d, s) ->
-    let rd_a = rd_operand ~rip w d and rd_b = rd_operand ~rip w s in
+    let a = src_of ~rip w d and b = src_of ~rip w s in
     if side_exit then
       fun k next -> threaded @@ fun cpu ->
-        let a = rd_a cpu in
-        let b = rd_b cpu in
+        let a = get cpu a in
+        let b = get cpu b in
         let r = trunc w (Int64.sub a b) in
         record_arith cpu FlSub w a b r;
         if sub_holds w cc a b r then begin
@@ -1955,8 +2063,8 @@ let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
         end
     else
       fun _ next -> threaded @@ fun cpu ->
-        let a = rd_a cpu in
-        let b = rd_b cpu in
+        let a = get cpu a in
+        let b = get cpu b in
         let r = trunc w (Int64.sub a b) in
         record_arith cpu FlSub w a b r;
         if sub_holds w cc a b r then begin
@@ -1969,10 +2077,10 @@ let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
         end;
         next cpu
   | Test (w, d, s) ->
-    let rd_a = rd_operand ~rip w d and rd_b = rd_operand ~rip w s in
+    let a = src_of ~rip w d and b = src_of ~rip w s in
     if side_exit then
       fun k next -> threaded @@ fun cpu ->
-        let r = Int64.logand (rd_a cpu) (rd_b cpu) in
+        let r = Int64.logand (get cpu a) (get cpu b) in
         record_logic cpu w r;
         if logic_holds w cc r then begin
           cpu.acc <- cpu.acc + taken;
@@ -1985,7 +2093,7 @@ let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
         end
     else
       fun _ next -> threaded @@ fun cpu ->
-        let r = Int64.logand (rd_a cpu) (rd_b cpu) in
+        let r = Int64.logand (get cpu a) (get cpu b) in
         record_logic cpu w r;
         if logic_holds w cc r then begin
           cpu.rip <- tgt;

@@ -52,22 +52,27 @@ let clone t =
   c.tlb_idx.(0) <- 0;
   c
 
-let page t idx =
+(* A TLB miss: find (or allocate) the page and fill its slot.  Kept
+   out of line so that the hit test in {!page} stays small enough to
+   inline into every load and store. *)
+let[@inline never] page_miss t idx =
+  let p =
+    match Hashtbl.find_opt t.pages idx with
+    | Some p -> p
+    | None ->
+      let p = Bytes.make page_size '\000' in
+      Hashtbl.replace t.pages idx p;
+      p
+  in
+  let slot = idx land (tlb_slots - 1) in
+  Array.unsafe_set t.tlb_idx slot idx;
+  Array.unsafe_set t.tlb_page slot p;
+  p
+
+let[@inline] page t idx =
   let slot = idx land (tlb_slots - 1) in
   if Array.unsafe_get t.tlb_idx slot = idx then Array.unsafe_get t.tlb_page slot
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
-        let p = Bytes.make page_size '\000' in
-        Hashtbl.replace t.pages idx p;
-        p
-    in
-    Array.unsafe_set t.tlb_idx slot idx;
-    Array.unsafe_set t.tlb_page slot p;
-    p
-  end
+  else page_miss t idx
 
 let read_u8 t a = Char.code (Bytes.get (page t (a lsr page_bits)) (a land page_mask))
 let write_u8 t a v =

@@ -714,6 +714,52 @@ let test_trace_promotion () =
   check cbool "loop promoted to a trace" true (s.Cpu.traces_built >= 1);
   check cbool "loop exit took a side exit" true (s.Cpu.trace_side_exits >= 1)
 
+(* ---------- allocation ---------- *)
+
+(* The translated ops keep every int64 unboxed: a warm counted loop of
+   the shapes that dominate the kernels' instruction mix allocates
+   nothing per executed instruction.  The bound leaves room only for the
+   constant cost of the call itself. *)
+let test_ops_allocate_nothing () =
+  let open Reg in
+  let img = fresh () in
+  let cpu = img.Image.cpu in
+  let arr = Image.alloc_f64_array img (Array.init 4 float_of_int) in
+  let fn =
+    Image.install_code img
+      [ I (Mov (W64, OReg RCX, OImm 0L));
+        L 0;
+        I (Mov (W64, OReg RAX, OReg RCX));
+        I (Mov (W32, OReg RDX, OReg RCX));
+        I (Alu (Add, W64, OReg RAX, OImm 3L));
+        I (Alu (Add, W64, OReg RDX, OReg RAX));
+        I (Lea (R8, mk_mem ~base:RSI ~index:(RDX, S8) ~disp:8 ()));
+        I (Imul3 (W64, R9, OReg RAX, 5L));
+        I (Movsx (W64, R10, W32, OReg RDX));
+        I (Mov (W32, OReg R11, OMem (mem_base ~disp:8 RSI)));
+        I (Push (OReg R8));
+        I (Pop (OReg R9));
+        I (Mov (W64, OMem (mem_base ~disp:16 RSI), OImm 7L));
+        I (Alu (Add, W64, OReg RCX, OImm 1L));
+        I (Alu (Cmp, W64, OReg RCX, OReg RDI));
+        I (Jcc (L, Lbl 0));
+        I Ret ]
+  in
+  let go n =
+    ignore (Image.call ~engine:Cpu.Superblocks img ~fn
+              ~args:[ Int64.of_int n; Int64.of_int arr ])
+  in
+  go 100;
+  let i0 = cpu.Cpu.icount in
+  let w0 = Gc.minor_words () in
+  go 20_000;
+  let words = Gc.minor_words () -. w0 in
+  let insns = cpu.Cpu.icount - i0 in
+  check cbool "ran the loop" true (insns > 20_000 * 14);
+  if words /. float_of_int insns >= 0.01 then
+    Alcotest.failf "%.0f minor words over %d instructions (%.3f per instruction)"
+      words insns (words /. float_of_int insns)
+
 (* ---------- differential: superblock engine vs single-step ---------- *)
 
 (* Everything observable about a finished run: registers, flags, SSE
@@ -992,6 +1038,8 @@ let () =
          Alcotest.test_case "trace promotion" `Quick test_trace_promotion;
          Alcotest.test_case "install dedup ignores sharing" `Quick
            test_install_dedup_sharing;
+         Alcotest.test_case "translated ops allocate nothing" `Quick
+           test_ops_allocate_nothing;
          qt prop_engine_differential;
          qt prop_engine_differential_traced;
          qt prop_trace_faults ])
