@@ -818,47 +818,134 @@ let observe ?(iters = 3L) engine (body : item list) : observation =
   | cpu, arr, None -> snapshot cpu arr
   | _, _, Some e -> failwith e
 
-(* straight-line body instructions that are safe inside the skeleton:
-   no traps, no control flow, rdi/rsi/rsp/rbp untouched *)
-let gen_body_insn : insn QCheck.Gen.t =
+(* Straight-line body units that are safe inside the skeleton: no
+   traps, no control flow, rdi/rsi/rsp/rbp left as they were (rdi, the
+   loop counter, may be read as an index).  A unit is one instruction,
+   or a push and the pop that balances it.  The units cover every
+   operand shape of the translated ops: W8/W16/W32/W64 register,
+   immediate and memory operands, high-byte registers, memory
+   destinations, base+index*scale addresses (rsi + rdi*s + d: loads
+   may read past the observed array, stores stay inside it), and the
+   register-destination, dead-flag and generic forms of each op. *)
+let gen_body_insn : insn list QCheck.Gen.t =
   let open QCheck.Gen in
   let open Reg in
   let gpr = oneofl [ RAX; RCX; RDX; R8; R9; R10; R11 ] in
+  (* registers an instruction with a high-byte operand may name *)
+  let legacy = oneofl [ RAX; RCX; RDX ] in
   let w = oneofl [ W64; W32 ] in
+  let anyw = oneofl [ W64; W32; W16; W8 ] in
   let alu = oneofl [ Add; Sub; And; Or; Xor; Cmp ] in
   let disp = map (fun k -> 8 * k) (int_bound 7) in
+  let mem = map (fun d -> mem_base ~disp:d RSI) disp in
+  (* a store of width [w] lands inside the 64 observed bytes *)
+  let mem_w w' =
+    map (fun d -> mem_base ~disp:d RSI) (int_bound (64 - width_bytes w'))
+  in
+  let mem_idx =
+    map2
+      (fun s d -> mk_mem ~base:RSI ~index:(RDI, s) ~disp:d ())
+      (oneofl [ S1; S2; S4; S8 ]) disp
+  in
+  let imm w' =
+    map
+      (fun i -> Int64.of_int (match w' with W8 -> i land 0x7f | _ -> i))
+      (int_bound 1000)
+  in
   let xr = int_bound 3 in
   let cc = oneofl [ E; NE; B; AE; L; GE; LE; G; S; NS ] in
+  let one g = map (fun i -> [ i ]) g in
   frequency
-    [ (4, map3 (fun o w' (a, b) -> Alu (o, w', OReg a, OReg b))
-         alu w (pair gpr gpr));
-      (2, map3 (fun o r i -> Alu (o, W64, OReg r, OImm (Int64.of_int i)))
-         alu gpr (int_bound 1000));
-      (2, map2 (fun w' (a, b) -> Mov (w', OReg a, OReg b)) w (pair gpr gpr));
-      (2, map2 (fun r i -> Mov (W64, OReg r, OImm (Int64.of_int i)))
-         gpr (int_bound 10000));
-      (2, map2 (fun r d -> Mov (W64, OReg r, OMem (mem_base ~disp:d RSI)))
-         gpr disp);
-      (2, map2 (fun r d -> Mov (W64, OMem (mem_base ~disp:d RSI), OReg r))
-         gpr disp);
-      (1, map2 (fun r d -> Lea (r, mem_base ~disp:d RSI)) gpr disp);
-      (1, map3 (fun u w' r -> Unop (u, w', OReg r))
-         (oneofl [ Neg; Not; Inc; Dec ]) w gpr);
-      (1, map2 (fun w' (a, b) -> Test (w', OReg a, OReg b)) w (pair gpr gpr));
-      (1, map2 (fun a b -> Imul2 (W64, a, OReg b)) gpr gpr);
-      (1, map3 (fun s r k -> Shift (s, W64, OReg r, ShImm k))
-         (oneofl [ Shl; Shr; Sar ]) gpr (int_range 0 31));
-      (1, map2 (fun c r -> Setcc (c, OReg r)) cc gpr);
-      (1, map3 (fun c a b -> Cmov (c, W64, a, OReg b)) cc gpr gpr);
-      (1, map3 (fun o a b -> SseArith (o, Sd, a, Xr b))
-         (oneofl [ FAdd; FSub; FMul ]) xr xr);
-      (1, map2 (fun a d -> SseArith (FAdd, Sd, a, Xm (mem_base ~disp:d RSI)))
-         xr disp);
-      (1, map2 (fun a d -> SseMov (Movsd, Xr a, Xm (mem_base ~disp:d RSI)))
-         xr disp);
-      (1, map2 (fun a d -> SseMov (Movsd, Xm (mem_base ~disp:d RSI), Xr a))
-         xr disp);
-      (1, map2 (fun a b -> SseLogic (Pxor, a, Xr b)) xr xr) ]
+    [ (4, one (map3 (fun o w' (a, b) -> Alu (o, w', OReg a, OReg b))
+                 alu w (pair gpr gpr)));
+      (2, one (map3 (fun o r i -> Alu (o, W64, OReg r, OImm (Int64.of_int i)))
+                 alu gpr (int_bound 1000)));
+      (2, one (map2 (fun w' (a, b) -> Mov (w', OReg a, OReg b))
+                 w (pair gpr gpr)));
+      (2, one (map2 (fun r i -> Mov (W64, OReg r, OImm (Int64.of_int i)))
+                 gpr (int_bound 10000)));
+      (2, one (map2 (fun r m -> Mov (W64, OReg r, OMem m)) gpr mem));
+      (2, one (map2 (fun r m -> Mov (W64, OMem m, OReg r)) gpr mem));
+      (1, one (map2 (fun r m -> Lea (r, m)) gpr mem));
+      (1, one (map3 (fun u w' r -> Unop (u, w', OReg r))
+                 (oneofl [ Neg; Not; Inc; Dec ]) w gpr));
+      (1, one (map2 (fun w' (a, b) -> Test (w', OReg a, OReg b))
+                 w (pair gpr gpr)));
+      (1, one (map2 (fun a b -> Imul2 (W64, a, OReg b)) gpr gpr));
+      (1, one (map3 (fun s r k -> Shift (s, W64, OReg r, ShImm k))
+                 (oneofl [ Shl; Shr; Sar ]) gpr (int_range 0 31)));
+      (1, one (map2 (fun c r -> Setcc (c, OReg r)) cc gpr));
+      (1, one (map3 (fun c a b -> Cmov (c, W64, a, OReg b)) cc gpr gpr));
+      (1, one (map3 (fun o a b -> SseArith (o, Sd, a, Xr b))
+                 (oneofl [ FAdd; FSub; FMul ]) xr xr));
+      (1, one (map2 (fun a m -> SseArith (FAdd, Sd, a, Xm m)) xr mem));
+      (1, one (map2 (fun a m -> SseMov (Movsd, Xr a, Xm m)) xr mem));
+      (1, one (map2 (fun a m -> SseMov (Movsd, Xm m, Xr a)) xr mem));
+      (1, one (map2 (fun a b -> SseLogic (Pxor, a, Xr b)) xr xr));
+      (* W8/W16 registers and immediates *)
+      (2, one (map3 (fun o w' (a, b) -> Alu (o, w', OReg a, OReg b))
+                 alu (oneofl [ W16; W8 ]) (pair gpr gpr)));
+      (1, one (let* w' = oneofl [ W16; W8 ] in
+               map3 (fun o r i -> Alu (o, w', OReg r, OImm i)) alu gpr (imm w')));
+      (1, one (map2 (fun w' (a, b) -> Mov (w', OReg a, OReg b))
+                 (oneofl [ W16; W8 ]) (pair gpr gpr)));
+      (* high-byte registers *)
+      (1, one (map3 (fun o a b -> Alu (o, W8, OReg8H a, OReg b))
+                 alu legacy legacy));
+      (1, one (map3 (fun o a b -> Alu (o, W8, OReg a, OReg8H b))
+                 alu legacy legacy));
+      (1, one (map2 (fun a b -> Mov (W8, OReg8H a, OReg8H b)) legacy legacy));
+      (1, one (map2 (fun a m -> Mov (W8, OMem m, OReg8H a)) legacy (mem_w W8)));
+      (* memory operands of every width, memory destinations *)
+      (2, one (let* w' = anyw in
+               map2 (fun r m -> Mov (w', OReg r, OMem m)) gpr (mem_w w')));
+      (1, one (let* w' = anyw in
+               map2 (fun r m -> Mov (w', OMem m, OReg r)) gpr (mem_w w')));
+      (1, one (let* w' = anyw in
+               map2 (fun m i -> Mov (w', OMem m, OImm i)) (mem_w w') (imm w')));
+      (2, one (let* w' = anyw in
+               map3 (fun o m r -> Alu (o, w', OMem m, OReg r))
+                 alu (mem_w w') gpr));
+      (1, one (let* w' = anyw in
+               map3 (fun o m i -> Alu (o, w', OMem m, OImm i))
+                 alu (mem_w w') (imm w')));
+      (1, one (let* w' = anyw in
+               map3 (fun o r m -> Alu (o, w', OReg r, OMem m))
+                 alu gpr (mem_w w')));
+      (1, one (let* w' = anyw in
+               map2 (fun u m -> Unop (u, w', OMem m))
+                 (oneofl [ Neg; Not; Inc; Dec ]) (mem_w w')));
+      (1, one (map2 (fun c m -> Setcc (c, OMem m)) cc (mem_w W8)));
+      (1, one (let* w' = anyw in
+               map2 (fun m r -> Test (w', OMem m, OReg r)) (mem_w w') gpr));
+      (* base + index * scale *)
+      (1, one (map2 (fun r m -> Lea (r, m)) gpr mem_idx));
+      (1, one (map3 (fun w' r m -> Mov (w', OReg r, OMem m)) anyw gpr mem_idx));
+      (1, one (map3 (fun o r m -> Alu (o, W64, OReg r, OMem m)) alu gpr mem_idx));
+      (* extensions, three-operand imul *)
+      (1, one (map4 (fun dw r sw m -> Movzx (dw, r, sw, OMem m))
+                 (oneofl [ W64; W32; W16 ]) gpr (oneofl [ W8; W16 ]) mem));
+      (1, one (map4 (fun dw r sw m -> Movzx (dw, r, sw, OReg m))
+                 (oneofl [ W64; W32 ]) gpr (oneofl [ W8; W16 ]) gpr));
+      (1, one (map4 (fun dw r sw m -> Movsx (dw, r, sw, OMem m))
+                 (oneofl [ W64; W32 ]) gpr (oneofl [ W8; W16 ]) mem));
+      (1, one (map2 (fun r m -> Movsx (W64, r, W32, OMem m)) gpr mem));
+      (1, one (map2 (fun a b -> Movsx (W64, a, W32, OReg b)) gpr gpr));
+      (2, one (let* w' = oneofl [ W64; W32; W16 ] in
+               map3 (fun a b i -> Imul3 (w', a, OReg b, Int64.of_int (i - 500)))
+                 gpr gpr (int_bound 1000)));
+      (1, one (let* w' = oneofl [ W64; W32; W16 ] in
+               map3 (fun a m i -> Imul3 (w', a, OMem m, Int64.of_int i))
+                 gpr mem (int_bound 100)));
+      (* the stack: each push is popped again *)
+      (1, map2 (fun a b -> [ Push (OReg a); Pop (OReg b) ]) gpr gpr);
+      (1, map2 (fun i m -> [ Push (OImm (Int64.of_int (i - 500))); Pop (OMem m) ])
+            (int_bound 1000) mem);
+      (1, map3 (fun m a r -> [ Push (OMem m); Mov (W64, OReg a, OReg r); Pop (OReg a) ])
+            mem gpr gpr);
+      (* unpcklpd *)
+      (1, one (map2 (fun a b -> Unpcklpd (a, Xr b)) xr xr));
+      (1, one (map2 (fun a m -> Unpcklpd (a, Xm m)) xr mem)) ]
 
 let prop_engine_differential =
   QCheck.Test.make ~count:200 ~name:"superblock engine == single-step"
@@ -871,7 +958,7 @@ let prop_engine_differential =
        QCheck.Gen.(
          map
            (fun l -> List.map (fun i -> I i) l)
-           (list_size (int_bound 20) gen_body_insn)))
+           (map List.concat (list_size (int_bound 20) gen_body_insn))))
     (fun body ->
       let a = observe Cpu.Superblocks body in
       let b = observe Cpu.SingleStep body in
@@ -900,7 +987,7 @@ let prop_engine_differential_traced =
        QCheck.Gen.(
          map
            (fun l -> List.map (fun i -> I i) l)
-           (list_size (int_bound 12) gen_body_insn)))
+           (map List.concat (list_size (int_bound 12) gen_body_insn))))
     (fun body ->
       let a = observe ~iters:12L Cpu.Superblocks body in
       let b = observe ~iters:12L Cpu.SingleStep body in
@@ -943,7 +1030,7 @@ let gen_trap_body : (insn list * int * int * int) QCheck.Gen.t =
   (* the loop block runs [Cpu.trace_threshold] times before promotion *)
   let* k = int_range 1 (trap_iters - Cpu.trace_threshold) in
   let* kind = int_bound 2 in
-  let* body = list_size (int_bound 10) gen_body_insn in
+  let* body = map List.concat (list_size (int_bound 10) gen_body_insn) in
   let* pos = int_bound (List.length body) in
   return (body, pos, k, kind)
 
