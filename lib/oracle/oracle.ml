@@ -157,7 +157,7 @@ type compiled = {
 }
 
 let compile (c : case) : compiled =
-  let bytes, _, _ = Encode.assemble ~base:Image.code_base (case_items c) in
+  let bytes = Encode.assemble_code ~base:Image.code_base (case_items c) in
   { c_code = bytes; c_args = c.args; c_fargs = c.fargs; c_mem = c.mem }
 
 (* ---------- observations ---------- *)

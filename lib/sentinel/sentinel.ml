@@ -237,8 +237,8 @@ let shrink_kernel_bytes env kind style ~kernel ~(bytes : string)
       (* install_bytes on a fork lands at this (deterministic) address *)
       let cand_base = (env.Modes.img.Image.next_code + 15) land lnot 15 in
       let check its =
-        match Encode.assemble ~base:cand_base its with
-        | bs, _, _ -> reproduces bs
+        match Encode.assemble_code ~base:cand_base its with
+        | bs -> reproduces bs
         | exception _ -> false
       in
       if not (check items) then (bytes, 0)
@@ -246,9 +246,9 @@ let shrink_kernel_bytes env kind style ~kernel ~(bytes : string)
         let small, checks =
           Obrew_oracle.Shrink.minimize_items ~budget:120 ~check items
         in
-        match Encode.assemble ~base:cand_base small with
-        | "", _, _ -> (bytes, checks)
-        | bs, _, _ -> (bs, checks)
+        match Encode.assemble_code ~base:cand_base small with
+        | "" -> (bytes, checks)
+        | bs -> (bs, checks)
       end
   with _ -> (bytes, 0)
 

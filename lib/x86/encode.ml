@@ -452,24 +452,31 @@ let with_dummy_targets = function
 
 let length (i : insn) = String.length (encode_at ~addr:0 (with_dummy_targets i))
 
-(** Two-pass assembly of an item list at [base]: returns the machine
-    code bytes together with the per-instruction address map and the
-    label table. *)
-let assemble ~base (items : item list) :
-    string * (int * insn) list * (int, int) Hashtbl.t =
+(* Two-pass assembly.  The first pass places every item and encodes
+   each instruction whose bytes do not depend on where it lands: only a
+   branch or call carries a displacement to its target (a RIP-relative
+   operand's disp32 is stored verbatim), so every other instruction is
+   encoded once.  The second pass encodes the branches and calls, now
+   that their targets are known, and the label-address movabs.
+   [listing] also returns the per-instruction address map. *)
+let assemble_items ~listing ~base (items : item list) =
   Fault.point ~addr:base "encode.assemble";
   let labels = Hashtbl.create 16 in
   let addr = ref base in
-  (* placed payloads: instructions, data quads, label-address movabs *)
   let placed =
     List.filter_map
       (fun it ->
         match it with
         | L l -> Hashtbl.replace labels l !addr; None
-        | I i ->
+        | I ((Call _ | Jmp _ | Jcc _) as i) ->
           let a = !addr in
           addr := a + length i;
           Some (a, `I i)
+        | I i ->
+          let a = !addr in
+          let b = encode_at ~addr:a i in
+          addr := a + String.length b;
+          Some (a, `B (b, i))
         | Q t ->
           let a = !addr in
           addr := a + 8;
@@ -491,40 +498,48 @@ let assemble ~base (items : item list) :
   let label_addr l =
     match resolve (Lbl l) with Abs a -> a | Lbl _ -> assert false
   in
-  let resolved =
-    List.map
-      (fun (a, p) ->
-        match p with
-        | `I i ->
-          let i =
-            match i with
-            | Call t -> Call (resolve t)
-            | Jmp t -> Jmp (resolve t)
-            | Jcc (c, t) -> Jcc (c, resolve t)
-            | i -> i
-          in
-          (a, `I i)
-        | `Q t -> (
-          match resolve t with Abs x -> (a, `Q (Abs x)) | t -> (a, `Q t))
-        | `M (r, l) -> (a, `I (Movabs (r, Int64.of_int (label_addr l)))))
-      placed
-  in
   let buf = Buffer.create 256 in
+  let insns = ref [] in
+  let emit a i b =
+    Buffer.add_string buf b;
+    if listing then insns := (a, i) :: !insns
+  in
   List.iter
     (fun (a, p) ->
       match p with
-      | `I i -> Buffer.add_string buf (encode_at ~addr:a i)
-      | `Q (Abs x) ->
-        let v = Int64.of_int x in
-        for k = 0 to 7 do
-          buf_byte buf
-            (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
-        done
-      | `Q (Lbl _) -> assert false)
-    resolved;
-  (* the per-instruction address map excludes raw data quads *)
-  let insns =
-    List.filter_map (function a, `I i -> Some (a, i) | _, `Q _ -> None)
-      resolved
-  in
-  (Buffer.contents buf, insns, labels)
+      | `B (b, i) -> emit a i b
+      | `I i ->
+        let i =
+          match i with
+          | Call t -> Call (resolve t)
+          | Jmp t -> Jmp (resolve t)
+          | Jcc (c, t) -> Jcc (c, resolve t)
+          | i -> i
+        in
+        emit a i (encode_at ~addr:a i)
+      | `M (r, l) ->
+        let i = Movabs (r, Int64.of_int (label_addr l)) in
+        emit a i (encode_at ~addr:a i)
+      | `Q t -> (
+        match resolve t with
+        | Abs x ->
+          let v = Int64.of_int x in
+          for k = 0 to 7 do
+            buf_byte buf
+              (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
+          done
+        | Lbl _ -> assert false))
+    placed;
+  (Buffer.contents buf, List.rev !insns, labels)
+
+(** Two-pass assembly of an item list at [base]: returns the machine
+    code bytes together with the per-instruction address map (raw data
+    quads excluded) and the label table. *)
+let assemble ~base (items : item list) :
+    string * (int * insn) list * (int, int) Hashtbl.t =
+  assemble_items ~listing:true ~base items
+
+(** The machine code bytes of [items] assembled at [base]. *)
+let assemble_code ~base (items : item list) : string =
+  let bytes, _, _ = assemble_items ~listing:false ~base items in
+  bytes

@@ -118,7 +118,7 @@ let install_code_impl ?name ~dedup t (items : Insn.item list) =
   | None ->
     t.install_misses <- t.install_misses + 1;
     let base = align_up t.next_code 16 in
-    let bytes, _, _ = Encode.assemble ~base items in
+    let bytes = Encode.assemble_code ~base items in
     let bytes =
       if Obrew_fault.Fault.sabotage "sabotage.install.bytes" then
         match Sabotage.corrupt_bytes bytes with

@@ -2038,7 +2038,7 @@ let code_digest (m : modul) =
         Obrew_backend.Isel.emit_func_with_prov ~global_addr:symbol_addr
           ~func_addr:symbol_addr f
       in
-      let bytes, _, _ = Obrew_x86.Encode.assemble ~base:code_base items in
+      let bytes = Obrew_x86.Encode.assemble_code ~base:code_base items in
       f.fname ^ ":" ^ Golden.digest_string bytes)
     m.funcs
   |> String.concat "," |> Golden.digest_string
