@@ -515,6 +515,35 @@ let test_transient_fault_not_cached () =
     (Modes.transform_name r2.Modes.used);
   Alcotest.(check int) "retry is clean" 0 (List.length r2.Modes.failures)
 
+(* The engine's counters depend only on the requests it served: the
+   same transform-and-run requests on two fresh environments give
+   equal cache stats, inline-cache hits included.  (A round that
+   follows other requests on the same environment starts with warm
+   inline caches and chain links, so its counters depend on where the
+   requests before it stopped.) *)
+let test_cache_stats_repeat () =
+  let open Obrew_core in
+  let serve () =
+    Api.memo_reset ();
+    let env = Modes.build ~sz:9 () in
+    List.iter
+      (fun (kind, style, mode) ->
+        let r = Modes.transform_safe ~use_memo:false env kind style mode in
+        ignore (Modes.run env kind style ~kernel:r.Modes.kernel ~iters:2))
+      (List.concat_map
+         (fun style ->
+           List.map
+             (fun mode -> (Modes.Direct, style, mode))
+             [ Modes.Llvm; Modes.DBrew; Modes.DBrewLlvm ])
+         [ Modes.Element; Modes.Line ]);
+    Cpu.cache_stats env.Modes.img.Image.cpu
+  in
+  let a = serve () in
+  let b = serve () in
+  Alcotest.(check bool) "indirect transitions counted" true
+    (a.Cpu.ic_hits > 0 && a.Cpu.ic_misses > 0);
+  Alcotest.(check bool) "equal cache stats" true (a = b)
+
 (* the watchdog turns an emulated infinite loop into a typed error on
    both execution engines *)
 let test_watchdog () =
@@ -625,6 +654,8 @@ let () =
          Alcotest.test_case "transient fault not cached" `Quick
            test_transient_fault_not_cached;
          Alcotest.test_case "watchdog" `Quick test_watchdog;
+         Alcotest.test_case "engine counters repeat" `Quick
+           test_cache_stats_repeat;
          Alcotest.test_case "superblock decode failure" `Quick
            test_superblock_decode_failure ]);
       ("backend ops",
