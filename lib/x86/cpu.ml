@@ -283,57 +283,23 @@ let effective cpu (m : mem_addr) : int64 =
 
 let resolve cpu (m : mem_addr) = Int64.to_int (effective cpu m) land addr_mask
 
-(* The loads and stores of both engines.  Each open-codes the
-   in-page case: {!Mem.page}'s TLB hit test inlines, and
-   [Bytes.get/set_int64_le] are primitives that compile unboxed at the
-   use site, where calling [Mem.read_u64] would box its result on every
-   load.  An access that crosses a page goes out of line through {!Mem};
-   [rebox] re-boxes what such a call returns, so that a match whose
-   other arms compute an [int64] still returns it unboxed.  The
-   literals 12/0xFFF are tied to the page layout by this check. *)
+(* [load64]/[store64] open-code the in-page case of
+   Mem.read_u64/write_u64 into the ops that inline them: {!Mem.page}'s
+   TLB hit test inlines too, and [Bytes.get/set_int64_le] are
+   primitives that compile unboxed at the use site, where calling
+   [Mem.read_u64] would box its result on every load.  An access that
+   crosses a page goes out of line; [rebox] re-boxes what that call
+   returns, so that a match whose other arms compute an [int64] still
+   returns it unboxed.  The literals 12/0xFFF/0xFF8 are tied to the
+   page layout by this check. *)
 let () = assert (Mem.page_bits = 12 && Mem.page_size = 4096)
 
 let[@inline] rebox (v : int64) = Int64.add v 0L
-
-let[@inline] load8 cpu a =
-  Char.code (Bytes.unsafe_get (Mem.page cpu.mem (a lsr 12)) (a land 0xFFF))
-
-let[@inline] load16 cpu a =
-  let off = a land 0xFFF in
-  if off <= 0xFFE then Bytes.get_uint16_le (Mem.page cpu.mem (a lsr 12)) off
-  else Mem.read_u16 cpu.mem a
-
-let[@inline] load32 cpu a =
-  let off = a land 0xFFF in
-  if off <= 0xFFC then begin
-    let p = Mem.page cpu.mem (a lsr 12) in
-    Bytes.get_uint16_le p off lor (Bytes.get_uint16_le p (off + 2) lsl 16)
-  end
-  else Mem.read_u32 cpu.mem a
 
 let[@inline] load64 cpu a =
   let off = a land 0xFFF in
   if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
   else rebox (Mem.read_u64 cpu.mem a)
-
-let[@inline] store8 cpu a v =
-  Bytes.unsafe_set (Mem.page cpu.mem (a lsr 12)) (a land 0xFFF)
-    (Char.unsafe_chr (v land 0xFF))
-
-let[@inline] store16 cpu a v =
-  let off = a land 0xFFF in
-  if off <= 0xFFE then
-    Bytes.set_uint16_le (Mem.page cpu.mem (a lsr 12)) off (v land 0xFFFF)
-  else Mem.write_u16 cpu.mem a v
-
-let[@inline] store32 cpu a v =
-  let off = a land 0xFFF in
-  if off <= 0xFFC then begin
-    let p = Mem.page cpu.mem (a lsr 12) in
-    Bytes.set_uint16_le p off (v land 0xFFFF);
-    Bytes.set_uint16_le p (off + 2) ((v lsr 16) land 0xFFFF)
-  end
-  else Mem.write_u32 cpu.mem a v
 
 let[@inline] store64 cpu a v =
   let off = a land 0xFFF in
@@ -342,16 +308,16 @@ let[@inline] store64 cpu a v =
 
 let load cpu w a =
   match w with
-  | W8 -> Int64.of_int (load8 cpu a)
-  | W16 -> Int64.of_int (load16 cpu a)
-  | W32 -> Int64.of_int (load32 cpu a)
+  | W8 -> Int64.of_int (Mem.read_u8 cpu.mem a)
+  | W16 -> Int64.of_int (Mem.read_u16 cpu.mem a)
+  | W32 -> Int64.of_int (Mem.read_u32 cpu.mem a)
   | W64 -> load64 cpu a
 
 let store cpu w a (v : int64) =
   match w with
-  | W8 -> store8 cpu a (Int64.to_int v)
-  | W16 -> store16 cpu a (Int64.to_int v)
-  | W32 -> store32 cpu a (Int64.to_int v)
+  | W8 -> Mem.write_u8 cpu.mem a (Int64.to_int v)
+  | W16 -> Mem.write_u16 cpu.mem a (Int64.to_int v)
+  | W32 -> Mem.write_u32 cpu.mem a (Int64.to_int v)
   | W64 -> store64 cpu a v
 
 (* -------- operand access -------- *)
@@ -513,7 +479,7 @@ let xop_load128 cpu = function
 
 let xop_load32 cpu = function
   | Xr x -> Int64.logand cpu.xlo.{x} 0xFFFFFFFFL
-  | Xm m -> Int64.of_int (load32 cpu (resolve cpu m))
+  | Xm m -> Int64.of_int (Mem.read_u32 cpu.mem (resolve cpu m))
 
 let[@inline] fp_bin op a b =
   match op with
@@ -877,7 +843,7 @@ let exec cpu (i : insn) =
         cpu.xhi.{d} <- 0L
       | Movsd, Xm m, Xr s -> store64 cpu (resolve cpu m) cpu.xlo.{s}
       | Movss, Xm m, Xr s ->
-        store32 cpu (resolve cpu m)
+        Mem.write_u32 cpu.mem (resolve cpu m)
           (Int64.to_int (Int64.logand cpu.xlo.{s} 0xFFFFFFFFL))
       | Movq, Xr d, s ->
         cpu.xlo.{d} <- xop_load64 cpu s;
@@ -1157,9 +1123,9 @@ let[@inline] get cpu (s : src) : int64 =
   | SReg i -> A1.unsafe_get cpu.regs i
   | SRegM (i, m) -> Int64.logand (A1.unsafe_get cpu.regs i) m
   | SImm v -> rebox v
-  | SMem8 af -> Int64.of_int (load8 cpu (af cpu))
-  | SMem16 af -> Int64.of_int (load16 cpu (af cpu))
-  | SMem32 af -> Int64.of_int (load32 cpu (af cpu))
+  | SMem8 af -> Int64.of_int (Mem.read_u8 cpu.mem (af cpu))
+  | SMem16 af -> Int64.of_int (Mem.read_u16 cpu.mem (af cpu))
+  | SMem32 af -> Int64.of_int (Mem.read_u32 cpu.mem (af cpu))
   | SMem64 af -> load64 cpu (af cpu)
   | SFn f -> rebox (f cpu)
 
@@ -1172,9 +1138,9 @@ let[@inline] put cpu (d : dst) (v : int64) =
       (Int64.logor
          (Int64.logand (A1.unsafe_get cpu.regs i) (Int64.lognot m))
          (Int64.logand v m))
-  | DMem8 af -> store8 cpu (af cpu) (Int64.to_int v)
-  | DMem16 af -> store16 cpu (af cpu) (Int64.to_int v)
-  | DMem32 af -> store32 cpu (af cpu) (Int64.to_int v)
+  | DMem8 af -> Mem.write_u8 cpu.mem (af cpu) (Int64.to_int v)
+  | DMem16 af -> Mem.write_u16 cpu.mem (af cpu) (Int64.to_int v)
+  | DMem32 af -> Mem.write_u32 cpu.mem (af cpu) (Int64.to_int v)
   | DMem64 af -> store64 cpu (af cpu) v
   | DFn f -> f cpu v
 
@@ -1348,7 +1314,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Mov (W32, OReg d, OMem m) ->
     let d = Reg.index d and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
-      A1.unsafe_set cpu.regs d (Int64.of_int (load32 cpu (af cpu)));
+      A1.unsafe_set cpu.regs d (Int64.of_int (Mem.read_u32 cpu.mem (af cpu)));
       next cpu
   | Mov (W64, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of ~rip m in
@@ -1358,7 +1324,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
   | Mov (W32, OMem m, OReg s) ->
     let s = Reg.index s and af = addr_of ~rip m in
     fun _ next -> threaded @@ fun cpu ->
-      store32 cpu (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
+      Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (A1.unsafe_get cpu.regs s));
       next cpu
   | Mov (W64, OReg d, OImm v) | Movabs (d, v) ->
     let d = Reg.index d in

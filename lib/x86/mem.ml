@@ -74,10 +74,55 @@ let[@inline] page t idx =
   if Array.unsafe_get t.tlb_idx slot = idx then Array.unsafe_get t.tlb_page slot
   else page_miss t idx
 
-let read_u8 t a = Char.code (Bytes.get (page t (a lsr page_bits)) (a land page_mask))
-let write_u8 t a v =
-  Bytes.set (page t (a lsr page_bits)) (a land page_mask)
-    (Char.chr (v land 0xff))
+(* The 8/16/32-bit accesses inline their in-page case, the TLB hit
+   test included; an access that crosses a page goes byte by byte, out
+   of line. *)
+let[@inline] read_u8 t a =
+  Char.code (Bytes.unsafe_get (page t (a lsr page_bits)) (a land page_mask))
+
+let[@inline] write_u8 t a v =
+  Bytes.unsafe_set (page t (a lsr page_bits)) (a land page_mask)
+    (Char.unsafe_chr (v land 0xff))
+
+let[@inline never] read_cross t a n =
+  let v = ref 0 in
+  for i = n - 1 downto 0 do
+    v := (!v lsl 8) lor read_u8 t (a + i)
+  done;
+  !v
+
+let[@inline never] write_cross t a n v =
+  for i = 0 to n - 1 do
+    write_u8 t (a + i) ((v lsr (8 * i)) land 0xff)
+  done
+
+let[@inline] read_u16 t a =
+  let off = a land page_mask in
+  if off <= page_size - 2 then Bytes.get_uint16_le (page t (a lsr page_bits)) off
+  else read_cross t a 2
+
+let[@inline] write_u16 t a v =
+  let off = a land page_mask in
+  if off <= page_size - 2 then
+    Bytes.set_uint16_le (page t (a lsr page_bits)) off (v land 0xFFFF)
+  else write_cross t a 2 v
+
+let[@inline] read_u32 t a =
+  let off = a land page_mask in
+  if off <= page_size - 4 then
+    (* two 16-bit immediate reads: no Int32 boxing on the hot path *)
+    let p = page t (a lsr page_bits) in
+    Bytes.get_uint16_le p off lor (Bytes.get_uint16_le p (off + 2) lsl 16)
+  else read_cross t a 4
+
+let[@inline] write_u32 t a v =
+  let off = a land page_mask in
+  if off <= page_size - 4 then begin
+    let p = page t (a lsr page_bits) in
+    Bytes.set_uint16_le p off (v land 0xFFFF);
+    Bytes.set_uint16_le p (off + 2) ((v lsr 16) land 0xFFFF)
+  end
+  else write_cross t a 4 v
 
 let read_u64 t a =
   let off = a land page_mask in
@@ -100,33 +145,6 @@ let write_u64 t a (v : int64) =
       write_u8 t (a + i)
         (Int64.to_int (Int64.shift_right_logical v (8 * i)))
     done
-
-let read_u32 t a =
-  let off = a land page_mask in
-  if off <= page_size - 4 then
-    (* two 16-bit immediate reads: no Int32 boxing on the hot path *)
-    let p = page t (a lsr page_bits) in
-    Bytes.get_uint16_le p off lor (Bytes.get_uint16_le p (off + 2) lsl 16)
-  else
-    read_u8 t a lor (read_u8 t (a + 1) lsl 8) lor (read_u8 t (a + 2) lsl 16)
-    lor (read_u8 t (a + 3) lsl 24)
-
-let write_u32 t a v =
-  let off = a land page_mask in
-  if off <= page_size - 4 then begin
-    let p = page t (a lsr page_bits) in
-    Bytes.set_uint16_le p off (v land 0xFFFF);
-    Bytes.set_uint16_le p (off + 2) ((v lsr 16) land 0xFFFF)
-  end
-  else
-    for i = 0 to 3 do
-      write_u8 t (a + i) ((v lsr (8 * i)) land 0xff)
-    done
-
-let read_u16 t a = read_u8 t a lor (read_u8 t (a + 1) lsl 8)
-let write_u16 t a v =
-  write_u8 t a (v land 0xff);
-  write_u8 t (a + 1) ((v lsr 8) land 0xff)
 
 let read_f64 t a = Int64.float_of_bits (read_u64 t a)
 let write_f64 t a v = write_u64 t a (Int64.bits_of_float v)
