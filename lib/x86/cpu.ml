@@ -1039,9 +1039,11 @@ let addr_of ~rip (m : mem_addr) : t -> int =
    value would box it: an OCaml function cannot return an [int64]
    unboxed, so every call of such a reader allocates three words.  The
    match keeps the value in a register from the load to its use.  Only
-   the rare shapes keep a closure: high-byte registers, segment-based
-   addresses and an immediate destination ([rebox] keeps the match
-   unboxed around them). *)
+   the rare shapes keep a closure: high-byte registers, an immediate
+   destination and a lea without a base register or with a segment.
+   The arms that hold an [int64] already boxed (such a closure's
+   result, an immediate) go through [rebox], without which the
+   compiler would box the match's result on every arm. *)
 
 (* a source operand, read at width [w] (zero-extended) *)
 type src =
@@ -1069,7 +1071,7 @@ type dst =
 type eff =
   | EB of int * int64           (* base + disp *)
   | EBI of int * int * int64 * int64 (* base + index * scale + disp *)
-  | EFn of (t -> int64)         (* no base, or a segment *)
+  | EFn of (t -> int64)         (* no base register, or a segment *)
 
 let src_of ~rip w (op : operand) : src =
   match op with
@@ -1676,10 +1678,9 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
       A1.unsafe_set cpu.regs r (A1.unsafe_get cpu.xlo x);
       next cpu
   | SseArith ((FAdd | FSub | FMul | FDiv) as op, Sd, dst, src) ->
-    (* per-op closures with the float work written out inline: the whole
-       bits->float->op->bits chain stays unboxed (calling [fp_bin], or
-       going through the [f64]/[b64] wrappers, would box
-       both operands and the result on every scalar FP instruction) *)
+    (* per-op closures: the operation is fixed at translation time, so
+       an execution does not dispatch on it (the generic arm below goes
+       through the inlined [fp_bin]'s match on every execution) *)
     (match src with
      | Xr s ->
        (match op with
@@ -1756,7 +1757,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          next cpu)
   | SseArith ((FAdd | FSub | FMul | FDiv) as op, Pd, dst, Xr s) ->
     (* register source: no alignment penalty possible; per-op closures
-       keep both lanes' float chains unboxed (see the Sd arms) *)
+       as in the Sd arms *)
     (match op with
      | FAdd ->
        fun _ next -> threaded @@ fun cpu ->
