@@ -10,35 +10,41 @@ build:
 test:
 	dune runtest
 
+# The bench targets run the release build, as obench does: the dev
+# profile compiles with -opaque, so nothing is inlined across modules
+# and its emulated MIPS measure different code.  Their validator calls
+# use the same profile, so a target never rebuilds between its steps.
+RELEASE = dune exec --profile release
+
 # Writes BENCH_fig9a.json / BENCH_fig9b.json (and friends) under
 # _bench/ — the machine-readable perf trajectory.  Compare two runs
 # with `validate_bench compare`.
 bench:
-	dune exec bench/main.exe -- --json
+	$(RELEASE) bench/main.exe -- --json
 
 bench-quick:
-	dune exec bench/main.exe -- --quick --json
+	$(RELEASE) bench/main.exe -- --quick --json
 
 # Emulator-throughput gate: quick fig9a run, then fail if aggregate
 # emulated MIPS dropped more than 25% against the committed baseline
 # (wall-time rows get a loose band; MIPS is the headline metric).
 bench-mips:
-	dune exec bench/main.exe -- --quick --only fig9a --json
-	dune exec tools/validate_bench.exe -- compare \
+	$(RELEASE) bench/main.exe -- --quick --only fig9a --json
+	$(RELEASE) tools/validate_bench.exe -- compare \
 	  bench/baselines/BENCH_fig9a.json _bench/BENCH_fig9a.json \
 	  --tol 300 --tol-mips 25
 
 # The Fig. 9a/9b tables of EXPERIMENTS.md (65x65 matrix, 10 Jacobi
 # iterations, simulated Mcycles): re-check them after a codegen change.
 bench-paper:
-	dune exec bench/main.exe -- --only fig9a --only fig9b --sz 65 --iters 10
+	$(RELEASE) bench/main.exe -- --only fig9a --only fig9b --sz 65 --iters 10
 
 # Tiered-compilation figure (fixed workload, deterministic simulated
 # cycles), gated bit-for-bit against the committed baseline.
 bench-tier:
-	dune exec bench/main.exe -- --only tier --json
-	dune exec tools/validate_bench.exe -- --tier _bench/BENCH_tier.json
-	dune exec tools/validate_bench.exe -- compare-tier \
+	$(RELEASE) bench/main.exe -- --only tier --json
+	$(RELEASE) tools/validate_bench.exe -- --tier _bench/BENCH_tier.json
+	$(RELEASE) tools/validate_bench.exe -- compare-tier \
 	  bench/baselines/BENCH_tier.json _bench/BENCH_tier.json
 
 # Per-layer ledger of the transform-heavy obench workload: self time

@@ -267,6 +267,11 @@ let fig9 env (style : Modes.style) =
     "emulated: %.1f MIPS  |  superblocks: %d live, %.1f%% hit rate, %d chained transitions\n"
     mips stats.Cpu.blocks_live (100.0 *. hit_rate) stats.Cpu.block_chained;
   Printf.printf
+    "dispatch: inline caches %d hits / %d misses, return-address stack %d \
+     hits / %d misses\n"
+    stats.Cpu.ic_hits stats.Cpu.ic_misses stats.Cpu.ras_hits
+    stats.Cpu.ras_misses;
+  Printf.printf
     "memo caches: transform %d hits / %d misses, dbrew %d hits / %d misses\n"
     mh mm dh dm;
   if !rows = [] then begin

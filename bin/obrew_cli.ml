@@ -237,6 +237,8 @@ let print_stats (env : Modes.env) =
     s.Cpu.trace_side_exits;
   Printf.printf "indirect inline caches: %d hits / %d misses\n" s.Cpu.ic_hits
     s.Cpu.ic_misses;
+  Printf.printf "return-address stack: %d hits / %d misses\n" s.Cpu.ras_hits
+    s.Cpu.ras_misses;
   Printf.printf "fused pairs: %s\n"
     (String.concat ", "
        (List.map

@@ -431,22 +431,7 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
   go [] (chain_from t)
 
 (** Restore the matrices to the initial Jacobi state. *)
-let reset env =
-  let sz = env.w.sz in
-  let mem = env.img.Image.cpu.Cpu.mem in
-  for r = 0 to sz - 1 do
-    for c = 0 to sz - 1 do
-      let v =
-        if r = 0 then float_of_int c /. float_of_int (sz - 1)
-        else if c = 0 then float_of_int r /. float_of_int (sz - 1)
-        else if r = sz - 1 then 1.0 -. (float_of_int c /. float_of_int (sz - 1))
-        else if c = sz - 1 then 1.0 -. (float_of_int r /. float_of_int (sz - 1))
-        else 0.0
-      in
-      Mem.write_f64 mem (env.w.m1 + (8 * ((r * sz) + c))) v;
-      Mem.write_f64 mem (env.w.m2 + (8 * ((r * sz) + c))) v
-    done
-  done
+let reset env = Stencil.reset_matrices env.w
 
 (** Run the Jacobi driver with the given kernel; returns (cycles,
     instructions) consumed by the emulated computation. *)

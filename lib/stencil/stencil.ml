@@ -37,6 +37,7 @@ type workload = {
   s_flat_len : int;
   s_sorted : int;          (* struct SS *)
   s_sorted_len : int;
+  init : Bytes.t;          (* the initial matrix as stored in memory *)
 }
 
 (** The 4-point Jacobi stencil of the paper: N/S/E/W with factor 1/4. *)
@@ -97,37 +98,52 @@ let groups8 =
   [ (0.2, [ (-1, 0); (1, 0); (0, -1); (0, 1) ]);
     (0.05, [ (-1, -1); (-1, 1); (1, -1); (1, 1) ]) ]
 
-(** Allocate matrices and stencil structures.  The matrix boundary is
-    held at a linear gradient; the interior starts at zero (a classic
-    Jacobi heat-plate setup).  [groups] defaults to the paper's
-    4-point stencil with a single 1/4 coefficient. *)
-let setup ?(sz = 65)
-    ?(groups = [ (factor4, points4) ]) (img : Image.t) : workload =
-  let mem = img.Image.cpu.Cpu.mem in
-  let m1 = Image.alloc_data ~align:16 img (8 * sz * sz) in
-  let m2 = Image.alloc_data ~align:16 img (8 * sz * sz) in
+(** The initial Jacobi state of an [sz] x [sz] matrix, as the bytes
+    of its f64 cells: the boundary is held at a linear gradient, the
+    interior starts at zero (a classic Jacobi heat-plate setup). *)
+let initial_matrix sz =
+  let b = Bytes.create (8 * sz * sz) in
+  let edge k = float_of_int k /. float_of_int (sz - 1) in
   for r = 0 to sz - 1 do
     for c = 0 to sz - 1 do
       let v =
-        if r = 0 then float_of_int c /. float_of_int (sz - 1)
-        else if c = 0 then float_of_int r /. float_of_int (sz - 1)
-        else if r = sz - 1 then
-          1.0 -. (float_of_int c /. float_of_int (sz - 1))
-        else if c = sz - 1 then
-          1.0 -. (float_of_int r /. float_of_int (sz - 1))
+        if r = 0 then edge c
+        else if c = 0 then edge r
+        else if r = sz - 1 then 1.0 -. edge c
+        else if c = sz - 1 then 1.0 -. edge r
         else 0.0
       in
-      Mem.write_f64 mem (m1 + (8 * ((r * sz) + c))) v;
-      Mem.write_f64 mem (m2 + (8 * ((r * sz) + c))) v
+      Bytes.set_int64_le b (8 * ((r * sz) + c)) (Int64.bits_of_float v)
     done
   done;
+  b
+
+(** Restore both matrices to the initial state: two page-wise copies,
+    with no per-cell call and no allocation. *)
+let reset_matrices (w : workload) =
+  let mem = w.img.Image.cpu.Cpu.mem in
+  Mem.blit_bytes mem w.m1 w.init;
+  Mem.blit_bytes mem w.m2 w.init
+
+(** Allocate matrices (in their initial state) and stencil structures.
+    [groups] defaults to the paper's 4-point stencil with a single 1/4
+    coefficient. *)
+let setup ?(sz = 65)
+    ?(groups = [ (factor4, points4) ]) (img : Image.t) : workload =
+  let m1 = Image.alloc_data ~align:16 img (8 * sz * sz) in
+  let m2 = Image.alloc_data ~align:16 img (8 * sz * sz) in
   (* the flat representation stores every (point, factor) pair *)
   let flat_points =
     List.concat_map (fun (f, pts) -> List.map (fun p -> (f, p)) pts) groups
   in
   let s_flat, s_flat_len = write_flat_pairs img flat_points in
   let s_sorted, s_sorted_len = write_sorted img groups in
-  { img; sz; m1; m2; s_flat; s_flat_len; s_sorted; s_sorted_len }
+  let w =
+    { img; sz; m1; m2; s_flat; s_flat_len; s_sorted; s_sorted_len;
+      init = initial_matrix sz }
+  in
+  reset_matrices w;
+  w
 
 (* ------------------------------------------------------------------ *)
 (* The mini-C kernels (Fig. 7)                                         *)

@@ -14,8 +14,10 @@
       chain of closures: every instruction's closure does its work and
       tail-calls the next one's, so a block costs one call and touches
       neither a hash table nor the decoder.  Blocks are chained: each
-      block keeps a small inline cache of successor blocks, so
-      steady-state loops run entirely inside the code cache. *)
+      block keeps two successor slots (its taken and fall-through
+      blocks, or an inline cache of indirect targets), and returns are
+      predicted by a return-address stack, so steady-state loops and
+      calls run entirely inside the code cache. *)
 
 open Insn
 open Obrew_fault
@@ -51,6 +53,11 @@ let i64buf n : i64buf =
     trace candidate), or an already-promoted trace. *)
 type sb_kind = KStraight | KLoopHead | KTrace
 
+(** Block exits, by terminator: a direct branch (or none, at the size
+    cap), a direct call, and the indirect ones — a jump or call
+    through a register or memory, and a return. *)
+type sb_exit = XDirect | XCall | XJmpInd | XCallInd | XRet
+
 (** A pre-decoded superblock: instructions up to and including the
     first control-flow instruction (or a size cap), starting at
     [sb_entry].  Unconditional direct jumps are followed during
@@ -76,19 +83,13 @@ type sblock = {
                                      trace promotion and the tier
                                      controller's hotness scan *)
   mutable sb_valid : bool;        (* cleared by flush_code *)
-  mutable sb_link1 : sblock option; (* chained successors *)
-  mutable sb_link2 : sblock option;
-  sb_ind : bool;                  (* terminator is an indirect branch
-                                     (JmpInd/CallInd/Ret): successors go
-                                     through the inline cache below, not
-                                     the direct chain links *)
-  mutable sb_ic1 : sblock option; (* 2-way inline cache of predicted
-                                     targets, MRU first; entries are
-                                     revalidated on every transition
-                                     (entry match + validity bit) and
-                                     replaced on divergent-target
-                                     misses *)
-  mutable sb_ic2 : sblock option;
+  sb_exit : sb_exit;              (* how the successor is found *)
+  mutable sb_next1 : sblock;      (* successor cache, [dummy_block] when
+                                     empty; see {!successor} *)
+  mutable sb_next2 : sblock;
+  mutable sb_ret : sblock;        (* a call block's prediction of the
+                                     block at its return address
+                                     ([bd_fall]); see {!ret_next} *)
 }
 
 (* one straight-line run of decoded instructions, per instruction *)
@@ -140,13 +141,18 @@ and t = {
                             slot = entry land (len-1); misses fall
                             back to the Hashtbl.  Catches indirect
                             dispatch sites whose many targets thrash
-                            the 2-slot inline chain links. *)
+                            their 2-way inline cache. *)
   mutable sb_hits : int;
   mutable sb_misses : int;
   mutable sb_flushes : int;
   mutable sb_chained : int;    (* block transitions served by a chain link *)
   mutable sb_ic_hits : int;    (* indirect transitions predicted by an IC *)
   mutable sb_ic_misses : int;  (* indirect transitions that missed the IC *)
+  ras : sblock array;          (* return-address stack: a ring of call
+                                  blocks, [ras_size] long *)
+  mutable ras_top : int;       (* slot of the latest push *)
+  mutable sb_ras_hits : int;   (* returns predicted by the RAS *)
+  mutable sb_ras_misses : int; (* returns the RAS did not predict *)
   mutable sb_traces : int;     (* blocks promoted to traces *)
   mutable sb_side_exits : int; (* early exits taken out of a trace *)
   mutable fu_cmpjcc : int;     (* predicated cmp/test+jcc ops created *)
@@ -164,18 +170,22 @@ and t = {
   cost : Cost.t;
 }
 
-(* never-valid sentinel filling empty [bcache] slots *)
-let dummy_block =
+(* never-valid sentinel filling empty [bcache], RAS and successor
+   slots *)
+let rec dummy_block =
   { sb_entry = -1;
     sb_body =
       { bd_insns = [||]; bd_addrs = [||]; bd_costs = [||]; bd_tmpls = [||];
         bd_static = 0; bd_fall = 0 };
     sb_len = 0; sb_static = 0; sb_chain = (fun _ -> 0); sb_prof = None;
     sb_ranges = []; sb_kind = KStraight; sb_execs = 0; sb_valid = false;
-    sb_link1 = None; sb_link2 = None; sb_ind = false; sb_ic1 = None;
-    sb_ic2 = None }
+    sb_exit = XDirect; sb_next1 = dummy_block; sb_next2 = dummy_block;
+    sb_ret = dummy_block }
 
 let bcache_slots = 64
+
+(* a power of two *)
+let ras_size = 16
 
 let create ?(cost = Cost.default) () =
   { mem = Mem.create (); regs = i64buf 16;
@@ -186,6 +196,8 @@ let create ?(cost = Cost.default) () =
     bcache = Array.make bcache_slots dummy_block;
     sb_hits = 0; sb_misses = 0; sb_flushes = 0; sb_chained = 0;
     sb_ic_hits = 0; sb_ic_misses = 0;
+    ras = Array.make ras_size dummy_block; ras_top = 0;
+    sb_ras_hits = 0; sb_ras_misses = 0;
     sb_traces = 0; sb_side_exits = 0;
     fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
@@ -519,9 +531,12 @@ let max_insn_len = 15
     With [range = (lo, hi)] only decoded instructions and superblocks
     whose bytes overlap [lo, hi) are dropped (plus chain links into
     them, which die with the block's validity bit); without it both
-    caches are cleared entirely. *)
+    caches are cleared entirely.  Either way the return-address stack
+    starts empty again. *)
 let flush_code ?range cpu =
   cpu.sb_flushes <- cpu.sb_flushes + 1;
+  Array.fill cpu.ras 0 ras_size dummy_block;
+  cpu.ras_top <- 0;
   if !Tel.enabled then
     Tel.instant "sb.flush"
       ~args:
@@ -567,6 +582,9 @@ type cache_stats = {
   block_chained : int;   (* transitions resolved by a chain link *)
   ic_hits : int;         (* indirect transitions predicted by an inline cache *)
   ic_misses : int;       (* indirect transitions that missed the inline cache *)
+  ras_hits : int;        (* returns predicted by the return-address stack *)
+  ras_misses : int;      (* returns it did not predict (these then count
+                            as IC hits or misses) *)
   blocks_live : int;     (* blocks currently cached *)
   traces_built : int;    (* self-loop blocks promoted to traces *)
   trace_side_exits : int;(* early exits taken out of a trace *)
@@ -580,6 +598,7 @@ let cache_stats cpu =
   { block_hits = cpu.sb_hits; block_misses = cpu.sb_misses;
     block_flushes = cpu.sb_flushes; block_chained = cpu.sb_chained;
     ic_hits = cpu.sb_ic_hits; ic_misses = cpu.sb_ic_misses;
+    ras_hits = cpu.sb_ras_hits; ras_misses = cpu.sb_ras_misses;
     blocks_live = Hashtbl.length cpu.blocks;
     traces_built = cpu.sb_traces; trace_side_exits = cpu.sb_side_exits;
     fused_pairs = [ ("cmp_jcc", cpu.fu_cmpjcc) ];
@@ -601,6 +620,7 @@ let cache_stats_json ?schema_version s =
          int "live" s.blocks_live; int "traces" s.traces_built;
          int "trace_side_exits" s.trace_side_exits;
          int "ic_hits" s.ic_hits; int "ic_misses" s.ic_misses;
+         int "ras_hits" s.ras_hits; int "ras_misses" s.ras_misses;
          ("fused_pairs", J.ints s.fused_pairs);
          int "flag_records" s.flag_records;
          int "flag_materialized" s.flag_materialized;
@@ -622,6 +642,7 @@ let reset_cache_stats cpu =
   cpu.sb_hits <- 0; cpu.sb_misses <- 0;
   cpu.sb_flushes <- 0; cpu.sb_chained <- 0;
   cpu.sb_ic_hits <- 0; cpu.sb_ic_misses <- 0;
+  cpu.sb_ras_hits <- 0; cpu.sb_ras_misses <- 0;
   cpu.sb_traces <- 0; cpu.sb_side_exits <- 0;
   cpu.fu_cmpjcc <- 0;
   cpu.fl_records <- 0; cpu.fl_mats <- 0; cpu.fl_dead <- 0
@@ -2185,21 +2206,23 @@ let build_block cpu entry : sblock =
     then KLoopHead
     else KStraight
   in
-  (* an indirect terminator (unpredictable successor) routes this
-     block's transitions through the inline cache instead of the
-     two-slot direct chain links; such a block is structurally never a
-     KLoopHead (that requires a direct Jcc backedge) and therefore
-     never promoted to a trace *)
-  let ind =
+  (* an indirect terminator's successors go through the inline cache
+     (a return's through the RAS first); such a block is structurally
+     never a KLoopHead (that requires a direct Jcc backedge) and
+     therefore never promoted to a trace *)
+  let exit =
     match insns.(n - 1) with
-    | JmpInd _ | CallInd _ | Ret -> true
-    | _ -> false
+    | Call _ -> XCall
+    | JmpInd _ -> XJmpInd
+    | CallInd _ -> XCallInd
+    | Ret -> XRet
+    | _ -> XDirect
   in
   { sb_entry = entry; sb_body = bd; sb_len = n; sb_static = bd.bd_static;
     sb_chain = build_chain cpu bd ~copies:1 ~profile:false; sb_prof = None;
     sb_ranges = ranges; sb_kind = kind; sb_execs = 0; sb_valid = true;
-    sb_link1 = None; sb_link2 = None; sb_ind = ind; sb_ic1 = None;
-    sb_ic2 = None })
+    sb_exit = exit; sb_next1 = dummy_block; sb_next2 = dummy_block;
+    sb_ret = dummy_block })
 
 (* -------- trace extension -------- *)
 
@@ -2227,10 +2250,11 @@ let build_trace cpu (b : sblock) : sblock =
     sb_static = u * bd.bd_static;
     sb_chain = build_chain cpu bd ~copies:u ~profile:false; sb_prof = None;
     sb_ranges = b.sb_ranges; sb_kind = KTrace; sb_execs = 0;
-    sb_valid = true; sb_link1 = None; sb_link2 = None;
+    sb_valid = true;
     (* a trace is only ever built from a KLoopHead, whose terminator is
-       a direct Jcc backedge — it can never carry an indirect IC *)
-    sb_ind = false; sb_ic1 = None; sb_ic2 = None }
+       a direct Jcc backedge *)
+    sb_exit = XDirect; sb_next1 = dummy_block; sb_next2 = dummy_block;
+    sb_ret = dummy_block }
 
 let lookup_block cpu addr : sblock =
   let slot = addr land (bcache_slots - 1) in
@@ -2240,12 +2264,12 @@ let lookup_block cpu addr : sblock =
     c
   end
   else
-    match Hashtbl.find_opt cpu.blocks addr with
-    | Some b when b.sb_valid ->
+    match Hashtbl.find cpu.blocks addr with
+    | b when b.sb_valid ->
       cpu.sb_hits <- cpu.sb_hits + 1;
       Array.unsafe_set cpu.bcache slot b;
       b
-    | _ ->
+    | _ | (exception Not_found) ->
       cpu.sb_misses <- cpu.sb_misses + 1;
       let b = build_block cpu addr in
       Hashtbl.replace cpu.blocks addr b;
@@ -2314,78 +2338,102 @@ let exec_block cpu (b : sblock) =
     materialize cpu;
     raise e
 
-(* Indirect-terminator successor lookup: a 2-way inline cache of
-   predicted targets.  A cached prediction is trusted only after
-   revalidation (entry match + validity bit), so IC entries survive
-   neither a range-granular flush nor a divergent target.  Slot 1 is
-   the MRU prediction; a hit in slot 2 swaps it forward, and a miss
-   with both slots live (a megamorphic site) evicts the LRU entry. *)
-let ic_next cpu (prev : sblock) addr : sblock =
-  (* saboteur drill: a fired arm returns the stale predicted block
-     without revalidating it against the live rip — exactly the silent
-     wrong-code execution the sentinel must catch downstream *)
-  let flipped =
-    if Fault.sabotage "sabotage.isel.indirect" then
-      match prev.sb_ic1 with
-      | Some b when b.sb_entry <> addr && b.sb_valid ->
-        Fault.note_sabotage_landed ();
-        Some b
-      | _ -> None
-    else None
-  in
-  match flipped with
-  | Some b -> b
-  | None -> (
-    match prev.sb_ic1 with
-    | Some b when b.sb_entry = addr && b.sb_valid ->
-      cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
-      b
-    | _ -> (
-      match prev.sb_ic2 with
-      | Some b when b.sb_entry = addr && b.sb_valid ->
-        cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
-        (* MRU promotion keeps the hot target in the first probe *)
-        prev.sb_ic2 <- prev.sb_ic1;
-        prev.sb_ic1 <- Some b;
-        b
-      | _ ->
-        cpu.sb_ic_misses <- cpu.sb_ic_misses + 1;
-        let b = lookup_block cpu addr in
-        (match prev.sb_ic1 with
-         | None -> prev.sb_ic1 <- Some b
-         | Some l1 when not l1.sb_valid -> prev.sb_ic1 <- Some b
-         | Some _ ->
-           (* divergent target: demote the current MRU prediction,
-              evicting whatever held the second way *)
-           prev.sb_ic2 <- prev.sb_ic1;
-           prev.sb_ic1 <- Some b);
-        b))
-
-(* Successor lookup through the block's chain links: a link is used
-   only if it is still valid and its entry matches the live rip, so
-   links survive neither a flush nor a retargeted branch.  Blocks
-   ending in an indirect branch dispatch through {!ic_next} instead. *)
-let next_block cpu (prev : sblock) addr : sblock =
-  if prev.sb_ind then ic_next cpu prev addr
+(* The successor cache: two slots per block, each trusted only after
+   revalidation (entry match + validity bit), so a prediction survives
+   neither a flush nor a retargeted branch.  A direct block keeps its
+   taken and fall-through successors there (at most two, so they stay)
+   and a hit counts as chained.  An indirect block ([ind]) uses them as
+   a 2-way inline cache, MRU first: a hit in the second way swaps it
+   forward, and a miss with a live first way (a divergent target)
+   evicts the second.  Empty slots hold [dummy_block], which is never
+   valid, so no transition allocates. *)
+let successor cpu (prev : sblock) ~ind addr : sblock =
+  let b1 = prev.sb_next1 in
+  if b1.sb_entry = addr && b1.sb_valid then begin
+    if ind then cpu.sb_ic_hits <- cpu.sb_ic_hits + 1
+    else cpu.sb_chained <- cpu.sb_chained + 1;
+    b1
+  end
   else
-    match prev.sb_link1 with
-    | Some b when b.sb_entry = addr && b.sb_valid ->
-      cpu.sb_chained <- cpu.sb_chained + 1;
+    let b2 = prev.sb_next2 in
+    if b2.sb_entry = addr && b2.sb_valid then begin
+      if ind then begin
+        cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
+        prev.sb_next2 <- b1;
+        prev.sb_next1 <- b2
+      end
+      else cpu.sb_chained <- cpu.sb_chained + 1;
+      b2
+    end
+    else begin
+      if ind then cpu.sb_ic_misses <- cpu.sb_ic_misses + 1;
+      let b = lookup_block cpu addr in
+      if not b1.sb_valid then prev.sb_next1 <- b
+      else if ind then begin
+        prev.sb_next2 <- b1;
+        prev.sb_next1 <- b
+      end
+      else prev.sb_next2 <- b;
       b
-    | _ ->
-      (match prev.sb_link2 with
-       | Some b when b.sb_entry = addr && b.sb_valid ->
-         cpu.sb_chained <- cpu.sb_chained + 1;
-         b
-       | _ ->
-         let b = lookup_block cpu addr in
-         (* direct branches have at most two successors (taken /
-            fall-through), so two slots capture them *)
-         (match prev.sb_link1 with
-          | None -> prev.sb_link1 <- Some b
-          | Some l1 when not l1.sb_valid -> prev.sb_link1 <- Some b
-          | Some _ -> prev.sb_link2 <- Some b);
-         b)
+    end
+
+(* The return-address stack.  A call block is pushed when it is left;
+   a return pops the latest one and tries that block's [sb_ret], the
+   block at its return address.  One callee returns to many call sites
+   (a kernel called once per column), more than its inline cache's two
+   ways hold, but each call site predicts its own return.  The ring
+   overwrites its oldest entry and pops never clear a slot: a stale
+   entry is as safe as any other prediction, which is revalidated like
+   a successor slot before it is trusted.  On a miss the return falls
+   back to its inline cache and fills the caller's [sb_ret] when the
+   live rip is the caller's fall-through (a guest that rewrote its
+   return address must not retrain it). *)
+let[@inline] ras_push cpu (b : sblock) =
+  let top = (cpu.ras_top + 1) land (ras_size - 1) in
+  cpu.ras_top <- top;
+  Array.unsafe_set cpu.ras top b
+
+let ret_next cpu (prev : sblock) addr : sblock =
+  let top = cpu.ras_top in
+  let c = Array.unsafe_get cpu.ras top in
+  cpu.ras_top <- (top - 1) land (ras_size - 1);
+  let r = c.sb_ret in
+  if r.sb_entry = addr && r.sb_valid then begin
+    cpu.sb_ras_hits <- cpu.sb_ras_hits + 1;
+    r
+  end
+  else begin
+    cpu.sb_ras_misses <- cpu.sb_ras_misses + 1;
+    let b = successor cpu prev ~ind:true addr in
+    if c.sb_valid && c.sb_body.bd_fall = addr then c.sb_ret <- b;
+    b
+  end
+
+(* saboteur drill: a fired arm makes an indirect exit take its stale
+   first-way prediction without revalidating it against the live rip —
+   exactly the silent wrong-code execution the sentinel must catch
+   downstream *)
+let sabotaged (prev : sblock) addr =
+  let s = prev.sb_next1 in
+  let landed =
+    Fault.sabotage "sabotage.isel.indirect" && s.sb_entry <> addr && s.sb_valid
+  in
+  if landed then Fault.note_sabotage_landed ();
+  landed
+
+(* The block after [prev], now that the live rip is [addr]. *)
+let next_block cpu (prev : sblock) addr : sblock =
+  match prev.sb_exit with
+  | XDirect -> successor cpu prev ~ind:false addr
+  | XCall ->
+    ras_push cpu prev;
+    successor cpu prev ~ind:false addr
+  | (XJmpInd | XCallInd | XRet) when sabotaged prev addr -> prev.sb_next1
+  | XJmpInd -> successor cpu prev ~ind:true addr
+  | XCallInd ->
+    ras_push cpu prev;
+    successor cpu prev ~ind:true addr
+  | XRet -> ret_next cpu prev addr
 
 (* watchdog: terminate runaway emulation with a typed [Emulate] error
    carrying the rip it was stopped at *)

@@ -7,9 +7,8 @@ let page_mask = page_size - 1
 
 (* Direct-mapped software TLB.  Hot loops alternate between code,
    data-matrix and stack pages; a single-entry cache thrashes, and every
-   miss pays a Hashtbl lookup (hash + compare + [Some] allocation).  Eight
-   slots keyed by the low page-index bits make the steady state
-   allocation-free. *)
+   miss pays a Hashtbl lookup (hash + compare).  Eight slots keyed by
+   the low page-index bits keep the steady state on the hit path. *)
 let tlb_slots = 8
 
 type t = {
@@ -57,9 +56,9 @@ let clone t =
    inline into every load and store. *)
 let[@inline never] page_miss t idx =
   let p =
-    match Hashtbl.find_opt t.pages idx with
-    | Some p -> p
-    | None ->
+    match Hashtbl.find t.pages idx with
+    | p -> p
+    | exception Not_found ->
       let p = Bytes.make page_size '\000' in
       Hashtbl.replace t.pages idx p;
       p
@@ -151,5 +150,18 @@ let write_f64 t a v = write_u64 t a (Int64.bits_of_float v)
 
 let write_bytes t a (s : string) =
   String.iteri (fun i c -> write_u8 t (a + i) (Char.code c)) s
+
+(** Copy all of [src] to address [a], one page-sized piece at a time:
+    no per-byte or per-word call, and no allocation. *)
+let blit_bytes t a (src : Bytes.t) =
+  let n = Bytes.length src in
+  let i = ref 0 in
+  while !i < n do
+    let at = a + !i in
+    let off = at land page_mask in
+    let len = min (n - !i) (page_size - off) in
+    Bytes.blit src !i (page t (at lsr page_bits)) off len;
+    i := !i + len
+  done
 
 let read_bytes t a len = String.init len (fun i -> Char.chr (read_u8 t (a + i)))

@@ -517,7 +517,7 @@ let test_transient_fault_not_cached () =
 
 (* The engine's counters depend only on the requests it served: the
    same transform-and-run requests on two fresh environments give
-   equal cache stats, inline-cache hits included.  (A round that
+   equal cache stats, inline-cache and RAS hits included.  (A round that
    follows other requests on the same environment starts with warm
    inline caches and chain links, so its counters depend on where the
    requests before it stopped.) *)
@@ -541,8 +541,43 @@ let test_cache_stats_repeat () =
   let a = serve () in
   let b = serve () in
   Alcotest.(check bool) "indirect transitions counted" true
-    (a.Cpu.ic_hits > 0 && a.Cpu.ic_misses > 0);
+    (a.Cpu.ic_hits > 0 && a.Cpu.ic_misses > 0 && a.Cpu.ras_hits > 0);
   Alcotest.(check bool) "equal cache stats" true (a = b)
+
+(* Every timed run starts with [Modes.reset]: after a run has written
+   both matrices it must restore exactly the initial Jacobi state (the
+   boundary a linear gradient, the interior zero), and, as it runs
+   inside every request, without allocating. *)
+let test_matrix_reset () =
+  let open Obrew_core in
+  let open Obrew_stencil in
+  let sz = 33 in
+  let env = Modes.build ~sz () in
+  let kernel = Modes.native_addr env Modes.Direct Modes.Line in
+  ignore (Modes.run env Modes.Direct Modes.Line ~kernel ~iters:3);
+  let w = env.Modes.w in
+  let edge k = float_of_int k /. float_of_int (sz - 1) in
+  let initial =
+    Array.init (sz * sz) (fun k ->
+        let r = k / sz and c = k mod sz in
+        if r = 0 then edge c
+        else if c = 0 then edge r
+        else if r = sz - 1 then 1.0 -. edge c
+        else if c = sz - 1 then 1.0 -. edge r
+        else 0.0)
+  in
+  let same m = Stencil.read_matrix w m = initial in
+  Alcotest.(check bool) "the run changed m2" false (same w.Stencil.m2);
+  Modes.reset env;
+  Alcotest.(check bool) "m1 restored" true (same w.Stencil.m1);
+  Alcotest.(check bool) "m2 restored" true (same w.Stencil.m2);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Modes.reset env
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 100.0 then
+    Alcotest.failf "%.0f minor words over 100 resets" words
 
 (* the watchdog turns an emulated infinite loop into a typed error on
    both execution engines *)
@@ -646,7 +681,8 @@ let () =
        [ Alcotest.test_case "8-point correctness" `Quick
            test_eight_point_stencil;
          Alcotest.test_case "8-point speedup" `Quick
-           test_eight_point_specialization_wins ]);
+           test_eight_point_specialization_wins;
+         Alcotest.test_case "matrix reset" `Quick test_matrix_reset ]);
       ("fail-safe pipeline",
        [ Alcotest.test_case "fault matrix" `Quick test_fault_matrix;
          Alcotest.test_case "checked drops broken pass" `Quick

@@ -668,6 +668,144 @@ let test_indirect_loop_differential () =
   check cint "indirect block never promoted to a trace" 0
     stats.Cpu.traces_built
 
+(* ---------- return-address stack ---------- *)
+
+(* One callee called from four sites in a loop, the shape of a kernel
+   called once per column: its return has more targets than a 2-way
+   inline cache holds, but each call site predicts its own return. *)
+let call_sites_items =
+  [ I (Mov (W64, OReg Reg.RCX, OReg Reg.RDI));
+    I (Mov (W64, OReg Reg.RSI, OImm 0L));
+    L 0;
+    I (Call (Lbl 9));
+    I (Call (Lbl 9));
+    I (Call (Lbl 9));
+    I (Call (Lbl 9));
+    I (Unop (Dec, W64, OReg Reg.RCX));
+    I (Jcc (NE, Lbl 0));
+    I (Mov (W64, OReg Reg.RAX, OReg Reg.RSI));
+    I Ret;
+    L 9; I (Alu (Add, W64, OReg Reg.RSI, OImm 1L)); I Ret ]
+
+(* run [items] on a fresh image with each engine; the result, cycles,
+   icount and the superblock engine's counters *)
+let run_both ?(args = []) items =
+  let run engine =
+    let img = fresh () in
+    let cpu = img.Image.cpu in
+    let fn = Image.install_code img items in
+    let r, _ = Image.call ~engine ~args img ~fn in
+    (r, cpu.Cpu.cycles, cpu.Cpu.icount, Cpu.cache_stats cpu)
+  in
+  let r_sb, cy_sb, ic_sb, stats = run Cpu.Superblocks in
+  let r_ss, cy_ss, ic_ss, _ = run Cpu.SingleStep in
+  check ci64 "engines agree" r_ss r_sb;
+  check cint "cycles identical" cy_ss cy_sb;
+  check cint "icount identical" ic_ss ic_sb;
+  (r_sb, stats)
+
+let test_ras_call_sites () =
+  let r, s = run_both ~args:[ 200L ] call_sites_items in
+  check ci64 "800 calls" 800L r;
+  (* every guest return is dispatched once; only the first return to
+     each call block misses (five: the first iteration's first call
+     ends the entry block) *)
+  check cint "each return counted once" 800 (s.Cpu.ras_hits + s.Cpu.ras_misses);
+  check cbool "the RAS serves nearly every return" true
+    (s.Cpu.ras_misses <= 5 && s.Cpu.ic_misses <= 5)
+
+(* Mutual recursion through three functions, 40 deep: the ring holds
+   16 calls, so the outer returns pop entries that later calls
+   overwrote, and as three sites do not divide 16 some of those predict
+   the wrong site.  Revalidation must catch each one. *)
+let test_ras_deep_recursion () =
+  let fn k next =
+    [ L k;
+      I (Test (W64, OReg Reg.RDI, OReg Reg.RDI));
+      I (Jcc (E, Lbl 8));
+      I (Unop (Dec, W64, OReg Reg.RDI));
+      I (Call (Lbl next));
+      I (Alu (Add, W64, OReg Reg.RAX, OImm (Int64.of_int (k + 1))));
+      I Ret ]
+  in
+  let items =
+    fn 0 1 @ fn 1 2 @ fn 2 0
+    @ [ L 8; I (Mov (W64, OReg Reg.RAX, OImm 0L)); I Ret ]
+  in
+  let expect = List.fold_left ( + ) 0 (List.init 40 (fun k -> (k mod 3) + 1)) in
+  let r, s = run_both ~args:[ 40L ] items in
+  check ci64 "sum over the frames" (Int64.of_int expect) r;
+  check cint "each return counted once" 40 (s.Cpu.ras_hits + s.Cpu.ras_misses);
+  (* warm: the innermost 16 returns are predicted; of the rest, some
+     pop a wrapped entry of another site *)
+  let img = fresh () in
+  let fn = Image.install_code img items in
+  let go () = fst (Image.call ~args:[ 40L ] img ~fn) in
+  ignore (go ());
+  let s0 = Cpu.cache_stats img.Image.cpu in
+  check ci64 "warm run" (Int64.of_int expect) (go ());
+  let s1 = Cpu.cache_stats img.Image.cpu in
+  check cbool "ring predicts the inner returns" true
+    (s1.Cpu.ras_hits - s0.Cpu.ras_hits >= 16);
+  check cbool "wrapped entries mispredict" true
+    (s1.Cpu.ras_misses > s0.Cpu.ras_misses)
+
+(* A guest that rewrites its return address: once the call site has
+   predicted its normal return, a return to elsewhere must miss the
+   prediction, and must not retrain it. *)
+let test_ras_overwritten_return () =
+  let items =
+    [ I (Call (Lbl 9));
+      I (Mov (W64, OReg Reg.RAX, OImm 1L));
+      I Ret;
+      L 5; I (Mov (W64, OReg Reg.RAX, OImm 2L)); I Ret;
+      L 9;
+      I (Test (W64, OReg Reg.RDI, OReg Reg.RDI));
+      I (Jcc (E, Lbl 10));
+      MovLbl (Reg.RAX, 5);
+      I (Mov (W64, OMem (mem_base Reg.RSP), OReg Reg.RAX));
+      L 10; I Ret ]
+  in
+  let img = fresh () in
+  let fn = Image.install_code img items in
+  let go v = fst (Image.call ~args:[ v ] img ~fn) in
+  check ci64 "normal return" 1L (go 0L);
+  check ci64 "normal return again" 1L (go 0L);
+  let s0 = Cpu.cache_stats img.Image.cpu in
+  check cint "second return predicted" 1 s0.Cpu.ras_hits;
+  check ci64 "rewritten return" 2L (go 1L);
+  let s1 = Cpu.cache_stats img.Image.cpu in
+  check cint "prediction rejected" (s0.Cpu.ras_misses + 1) s1.Cpu.ras_misses;
+  check ci64 "normal return after" 1L (go 0L);
+  let s2 = Cpu.cache_stats img.Image.cpu in
+  check cint "prediction kept" (s1.Cpu.ras_hits + 1) s2.Cpu.ras_hits;
+  let r, _ = run_both ~args:[ 1L ] items in
+  check ci64 "engines agree on the rewritten return" 2L r
+
+(* A range flush over a return site: the caller block survives (its
+   bytes are elsewhere), but its prediction must not. *)
+let test_ras_flush_return_site () =
+  let img = fresh () in
+  let cpu = img.Image.cpu in
+  let items =
+    [ I (Call (Lbl 9)); L 1; I (Movabs (Reg.RAX, 111L)); I Ret;
+      L 9; I Ret ]
+  in
+  let fn = Image.install_code img items in
+  let go () = fst (Image.call img ~fn) in
+  check ci64 "original" 111L (go ());
+  check ci64 "predicted" 111L (go ());
+  check cint "return predicted" 1 (Cpu.cache_stats cpu).Cpu.ras_hits;
+  let _, _, labels = Encode.assemble ~base:fn items in
+  let site = Hashtbl.find labels 1 in
+  let patch, _, _ =
+    Encode.assemble ~base:site [ I (Movabs (Reg.RAX, 333L)); I Ret ]
+  in
+  Mem.write_bytes cpu.Cpu.mem site patch;
+  Cpu.flush_code ~range:(site, site + String.length patch) cpu;
+  check ci64 "flush defeats the prediction" 333L (go ());
+  check cint "no stale hit" 1 (Cpu.cache_stats cpu).Cpu.ras_hits
+
 (* Engine counters belong to one CPU, and each event is counted once,
    in its fields: a fork (the sentinel's shadow probes run on one)
    starts with every counter at zero, and running code on it leaves the
@@ -675,17 +813,22 @@ let test_indirect_loop_differential () =
 let test_fork_counts_apart () =
   let img = fresh () in
   let fn = Image.install_code img indirect_loop_items in
+  let calls = Image.install_code img call_sites_items in
   let r, _ = Image.call ~engine:Cpu.Superblocks img ~fn in
+  ignore (Image.call ~engine:Cpu.Superblocks ~args:[ 8L ] img ~fn:calls);
   let parent = Cpu.cache_stats img.Image.cpu in
   check cbool "parent counted its run" true
-    (parent.Cpu.block_hits > 0 && parent.Cpu.ic_hits > 0);
+    (parent.Cpu.block_hits > 0 && parent.Cpu.ic_hits > 0
+     && parent.Cpu.ras_hits > 0);
   let shadow = Image.fork img in
   check cbool "fork starts at zero" true
     (Cpu.cache_stats shadow.Image.cpu = Cpu.cache_stats (Cpu.create ()));
   let r', _ = Image.call ~engine:Cpu.Superblocks shadow ~fn in
+  ignore (Image.call ~engine:Cpu.Superblocks ~args:[ 8L ] shadow ~fn:calls);
   check ci64 "fork computes the same" r r';
+  let forked = Cpu.cache_stats shadow.Image.cpu in
   check cbool "fork counted its own run" true
-    ((Cpu.cache_stats shadow.Image.cpu).Cpu.block_hits > 0);
+    (forked.Cpu.block_hits > 0 && forked.Cpu.ras_hits > 0);
   check cbool "parent unchanged" true
     (Cpu.cache_stats img.Image.cpu = parent)
 
@@ -759,6 +902,50 @@ let test_ops_allocate_nothing () =
   if words /. float_of_int insns >= 0.01 then
     Alcotest.failf "%.0f minor words over %d instructions (%.3f per instruction)"
       words insns (words /. float_of_int insns)
+
+(* Block dispatch allocates nothing either: a warm loop whose every
+   iteration takes a 4-way jump table (more targets than the inline
+   cache holds, so it misses every time) and calls one function from
+   each arm (a return with four sites) stays within a bound that leaves
+   room only for the call's constant cost.  The loop closes with a
+   fused cmp+jcc, whose flags are never materialized. *)
+let test_dispatch_allocates_nothing () =
+  let arm k = [ L k; I (Call (Lbl 9)); I (Jmp (Lbl 5)) ] in
+  let img = fresh () in
+  let cpu = img.Image.cpu in
+  let fn =
+    Image.install_code img
+      ([ I (Mov (W64, OReg Reg.RCX, OImm 0L));
+         L 0;
+         I (Mov (W64, OReg Reg.RDX, OReg Reg.RCX));
+         I (Alu (And, W64, OReg Reg.RDX, OImm 3L));
+         MovLbl (Reg.RAX, 8);
+         I (JmpInd (OMem (mk_mem ~base:Reg.RAX ~index:(Reg.RDX, S8) ()))) ]
+       @ arm 1 @ arm 2 @ arm 3 @ arm 4
+       @ [ L 5;
+           I (Alu (Add, W64, OReg Reg.RCX, OImm 1L));
+           I (Alu (Cmp, W64, OReg Reg.RCX, OReg Reg.RDI));
+           I (Jcc (L, Lbl 0));
+           I Ret;
+           L 9; I (Alu (Add, W64, OReg Reg.RSI, OImm 1L)); I Ret;
+           L 8; Q (Lbl 1); Q (Lbl 2); Q (Lbl 3); Q (Lbl 4) ])
+  in
+  let go n = ignore (Image.call img ~fn ~args:[ Int64.of_int n ]) in
+  let transitions () =
+    let s = Cpu.cache_stats cpu in
+    s.Cpu.block_hits + s.Cpu.block_misses + s.Cpu.block_chained
+    + s.Cpu.ic_hits + s.Cpu.ras_hits
+  in
+  go 100;
+  let t0 = transitions () in
+  let w0 = Gc.minor_words () in
+  go 20_000;
+  let words = Gc.minor_words () -. w0 in
+  let n = transitions () - t0 in
+  check cbool "dispatched every block" true (n >= 20_000 * 4);
+  if words /. float_of_int n >= 0.01 then
+    Alcotest.failf "%.0f minor words over %d block transitions (%.3f each)"
+      words n (words /. float_of_int n)
 
 (* ---------- differential: superblock engine vs single-step ---------- *)
 
@@ -1122,11 +1309,21 @@ let () =
          Alcotest.test_case "indirect loop differential" `Quick
            test_indirect_loop_differential;
          Alcotest.test_case "fork counts apart" `Quick test_fork_counts_apart;
+         Alcotest.test_case "RAS: one callee, many call sites" `Quick
+           test_ras_call_sites;
+         Alcotest.test_case "RAS: recursion deeper than the ring" `Quick
+           test_ras_deep_recursion;
+         Alcotest.test_case "RAS: overwritten return address" `Quick
+           test_ras_overwritten_return;
+         Alcotest.test_case "RAS: flushed return site" `Quick
+           test_ras_flush_return_site;
          Alcotest.test_case "trace promotion" `Quick test_trace_promotion;
          Alcotest.test_case "install dedup ignores sharing" `Quick
            test_install_dedup_sharing;
          Alcotest.test_case "translated ops allocate nothing" `Quick
            test_ops_allocate_nothing;
+         Alcotest.test_case "block dispatch allocates nothing" `Quick
+           test_dispatch_allocates_nothing;
          qt prop_engine_differential;
          qt prop_engine_differential_traced;
          qt prop_trace_faults ])

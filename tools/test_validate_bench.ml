@@ -174,6 +174,8 @@ let bench_cases =
       "fused_pairs.cmp_jcc";
     bench "ic_hits without ic_misses" (del [ "superblocks"; "ic_misses" ])
       "ic_hits and ic_misses together";
+    bench "ras_misses without ras_hits" (del [ "superblocks"; "ras_hits" ])
+      "ras_hits and ras_misses together";
     bench "negative transform_memo" (set [ "transform_memo"; "hits" ] (int (-1)))
       "transform_memo.hits";
     bench "negative dbrew_memo" (set [ "dbrew_memo"; "misses" ] (int (-1)))

@@ -153,12 +153,16 @@ let bench_spec =
 let check_bench ctx j =
   check ctx (Fields bench_spec) j;
   let sv = int_at ctx j [ "schema_version" ] in
-  (* the indirect-branch inline-cache counters travel as a pair: a file
-     reporting hits without misses (or vice versa) is malformed.  Both
-     absent is fine — baselines predating the counters stay readable. *)
+  (* the inline-cache and return-address-stack counters each travel as
+     a pair: a file reporting hits without misses (or vice versa) is
+     malformed.  Both absent is fine — baselines predating the counters
+     stay readable. *)
   let sb = obj_at ctx j [ "superblocks" ] in
-  if List.mem_assoc "ic_hits" sb <> List.mem_assoc "ic_misses" sb then
-    fail "%s: superblocks needs ic_hits and ic_misses together" ctx;
+  List.iter
+    (fun (h, m) ->
+      if List.mem_assoc h sb <> List.mem_assoc m sb then
+        fail "%s: superblocks needs %s and %s together" ctx h m)
+    [ ("ic_hits", "ic_misses"); ("ras_hits", "ras_misses") ];
   Printf.printf "%s: OK (schema v%d, %d rows)\n" ctx sv
     (List.length (obj_at ctx j [ "rows" ]))
 
