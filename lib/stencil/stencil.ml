@@ -37,7 +37,7 @@ type workload = {
   s_flat_len : int;
   s_sorted : int;          (* struct SS *)
   s_sorted_len : int;
-  init : Bytes.t;          (* the initial matrix as stored in memory *)
+  init : string;           (* the initial matrix as stored in memory *)
 }
 
 (** The 4-point Jacobi stencil of the paper: N/S/E/W with factor 1/4. *)
@@ -116,14 +116,14 @@ let initial_matrix sz =
       Bytes.set_int64_le b (8 * ((r * sz) + c)) (Int64.bits_of_float v)
     done
   done;
-  b
+  Bytes.unsafe_to_string b
 
 (** Restore both matrices to the initial state: two page-wise copies,
     with no per-cell call and no allocation. *)
 let reset_matrices (w : workload) =
   let mem = w.img.Image.cpu.Cpu.mem in
-  Mem.blit_bytes mem w.m1 w.init;
-  Mem.blit_bytes mem w.m2 w.init
+  Mem.write_bytes mem w.m1 w.init;
+  Mem.write_bytes mem w.m2 w.init
 
 (** Allocate matrices (in their initial state) and stencil structures.
     [groups] defaults to the paper's 4-point stencil with a single 1/4

@@ -148,19 +148,16 @@ let write_u64 t a (v : int64) =
 let read_f64 t a = Int64.float_of_bits (read_u64 t a)
 let write_f64 t a v = write_u64 t a (Int64.bits_of_float v)
 
+(** Copy all of [s] to address [a], one page-sized piece at a time:
+    no per-byte call and no allocation. *)
 let write_bytes t a (s : string) =
-  String.iteri (fun i c -> write_u8 t (a + i) (Char.code c)) s
-
-(** Copy all of [src] to address [a], one page-sized piece at a time:
-    no per-byte or per-word call, and no allocation. *)
-let blit_bytes t a (src : Bytes.t) =
-  let n = Bytes.length src in
+  let n = String.length s in
   let i = ref 0 in
   while !i < n do
     let at = a + !i in
     let off = at land page_mask in
     let len = min (n - !i) (page_size - off) in
-    Bytes.blit src !i (page t (at lsr page_bits)) off len;
+    Bytes.blit_string s !i (page t (at lsr page_bits)) off len;
     i := !i + len
   done
 

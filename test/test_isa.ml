@@ -73,7 +73,14 @@ let test_mem_bytes_roundtrip () =
   let m = Mem.create () in
   let s = String.init 100 (fun i -> Char.chr (i * 7 mod 256)) in
   Mem.write_bytes m 5000 s;
-  check Alcotest.string "blob" s (Mem.read_bytes m 5000 100)
+  check Alcotest.string "blob" s (Mem.read_bytes m 5000 100);
+  (* a blob over three page boundaries, starting and ending mid-page,
+     leaves its neighbours alone *)
+  let big = String.init 9000 (fun i -> Char.chr (((i * 13) + 1) land 255)) in
+  Mem.write_bytes m 4000 big;
+  check Alcotest.string "multi-page blob" big (Mem.read_bytes m 4000 9000);
+  check cint "byte before" 0 (Mem.read_u8 m 3999);
+  check cint "byte after" 0 (Mem.read_u8 m 13000)
 
 (* ---------- cost model ---------- *)
 
