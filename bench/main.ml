@@ -252,11 +252,6 @@ let fig9 env (style : Modes.style) =
       print_newline ())
     kinds;
   let stats = Cpu.cache_stats cpu in
-  let lookups = stats.Cpu.block_hits + stats.Cpu.block_misses in
-  let hit_rate =
-    if lookups = 0 then 0.0
-    else float_of_int stats.Cpu.block_hits /. float_of_int lookups
-  in
   let mips =
     if !total_wall > 0.0 then float_of_int !total_insns /. !total_wall /. 1e6
     else 0.0
@@ -264,8 +259,8 @@ let fig9 env (style : Modes.style) =
   let mh, mm = Modes.memo_stats env in
   let dh, dm = Obrew_dbrew.Api.memo_stats () in
   Printf.printf
-    "emulated: %.1f MIPS  |  superblocks: %d live, %.1f%% hit rate, %d chained transitions\n"
-    mips stats.Cpu.blocks_live (100.0 *. hit_rate) stats.Cpu.block_chained;
+    "emulated: %.1f MIPS  |  superblocks: %d live, %d misses, %d chained transitions\n"
+    mips stats.Cpu.blocks_live stats.Cpu.block_misses stats.Cpu.block_chained;
   Printf.printf
     "dispatch: inline caches %d hits / %d misses, return-address stack %d \
      hits / %d misses\n"
@@ -285,7 +280,6 @@ let fig9 env (style : Modes.style) =
       ("sz", Json.Int !sz); ("iters", Json.Int !iters);
       ("rows", Json.Obj (List.rev !rows));
       ("emulated_mips", Json.fixed 6 mips);
-      ("superblock_hit_rate", Json.fixed 6 hit_rate);
       ("superblocks", Cpu.cache_stats_json stats);
       ("transform_memo", Json.ints [ ("hits", mh); ("misses", mm) ]);
       ("dbrew_memo", Json.ints [ ("hits", dh); ("misses", dm) ]) ]

@@ -225,16 +225,11 @@ let install_fault_plan = function
 let print_stats (env : Modes.env) =
   let open Obrew_x86 in
   let s = Cpu.cache_stats env.Modes.img.Image.cpu in
-  let lookups = s.Cpu.block_hits + s.Cpu.block_misses in
   Printf.printf
-    "superblocks: %d live, %d hits / %d misses (%.1f%% hit rate), \
-     %d chained transitions, %d flushes\n"
+    "superblocks: %d live, %d hits / %d misses, %d chained transitions, \
+     %d flushes\n"
     s.Cpu.blocks_live s.Cpu.block_hits s.Cpu.block_misses
-    (if lookups = 0 then 0.0
-     else 100.0 *. float_of_int s.Cpu.block_hits /. float_of_int lookups)
     s.Cpu.block_chained s.Cpu.block_flushes;
-  Printf.printf "traces: %d built, %d side exits taken\n" s.Cpu.traces_built
-    s.Cpu.trace_side_exits;
   Printf.printf "indirect inline caches: %d hits / %d misses\n" s.Cpu.ic_hits
     s.Cpu.ic_misses;
   Printf.printf "return-address stack: %d hits / %d misses\n" s.Cpu.ras_hits

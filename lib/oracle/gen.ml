@@ -324,11 +324,10 @@ let pick_other r avoid =
   done;
   !g
 
-(* a tight counted loop over a backedge: iteration counts sit above
-   the trace-promotion threshold so the superblock tier extends the
-   loop body across the backedge, unrolls it into a trace and takes
-   the side exit on the final iteration.  The body never writes the
-   counter, so termination is structural. *)
+(* a tight counted loop over a backedge: 6 to 25 iterations, so the
+   superblock tier runs the loop block warm, chained to itself, and
+   leaves it on the not-taken branch of the final iteration.  The body
+   never writes the counter, so termination is structural. *)
 let gen_loop r lbl =
   let l = !lbl in
   incr lbl;
@@ -455,7 +454,7 @@ let gen_indirect_call r lbl =
 (** Generation profiles.  [Uniform] draws from the full ISA subset with
     the historical weights; [Fusion] skews heavily toward adjacent
     pairs and tight backedge loops to stress the superblock engine's
-    cmp/jcc pairing, trace extension and lazy-flag machinery;
+    cmp/jcc pairing, successor chaining and lazy-flag machinery;
     [Indirect] skews toward jump tables, computed gotos and in-region
     call/ret chains to stress indirect control flow end to end (lifter
     target enumeration, inline-cache dispatch, DBrew

@@ -149,8 +149,8 @@ let raw_hotness ctl (lo, hi) =
 
 (* Hotness accumulated since the site's last retarget.  The baseline
    snapshot (instead of resetting engine counters) keeps the signal
-   read-only; the clamp absorbs counter loss from flushes and trace
-   promotion, which replace a block and restart its count. *)
+   read-only; the clamp absorbs counter loss from flushes, which drop
+   blocks whose re-translations count from 0 again. *)
 let hotness ctl s = max 0 (raw_hotness ctl s.s_range - s.s_baseline)
 
 let target_range env target =

@@ -14,10 +14,10 @@
       chain of closures: every instruction's closure does its work and
       tail-calls the next one's, so a block costs one call and touches
       neither a hash table nor the decoder.  Blocks are chained: each
-      block keeps two successor slots (its taken and fall-through
-      blocks, or an inline cache of indirect targets), and returns are
-      predicted by a return-address stack, so steady-state loops and
-      calls run entirely inside the code cache. *)
+      block keeps its taken and fall-through blocks, or a one-way
+      inline cache of its indirect target, and returns are predicted
+      by a return-address stack, so steady-state loops and calls run
+      entirely inside the code cache. *)
 
 open Insn
 open Obrew_fault
@@ -48,11 +48,6 @@ let i64buf n : i64buf =
   Bigarray.Array1.fill b 0L;
   b
 
-(** Block kinds: a plain straight-line block, a straight-line block
-    whose terminator is a conditional backedge to its own entry (a
-    trace candidate), or an already-promoted trace. *)
-type sb_kind = KStraight | KLoopHead | KTrace
-
 (** Block exits, by terminator: a direct branch (or none, at the size
     cap), a direct call, and the indirect ones — a jump or call
     through a register or memory, and a return. *)
@@ -62,30 +57,27 @@ type sb_exit = XDirect | XCall | XJmpInd | XCallInd | XRet
     first control-flow instruction (or a size cap), starting at
     [sb_entry].  Unconditional direct jumps are followed during
     decoding, so a block may cover several disjoint byte ranges
-    ([sb_ranges]); hot self-loop blocks are promoted to traces that
-    unroll the loop body across the backedge with side-exits.
+    ([sb_ranges]).
 
-    Execution enters [sb_chain] once; it runs [sb_len] instructions
-    (the body, or [sb_len / n] unrolled copies of it for a trace)
-    unless a trace side exit leaves early. *)
+    Execution enters [sb_chain] once; it runs all [sb_len]
+    instructions unless one of them raises. *)
 type sblock = {
   sb_entry : int;
-  sb_body : body;                 (* the decoded instructions; a trace
-                                     shares its loop block's body *)
-  sb_len : int;                   (* instructions in a full run *)
-  sb_static : int;                (* static cost of a full run *)
+  sb_body : body;                 (* the decoded instructions *)
+  sb_len : int;                   (* instructions in the block *)
+  sb_static : int;                (* their static cost *)
   sb_chain : op;                  (* the threaded chain *)
   mutable sb_prof : op option;    (* the profiler's chain, built on the
                                      block's first profiled execution *)
   sb_ranges : (int * int) list;   (* covered byte ranges [lo, hi) *)
-  sb_kind : sb_kind;
-  mutable sb_execs : int;         (* executions (always counted): drives
-                                     trace promotion and the tier
-                                     controller's hotness scan *)
+  mutable sb_execs : int;         (* completed executions (always
+                                     counted): the tier controller's
+                                     hotness scan *)
   mutable sb_valid : bool;        (* cleared by flush_code *)
   sb_exit : sb_exit;              (* how the successor is found *)
   mutable sb_next1 : sblock;      (* successor cache, [dummy_block] when
-                                     empty; see {!successor} *)
+                                     empty; see {!chain_next} and
+                                     {!ic_next} *)
   mutable sb_next2 : sblock;
   mutable sb_ret : sblock;        (* a call block's prediction of the
                                      block at its return address
@@ -103,15 +95,14 @@ and body = {
 }
 
 (* A threaded op: runs one instruction (or a predicated cmp/test+jcc
-   pair) and tail-calls the op of the next one.  A chain returns the
-   number of instructions it executed: its final continuation returns
-   the chain's length, a trace side exit returns its own index + 1. *)
-and op = t -> int
+   pair) and tail-calls the op of the next one.  A chain runs to its
+   end or raises. *)
+and op = t -> unit
 
 (* [tmpl k next]: the op of an instruction at index [k] of a chain,
    continuing with [next].  Operands are resolved once, when the
-   template is made, so a trace instantiates each of its unrolled
-   copies without translating the instruction again. *)
+   template is made, so the engine's and the profiler's chains share
+   the translation. *)
 and tmpl = int -> op -> op
 
 (* Deferred flag state: ALU closures record the operation instead of
@@ -141,7 +132,7 @@ and t = {
                             slot = entry land (len-1); misses fall
                             back to the Hashtbl.  Catches indirect
                             dispatch sites whose many targets thrash
-                            their 2-way inline cache. *)
+                            their one-way inline cache. *)
   mutable sb_hits : int;
   mutable sb_misses : int;
   mutable sb_flushes : int;
@@ -153,8 +144,6 @@ and t = {
   mutable ras_top : int;       (* slot of the latest push *)
   mutable sb_ras_hits : int;   (* returns predicted by the RAS *)
   mutable sb_ras_misses : int; (* returns the RAS did not predict *)
-  mutable sb_traces : int;     (* blocks promoted to traces *)
-  mutable sb_side_exits : int; (* early exits taken out of a trace *)
   mutable fu_cmpjcc : int;     (* predicated cmp/test+jcc ops created *)
   mutable fl_op : flag_src;    (* pending lazy flag record *)
   mutable fl_w : width;
@@ -177,8 +166,8 @@ let rec dummy_block =
     sb_body =
       { bd_insns = [||]; bd_addrs = [||]; bd_costs = [||]; bd_tmpls = [||];
         bd_static = 0; bd_fall = 0 };
-    sb_len = 0; sb_static = 0; sb_chain = (fun _ -> 0); sb_prof = None;
-    sb_ranges = []; sb_kind = KStraight; sb_execs = 0; sb_valid = false;
+    sb_len = 0; sb_static = 0; sb_chain = ignore; sb_prof = None;
+    sb_ranges = []; sb_execs = 0; sb_valid = false;
     sb_exit = XDirect; sb_next1 = dummy_block; sb_next2 = dummy_block;
     sb_ret = dummy_block }
 
@@ -198,7 +187,6 @@ let create ?(cost = Cost.default) () =
     sb_ic_hits = 0; sb_ic_misses = 0;
     ras = Array.make ras_size dummy_block; ras_top = 0;
     sb_ras_hits = 0; sb_ras_misses = 0;
-    sb_traces = 0; sb_side_exits = 0;
     fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
@@ -228,7 +216,7 @@ let[@inline] sext w (v : int64) =
 let[@inline] msb w v =
   Int64.logand (Int64.shift_right_logical v (width_bits w - 1)) 1L = 1L
 
-let parity_even (v : int64) =
+let[@inline] parity_even (v : int64) =
   let x = Int64.to_int (Int64.logand v 0xFFL) in
   let x = x lxor (x lsr 4) in
   let x = x lxor (x lsr 2) in
@@ -347,20 +335,24 @@ let write_op cpu w op v =
   | OMem m -> store cpu w (resolve cpu m) v
   | OImm _ -> err "cannot write to an immediate"
 
-(* -------- flags -------- *)
+(* -------- flags --------
 
-let set_szp cpu w r =
+   The flag helpers are inlined like the scalar ones: {!materialize}
+   passes them the record's operands straight from [flbuf], and a call
+   would box all three. *)
+
+let[@inline] set_szp cpu w r =
   cpu.zf <- trunc w r = 0L;
   cpu.sf <- msb w r;
   cpu.pf <- parity_even r
 
-let flags_logic cpu w r =
+let[@inline] flags_logic cpu w r =
   set_szp cpu w r;
   cpu.cf <- false;
   cpu.o_f <- false;
   cpu.af <- false
 
-let flags_add ?(cin = 0L) cpu w a b r =
+let[@inline] flags_add ~cin cpu w a b r =
   set_szp cpu w r;
   (if w = W64 then
      cpu.cf <- Int64.unsigned_compare r a < 0 || (cin = 1L && r = a)
@@ -368,7 +360,7 @@ let flags_add ?(cin = 0L) cpu w a b r =
   cpu.o_f <- msb w (Int64.logand (Int64.logxor a r) (Int64.logxor b r));
   cpu.af <- Int64.logand (Int64.logxor (Int64.logxor a b) r) 0x10L <> 0L
 
-let flags_sub ?(cin = 0L) cpu w a b r =
+let[@inline] flags_sub ~cin cpu w a b r =
   set_szp cpu w r;
   (let a = trunc w a and b = trunc w b in
    if cin = 1L && b = trunc w (-1L) then cpu.cf <- true
@@ -389,20 +381,22 @@ let materialize cpu =
   | FlAdd ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    flags_add cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
+    flags_add ~cin:0L cpu cpu.fl_w (A1.unsafe_get cpu.flbuf 0)
+      (A1.unsafe_get cpu.flbuf 1) (A1.unsafe_get cpu.flbuf 2)
   | FlSub ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    flags_sub cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
+    flags_sub ~cin:0L cpu cpu.fl_w (A1.unsafe_get cpu.flbuf 0)
+      (A1.unsafe_get cpu.flbuf 1) (A1.unsafe_get cpu.flbuf 2)
   | FlLogic ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    flags_logic cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 2)
+    flags_logic cpu cpu.fl_w (A1.unsafe_get cpu.flbuf 2)
   | FlImul ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
-    let a = Bigarray.Array1.unsafe_get cpu.flbuf 0 in
-    let b = Bigarray.Array1.unsafe_get cpu.flbuf 1 in
+    let a = A1.unsafe_get cpu.flbuf 0 in
+    let b = A1.unsafe_get cpu.flbuf 1 in
     let w = cpu.fl_w in
     let p = Int64.mul a b in
     let r = trunc w p in
@@ -559,8 +553,8 @@ let flush_code ?range cpu =
     in
     List.iter (Hashtbl.remove cpu.code) doomed_insns;
     (* a block covers every byte range it decoded instructions from —
-       jump-following and traces make these genuinely disjoint, so all
-       ranges must be checked, not just the one around the entry *)
+       jump-following makes these genuinely disjoint, so all ranges
+       must be checked, not just the one around the entry *)
     let overlaps b =
       List.exists (fun (blo, bhi) -> bhi > lo && blo < hi) b.sb_ranges
     in
@@ -586,8 +580,7 @@ type cache_stats = {
   ras_misses : int;      (* returns it did not predict (these then count
                             as IC hits or misses) *)
   blocks_live : int;     (* blocks currently cached *)
-  traces_built : int;    (* self-loop blocks promoted to traces *)
-  trace_side_exits : int;(* early exits taken out of a trace *)
+  trace_side_exits : int;(* always 0: the engine has no traces *)
   fused_pairs : (string * int) list; (* predicated pairs created, by pattern *)
   flag_records : int;    (* lazy flag records created *)
   flag_materialized : int; (* records forced by an actual flag read *)
@@ -600,7 +593,7 @@ let cache_stats cpu =
     ic_hits = cpu.sb_ic_hits; ic_misses = cpu.sb_ic_misses;
     ras_hits = cpu.sb_ras_hits; ras_misses = cpu.sb_ras_misses;
     blocks_live = Hashtbl.length cpu.blocks;
-    traces_built = cpu.sb_traces; trace_side_exits = cpu.sb_side_exits;
+    trace_side_exits = 0;
     fused_pairs = [ ("cmp_jcc", cpu.fu_cmpjcc) ];
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
@@ -617,8 +610,7 @@ let cache_stats_json ?schema_version s =
       | None -> [])
      @ [ int "hits" s.block_hits; int "misses" s.block_misses;
          int "chained" s.block_chained; int "flushes" s.block_flushes;
-         int "live" s.blocks_live; int "traces" s.traces_built;
-         int "trace_side_exits" s.trace_side_exits;
+         int "live" s.blocks_live;
          int "ic_hits" s.ic_hits; int "ic_misses" s.ic_misses;
          int "ras_hits" s.ras_hits; int "ras_misses" s.ras_misses;
          ("fused_pairs", J.ints s.fused_pairs);
@@ -628,11 +620,12 @@ let cache_stats_json ?schema_version s =
 
 (** Fold [f acc entry execs static_cost] over every valid cached
     superblock — the tier controller's hotness scan.  [execs] counts
-    executions since the block was translated (a re-translation or
-    trace promotion restarts the count, so consumers must treat sums as
-    a monotone-per-block but globally lossy signal), [static_cost] is
-    the block's static cycle estimate; [execs * static_cost] weights
-    hot loop bodies above straight-line glue. *)
+    the block's completed executions since it was translated (a flush
+    drops the block, and its re-translation starts again at 0, so
+    consumers must treat sums as a monotone-per-block but globally
+    lossy signal), [static_cost] is the block's static cycle estimate;
+    [execs * static_cost] weights hot loop bodies above straight-line
+    glue. *)
 let fold_blocks cpu f acc =
   Hashtbl.fold
     (fun e b acc -> if b.sb_valid then f acc e b.sb_execs b.sb_static else acc)
@@ -643,7 +636,6 @@ let reset_cache_stats cpu =
   cpu.sb_flushes <- 0; cpu.sb_chained <- 0;
   cpu.sb_ic_hits <- 0; cpu.sb_ic_misses <- 0;
   cpu.sb_ras_hits <- 0; cpu.sb_ras_misses <- 0;
-  cpu.sb_traces <- 0; cpu.sb_side_exits <- 0;
   cpu.fu_cmpjcc <- 0;
   cpu.fl_records <- 0; cpu.fl_mats <- 0; cpu.fl_dead <- 0
 
@@ -677,7 +669,7 @@ let exec cpu (i : insn) =
      (match op with
       | Add ->
         let r = trunc w (Int64.add a b) in
-        flags_add cpu w a b r;
+        flags_add ~cin:0L cpu w a b r;
         write_op cpu w dst r
       | Adc ->
         let cin = if cpu.cf then 1L else 0L in
@@ -686,7 +678,7 @@ let exec cpu (i : insn) =
         write_op cpu w dst r
       | Sub ->
         let r = trunc w (Int64.sub a b) in
-        flags_sub cpu w a b r;
+        flags_sub ~cin:0L cpu w a b r;
         write_op cpu w dst r
       | Sbb ->
         let cin = if cpu.cf then 1L else 0L in
@@ -695,7 +687,7 @@ let exec cpu (i : insn) =
         write_op cpu w dst r
       | Cmp ->
         let r = trunc w (Int64.sub a b) in
-        flags_sub cpu w a b r
+        flags_sub ~cin:0L cpu w a b r
       | And ->
         let r = Int64.logand a b in
         flags_logic cpu w r;
@@ -810,13 +802,13 @@ let exec cpu (i : insn) =
       | Inc ->
         let r = trunc w (Int64.add a 1L) in
         let cf = cpu.cf in
-        flags_add cpu w a 1L r;
+        flags_add ~cin:0L cpu w a 1L r;
         cpu.cf <- cf;
         write_op cpu w dst r
       | Dec ->
         let r = trunc w (Int64.sub a 1L) in
         let cf = cpu.cf in
-        flags_sub cpu w a 1L r;
+        flags_sub ~cin:0L cpu w a 1L r;
         cpu.cf <- cf;
         write_op cpu w dst r)
    | Push src -> push64 cpu (read_op cpu W64 src)
@@ -1512,7 +1504,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          let a = get cpu s in
          let r = trunc w (Int64.add a 1L) in
          let cf = cpu.cf in
-         flags_add cpu w a 1L r;
+         flags_add ~cin:0L cpu w a 1L r;
          cpu.cf <- cf;
          put cpu d r;
          next cpu
@@ -1522,7 +1514,7 @@ let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
          let a = get cpu s in
          let r = trunc w (Int64.sub a 1L) in
          let cf = cpu.cf in
-         flags_sub cpu w a 1L r;
+         flags_sub ~cin:0L cpu w a 1L r;
          cpu.cf <- cf;
          put cpu d r;
          next cpu
@@ -2025,97 +2017,49 @@ let[@inline] logic_holds w cc r =
 (* A cmp/test and the direct jcc after it as one predicated op: it
    computes the comparison, records the lazy flags and branches on the
    direct predicate.  [rip] is the rip after the cmp/test (its operand
-   may be RIP-relative), [ft] the one after the jcc, and [k] the
-   cmp/test's index.  The [side_exit] form is a trace's inner
-   backedge: while the branch is taken it runs on into the next
-   unrolled copy, otherwise it leaves the chain after the pair. *)
-let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft ~side_exit : tmpl =
+   may be RIP-relative), [ft] the one after the jcc. *)
+let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft : tmpl =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
   match i1 with
   | Alu (Cmp, w, d, s) ->
     let a = src_of ~rip w d and b = src_of ~rip w s in
-    if side_exit then
-      fun k next -> threaded @@ fun cpu ->
-        let a = get cpu a in
-        let b = get cpu b in
-        let r = trunc w (Int64.sub a b) in
-        record_arith cpu FlSub w a b r;
-        if sub_holds w cc a b r then begin
-          cpu.acc <- cpu.acc + taken;
-          next cpu
-        end
-        else begin
-          cpu.rip <- ft;
-          cpu.acc <- cpu.acc + not_taken;
-          k + 2
-        end
-    else
-      fun _ next -> threaded @@ fun cpu ->
-        let a = get cpu a in
-        let b = get cpu b in
-        let r = trunc w (Int64.sub a b) in
-        record_arith cpu FlSub w a b r;
-        if sub_holds w cc a b r then begin
-          cpu.rip <- tgt;
-          cpu.acc <- cpu.acc + taken
-        end
-        else begin
-          cpu.rip <- ft;
-          cpu.acc <- cpu.acc + not_taken
-        end;
-        next cpu
+    fun _ next -> threaded @@ fun cpu ->
+      let a = get cpu a in
+      let b = get cpu b in
+      let r = trunc w (Int64.sub a b) in
+      record_arith cpu FlSub w a b r;
+      if sub_holds w cc a b r then begin
+        cpu.rip <- tgt;
+        cpu.acc <- cpu.acc + taken
+      end
+      else begin
+        cpu.rip <- ft;
+        cpu.acc <- cpu.acc + not_taken
+      end;
+      next cpu
   | Test (w, d, s) ->
     let a = src_of ~rip w d and b = src_of ~rip w s in
-    if side_exit then
-      fun k next -> threaded @@ fun cpu ->
-        let r = Int64.logand (get cpu a) (get cpu b) in
-        record_logic cpu w r;
-        if logic_holds w cc r then begin
-          cpu.acc <- cpu.acc + taken;
-          next cpu
-        end
-        else begin
-          cpu.rip <- ft;
-          cpu.acc <- cpu.acc + not_taken;
-          k + 2
-        end
-    else
-      fun _ next -> threaded @@ fun cpu ->
-        let r = Int64.logand (get cpu a) (get cpu b) in
-        record_logic cpu w r;
-        if logic_holds w cc r then begin
-          cpu.rip <- tgt;
-          cpu.acc <- cpu.acc + taken
-        end
-        else begin
-          cpu.rip <- ft;
-          cpu.acc <- cpu.acc + not_taken
-        end;
-        next cpu
+    fun _ next -> threaded @@ fun cpu ->
+      let r = Int64.logand (get cpu a) (get cpu b) in
+      record_logic cpu w r;
+      if logic_holds w cc r then begin
+        cpu.rip <- tgt;
+        cpu.acc <- cpu.acc + taken
+      end
+      else begin
+        cpu.rip <- ft;
+        cpu.acc <- cpu.acc + not_taken
+      end;
+      next cpu
   | _ -> invalid_arg "Cpu.pair_tmpl"
 
-(* an unpaired trace backedge: evaluate the condition (materializing
-   if needed) and leave the chain on fall-through *)
-let side_exit_tmpl (c : Cost.t) cc ~ft : tmpl =
-  let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  fun k next -> threaded @@ fun cpu ->
-    if cond cpu cc then begin
-      cpu.acc <- cpu.acc + taken;
-      next cpu
-    end
-    else begin
-      cpu.rip <- ft;
-      cpu.acc <- cpu.acc + not_taken;
-      k + 1
-    end
-
-(* the continuation that ends a chain of [len] instructions; [fall] is
-   the rip to leave when the last instruction transfers no control (a
-   block cut at the size cap or before an undecodable instruction) *)
-let finish len ~fall : op =
+(* the continuation that ends a chain; [fall] is the rip to leave when
+   the last instruction transfers no control (a block cut at the size
+   cap or before an undecodable instruction) *)
+let finish ~fall : op =
   match fall with
-  | Some rip -> threaded @@ fun cpu -> cpu.rip <- rip; len
-  | None -> threaded @@ fun _ -> len
+  | Some rip -> threaded @@ fun cpu -> cpu.rip <- rip
+  | None -> ignore
 
 (* the profiler's probe after the instruction at [addr]: it is charged
    its static cost plus the penalties added since the previous probe *)
@@ -2126,46 +2070,36 @@ let probe addr cost (next : op) : op =
     Prov.record_insn addr (cost + p);
     next cpu
 
-(* Thread [copies] copies of [bd] into one chain, back to front.  In a
-   trace ([copies > 1]) the backedge of every copy but the last is a
-   side exit.  The engine's chain runs a cmp/test and the jcc after it
-   as one predicated op; the profiler's chain ([profile]) keeps them
-   apart and probes after every instruction. *)
-let build_chain cpu (bd : body) ~copies ~profile : op =
+(* Thread the instructions of [bd] into one chain, back to front.  The
+   engine's chain runs a cmp/test and the jcc after it as one
+   predicated op; the profiler's chain ([profile]) keeps them apart and
+   probes after every instruction. *)
+let build_chain cpu (bd : body) ~profile : op =
   let c = cpu.cost and insns = bd.bd_insns in
   let n = Array.length insns in
-  (* the template of a copy's last one or two instructions, and how
-     many instructions it runs *)
-  let tail ~side_exit =
+  (* the template of the last one or two instructions, and how many
+     instructions it runs *)
+  let tm, w =
     match insns.(n - 1) with
     | Jcc (cc, Abs tgt)
       when n >= 2 && (not profile)
            && (match insns.(n - 2) with
                | Alu (Cmp, _, _, _) | Test _ -> true
                | _ -> false) ->
-      ( pair_tmpl c insns.(n - 2) cc ~rip:bd.bd_addrs.(n - 1) ~tgt
-          ~ft:bd.bd_fall ~side_exit,
-        2 )
-    | Jcc (cc, _) when side_exit -> (side_exit_tmpl c cc ~ft:bd.bd_fall, 1)
+      cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
+      (pair_tmpl c insns.(n - 2) cc ~rip:bd.bd_addrs.(n - 1) ~tgt
+         ~ft:bd.bd_fall, 2)
     | _ -> (bd.bd_tmpls.(n - 1), 1)
   in
-  let last = tail ~side_exit:false in
-  let inner = if copies > 1 then tail ~side_exit:true else last in
   let link j next =
     if profile then probe bd.bd_addrs.(j) bd.bd_costs.(j) next else next
   in
   let fall =
     if Decode.is_terminator insns.(n - 1) then None else Some bd.bd_fall
   in
-  let next = ref (finish (copies * n) ~fall) in
-  for copy = copies - 1 downto 0 do
-    let base = copy * n in
-    let tm, w = if copy = copies - 1 then last else inner in
-    next := tm (base + n - w) (link (n - 1) !next);
-    if w = 2 then cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
-    for j = n - 1 - w downto 0 do
-      next := bd.bd_tmpls.(j) (base + j) (link j !next)
-    done
+  let next = ref (tm (n - w) (link (n - 1) (finish ~fall))) in
+  for j = n - 1 - w downto 0 do
+    next := bd.bd_tmpls.(j) j (link j !next)
   done;
   !next
 
@@ -2197,19 +2131,8 @@ let build_block cpu entry : sblock =
       bd_static = Array.fold_left ( + ) 0 costs; bd_fall = rips.(n - 1) }
   in
   let ranges = List.filter (fun (lo, hi) -> hi > lo) ranges in
-  let kind =
-    if
-      n >= 2
-      && (match insns.(n - 1) with
-          | Jcc (_, Abs t) -> t = entry
-          | _ -> false)
-    then KLoopHead
-    else KStraight
-  in
-  (* an indirect terminator's successors go through the inline cache
-     (a return's through the RAS first); such a block is structurally
-     never a KLoopHead (that requires a direct Jcc backedge) and
-     therefore never promoted to a trace *)
+  (* an indirect terminator's successor goes through the inline cache
+     (a return's through the RAS first) *)
   let exit =
     match insns.(n - 1) with
     | Call _ -> XCall
@@ -2219,47 +2142,19 @@ let build_block cpu entry : sblock =
     | _ -> XDirect
   in
   { sb_entry = entry; sb_body = bd; sb_len = n; sb_static = bd.bd_static;
-    sb_chain = build_chain cpu bd ~copies:1 ~profile:false; sb_prof = None;
-    sb_ranges = ranges; sb_kind = kind; sb_execs = 0; sb_valid = true;
+    sb_chain = build_chain cpu bd ~profile:false; sb_prof = None;
+    sb_ranges = ranges; sb_execs = 0; sb_valid = true;
     sb_exit = exit; sb_next1 = dummy_block; sb_next2 = dummy_block;
     sb_ret = dummy_block })
 
-(* -------- trace extension -------- *)
-
-(* a self-loop block is promoted to a trace after this many executions *)
-let trace_threshold = 4
-
-(* iteration-unroll budget per trace *)
-let max_unroll = 16
-
-(* instruction budget for an unrolled trace body; traces may exceed
-   [max_block_insns] since their chain is built once and reused *)
-let max_trace_insns = 256
-
-(* Promote a hot self-loop block (body + backedge Jcc to its own
-   entry) into a trace: the body is unrolled [u] times across the
-   backedge; every non-final backedge copy becomes a side-exit that
-   leaves the trace with exact accounting when the loop ends, and the
-   final copy keeps a normal Jcc whose taken edge chains straight back
-   to the trace itself.  The copies reuse the loop block's templates. *)
-let build_trace cpu (b : sblock) : sblock =
-  let bd = b.sb_body in
-  let u = min max_unroll (max_trace_insns / b.sb_len) in
-  Tel.observe h_sb_len (u * b.sb_len);
-  { sb_entry = b.sb_entry; sb_body = bd; sb_len = u * b.sb_len;
-    sb_static = u * bd.bd_static;
-    sb_chain = build_chain cpu bd ~copies:u ~profile:false; sb_prof = None;
-    sb_ranges = b.sb_ranges; sb_kind = KTrace; sb_execs = 0;
-    sb_valid = true;
-    (* a trace is only ever built from a KLoopHead, whose terminator is
-       a direct Jcc backedge *)
-    sb_exit = XDirect; sb_next1 = dummy_block; sb_next2 = dummy_block;
-    sb_ret = dummy_block }
+(* a cached block may stand for the one at [addr]: its entry matches
+   and no flush has dropped it *)
+let[@inline] predicts (b : sblock) addr = b.sb_entry = addr && b.sb_valid
 
 let lookup_block cpu addr : sblock =
   let slot = addr land (bcache_slots - 1) in
   let c = Array.unsafe_get cpu.bcache slot in
-  if c.sb_entry = addr && c.sb_valid then begin
+  if predicts c addr then begin
     cpu.sb_hits <- cpu.sb_hits + 1;
     c
   end
@@ -2276,12 +2171,10 @@ let lookup_block cpu addr : sblock =
       Array.unsafe_set cpu.bcache slot b;
       b
 
-(* static cost of the first [m] instructions of a chain over [bd] (a
-   trace's chain repeats the body) *)
-let prefix_cost bd m =
-  let n = Array.length bd.bd_costs in
-  let s = ref (m / n * bd.bd_static) in
-  for j = 0 to (m mod n) - 1 do
+(* static cost of the first [k] instructions of [bd] *)
+let prefix_cost bd k =
+  let s = ref 0 in
+  for j = 0 to k - 1 do
     s := !s + bd.bd_costs.(j)
   done;
   !s
@@ -2290,20 +2183,18 @@ let prof_chain cpu (b : sblock) =
   match b.sb_prof with
   | Some ch -> ch
   | None ->
-    let copies = b.sb_len / Array.length b.sb_body.bd_insns in
-    let ch = build_chain cpu b.sb_body ~copies ~profile:true in
+    let ch = build_chain cpu b.sb_body ~profile:true in
     b.sb_prof <- Some ch;
     ch
 
 (* Execute one superblock: a single call into its chain.  Observably
    equivalent to {!step}-ing through it, but cycles/icount are written
-   back once: the static cost of the instructions run plus the
-   penalties they added to [acc].  A side exit returns how many
-   instructions ran and a raising instruction left its index in [at],
-   so both account exactly the executed prefix.  With profiling on the
-   block runs the profiler's chain, whose probes charge every cycle to
-   the address that spent it, so per-address sums equal the engine's
-   writeback. *)
+   back once: the block's static cost plus the penalties its
+   instructions added to [acc].  A raising instruction left its index
+   in [at], so a fault accounts exactly the executed prefix.  With
+   profiling on the block runs the profiler's chain, whose probes
+   charge every cycle to the address that spent it, so per-address sums
+   equal the engine's writeback. *)
 let exec_block cpu (b : sblock) =
   Tel.incr_c c_sb_exec;
   let prof = !Prov.enabled in
@@ -2311,24 +2202,11 @@ let exec_block cpu (b : sblock) =
   cpu.acc <- 0;
   cpu.pmark <- 0;
   match chain cpu with
-  | m when m = b.sb_len ->
+  | () ->
     let cy = b.sb_static + cpu.acc in
-    cpu.icount <- cpu.icount + m;
+    cpu.icount <- cpu.icount + b.sb_len;
     cpu.cycles <- cpu.cycles + cy;
-    if prof then Prov.record_block b.sb_entry ~cycles:cy ~insns:m
-  | m ->
-    (* a trace side exit after instruction [m - 1], the backedge,
-       whose probe did not run *)
-    let bd = b.sb_body in
-    let cy = prefix_cost bd m + cpu.acc in
-    cpu.icount <- cpu.icount + m;
-    cpu.cycles <- cpu.cycles + cy;
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1;
-    if prof then begin
-      let j = (m - 1) mod Array.length bd.bd_costs in
-      Prov.record_insn bd.bd_addrs.(j) (bd.bd_costs.(j) + cpu.acc - cpu.pmark);
-      Prov.record_block b.sb_entry ~cycles:cy ~insns:m
-    end
+    if prof then Prov.record_block b.sb_entry ~cycles:cy ~insns:b.sb_len
   | exception e ->
     let k = cpu.at in
     let cy = prefix_cost b.sb_body k + cpu.acc in
@@ -2338,50 +2216,51 @@ let exec_block cpu (b : sblock) =
     materialize cpu;
     raise e
 
-(* The successor cache: two slots per block, each trusted only after
-   revalidation (entry match + validity bit), so a prediction survives
-   neither a flush nor a retargeted branch.  A direct block keeps its
-   taken and fall-through successors there (at most two, so they stay)
-   and a hit counts as chained.  An indirect block ([ind]) uses them as
-   a 2-way inline cache, MRU first: a hit in the second way swaps it
-   forward, and a miss with a live first way (a divergent target)
-   evicts the second.  Empty slots hold [dummy_block], which is never
+(* Successor caches: each prediction is trusted only after
+   revalidation ({!predicts}), so it survives neither a flush nor a
+   retargeted branch.  Empty slots hold [dummy_block], which is never
    valid, so no transition allocates. *)
-let successor cpu (prev : sblock) ~ind addr : sblock =
+
+(* A direct block keeps its taken and fall-through successors in its
+   two slots (at most two, so they stay); a hit counts as chained. *)
+let chain_next cpu (prev : sblock) addr : sblock =
   let b1 = prev.sb_next1 in
-  if b1.sb_entry = addr && b1.sb_valid then begin
-    if ind then cpu.sb_ic_hits <- cpu.sb_ic_hits + 1
-    else cpu.sb_chained <- cpu.sb_chained + 1;
+  if predicts b1 addr then begin
+    cpu.sb_chained <- cpu.sb_chained + 1;
     b1
   end
   else
     let b2 = prev.sb_next2 in
-    if b2.sb_entry = addr && b2.sb_valid then begin
-      if ind then begin
-        cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
-        prev.sb_next2 <- b1;
-        prev.sb_next1 <- b2
-      end
-      else cpu.sb_chained <- cpu.sb_chained + 1;
+    if predicts b2 addr then begin
+      cpu.sb_chained <- cpu.sb_chained + 1;
       b2
     end
     else begin
-      if ind then cpu.sb_ic_misses <- cpu.sb_ic_misses + 1;
       let b = lookup_block cpu addr in
-      if not b1.sb_valid then prev.sb_next1 <- b
-      else if ind then begin
-        prev.sb_next2 <- b1;
-        prev.sb_next1 <- b
-      end
-      else prev.sb_next2 <- b;
+      if not b1.sb_valid then prev.sb_next1 <- b else prev.sb_next2 <- b;
       b
     end
+
+(* An indirect block's inline cache is one way, [sb_next1]: the target
+   it took last.  A miss replaces it. *)
+let ic_next cpu (prev : sblock) addr : sblock =
+  let b1 = prev.sb_next1 in
+  if predicts b1 addr then begin
+    cpu.sb_ic_hits <- cpu.sb_ic_hits + 1;
+    b1
+  end
+  else begin
+    cpu.sb_ic_misses <- cpu.sb_ic_misses + 1;
+    let b = lookup_block cpu addr in
+    prev.sb_next1 <- b;
+    b
+  end
 
 (* The return-address stack.  A call block is pushed when it is left;
    a return pops the latest one and tries that block's [sb_ret], the
    block at its return address.  One callee returns to many call sites
-   (a kernel called once per column), more than its inline cache's two
-   ways hold, but each call site predicts its own return.  The ring
+   (a kernel called once per column), more than its one-way inline
+   cache holds, but each call site predicts its own return.  The ring
    overwrites its oldest entry and pops never clear a slot: a stale
    entry is as safe as any other prediction, which is revalidated like
    a successor slot before it is trusted.  On a miss the return falls
@@ -2398,19 +2277,19 @@ let ret_next cpu (prev : sblock) addr : sblock =
   let c = Array.unsafe_get cpu.ras top in
   cpu.ras_top <- (top - 1) land (ras_size - 1);
   let r = c.sb_ret in
-  if r.sb_entry = addr && r.sb_valid then begin
+  if predicts r addr then begin
     cpu.sb_ras_hits <- cpu.sb_ras_hits + 1;
     r
   end
   else begin
     cpu.sb_ras_misses <- cpu.sb_ras_misses + 1;
-    let b = successor cpu prev ~ind:true addr in
+    let b = ic_next cpu prev addr in
     if c.sb_valid && c.sb_body.bd_fall = addr then c.sb_ret <- b;
     b
   end
 
 (* saboteur drill: a fired arm makes an indirect exit take its stale
-   first-way prediction without revalidating it against the live rip —
+   inline-cache prediction without revalidating it against the live rip —
    exactly the silent wrong-code execution the sentinel must catch
    downstream *)
 let sabotaged (prev : sblock) addr =
@@ -2424,15 +2303,15 @@ let sabotaged (prev : sblock) addr =
 (* The block after [prev], now that the live rip is [addr]. *)
 let next_block cpu (prev : sblock) addr : sblock =
   match prev.sb_exit with
-  | XDirect -> successor cpu prev ~ind:false addr
+  | XDirect -> chain_next cpu prev addr
   | XCall ->
     ras_push cpu prev;
-    successor cpu prev ~ind:false addr
+    chain_next cpu prev addr
   | (XJmpInd | XCallInd | XRet) when sabotaged prev addr -> prev.sb_next1
-  | XJmpInd -> successor cpu prev ~ind:true addr
+  | XJmpInd -> ic_next cpu prev addr
   | XCallInd ->
     ras_push cpu prev;
-    successor cpu prev ~ind:true addr
+    ic_next cpu prev addr
   | XRet -> ret_next cpu prev addr
 
 (* watchdog: terminate runaway emulation with a typed [Emulate] error
@@ -2445,9 +2324,7 @@ let budget_exceeded cpu budget =
     time.  [max_insns] is the watchdog budget on executed instructions
     (the overshoot before the check is at most one block); exceeding
     it raises a typed [Emulate] error instead of hanging on emitted
-    infinite loops.  Hot self-loop blocks are promoted to traces here,
-    and the watchdog runs on the icount delta because trace side-exits
-    make per-block instruction counts dynamic. *)
+    infinite loops. *)
 let run ?(max_insns = 2_000_000_000) cpu =
   Tel.span "emulate.run" (fun () ->
       let limit = cpu.icount + max_insns in
@@ -2458,21 +2335,8 @@ let run ?(max_insns = 2_000_000_000) cpu =
           let b = !blk in
           exec_block cpu b;
           (* always-on hotness counter: one add per block execution,
-             read by the tier controller's hotness scan (fold_blocks).
-             Trace promotion below still keys off loop heads only. *)
+             read by the tier controller's hotness scan (fold_blocks) *)
           b.sb_execs <- b.sb_execs + 1;
-          (match b.sb_kind with KLoopHead -> begin
-            if
-              b.sb_execs = trace_threshold
-              && 2 * b.sb_len <= max_trace_insns
-            then begin
-              let tr = build_trace cpu b in
-              b.sb_valid <- false;
-              Hashtbl.replace cpu.blocks b.sb_entry tr;
-              cpu.sb_traces <- cpu.sb_traces + 1
-            end
-          end
-          | KStraight | KTrace -> ());
           if cpu.icount > limit then begin
             materialize cpu;
             budget_exceeded cpu max_insns

@@ -254,10 +254,10 @@ let test_fuzz_smoke () =
     (s.Driver.s_agreed > s.Driver.s_total / 2)
 
 (* same smoke, but weighted toward adjacent pairs and tight backedge
-   loops, restricted to the two emulator tiers: the loops cross the
-   trace-promotion threshold, so this exercises predicated cmp/jcc
-   pairs, unrolled traces with side exits and lazy-flag deferral
-   against the single-step ground truth *)
+   loops, restricted to the two emulator tiers: the loops run their
+   block warm, so this exercises predicated cmp/jcc pairs, chained
+   loop blocks and lazy-flag deferral against the single-step ground
+   truth *)
 let test_fuzz_smoke_fusion () =
   let cfg =
     { Driver.default_config with

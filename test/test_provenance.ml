@@ -176,11 +176,12 @@ let profiled_run engine =
 let test_profile_superblocks () = profiled_run Cpu.Superblocks
 let test_profile_single_step () = profiled_run Cpu.SingleStep
 
-(* A counted loop promoted to a trace.  The first two calls end the
-   loop in an inner unrolled copy, so they leave through side exits;
-   the third traps inside the trace (an idiv by rsi - rcx).  The
-   per-address sums must still equal the engine's cycle counter, and
-   both engines must count the same cycles. *)
+(* A counted loop, one block per iteration.  The first two calls leave
+   the loop on its not-taken branch; the third traps inside the loop
+   block (an idiv by rsi - rcx), so only the block's executed prefix
+   is charged.  The per-address sums must still equal the engine's
+   cycle counter, and both engines must count the same cycles and
+   instructions. *)
 let loop_code =
   let open Insn in
   let open Reg in
@@ -216,16 +217,13 @@ let profiled_loop engine =
       let prof_cycles, _ = Prov.profile_totals () in
       check cint "profiler sums to the engine total" engine_cycles
         prof_cycles;
-      (engine_cycles, Cpu.cache_stats cpu))
+      (engine_cycles, cpu.Cpu.icount))
 
-let test_profile_trace_exits () =
-  let sb_cycles, s = profiled_loop Cpu.Superblocks in
-  check Alcotest.bool "loop promoted to a trace" true
-    (s.Cpu.traces_built >= 1);
-  check Alcotest.bool "calls left through side exits" true
-    (s.Cpu.trace_side_exits >= 2);
-  let ss_cycles, _ = profiled_loop Cpu.SingleStep in
-  check cint "engines count the same cycles" ss_cycles sb_cycles
+let test_profile_loop_exits () =
+  let sb = profiled_loop Cpu.Superblocks in
+  let ss = profiled_loop Cpu.SingleStep in
+  check (Alcotest.pair cint cint) "engines count the same cycles and insns"
+    ss sb
 
 (* Profiling off must leave the counters untouched. *)
 let test_disabled_records_nothing () =
@@ -280,8 +278,8 @@ let () =
             test_profile_superblocks;
           Alcotest.test_case "single-step: cycles sum exactly" `Quick
             test_profile_single_step;
-          Alcotest.test_case "trace side exits and a fault sum exactly"
-            `Quick test_profile_trace_exits;
+          Alcotest.test_case "loop exits and a fault sum exactly"
+            `Quick test_profile_loop_exits;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing ] );
       ( "annotate",

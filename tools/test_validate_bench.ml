@@ -163,8 +163,6 @@ let bench_cases =
     bench "wall_s not a number" (set (row @ [ "wall_s" ]) (str "x")) ".wall_s";
     bench "emulated_mips < 0" (set [ "emulated_mips" ] (Json.Float (-1.0)))
       "emulated_mips";
-    bench "hit rate > 1" (set [ "superblock_hit_rate" ] (Json.Float 1.5))
-      "superblock_hit_rate";
     bench "negative superblock counter" (set [ "superblocks"; "hits" ] (int (-1)))
       "superblocks.hits";
     bench "superblocks not an object" (set [ "superblocks" ] (int 1))

@@ -145,7 +145,6 @@ let bench_spec =
              [ ("kind", str); ("mode", str); ("cycles", int_min 1);
                ("insns", int_min 1); ("wall_ns", nat); ("wall_s", num) ])));
     ("emulated_mips", num_nat);
-    ("superblock_hit_rate", Num ("in [0,1]", fun x -> x >= 0.0 && x <= 1.0));
     ("superblocks", Counts);
     ("transform_memo", Counts);
     ("dbrew_memo", Counts) ]
