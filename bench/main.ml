@@ -258,17 +258,8 @@ let fig9 env (style : Modes.style) =
   in
   let mh, mm = Modes.memo_stats env in
   let dh, dm = Obrew_dbrew.Api.memo_stats () in
-  Printf.printf
-    "emulated: %.1f MIPS  |  superblocks: %d live, %d misses, %d chained transitions\n"
-    mips stats.Cpu.blocks_live stats.Cpu.block_misses stats.Cpu.block_chained;
-  Printf.printf
-    "dispatch: inline caches %d hits / %d misses, return-address stack %d \
-     hits / %d misses\n"
-    stats.Cpu.ic_hits stats.Cpu.ic_misses stats.Cpu.ras_hits
-    stats.Cpu.ras_misses;
-  Printf.printf
-    "memo caches: transform %d hits / %d misses, dbrew %d hits / %d misses\n"
-    mh mm dh dm;
+  Printf.printf "emulated: %.1f MIPS\n%s%s" mips
+    (Cpu.cache_stats_to_string stats) (Modes.memo_stats_to_string env);
   if !rows = [] then begin
     Printf.eprintf "bench: fig%s produced no results — refusing to write \
                     an empty report\n" label;
@@ -567,7 +558,7 @@ let () =
    | Some f ->
      let f = in_out f in
      ensure_out_dir ();
-     Json.to_file f (Tel.export_chrome_trace ());
-     Printf.printf "[trace: %d events written to %s (%d dropped)]\n"
-       (Tel.events_recorded ()) f (Tel.dropped ()));
+     let n = Obrew_observe.Chrome_trace.write f in
+     Printf.printf "[trace: %d events written to %s (%d dropped)]\n" n f
+       (Tel.dropped ()));
   Printf.printf "\ndone.\n"

@@ -163,6 +163,7 @@ let blackbox_arg =
                _bench/blackbox.json); '-' for stdout.")
 
 module Tel = Obrew_telemetry.Telemetry
+module Cpu = Obrew_x86.Cpu
 module Prov = Obrew_provenance.Provenance
 module Sen = Obrew_sentinel.Sentinel
 module SenH = Obrew_sentinel.Health
@@ -204,9 +205,9 @@ let telemetry_finish trace metrics =
   (match trace with
    | None -> ()
    | Some f ->
-     Json.to_file f (Tel.export_chrome_trace ());
-     Printf.eprintf "trace: %d events written to %s (%d dropped)\n"
-       (Tel.events_recorded ()) f (Tel.dropped ()));
+     let n = Obrew_observe.Chrome_trace.write f in
+     Printf.eprintf "trace: %d events written to %s (%d dropped)\n" n f
+       (Tel.dropped ()));
   match metrics with
   | None -> ()
   | Some f ->
@@ -222,78 +223,86 @@ let install_fault_plan = function
       Printf.eprintf "bad --fault plan: %s\n" m;
       exit 2)
 
-let print_stats (env : Modes.env) =
-  let open Obrew_x86 in
-  let s = Cpu.cache_stats env.Modes.img.Image.cpu in
-  Printf.printf
-    "superblocks: %d live, %d hits / %d misses, %d chained transitions, \
-     %d flushes\n"
-    s.Cpu.blocks_live s.Cpu.block_hits s.Cpu.block_misses
-    s.Cpu.block_chained s.Cpu.block_flushes;
-  Printf.printf "indirect inline caches: %d hits / %d misses\n" s.Cpu.ic_hits
-    s.Cpu.ic_misses;
-  Printf.printf "return-address stack: %d hits / %d misses\n" s.Cpu.ras_hits
-    s.Cpu.ras_misses;
-  Printf.printf "fused pairs: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (pat, n) -> Printf.sprintf "%s %d" pat n)
-          s.Cpu.fused_pairs));
-  Printf.printf
-    "lazy flags: %d records, %d materialized (%d avoided), %d dead writes \
-     elided\n"
-    s.Cpu.flag_records s.Cpu.flag_materialized
-    (s.Cpu.flag_records - s.Cpu.flag_materialized)
-    s.Cpu.flag_dead_writes;
-  let mh, mm = Modes.memo_stats env in
-  let dh, dm = Obrew_dbrew.Api.memo_stats () in
-  Printf.printf
-    "memo caches: transform %d hits / %d misses, dbrew %d hits / %d misses\n"
-    mh mm dh dm;
-  print_string (Robust.to_string ());
-  let fired = Obrew_fault.Fault.fired () in
-  if fired > 0 then Printf.printf "fault injection: %d fault(s) fired\n" fired
+(* --sentinel K/N: shadow-check each of the first K serves, then 1 in N *)
+let sentinel_policy spec =
+  match List.map int_of_string_opt (String.split_on_char '/' spec) with
+  | [ Some first_k; Some sample_n ] when first_k >= 0 && sample_n >= 0 ->
+    { SenH.default_policy with SenH.first_k; sample_n }
+  | _ ->
+    Printf.eprintf "bad --sentinel spec %S (want K/N)\n" spec;
+    exit 2
 
-(* machine-readable twin of [print_stats] *)
-let engine_stats_json (env : Modes.env) =
-  let open Obrew_x86 in
-  Cpu.cache_stats_json ~schema_version:1
-    (Cpu.cache_stats env.Modes.img.Image.cpu)
+(* [requests] sentinel serves (at least one); the last one's verdict *)
+let serve_requests ~policy ~sentinel_out ~requests env kind style tr =
+  Sen.log := prerr_endline;
+  let serve () = Sen.serve ~policy ~out_dir:sentinel_out env kind style tr in
+  for _ = 2 to requests do ignore (serve ()) done;
+  serve ()
 
-(* --stats-json / --sentinel-json: write [v] to [dest] ('-' = stdout) *)
-let write_json ~what dest v =
-  Json.to_file ~pretty:true dest v;
+(* One record of process state under one name, in two views.  The
+   sections list below is the only place a stats record is wired to
+   an output: [--stats] prints every text view, [obrew report] prints
+   each under its name, the black box snapshots every JSON view, and
+   [--stats-json]/[--sentinel-json] write one JSON view. *)
+type section = {
+  name : string;
+  json : unit -> Json.t;
+  text : unit -> string; (* newline-terminated lines; "" = nothing *)
+}
+
+(* [tier] adds the controller's section: sites as JSON, and as text the
+   event log of the run it holds (None until the run returns). *)
+let sections ?tier (env : Modes.env) =
+  let engine () = Cpu.cache_stats env.Modes.img.Obrew_x86.Image.cpu in
+  let indent l = String.concat "" (List.map (fun s -> "  " ^ s ^ "\n") l) in
+  [ { name = "engine";
+      json = (fun () -> Cpu.cache_stats_json ~schema_version:1 (engine ()));
+      text = (fun () -> Cpu.cache_stats_to_string (engine ())) };
+    { name = "memo";
+      json = (fun () -> Modes.memo_stats_json env);
+      text = (fun () -> Modes.memo_stats_to_string env) };
+    { name = "robust"; json = Robust.to_json; text = Robust.to_string };
+    { name = "sentinel"; json = Sen.stats_json;
+      text = (fun () -> Sen.stats_to_string () ^ "\n") };
+    { name = "health"; json = Sen.health_json;
+      text = (fun () -> indent (Sen.health_lines ())) };
+    { name = "quarantine"; json = Quarantine.to_json;
+      text = Quarantine.to_string };
+    { name = "fault"; json = Obrew_fault.Fault.to_json;
+      text = Obrew_fault.Fault.to_string } ]
+  @
+  match tier with
+  | None -> []
+  | Some (run : Tier.run_result option ref) ->
+    let get f = match !run with Some r -> f r | None -> [] in
+    [ { name = "tier";
+        json = (fun () -> Tier.sites_json (get (fun r -> r.Tier.r_sites)));
+        text =
+          (fun () ->
+            indent
+              (List.map
+                 (fun (tick, m) -> Printf.sprintf "[%03d] %s" tick m)
+                 (get (fun r -> r.Tier.r_events)))) } ]
+
+let print_sections = List.iter (fun s -> print_string (s.text ()))
+
+(* write section [name]'s JSON view to [dest] ('-' = stdout) *)
+let write_section secs ~what name dest =
+  let s = List.find (fun s -> s.name = name) secs in
+  Json.to_file ~pretty:true dest (s.json ());
   if dest <> "-" then Printf.eprintf "%s written to %s\n" what dest
 
-(* Wire the crash-report section registry: the black box lives below
-   every subsystem it reports on, so each section is a thunk the CLI
-   registers once the environment exists.  Providers read state — they
-   must never mutate or raise. *)
-let register_blackbox (env : Modes.env) =
+(* The black box lives below every subsystem it reports on, so the CLI
+   hands it the sections once the environment exists.  Providers read
+   state — they must never mutate or raise. *)
+let register_blackbox secs =
   Blackbox.attribution :=
     (fun a ->
        match Prov.guest_of_host a with
        | Some p ->
          Some (Json.Obj [ ("guest_addr", Json.Int (Prov.addr p)) ])
        | None -> None);
-  Blackbox.register_section "engine" (fun () -> engine_stats_json env);
-  Blackbox.register_section "memo" (fun () ->
-      let mh, mm = Modes.memo_stats env in
-      let dh, dm = Obrew_dbrew.Api.memo_stats () in
-      Json.ints
-        [ ("transform_hits", mh); ("transform_misses", mm);
-          ("dbrew_hits", dh); ("dbrew_misses", dm) ]);
-  Blackbox.register_section "robust" Robust.to_json;
-  Blackbox.register_section "sentinel" Sen.stats_json;
-  Blackbox.register_section "health" Sen.health_json;
-  Blackbox.register_section "quarantine" Quarantine.to_json;
-  Blackbox.register_section "fault" (fun () ->
-      let open Obrew_fault in
-      Json.Obj
-        [ ("active", Json.Bool (Fault.active ()));
-          ("fired", Json.Int (Fault.fired ()));
-          ("sabotaged", Json.Int (Fault.sabotaged ()));
-          ("plan", Json.String (Fault.pp_plan !Fault.current)) ])
+  List.iter (fun s -> Blackbox.register_section s.name s.json) secs
 
 let blackbox_write dest ~reason ?stage ?addr ~detail () =
   match dest with
@@ -312,17 +321,13 @@ let blackbox_write dest ~reason ?stage ?addr ~detail () =
 (* the --tier path of the stencil command: run a partially-hot sliced
    workload under the adaptive controller and report the tiering
    trajectory (and, with --verify, check the result against a
-   never-tiering control run) *)
-let run_tiered env ~iters ~kind ~style ~threshold ~sentinel_out ~stats
+   never-tiering control run); [last] is the tier section's run *)
+let run_tiered env ~last ~iters ~kind ~style ~threshold ~sentinel_out
     ~verify ~blackbox =
   let cfg =
     { Tier.default_config with
       Tier.hot_threshold = threshold; out_dir = Some sentinel_out }
   in
-  (* the controller's site table only exists once the run returns; the
-     section thunk reads whatever the last completed run left behind *)
-  let last_sites = ref [] in
-  Blackbox.register_section "tier" (fun () -> Tier.sites_json !last_sites);
   let cold =
     List.filter_map
       (fun k -> if k = kind then None else Some (k, style))
@@ -333,7 +338,7 @@ let run_tiered env ~iters ~kind ~style ~threshold ~sentinel_out ~stats
   in
   Sen.log := prerr_endline;
   let r = Tier.run ~cfg env ~schedule ~strategy:Tier.Tiered in
-  last_sites := r.Tier.r_sites;
+  last := Some r;
   Printf.printf
     "tier: %d slice(s), hot %s/%s, threshold %d (x%d for warm->hot)\n"
     (Array.length schedule) (Modes.kind_name kind) (Modes.style_name style)
@@ -359,10 +364,6 @@ let run_tiered env ~iters ~kind ~style ~threshold ~sentinel_out ~stats
         (Tier.level_name s.Tier.s_level)
         s.Tier.s_slices s.Tier.s_compiles s.Tier.s_patches)
     r.Tier.r_sites;
-  if stats then
-    List.iter
-      (fun (tick, m) -> Printf.printf "  [%03d] %s\n" tick m)
-      r.Tier.r_events;
   if verify then begin
     Sen.reset ();
     let control =
@@ -386,22 +387,26 @@ let stencil_cmd =
       fault trace metrics profile profile_out annotate remarks sentinel
       requests sentinel_json sentinel_out verify tier blackbox =
     install_fault_plan fault;
+    let policy = Option.map sentinel_policy sentinel in
+    let threshold =
+      Option.map
+        (fun spec ->
+          match int_of_string_opt spec with
+          | Some t when t > 0 -> t
+          | _ ->
+            Printf.eprintf "bad --tier threshold %S (want a positive int)\n"
+              spec;
+            exit 2)
+        tier
+    in
     telemetry_setup trace metrics;
     provenance_setup profile profile_out annotate remarks;
     let env = Modes.build ~sz () in
-    register_blackbox env;
-    (* post-mortem triggers: a clean exit with caught divergences is
-       still an incident worth a report *)
-    let bb_finish () =
-      if Robust.stats.Robust.sentinel_divergences > 0 then
-        blackbox_write blackbox ~reason:Blackbox.Sentinel_divergence
-          ~detail:
-            (Printf.sprintf "%d divergence(s) caught by the sentinel"
-               Robust.stats.Robust.sentinel_divergences)
-          ()
-      else if blackbox <> None then
-        Printf.eprintf "black-box: no incident, report not written\n"
+    let last_tier = ref None in
+    let secs =
+      sections ?tier:(Option.map (fun _ -> last_tier) threshold) env
     in
+    register_blackbox secs;
     let guard f =
       try f () with
       | Err.Error _ as e -> raise e
@@ -410,131 +415,112 @@ let stencil_cmd =
           ~detail:(Printexc.to_string e) ();
         raise e
     in
-    match tier with
-    | Some spec ->
-      let threshold =
-        match int_of_string_opt spec with
-        | Some t when t > 0 -> t
-        | _ ->
-          Printf.eprintf "bad --tier threshold %S (want a positive int)\n"
-            spec;
-          exit 2
-      in
-      guard (fun () ->
-          run_tiered env ~iters ~kind ~style ~threshold ~sentinel_out ~stats
-            ~verify ~blackbox);
-      print_endline (Sen.stats_to_string ());
-      Option.iter
-        (fun f -> write_json ~what:"sentinel stats" f (Sen.stats_json ()))
+    (* every section with --stats, else the sentinel's own line when it
+       ran; then the JSON exports *)
+    let report_stats () =
+      if stats then print_sections secs
+      else if policy <> None || threshold <> None then
+        print_endline (Sen.stats_to_string ());
+      Option.iter (write_section secs ~what:"sentinel stats" "sentinel")
         sentinel_json;
-      Option.iter
-        (fun f -> write_json ~what:"engine stats" f (engine_stats_json env))
-        stats_json;
-      bb_finish ();
-      provenance_finish profile profile_out remarks;
-      telemetry_finish trace metrics
-    | None ->
-    (try
-       guard @@ fun () ->
-       let kernel, used, dt =
-         match sentinel with
-         | Some spec ->
-           let bad () =
-             Printf.eprintf "bad --sentinel spec %S (want K/N)\n" spec;
-             exit 2
-           in
-           let first_k, sample_n =
-             match String.split_on_char '/' spec with
-             | [ k; n ] -> (
-               match (int_of_string_opt k, int_of_string_opt n) with
-               | Some k, Some n when k >= 0 && n >= 0 -> (k, n)
-               | _ -> bad ())
-             | _ -> bad ()
-           in
-           let policy =
-             { SenH.default_policy with SenH.first_k; sample_n }
-           in
-           Sen.log := prerr_endline;
-           let t0 = Tel.Clock.now () in
-           let last = ref None in
-           for _ = 1 to max 1 requests do
-             last :=
-               Some (Sen.serve ~policy ~out_dir:sentinel_out env kind style tr)
-           done;
-           let sv = Option.get !last in
-           (sv.Sen.sv_kernel, sv.Sen.sv_mode, Tel.Clock.now () -. t0)
-         | None ->
-           if fallback then begin
-             let r = Modes.transform_safe env kind style tr in
-             List.iter
-               (fun (m, e) ->
-                 Printf.eprintf "%s failed: %s\n" (Modes.transform_name m)
-                   (Err.to_string e))
-               r.Modes.failures;
-             (r.Modes.kernel, r.Modes.used, r.Modes.seconds)
-           end
-           else
-             let kernel, dt = Modes.transform env kind style tr in
-             (kernel, tr, dt)
-       in
-       let cycles, insns = Modes.run ?max_insns env kind style ~kernel ~iters in
-       Printf.printf
-         "%s %s %s: %d cycles, %d instructions, transform %.3f ms\n"
-         (Modes.kind_name kind) (Modes.style_name style)
-         (Modes.transform_name used) cycles insns (dt *. 1e3);
-       if verify then begin
-         let got = Modes.result_matrix env ~iters in
-         let native = Modes.native_addr env kind style in
-         ignore (Modes.run ?max_insns env kind style ~kernel:native ~iters);
-         let ref_m = Modes.result_matrix env ~iters in
-         let same =
-           Array.length got = Array.length ref_m
-           &&
-           let ok = ref true in
-           Array.iteri
-             (fun i v ->
-               if Int64.bits_of_float v <> Int64.bits_of_float ref_m.(i) then
-                 ok := false)
-             got;
-           !ok
+      Option.iter (write_section secs ~what:"engine stats" "engine")
+        stats_json
+    in
+    (match threshold with
+     | Some threshold ->
+       guard (fun () ->
+           run_tiered env ~last:last_tier ~iters ~kind ~style ~threshold
+             ~sentinel_out ~verify ~blackbox);
+       report_stats ()
+     | None -> (
+       try
+         guard @@ fun () ->
+         let kernel, used, dt =
+           match policy with
+           | Some policy ->
+             let t0 = Tel.Clock.now () in
+             let sv =
+               serve_requests ~policy ~sentinel_out ~requests env kind style
+                 tr
+             in
+             (sv.Sen.sv_kernel, sv.Sen.sv_mode, Tel.Clock.now () -. t0)
+           | None ->
+             if fallback then begin
+               let r = Modes.transform_safe env kind style tr in
+               List.iter
+                 (fun (m, e) ->
+                   Printf.eprintf "%s failed: %s\n" (Modes.transform_name m)
+                     (Err.to_string e))
+                 r.Modes.failures;
+               (r.Modes.kernel, r.Modes.used, r.Modes.seconds)
+             end
+             else
+               let kernel, dt = Modes.transform env kind style tr in
+               (kernel, tr, dt)
          in
-         if same then
-           Printf.printf "verify: final matrix bit-identical to Native (%d cells)\n"
-             (Array.length got)
-         else begin
-           Printf.eprintf "verify: final matrix DIFFERS from Native\n";
-           blackbox_write blackbox ~reason:Blackbox.Sentinel_divergence
-             ~detail:"final matrix differs from the Native reference" ();
-           telemetry_finish trace metrics;
-           exit 1
-         end
-       end;
-       if sentinel <> None then print_endline (Sen.stats_to_string ());
-       Option.iter
-         (fun f -> write_json ~what:"sentinel stats" f (Sen.stats_json ()))
-         sentinel_json;
-       if stats then print_stats env;
-       Option.iter
-         (fun f -> write_json ~what:"engine stats" f (engine_stats_json env))
-         stats_json;
-       if dump then
-         print_endline
-           (Obrew_x86.Pp.listing
-              (Obrew_x86.Image.disassemble_fn env.Modes.img kernel));
-       match annotate with
-       | None -> ()
-       | Some fn ->
-         print_string
-           (Annotate.annotate ~img:env.Modes.img ?modul:env.Modes.last_ir
-              ~fn ())
-     with Err.Error e ->
-       Printf.eprintf "transformation failed: %s\n" (Err.to_string e);
-       blackbox_write blackbox ~reason:Blackbox.Typed_error
-         ~stage:(Err.stage_name e.Err.stage) ?addr:e.Err.addr
-         ~detail:(Err.to_string e) ();
-       telemetry_finish trace metrics;
-       exit 1);
-    bb_finish ();
+         let cycles, insns =
+           Modes.run ?max_insns env kind style ~kernel ~iters
+         in
+         Printf.printf
+           "%s %s %s: %d cycles, %d instructions, transform %.3f ms\n"
+           (Modes.kind_name kind) (Modes.style_name style)
+           (Modes.transform_name used) cycles insns (dt *. 1e3);
+         if verify then begin
+           let got = Modes.result_matrix env ~iters in
+           let native = Modes.native_addr env kind style in
+           ignore (Modes.run ?max_insns env kind style ~kernel:native ~iters);
+           let ref_m = Modes.result_matrix env ~iters in
+           let same =
+             Array.length got = Array.length ref_m
+             &&
+             let ok = ref true in
+             Array.iteri
+               (fun i v ->
+                 if Int64.bits_of_float v <> Int64.bits_of_float ref_m.(i)
+                 then ok := false)
+               got;
+             !ok
+           in
+           if same then
+             Printf.printf
+               "verify: final matrix bit-identical to Native (%d cells)\n"
+               (Array.length got)
+           else begin
+             Printf.eprintf "verify: final matrix DIFFERS from Native\n";
+             blackbox_write blackbox ~reason:Blackbox.Sentinel_divergence
+               ~detail:"final matrix differs from the Native reference" ();
+             telemetry_finish trace metrics;
+             exit 1
+           end
+         end;
+         report_stats ();
+         if dump then
+           print_endline
+             (Obrew_x86.Pp.listing
+                (Obrew_x86.Image.disassemble_fn env.Modes.img kernel));
+         match annotate with
+         | None -> ()
+         | Some fn ->
+           print_string
+             (Annotate.annotate ~img:env.Modes.img ?modul:env.Modes.last_ir
+                ~fn ())
+       with Err.Error e ->
+         Printf.eprintf "transformation failed: %s\n" (Err.to_string e);
+         blackbox_write blackbox ~reason:Blackbox.Typed_error
+           ~stage:(Err.stage_name e.Err.stage) ?addr:e.Err.addr
+           ~detail:(Err.to_string e) ();
+         telemetry_finish trace metrics;
+         exit 1));
+    (* post-mortem trigger: a clean exit with caught divergences is
+       still an incident worth a report *)
+    let divergences = Robust.stats.Robust.sentinel_divergences in
+    if divergences > 0 then
+      blackbox_write blackbox ~reason:Blackbox.Sentinel_divergence
+        ~detail:
+          (Printf.sprintf "%d divergence(s) caught by the sentinel" divergences)
+        ()
+    else if blackbox <> None then
+      Printf.eprintf "black-box: no incident, report not written\n";
     provenance_finish profile profile_out remarks;
     telemetry_finish trace metrics
   in
@@ -549,8 +535,7 @@ let stencil_cmd =
 
 (* the consolidated human-readable status view: run a short sentinel
    workload (so the per-process registries have something in them),
-   then render every observability surface in one page — engine
-   counters, sentinel health, quarantine registry and the flight
+   then render every stats section under its name, and the flight
    recorder's tail.  With --json, also snapshot the same state as a
    manual black-box report. *)
 let report_cmd =
@@ -567,33 +552,15 @@ let report_cmd =
   let run sz iters kind style tr fault sentinel requests sentinel_out json
       events_n =
     install_fault_plan fault;
+    let policy = sentinel_policy (Option.value ~default:"4/64" sentinel) in
     let env = Modes.build ~sz () in
-    register_blackbox env;
-    let spec = Option.value ~default:"4/64" sentinel in
-    let first_k, sample_n =
-      let bad () =
-        Printf.eprintf "bad --sentinel spec %S (want K/N)\n" spec;
-        exit 2
-      in
-      match String.split_on_char '/' spec with
-      | [ k; n ] -> (
-        match (int_of_string_opt k, int_of_string_opt n) with
-        | Some k, Some n when k >= 0 && n >= 0 -> (k, n)
-        | _ -> bad ())
-      | _ -> bad ()
-    in
-    let policy = { SenH.default_policy with SenH.first_k; sample_n } in
-    Sen.log := prerr_endline;
+    let secs = sections env in
+    register_blackbox secs;
     (try
-       let last = ref None in
-       for _ = 1 to max 1 requests do
-         last :=
-           Some (Sen.serve ~policy ~out_dir:sentinel_out env kind style tr)
-       done;
-       match !last with
-       | Some sv ->
-         ignore (Modes.run env kind style ~kernel:sv.Sen.sv_kernel ~iters)
-       | None -> ()
+       let sv =
+         serve_requests ~policy ~sentinel_out ~requests env kind style tr
+       in
+       ignore (Modes.run env kind style ~kernel:sv.Sen.sv_kernel ~iters)
      with Err.Error e ->
        Printf.eprintf "workload failed: %s\n" (Err.to_string e));
     print_endline "== obrew status report ==";
@@ -601,43 +568,31 @@ let report_cmd =
       "workload: sz=%d iters=%d, %s/%s requested as %s, %d sentinel \
        serve(s) (%d/%d sampling)\n"
       sz iters (Modes.kind_name kind) (Modes.style_name style)
-      (Modes.transform_name tr) (max 1 requests) first_k sample_n;
-    print_newline ();
-    print_endline "-- engine --";
-    print_stats env;
-    print_newline ();
-    print_endline "-- sentinel --";
-    print_endline (Sen.stats_to_string ());
-    List.iter (fun l -> print_endline ("  " ^ l)) (Sen.health_lines ());
-    print_newline ();
-    print_endline "-- quarantine --";
-    (match Quarantine.entries () with
-     | [] -> print_endline "  (empty)"
-     | es ->
-       List.iter
-         (fun e ->
-           Printf.printf "  [tick %3d] %s  %-10s %s\n" e.Quarantine.q_tick
-             (Digest.to_hex e.Quarantine.q_digest) e.Quarantine.q_mode
-             e.Quarantine.q_detail)
-         es);
-    print_newline ();
-    Printf.printf "-- flight recorder (last %d of %d event(s), %d dropped) --\n"
+      (Modes.transform_name tr) (max 1 requests) policy.SenH.first_k
+      policy.SenH.sample_n;
+    List.iter
+      (fun s ->
+        Printf.printf "\n-- %s --\n" s.name;
+        match s.text () with
+        | "" -> print_endline "  (empty)"
+        | t -> print_string t)
+      secs;
+    Printf.printf
+      "\n-- flight recorder (last %d of %d event(s), %d dropped) --\n"
       (min events_n (Flight.retained ()))
       (Flight.recorded ()) (Flight.dropped ());
     List.iter
       (fun e -> print_endline ("  " ^ Flight.event_to_string e))
       (Flight.last events_n);
-    match json with
-    | None -> ()
-    | Some _ ->
+    if json <> None then
       blackbox_write json ~reason:Blackbox.Manual
         ~detail:"manual status snapshot (obrew report)" ()
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Run a short sentinel workload and render the consolidated \
-             observability status view (engine, sentinel health, \
-             quarantine, flight-recorder tail).")
+             observability status view (every stats section, then the \
+             flight-recorder tail).")
     Term.(const run $ sz_arg $ iters_arg $ kind_arg $ style_arg
           $ transform_arg $ fault_arg $ sentinel_arg $ requests_arg
           $ sentinel_out_arg $ json_arg $ events_arg)
@@ -669,7 +624,7 @@ let modes_cmd =
         print_newline ())
       [ (Modes.Direct, "Direct"); (Modes.Flat, "Struct");
         (Modes.Sorted, "SortedStruct") ];
-    if stats then print_stats env;
+    if stats then print_sections (sections env);
     telemetry_finish trace metrics
   in
   Cmd.v

@@ -191,6 +191,18 @@ let transform_key env ~(lift_config : Lift.config)
 
 let memo_stats env = (env.memo_hits, env.memo_misses)
 
+let memo_stats_json env =
+  let dh, dm = Api.memo_stats () in
+  Obrew_json.Json.ints
+    [ ("transform_hits", env.memo_hits); ("transform_misses", env.memo_misses);
+      ("dbrew_hits", dh); ("dbrew_misses", dm) ]
+
+let memo_stats_to_string env =
+  let dh, dm = Api.memo_stats () in
+  Printf.sprintf
+    "memo caches: transform %d hits / %d misses, dbrew %d hits / %d misses\n"
+    env.memo_hits env.memo_misses dh dm
+
 (* The functions of [m] other than [kernel] that the kernel still
    calls, directly or through another such function, in module order.
    LLVM-fix's always-inline callee is dead once -O3 has inlined it,
@@ -370,9 +382,6 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
       (* unreachable in practice (Native cannot fail), but stay total *)
       Robust.record_landing ~degraded:(t <> Native)
         (transform_name Native);
-      if !Tel.enabled then
-        Tel.instant "fallback.landed"
-          ~args:(transform_name Native ^ " (degraded)");
       Flight.(
         emit Fallback_landed ~subject:(transform_name Native)
           ~detail:"degraded");
@@ -384,17 +393,11 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
       (* fresh watermark per attempt: a stale stage from the previous
          mode must not leak into this attempt's attribution *)
       inflight_stage := Err.Encode;
-      if !Tel.enabled then
-        Tel.instant "fallback.attempt" ~args:(transform_name m);
       Flight.(emit Fallback_attempt ~subject:(transform_name m));
       match transform ?use_memo ?lift_config ?opt ?checked ?guards
               env kind style m with
       | addr, _ ->
         Robust.record_landing ~degraded:(m <> t) (transform_name m);
-        if !Tel.enabled then
-          Tel.instant "fallback.landed"
-            ~args:
-              (transform_name m ^ if m <> t then " (degraded)" else "");
         Flight.(
           emit Fallback_landed ~a:addr ~subject:(transform_name m)
             ~detail:(if m <> t then "degraded" else ""));
@@ -403,11 +406,6 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
           failures = List.rev failures; dropped = env.last_dropped }
       | exception Err.Error e ->
         Robust.record_failure e;
-        if !Tel.enabled then
-          Tel.instant "fallback.failure"
-            ~args:
-              (Printf.sprintf "%s: %s" (transform_name m)
-                 (Err.stage_name e.Err.stage));
         Flight.(
           emit Fallback_failure ~subject:(transform_name m)
             ~detail:(Err.stage_name e.Err.stage));
@@ -418,11 +416,6 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
            stage it actually escaped from *)
         let e = Err.of_exn ~stage:!inflight_stage exn in
         Robust.record_failure e;
-        if !Tel.enabled then
-          Tel.instant "fallback.failure"
-            ~args:
-              (Printf.sprintf "%s: %s" (transform_name m)
-                 (Err.stage_name e.Err.stage));
         Flight.(
           emit Fallback_failure ~subject:(transform_name m)
             ~detail:(Err.stage_name e.Err.stage));

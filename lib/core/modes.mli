@@ -130,6 +130,12 @@ val transform_safe :
 (** (hits, misses) of the environment's transform memo cache. *)
 val memo_stats : env -> int * int
 
+(** The two views of that cache and DBrew's process-wide one: the
+    black-box "memo" section and the "memo caches:" line of [--stats],
+    [obrew report] and bench's fig9 footer. *)
+val memo_stats_json : env -> Obrew_json.Json.t
+val memo_stats_to_string : env -> string
+
 (** Reset the matrices to the initial boundary-value state. *)
 val reset : env -> unit
 

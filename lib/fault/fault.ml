@@ -156,8 +156,6 @@ let point ?addr name =
       else if a.a_fires <> 0 then begin
         if a.a_fires > 0 then a.a_fires <- a.a_fires - 1;
         incr fired_count;
-        if !Obrew_telemetry.Telemetry.enabled then
-          Obrew_telemetry.Telemetry.instant "fault.injected" ~args:name;
         Obrew_observe.Flight.(
           emit Fault_injected ~a:(Option.value ~default:0 addr)
             ~subject:name);
@@ -184,8 +182,6 @@ let point_untyped name =
       else if a.a_fires <> 0 then begin
         if a.a_fires > 0 then a.a_fires <- a.a_fires - 1;
         incr fired_count;
-        if !Obrew_telemetry.Telemetry.enabled then
-          Obrew_telemetry.Telemetry.instant "fault.injected" ~args:name;
         Obrew_observe.Flight.(emit Fault_injected ~subject:name);
         failwith ("injected: untyped fault at " ^ name)
       end)
@@ -210,8 +206,6 @@ let sabotage name =
         if a.a_fires > 0 then a.a_fires <- a.a_fires - 1;
         incr fired_count;
         incr sabotaged_count;
-        if !Obrew_telemetry.Telemetry.enabled then
-          Obrew_telemetry.Telemetry.instant "fault.sabotaged" ~args:name;
         Obrew_observe.Flight.(emit Fault_sabotaged ~subject:name);
         true
       end
@@ -257,3 +251,16 @@ let pp_plan (p : plan) =
     (List.map
        (fun a -> Printf.sprintf "%s:%d:%d" a.a_point a.a_skip a.a_fires)
        p)
+
+(** The black-box "fault" section. *)
+let to_json () =
+  let module J = Obrew_json.Json in
+  J.Obj
+    [ ("active", J.Bool (active ())); ("fired", J.Int (fired ()));
+      ("sabotaged", J.Int (sabotaged ()));
+      ("plan", J.String (pp_plan !current)) ]
+
+(** Its [--stats] line; empty while no fault has fired. *)
+let to_string () =
+  if fired () = 0 then ""
+  else Printf.sprintf "fault injection: %d fault(s) fired\n" (fired ())

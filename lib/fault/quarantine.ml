@@ -61,3 +61,13 @@ let to_json () =
              ("mode", J.String e.q_mode); ("detail", J.String e.q_detail);
              ("tick", J.Int e.q_tick) ])
        (entries ()))
+
+(** The same registry as text, one indented line per entry; empty
+    when nothing is quarantined. *)
+let to_string () =
+  String.concat ""
+    (List.map
+       (fun e ->
+         Printf.sprintf "  [tick %3d] %s  %-10s %s\n" e.q_tick
+           (Digest.to_hex e.q_digest) e.q_mode e.q_detail)
+       (entries ()))

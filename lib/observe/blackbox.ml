@@ -52,8 +52,6 @@ let register_section name f =
 let unregister_section name =
   sections := List.filter (fun (n, _) -> n <> name) !sections
 
-let section_names () = List.map fst !sections
-
 (* ------------------------------------------------------------------ *)
 (* Report assembly                                                     *)
 (* ------------------------------------------------------------------ *)

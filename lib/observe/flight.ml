@@ -1,14 +1,14 @@
 (** Flight recorder: an always-on, bounded, preallocated ring journal
     of structured pipeline events.
 
-    The telemetry sink (PR 3) is an opt-in profiling tool: off by
-    default, wall-clock stamped, tuned for chrome://tracing.  The
-    flight recorder is the opposite trade: *on* by default, tiny,
-    wall-clock free, and aimed at forensics — when a kernel is
-    quarantined in production the last few hundred structured events
-    reconstruct the causal run-up (fault injected -> sentinel
-    divergence -> quarantine -> tier demotion) without any
-    instrumentation having been requested in advance.
+    It is the program's only event journal.  The telemetry sink is an
+    opt-in profiling tool that holds spans only: off by default,
+    wall-clock stamped, tuned for chrome://tracing.  The flight
+    recorder is the opposite trade: *on* by default, tiny and aimed at
+    forensics — when a kernel is quarantined in production the last
+    few hundred structured events reconstruct the causal run-up (fault
+    injected -> sentinel divergence -> quarantine -> tier demotion)
+    without any instrumentation having been requested in advance.
 
     Design rules, mirroring the telemetry sink:
     - struct-of-arrays ring, preallocated at module init; recording is
@@ -19,7 +19,9 @@
       the event.  Recorder output is therefore machine-invariant and
       byte-stable under a fixed workload, which is what lets the
       black-box golden test and the CI causal-chain gate assert exact
-      event order.
+      event order.  Only while telemetry is enabled does an event also
+      carry a wall stamp; {!Chrome_trace} exports those events as the
+      trace's instants, and no report prints the stamp.
 
     Producers only record on transform-time paths (tier decisions,
     sentinel verdicts, fallback transitions, cache maintenance, fault
@@ -27,6 +29,7 @@
     does not perturb simulated cycles and costs well under the bench
     wall-clock tolerance. *)
 
+module Tel = Obrew_telemetry.Telemetry
 module Json = Obrew_json.Json
 
 (* ------------------------------------------------------------------ *)
@@ -77,37 +80,6 @@ let kind_name = function
   | Tier_pin -> "tier.pin"
   | Error -> "error"
 
-(* Dense int codes for the SoA ring; keep in sync with [kind]. *)
-let kind_code = function
-  | Fault_injected -> 0
-  | Fault_sabotaged -> 1
-  | Sentinel_probe -> 2
-  | Sentinel_divergence -> 3
-  | Sentinel_quarantine -> 4
-  | Sentinel_demote -> 5
-  | Sentinel_heal -> 6
-  | Fallback_attempt -> 7
-  | Fallback_failure -> 8
-  | Fallback_landed -> 9
-  | Cache_flush -> 10
-  | Cache_install -> 11
-  | Dbrew_rewrite -> 12
-  | Tier_enqueue -> 13
-  | Tier_compile -> 14
-  | Tier_up -> 15
-  | Tier_demote -> 16
-  | Tier_patch -> 17
-  | Tier_pin -> 18
-  | Error -> 19
-
-let kind_of_code = [|
-  Fault_injected; Fault_sabotaged; Sentinel_probe; Sentinel_divergence;
-  Sentinel_quarantine; Sentinel_demote; Sentinel_heal; Fallback_attempt;
-  Fallback_failure; Fallback_landed; Cache_flush; Cache_install;
-  Dbrew_rewrite; Tier_enqueue; Tier_compile; Tier_up; Tier_demote;
-  Tier_patch; Tier_pin; Error;
-|]
-
 (* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -123,37 +95,42 @@ let default_capacity = 4096
 
 type ring = {
   mutable cap : int;
-  mutable r_kind : int array;
+  mutable r_kind : kind array;   (* [kind] is immediate: no boxing *)
   mutable r_a : int array;       (* primary integer payload (addr, tick…) *)
   mutable r_b : int array;       (* secondary integer payload *)
   mutable r_subject : string array; (* what the event is about (site, digest…) *)
   mutable r_detail : string array;  (* free-form context, "" = none *)
+  mutable r_ts : int array;      (* wall stamp in ns; 0 = telemetry off *)
   mutable next : int;            (* logical clock: events ever recorded *)
 }
 
 let mk_ring cap = {
   cap;
-  r_kind = Array.make cap 0;
+  r_kind = Array.make cap Error;
   r_a = Array.make cap 0;
   r_b = Array.make cap 0;
   r_subject = Array.make cap "";
   r_detail = Array.make cap "";
+  r_ts = Array.make cap 0;
   next = 0;
 }
 
 let ring = mk_ring default_capacity
 
 (** [emit kind ~a ~b ~subject ~detail ()] records one event.  The
-    event's logical timestamp is its global sequence number. *)
+    event's logical timestamp is its global sequence number; while
+    telemetry is enabled it also gets a wall stamp, which is what puts
+    it into the chrome trace as an instant. *)
 let emit ?(a = 0) ?(b = 0) ?(subject = "") ?(detail = "") kind =
   if !enabled then begin
     let r = ring in
     let i = r.next mod r.cap in
-    r.r_kind.(i) <- kind_code kind;
+    r.r_kind.(i) <- kind;
     r.r_a.(i) <- a;
     r.r_b.(i) <- b;
     r.r_subject.(i) <- subject;
     r.r_detail.(i) <- detail;
+    r.r_ts.(i) <- (if !Tel.enabled then Tel.now_ns () else 0);
     r.next <- r.next + 1
   end
 
@@ -173,6 +150,7 @@ let resize cap =
   ring.r_b <- f.r_b;
   ring.r_subject <- f.r_subject;
   ring.r_detail <- f.r_detail;
+  ring.r_ts <- f.r_ts;
   ring.next <- 0
 
 (* ------------------------------------------------------------------ *)
@@ -186,6 +164,7 @@ type event = {
   b : int;
   subject : string;
   detail : string;
+  ts : int;           (* wall stamp (ns) if telemetry was on, else 0 *)
 }
 
 (** Iterate the retained events oldest-first. *)
@@ -196,11 +175,12 @@ let iter f =
     let i = k mod r.cap in
     f {
       seq = k;
-      ekind = kind_of_code.(r.r_kind.(i));
+      ekind = r.r_kind.(i);
       a = r.r_a.(i);
       b = r.r_b.(i);
       subject = r.r_subject.(i);
       detail = r.r_detail.(i);
+      ts = r.r_ts.(i);
     }
   done
 
@@ -213,6 +193,8 @@ let last n =
   in
   drop (max 0 (!have - n)) (List.rev !acc)
 
+(* Both renderings leave out the wall stamp, so a report is byte-stable
+   whether or not telemetry was on. *)
 let event_json e =
   Json.Obj
     [ ("seq", Json.Int e.seq); ("kind", Json.String (kind_name e.ekind));

@@ -1,6 +1,9 @@
 (** Pipeline telemetry: spans, counters and histograms with a
-    preallocated ring-buffer event sink and two exporters
-    (chrome://tracing JSON and a flat metrics JSON).
+    ring-buffer span sink and a flat metrics JSON exporter.  Point
+    events live in the flight recorder (lib/observe/flight.ml), which
+    stamps them with [now_ns] while telemetry is enabled;
+    lib/observe/chrome_trace.ml writes both as one chrome://tracing
+    file.
 
     The module is deliberately zero-dependency (stdlib + unix only) so
     it can sit below every other library in the repo — the x86
@@ -73,21 +76,20 @@ let now_ns () : int = int_of_float (Clock.now () *. 1e9)
 (* Ring-buffer event sink                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Events live in parallel preallocated arrays; recording an event is
-   a few array stores, no allocation (the name and args strings are
-   shared, not copied).  [next] counts events ever recorded; the slot
-   for event [n] is [n mod cap], so once full the buffer keeps the
-   most recent [cap] events and [dropped ()] reports the overwritten
-   prefix. *)
+(* Spans live in parallel arrays that [enable] allocates, so a process
+   that never traces holds none of them; recording a span is a few
+   array stores, no allocation (the name and args strings are shared,
+   not copied).  [next] counts spans ever recorded; the slot for span
+   [n] is [n mod cap], so once full the buffer keeps the most recent
+   [cap] spans and [dropped ()] reports the overwritten prefix. *)
 
 let default_capacity = 65536
 
 type sink = {
   mutable cap : int;
   mutable e_name : string array;
-  mutable e_kind : int array;    (* 0 = span, 1 = instant *)
   mutable e_ts : int array;      (* ns *)
-  mutable e_dur : int array;     (* ns; 0 for instants *)
+  mutable e_dur : int array;     (* ns *)
   mutable e_args : string array; (* "" = none *)
   mutable next : int;
 }
@@ -95,20 +97,18 @@ type sink = {
 let mk_sink cap = {
   cap;
   e_name = Array.make cap "";
-  e_kind = Array.make cap 0;
   e_ts = Array.make cap 0;
   e_dur = Array.make cap 0;
   e_args = Array.make cap "";
   next = 0;
 }
 
-let sink = mk_sink default_capacity
+let sink = mk_sink 0
 
-let record ~kind ~name ~ts ~dur ~args =
+let record ~name ~ts ~dur ~args =
   let s = sink in
   let i = s.next mod s.cap in
   s.e_name.(i) <- name;
-  s.e_kind.(i) <- kind;
   s.e_ts.(i) <- ts;
   s.e_dur.(i) <- dur;
   s.e_args.(i) <- args;
@@ -117,9 +117,10 @@ let record ~kind ~name ~ts ~dur ~args =
 let events_recorded () = sink.next
 let dropped () = max 0 (sink.next - sink.cap)
 let retained () = min sink.next sink.cap
+let capacity () = sink.cap
 
 (* ------------------------------------------------------------------ *)
-(* Spans and instants                                                  *)
+(* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Stack of currently-open span names, innermost first.  Only
@@ -144,18 +145,13 @@ let span ?(args = "") name f =
     match f () with
     | v ->
       (match !span_stack with _ :: tl -> span_stack := tl | [] -> ());
-      record ~kind:0 ~name ~ts:t0 ~dur:(now_ns () - t0) ~args;
+      record ~name ~ts:t0 ~dur:(now_ns () - t0) ~args;
       v
     | exception e ->
       let args = if args = "" then "!raised" else args ^ " !raised" in
-      record ~kind:0 ~name ~ts:t0 ~dur:(now_ns () - t0) ~args;
+      record ~name ~ts:t0 ~dur:(now_ns () - t0) ~args;
       raise e
   end
-
-(** Point-in-time event (fallback decisions, fault firings, cache
-    flushes). *)
-let instant ?(args = "") name =
-  if !enabled then record ~kind:1 ~name ~ts:(now_ns ()) ~dur:0 ~args
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -285,12 +281,13 @@ let reset () =
       h.hsum <- 0)
     !histograms
 
+(** Clear and switch on.  The first call allocates the sink (another
+    capacity reallocates it); [disable] keeps it for the exporters. *)
 let enable ?(capacity = default_capacity) () =
   if capacity <> sink.cap then begin
     let f = mk_sink capacity in
     sink.cap <- f.cap;
     sink.e_name <- f.e_name;
-    sink.e_kind <- f.e_kind;
     sink.e_ts <- f.e_ts;
     sink.e_dur <- f.e_dur;
     sink.e_args <- f.e_args
@@ -300,53 +297,25 @@ let enable ?(capacity = default_capacity) () =
 
 let disable () = enabled := false
 
-(** Iterate retained events whose global index is >= [start]
+(** Iterate retained spans whose global index is >= [start]
     (oldest-first).  Lets a caller take a watermark with
-    [events_recorded ()] and later aggregate only the events recorded
-    since — bench uses this for per-stage latency percentiles. *)
+    [events_recorded ()] and later aggregate only the spans recorded
+    since — obench's ledger drains each request this way.  [kind] is
+    always 0 (a span): the sink holds nothing else. *)
 let iter_events_from start f =
   let s = sink in
   let lo = max start (s.next - retained ()) in
   for k = lo to s.next - 1 do
     let i = k mod s.cap in
-    f ~name:s.e_name.(i) ~kind:s.e_kind.(i) ~ts:s.e_ts.(i)
-      ~dur:s.e_dur.(i) ~args:s.e_args.(i)
+    f ~name:s.e_name.(i) ~kind:0 ~ts:s.e_ts.(i) ~dur:s.e_dur.(i)
+      ~args:s.e_args.(i)
   done
 
 (* iterate retained events oldest-first *)
 let iter_events f = iter_events_from 0 f
 
 (* ------------------------------------------------------------------ *)
-(* Exporter 1: chrome://tracing                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Trace-event JSON loadable by chrome://tracing / Perfetto: complete
-    spans as ph "X" (ts/dur in microseconds), instants as ph "i". *)
-let export_chrome_trace () =
-  let us ns = Json.fixed 3 (float_of_int ns /. 1e3) in
-  let evs = ref [] in
-  iter_events (fun ~name ~kind ~ts ~dur ~args ->
-      let phase =
-        if kind = 0 then [ ("ph", Json.String "X"); ("dur", us dur) ]
-        else [ ("ph", Json.String "i"); ("s", Json.String "g") ]
-      in
-      let args =
-        if args = "" then []
-        else [ ("args", Json.Obj [ ("detail", Json.String args) ]) ]
-      in
-      evs :=
-        Json.Obj
-          ([ ("name", Json.String name); ("pid", Json.Int 1);
-             ("tid", Json.Int 1); ("ts", us ts) ]
-           @ phase @ args)
-        :: !evs);
-  Json.Obj
-    [ ("traceEvents", Json.List (List.rev !evs));
-      ("displayTimeUnit", Json.String "ms");
-      ("otherData", Json.Obj [ ("dropped_events", Json.Int (dropped ())) ]) ]
-
-(* ------------------------------------------------------------------ *)
-(* Exporter 2: flat metrics JSON                                       *)
+(* Exporter: flat metrics JSON                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* v2: histogram buckets became log-linear ([low, count] pairs where
@@ -377,12 +346,11 @@ let export_metrics () =
   in
   (* span aggregates from the retained ring *)
   let tbl : (string, int * int * int) Hashtbl.t = Hashtbl.create 64 in
-  iter_events (fun ~name ~kind ~ts:_ ~dur ~args:_ ->
-      if kind = 0 then
-        let c, tot, mx =
-          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl name)
-        in
-        Hashtbl.replace tbl name (c + 1, tot + dur, max mx dur));
+  iter_events (fun ~name ~kind:_ ~ts:_ ~dur ~args:_ ->
+      let c, tot, mx =
+        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl name)
+      in
+      Hashtbl.replace tbl name (c + 1, tot + dur, max mx dur));
   let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   Json.Obj
     [ ("schema_version", Json.Int metrics_schema_version);

@@ -203,7 +203,6 @@ let retarget ctl s kernel =
     s.s_baseline <- raw_hotness ctl s.s_range;
     s.s_patches <- s.s_patches + 1;
     ctl.patches <- ctl.patches + 1;
-    if !Tel.enabled then Tel.instant "tier.patch" ~args:(site_key s);
     Flight.(
       emit Tier_patch ~a:kernel ~b:ctl.tick ~subject:(site_key s))
   end

@@ -531,12 +531,6 @@ let flush_code ?range cpu =
   cpu.sb_flushes <- cpu.sb_flushes + 1;
   Array.fill cpu.ras 0 ras_size dummy_block;
   cpu.ras_top <- 0;
-  if !Tel.enabled then
-    Tel.instant "sb.flush"
-      ~args:
-        (match range with
-         | Some (lo, hi) -> Printf.sprintf "0x%x-0x%x" lo hi
-         | None -> "all");
   (match range with
    | Some (lo, hi) -> Obrew_observe.Flight.(emit Cache_flush ~a:lo ~b:hi)
    | None -> Obrew_observe.Flight.(emit Cache_flush ~subject:"all"));
@@ -617,6 +611,25 @@ let cache_stats_json ?schema_version s =
          int "flag_records" s.flag_records;
          int "flag_materialized" s.flag_materialized;
          int "flag_dead_writes" s.flag_dead_writes ])
+
+(** The text view of the same counters: the engine lines of [--stats],
+    [obrew report] and bench's fig9 footer. *)
+let cache_stats_to_string s =
+  Printf.sprintf
+    "superblocks: %d live, %d hits / %d misses, %d chained transitions, \
+     %d flushes\n\
+     indirect inline caches: %d hits / %d misses\n\
+     return-address stack: %d hits / %d misses\n\
+     fused pairs: %s\n\
+     lazy flags: %d records, %d materialized (%d avoided), %d dead writes \
+     elided\n"
+    s.blocks_live s.block_hits s.block_misses s.block_chained s.block_flushes
+    s.ic_hits s.ic_misses s.ras_hits s.ras_misses
+    (String.concat ", "
+       (List.map (fun (pat, n) -> Printf.sprintf "%s %d" pat n) s.fused_pairs))
+    s.flag_records s.flag_materialized
+    (s.flag_records - s.flag_materialized)
+    s.flag_dead_writes
 
 (** Fold [f acc entry execs static_cost] over every valid cached
     superblock — the tier controller's hotness scan.  [execs] counts

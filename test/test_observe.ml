@@ -17,6 +17,7 @@ open Obrew_fault
 module Tel = Obrew_telemetry.Telemetry
 module Flight = Obrew_observe.Flight
 module Blackbox = Obrew_observe.Blackbox
+module Chrome_trace = Obrew_observe.Chrome_trace
 module Sen = Obrew_sentinel.Sentinel
 module H = Obrew_sentinel.Health
 module Json = Obrew_json.Json
@@ -99,6 +100,61 @@ let test_ring_json_escapes () =
     check_json "backslash detail" (Json.String "and \\slash")
       (at e [ "detail" ])
   | _ -> Alcotest.fail "expected one event"
+
+(* ------------------------------------------------------------------ *)
+(* Chrome trace: spans from the sink, instants from the journal        *)
+(* ------------------------------------------------------------------ *)
+
+let trace_events () =
+  match at (reparse (Chrome_trace.export ())) [ "traceEvents" ] with
+  | Json.List evs -> evs
+  | _ -> Alcotest.fail "traceEvents is not a list"
+
+let num = function
+  | Json.Float f -> f
+  | Json.Int n -> float_of_int n
+  | _ -> Alcotest.fail "not a number"
+
+let test_trace_instants () =
+  Flight.resize Flight.default_capacity;
+  Tel.Clock.with_fixed ~step:0.001 1000.0 (fun () ->
+      Tel.enable ();
+      Fun.protect ~finally:Tel.disable (fun () ->
+          Tel.span "outer" (fun () ->
+              Flight.emit ~a:7 ~subject:"flat/element" Flight.Tier_patch));
+      Flight.emit ~subject:"all" Flight.Cache_flush);
+  match trace_events () with
+  | [ span; inst ] ->
+    check_json "span first" (Json.String "X") (at span [ "ph" ]);
+    check_json "instant name" (Json.String "tier.patch") (at inst [ "name" ]);
+    check_json "instant phase" (Json.String "i") (at inst [ "ph" ]);
+    check_json "instant payload" (Json.String "flat/element")
+      (at inst [ "args"; "subject" ]);
+    let t0 = num (at span [ "ts" ]) and dur = num (at span [ "dur" ]) in
+    let t = num (at inst [ "ts" ]) in
+    Alcotest.(check bool) "instant inside its span" true
+      (t0 < t && t < t0 +. dur)
+  | evs ->
+    Alcotest.failf "want the span and one instant, got %d event(s)"
+      (List.length evs)
+
+(* the wall stamp never reaches a report: the same events render the
+   same bytes whether or not telemetry was on *)
+let test_journal_stamp_free () =
+  let render () =
+    Flight.clear ();
+    Flight.emit ~a:1 ~subject:"s" ~detail:"d" Flight.Sentinel_probe;
+    Flight.emit Flight.Cache_flush;
+    ( Json.to_string (Flight.to_json ()),
+      List.map Flight.event_to_string (Flight.last 2) )
+  in
+  let off = render () in
+  Tel.enable ();
+  let on = Fun.protect ~finally:Tel.disable render in
+  Alcotest.(check bool) "stamped while on" true
+    (List.for_all (fun e -> e.Flight.ts > 0) (Flight.last 2));
+  Alcotest.(check bool) "same JSON and text" true (on = off);
+  Tel.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Black box: golden report under a deterministic saboteur             *)
@@ -205,6 +261,45 @@ let test_blackbox_attribution () =
       check_json "origin attributed" (Json.Int 77)
         (at r [ "fault_origin"; "guest_addr" ]))
 
+(* Every stats section the CLI declares reaches both the black box and
+   [obrew report]'s text, in the same order. *)
+let test_cli_sections () =
+  let dir = Filename.temp_dir "obrew_report" "" in
+  let bb = Filename.concat dir "bb.json" and txt = Filename.concat dir "out" in
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/obrew_cli.exe"
+  in
+  let cmd =
+    Printf.sprintf
+      "%s report --sz 9 --requests 4 --sentinel 2/2 \
+       --fault sabotage.rewrite.item:0:1 --sentinel-out %s --json %s > %s \
+       2>/dev/null"
+      (Filename.quote cli) (Filename.quote dir) (Filename.quote bb)
+      (Filename.quote txt)
+  in
+  check cint "report exits 0" 0 (Sys.command cmd);
+  let names =
+    match at (Json.parse (In_channel.with_open_bin bb In_channel.input_all))
+            [ "sections" ] with
+    | Json.Obj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "sections is not an object"
+  in
+  Alcotest.(check (list string)) "black-box sections"
+    [ "engine"; "memo"; "robust"; "sentinel"; "health"; "quarantine";
+      "fault" ]
+    names;
+  let headers =
+    In_channel.with_open_bin txt In_channel.input_lines
+    |> List.filter_map (fun l ->
+           if String.starts_with ~prefix:"-- " l
+              && not (String.starts_with ~prefix:"-- flight" l)
+           then Some (String.sub l 3 (String.length l - 6))
+           else None)
+  in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Alcotest.(check (list string)) "report headers" names headers
+
 (* ------------------------------------------------------------------ *)
 (* Percentiles: exact-rank vs a naive sorted reference                 *)
 (* ------------------------------------------------------------------ *)
@@ -293,7 +388,14 @@ let () =
          Alcotest.test_case "section failure contained" `Quick
            test_blackbox_section_failure_contained;
          Alcotest.test_case "fault attribution" `Quick
-           test_blackbox_attribution ]);
+           test_blackbox_attribution;
+         Alcotest.test_case "CLI sections in report and black box" `Quick
+           test_cli_sections ]);
+      ("trace",
+       [ Alcotest.test_case "instants from the journal" `Quick
+           test_trace_instants;
+         Alcotest.test_case "reports stay stamp-free" `Quick
+           test_journal_stamp_free ]);
       ("percentiles",
        [ QCheck_alcotest.to_alcotest test_percentile_qcheck;
          QCheck_alcotest.to_alcotest test_bucket_relative_error;

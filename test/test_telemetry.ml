@@ -1,7 +1,9 @@
 (* Telemetry layer: sink behaviour, the enabled gate, counters,
-   histograms and the two exporters. *)
+   histograms and the exporters. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Flight = Obrew_observe.Flight
+module Chrome_trace = Obrew_observe.Chrome_trace
 module Json = Obrew_json.Json
 
 let check = Alcotest.check
@@ -13,11 +15,29 @@ let with_tel ?capacity f =
   Tel.enable ?capacity ();
   Fun.protect ~finally:Tel.disable f
 
+(* Runs first, so the sink is still unallocated: a process that never
+   enables telemetry holds no span arrays. *)
+let test_sink_allocated_on_enable () =
+  check cint "no sink before the first enable" 0 (Tel.capacity ());
+  Tel.enable ();
+  check cint "first enable allocates" Tel.default_capacity (Tel.capacity ());
+  ignore (Tel.span "a" (fun () -> ()));
+  Tel.disable ();
+  ignore (Tel.span "off" (fun () -> ()));
+  check cint "disable keeps the sink" Tel.default_capacity (Tel.capacity ());
+  check cint "and its spans" 1 (Tel.events_recorded ());
+  Tel.enable ();
+  check cint "re-enable clears" 0 (Tel.events_recorded ());
+  ignore (Tel.span "b" (fun () -> ()));
+  check cint "and records again" 1 (Tel.events_recorded ());
+  Tel.enable ~capacity:8 ();
+  check cint "another capacity reallocates" 8 (Tel.capacity ());
+  Tel.disable ()
+
 let test_disabled_records_nothing () =
   Tel.reset ();
   Tel.disable ();
   Tel.span "s" (fun () -> ()) |> ignore;
-  Tel.instant "i";
   check cint "no events" 0 (Tel.events_recorded ())
 
 let test_span_records () =
@@ -35,7 +55,7 @@ let test_span_reraises () =
 
 let test_ring_wraps () =
   with_tel ~capacity:8 (fun () ->
-      for _ = 1 to 20 do Tel.instant "tick" done;
+      for _ = 1 to 20 do ignore (Tel.span "tick" (fun () -> ())) done;
       check cint "recorded" 20 (Tel.events_recorded ());
       check cint "dropped" 12 (Tel.dropped ());
       (* oldest-first iteration sees only the retained tail *)
@@ -64,8 +84,8 @@ let test_histogram_buckets () =
 let test_exports_parse () =
   with_tel (fun () ->
       let args = "with \"quotes\" and \\slash" in
+      Flight.clear ();
       ignore (Tel.span "a" ~args (fun () -> ()));
-      Tel.instant "b";
       Tel.incr_c (Tel.counter "c");
       Tel.observe (Tel.histogram "h") 7;
       (* both exporters must survive print -> parse, args that need
@@ -77,14 +97,12 @@ let test_exports_parse () =
         | None -> Alcotest.failf "missing field %s" k
       in
       let same what want got = Alcotest.(check bool) what true (want = got) in
-      (match field (reparse (Tel.export_chrome_trace ())) "traceEvents" with
-       | Json.List [ span; inst ] ->
+      (match field (reparse (Chrome_trace.export ())) "traceEvents" with
+       | Json.List [ span ] ->
          same "span phase" (Json.String "X") (field span "ph");
          same "span args" (Json.String args)
-           (field (field span "args") "detail");
-         same "instant name" (Json.String "b") (field inst "name");
-         same "instant phase" (Json.String "i") (field inst "ph")
-       | _ -> Alcotest.fail "expected two trace events");
+           (field (field span "args") "detail")
+       | _ -> Alcotest.fail "expected one trace event");
       let metrics = reparse (Tel.export_metrics ()) in
       same "metrics schema" (Json.Int Tel.metrics_schema_version)
         (field metrics "schema_version");
@@ -95,7 +113,9 @@ let test_exports_parse () =
 let () =
   Alcotest.run "telemetry"
     [ ("sink",
-       [ Alcotest.test_case "disabled is silent" `Quick
+       [ Alcotest.test_case "allocated on enable" `Quick
+           test_sink_allocated_on_enable;
+         Alcotest.test_case "disabled is silent" `Quick
            test_disabled_records_nothing;
          Alcotest.test_case "span records" `Quick test_span_records;
          Alcotest.test_case "span re-raises" `Quick test_span_reraises;
