@@ -339,6 +339,8 @@ let run_tiered env ~last ~iters ~kind ~style ~threshold ~sentinel_out
   Sen.log := prerr_endline;
   let r = Tier.run ~cfg env ~schedule ~strategy:Tier.Tiered in
   last := Some r;
+  (* shrink and save quarantined kernels outside the timed run *)
+  Sen.flush_repros ();
   Printf.printf
     "tier: %d slice(s), hot %s/%s, threshold %d (x%d for warm->hot)\n"
     (Array.length schedule) (Modes.kind_name kind) (Modes.style_name style)
@@ -458,6 +460,8 @@ let stencil_cmd =
                let kernel, dt = Modes.transform env kind style tr in
                (kernel, tr, dt)
          in
+         (* shrink and save quarantined kernels outside the timed serve *)
+         Sen.flush_repros ();
          let cycles, insns =
            Modes.run ?max_insns env kind style ~kernel ~iters
          in
@@ -560,6 +564,7 @@ let report_cmd =
        let sv =
          serve_requests ~policy ~sentinel_out ~requests env kind style tr
        in
+       Sen.flush_repros ();
        ignore (Modes.run env kind style ~kernel:sv.Sen.sv_kernel ~iters)
      with Err.Error e ->
        Printf.eprintf "workload failed: %s\n" (Err.to_string e));

@@ -6,11 +6,16 @@
       cache; general purpose registers additionally carry a pointer
       facet so memory operands become [getelementptr] (Sec. III-C/E);
       the SSA form is built on demand: a block gets a phi only for a
-      register or flag it reads before writing (see {!seal});
+      register or flag a live value reads before the block writes it
+      (see {!seal});
     - the six status flags as individual [i1] values, plus the *flag
       cache* that reconstructs comparison predicates (Sec. III-D); a
       flag is built only where some path reads it (see
       {!flag_liveness});
+    - only live values: a first run of the lift builds no IR, only the
+      graph of what each value would read, and DCE on that graph tells
+      the second run which facets, addresses and loads to build (see
+      {!lift_impl});
     - a virtual stack allocated with [alloca] (Sec. III-F);
     - [call]/[ret] mapped to IR calls and returns, leaving inlining
       decisions to the optimizer (Sec. III-B). *)
@@ -62,6 +67,14 @@ type raw_block = {
 }
 
 module Tel = Obrew_telemetry.Telemetry
+
+(* Tables keyed by address or block id. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 module Prov = Obrew_provenance.Provenance
 module Util = Obrew_opt.Util
 
@@ -92,9 +105,9 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
     raw_block list =
   Fault.point ~addr:entry "lift.discover";
   (* pass 1: decode reachable instructions, collect leaders *)
-  let insns : (int, Insn.insn * int) Hashtbl.t = Hashtbl.create 64 in
-  let leaders : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace leaders entry ();
+  let insns : (Insn.insn * int) Tbl.t = Tbl.create 64 in
+  let leaders : unit Tbl.t = Tbl.create 16 in
+  Tbl.replace leaders entry ();
   let work = Queue.create () in
   Queue.add entry work;
   let count = ref 0 in
@@ -104,10 +117,10 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
      to resolve the *operand base* of an indirect branch — the runtime
      guard re-checks the dispatched value, so stale or missing entries
      degrade coverage, not soundness. *)
-  let consts : (int, int64) Hashtbl.t = Hashtbl.create 4 in
+  let consts : int64 Tbl.t = Tbl.create 4 in
   (* enumerated candidate targets of resolved indirect branches,
      keyed by the branch instruction's address (consumed by pass 2) *)
-  let ind_targets : (int, int list) Hashtbl.t = Hashtbl.create 4 in
+  let ind_targets : int list Tbl.t = Tbl.create 4 in
   let read_u64 a =
     let v = ref 0L in
     for k = 7 downto 0 do
@@ -135,7 +148,7 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
   let resolve_ind (op : Insn.operand) : int list =
     match op with
     | Insn.OReg r -> (
-      match Hashtbl.find_opt consts (Reg.index r) with
+      match Tbl.find_opt consts (Reg.index r) with
       | Some v ->
         let t = Int64.to_int v in
         if plausible t then [ t ] else []
@@ -144,7 +157,7 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
       match (m.Insn.base, m.Insn.index) with
       | Some b, (None | Some (_, Insn.S8)) -> (
         (* [jmp qword [b + i*8 + disp]]: a jump table at b+disp *)
-        match Hashtbl.find_opt consts (Reg.index b) with
+        match Tbl.find_opt consts (Reg.index b) with
         | Some bv ->
           let base = Int64.to_int bv + m.Insn.disp in
           if m.Insn.index = None then
@@ -156,26 +169,26 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
     | _ -> []
   in
   let add_target t =
-    Hashtbl.replace leaders t ();
+    Tbl.replace leaders t ();
     Queue.add t work
   in
   let dargs = if !Tel.enabled then Printf.sprintf "0x%x" entry else "" in
   Tel.span "decode.discover" ~args:dargs (fun () ->
   while not (Queue.is_empty work) do
     let a = ref (Queue.pop work) in
-    Hashtbl.reset consts;
-    let continue_ = ref (not (Hashtbl.mem insns !a)) in
+    if Tbl.length consts > 0 then Tbl.reset consts;
+    let continue_ = ref (not (Tbl.mem insns !a)) in
     while !continue_ do
       incr count;
       if !count > max_insns then
         err "function too large to lift (budget: %d instructions)" max_insns;
-      if Hashtbl.length leaders > max_blocks then
+      if Tbl.length leaders > max_blocks then
         err "function has too many basic blocks (budget: %d)" max_blocks;
       (* decode failures propagate as typed [Decode] errors carrying
          the faulting address *)
       let i, len = Decode.decode ~read !a in
       let i = resolve_rip !a len i in
-      Hashtbl.replace insns !a (i, len);
+      Tbl.replace insns !a (i, len);
       let next = !a + len in
       (match i with
        | Insn.Jmp (Insn.Abs t) ->
@@ -198,14 +211,14 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
          (match List.sort_uniq compare (resolve_ind op) with
           | [] -> ()
           | ts ->
-            Hashtbl.replace ind_targets !a ts;
+            Tbl.replace ind_targets !a ts;
             List.iter add_target ts);
          continue_ := false
        | Insn.CallInd op ->
          (match List.sort_uniq compare (resolve_ind op) with
           | [] -> ()
           | ts ->
-            Hashtbl.replace ind_targets !a ts;
+            Tbl.replace ind_targets !a ts;
             List.iter add_target ts;
             add_target next);
          continue_ := false
@@ -215,24 +228,24 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
          Err.fail ~addr:!a Err.Lift "trap instruction at 0x%x" !a
        | _ ->
          (match i with
-          | Insn.Movabs (r, v) -> Hashtbl.replace consts (Reg.index r) v
-          | _ -> Hashtbl.reset consts);
+          | Insn.Movabs (r, v) -> Tbl.replace consts (Reg.index r) v
+          | _ -> if Tbl.length consts > 0 then Tbl.reset consts);
          a := next;
-         if Hashtbl.mem insns next then continue_ := false
-         else if Hashtbl.mem leaders next then continue_ := false)
+         if Tbl.mem insns next then continue_ := false
+         else if Tbl.mem leaders next then continue_ := false)
     done
   done);
   (* pass 2: form blocks; a block also ends right before another leader
      (block splitting, Sec. III-B) *)
   let starts =
-    Hashtbl.fold (fun a () acc -> a :: acc) leaders []
-    |> List.filter (Hashtbl.mem insns)
+    Tbl.fold (fun a () acc -> a :: acc) leaders []
+    |> List.filter (Tbl.mem insns)
     |> List.sort compare
   in
   List.map
     (fun start ->
       let rec go a acc =
-        match Hashtbl.find_opt insns a with
+        match Tbl.find_opt insns a with
         | None -> Err.fail ~addr:a Err.Lift "fell off decoded code at 0x%x" a
         | Some (i, len) -> (
           let next = a + len in
@@ -245,16 +258,16 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
           | Insn.Call (Insn.Abs t) when not (List.mem_assoc t callee_sigs) ->
             { start; insns = List.rev acc; term = `CallDir (t, next) }
           | Insn.JmpInd op -> (
-            match Hashtbl.find_opt ind_targets a with
+            match Tbl.find_opt ind_targets a with
             | Some ts -> { start; insns = List.rev acc; term = `Switch (op, ts) }
             | None -> { start; insns = List.rev acc; term = `IndExit })
           | Insn.CallInd op -> (
-            match Hashtbl.find_opt ind_targets a with
+            match Tbl.find_opt ind_targets a with
             | Some ts ->
               { start; insns = List.rev acc; term = `CallSwitch (op, ts, next) }
             | None -> { start; insns = List.rev acc; term = `IndExit })
           | _ ->
-            if Hashtbl.mem leaders next then
+            if Tbl.mem leaders next then
               { start; insns = List.rev ((a, i) :: acc); term = `Fall next }
             else go next ((a, i) :: acc))
       in
@@ -343,12 +356,11 @@ let snapshot (s : rstate) =
 (* SSA construction (Braun et al., "Simple and Efficient Construction
    of SSA Form", CC 2013).  A raw block has one variable per primary
    facet, its *slot*: gpr i64 (slots 0..15), gpr ptr (16..31), xmm
-   (32..47), flags (48..53).  Every raw block reserves one value id per
-   slot, [phi_slots] consecutive ids allocated before any block is
-   lifted, and starts with its slots holding them (see {!entry_rstate}).
-   A read of such an id marks the (block, slot) phi needed; only needed
-   phis are built, once the guard chains have added the last edges
-   (see {!seal}). *)
+   (32..47), flags (48..53).  A block gets a phi only for a slot that
+   some live value reads at its entry; those phis' ids are reserved
+   before any block is built and the block starts with its slots
+   holding them (see {!enter_block}).  The phis are built once the
+   guard chains have added the last edges (see {!seal}). *)
 let phi_slots = 54
 
 let phi_ty k =
@@ -365,64 +377,212 @@ let exit_value (s : exit_state) k =
   else if k < 48 then s.x_xmm.(k - 32)
   else s.x_flags.(k - 48)
 
-(* The reserved ids of a block run flags 5..0, xmm 15..0, gpr ptr 15..0,
-   gpr i64 15..0 from its [base], so slot [k] holds [base + 53 - k]: the
-   needed phis, listed in slot order, come out by descending id. *)
-let slot_id base k = base + phi_slots - 1 - k
+(* A growable int array. *)
+type ivec = { mutable a : int array; mutable n : int }
 
-(* Reset the working state [s] for the raw block whose reserved ids
-   start at [base]: its slots hold those ids, its caches are empty. *)
-let enter_block (s : rstate) base =
-  for r = 0 to 15 do
-    s.gpr.(r) <- V (slot_id base r);
-    s.gpr_ptr.(r) <- Some (V (slot_id base (16 + r)));
-    s.xmm.(r) <- V (slot_id base (32 + r))
-  done;
-  for fi = 0 to 5 do
-    s.flags.(fi) <- V (slot_id base (48 + fi))
-  done;
-  Array.fill s.gpr_facets 0 (Array.length s.gpr_facets) None;
-  Array.fill s.xmm_facets 0 (Array.length s.xmm_facets) None;
-  s.cmp_cache <- None
+let ivec () = { a = Array.make 64 0; n = 0 }
+
+let push (v : ivec) x =
+  if v.n = Array.length v.a then begin
+    let a = Array.make (2 * v.n) 0 in
+    Array.blit v.a 0 a 0 v.n;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.n x;
+  v.n <- v.n + 1
+
+(* The dependence graph of the analysis run (see {!lift_impl}): node [n]
+   is the [n]-th value the lift builds, and its operands are [edges]
+   [ends.(n-1)] to [ends.(n)-1].  An operand is a node or the
+   [entry_ref] of a raw block's entry slot.  [roots] are what the
+   stores, calls and terminators read. *)
+type graph = { ends : ivec; edges : ivec; roots : ivec }
+
+let entry_ref j k = -1 - ((j * phi_slots) + k)
+let slot_of_ref e = -1 - e
 
 type lstate = {
   cfg : config;
   b : Builder.t;
-  cur : rstate;  (* the working state, reset at each raw block *)
+  mutable cur : rstate;  (* the working state, reset at each raw block *)
   (* the flags live after the instruction being lifted: a write of
      any other flag is dead (see {!flag_liveness}) *)
   mutable live : int;
+  (* the run: [analyze] builds the graph [g], the build run builds the
+     nodes [keep] marks *)
+  mutable analyze : bool;
+  g : graph;
+  mutable nodes : int;  (* nodes so far in this run *)
+  mutable keep : Bytes.t;  (* by node: live *)
   (* per raw-block results *)
-  block_of_addr : (int, int) Hashtbl.t;  (* x86 addr -> IR block id *)
-  final_states : (int, exit_state) Hashtbl.t; (* IR block id -> exit state *)
-  (* the reserved entry-phi ids are [phi_lo, phi_hi); raw block [j]
-     (in discovery order) owns [phi_lo + j * phi_slots, ...) *)
-  mutable phi_lo : int;
-  mutable phi_hi : int;
-  mutable needed : Bytes.t;  (* by [id - phi_lo]: phi needed *)
-  mutable pending : int list; (* needed, [id - phi_lo], not yet sealed *)
+  block_of_addr : int Tbl.t;  (* x86 addr -> IR block id *)
+  final_states : exit_state Tbl.t; (* IR block id -> exit state *)
+  (* by [j * phi_slots + k], what slot [k] of raw block [j] holds at
+     the block's entry: the id of its phi, [dead], or [taken_from src] *)
+  mutable phi_id : int array;
+  (* the exit states of the IR entry (at 0) and of the raw blocks (at
+     [j + 1]) lifted so far in this run *)
+  exits : exit_state array;
 }
 
-(* [v] is read: when it is a reserved entry-phi id, that phi is needed *)
-let used st v =
-  (match v with
-   | V id when id >= st.phi_lo && id < st.phi_hi ->
-     let n = id - st.phi_lo in
-     if Bytes.unsafe_get st.needed n = '\000' then begin
-       Bytes.unsafe_set st.needed n '\001';
-       st.pending <- n :: st.pending
-     end
-   | _ -> ());
-  v
+(* No live value reads the slot. *)
+let dead = -1
 
-(* Reads of the primary facets.  A copy of a facet into another
-   register is not a read: it reaches an instruction or a successor's
-   phi later, and is marked there. *)
-let gpr st i = used st st.cur.gpr.(i)
-let xmm st x = used st st.cur.xmm.(x)
+(* The slot holds the value slot [k] holds at the exit of raw block [q]
+   (-1: of the IR entry), lifted before: its phi would be trivial (see
+   {!resolve_phis}).  [src] is [(q + 1) * phi_slots + k]. *)
+let taken_from src = -3 - src
+let source_of code = -3 - code
 
-let gpr_ptr_facet st i =
-  match st.cur.gpr_ptr.(i) with Some p -> Some (used st p) | None -> None
+(* Before the build run: the slot's phi is built. *)
+let keep_phi = -2
+
+(* The builder calls of the lift.  In the analysis run each adds a node
+   whose operands are the values it reads, and returns it; in the build
+   run it builds the instruction when the node is live, and otherwise
+   returns [Undef]: only dead values read a dead one. *)
+(* push the nodes and entry slots value [v] names *)
+let rec push_value (w : ivec) = function
+  | V n -> push w n
+  | CVec (_, vs) -> List.iter (push_value w) vs
+  | _ -> ()
+
+module B = struct
+
+  let next st =
+    let n = st.nodes in
+    st.nodes <- n + 1;
+    n
+
+  (* in the analysis run, once the operands are pushed *)
+  let node st =
+    push st.g.ends st.g.edges.n;
+    V (next st)
+
+  let live st = Bytes.unsafe_get st.keep (next st) <> '\000'
+
+  let dep st v = push_value st.g.edges v
+
+  (* a value a store, call or terminator reads *)
+  let root st v = if st.analyze then push_value st.g.roots v
+
+  let bin st o t x y =
+    if st.analyze then (dep st x; dep st y; node st)
+    else if live st then Builder.bin st.b o t x y else Undef t
+
+  let fbin st o t x y =
+    if st.analyze then (dep st x; dep st y; node st)
+    else if live st then Builder.fbin st.b o t x y else Undef t
+
+  let icmp st p t x y =
+    if st.analyze then (dep st x; dep st y; node st)
+    else if live st then Builder.icmp st.b p t x y else Undef I1
+
+  let fcmp st p t x y =
+    if st.analyze then (dep st x; dep st y; node st)
+    else if live st then Builder.fcmp st.b p t x y else Undef I1
+
+  let select st t c x y =
+    if st.analyze then (dep st c; dep st x; dep st y; node st)
+    else if live st then Builder.select st.b t c x y else Undef t
+
+  let cast st k ~src_ty v ~dst_ty =
+    if st.analyze then (dep st v; node st)
+    else if live st then Builder.cast st.b k ~src_ty v ~dst_ty
+    else Undef dst_ty
+
+  let load st t ~align p =
+    if st.analyze then (dep st p; node st)
+    else if live st then Builder.load st.b t ~align p else Undef t
+
+  let gep st base elts =
+    if st.analyze then begin
+      dep st base;
+      List.iter (function GScaled (v, _) -> dep st v | GConst _ -> ()) elts;
+      node st
+    end
+    else if live st then Builder.gep st.b base elts else Undef (Ptr 0)
+
+  let extractelt st vty v lane =
+    if st.analyze then (dep st v; node st)
+    else if live st then Builder.extractelt st.b vty v lane
+    else match vty with Vec (_, t) -> Undef t | _ -> invalid_arg "extractelt"
+
+  let insertelt st vty v s lane =
+    if st.analyze then (dep st v; dep st s; node st)
+    else if live st then Builder.insertelt st.b vty v s lane else Undef vty
+
+  let shuffle st rty a b mask =
+    if st.analyze then (dep st a; dep st b; node st)
+    else if live st then Builder.shuffle st.b rty a b mask else Undef rty
+
+  let intr st i ~ty args =
+    if st.analyze then (List.iter (dep st) args; node st)
+    else if live st then Builder.intr st.b i ~ty args else Undef ty
+
+  (* a parameter is a node that reads nothing *)
+  let param st v = if st.analyze then node st else (ignore (next st); v)
+
+  let alloca st size align =
+    if st.analyze then node st
+    else if live st then Builder.alloca st.b size align else Undef (Ptr 0)
+
+  let store st t ~align v p =
+    if st.analyze then (root st v; root st p)
+    else Builder.store st.b t ~align v p
+
+  (* a call is always live: its node is a root *)
+  let call_ptr st f sg args =
+    if st.analyze then begin
+      dep st f;
+      List.iter (dep st) args;
+      let v = node st in
+      root st v;
+      v
+    end
+    else begin
+      ignore (next st);
+      Builder.call_ptr st.b f sg args
+    end
+end
+
+(* Reads of the primary facets. *)
+let gpr st i = st.cur.gpr.(i)
+let xmm st x = st.cur.xmm.(x)
+
+(* The value slot [k] of raw block [j] holds at the block's entry: in
+   the analysis run a reference to the entry slot, in the build run its
+   phi, the value it is [taken_from] a block lifted before, or [Undef]
+   when no live value reads it
+   there. *)
+let undef_slot = Array.init phi_slots (fun k -> Undef (phi_ty k))
+
+let slot_value st j k =
+  if st.analyze then V (entry_ref j k)
+  else
+    match st.phi_id.((j * phi_slots) + k) with
+    | -1 -> undef_slot.(k)
+    | id when id >= 0 -> V id
+    | code ->
+      let src = source_of code in
+      exit_value st.exits.(src / phi_slots) (src mod phi_slots)
+
+(* Reset the working state for raw block [j]: its slots hold their entry
+   values, its caches are empty.  Every pointer slot holds a pointer
+   facet, live or not, so both runs take the same paths. *)
+let enter_block st j =
+  let s = st.cur in
+  for r = 0 to 15 do
+    s.gpr.(r) <- slot_value st j r;
+    s.gpr_ptr.(r) <- Some (slot_value st j (16 + r));
+    s.xmm.(r) <- slot_value st j (32 + r)
+  done;
+  for fi = 0 to 5 do
+    s.flags.(fi) <- slot_value st j (48 + fi)
+  done;
+  Array.fill s.gpr_facets 0 (Array.length s.gpr_facets) None;
+  Array.fill s.xmm_facets 0 (Array.length s.xmm_facets) None;
+  s.cmp_cache <- None
 
 let ty_of_width = function
   | Insn.W8 -> I8 | Insn.W16 -> I16 | Insn.W32 -> I32 | Insn.W64 -> I64
@@ -464,7 +624,7 @@ let get_gpr st w r : value =
     | None ->
       let t = ty_of_width w in
       let v =
-        Builder.cast st.b Trunc ~src_ty:I64 (gpr st i) ~dst_ty:t
+        B.cast st Trunc ~src_ty:I64 (gpr st i) ~dst_ty:t
       in
       cache_gpr_facet st i fk v;
       v
@@ -476,20 +636,20 @@ let get_gpr8h st r : value =
   | Some v -> v
   | None ->
     let sh =
-      Builder.bin st.b LShr I64 (gpr st i) (CInt (I64, 8L))
+      B.bin st LShr I64 (gpr st i) (CInt (I64, 8L))
     in
-    let v = Builder.cast st.b Trunc ~src_ty:I64 sh ~dst_ty:I8 in
+    let v = B.cast st Trunc ~src_ty:I64 sh ~dst_ty:I8 in
     cache_gpr_facet st i F_i8h v;
     v
 
 (* pointer facet, materializing inttoptr when absent *)
 let get_gpr_ptr st r : value =
   let i = Reg.index r in
-  match gpr_ptr_facet st i with
+  match st.cur.gpr_ptr.(i) with
   | Some p -> p
   | None ->
     let p =
-      Builder.cast st.b IntToPtr ~src_ty:I64 (gpr st i) ~dst_ty:(Ptr 0)
+      B.cast st IntToPtr ~src_ty:I64 (gpr st i) ~dst_ty:(Ptr 0)
     in
     st.cur.gpr_ptr.(i) <- Some p;
     p
@@ -498,7 +658,11 @@ let set_gpr64 ?ptr st r v =
   let i = Reg.index r in
   st.cur.gpr.(i) <- v;
   st.cur.gpr_ptr.(i) <- ptr;
-  Array.fill st.cur.gpr_facets (i * gpr_facet_slots) gpr_facet_slots None
+  let f = st.cur.gpr_facets and o = i * gpr_facet_slots in
+  f.(o) <- None;
+  f.(o + 1) <- None;
+  f.(o + 2) <- None;
+  f.(o + 3) <- None
 
 let set_gpr st w r (v : value) =
   let i = Reg.index r in
@@ -506,7 +670,7 @@ let set_gpr st w r (v : value) =
   | Insn.W64 -> set_gpr64 st r v
   | Insn.W32 ->
     (* 32-bit writes zero the upper half (Fig. 4a) *)
-    let z = Builder.cast st.b Zext ~src_ty:I32 v ~dst_ty:I64 in
+    let z = B.cast st Zext ~src_ty:I32 v ~dst_ty:I64 in
     set_gpr64 st r z;
     cache_gpr_facet st i F_i32 v
   | Insn.W16 | Insn.W8 ->
@@ -515,20 +679,20 @@ let set_gpr st w r (v : value) =
     let mask = if w = Insn.W16 then 0xFFFFL else 0xFFL in
     let old = gpr st i in
     let kept =
-      Builder.bin st.b And I64 old (CInt (I64, Int64.lognot mask))
+      B.bin st And I64 old (CInt (I64, Int64.lognot mask))
     in
-    let z = Builder.cast st.b Zext ~src_ty:t v ~dst_ty:I64 in
-    let merged = Builder.bin st.b Or I64 kept z in
+    let z = B.cast st Zext ~src_ty:t v ~dst_ty:I64 in
+    let merged = B.bin st Or I64 kept z in
     set_gpr64 st r merged;
     cache_gpr_facet st i (if w = Insn.W16 then F_i16 else F_i8) v
 
 let set_gpr8h st r (v : value) =
   let i = Reg.index r in
   let old = gpr st i in
-  let kept = Builder.bin st.b And I64 old (CInt (I64, 0xFFFFFFFFFFFF00FFL)) in
-  let z = Builder.cast st.b Zext ~src_ty:I8 v ~dst_ty:I64 in
-  let sh = Builder.bin st.b Shl I64 z (CInt (I64, 8L)) in
-  let merged = Builder.bin st.b Or I64 kept sh in
+  let kept = B.bin st And I64 old (CInt (I64, 0xFFFFFFFFFFFF00FFL)) in
+  let z = B.cast st Zext ~src_ty:I8 v ~dst_ty:I64 in
+  let sh = B.bin st Shl I64 z (CInt (I64, 8L)) in
+  let merged = B.bin st Or I64 kept sh in
   set_gpr64 st r merged;
   cache_gpr_facet st i F_i8h v
 
@@ -544,7 +708,7 @@ let get_xmm_vec st x (fk : facet) : value =
   | Some v -> v
   | None ->
     let t = facet_ty fk in
-    let v = Builder.cast st.b Bitcast ~src_ty:I128 (xmm st x) ~dst_ty:t in
+    let v = B.cast st Bitcast ~src_ty:I128 (xmm st x) ~dst_ty:t in
     cache_xmm_facet st x fk v;
     v
 
@@ -555,7 +719,7 @@ let get_xmm_f64 st x : value =
   | Some v -> v
   | None ->
     let vec = get_xmm_vec st x X_v2f64 in
-    let v = Builder.extractelt st.b v2f64 vec 0 in
+    let v = B.extractelt st v2f64 vec 0 in
     cache_xmm_facet st x X_f64 v;
     v
 
@@ -564,17 +728,20 @@ let get_xmm_f32 st x : value =
   | Some v -> v
   | None ->
     let vec = get_xmm_vec st x X_v4f32 in
-    let v = Builder.extractelt st.b v4f32 vec 0 in
+    let v = B.extractelt st v4f32 vec 0 in
     cache_xmm_facet st x X_f32 v;
     v
 
 let set_xmm128 st x v =
   st.cur.xmm.(x) <- v;
-  Array.fill st.cur.xmm_facets (x * xmm_facet_slots) xmm_facet_slots None
+  let f = st.cur.xmm_facets and o = x * xmm_facet_slots in
+  for s = o to o + xmm_facet_slots - 1 do
+    f.(s) <- None
+  done
 
 let set_xmm_vec st x fk (v : value) =
   let t = facet_ty fk in
-  let i = Builder.cast st.b Bitcast ~src_ty:t v ~dst_ty:I128 in
+  let i = B.cast st Bitcast ~src_ty:t v ~dst_ty:I128 in
   set_xmm128 st x i;
   cache_xmm_facet st x fk v
 
@@ -582,10 +749,10 @@ let set_xmm_vec st x fk (v : value) =
 let set_xmm_f64 st x ~zero_upper (v : value) =
   let vec =
     if zero_upper then
-      Builder.insertelt st.b v2f64 (CVec (v2f64, [ CF64 0.0; CF64 0.0 ])) v 0
+      B.insertelt st v2f64 (CVec (v2f64, [ CF64 0.0; CF64 0.0 ])) v 0
     else
       let old = get_xmm_vec st x X_v2f64 in
-      Builder.insertelt st.b v2f64 old v 0
+      B.insertelt st v2f64 old v 0
   in
   set_xmm_vec st x X_v2f64 vec;
   cache_xmm_facet st x X_f64 v
@@ -593,12 +760,12 @@ let set_xmm_f64 st x ~zero_upper (v : value) =
 let set_xmm_f32 st x ~zero_upper (v : value) =
   let vec =
     if zero_upper then
-      Builder.insertelt st.b v4f32
+      B.insertelt st v4f32
         (CVec (v4f32, [ CF32 0.0; CF32 0.0; CF32 0.0; CF32 0.0 ]))
         v 0
     else
       let old = get_xmm_vec st x X_v4f32 in
-      Builder.insertelt st.b v4f32 old v 0
+      B.insertelt st v4f32 old v 0
   in
   set_xmm_vec st x X_v4f32 vec;
   cache_xmm_facet st x X_f32 v
@@ -624,7 +791,7 @@ let lift_addr st (m : Insn.mem_addr) : value =
            [ GConst m.disp ]
          else [])
     in
-    if elts = [] then base else Builder.gep st.b base elts
+    if elts = [] then base else B.gep st base elts
   end
   else begin
     (* ablation: raw integer arithmetic + inttoptr *)
@@ -638,28 +805,28 @@ let lift_addr st (m : Insn.mem_addr) : value =
       | Some (r, sc) ->
         let idx = get_gpr64 st r in
         let scaled =
-          Builder.bin st.b Mul I64 idx
+          B.bin st Mul I64 idx
             (CInt (I64, Int64.of_int (Insn.scale_factor sc)))
         in
-        Builder.bin st.b Add I64 base scaled
+        B.bin st Add I64 base scaled
       | None -> base
     in
     let full =
       if m.disp <> 0 then
-        Builder.bin st.b Add I64 with_index
+        B.bin st Add I64 with_index
           (CInt (I64, Int64.of_int m.disp))
       else with_index
     in
-    Builder.cast st.b IntToPtr ~src_ty:I64 full ~dst_ty:(Ptr 0)
+    B.cast st IntToPtr ~src_ty:I64 full ~dst_ty:(Ptr 0)
   end
 
 let load_w st w (m : Insn.mem_addr) : value =
   let p = lift_addr st m in
-  Builder.load st.b (ty_of_width w) ~align:1 p
+  B.load st (ty_of_width w) ~align:1 p
 
 let store_w st w (m : Insn.mem_addr) v =
   let p = lift_addr st m in
-  Builder.store st.b (ty_of_width w) ~align:1 v p
+  B.store st (ty_of_width w) ~align:1 v p
 
 (* operand read in the instruction's width type *)
 let read_operand st w = function
@@ -679,24 +846,24 @@ let xop_f64 st = function
   | Insn.Xr x -> get_xmm_f64 st x
   | Insn.Xm m ->
     let p = lift_addr st m in
-    Builder.load st.b F64 ~align:1 p
+    B.load st F64 ~align:1 p
 
 let xop_f32 st = function
   | Insn.Xr x -> get_xmm_f32 st x
   | Insn.Xm m ->
     let p = lift_addr st m in
-    Builder.load st.b F32 ~align:1 p
+    B.load st F32 ~align:1 p
 
 let xop_vec st fk = function
   | Insn.Xr x -> get_xmm_vec st x fk
   | Insn.Xm m ->
     let p = lift_addr st m in
-    Builder.load st.b (facet_ty fk) ~align:1 p
+    B.load st (facet_ty fk) ~align:1 p
 
 (* ---------------- flags ---------------- *)
 
 let set_flag st i v = st.cur.flags.(i) <- v
-let get_flag st i = used st st.cur.flags.(i)
+let get_flag st i = st.cur.flags.(i)
 
 (* Flag [i] is read on some path before its next write. *)
 let live st i = st.live land (1 lsl i) <> 0
@@ -706,49 +873,49 @@ let live st i = st.live land (1 lsl i) <> 0
 let when_live st i mk = if live st i then mk () else Undef I1
 let def_flag st i mk = set_flag st i (when_live st i mk)
 
-let bool_not st v = Builder.bin st.b Xor I1 v (CInt (I1, 1L))
+let bool_not st v = B.bin st Xor I1 v (CInt (I1, 1L))
 
 (* szp flags from a result value of type [t]; zf only with [zf] *)
 let set_szp ?(zf = true) st t r =
   if zf then
-    def_flag st zf_i (fun () -> Builder.icmp st.b Eq t r (CInt (t, 0L)));
-  def_flag st sf_i (fun () -> Builder.icmp st.b Slt t r (CInt (t, 0L)));
+    def_flag st zf_i (fun () -> B.icmp st Eq t r (CInt (t, 0L)));
+  def_flag st sf_i (fun () -> B.icmp st Slt t r (CInt (t, 0L)));
   (* parity via ctpop over the low byte (Sec. III-D) *)
   def_flag st pf_i (fun () ->
       let low =
-        if t = I8 then r else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
+        if t = I8 then r else B.cast st Trunc ~src_ty:t r ~dst_ty:I8
       in
-      let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
-      let band = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
-      Builder.icmp st.b Eq I8 band (CInt (I8, 0L)))
+      let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
+      let band = B.bin st And I8 pc (CInt (I8, 1L)) in
+      B.icmp st Eq I8 band (CInt (I8, 0L)))
 
 let set_af st t a bv r =
   def_flag st af_i (fun () ->
-      let x1 = Builder.bin st.b Xor t a bv in
-      let x2 = Builder.bin st.b Xor t x1 r in
-      let bit = Builder.bin st.b And t x2 (CInt (t, 0x10L)) in
-      Builder.icmp st.b Ne t bit (CInt (t, 0L)))
+      let x1 = B.bin st Xor t a bv in
+      let x2 = B.bin st Xor t x1 r in
+      let bit = B.bin st And t x2 (CInt (t, 0x10L)) in
+      B.icmp st Ne t bit (CInt (t, 0L)))
 
 (* overflow via bitwise operations (Sec. III-D discourages the
    intrinsics) *)
 let set_of_add st t a bv r =
   def_flag st of_i (fun () ->
-      let x1 = Builder.bin st.b Xor t a r in
-      let x2 = Builder.bin st.b Xor t bv r in
-      let m = Builder.bin st.b And t x1 x2 in
-      Builder.icmp st.b Slt t m (CInt (t, 0L)))
+      let x1 = B.bin st Xor t a r in
+      let x2 = B.bin st Xor t bv r in
+      let m = B.bin st And t x1 x2 in
+      B.icmp st Slt t m (CInt (t, 0L)))
 
 let set_of_sub st t a bv r =
   def_flag st of_i (fun () ->
-      let x1 = Builder.bin st.b Xor t a bv in
-      let x2 = Builder.bin st.b Xor t a r in
-      let m = Builder.bin st.b And t x1 x2 in
-      Builder.icmp st.b Slt t m (CInt (t, 0L)))
+      let x1 = B.bin st Xor t a bv in
+      let x2 = B.bin st Xor t a r in
+      let m = B.bin st And t x1 x2 in
+      B.icmp st Slt t m (CInt (t, 0L)))
 
 (* [cf:false] leaves cf to the caller (adc/sbb compute their own) *)
 let flags_add ?(cf = true) st t a bv r =
   set_szp st t r;
-  if cf then def_flag st cf_i (fun () -> Builder.icmp st.b Ult t r a);
+  if cf then def_flag st cf_i (fun () -> B.icmp st Ult t r a);
   set_of_add st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- None
@@ -757,8 +924,8 @@ let flags_sub ?(is_cmp = false) ?(cf = true) st t a bv r =
   (* zf of a compare is exactly equality of the operands, set below *)
   set_szp ~zf:(not is_cmp) st t r;
   (* basic integer comparisons for cf (and zf) *)
-  if cf then def_flag st cf_i (fun () -> Builder.icmp st.b Ult t a bv);
-  if is_cmp then def_flag st zf_i (fun () -> Builder.icmp st.b Eq t a bv);
+  if cf then def_flag st cf_i (fun () -> B.icmp st Ult t a bv);
+  if is_cmp then def_flag st zf_i (fun () -> B.icmp st Eq t a bv);
   set_of_sub st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- (if is_cmp then Some (t, a, bv) else None)
@@ -775,19 +942,19 @@ let cond_value st (c : Insn.cc) : value =
   let cached p =
     match st.cur.cmp_cache with
     | Some (t, a, b) when st.cfg.flag_cache ->
-      if !Prov.enabled then
+      if !Prov.enabled && not st.analyze then
         Prov.record ~pass:"lift" ~action:Prov.Specialized
           ~prov:(Builder.cur_prov st.b)
           ~detail:
             "flag cache: condition reconstructed as icmp on the cached \
              cmp operands";
-      Some (Builder.icmp st.b p t a b)
+      Some (B.icmp st p t a b)
     | _ -> None
   in
   let flag i = get_flag st i in
-  let orv a b = Builder.bin st.b Or I1 a b in
-  let andv a b = Builder.bin st.b And I1 a b in
-  let xorv a b = Builder.bin st.b Xor I1 a b in
+  let orv a b = B.bin st Or I1 a b in
+  let andv a b = B.bin st And I1 a b in
+  let xorv a b = B.bin st Xor I1 a b in
   match c with
   | Insn.E -> (match cached Eq with Some v -> v | None -> flag zf_i)
   | Insn.NE -> (
@@ -835,8 +1002,8 @@ let cond_value st (c : Insn.cc) : value =
    and integer arithmetic ... can set both facets") *)
 let set_gpr64_add st dst ~iv ~base_reg ~elts =
   let ptr =
-    match gpr_ptr_facet st (Reg.index base_reg) with
-    | Some p -> Some (Builder.gep st.b p elts)
+    match st.cur.gpr_ptr.(Reg.index base_reg) with
+    | Some p -> Some (B.gep st p elts)
     | None -> None
   in
   set_gpr64 ?ptr st dst iv
@@ -855,14 +1022,14 @@ let lift_insn st (i : Insn.insn) : unit =
   | Insn.Movzx (dw, dst, sw, src) ->
     let v = read_operand st sw src in
     let z =
-      Builder.cast st.b Zext ~src_ty:(ty_of_width sw) v
+      B.cast st Zext ~src_ty:(ty_of_width sw) v
         ~dst_ty:(ty_of_width dw)
     in
     set_gpr st dw dst z
   | Insn.Movsx (dw, dst, sw, src) ->
     let v = read_operand st sw src in
     let z =
-      Builder.cast st.b Sext ~src_ty:(ty_of_width sw) v
+      B.cast st Sext ~src_ty:(ty_of_width sw) v
         ~dst_ty:(ty_of_width dw)
     in
     set_gpr st dw dst z
@@ -881,15 +1048,15 @@ let lift_insn st (i : Insn.insn) : unit =
         let scaled =
           if Insn.scale_factor sc = 1 then idx
           else
-            Builder.bin st.b Mul I64 idx
+            B.bin st Mul I64 idx
               (CInt (I64, Int64.of_int (Insn.scale_factor sc)))
         in
-        Builder.bin st.b Add I64 base_i scaled
+        B.bin st Add I64 base_i scaled
       | None -> base_i
     in
     let iv =
       if m.Insn.disp <> 0 then
-        Builder.bin st.b Add I64 with_idx (CInt (I64, Int64.of_int m.Insn.disp))
+        B.bin st Add I64 with_idx (CInt (I64, Int64.of_int m.Insn.disp))
       else with_idx
     in
     (* pointer facet when the base carries one *)
@@ -910,13 +1077,13 @@ let lift_insn st (i : Insn.insn) : unit =
     | Insn.Cmp ->
       let a = read_operand st w dst in
       let bv = read_operand st w src in
-      let r = Builder.bin st.b Sub t a bv in
+      let r = B.bin st Sub t a bv in
       flags_sub ~is_cmp:true st t a bv r
     | Insn.Add | Insn.Sub -> (
       let a = read_operand st w dst in
       let bv = read_operand st w src in
       let r =
-        Builder.bin st.b (if op = Insn.Add then Add else Sub) t a bv
+        B.bin st (if op = Insn.Add then Add else Sub) t a bv
       in
       if op = Insn.Add then flags_add st t a bv r
       else flags_sub st t a bv r;
@@ -955,19 +1122,19 @@ let lift_insn st (i : Insn.insn) : unit =
           | Insn.Or -> Or
           | _ -> Xor
         in
-        let r = Builder.bin st.b o t a bv in
+        let r = B.bin st o t a bv in
         flags_logic st t r;
         write_operand st w dst r
       end
     | Insn.Adc | Insn.Sbb ->
       let a = read_operand st w dst in
       let bv = read_operand st w src in
-      let cin = Builder.cast st.b Zext ~src_ty:I1 (get_flag st cf_i) ~dst_ty:t in
+      let cin = B.cast st Zext ~src_ty:I1 (get_flag st cf_i) ~dst_ty:t in
       let r0 =
-        Builder.bin st.b (if op = Insn.Adc then Add else Sub) t a bv
+        B.bin st (if op = Insn.Adc then Add else Sub) t a bv
       in
       let r =
-        Builder.bin st.b (if op = Insn.Adc then Add else Sub) t r0 cin
+        B.bin st (if op = Insn.Adc then Add else Sub) t r0 cin
       in
       (* flags approximated through the same formulas as the emulator *)
       if op = Insn.Adc then flags_add ~cf:false st t a bv r
@@ -976,16 +1143,16 @@ let lift_insn st (i : Insn.insn) : unit =
       def_flag st cf_i (fun () ->
           let c1, c2 =
             if op = Insn.Adc then
-              (Builder.icmp st.b Ult t r0 a, Builder.icmp st.b Ult t r r0)
-            else (Builder.icmp st.b Ult t a bv, Builder.icmp st.b Ult t r0 cin)
+              (B.icmp st Ult t r0 a, B.icmp st Ult t r r0)
+            else (B.icmp st Ult t a bv, B.icmp st Ult t r0 cin)
           in
-          Builder.bin st.b Or I1 c1 c2);
+          B.bin st Or I1 c1 c2);
       write_operand st w dst r)
   | Insn.Test (w, a, b) ->
     let t = ty_of_width w in
     let av = read_operand st w a in
     let bv = read_operand st w b in
-    let r = Builder.bin st.b And t av bv in
+    let r = B.bin st And t av bv in
     flags_logic st t r
   | Insn.Imul2 (w, dst, src) | Insn.Imul3 (w, dst, src, _) -> (
     let t = ty_of_width w in
@@ -1000,24 +1167,24 @@ let lift_insn st (i : Insn.insn) : unit =
       | Insn.Imul3 (_, _, _, imm) -> CInt (t, imm)
       | _ -> err "imul: impossible instruction shape"
     in
-    let r = Builder.bin st.b Mul t a bv in
+    let r = B.bin st Mul t a bv in
     (* overflow flags: match the emulator's formulas *)
     let ovf =
       if not (live st cf_i || live st of_i) then Undef I1
       else
         match w with
         | Insn.W64 ->
-          let nz = Builder.icmp st.b Ne t a (CInt (t, 0L)) in
-          let q = Builder.select st.b t nz a (CInt (t, 1L)) in
-          let dv = Builder.bin st.b SDiv t r q in
-          let neq = Builder.icmp st.b Ne t dv bv in
-          Builder.bin st.b And I1 nz neq
+          let nz = B.icmp st Ne t a (CInt (t, 0L)) in
+          let q = B.select st t nz a (CInt (t, 1L)) in
+          let dv = B.bin st SDiv t r q in
+          let neq = B.icmp st Ne t dv bv in
+          B.bin st And I1 nz neq
         | _ ->
-          let a64 = Builder.cast st.b Sext ~src_ty:t a ~dst_ty:I64 in
-          let b64 = Builder.cast st.b Sext ~src_ty:t bv ~dst_ty:I64 in
-          let p = Builder.bin st.b Mul I64 a64 b64 in
-          let r64 = Builder.cast st.b Sext ~src_ty:t r ~dst_ty:I64 in
-          Builder.icmp st.b Ne I64 r64 p
+          let a64 = B.cast st Sext ~src_ty:t a ~dst_ty:I64 in
+          let b64 = B.cast st Sext ~src_ty:t bv ~dst_ty:I64 in
+          let p = B.bin st Mul I64 a64 b64 in
+          let r64 = B.cast st Sext ~src_ty:t r ~dst_ty:I64 in
+          B.icmp st Ne I64 r64 p
     in
     def_flag st cf_i (fun () -> ovf);
     def_flag st of_i (fun () -> ovf);
@@ -1033,17 +1200,17 @@ let lift_insn st (i : Insn.insn) : unit =
     if w <> Insn.W64 && w <> Insn.W32 then err "8/16-bit idiv unsupported";
     let a = get_gpr st w Reg.RAX in
     let d = read_operand st w src in
-    let q = Builder.bin st.b SDiv t a d in
-    let r = Builder.bin st.b SRem t a d in
+    let q = B.bin st SDiv t a d in
+    let r = B.bin st SRem t a d in
     set_gpr st w Reg.RAX q;
     set_gpr st w Reg.RDX r;
     st.cur.cmp_cache <- None
   | Insn.Cqo ->
-    let v = Builder.bin st.b AShr I64 (get_gpr64 st Reg.RAX) (CInt (I64, 63L)) in
+    let v = B.bin st AShr I64 (get_gpr64 st Reg.RAX) (CInt (I64, 63L)) in
     set_gpr64 st Reg.RDX v
   | Insn.Cdq ->
     let eax = get_gpr st Insn.W32 Reg.RAX in
-    let v = Builder.bin st.b AShr I32 eax (CInt (I32, 31L)) in
+    let v = B.bin st AShr I32 eax (CInt (I32, 31L)) in
     set_gpr st Insn.W32 Reg.RDX v
   | Insn.Shift (op, w, dst, cnt) ->
     let t = ty_of_width w in
@@ -1059,12 +1226,12 @@ let lift_insn st (i : Insn.insn) : unit =
         let cl = get_gpr st Insn.W8 Reg.RCX in
         let cl' =
           if t = I8 then cl
-          else Builder.cast st.b Zext ~src_ty:I8 cl ~dst_ty:t
+          else B.cast st Zext ~src_ty:I8 cl ~dst_ty:t
         in
-        Builder.bin st.b And t cl' (CInt (t, Int64.of_int cmask))
+        B.bin st And t cl' (CInt (t, Int64.of_int cmask))
     in
     let o = match op with Insn.Shl -> Shl | Insn.Shr -> LShr | Insn.Sar -> AShr in
-    let r = Builder.bin st.b o t a n in
+    let r = B.bin st o t a n in
     (* a shift whose masked count is 0 leaves every flag unchanged:
        immediate counts are decided here, a CL count needs a runtime
        select (Cpu.exec guards the whole flag update with [n <> 0]) *)
@@ -1081,30 +1248,30 @@ let lift_insn st (i : Insn.insn) : unit =
      | _ ->
        let keep =
          match cnt with
-         | Insn.ShCl -> Some (Builder.icmp st.b Eq t n (CInt (t, 0L)))
+         | Insn.ShCl -> Some (B.icmp st Eq t n (CInt (t, 0L)))
          | Insn.ShImm _ -> None
        in
        let setf i v =
          def_flag st i (fun () ->
              match keep with
-             | Some k -> Builder.select st.b I1 k (get_flag st i) v
+             | Some k -> B.select st I1 k (get_flag st i) v
              | None -> v)
        in
        let zf =
-         when_live st zf_i (fun () -> Builder.icmp st.b Eq t r (CInt (t, 0L)))
+         when_live st zf_i (fun () -> B.icmp st Eq t r (CInt (t, 0L)))
        in
        let sf =
-         when_live st sf_i (fun () -> Builder.icmp st.b Slt t r (CInt (t, 0L)))
+         when_live st sf_i (fun () -> B.icmp st Slt t r (CInt (t, 0L)))
        in
        let pf =
          when_live st pf_i (fun () ->
              let low =
                if t = I8 then r
-               else Builder.cast st.b Trunc ~src_ty:t r ~dst_ty:I8
+               else B.cast st Trunc ~src_ty:t r ~dst_ty:I8
              in
-             let pc = Builder.intr st.b (Ctpop I8) ~ty:I8 [ low ] in
-             let pband = Builder.bin st.b And I8 pc (CInt (I8, 1L)) in
-             Builder.icmp st.b Eq I8 pband (CInt (I8, 0L)))
+             let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
+             let pband = B.bin st And I8 pc (CInt (I8, 1L)) in
+             B.icmp st Eq I8 pband (CInt (I8, 0L)))
        in
        (* cf/of: the [bits - n] / [n - 1] shift amounts wrap in type [t]
           when the count exceeds the operand width; an IR shift by >=
@@ -1116,28 +1283,28 @@ let lift_insn st (i : Insn.insn) : unit =
          else
            match op with
            | Insn.Shl ->
-             let sh = Builder.bin st.b Sub t (CInt (t, Int64.of_int bits)) n in
-             let bit = Builder.bin st.b LShr t a sh in
-             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-             Builder.icmp st.b Ne t band (CInt (t, 0L))
+             let sh = B.bin st Sub t (CInt (t, Int64.of_int bits)) n in
+             let bit = B.bin st LShr t a sh in
+             let band = B.bin st And t bit (CInt (t, 1L)) in
+             B.icmp st Ne t band (CInt (t, 0L))
            | Insn.Shr ->
-             let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
-             let bit = Builder.bin st.b LShr t a n1 in
-             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-             Builder.icmp st.b Ne t band (CInt (t, 0L))
+             let n1 = B.bin st Sub t n (CInt (t, 1L)) in
+             let bit = B.bin st LShr t a n1 in
+             let band = B.bin st And t bit (CInt (t, 1L)) in
+             B.icmp st Ne t band (CInt (t, 0L))
            | Insn.Sar ->
-             let n1 = Builder.bin st.b Sub t n (CInt (t, 1L)) in
-             let bit = Builder.bin st.b AShr t a n1 in
-             let band = Builder.bin st.b And t bit (CInt (t, 1L)) in
-             Builder.icmp st.b Ne t band (CInt (t, 0L))
+             let n1 = B.bin st Sub t n (CInt (t, 1L)) in
+             let bit = B.bin st AShr t a n1 in
+             let band = B.bin st And t bit (CInt (t, 1L)) in
+             B.icmp st Ne t band (CInt (t, 0L))
        in
        let ov =
          when_live st of_i (fun () ->
              match op with
              | Insn.Shl ->
-               let msbr = Builder.icmp st.b Slt t r (CInt (t, 0L)) in
-               Builder.bin st.b Xor I1 msbr cf
-             | Insn.Shr -> Builder.icmp st.b Slt t a (CInt (t, 0L))
+               let msbr = B.icmp st Slt t r (CInt (t, 0L)) in
+               B.bin st Xor I1 msbr cf
+             | Insn.Shr -> B.icmp st Slt t a (CInt (t, 0L))
              | Insn.Sar -> CInt (I1, 0L))
        in
        setf zf_i zf;
@@ -1152,22 +1319,22 @@ let lift_insn st (i : Insn.insn) : unit =
     let a = read_operand st w dst in
     match op with
     | Insn.Neg ->
-      let r = Builder.bin st.b Sub t (CInt (t, 0L)) a in
+      let r = B.bin st Sub t (CInt (t, 0L)) a in
       set_szp st t r;
-      def_flag st cf_i (fun () -> Builder.icmp st.b Ne t a (CInt (t, 0L)));
+      def_flag st cf_i (fun () -> B.icmp st Ne t a (CInt (t, 0L)));
       def_flag st of_i (fun () ->
-          let m = Builder.bin st.b And t a r in
-          Builder.icmp st.b Slt t m (CInt (t, 0L)));
+          let m = B.bin st And t a r in
+          B.icmp st Slt t m (CInt (t, 0L)));
       (* af is left as it was *)
       st.cur.cmp_cache <- None;
       write_operand st w dst r
     | Insn.Not ->
-      let r = Builder.bin st.b Xor t a (CInt (t, -1L)) in
+      let r = B.bin st Xor t a (CInt (t, -1L)) in
       write_operand st w dst r
     | Insn.Inc | Insn.Dec ->
       let one = CInt (t, 1L) in
       let r =
-        Builder.bin st.b (if op = Insn.Inc then Add else Sub) t a one
+        B.bin st (if op = Insn.Inc then Add else Sub) t a one
       in
       (* inc/dec preserve cf: its slot is left as it was *)
       set_szp st t r;
@@ -1179,18 +1346,18 @@ let lift_insn st (i : Insn.insn) : unit =
   | Insn.Push src ->
     let v = read_operand st Insn.W64 src in
     let sp = get_gpr_ptr st Reg.RSP in
-    let sp' = Builder.gep st.b sp [ GConst (-8) ] in
+    let sp' = B.gep st sp [ GConst (-8) ] in
     let spi =
-      Builder.bin st.b Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, -8L))
+      B.bin st Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, -8L))
     in
     set_gpr64 ~ptr:sp' st Reg.RSP spi;
-    Builder.store st.b I64 ~align:8 v sp'
+    B.store st I64 ~align:8 v sp'
   | Insn.Pop dst ->
     let sp = get_gpr_ptr st Reg.RSP in
-    let v = Builder.load st.b I64 ~align:8 sp in
-    let sp' = Builder.gep st.b sp [ GConst 8 ] in
+    let v = B.load st I64 ~align:8 sp in
+    let sp' = B.gep st sp [ GConst 8 ] in
     let spi =
-      Builder.bin st.b Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L))
+      B.bin st Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L))
     in
     set_gpr64 ~ptr:sp' st Reg.RSP spi;
     write_operand st Insn.W64 dst v
@@ -1200,10 +1367,10 @@ let lift_insn st (i : Insn.insn) : unit =
     let rbp_p = st.cur.gpr_ptr.(Reg.index Reg.RBP) in
     set_gpr64 ?ptr:rbp_p st Reg.RSP rbp_i;
     let sp = get_gpr_ptr st Reg.RSP in
-    let v = Builder.load st.b I64 ~align:8 sp in
-    let sp' = Builder.gep st.b sp [ GConst 8 ] in
+    let v = B.load st I64 ~align:8 sp in
+    let sp' = B.gep st sp [ GConst 8 ] in
     let spi =
-      Builder.bin st.b Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L))
+      B.bin st Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L))
     in
     set_gpr64 ~ptr:sp' st Reg.RSP spi;
     set_gpr64 st Reg.RBP v
@@ -1234,7 +1401,7 @@ let lift_insn st (i : Insn.insn) : unit =
             v)
         sg.args
     in
-    let res = Builder.call_ptr st.b (CPtr target) sg args in
+    let res = B.call_ptr st (CPtr target) sg args in
     (* caller-saved registers are dead after the call (ABI) *)
     List.iter
       (fun r ->
@@ -1247,7 +1414,7 @@ let lift_insn st (i : Insn.insn) : unit =
     (match sg.ret with
      | Some F64 -> set_xmm_f64 st 0 ~zero_upper:true res
      | Some (Ptr _) ->
-       let iv = Builder.cast st.b PtrToInt ~src_ty:(Ptr 0) res ~dst_ty:I64 in
+       let iv = B.cast st PtrToInt ~src_ty:(Ptr 0) res ~dst_ty:I64 in
        set_gpr64 ~ptr:res st Reg.RAX iv
      | Some _ -> set_gpr64 st Reg.RAX res
      | None -> ())
@@ -1258,11 +1425,11 @@ let lift_insn st (i : Insn.insn) : unit =
     let cond = cond_value st c in
     let v = read_operand st w src in
     let old = get_gpr st w dst in
-    let r = Builder.select st.b t cond v old in
+    let r = B.select st t cond v old in
     set_gpr st w dst r
   | Insn.Setcc (c, dst) ->
     let cond = cond_value st c in
-    let v = Builder.cast st.b Zext ~src_ty:I1 cond ~dst_ty:I8 in
+    let v = B.cast st Zext ~src_ty:I1 cond ~dst_ty:I8 in
     write_operand st Insn.W8 dst v
   | Insn.SseMov (k, dst, src) -> (
     match k, dst, src with
@@ -1272,37 +1439,37 @@ let lift_insn st (i : Insn.insn) : unit =
       set_xmm_f64 st d ~zero_upper:true (xop_f64 st m)
     | Insn.Movsd, Insn.Xm m, Insn.Xr s ->
       let p = lift_addr st m in
-      Builder.store st.b F64 ~align:1 (get_xmm_f64 st s) p
+      B.store st F64 ~align:1 (get_xmm_f64 st s) p
     | Insn.Movss, Insn.Xr d, Insn.Xr s ->
       set_xmm_f32 st d ~zero_upper:false (get_xmm_f32 st s)
     | Insn.Movss, Insn.Xr d, (Insn.Xm _ as m) ->
       set_xmm_f32 st d ~zero_upper:true (xop_f32 st m)
     | Insn.Movss, Insn.Xm m, Insn.Xr s ->
       let p = lift_addr st m in
-      Builder.store st.b F32 ~align:1 (get_xmm_f32 st s) p
+      B.store st F32 ~align:1 (get_xmm_f32 st s) p
     | Insn.Movq, Insn.Xr d, Insn.Xr s ->
       (* 64-bit move zeroing the upper part: insertelement with a
          zeroinitializer (Sec. III-C2) *)
-      let slo = Builder.extractelt st.b v2i64 (get_xmm_vec st s X_v2i64) 0 in
+      let slo = B.extractelt st v2i64 (get_xmm_vec st s X_v2i64) 0 in
       let vec =
-        Builder.insertelt st.b v2i64
+        B.insertelt st v2i64
           (CVec (v2i64, [ CInt (I64, 0L); CInt (I64, 0L) ]))
           slo 0
       in
       set_xmm_vec st d X_v2i64 vec
     | Insn.Movq, Insn.Xr d, Insn.Xm m ->
       let p = lift_addr st m in
-      let v = Builder.load st.b I64 ~align:1 p in
+      let v = B.load st I64 ~align:1 p in
       let vec =
-        Builder.insertelt st.b v2i64
+        B.insertelt st v2i64
           (CVec (v2i64, [ CInt (I64, 0L); CInt (I64, 0L) ]))
           v 0
       in
       set_xmm_vec st d X_v2i64 vec
     | Insn.Movq, Insn.Xm m, Insn.Xr s ->
       let p = lift_addr st m in
-      let slo = Builder.extractelt st.b v2i64 (get_xmm_vec st s X_v2i64) 0 in
-      Builder.store st.b I64 ~align:1 slo p
+      let slo = B.extractelt st v2i64 (get_xmm_vec st s X_v2i64) 0 in
+      B.store st I64 ~align:1 slo p
     | (Insn.Movups | Insn.Movupd | Insn.Movaps | Insn.Movapd
       | Insn.Movdqa | Insn.Movdqu), Insn.Xr d, Insn.Xr s ->
       set_xmm128 st d st.cur.xmm.(s)
@@ -1314,7 +1481,7 @@ let lift_insn st (i : Insn.insn) : unit =
         | _ -> 1
       in
       let p = lift_addr st m in
-      let v = Builder.load st.b v2f64 ~align p in
+      let v = B.load st v2f64 ~align p in
       set_xmm_vec st d X_v2f64 v
     | (Insn.Movups | Insn.Movupd | Insn.Movaps | Insn.Movapd
       | Insn.Movdqa | Insn.Movdqu), Insn.Xm m, Insn.Xr s ->
@@ -1324,18 +1491,18 @@ let lift_insn st (i : Insn.insn) : unit =
         | _ -> 1
       in
       let p = lift_addr st m in
-      Builder.store st.b v2f64 ~align (get_xmm_vec st s X_v2f64) p
+      B.store st v2f64 ~align (get_xmm_vec st s X_v2f64) p
     | _, Insn.Xm _, Insn.Xm _ -> err "SSE mem-to-mem move")
   | Insn.MovqXR (x, r) ->
     let v = get_gpr64 st r in
     let vec =
-      Builder.insertelt st.b v2i64
+      B.insertelt st v2i64
         (CVec (v2i64, [ CInt (I64, 0L); CInt (I64, 0L) ]))
         v 0
     in
     set_xmm_vec st x X_v2i64 vec
   | Insn.MovqRX (r, x) ->
-    let v = Builder.extractelt st.b v2i64 (get_xmm_vec st x X_v2i64) 0 in
+    let v = B.extractelt st v2i64 (get_xmm_vec st x X_v2i64) 0 in
     set_gpr64 st r v
   | Insn.SseArith (op, p, dst, src) -> (
     let fb = function
@@ -1347,39 +1514,39 @@ let lift_insn st (i : Insn.insn) : unit =
     | Insn.Sd, (Insn.FAdd | Insn.FSub | Insn.FMul | Insn.FDiv) ->
       let a = get_xmm_f64 st dst in
       let bv = xop_f64 st src in
-      let r = Builder.fbin st.b (fb op) F64 a bv in
+      let r = B.fbin st (fb op) F64 a bv in
       set_xmm_f64 st dst ~zero_upper:false r
     | Insn.Ss, (Insn.FAdd | Insn.FSub | Insn.FMul | Insn.FDiv) ->
       let a = get_xmm_f32 st dst in
       let bv = xop_f32 st src in
-      let r = Builder.fbin st.b (fb op) F32 a bv in
+      let r = B.fbin st (fb op) F32 a bv in
       set_xmm_f32 st dst ~zero_upper:false r
     | Insn.Pd, (Insn.FAdd | Insn.FSub | Insn.FMul | Insn.FDiv) ->
       let a = get_xmm_vec st dst X_v2f64 in
       let bv = xop_vec st X_v2f64 src in
-      let r = Builder.fbin st.b (fb op) v2f64 a bv in
+      let r = B.fbin st (fb op) v2f64 a bv in
       set_xmm_vec st dst X_v2f64 r
     | Insn.Ps, (Insn.FAdd | Insn.FSub | Insn.FMul | Insn.FDiv) ->
       let a = get_xmm_vec st dst X_v4f32 in
       let bv = xop_vec st X_v4f32 src in
-      let r = Builder.fbin st.b (fb op) v4f32 a bv in
+      let r = B.fbin st (fb op) v4f32 a bv in
       set_xmm_vec st dst X_v4f32 r
     | Insn.Sd, Insn.FSqrt ->
       let bv = xop_f64 st src in
-      let r = Builder.intr st.b (Sqrt F64) ~ty:F64 [ bv ] in
+      let r = B.intr st (Sqrt F64) ~ty:F64 [ bv ] in
       set_xmm_f64 st dst ~zero_upper:false r
     | Insn.Sd, Insn.FMin ->
       let a = get_xmm_f64 st dst in
       let bv = xop_f64 st src in
       (* x86 minsd: if a < b then a else b (b on NaN) *)
-      let c = Builder.fcmp st.b Olt F64 a bv in
-      let r = Builder.select st.b F64 c a bv in
+      let c = B.fcmp st Olt F64 a bv in
+      let r = B.select st F64 c a bv in
       set_xmm_f64 st dst ~zero_upper:false r
     | Insn.Sd, Insn.FMax ->
       let a = get_xmm_f64 st dst in
       let bv = xop_f64 st src in
-      let c = Builder.fcmp st.b Ogt F64 a bv in
-      let r = Builder.select st.b F64 c a bv in
+      let c = B.fcmp st Ogt F64 a bv in
+      let r = B.select st F64 c a bv in
       set_xmm_f64 st dst ~zero_upper:false r
     | _, (Insn.FMin | Insn.FMax | Insn.FSqrt) ->
       err "min/max/sqrt lifting limited to scalar double")
@@ -1402,7 +1569,7 @@ let lift_insn st (i : Insn.insn) : unit =
         | Insn.Pand | Insn.Andps | Insn.Andpd -> And
         | Insn.Por -> Or
       in
-      let r = Builder.bin st.b o v2i64 a bv in
+      let r = B.bin st o v2i64 a bv in
       set_xmm_vec st dst X_v2i64 r)
   | Insn.Ucomis (p, dst, src) ->
     let a, bv =
@@ -1410,47 +1577,47 @@ let lift_insn st (i : Insn.insn) : unit =
       else (get_xmm_f32 st dst, xop_f32 st src)
     in
     let t = if p = Insn.Sd then F64 else F32 in
-    def_flag st zf_i (fun () -> Builder.fcmp st.b Ueq t a bv);
-    def_flag st cf_i (fun () -> Builder.fcmp st.b Ult t a bv);
-    def_flag st pf_i (fun () -> Builder.fcmp st.b Uno t a bv);
+    def_flag st zf_i (fun () -> B.fcmp st Ueq t a bv);
+    def_flag st cf_i (fun () -> B.fcmp st Ult t a bv);
+    def_flag st pf_i (fun () -> B.fcmp st Uno t a bv);
     set_flag st of_i (CInt (I1, 0L));
     set_flag st sf_i (CInt (I1, 0L));
     set_flag st af_i (CInt (I1, 0L));
     st.cur.cmp_cache <- None
   | Insn.Cvtsi2sd (x, w, src) ->
     let v = read_operand st w src in
-    let r = Builder.cast st.b SiToFp ~src_ty:(ty_of_width w) v ~dst_ty:F64 in
+    let r = B.cast st SiToFp ~src_ty:(ty_of_width w) v ~dst_ty:F64 in
     set_xmm_f64 st x ~zero_upper:false r
   | Insn.Cvttsd2si (r, w, src) ->
     let v = xop_f64 st src in
-    let iv = Builder.cast st.b FpToSi ~src_ty:F64 v ~dst_ty:(ty_of_width w) in
+    let iv = B.cast st FpToSi ~src_ty:F64 v ~dst_ty:(ty_of_width w) in
     set_gpr st w r iv
   | Insn.Cvtsd2ss (x, src) ->
     let v = xop_f64 st src in
-    let r = Builder.cast st.b FpTrunc ~src_ty:F64 v ~dst_ty:F32 in
+    let r = B.cast st FpTrunc ~src_ty:F64 v ~dst_ty:F32 in
     set_xmm_f32 st x ~zero_upper:false r
   | Insn.Cvtss2sd (x, src) ->
     let v = xop_f32 st src in
-    let r = Builder.cast st.b FpExt ~src_ty:F32 v ~dst_ty:F64 in
+    let r = B.cast st FpExt ~src_ty:F32 v ~dst_ty:F64 in
     set_xmm_f64 st x ~zero_upper:false r
   | Insn.Unpcklpd (x, src) ->
     let a = get_xmm_vec st x X_v2f64 in
     let bv = xop_vec st X_v2f64 src in
-    let r = Builder.shuffle st.b v2f64 a bv [| 0; 2 |] in
+    let r = B.shuffle st v2f64 a bv [| 0; 2 |] in
     set_xmm_vec st x X_v2f64 r
   | Insn.Shufpd (x, src, imm) ->
     let a = get_xmm_vec st x X_v2f64 in
     let bv = xop_vec st X_v2f64 src in
     let m0 = imm land 1 in
     let m1 = 2 + ((imm lsr 1) land 1) in
-    let r = Builder.shuffle st.b v2f64 a bv [| m0; m1 |] in
+    let r = B.shuffle st v2f64 a bv [| m0; m1 |] in
     set_xmm_vec st x X_v2f64 r
   | Insn.Padd (w, x, src) ->
     let fk = if w = Insn.W64 then X_v2i64 else X_v4i32 in
     let vt = if w = Insn.W64 then v2i64 else v4i32 in
     let a = get_xmm_vec st x fk in
     let bv = xop_vec st fk src in
-    let r = Builder.bin st.b Add vt a bv in
+    let r = B.bin st Add vt a bv in
     set_xmm_vec st x fk r
   | Insn.Jmp _ | Insn.JmpInd _ | Insn.Jcc _ | Insn.Ret ->
     err "terminator reached in straight-line lifting"
@@ -1552,24 +1719,25 @@ let block_effects ~flag_cache rb =
   in
   (effects, match rb.term with `Jcc (c, _, _) -> cond c | _ -> 0)
 
-(* The flags live after each instruction of each raw block, by block
-   index.  A block's successors are its IR edges: branch targets, the
+(* A raw block's successors are its IR edges: branch targets, the
    callee of an in-region call, the candidates of a switch and, for a
    [Ret], the call continuations [call_ras] its guard chain dispatches
-   to.  An address outside the region keeps every flag live. *)
-let flag_liveness ~flag_cache (raw : raw_block array) ~call_ras :
+   to. *)
+let succs ~call_ras rb =
+  match rb.term with
+  | `Jmp t | `Fall t | `CallDir (t, _) -> [ t ]
+  | `Jcc (_, t, f) -> [ t; f ]
+  | `Switch (_, ts) | `CallSwitch (_, ts, _) -> ts
+  | `Ret -> call_ras
+  | `IndExit -> []
+
+(* The flags live after each instruction of each raw block, by block
+   index ([index] maps a block's address to it).  An address outside
+   the region keeps every flag live. *)
+let flag_liveness ~flag_cache (raw : raw_block array) ~index ~call_ras :
     int array array =
   let n = Array.length raw in
-  let index = Hashtbl.create n in
-  Array.iteri (fun j rb -> Hashtbl.replace index rb.start j) raw;
-  let succs rb =
-    match rb.term with
-    | `Jmp t | `Fall t | `CallDir (t, _) -> [ t ]
-    | `Jcc (_, t, f) -> [ t; f ]
-    | `Switch (_, ts) | `CallSwitch (_, ts, _) -> ts
-    | `Ret -> call_ras
-    | `IndExit -> []
-  in
+  let succs = succs ~call_ras in
   let effects = Array.map (block_effects ~flag_cache) raw in
   (* live-in = gen lor (live-out land lnot kill), per block *)
   let gen = Array.make n 0 and kill = Array.make n 0 in
@@ -1589,7 +1757,7 @@ let flag_liveness ~flag_cache (raw : raw_block array) ~call_ras :
   let live_out j =
     List.fold_left
       (fun m a ->
-        m lor (match Hashtbl.find_opt index a with
+        m lor (match Tbl.find_opt index a with
                | Some s -> live_in.(s)
                | None -> all_flags))
       0 (succs raw.(j))
@@ -1629,12 +1797,141 @@ let flag_liveness ~flag_cache (raw : raw_block array) ~call_ras :
    would require the guest to forge it deliberately. *)
 let ret_magic = 0x6F62726577726574L
 
-(* Build the needed entry phis once the lift loop has added every edge:
-   Braun's sealing, for all blocks at once.  [preds bid] lists a block's
-   predecessors in edge order, [raw_bid j] is raw block [j]'s IR block.
 
-   A needed phi reads each predecessor's exit value of its slot, which
-   makes the phi that value names, if any, needed too.  A pointer phi
+(* The live nodes of the analysis run: DCE on its graph [g], of [nodes]
+   nodes.  The roots are live, so are a live node's operands, and a live
+   entry slot [k] of raw block [j] reads slot [k] of the exit state of
+   each predecessor in [preds.(j)] (a raw block, or -1 for the IR entry;
+   [exits] holds the IR entry's at 0 and raw block [p]'s at [p + 1]).
+   Returns the live nodes and, by raw block, the mask of its live entry
+   slots (bit [k] for slot [k]). *)
+let mark g ~nodes ~(preds : int list array) ~(exits : exit_state array) =
+  let keep = Bytes.make nodes '\000' in
+  let live_in = Array.make (Array.length preds) 0 in
+  let work = { a = Array.sub g.roots.a 0 (max 1 g.roots.n); n = g.roots.n } in
+  while work.n > 0 do
+    work.n <- work.n - 1;
+    let e = work.a.(work.n) in
+    if e >= 0 then begin
+      if Bytes.unsafe_get keep e = '\000' then begin
+        Bytes.unsafe_set keep e '\001';
+        for x = (if e = 0 then 0 else g.ends.a.(e - 1)) to g.ends.a.(e) - 1 do
+          push work g.edges.a.(x)
+        done
+      end
+    end
+    else begin
+      let s = slot_of_ref e in
+      let j = s / phi_slots and k = s mod phi_slots in
+      if live_in.(j) land (1 lsl k) = 0 then begin
+        live_in.(j) <- live_in.(j) lor (1 lsl k);
+        List.iter (fun p -> push_value work (exit_value exits.(p + 1) k)) preds.(j)
+      end
+    end
+  done;
+  (keep, live_in)
+
+(* value ids compare as ints; only constants need [=] *)
+let same_value a b =
+  match a, b with
+  | V x, V y -> x = y
+  | V _, _ | _, V _ -> false
+  | _ -> a = b
+
+(* Braun's trivial-phi removal, run on the analysis graph before any phi
+   is built: what each live entry slot ([live_in], see {!mark}) holds,
+   as [phi_id] codes by [j * phi_slots + k], and the slots that keep
+   their phi, in slot order.  A slot whose incomings are
+   all itself or one value [v] stands for [v]; the slots are checked
+   again until none changes.  When a block lifted before the slot's
+   block holds [v] at its exit, in any slot, the slot is [taken_from]
+   there; any other live slot keeps its phi, and {!seal} removes the
+   ones still trivial.  A pointer slot with a predecessor that has no
+   pointer facet keeps its phi: that incoming is a cast {!seal}
+   builds. *)
+let resolve_phis ~(live_in : int array) ~(preds : int list array)
+    ~(exits : exit_state array) =
+  let nraw = Array.length live_in in
+  (* while resolving, a live slot's code is its index [d] among them,
+     and [slot.(d)] is the slot *)
+  let code = Array.make (nraw * phi_slots) dead in
+  let slot = ivec () in
+  for j = 0 to nraw - 1 do
+    if live_in.(j) <> 0 then
+      for k = 0 to phi_slots - 1 do
+        if live_in.(j) land (1 lsl k) <> 0 then begin
+          let s = (j * phi_slots) + k in
+          code.(s) <- slot.n;
+          push slot s
+        end
+      done
+  done;
+  let n = slot.n in
+  (* a resolved slot's value, and where an exit state holds it, as a
+     [src] of {!taken_from}; [unresolved] until then *)
+  let unresolved = -1 in
+  let rv = Array.make n (Undef I1) and rq = Array.make n unresolved in
+  (* [w], held at [src], through any resolved slot *)
+  let rec resolve w src =
+    match w with
+    | V x when x < 0 ->
+      let d = code.(slot_of_ref x) in
+      if rq.(d) = unresolved then (w, src) else resolve rv.(d) rq.(d)
+    | _ -> (w, src)
+  in
+  let trivial s =
+    let j = s / phi_slots and k = s mod phi_slots in
+    let self = entry_ref j k in
+    let rec go acc = function
+      | [] -> acc
+      | p :: tl -> (
+        let ex = exits.(p + 1) in
+        if k >= 16 && k < 32 && ex.x_ptr.(k - 16) = None then None
+        else
+          let w, src =
+            resolve (exit_value ex k) (((p + 1) * phi_slots) + k)
+          in
+          match w, acc with
+          | V x, _ when x = self -> go acc tl
+          | _, None -> go (Some (w, src)) tl
+          | _, Some (v, src') when same_value v w ->
+            go (Some (v, min src src')) tl
+          | _, Some _ -> None)
+    in
+    go None preds.(j)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for d = 0 to n - 1 do
+      if rq.(d) = unresolved then
+        match trivial slot.a.(d) with
+        | None -> ()
+        | Some (v, src) ->
+          rv.(d) <- v;
+          rq.(d) <- src;
+          changed := true
+    done
+  done;
+  let kept = ivec () in
+  for d = 0 to n - 1 do
+    let s = slot.a.(d) and src = rq.(d) in
+    if src <> unresolved && src / phi_slots <= s / phi_slots then
+      code.(s) <- taken_from src
+    else begin
+      code.(s) <- keep_phi;
+      push kept s
+    end
+  done;
+  (code, kept)
+
+(* Build the entry phis once the build run has added every edge: Braun's
+   sealing, for all blocks at once.  [preds bid] lists a block's
+   predecessors in edge order, [raw_bid j] is raw block [j]'s IR block.
+   Phi [n], of id [lo + n], belongs to raw block [phi_blk.(n)] and slot
+   [phi_slot.(n)]; a block's phis are consecutive, by descending slot.
+
+   A phi reads each predecessor's exit value of its slot.  A pointer phi
    whose predecessor has no pointer facet reads an [inttoptr] of the
    predecessor's integer facet, appended to the predecessor; the casts
    get fresh ids in (block, slot, predecessor) order.  Then each
@@ -1642,38 +1939,27 @@ let ret_magic = 0x6F62726577726574L
    replaced by [v], re-checking the phis that use it
    (tryRemoveTrivialPhi), and the replacement is applied to the
    function once.  [Undef] is an ordinary value here. *)
-let seal st ~preds ~raw_bid ~prov_of_bid =
+let seal st ~lo ~phi_blk ~phi_slot ~preds ~raw_bid ~prov_of_bid =
   let b = st.b in
-  let lo = st.phi_lo in
-  let nphis = st.phi_hi - lo in
-  let nblocks = nphis / phi_slots in
-  let slot_of n = phi_slots - 1 - (n mod phi_slots) in
-  let is_needed n = Bytes.get st.needed n <> '\000' in
-  (* each raw block's predecessors with their exit states *)
-  let pstates =
-    Array.init nblocks (fun j ->
-        List.map
-          (fun p -> (p, Hashtbl.find st.final_states p))
-          (preds (raw_bid j)))
+  let nphis = Array.length phi_blk in
+  (* [f j a z] for each block [j] with phis, [a] to [z] *)
+  let each_block f =
+    let n = ref 0 in
+    while !n < nphis do
+      let a = !n and j = phi_blk.(!n) in
+      while !n < nphis && phi_blk.(!n) = j do incr n done;
+      f j a (!n - 1)
+    done
   in
-  (* close the needed set over the predecessors *)
-  while st.pending <> [] do
-    let n = List.hd st.pending in
-    st.pending <- List.tl st.pending;
-    let k = slot_of n in
-    List.iter
-      (fun (_, ps) -> ignore (used st (exit_value ps k)))
-      pstates.(n / phi_slots)
-  done;
   let incomings = Array.make nphis [] in
   let users = Array.make nphis [] in
   let add_users us = function
-    | V id when id >= lo && id < st.phi_hi ->
+    | V id when id >= lo && id < lo + nphis ->
       users.(id - lo) <- List.rev_append us users.(id - lo)
     | _ -> ()
   in
   (* pointer-facet casts per predecessor block, newest first *)
-  let casts : (int, instr list) Hashtbl.t = Hashtbl.create 16 in
+  let casts : instr list Tbl.t = Tbl.create 16 in
   let incoming k (p, ps) =
     if k < 16 || k >= 32 || Option.is_some ps.x_ptr.(k - 16) then
       (p, exit_value ps k)
@@ -1684,19 +1970,20 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
           op = Cast (IntToPtr, I64, ps.x_gpr.(k - 16), Ptr 0);
           prov = prov_of_bid p }
       in
-      let earlier = Option.value ~default:[] (Hashtbl.find_opt casts p) in
-      Hashtbl.replace casts p (ins :: earlier);
+      let earlier = Option.value ~default:[] (Tbl.find_opt casts p) in
+      Tbl.replace casts p (ins :: earlier);
       (p, V id)
   in
-  for j = 0 to nblocks - 1 do
-    for k = 0 to phi_slots - 1 do
-      let n = slot_id (j * phi_slots) k in
-      if is_needed n then begin
-        incomings.(n) <- List.map (incoming k) pstates.(j);
+  each_block (fun j a z ->
+      let pstates =
+        List.map
+          (fun p -> (p, Tbl.find st.final_states p))
+          (preds (raw_bid j))
+      in
+      for n = z downto a do
+        incomings.(n) <- List.map (incoming phi_slot.(n)) pstates;
         List.iter (fun (_, v) -> add_users [ n ] v) incomings.(n)
-      end
-    done
-  done;
+      done);
   let f = Builder.func b in
   let subst = Idtbl.for_values f in
   let removed n = Idtbl.mem subst (lo + n) in
@@ -1704,21 +1991,14 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
      when there is no other), [None] for a phi that stays *)
   let trivial_value n =
     let self = lo + n in
-    (* value ids compare as ints; only constants need [=] *)
-    let same a b =
-      match a, b with
-      | V x, V y -> x = y
-      | V _, _ | _, V _ -> false
-      | _ -> a = b
-    in
     let rec go same_v = function
-      | [] -> Some (Option.value same_v ~default:(Undef (phi_ty (slot_of n))))
+      | [] -> Some (Option.value same_v ~default:undef_slot.(phi_slot.(n)))
       | (_, v) :: tl -> (
         let v = Util.resolve subst v in
         match v, same_v with
         | V id, _ when id = self -> go same_v tl
         | _, None -> go (Some v) tl
-        | _, Some s when same s v -> go same_v tl
+        | _, Some s when same_value s v -> go same_v tl
         | _, Some _ -> None)
     in
     go None incomings.(n)
@@ -1734,33 +2014,42 @@ let seal st ~preds ~raw_bid ~prov_of_bid =
         List.iter try_remove users.(n)
   in
   for n = 0 to nphis - 1 do
-    if is_needed n then try_remove n
+    try_remove n
   done;
-  for j = 0 to nblocks - 1 do
-    let bid = raw_bid j in
-    let prov = prov_of_bid bid in
-    (* slot order is descending id: walk the ids upwards, consing *)
-    let phis = ref [] in
-    for n = j * phi_slots to ((j + 1) * phi_slots) - 1 do
-      if is_needed n && not (removed n) then
-        let ty = phi_ty (slot_of n) in
-        phis :=
-          { id = lo + n; ty = Some ty; op = Phi (ty, incomings.(n)); prov }
-          :: !phis
-    done;
-    if !phis <> [] then begin
-      let blk = Builder.block b bid in
-      blk.instrs <- !phis @ blk.instrs
-    end
-  done;
-  Hashtbl.iter
+  each_block (fun j a z ->
+      let bid = raw_bid j in
+      let prov = prov_of_bid bid in
+      (* slot order is descending id: walk the ids upwards, consing *)
+      let phis = ref [] in
+      for n = a to z do
+        if not (removed n) then
+          let ty = phi_ty phi_slot.(n) in
+          phis :=
+            { id = lo + n; ty = Some ty; op = Phi (ty, incomings.(n)); prov }
+            :: !phis
+      done;
+      if !phis <> [] then begin
+        let blk = Builder.block b bid in
+        blk.instrs <- !phis @ blk.instrs
+      end);
+  Tbl.iter
     (fun p ins ->
       let blk = Builder.block b p in
       blk.instrs <- blk.instrs @ List.rev ins)
     casts;
   Util.apply_subst f subst
 
-(** Lift the function at [entry] with the given System V [sg]. *)
+(** Lift the function at [entry] with the given System V [sg].
+
+    The lift runs twice over the same raw blocks.  The analysis run
+    builds no IR: each value the lift would build is a node of a graph
+    whose edges are the values it reads, and a raw block's entry slots
+    are nodes that read the predecessors' exit values.  Marking from the
+    stores, calls and terminators finds what DCE would keep, across
+    blocks ({!mark}).  The build run then takes the same path and builds
+    each live value where the lift has always built it, and only those:
+    a facet, an address or a load that nothing live reads is never
+    built, and a block gets phi ids only for its live entry slots. *)
 let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     func =
   if List.length (List.filter (fun t -> t <> F64) sg.args) > 6 then
@@ -1786,80 +2075,83 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   let b = Builder.create ~name ~sg in
   let st =
     { cfg = config; b; cur = empty_rstate (); live = all_flags;
-      block_of_addr = Hashtbl.create 16;
-      final_states = Hashtbl.create 16;
-      phi_lo = 0; phi_hi = 0; needed = Bytes.empty; pending = [] }
+      analyze = true; g = { ends = ivec (); edges = ivec (); roots = ivec () };
+      nodes = 0; keep = Bytes.empty;
+      block_of_addr = Tbl.create 16;
+      final_states = Tbl.create 16; phi_id = [||];
+      exits = Array.make (List.length raw + 1) (snapshot (empty_rstate ())) }
   in
-  (* entry block: virtual stack + parameter binding (Sec. III-A/F) *)
-  let stack = Builder.alloca b config.stack_size 16 in
-  let sp0_off = config.stack_size - 64 in
-  let sp0 = Builder.gep b stack [ GConst sp0_off ] in
-  let sp0i = Builder.cast b PtrToInt ~src_ty:(Ptr 0) sp0 ~dst_ty:I64 in
-  st.cur.gpr.(Reg.index Reg.RSP) <- sp0i;
-  st.cur.gpr_ptr.(Reg.index Reg.RSP) <- Some sp0;
-  (* seed the return-address guard chain; emitted only for regions
-     with in-region calls so call-free functions lift bit-identically *)
-  if has_calls then
-    Builder.store b I64 ~align:8 (CInt (I64, ret_magic)) sp0;
-  let iregs = [| Reg.RDI; Reg.RSI; Reg.RDX; Reg.RCX; Reg.R8; Reg.R9 |] in
-  let ii = ref 0 and fi = ref 0 in
-  List.iteri
-    (fun pi t ->
-      let pv = V (List.nth (Builder.params b) pi) in
-      match t with
-      | F64 ->
-        let vec =
-          Builder.insertelt b v2f64 (Undef v2f64) pv 0
-        in
-        let i128 = Builder.cast b Bitcast ~src_ty:v2f64 vec ~dst_ty:I128 in
-        st.cur.xmm.(!fi) <- i128;
-        cache_xmm_facet st !fi X_f64 pv;
-        cache_xmm_facet st !fi X_v2f64 vec;
-        incr fi
-      | Ptr _ ->
-        let iv = Builder.cast b PtrToInt ~src_ty:(Ptr 0) pv ~dst_ty:I64 in
-        st.cur.gpr.(Reg.index iregs.(!ii)) <- iv;
-        st.cur.gpr_ptr.(Reg.index iregs.(!ii)) <- Some pv;
-        incr ii
-      | _ ->
-        st.cur.gpr.(Reg.index iregs.(!ii)) <- pv;
-        st.cur.gpr_ptr.(Reg.index iregs.(!ii)) <- None;
-        incr ii)
-    sg.args;
+  (* entry block: virtual stack + parameter binding (Sec. III-A/F);
+     returns the IR entry's exit state *)
+  let setup () =
+    st.cur <- empty_rstate ();
+    let stack = B.alloca st config.stack_size 16 in
+    let sp0_off = config.stack_size - 64 in
+    let sp0 = B.gep st stack [ GConst sp0_off ] in
+    let sp0i = B.cast st PtrToInt ~src_ty:(Ptr 0) sp0 ~dst_ty:I64 in
+    st.cur.gpr.(Reg.index Reg.RSP) <- sp0i;
+    st.cur.gpr_ptr.(Reg.index Reg.RSP) <- Some sp0;
+    (* seed the return-address guard chain; emitted only for regions
+       with in-region calls so call-free functions lift bit-identically *)
+    if has_calls then
+      B.store st I64 ~align:8 (CInt (I64, ret_magic)) sp0;
+    let iregs = [| Reg.RDI; Reg.RSI; Reg.RDX; Reg.RCX; Reg.R8; Reg.R9 |] in
+    let ii = ref 0 and fi = ref 0 in
+    List.iteri
+      (fun pi t ->
+        let pv = B.param st (V (List.nth (Builder.params b) pi)) in
+        match t with
+        | F64 ->
+          let vec = B.insertelt st v2f64 (Undef v2f64) pv 0 in
+          let i128 = B.cast st Bitcast ~src_ty:v2f64 vec ~dst_ty:I128 in
+          st.cur.xmm.(!fi) <- i128;
+          cache_xmm_facet st !fi X_f64 pv;
+          cache_xmm_facet st !fi X_v2f64 vec;
+          incr fi
+        | Ptr _ ->
+          let iv = B.cast st PtrToInt ~src_ty:(Ptr 0) pv ~dst_ty:I64 in
+          st.cur.gpr.(Reg.index iregs.(!ii)) <- iv;
+          st.cur.gpr_ptr.(Reg.index iregs.(!ii)) <- Some pv;
+          incr ii
+        | _ ->
+          st.cur.gpr.(Reg.index iregs.(!ii)) <- pv;
+          st.cur.gpr_ptr.(Reg.index iregs.(!ii)) <- None;
+          incr ii)
+      sg.args;
+    snapshot st.cur
+  in
   (* provenance: running guest-instruction ordinal at each raw block's
      start, in lift order, so every IR instruction can be stamped with
      a compact (guest addr, ordinal) id *)
-  let ord_base : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let ord_base : int Tbl.t = Tbl.create 16 in
   ignore
     (List.fold_left
        (fun n rb ->
-         Hashtbl.replace ord_base rb.start n;
+         Tbl.replace ord_base rb.start n;
          n + List.length rb.insns + 1 (* + terminator *))
        0 raw);
-  let prov_of_bid : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let prov_of_bid : int Tbl.t = Tbl.create 16 in
   (* allocate an IR block per raw block (entry raw block gets its own,
      jumped to from the IR entry) *)
   List.iter
     (fun rb ->
       let bid = Builder.new_block b in
-      Hashtbl.replace st.block_of_addr rb.start bid;
-      Hashtbl.replace prov_of_bid bid
-        (Prov.make ~addr:rb.start ~ord:(Hashtbl.find ord_base rb.start)))
+      Tbl.replace st.block_of_addr rb.start bid;
+      Tbl.replace prov_of_bid bid
+        (Prov.make ~addr:rb.start ~ord:(Tbl.find ord_base rb.start)))
     raw;
   let bid_of a =
-    match Hashtbl.find_opt st.block_of_addr a with
+    match Tbl.find_opt st.block_of_addr a with
     | Some x -> x
     | None -> err "jump into unlifted code at 0x%x" a
   in
-  let entry_state = snapshot st.cur in
-  Builder.br b (bid_of entry);
   (* the entry raw block may have more predecessors (a loop back to the
      function start), so the IR entry is an ordinary predecessor whose
-     exit state is [entry_state] *)
-  let preds : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+     exit state is the entry state *)
+  let preds : int list Tbl.t = Tbl.create 16 in
   let add_pred target from =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt preds target) in
-    Hashtbl.replace preds target (cur @ [ from ])
+    let cur = Option.value ~default:[] (Tbl.find_opt preds target) in
+    Tbl.replace preds target (cur @ [ from ])
   in
   List.iter
     (fun rb ->
@@ -1876,23 +2168,33 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     raw;
   add_pred (bid_of entry) 0 (* the IR entry block *)
   |> ignore;
-  (* reserve the entry-phi ids of every raw block (see {!phi_slots}) *)
   let raw = Array.of_list raw in
-  let live_after = flag_liveness ~flag_cache:config.flag_cache raw ~call_ras in
-  let nphis = phi_slots * Array.length raw in
-  st.phi_lo <- Builder.reserve_ids b nphis;
-  st.phi_hi <- st.phi_lo + nphis;
-  st.needed <- Bytes.make nphis '\000';
+  let nraw = Array.length raw in
+  let index = Tbl.create nraw in
+  Array.iteri (fun j rb -> Tbl.replace index rb.start j) raw;
+  let live_after = flag_liveness ~flag_cache:config.flag_cache raw ~index ~call_ras in
+  (* each raw block's predecessors by raw index, -1 for the IR entry *)
+  let raw_preds = Array.make nraw [] in
+  Array.iteri
+    (fun j rb ->
+      List.iter
+        (fun a ->
+          match Tbl.find_opt index a with
+          | Some s -> raw_preds.(s) <- j :: raw_preds.(s)
+          | None -> ())
+        (succs ~call_ras rb))
+    raw;
+  (match Tbl.find_opt index entry with
+   | Some s -> raw_preds.(s) <- -1 :: raw_preds.(s)
+   | None -> ());
   (* push a constant return address onto the virtual stack (the store
      half of in-region call/ret pairing) *)
   let push_ra ra =
     let sp = get_gpr_ptr st Reg.RSP in
-    let sp' = Builder.gep b sp [ GConst (-8) ] in
-    let spi =
-      Builder.bin b Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, -8L))
-    in
+    let sp' = B.gep st sp [ GConst (-8) ] in
+    let spi = B.bin st Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, -8L)) in
     set_gpr64 ~ptr:sp' st Reg.RSP spi;
-    Builder.store b I64 ~align:8 (CInt (I64, Int64.of_int ra)) sp'
+    B.store st I64 ~align:8 (CInt (I64, Int64.of_int ra)) sp'
   in
   (* runtime guard chain: compare the dispatched value [v] against each
      [(key, dest)] candidate, branching to [dest] on a match; the final
@@ -1901,102 +2203,142 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
      blocks register their own pred edges and exit states here, which
      is safe because phis are only built after the whole lift loop. *)
   let guard_chain from0 v (cases : (int64 * int) list) =
-    let exit_st = snapshot st.cur in
+    let exit_st = lazy (snapshot st.cur) in
     let from = ref from0 in
     List.iter
       (fun (key, dest) ->
-        let c = Builder.icmp b Eq I64 v (CInt (I64, key)) in
-        let g = Builder.new_block b in
-        Builder.condbr b c dest g;
-        add_pred dest !from;
-        Hashtbl.replace st.final_states !from exit_st;
-        Builder.position b g;
-        from := g)
+        let c = B.icmp st Eq I64 v (CInt (I64, key)) in
+        B.root st c;
+        if not st.analyze then begin
+          let g = Builder.new_block b in
+          Builder.condbr b c dest g;
+          add_pred dest !from;
+          Tbl.replace st.final_states !from (Lazy.force exit_st);
+          Builder.position b g;
+          from := g
+        end)
       cases
   in
   let emit_ret () =
-    match sg.ret with
-    | None -> Builder.ret b None
-    | Some F64 -> Builder.ret b (Some (get_xmm_f64 st 0))
-    | Some (Ptr _) -> Builder.ret b (Some (get_gpr_ptr st Reg.RAX))
-    | Some t ->
-      let v = get_gpr64 st Reg.RAX in
-      let v =
-        if t = I64 then v
-        else Builder.cast st.b Trunc ~src_ty:I64 v ~dst_ty:t
-      in
-      Builder.ret b (Some v)
+    let v =
+      match sg.ret with
+      | None -> None
+      | Some F64 -> Some (get_xmm_f64 st 0)
+      | Some (Ptr _) -> Some (get_gpr_ptr st Reg.RAX)
+      | Some t ->
+        let v = get_gpr64 st Reg.RAX in
+        Some (if t = I64 then v
+              else B.cast st Trunc ~src_ty:I64 v ~dst_ty:t)
+    in
+    Option.iter (B.root st) v;
+    if not st.analyze then Builder.ret b v
   in
-  (* lift each raw block *)
-  Array.iteri
-    (fun j rb ->
+  (* lift raw block [j]; only the build run builds blocks and
+     terminators *)
+  let lift_block j rb =
+    let build = not st.analyze in
+    let bid = bid_of rb.start in
+    if build then begin
       Fault.point ~addr:rb.start "lift.block";
-      let bid = bid_of rb.start in
       Builder.position b bid;
       (* block-start prov covers empty blocks' terminator lowering;
          after the loop cur_prov is the last insn's, which is what the
          [`Jcc] condition reconstruction should be attributed to (the
          cmp/test normally ends the block) *)
-      Builder.set_prov b (Hashtbl.find prov_of_bid bid);
-      enter_block st.cur (st.phi_lo + (j * phi_slots));
-      let ord = ref (Hashtbl.find ord_base rb.start) in
-      List.iteri
-        (fun x (a, i) ->
-          Builder.set_prov b (Prov.make ~addr:a ~ord:!ord);
-          incr ord;
-          st.live <- live_after.(j).(x);
-          lift_insn st i)
-        rb.insns;
-      (match rb.term with
-       | `Jmp t -> Builder.br b (bid_of t)
-       | `Fall t -> Builder.br b (bid_of t)
-       | `Jcc (c, t, f) ->
-         let cond = cond_value st c in
-         Builder.condbr b cond (bid_of t) (bid_of f)
-       | `CallDir (t, ra) ->
-         push_ra ra;
-         Builder.br b (bid_of t)
-       | `Switch (op, ts) ->
-         (* guard on the value actually dispatched at runtime, not on
-            the discovery-time enumeration *)
-         let v = read_operand st Insn.W64 op in
-         guard_chain bid v
-           (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
-       | `CallSwitch (op, ts, ra) ->
-         let v = read_operand st Insn.W64 op in
-         push_ra ra;
-         guard_chain bid v
-           (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
-       | `IndExit ->
-         (* unknown indirect target set: the fresh block's default
-            [Unreachable] terminator is the side-exit *)
-         ()
-       | `Ret when has_calls ->
-         (* pop the return address and dispatch on it: the sentinel
-            means the function's own return, a call continuation
-            branches there, anything else side-exits *)
-         let sp = get_gpr_ptr st Reg.RSP in
-         let rav = Builder.load b I64 ~align:8 sp in
-         let sp' = Builder.gep b sp [ GConst 8 ] in
-         let spi =
-           Builder.bin b Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L))
-         in
-         set_gpr64 ~ptr:sp' st Reg.RSP spi;
-         let ret_blk = Builder.new_block b in
-         guard_chain bid rav
-           ((ret_magic, ret_blk)
-           :: List.map (fun ra -> (Int64.of_int ra, bid_of ra)) call_ras);
-         Builder.position b ret_blk;
-         emit_ret ()
-       | `Ret -> emit_ret ());
-      Hashtbl.replace st.final_states bid (snapshot st.cur))
-    raw;
-  Hashtbl.replace st.final_states 0 entry_state;
-  seal st
-    ~preds:(fun bid -> Option.value ~default:[] (Hashtbl.find_opt preds bid))
+      Builder.set_prov b (Tbl.find prov_of_bid bid)
+    end;
+    enter_block st j;
+    let ord = ref (Tbl.find ord_base rb.start) in
+    List.iteri
+      (fun x (a, i) ->
+        if build then Builder.set_prov b (Prov.make ~addr:a ~ord:!ord);
+        incr ord;
+        st.live <- live_after.(j).(x);
+        lift_insn st i)
+      rb.insns;
+    (match rb.term with
+     | `Jmp t | `Fall t -> if build then Builder.br b (bid_of t)
+     | `Jcc (c, t, f) ->
+       let cond = cond_value st c in
+       B.root st cond;
+       if build then Builder.condbr b cond (bid_of t) (bid_of f)
+     | `CallDir (t, ra) ->
+       push_ra ra;
+       if build then Builder.br b (bid_of t)
+     | `Switch (op, ts) ->
+       (* guard on the value actually dispatched at runtime, not on
+          the discovery-time enumeration *)
+       let v = read_operand st Insn.W64 op in
+       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
+     | `CallSwitch (op, ts, ra) ->
+       let v = read_operand st Insn.W64 op in
+       push_ra ra;
+       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
+     | `IndExit ->
+       (* unknown indirect target set: the fresh block's default
+          [Unreachable] terminator is the side-exit *)
+       ()
+     | `Ret when has_calls ->
+       (* pop the return address and dispatch on it: the sentinel
+          means the function's own return, a call continuation
+          branches there, anything else side-exits *)
+       let sp = get_gpr_ptr st Reg.RSP in
+       let rav = B.load st I64 ~align:8 sp in
+       let sp' = B.gep st sp [ GConst 8 ] in
+       let spi = B.bin st Add I64 (get_gpr64 st Reg.RSP) (CInt (I64, 8L)) in
+       set_gpr64 ~ptr:sp' st Reg.RSP spi;
+       let ret_blk = if build then Builder.new_block b else -1 in
+       guard_chain bid rav
+         ((ret_magic, ret_blk)
+         :: List.map (fun ra -> (Int64.of_int ra, bid_of ra)) call_ras);
+       if build then Builder.position b ret_blk;
+       emit_ret ()
+     | `Ret -> emit_ret ());
+    let exit = snapshot st.cur in
+    st.exits.(j + 1) <- exit;
+    if build then Tbl.replace st.final_states bid exit
+  in
+  (* the analysis run *)
+  st.exits.(0) <- setup ();
+  Array.iteri lift_block raw;
+  let keep, live_in =
+    mark st.g ~nodes:st.nodes ~preds:raw_preds ~exits:st.exits
+  in
+  let code, kept = resolve_phis ~live_in ~preds:raw_preds ~exits:st.exits in
+  st.phi_id <- code;
+  (* the build run: the entry block, the ids of the kept entry phis (see
+     {!phi_slots}), then the blocks *)
+  st.analyze <- false;
+  st.keep <- keep;
+  st.nodes <- 0;
+  let entry_state = setup () in
+  st.exits.(0) <- entry_state;
+  Builder.br b (bid_of entry);
+  let nphis = kept.n in
+  let lo = Builder.reserve_ids b nphis in
+  (* raw block [j]'s phis run from its highest slot down, so that listed
+     in slot order they come out by descending id *)
+  let phi_blk = Array.make nphis 0 and phi_slot = Array.make nphis 0 in
+  let x = ref 0 in
+  while !x < nphis do
+    let j = kept.a.(!x) / phi_slots in
+    let z = ref !x in
+    while !z < nphis && kept.a.(!z) / phi_slots = j do incr z done;
+    for y = !x to !z - 1 do
+      let n = !x + !z - 1 - y and s = kept.a.(y) in
+      st.phi_id.(s) <- lo + n;
+      phi_blk.(n) <- j;
+      phi_slot.(n) <- s mod phi_slots
+    done;
+    x := !z
+  done;
+  Array.iteri lift_block raw;
+  Tbl.replace st.final_states 0 entry_state;
+  seal st ~lo ~phi_blk ~phi_slot
+    ~preds:(fun bid -> Option.value ~default:[] (Tbl.find_opt preds bid))
     ~raw_bid:(fun j -> bid_of raw.(j).start)
     ~prov_of_bid:(fun bid ->
-      Option.value ~default:Prov.none (Hashtbl.find_opt prov_of_bid bid));
+      Option.value ~default:Prov.none (Tbl.find_opt prov_of_bid bid));
   Builder.func b
 
 let lift ?config ~read ~entry ~name (sg : signature) : func =

@@ -15,10 +15,13 @@
 
     Registers and flags become SSA values by on-demand construction
     (Braun et al., CC 2013): a block gets a φ-node only for a register
-    or flag it reads before writing, and trivial φ-nodes are removed as
-    the blocks are sealed.  The result is otherwise deliberately naive —
-    heavy with flag algebra and facet casts — exactly as the paper
-    describes; the optimizer is responsible for cleaning it up. *)
+    or flag that a live value reads before the block writes it, and no
+    φ-node is trivial.  The lift runs twice: the first run builds only
+    the graph of what each value would read, and DCE on it tells the
+    second which values to build, so DCE finds nothing to delete in a
+    lift.  What is built is the naive translation the paper describes —
+    flag algebra, facet casts and virtual-stack traffic wherever a live
+    value needs them; the optimizer folds it. *)
 
 type config = {
   flag_cache : bool;   (** Sec. III-D; off = the Fig. 6b failure mode *)

@@ -108,9 +108,9 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
     let compact () =
       Tel.span "ir.compact" ~args:f.fname (fun () -> Util.compact f)
     in
-    (* about half of a lifted function is dead on arrival (facets and
-       stack traffic are emitted eagerly): delete it before anything
-       walks it *)
+    (* delete dead code before anything walks it: a lift has none (the
+       lifter builds only live values), but other front ends' functions
+       do *)
     pass "dce" (fun () -> Dce.run f);
     compact ();
     pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);

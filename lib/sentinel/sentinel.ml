@@ -252,40 +252,58 @@ let shrink_kernel_bytes env kind style ~kernel ~(bytes : string)
       end
   with _ -> (bytes, 0)
 
+(* Quarantined kernels waiting to be shrunk and saved, oldest first.
+   Shrinking runs a probe per candidate, so it waits for
+   {!flush_repros} instead of running inside the serve that caught the
+   kernel: under the tier controller that serve is timed as compile
+   time.  Each entry holds a fork of the image taken at the catch, so
+   the saved reproducer is the one a shrink at the catch would save. *)
+let pending : (unit -> unit) Queue.t = Queue.create ()
+
+(* Queue the shrink and save of [kernel]'s reproducer under [out_dir];
+   the path it will be saved to. *)
 let persist_repro ~(out_dir : string option) env kind style ~mode ~kernel
     ~(digest : string) ~(detail : string) ~(want_fault : bool) :
     string option =
-  match out_dir with
-  | None -> None
-  | Some dir -> (
-    match Image.installed_bytes env.Modes.img kernel with
-    | None -> None
-    | Some bytes -> (
-      try
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        incr repro_seq;
-        let name = Printf.sprintf "quarantine-%06d" !repro_seq in
-        let small, checks =
-          shrink_kernel_bytes env kind style ~kernel ~bytes ~want_fault
-        in
-        let note =
-          Printf.sprintf "%s; shrunk %d -> %d byte(s) in %d check(s)" detail
-            (String.length bytes) (String.length small) checks
-        in
-        let r =
-          { Srepro.s_name = name;
-            s_mode = Modes.transform_name mode;
-            s_kind = Modes.kind_name kind;
-            s_style = Modes.style_name style;
-            s_sz = env.Modes.w.Stencil.sz;
-            s_digest = digest;
-            s_code = small;
-            s_note = note }
-        in
-        let path = Filename.concat dir (name ^ ".repro") in
-        Srepro.save path r;
-        Some path
-      with Sys_error _ | Unix.Unix_error _ -> None))
+  match out_dir, Image.installed_bytes env.Modes.img kernel with
+  | None, _ | _, None -> None
+  | Some dir, Some bytes ->
+    incr repro_seq;
+    let name = Printf.sprintf "quarantine-%06d" !repro_seq in
+    let path = Filename.concat dir (name ^ ".repro") in
+    let env = { env with Modes.img = Image.fork env.Modes.img } in
+    Queue.add
+      (fun () ->
+        try
+          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+          let small, checks =
+            shrink_kernel_bytes env kind style ~kernel ~bytes ~want_fault
+          in
+          let note =
+            Printf.sprintf "%s; shrunk %d -> %d byte(s) in %d check(s)" detail
+              (String.length bytes) (String.length small) checks
+          in
+          Srepro.save path
+            { Srepro.s_name = name;
+              s_mode = Modes.transform_name mode;
+              s_kind = Modes.kind_name kind;
+              s_style = Modes.style_name style;
+              s_sz = env.Modes.w.Stencil.sz;
+              s_digest = digest;
+              s_code = small;
+              s_note = note }
+        with Sys_error _ | Unix.Unix_error _ -> ())
+      pending;
+    Some path
+
+(** Reproducers caught but not yet saved. *)
+let pending_repros () = Queue.length pending
+
+(** Shrink and save every pending reproducer, oldest first. *)
+let flush_repros () =
+  while not (Queue.is_empty pending) do
+    (Queue.pop pending) ()
+  done
 
 (* ---------- request registry ---------- *)
 
@@ -319,13 +337,15 @@ let rank = function
 
 let demoted (req : req) = rank req.rq_mode < rank req.rq_want
 
-(** Reset the registry and the logical clock (not the quarantine
-    blacklist — that is {!Obrew_fault.Quarantine.clear}). *)
+(** Reset the registry and the logical clock, dropping reproducers not
+    yet flushed (not the quarantine blacklist — that is
+    {!Obrew_fault.Quarantine.clear}). *)
 let reset () =
   Hashtbl.reset requests;
   tick := 0;
   heal_retries_count := 0;
-  repro_seq := 0
+  repro_seq := 0;
+  Queue.clear pending
 
 (* ---------- quarantine / demote / heal ---------- *)
 
@@ -354,7 +374,7 @@ let condemn ~out_dir env (req : req) (mode : Modes.transform) (kernel : int)
           ~digest ~detail ~want_fault
       in
       logf "quarantined %s (%s)%s" (Digest.to_hex digest) detail
-        (match path with Some p -> "; saved " ^ p | None -> "")
+        (match path with Some p -> "; reproducer " ^ p | None -> "")
     end
 
 let schedule_heal (policy : H.policy) (req : req) =

@@ -254,6 +254,7 @@ let test_saboteur_end_to_end () =
   check_matches_native env Modes.Flat Modes.Element ~kernel:sv.Sen.sv_kernel
     ~ctx:"healed kernel";
   (* the quarantine capture must exist and still reproduce on replay *)
+  Sen.flush_repros ();
   let repros = Sys.readdir out_dir in
   Alcotest.(check bool) "reproducer saved" true (Array.length repros >= 1);
   Array.iter

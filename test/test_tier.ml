@@ -198,6 +198,43 @@ let test_quarantined_tier_up_backs_off () =
   check_bits "sabotaged tiered result" never.Tier.r_result
     tiered.Tier.r_result
 
+(* A quarantined tier-up's reproducer is shrunk and saved only when the
+   caller flushes, after the run: the shrink's probes are no compile
+   time.  The saved reproducer replays through [obrew fuzz --replay]. *)
+let test_quarantine_repro_after_run () =
+  let env = Lazy.force shared in
+  Sen.reset ();
+  Quarantine.clear ();
+  let dir = Filename.temp_dir "obrew_tier" "" in
+  let repros () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".repro")
+  in
+  Fault.install [ Fault.arm ~fires:1 "sabotage.rewrite.item" ];
+  let r =
+    Tier.run
+      ~cfg:{ (cfg 500) with Tier.out_dir = Some dir }
+      env ~schedule ~strategy:Tier.Tiered
+  in
+  Fault.clear ();
+  Alcotest.(check bool) "a tier-up was demoted" true (r.Tier.r_demotions >= 1);
+  Alcotest.(check int) "nothing saved during the run" 0
+    (List.length (repros ()));
+  Alcotest.(check int) "one reproducer pending" 1 (Sen.pending_repros ());
+  Sen.flush_repros ();
+  Alcotest.(check int) "none pending after the flush" 0 (Sen.pending_repros ());
+  Alcotest.(check int) "one reproducer saved" 1 (List.length (repros ()));
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/obrew_cli.exe"
+  in
+  let cmd =
+    Printf.sprintf "%s fuzz --replay %s --tiers all > /dev/null 2>&1"
+      (Filename.quote cli) (Filename.quote dir)
+  in
+  Alcotest.(check int) "fuzz --replay accepts it" 0 (Sys.command cmd);
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+
 let () =
   Alcotest.run "tier"
     [ ( "exactness",
@@ -210,4 +247,6 @@ let () =
         [ Alcotest.test_case "hot workload tiers up and wins" `Quick
             test_hot_workload_tiers_up;
           Alcotest.test_case "quarantined tier-up demotes and backs off"
-            `Quick test_quarantined_tier_up_backs_off ] ) ]
+            `Quick test_quarantined_tier_up_backs_off;
+          Alcotest.test_case "quarantine reproducer saved after the run"
+            `Quick test_quarantine_repro_after_run ] ) ]
