@@ -9,13 +9,11 @@
       register or flag a live value reads before the block writes it
       (see {!seal});
     - the six status flags as individual [i1] values, plus the *flag
-      cache* that reconstructs comparison predicates (Sec. III-D); a
-      flag is built only where some path reads it (see
-      {!flag_liveness});
+      cache* that reconstructs comparison predicates (Sec. III-D);
     - only live values: a first run of the lift builds no IR, only the
       graph of what each value would read, and DCE on that graph tells
-      the second run which facets, addresses and loads to build (see
-      {!lift_impl});
+      the second run which flags, facets, addresses and loads to build
+      (see {!lift_impl});
     - a virtual stack allocated with [alloca] (Sec. III-F);
     - [call]/[ret] mapped to IR calls and returns, leaving inlining
       decisions to the optimizer (Sec. III-B). *)
@@ -67,14 +65,6 @@ type raw_block = {
 }
 
 module Tel = Obrew_telemetry.Telemetry
-
-(* Tables keyed by address or block id. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
 module Prov = Obrew_provenance.Provenance
 module Util = Obrew_opt.Util
 
@@ -105,9 +95,9 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
     raw_block list =
   Fault.point ~addr:entry "lift.discover";
   (* pass 1: decode reachable instructions, collect leaders *)
-  let insns : (Insn.insn * int) Tbl.t = Tbl.create 64 in
-  let leaders : unit Tbl.t = Tbl.create 16 in
-  Tbl.replace leaders entry ();
+  let insns : (int, Insn.insn * int) Hashtbl.t = Hashtbl.create 64 in
+  let leaders : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.replace leaders entry ();
   let work = Queue.create () in
   Queue.add entry work;
   let count = ref 0 in
@@ -117,10 +107,10 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
      to resolve the *operand base* of an indirect branch — the runtime
      guard re-checks the dispatched value, so stale or missing entries
      degrade coverage, not soundness. *)
-  let consts : int64 Tbl.t = Tbl.create 4 in
+  let consts : (int, int64) Hashtbl.t = Hashtbl.create 4 in
   (* enumerated candidate targets of resolved indirect branches,
      keyed by the branch instruction's address (consumed by pass 2) *)
-  let ind_targets : int list Tbl.t = Tbl.create 4 in
+  let ind_targets : (int, int list) Hashtbl.t = Hashtbl.create 4 in
   let read_u64 a =
     let v = ref 0L in
     for k = 7 downto 0 do
@@ -148,7 +138,7 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
   let resolve_ind (op : Insn.operand) : int list =
     match op with
     | Insn.OReg r -> (
-      match Tbl.find_opt consts (Reg.index r) with
+      match Hashtbl.find_opt consts (Reg.index r) with
       | Some v ->
         let t = Int64.to_int v in
         if plausible t then [ t ] else []
@@ -157,7 +147,7 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
       match (m.Insn.base, m.Insn.index) with
       | Some b, (None | Some (_, Insn.S8)) -> (
         (* [jmp qword [b + i*8 + disp]]: a jump table at b+disp *)
-        match Tbl.find_opt consts (Reg.index b) with
+        match Hashtbl.find_opt consts (Reg.index b) with
         | Some bv ->
           let base = Int64.to_int bv + m.Insn.disp in
           if m.Insn.index = None then
@@ -169,26 +159,26 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
     | _ -> []
   in
   let add_target t =
-    Tbl.replace leaders t ();
+    Hashtbl.replace leaders t ();
     Queue.add t work
   in
   let dargs = if !Tel.enabled then Printf.sprintf "0x%x" entry else "" in
   Tel.span "decode.discover" ~args:dargs (fun () ->
   while not (Queue.is_empty work) do
     let a = ref (Queue.pop work) in
-    if Tbl.length consts > 0 then Tbl.reset consts;
-    let continue_ = ref (not (Tbl.mem insns !a)) in
+    Hashtbl.reset consts;
+    let continue_ = ref (not (Hashtbl.mem insns !a)) in
     while !continue_ do
       incr count;
       if !count > max_insns then
         err "function too large to lift (budget: %d instructions)" max_insns;
-      if Tbl.length leaders > max_blocks then
+      if Hashtbl.length leaders > max_blocks then
         err "function has too many basic blocks (budget: %d)" max_blocks;
       (* decode failures propagate as typed [Decode] errors carrying
          the faulting address *)
       let i, len = Decode.decode ~read !a in
       let i = resolve_rip !a len i in
-      Tbl.replace insns !a (i, len);
+      Hashtbl.replace insns !a (i, len);
       let next = !a + len in
       (match i with
        | Insn.Jmp (Insn.Abs t) ->
@@ -211,14 +201,14 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
          (match List.sort_uniq compare (resolve_ind op) with
           | [] -> ()
           | ts ->
-            Tbl.replace ind_targets !a ts;
+            Hashtbl.replace ind_targets !a ts;
             List.iter add_target ts);
          continue_ := false
        | Insn.CallInd op ->
          (match List.sort_uniq compare (resolve_ind op) with
           | [] -> ()
           | ts ->
-            Tbl.replace ind_targets !a ts;
+            Hashtbl.replace ind_targets !a ts;
             List.iter add_target ts;
             add_target next);
          continue_ := false
@@ -228,24 +218,24 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
          Err.fail ~addr:!a Err.Lift "trap instruction at 0x%x" !a
        | _ ->
          (match i with
-          | Insn.Movabs (r, v) -> Tbl.replace consts (Reg.index r) v
-          | _ -> if Tbl.length consts > 0 then Tbl.reset consts);
+          | Insn.Movabs (r, v) -> Hashtbl.replace consts (Reg.index r) v
+          | _ -> Hashtbl.reset consts);
          a := next;
-         if Tbl.mem insns next then continue_ := false
-         else if Tbl.mem leaders next then continue_ := false)
+         if Hashtbl.mem insns next then continue_ := false
+         else if Hashtbl.mem leaders next then continue_ := false)
     done
   done);
   (* pass 2: form blocks; a block also ends right before another leader
      (block splitting, Sec. III-B) *)
   let starts =
-    Tbl.fold (fun a () acc -> a :: acc) leaders []
-    |> List.filter (Tbl.mem insns)
+    Hashtbl.fold (fun a () acc -> a :: acc) leaders []
+    |> List.filter (Hashtbl.mem insns)
     |> List.sort compare
   in
   List.map
     (fun start ->
       let rec go a acc =
-        match Tbl.find_opt insns a with
+        match Hashtbl.find_opt insns a with
         | None -> Err.fail ~addr:a Err.Lift "fell off decoded code at 0x%x" a
         | Some (i, len) -> (
           let next = a + len in
@@ -258,16 +248,16 @@ let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
           | Insn.Call (Insn.Abs t) when not (List.mem_assoc t callee_sigs) ->
             { start; insns = List.rev acc; term = `CallDir (t, next) }
           | Insn.JmpInd op -> (
-            match Tbl.find_opt ind_targets a with
+            match Hashtbl.find_opt ind_targets a with
             | Some ts -> { start; insns = List.rev acc; term = `Switch (op, ts) }
             | None -> { start; insns = List.rev acc; term = `IndExit })
           | Insn.CallInd op -> (
-            match Tbl.find_opt ind_targets a with
+            match Hashtbl.find_opt ind_targets a with
             | Some ts ->
               { start; insns = List.rev acc; term = `CallSwitch (op, ts, next) }
             | None -> { start; insns = List.rev acc; term = `IndExit })
           | _ ->
-            if Tbl.mem leaders next then
+            if Hashtbl.mem leaders next then
               { start; insns = List.rev ((a, i) :: acc); term = `Fall next }
             else go next ((a, i) :: acc))
       in
@@ -329,15 +319,6 @@ let cf_i = 2
 let of_i = 3
 let pf_i = 4
 let af_i = 5
-
-(* flag sets as bit masks, bit [i] for flag [i] *)
-let all_flags = 0x3f
-let zf_b = 1 lsl zf_i
-let sf_b = 1 lsl sf_i
-let cf_b = 1 lsl cf_i
-let of_b = 1 lsl of_i
-let pf_b = 1 lsl pf_i
-let af_b = 1 lsl af_i
 
 (* A block's exit state: what {!seal} and the guard chains read of it.
    The facet caches and the flag cache are block-local, so only the
@@ -405,9 +386,6 @@ type lstate = {
   cfg : config;
   b : Builder.t;
   mutable cur : rstate;  (* the working state, reset at each raw block *)
-  (* the flags live after the instruction being lifted: a write of
-     any other flag is dead (see {!flag_liveness}) *)
-  mutable live : int;
   (* the run: [analyze] builds the graph [g], the build run builds the
      nodes [keep] marks *)
   mutable analyze : bool;
@@ -415,8 +393,8 @@ type lstate = {
   mutable nodes : int;  (* nodes so far in this run *)
   mutable keep : Bytes.t;  (* by node: live *)
   (* per raw-block results *)
-  block_of_addr : int Tbl.t;  (* x86 addr -> IR block id *)
-  final_states : exit_state Tbl.t; (* IR block id -> exit state *)
+  block_of_addr : (int, int) Hashtbl.t;  (* x86 addr -> IR block id *)
+  final_states : (int, exit_state) Hashtbl.t; (* IR block id -> exit state *)
   (* by [j * phi_slots + k], what slot [k] of raw block [j] holds at
      the block's entry: the id of its phi, [dead], or [taken_from src] *)
   mutable phi_id : int array;
@@ -431,22 +409,19 @@ let dead = -1
 (* The slot holds the value slot [k] holds at the exit of raw block [q]
    (-1: of the IR entry), lifted before: its phi would be trivial (see
    {!resolve_phis}).  [src] is [(q + 1) * phi_slots + k]. *)
-let taken_from src = -3 - src
-let source_of code = -3 - code
+let taken_from src = -2 - src
+let source_of code = -2 - code
 
-(* Before the build run: the slot's phi is built. *)
-let keep_phi = -2
-
-(* The builder calls of the lift.  In the analysis run each adds a node
-   whose operands are the values it reads, and returns it; in the build
-   run it builds the instruction when the node is live, and otherwise
-   returns [Undef]: only dead values read a dead one. *)
 (* push the nodes and entry slots value [v] names *)
 let rec push_value (w : ivec) = function
   | V n -> push w n
   | CVec (_, vs) -> List.iter (push_value w) vs
   | _ -> ()
 
+(* The builder calls of the lift.  In the analysis run each adds a node
+   whose operands are the values it reads, and returns it; in the build
+   run it builds the instruction when the node is live, and otherwise
+   returns [Undef]: only dead values read a dead one. *)
 module B = struct
 
   let next st =
@@ -459,7 +434,10 @@ module B = struct
     push st.g.ends st.g.edges.n;
     V (next st)
 
-  let live st = Bytes.unsafe_get st.keep (next st) <> '\000'
+  let live st =
+    let n = next st in
+    if n >= Bytes.length st.keep then err "build run outran the analysis run";
+    Bytes.unsafe_get st.keep n <> '\000'
 
   let dep st v = push_value st.g.edges v
 
@@ -553,8 +531,7 @@ let xmm st x = st.cur.xmm.(x)
 (* The value slot [k] of raw block [j] holds at the block's entry: in
    the analysis run a reference to the entry slot, in the build run its
    phi, the value it is [taken_from] a block lifted before, or [Undef]
-   when no live value reads it
-   there. *)
+   when no live value reads it there. *)
 let undef_slot = Array.init phi_slots (fun k -> Undef (phi_ty k))
 
 let slot_value st j k =
@@ -658,11 +635,7 @@ let set_gpr64 ?ptr st r v =
   let i = Reg.index r in
   st.cur.gpr.(i) <- v;
   st.cur.gpr_ptr.(i) <- ptr;
-  let f = st.cur.gpr_facets and o = i * gpr_facet_slots in
-  f.(o) <- None;
-  f.(o + 1) <- None;
-  f.(o + 2) <- None;
-  f.(o + 3) <- None
+  Array.fill st.cur.gpr_facets (i * gpr_facet_slots) gpr_facet_slots None
 
 let set_gpr st w r (v : value) =
   let i = Reg.index r in
@@ -734,10 +707,7 @@ let get_xmm_f32 st x : value =
 
 let set_xmm128 st x v =
   st.cur.xmm.(x) <- v;
-  let f = st.cur.xmm_facets and o = x * xmm_facet_slots in
-  for s = o to o + xmm_facet_slots - 1 do
-    f.(s) <- None
-  done
+  Array.fill st.cur.xmm_facets (x * xmm_facet_slots) xmm_facet_slots None
 
 let set_xmm_vec st x fk (v : value) =
   let t = facet_ty fk in
@@ -865,57 +835,42 @@ let xop_vec st fk = function
 let set_flag st i v = st.cur.flags.(i) <- v
 let get_flag st i = st.cur.flags.(i)
 
-(* Flag [i] is read on some path before its next write. *)
-let live st i = st.live land (1 lsl i) <> 0
-
-(* The value [mk] builds for flag [i], or [Undef] when no path reads
-   the flag: the IR [mk] would build is dead on arrival. *)
-let when_live st i mk = if live st i then mk () else Undef I1
-let def_flag st i mk = set_flag st i (when_live st i mk)
-
 let bool_not st v = B.bin st Xor I1 v (CInt (I1, 1L))
 
 (* szp flags from a result value of type [t]; zf only with [zf] *)
 let set_szp ?(zf = true) st t r =
-  if zf then
-    def_flag st zf_i (fun () -> B.icmp st Eq t r (CInt (t, 0L)));
-  def_flag st sf_i (fun () -> B.icmp st Slt t r (CInt (t, 0L)));
+  if zf then set_flag st zf_i (B.icmp st Eq t r (CInt (t, 0L)));
+  set_flag st sf_i (B.icmp st Slt t r (CInt (t, 0L)));
   (* parity via ctpop over the low byte (Sec. III-D) *)
-  def_flag st pf_i (fun () ->
-      let low =
-        if t = I8 then r else B.cast st Trunc ~src_ty:t r ~dst_ty:I8
-      in
-      let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
-      let band = B.bin st And I8 pc (CInt (I8, 1L)) in
-      B.icmp st Eq I8 band (CInt (I8, 0L)))
+  let low = if t = I8 then r else B.cast st Trunc ~src_ty:t r ~dst_ty:I8 in
+  let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
+  let band = B.bin st And I8 pc (CInt (I8, 1L)) in
+  set_flag st pf_i (B.icmp st Eq I8 band (CInt (I8, 0L)))
 
 let set_af st t a bv r =
-  def_flag st af_i (fun () ->
-      let x1 = B.bin st Xor t a bv in
-      let x2 = B.bin st Xor t x1 r in
-      let bit = B.bin st And t x2 (CInt (t, 0x10L)) in
-      B.icmp st Ne t bit (CInt (t, 0L)))
+  let x1 = B.bin st Xor t a bv in
+  let x2 = B.bin st Xor t x1 r in
+  let bit = B.bin st And t x2 (CInt (t, 0x10L)) in
+  set_flag st af_i (B.icmp st Ne t bit (CInt (t, 0L)))
 
 (* overflow via bitwise operations (Sec. III-D discourages the
    intrinsics) *)
 let set_of_add st t a bv r =
-  def_flag st of_i (fun () ->
-      let x1 = B.bin st Xor t a r in
-      let x2 = B.bin st Xor t bv r in
-      let m = B.bin st And t x1 x2 in
-      B.icmp st Slt t m (CInt (t, 0L)))
+  let x1 = B.bin st Xor t a r in
+  let x2 = B.bin st Xor t bv r in
+  let m = B.bin st And t x1 x2 in
+  set_flag st of_i (B.icmp st Slt t m (CInt (t, 0L)))
 
 let set_of_sub st t a bv r =
-  def_flag st of_i (fun () ->
-      let x1 = B.bin st Xor t a bv in
-      let x2 = B.bin st Xor t a r in
-      let m = B.bin st And t x1 x2 in
-      B.icmp st Slt t m (CInt (t, 0L)))
+  let x1 = B.bin st Xor t a bv in
+  let x2 = B.bin st Xor t a r in
+  let m = B.bin st And t x1 x2 in
+  set_flag st of_i (B.icmp st Slt t m (CInt (t, 0L)))
 
 (* [cf:false] leaves cf to the caller (adc/sbb compute their own) *)
 let flags_add ?(cf = true) st t a bv r =
   set_szp st t r;
-  if cf then def_flag st cf_i (fun () -> B.icmp st Ult t r a);
+  if cf then set_flag st cf_i (B.icmp st Ult t r a);
   set_of_add st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- None
@@ -924,8 +879,8 @@ let flags_sub ?(is_cmp = false) ?(cf = true) st t a bv r =
   (* zf of a compare is exactly equality of the operands, set below *)
   set_szp ~zf:(not is_cmp) st t r;
   (* basic integer comparisons for cf (and zf) *)
-  if cf then def_flag st cf_i (fun () -> B.icmp st Ult t a bv);
-  if is_cmp then def_flag st zf_i (fun () -> B.icmp st Eq t a bv);
+  if cf then set_flag st cf_i (B.icmp st Ult t a bv);
+  if is_cmp then set_flag st zf_i (B.icmp st Eq t a bv);
   set_of_sub st t a bv r;
   set_af st t a bv r;
   st.cur.cmp_cache <- (if is_cmp then Some (t, a, bv) else None)
@@ -1140,13 +1095,11 @@ let lift_insn st (i : Insn.insn) : unit =
       if op = Insn.Adc then flags_add ~cf:false st t a bv r
       else flags_sub ~cf:false st t a bv r;
       (* carry: exact treatment requires the carry-in; model it *)
-      def_flag st cf_i (fun () ->
-          let c1, c2 =
-            if op = Insn.Adc then
-              (B.icmp st Ult t r0 a, B.icmp st Ult t r r0)
-            else (B.icmp st Ult t a bv, B.icmp st Ult t r0 cin)
-          in
-          B.bin st Or I1 c1 c2);
+      let c1, c2 =
+        if op = Insn.Adc then (B.icmp st Ult t r0 a, B.icmp st Ult t r r0)
+        else (B.icmp st Ult t a bv, B.icmp st Ult t r0 cin)
+      in
+      set_flag st cf_i (B.bin st Or I1 c1 c2);
       write_operand st w dst r)
   | Insn.Test (w, a, b) ->
     let t = ty_of_width w in
@@ -1170,24 +1123,22 @@ let lift_insn st (i : Insn.insn) : unit =
     let r = B.bin st Mul t a bv in
     (* overflow flags: match the emulator's formulas *)
     let ovf =
-      if not (live st cf_i || live st of_i) then Undef I1
-      else
-        match w with
-        | Insn.W64 ->
-          let nz = B.icmp st Ne t a (CInt (t, 0L)) in
-          let q = B.select st t nz a (CInt (t, 1L)) in
-          let dv = B.bin st SDiv t r q in
-          let neq = B.icmp st Ne t dv bv in
-          B.bin st And I1 nz neq
-        | _ ->
-          let a64 = B.cast st Sext ~src_ty:t a ~dst_ty:I64 in
-          let b64 = B.cast st Sext ~src_ty:t bv ~dst_ty:I64 in
-          let p = B.bin st Mul I64 a64 b64 in
-          let r64 = B.cast st Sext ~src_ty:t r ~dst_ty:I64 in
-          B.icmp st Ne I64 r64 p
+      match w with
+      | Insn.W64 ->
+        let nz = B.icmp st Ne t a (CInt (t, 0L)) in
+        let q = B.select st t nz a (CInt (t, 1L)) in
+        let dv = B.bin st SDiv t r q in
+        let neq = B.icmp st Ne t dv bv in
+        B.bin st And I1 nz neq
+      | _ ->
+        let a64 = B.cast st Sext ~src_ty:t a ~dst_ty:I64 in
+        let b64 = B.cast st Sext ~src_ty:t bv ~dst_ty:I64 in
+        let p = B.bin st Mul I64 a64 b64 in
+        let r64 = B.cast st Sext ~src_ty:t r ~dst_ty:I64 in
+        B.icmp st Ne I64 r64 p
     in
-    def_flag st cf_i (fun () -> ovf);
-    def_flag st of_i (fun () -> ovf);
+    set_flag st cf_i ovf;
+    set_flag st of_i ovf;
     (* zf/sf/pf from the result exactly as the emulator's set_szp *)
     set_szp st t r;
     set_flag st af_i (CInt (I1, 0L));
@@ -1238,13 +1189,10 @@ let lift_insn st (i : Insn.insn) : unit =
     let masked_imm =
       match cnt with Insn.ShImm n -> Some (n land cmask) | Insn.ShCl -> None
     in
-    (* every flag but af is written, and only the live ones are built:
-       with a CL count each keeps its old value through a select, so a
-       dead one is neither read nor written *)
+    (* every flag but af is written; with a CL count each keeps its
+       old value through a select *)
     (match masked_imm with
      | Some 0 -> ()
-     | _ when st.live land lnot af_b = 0 ->
-       st.cur.cmp_cache <- None
      | _ ->
        let keep =
          match cnt with
@@ -1252,60 +1200,50 @@ let lift_insn st (i : Insn.insn) : unit =
          | Insn.ShImm _ -> None
        in
        let setf i v =
-         def_flag st i (fun () ->
-             match keep with
-             | Some k -> B.select st I1 k (get_flag st i) v
-             | None -> v)
+         set_flag st i
+           (match keep with
+            | Some k -> B.select st I1 k (get_flag st i) v
+            | None -> v)
        in
-       let zf =
-         when_live st zf_i (fun () -> B.icmp st Eq t r (CInt (t, 0L)))
-       in
-       let sf =
-         when_live st sf_i (fun () -> B.icmp st Slt t r (CInt (t, 0L)))
-       in
+       let zf = B.icmp st Eq t r (CInt (t, 0L)) in
+       let sf = B.icmp st Slt t r (CInt (t, 0L)) in
        let pf =
-         when_live st pf_i (fun () ->
-             let low =
-               if t = I8 then r
-               else B.cast st Trunc ~src_ty:t r ~dst_ty:I8
-             in
-             let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
-             let pband = B.bin st And I8 pc (CInt (I8, 1L)) in
-             B.icmp st Eq I8 pband (CInt (I8, 0L)))
+         let low =
+           if t = I8 then r else B.cast st Trunc ~src_ty:t r ~dst_ty:I8
+         in
+         let pc = B.intr st (Ctpop I8) ~ty:I8 [ low ] in
+         let pband = B.bin st And I8 pc (CInt (I8, 1L)) in
+         B.icmp st Eq I8 pband (CInt (I8, 0L))
        in
        (* cf/of: the [bits - n] / [n - 1] shift amounts wrap in type [t]
           when the count exceeds the operand width; an IR shift by >=
           bits yields 0 (sign-fill for AShr), which matches the
           emulator's [n <= bits] guards bit for bit *)
-       let cf_needed = live st cf_i || (op = Insn.Shl && live st of_i) in
        let cf =
-         if not cf_needed then Undef I1
-         else
-           match op with
-           | Insn.Shl ->
-             let sh = B.bin st Sub t (CInt (t, Int64.of_int bits)) n in
-             let bit = B.bin st LShr t a sh in
-             let band = B.bin st And t bit (CInt (t, 1L)) in
-             B.icmp st Ne t band (CInt (t, 0L))
-           | Insn.Shr ->
-             let n1 = B.bin st Sub t n (CInt (t, 1L)) in
-             let bit = B.bin st LShr t a n1 in
-             let band = B.bin st And t bit (CInt (t, 1L)) in
-             B.icmp st Ne t band (CInt (t, 0L))
-           | Insn.Sar ->
-             let n1 = B.bin st Sub t n (CInt (t, 1L)) in
-             let bit = B.bin st AShr t a n1 in
-             let band = B.bin st And t bit (CInt (t, 1L)) in
-             B.icmp st Ne t band (CInt (t, 0L))
+         match op with
+         | Insn.Shl ->
+           let sh = B.bin st Sub t (CInt (t, Int64.of_int bits)) n in
+           let bit = B.bin st LShr t a sh in
+           let band = B.bin st And t bit (CInt (t, 1L)) in
+           B.icmp st Ne t band (CInt (t, 0L))
+         | Insn.Shr ->
+           let n1 = B.bin st Sub t n (CInt (t, 1L)) in
+           let bit = B.bin st LShr t a n1 in
+           let band = B.bin st And t bit (CInt (t, 1L)) in
+           B.icmp st Ne t band (CInt (t, 0L))
+         | Insn.Sar ->
+           let n1 = B.bin st Sub t n (CInt (t, 1L)) in
+           let bit = B.bin st AShr t a n1 in
+           let band = B.bin st And t bit (CInt (t, 1L)) in
+           B.icmp st Ne t band (CInt (t, 0L))
        in
        let ov =
-         when_live st of_i (fun () ->
-             match op with
-             | Insn.Shl ->
-               let msbr = B.icmp st Slt t r (CInt (t, 0L)) in
-               B.bin st Xor I1 msbr cf
-             | Insn.Shr -> B.icmp st Slt t a (CInt (t, 0L))
-             | Insn.Sar -> CInt (I1, 0L))
+         match op with
+         | Insn.Shl ->
+           let msbr = B.icmp st Slt t r (CInt (t, 0L)) in
+           B.bin st Xor I1 msbr cf
+         | Insn.Shr -> B.icmp st Slt t a (CInt (t, 0L))
+         | Insn.Sar -> CInt (I1, 0L)
        in
        setf zf_i zf;
        setf sf_i sf;
@@ -1321,10 +1259,9 @@ let lift_insn st (i : Insn.insn) : unit =
     | Insn.Neg ->
       let r = B.bin st Sub t (CInt (t, 0L)) a in
       set_szp st t r;
-      def_flag st cf_i (fun () -> B.icmp st Ne t a (CInt (t, 0L)));
-      def_flag st of_i (fun () ->
-          let m = B.bin st And t a r in
-          B.icmp st Slt t m (CInt (t, 0L)));
+      set_flag st cf_i (B.icmp st Ne t a (CInt (t, 0L)));
+      let m = B.bin st And t a r in
+      set_flag st of_i (B.icmp st Slt t m (CInt (t, 0L)));
       (* af is left as it was *)
       st.cur.cmp_cache <- None;
       write_operand st w dst r
@@ -1577,9 +1514,9 @@ let lift_insn st (i : Insn.insn) : unit =
       else (get_xmm_f32 st dst, xop_f32 st src)
     in
     let t = if p = Insn.Sd then F64 else F32 in
-    def_flag st zf_i (fun () -> B.fcmp st Ueq t a bv);
-    def_flag st cf_i (fun () -> B.fcmp st Ult t a bv);
-    def_flag st pf_i (fun () -> B.fcmp st Uno t a bv);
+    set_flag st zf_i (B.fcmp st Ueq t a bv);
+    set_flag st cf_i (B.fcmp st Ult t a bv);
+    set_flag st pf_i (B.fcmp st Uno t a bv);
     set_flag st of_i (CInt (I1, 0L));
     set_flag st sf_i (CInt (I1, 0L));
     set_flag st af_i (CInt (I1, 0L));
@@ -1623,102 +1560,6 @@ let lift_insn st (i : Insn.insn) : unit =
     err "terminator reached in straight-line lifting"
   | Insn.Ud2 | Insn.Int3 -> err "trap instruction"
 
-(* ------------------------------------------------------------------ *)
-(* Flag liveness                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Most flags a block computes are overwritten before anything reads
-   them (Sec. III-D lifts each flag as its own value).  A backward
-   fixpoint over the raw blocks finds, after every instruction, the
-   flags some path still reads, and the flag writers above build only
-   those.  A flag that no path reads would be dead IR, so skipping it
-   removes only instructions DCE would remove, and nothing else moves.
-
-   The read and kill sets follow the lifter's semantics above, not the
-   ISA's: a flag is killed only where every path through [lift_insn]
-   overwrites it without reading it, and read wherever [get_flag] may
-   read it.  A condition the flag cache answers reads no flag. *)
-
-(* the flags [cond_value] reads for [c] when the flag cache misses *)
-let cc_reads (c : Insn.cc) =
-  match c with
-  | Insn.E | Insn.NE -> zf_b
-  | Insn.B | Insn.AE -> cf_b
-  | Insn.BE | Insn.A -> cf_b lor zf_b
-  | Insn.L | Insn.GE -> sf_b lor of_b
-  | Insn.LE | Insn.G -> zf_b lor sf_b lor of_b
-  | Insn.S | Insn.NS -> sf_b
-  | Insn.P | Insn.NP -> pf_b
-  | Insn.O | Insn.NO -> of_b
-
-(* the conditions [cond_value] answers from the flag cache *)
-let cached_cc (c : Insn.cc) =
-  match c with
-  | Insn.E | Insn.NE | Insn.B | Insn.AE | Insn.BE | Insn.A | Insn.L
-  | Insn.GE | Insn.LE | Insn.G ->
-    true
-  | Insn.S | Insn.NS | Insn.P | Insn.NP | Insn.O | Insn.NO -> false
-
-(* (reads, kills) of one instruction; [cond c] is what a condition
-   [c] reads at that point *)
-let flag_effect ~cond (i : Insn.insn) =
-  match i with
-  | Insn.Alu ((Insn.Adc | Insn.Sbb), _, _, _) -> (cf_b, all_flags)
-  | Insn.Alu (_, _, _, _) | Insn.Test _ | Insn.Imul2 _ | Insn.Imul3 _
-  | Insn.Ucomis _ | Insn.Call _ ->
-    (0, all_flags)
-  | Insn.Unop (Insn.Neg, _, _) -> (0, all_flags land lnot af_b)
-  | Insn.Unop ((Insn.Inc | Insn.Dec), _, _) -> (0, all_flags land lnot cf_b)
-  | Insn.Shift (_, w, _, Insn.ShImm n)
-    when n land (if w = Insn.W64 then 63 else 31) <> 0 ->
-    (* a CL count keeps every flag through a select, and a zero count
-       writes none: those are no kill *)
-    (0, all_flags land lnot af_b)
-  | Insn.Cmov (c, _, _, _) | Insn.Setcc (c, _) -> (cond c, 0)
-  | Insn.Nop _ | Insn.Mov _ | Insn.Movabs _ | Insn.Movzx _ | Insn.Movsx _
-  | Insn.Lea _ | Insn.Idiv _ | Insn.Cqo | Insn.Cdq | Insn.Shift _
-  | Insn.Unop (Insn.Not, _, _) | Insn.Push _ | Insn.Pop _ | Insn.Leave
-  | Insn.CallInd _ | Insn.Ret | Insn.Jmp _ | Insn.JmpInd _ | Insn.Jcc _
-  | Insn.SseMov _ | Insn.MovqXR _ | Insn.MovqRX _ | Insn.SseArith _
-  | Insn.SseLogic _ | Insn.Cvtsi2sd _ | Insn.Cvttsd2si _ | Insn.Cvtsd2ss _
-  | Insn.Cvtss2sd _ | Insn.Unpcklpd _ | Insn.Shufpd _ | Insn.Padd _
-  | Insn.Ud2 | Insn.Int3 ->
-    (0, 0)
-
-(* Whether [i] sets the flag cache ([Some true]), clears it ([Some
-   false]) or leaves it as it is: [lift_insn]'s writes of [cmp_cache]. *)
-let cache_write (i : Insn.insn) =
-  match i with
-  | Insn.Alu (Insn.Cmp, _, _, _) -> Some true
-  | Insn.Shift (_, w, _, Insn.ShImm n)
-    when n land (if w = Insn.W64 then 63 else 31) = 0 ->
-    None
-  | Insn.Alu _ | Insn.Test _ | Insn.Imul2 _ | Insn.Imul3 _ | Insn.Idiv _
-  | Insn.Shift _ | Insn.Unop ((Insn.Neg | Insn.Inc | Insn.Dec), _, _)
-  | Insn.Call _ | Insn.Ucomis _ ->
-    Some false
-  | _ -> None
-
-(* The (reads, kills) of each instruction of [rb] and the reads of its
-   terminator.  The flag cache is block-local and, with [flag_cache],
-   answers a cached condition from a [cmp] until the next instruction
-   that clears it. *)
-let block_effects ~flag_cache rb =
-  let cached = ref false in
-  let cond c = if !cached && cached_cc c then 0 else cc_reads c in
-  let effects =
-    Array.of_list
-      (List.map
-         (fun (_, i) ->
-           let e = flag_effect ~cond i in
-           (match cache_write i with
-            | Some c -> cached := flag_cache && c
-            | None -> ());
-           e)
-         rb.insns)
-  in
-  (effects, match rb.term with `Jcc (c, _, _) -> cond c | _ -> 0)
-
 (* A raw block's successors are its IR edges: branch targets, the
    callee of an in-region call, the candidates of a switch and, for a
    [Ret], the call continuations [call_ras] its guard chain dispatches
@@ -1730,60 +1571,6 @@ let succs ~call_ras rb =
   | `Switch (_, ts) | `CallSwitch (_, ts, _) -> ts
   | `Ret -> call_ras
   | `IndExit -> []
-
-(* The flags live after each instruction of each raw block, by block
-   index ([index] maps a block's address to it).  An address outside
-   the region keeps every flag live. *)
-let flag_liveness ~flag_cache (raw : raw_block array) ~index ~call_ras :
-    int array array =
-  let n = Array.length raw in
-  let succs = succs ~call_ras in
-  let effects = Array.map (block_effects ~flag_cache) raw in
-  (* live-in = gen lor (live-out land lnot kill), per block *)
-  let gen = Array.make n 0 and kill = Array.make n 0 in
-  Array.iteri
-    (fun j _ ->
-      let eff, term = effects.(j) in
-      let g = ref term and k = ref 0 in
-      for x = Array.length eff - 1 downto 0 do
-        let r, kx = eff.(x) in
-        g := r lor (!g land lnot kx);
-        k := !k lor kx
-      done;
-      gen.(j) <- !g;
-      kill.(j) <- !k)
-    raw;
-  let live_in = Array.copy gen in
-  let live_out j =
-    List.fold_left
-      (fun m a ->
-        m lor (match Tbl.find_opt index a with
-               | Some s -> live_in.(s)
-               | None -> all_flags))
-      0 (succs raw.(j))
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for j = n - 1 downto 0 do
-      let li = gen.(j) lor (live_out j land lnot kill.(j)) in
-      if li <> live_in.(j) then begin
-        live_in.(j) <- li;
-        changed := true
-      end
-    done
-  done;
-  Array.mapi
-    (fun j (eff, term) ->
-      let after = Array.make (Array.length eff) 0 in
-      let live = ref (live_out j lor term) in
-      for x = Array.length eff - 1 downto 0 do
-        after.(x) <- !live;
-        let r, k = eff.(x) in
-        live := r lor (!live land lnot k)
-      done;
-      after)
-    effects
 
 (* ------------------------------------------------------------------ *)
 (* Function-level driver                                               *)
@@ -1841,7 +1628,8 @@ let same_value a b =
 (* Braun's trivial-phi removal, run on the analysis graph before any phi
    is built: what each live entry slot ([live_in], see {!mark}) holds,
    as [phi_id] codes by [j * phi_slots + k], and the slots that keep
-   their phi, in slot order.  A slot whose incomings are
+   their phi, in slot order (their code is [dead] until the caller gives
+   them their ids).  A slot whose incomings are
    all itself or one value [v] stands for [v]; the slots are checked
    again until none changes.  When a block lifted before the slot's
    block holds [v] at its exit, in any slot, the slot is [taken_from]
@@ -1919,7 +1707,7 @@ let resolve_phis ~(live_in : int array) ~(preds : int list array)
     if src <> unresolved && src / phi_slots <= s / phi_slots then
       code.(s) <- taken_from src
     else begin
-      code.(s) <- keep_phi;
+      code.(s) <- dead;
       push kept s
     end
   done;
@@ -1959,7 +1747,7 @@ let seal st ~lo ~phi_blk ~phi_slot ~preds ~raw_bid ~prov_of_bid =
     | _ -> ()
   in
   (* pointer-facet casts per predecessor block, newest first *)
-  let casts : instr list Tbl.t = Tbl.create 16 in
+  let casts : (int, instr list) Hashtbl.t = Hashtbl.create 16 in
   let incoming k (p, ps) =
     if k < 16 || k >= 32 || Option.is_some ps.x_ptr.(k - 16) then
       (p, exit_value ps k)
@@ -1970,14 +1758,14 @@ let seal st ~lo ~phi_blk ~phi_slot ~preds ~raw_bid ~prov_of_bid =
           op = Cast (IntToPtr, I64, ps.x_gpr.(k - 16), Ptr 0);
           prov = prov_of_bid p }
       in
-      let earlier = Option.value ~default:[] (Tbl.find_opt casts p) in
-      Tbl.replace casts p (ins :: earlier);
+      let earlier = Option.value ~default:[] (Hashtbl.find_opt casts p) in
+      Hashtbl.replace casts p (ins :: earlier);
       (p, V id)
   in
   each_block (fun j a z ->
       let pstates =
         List.map
-          (fun p -> (p, Tbl.find st.final_states p))
+          (fun p -> (p, Hashtbl.find st.final_states p))
           (preds (raw_bid j))
       in
       for n = z downto a do
@@ -2032,7 +1820,7 @@ let seal st ~lo ~phi_blk ~phi_slot ~preds ~raw_bid ~prov_of_bid =
         let blk = Builder.block b bid in
         blk.instrs <- !phis @ blk.instrs
       end);
-  Tbl.iter
+  Hashtbl.iter
     (fun p ins ->
       let blk = Builder.block b p in
       blk.instrs <- blk.instrs @ List.rev ins)
@@ -2074,11 +1862,11 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   let has_calls = call_ras <> [] in
   let b = Builder.create ~name ~sg in
   let st =
-    { cfg = config; b; cur = empty_rstate (); live = all_flags;
+    { cfg = config; b; cur = empty_rstate ();
       analyze = true; g = { ends = ivec (); edges = ivec (); roots = ivec () };
       nodes = 0; keep = Bytes.empty;
-      block_of_addr = Tbl.create 16;
-      final_states = Tbl.create 16; phi_id = [||];
+      block_of_addr = Hashtbl.create 16;
+      final_states = Hashtbl.create 16; phi_id = [||];
       exits = Array.make (List.length raw + 1) (snapshot (empty_rstate ())) }
   in
   (* entry block: virtual stack + parameter binding (Sec. III-A/F);
@@ -2123,35 +1911,35 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   (* provenance: running guest-instruction ordinal at each raw block's
      start, in lift order, so every IR instruction can be stamped with
      a compact (guest addr, ordinal) id *)
-  let ord_base : int Tbl.t = Tbl.create 16 in
+  let ord_base : (int, int) Hashtbl.t = Hashtbl.create 16 in
   ignore
     (List.fold_left
        (fun n rb ->
-         Tbl.replace ord_base rb.start n;
+         Hashtbl.replace ord_base rb.start n;
          n + List.length rb.insns + 1 (* + terminator *))
        0 raw);
-  let prov_of_bid : int Tbl.t = Tbl.create 16 in
+  let prov_of_bid : (int, int) Hashtbl.t = Hashtbl.create 16 in
   (* allocate an IR block per raw block (entry raw block gets its own,
      jumped to from the IR entry) *)
   List.iter
     (fun rb ->
       let bid = Builder.new_block b in
-      Tbl.replace st.block_of_addr rb.start bid;
-      Tbl.replace prov_of_bid bid
-        (Prov.make ~addr:rb.start ~ord:(Tbl.find ord_base rb.start)))
+      Hashtbl.replace st.block_of_addr rb.start bid;
+      Hashtbl.replace prov_of_bid bid
+        (Prov.make ~addr:rb.start ~ord:(Hashtbl.find ord_base rb.start)))
     raw;
   let bid_of a =
-    match Tbl.find_opt st.block_of_addr a with
+    match Hashtbl.find_opt st.block_of_addr a with
     | Some x -> x
     | None -> err "jump into unlifted code at 0x%x" a
   in
   (* the entry raw block may have more predecessors (a loop back to the
      function start), so the IR entry is an ordinary predecessor whose
      exit state is the entry state *)
-  let preds : int list Tbl.t = Tbl.create 16 in
+  let preds : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let add_pred target from =
-    let cur = Option.value ~default:[] (Tbl.find_opt preds target) in
-    Tbl.replace preds target (cur @ [ from ])
+    let cur = Option.value ~default:[] (Hashtbl.find_opt preds target) in
+    Hashtbl.replace preds target (cur @ [ from ])
   in
   List.iter
     (fun rb ->
@@ -2170,21 +1958,20 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
   |> ignore;
   let raw = Array.of_list raw in
   let nraw = Array.length raw in
-  let index = Tbl.create nraw in
-  Array.iteri (fun j rb -> Tbl.replace index rb.start j) raw;
-  let live_after = flag_liveness ~flag_cache:config.flag_cache raw ~index ~call_ras in
+  let index = Hashtbl.create nraw in
+  Array.iteri (fun j rb -> Hashtbl.replace index rb.start j) raw;
   (* each raw block's predecessors by raw index, -1 for the IR entry *)
   let raw_preds = Array.make nraw [] in
   Array.iteri
     (fun j rb ->
       List.iter
         (fun a ->
-          match Tbl.find_opt index a with
+          match Hashtbl.find_opt index a with
           | Some s -> raw_preds.(s) <- j :: raw_preds.(s)
           | None -> ())
         (succs ~call_ras rb))
     raw;
-  (match Tbl.find_opt index entry with
+  (match Hashtbl.find_opt index entry with
    | Some s -> raw_preds.(s) <- -1 :: raw_preds.(s)
    | None -> ());
   (* push a constant return address onto the virtual stack (the store
@@ -2213,7 +2000,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
           let g = Builder.new_block b in
           Builder.condbr b c dest g;
           add_pred dest !from;
-          Tbl.replace st.final_states !from (Lazy.force exit_st);
+          Hashtbl.replace st.final_states !from (Lazy.force exit_st);
           Builder.position b g;
           from := g
         end)
@@ -2234,7 +2021,9 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     if not st.analyze then Builder.ret b v
   in
   (* lift raw block [j]; only the build run builds blocks and
-     terminators *)
+     terminators.  A block's exit state is the state its successors
+     see: for a [Ret] it is taken before the return value is read, in a
+     block that has none *)
   let lift_block j rb =
     let build = not st.analyze in
     let bid = bid_of rb.start in
@@ -2245,39 +2034,43 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
          after the loop cur_prov is the last insn's, which is what the
          [`Jcc] condition reconstruction should be attributed to (the
          cmp/test normally ends the block) *)
-      Builder.set_prov b (Tbl.find prov_of_bid bid)
+      Builder.set_prov b (Hashtbl.find prov_of_bid bid)
     end;
     enter_block st j;
-    let ord = ref (Tbl.find ord_base rb.start) in
-    List.iteri
-      (fun x (a, i) ->
+    let ord = ref (Hashtbl.find ord_base rb.start) in
+    List.iter
+      (fun (a, i) ->
         if build then Builder.set_prov b (Prov.make ~addr:a ~ord:!ord);
         incr ord;
-        st.live <- live_after.(j).(x);
         lift_insn st i)
       rb.insns;
-    (match rb.term with
-     | `Jmp t | `Fall t -> if build then Builder.br b (bid_of t)
+    let ret =
+     match rb.term with
+     | `Jmp t | `Fall t -> if build then Builder.br b (bid_of t); false
      | `Jcc (c, t, f) ->
        let cond = cond_value st c in
        B.root st cond;
-       if build then Builder.condbr b cond (bid_of t) (bid_of f)
+       if build then Builder.condbr b cond (bid_of t) (bid_of f);
+       false
      | `CallDir (t, ra) ->
        push_ra ra;
-       if build then Builder.br b (bid_of t)
+       if build then Builder.br b (bid_of t);
+       false
      | `Switch (op, ts) ->
        (* guard on the value actually dispatched at runtime, not on
           the discovery-time enumeration *)
        let v = read_operand st Insn.W64 op in
-       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
+       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts);
+       false
      | `CallSwitch (op, ts, ra) ->
        let v = read_operand st Insn.W64 op in
        push_ra ra;
-       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts)
+       guard_chain bid v (List.map (fun t -> (Int64.of_int t, bid_of t)) ts);
+       false
      | `IndExit ->
        (* unknown indirect target set: the fresh block's default
           [Unreachable] terminator is the side-exit *)
-       ()
+       false
      | `Ret when has_calls ->
        (* pop the return address and dispatch on it: the sentinel
           means the function's own return, a call continuation
@@ -2292,18 +2085,19 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
          ((ret_magic, ret_blk)
          :: List.map (fun ra -> (Int64.of_int ra, bid_of ra)) call_ras);
        if build then Builder.position b ret_blk;
-       emit_ret ()
-     | `Ret -> emit_ret ());
+       true
+     | `Ret -> true
+    in
     let exit = snapshot st.cur in
     st.exits.(j + 1) <- exit;
-    if build then Tbl.replace st.final_states bid exit
+    if build then Hashtbl.replace st.final_states bid exit;
+    if ret then emit_ret ()
   in
   (* the analysis run *)
   st.exits.(0) <- setup ();
   Array.iteri lift_block raw;
-  let keep, live_in =
-    mark st.g ~nodes:st.nodes ~preds:raw_preds ~exits:st.exits
-  in
+  let nodes = st.nodes in
+  let keep, live_in = mark st.g ~nodes ~preds:raw_preds ~exits:st.exits in
   let code, kept = resolve_phis ~live_in ~preds:raw_preds ~exits:st.exits in
   st.phi_id <- code;
   (* the build run: the entry block, the ids of the kept entry phis (see
@@ -2333,12 +2127,16 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     x := !z
   done;
   Array.iteri lift_block raw;
-  Tbl.replace st.final_states 0 entry_state;
+  (* both runs made the same builder calls, so node [n] of one is value
+     [n] of the other *)
+  if st.nodes <> nodes then
+    err "build run made %d values, the analysis run %d" st.nodes nodes;
+  Hashtbl.replace st.final_states 0 entry_state;
   seal st ~lo ~phi_blk ~phi_slot
-    ~preds:(fun bid -> Option.value ~default:[] (Tbl.find_opt preds bid))
+    ~preds:(fun bid -> Option.value ~default:[] (Hashtbl.find_opt preds bid))
     ~raw_bid:(fun j -> bid_of raw.(j).start)
     ~prov_of_bid:(fun bid ->
-      Option.value ~default:Prov.none (Tbl.find_opt prov_of_bid bid));
+      Option.value ~default:Prov.none (Hashtbl.find_opt prov_of_bid bid));
   Builder.func b
 
 let lift ?config ~read ~entry ~name (sg : signature) : func =

@@ -8,7 +8,7 @@
       [getelementptr] (III-C, III-E);
     - the six status flags as individual [i1] values plus the
       {e flag cache} reconstructing comparison predicates (III-D),
-      each flag built only where some path reads it;
+      each flag built only where a live value reads it;
     - a virtual stack allocated with [alloca] (III-F);
     - [call]/[ret] mapped to IR calls/returns, leaving inlining
       decisions to the optimizer.

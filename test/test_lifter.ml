@@ -346,6 +346,26 @@ let test_indirect_call_chain_differential () =
   let s = setup ~sg:(i64_sig 1) indirect_call_chain_code in
   diff_check "chain" s [ [ 0L ]; [ 21L ]; [ -50L ]; [ 1000L ] ]
 
+(* A pointer-returning region whose in-region callee lies below its
+   caller: the callee's [Ret] builds the returned [inttoptr] in its own
+   return block, and the continuation, reached through the callee's
+   return guard chain, must read [rax]'s integer facet through a cast
+   of its own rather than that block's pointer. *)
+let ptr_return_callee_below_code =
+  [ I (Jmp (Lbl 0));
+    L 1;
+    I (Mov (W64, OReg Reg.RAX, OReg Reg.RDI));
+    I (Alu (Or, W64, OReg Reg.RAX, OImm 8L));
+    I Ret;
+    L 0;
+    I (Call (Lbl 1));
+    I Ret ]
+
+let test_ptr_return_callee_below () =
+  let sg = { Ins.args = [ Ins.Ptr 0 ]; ret = Some (Ins.Ptr 0) } in
+  let s = setup ~sg ptr_return_callee_below_code in
+  diff_check "ptr ret" s [ [ 0x1000L ]; [ 0x2468L ] ]
+
 (* ---- property-based differential testing ---- *)
 
 let gen_prog =
@@ -690,9 +710,9 @@ let prop_multiblock =
         agree "O3"
       end)
 
-(* ---- flag liveness ---- *)
+(* ---- live flags ---- *)
 
-(* The lifter builds a flag only where some path reads it, so DCE finds
+(* The lifter builds a flag only where a live value reads it, so DCE finds
    no dead [i1] value in these lifts, none is read as [Undef], and the
    unoptimized lift agrees with the single-step engine. *)
 let check_flag_lift name items cases =
@@ -942,7 +962,9 @@ let () =
          Alcotest.test_case "computed goto" `Quick
            test_computed_goto_differential;
          Alcotest.test_case "indirect call chain" `Quick
-           test_indirect_call_chain_differential ]);
+           test_indirect_call_chain_differential;
+         Alcotest.test_case "pointer return, callee below caller" `Quick
+           test_ptr_return_callee_below ]);
       ("property",
        [ qt prop_differential; qt prop_differential_optimized;
          qt prop_multiblock ]);
