@@ -98,7 +98,7 @@ let write_json section (fields : (string * Json.t) list) =
 
 (* bump when the shape of the BENCH_*.json files changes; consumers
    (CI's validator, trajectory tooling) key on this *)
-let bench_schema_version = 3
+let bench_schema_version = 4
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: per-instruction lifting                                     *)
@@ -242,9 +242,7 @@ let fig9 env (style : Modes.style) =
                 Json.Obj
                   [ ("kind", Json.String kname);
                     ("mode", Json.String (Modes.transform_name t));
-                    ("cycles", Json.Int cycles); ("insns", Json.Int insns);
-                    ("wall_ns", Json.Int (int_of_float (wall *. 1e9)));
-                    ("wall_s", Json.fixed 6 wall) ] )
+                    ("cycles", Json.Int cycles); ("insns", Json.Int insns) ] )
               :: !rows;
             Printf.printf "%12.2f" (float_of_int cycles /. 1e6)
           with Obrew_fault.Err.Error _ -> Printf.printf "%12s" "n/a")

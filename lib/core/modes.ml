@@ -114,10 +114,9 @@ let o3_opts = { Pipeline.o3 with fast_math = true }
 
 (* Rewrite the kernel at [orig] with DBrew, the stencil parameter and
    its memory fixed; returns the address of the rewritten code. *)
-let dbrew_rewrite env ~configure_rewriter ~use_memo kind orig =
+let dbrew_rewrite env ~use_memo kind orig =
   staged Err.Encode (fun () ->
       let r = Api.dbrew_new env.img orig in
-      configure_rewriter r;
       Api.dbrew_set_par r 0 (Int64.of_int (stencil_arg env kind));
       let lo, hi = stencil_range env kind in
       Api.dbrew_set_mem r lo hi;
@@ -128,7 +127,7 @@ let dbrew_rewrite env ~configure_rewriter ~use_memo kind orig =
 
 (* The module an LLVM mode hands to the optimizer, and the function in
    it that becomes the kernel. *)
-let lift_module env ~lift_config ~configure_rewriter ~use_memo kind style t =
+let lift_module env ~lift_config ~use_memo kind style t =
   let sg = kernel_sig style in
   let orig = native_addr env kind style in
   match t with
@@ -153,7 +152,7 @@ let lift_module env ~lift_config ~configure_rewriter ~use_memo kind style t =
     let wrapper = Builder.func b in
     ({ Ins.funcs = [ f; wrapper ]; globals = [ g ] }, wrapper)
   | DBrewLlvm ->
-    let a = dbrew_rewrite env ~configure_rewriter ~use_memo kind orig in
+    let a = dbrew_rewrite env ~use_memo kind orig in
     let f = lift_entry env ~name:"jit" ~config:lift_config a sg in
     ({ Ins.funcs = [ f ]; globals = [] }, f)
   | Native | DBrew -> invalid_arg "Modes.lift_module: not an LLVM mode"
@@ -165,27 +164,19 @@ let verify_ctx = function
 
 let lifted env kind style t =
   fst
-    (lift_module env ~lift_config:Lift.default_config
-       ~configure_rewriter:ignore ~use_memo:false kind style t)
+    (lift_module env ~lift_config:Lift.default_config ~use_memo:false kind
+       style t)
 
 (* Fingerprint of a transformation request: everything the produced
    kernel depends on.  The fixed-memory contents are digested because
-   LlvmFix/DBrew fold them into the code; the function-valued fields of
-   {!Pipeline.options} (resolve_addr/const_load oracles) are
-   intentionally not part of the key — callers that swap those must
-   bypass the memo. *)
+   LlvmFix/DBrew fold them into the code. *)
 let transform_key env ~(lift_config : Lift.config)
-    ~(opt : Pipeline.options) ~checked ~guards kind style t =
+    ~(opt : Pipeline.options) ~checked kind style t =
   let lo, hi = stencil_range env kind in
   let fixed = Mem.read_bytes env.img.Image.cpu.Cpu.mem lo (hi - lo) in
   Digest.string
     (Marshal.to_string
-       ( kind, style, t, lift_config,
-         ( opt.Pipeline.level, opt.Pipeline.fast_math,
-           opt.Pipeline.force_vector_width, opt.Pipeline.vector_aligned,
-           opt.Pipeline.inline_threshold, opt.Pipeline.verify_each,
-           opt.Pipeline.fuel ),
-         checked, (guards : Guards.t option),
+       ( kind, style, t, lift_config, opt, checked,
          native_addr env kind style, Digest.string fixed )
        [ Marshal.No_sharing ])
 
@@ -239,32 +230,10 @@ let live_callees (m : Ins.modul) (kernel : Ins.func) =
     serving path).  [use_memo:false] forces the full pipeline, which
     Fig. 10 needs to measure real compile times. *)
 let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
-    ?(opt = o3_opts) ?(checked = false) ?guards (env : env) (kind : kind)
+    ?(opt = o3_opts) ?(checked = false) (env : env) (kind : kind)
     (style : style) (t : transform) : int * float =
   let orig = native_addr env kind style in
   let t0 = Tel.Clock.now () in
-  (* apply the resource-guard bundle to every stage it covers *)
-  let lift_config =
-    match guards with
-    | None -> lift_config
-    | Some g ->
-      { lift_config with
-        Lift.max_insns = g.Guards.lift_max_insns;
-        max_blocks = g.Guards.lift_max_blocks }
-  in
-  let opt =
-    match guards with
-    | None -> opt
-    | Some g -> { opt with Pipeline.fuel = g.Guards.opt_fuel }
-  in
-  let configure_rewriter (r : Api.t) =
-    match guards with
-    | None -> ()
-    | Some g ->
-      r.Api.cfg.Rewriter.max_emit <- g.Guards.rewrite_max_emit;
-      r.Api.cfg.Rewriter.max_variants <- g.Guards.rewrite_max_variants;
-      r.Api.cfg.Rewriter.max_seconds <- g.Guards.rewrite_max_seconds
-  in
   (* run the optimizer, verifier-gated when [checked]: each pass is
      verified, an IR-breaking pass is rolled back and dropped, and the
      drops are recorded (graceful degradation instead of failure) *)
@@ -284,7 +253,7 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
   let use_memo = use_memo && not (Fault.active ()) in
   let key =
     if use_memo then
-      Some (transform_key env ~lift_config ~opt ~checked ~guards kind style t)
+      Some (transform_key env ~lift_config ~opt ~checked kind style t)
     else None
   in
   (* a memoized kernel whose installed content was quarantined by the
@@ -313,12 +282,9 @@ let transform ?(use_memo = true) ?(lift_config = Lift.default_config)
       (fun () ->
     match t with
     | Native -> orig
-    | DBrew -> dbrew_rewrite env ~configure_rewriter ~use_memo kind orig
+    | DBrew -> dbrew_rewrite env ~use_memo kind orig
     | Llvm | LlvmFix | DBrewLlvm ->
-      let m, kernel =
-        lift_module env ~lift_config ~configure_rewriter ~use_memo kind style
-          t
-      in
+      let m, kernel = lift_module env ~lift_config ~use_memo kind style t in
       optimize m;
       staged Err.Verify (fun () ->
           Tel.span "ir.verify" ~args:kernel.fname (fun () ->
@@ -373,7 +339,7 @@ let chain_from = function
     mode down to Native, recording every typed failure, and return the
     first mode that produced a runnable kernel.  Never raises — Native
     is the original binary and cannot fail. *)
-let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
+let transform_safe ?use_memo ?lift_config ?opt ?checked (env : env)
     (kind : kind) (style : style) (t : transform) : safe_result =
   let t0 = Tel.Clock.now () in
   Robust.stats.Robust.safe_runs <- Robust.stats.Robust.safe_runs + 1;
@@ -394,8 +360,8 @@ let transform_safe ?use_memo ?lift_config ?opt ?checked ?guards (env : env)
          mode must not leak into this attempt's attribution *)
       inflight_stage := Err.Encode;
       Flight.(emit Fallback_attempt ~subject:(transform_name m));
-      match transform ?use_memo ?lift_config ?opt ?checked ?guards
-              env kind style m with
+      match transform ?use_memo ?lift_config ?opt ?checked env kind style m
+      with
       | addr, _ ->
         Robust.record_landing ~degraded:(m <> t) (transform_name m);
         Flight.(

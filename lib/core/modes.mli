@@ -67,9 +67,9 @@ val o3_opts : Obrew_opt.Pipeline.options
     seconds (the Fig. 10 quantity).  [lift_config]/[opt] expose the
     ablation knobs.
 
-    [guards] applies a {!Obrew_fault.Guards.t} resource bundle to every
-    stage: lifter discovery budgets, optimizer fuel and the rewriter's
-    emission/variant/wall-clock limits.  [checked] runs the optimizer
+    Every stage enforces its own resource budget, a constant in the
+    module that enforces it (DESIGN.md "Resource guards"): a runaway
+    input fails with a typed error.  [checked] runs the optimizer
     verifier-gated ({!Obrew_opt.Pipeline.run_checked}): an IR-breaking
     pass is rolled back and dropped instead of failing the transform,
     and the drops land in [env.last_dropped].
@@ -89,7 +89,6 @@ val transform :
   ?lift_config:Obrew_lifter.Lift.config ->
   ?opt:Obrew_opt.Pipeline.options ->
   ?checked:bool ->
-  ?guards:Obrew_fault.Guards.t ->
   env -> kind -> style -> transform -> int * float
 
 (** The unoptimized module that {!transform} hands the optimizer for
@@ -124,7 +123,6 @@ val transform_safe :
   ?lift_config:Obrew_lifter.Lift.config ->
   ?opt:Obrew_opt.Pipeline.options ->
   ?checked:bool ->
-  ?guards:Obrew_fault.Guards.t ->
   env -> kind -> style -> transform -> safe_result
 
 (** (hits, misses) of the environment's transform memo cache. *)

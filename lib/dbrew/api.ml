@@ -97,9 +97,7 @@ let memo_key (r : t) =
        ( r.img.Image.uid, r.entry,
          List.sort compare r.cfg.Rewriter.params,
          ranges, range_bytes,
-         r.cfg.Rewriter.inline_depth, r.cfg.Rewriter.max_emit,
-         r.cfg.Rewriter.max_variants, r.cfg.Rewriter.max_seconds,
-         code_digest mem r.entry )
+         r.cfg.Rewriter.inline_depth, code_digest mem r.entry )
        [ Marshal.No_sharing ])
 
 (** Rewrite; returns the new function's address (a drop-in replacement

@@ -26,14 +26,16 @@ type config = {
   mutable params : (int * int64) list;    (* fixed parameter values *)
   mutable mem_ranges : (int * int) list;  (* [lo, hi) of fixed memory *)
   mutable inline_depth : int;
-  mutable max_emit : int;                 (* emitted instruction budget *)
-  mutable max_variants : int;
-  mutable max_seconds : float;            (* wall-clock rewrite deadline *)
 }
 
-let default_config () =
-  { params = []; mem_ranges = []; inline_depth = 4; max_emit = 20000;
-    max_variants = 256; max_seconds = 10.0 }
+let default_config () = { params = []; mem_ranges = []; inline_depth = 4 }
+
+(* Resource guards of one rewrite: emitted instructions, code variants
+   (trace-point labels) and wall-clock seconds.  Exceeding one fails
+   the rewrite with a typed [Encode] error. *)
+let max_emit = 20_000
+let max_variants = 256
+let max_seconds = 10.0
 
 type rw = {
   cfg : config;
@@ -63,13 +65,13 @@ and work_item = {
 let emit rw i =
   Fault.point "rewrite.emit";
   rw.emitted <- rw.emitted + 1;
-  if rw.emitted > rw.cfg.max_emit then
-    fail "emission budget of %d instructions exceeded" rw.cfg.max_emit;
+  if rw.emitted > max_emit then
+    fail "emission budget of %d instructions exceeded" max_emit;
   (* wall-clock deadline, checked coarsely to keep emission cheap *)
   if rw.emitted land 255 = 0
      && Obrew_telemetry.Telemetry.Clock.now () > rw.deadline
   then
-    fail "rewrite deadline of %.1fs exceeded" rw.cfg.max_seconds;
+    fail "rewrite deadline of %.1fs exceeded" max_seconds;
   rw.out <- I i :: rw.out
 
 let emit_label rw l = rw.out <- L l :: rw.out
@@ -261,7 +263,7 @@ let get_label rw pc ~drift (st : Meta.t) :
   match compatible_variant with
   | Some (l, mats) -> `Existing (l, mats)
   | None ->
-    if Hashtbl.length rw.labels > rw.cfg.max_variants then
+    if Hashtbl.length rw.labels > max_variants then
       fail "too many code variants";
     let l = rw.next_label in
     rw.next_label <- l + 1;
@@ -920,7 +922,7 @@ let rewrite ~(cfg : config) ~(mem : Mem.t) ~entry : item list =
   Fault.point ~addr:entry "rewrite.trace";
   let rw =
     { cfg; mem; scratch = Cpu.create ();
-      deadline = Obrew_telemetry.Telemetry.Clock.now () +. cfg.max_seconds;
+      deadline = Obrew_telemetry.Telemetry.Clock.now () +. max_seconds;
       out = []; emitted = 0;
       next_label = 0;
       labels = Hashtbl.create 32; work = Queue.create ();

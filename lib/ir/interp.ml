@@ -22,18 +22,17 @@ type ctx = {
   mem : Obrew_x86.Mem.t;
   modul : modul;
   mutable alloca_sp : int;
-  extern : string -> (cv list -> cv option) option;
   resolve_addr : int -> func option;
   globals_addr : (string, int) Hashtbl.t;
   mutable steps : int;
-  max_steps : int;
 }
 
-let create ?(extern = fun _ -> None) ?(resolve_addr = fun _ -> None)
-    ?(max_steps = 100_000_000) ?(alloca_base = 0x6000_0000)
-    ~mem (m : modul) =
-  { mem; modul = m; alloca_sp = alloca_base; extern; resolve_addr;
-    globals_addr = Hashtbl.create 8; steps = 0; max_steps }
+(* interpreted instructions and terminators before a run fails *)
+let max_steps = 100_000_000
+
+let create ?(resolve_addr = fun _ -> None) ~mem (m : modul) =
+  { mem; modul = m; alloca_sp = 0x6000_0000; resolve_addr;
+    globals_addr = Hashtbl.create 8; steps = 0 }
 
 let bind_global ctx name addr = Hashtbl.replace ctx.globals_addr name addr
 
@@ -385,10 +384,7 @@ let rec run_func ctx (f : func) (args : cv list) : cv option =
     | `Name n -> (
       match List.find_opt (fun g -> g.fname = n) ctx.modul.funcs with
       | Some g -> run_func ctx g argv
-      | None -> (
-        match ctx.extern n with
-        | Some h -> h argv
-        | None -> err "call to unknown function @%s" n))
+      | None -> err "call to unknown function @%s" n)
     | `Addr a -> (
       match ctx.resolve_addr a with
       | Some g -> run_func ctx g argv
@@ -407,7 +403,7 @@ let rec run_func ctx (f : func) (args : cv list) : cv option =
   in
   let exec_instr (i : instr) =
     ctx.steps <- ctx.steps + 1;
-    if ctx.steps > ctx.max_steps then err "interpreter step limit exceeded";
+    if ctx.steps > max_steps then err "interpreter step limit exceeded";
     let result =
       match i.op with
       | Bin (op, t, a, b) -> Some (eval_bin op t (eval a) (eval b))
@@ -525,7 +521,7 @@ let rec run_func ctx (f : func) (args : cv list) : cv option =
     List.iter (fun (id, v) -> Hashtbl.replace env id v) phi_values;
     List.iter exec_instr rest;
     ctx.steps <- ctx.steps + 1;
-    if ctx.steps > ctx.max_steps then err "interpreter step limit exceeded";
+    if ctx.steps > max_steps then err "interpreter step limit exceeded";
     match b.term with
     | Ret None -> None
     | Ret (Some v) -> Some (eval v)

@@ -30,17 +30,20 @@ type config = {
   flag_cache : bool;   (* Sec. III-D *)
   facet_cache : bool;  (* Sec. III-C: cache non-primary facets *)
   use_gep : bool;      (* GEP-based addressing vs raw inttoptr (ablation) *)
-  stack_size : int;    (* virtual stack bytes *)
-  max_insns : int;     (* discovery instruction budget (resource guard) *)
-  max_blocks : int;    (* discovery basic-block budget (resource guard) *)
   (* signatures of call targets, keyed by address *)
   callee_sigs : (int * signature) list;
 }
 
 let default_config =
-  { flag_cache = true; facet_cache = true; use_gep = true;
-    stack_size = 1024; max_insns = 20000; max_blocks = 2000;
-    callee_sigs = [] }
+  { flag_cache = true; facet_cache = true; use_gep = true; callee_sigs = [] }
+
+(* virtual stack bytes (Sec. III-F) *)
+let stack_size = 1024
+
+(* Resource guards of block discovery: decoded instructions and basic
+   blocks.  Exceeding one fails the lift with a typed [Lift] error. *)
+let max_insns = 20_000
+let max_blocks = 2_000
 
 (* ------------------------------------------------------------------ *)
 (* Block discovery                                                     *)
@@ -91,7 +94,7 @@ let resolve_rip a len i =
 let max_table_entries = 64
 let target_window = 0x100000
 
-let discover ~read ~entry ~max_insns ~max_blocks ~callee_sigs :
+let discover ~read ~entry ~callee_sigs :
     raw_block list =
   Fault.point ~addr:entry "lift.discover";
   (* pass 1: decode reachable instructions, collect leaders *)
@@ -1844,10 +1847,7 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
     err "more than six integer arguments unsupported";
   if List.length (List.filter (fun t -> t = F64) sg.args) > 8 then
     err "more than eight float arguments unsupported";
-  let raw =
-    discover ~read ~entry ~max_insns:config.max_insns
-      ~max_blocks:config.max_blocks ~callee_sigs:config.callee_sigs
-  in
+  let raw = discover ~read ~entry ~callee_sigs:config.callee_sigs in
   (* in-region call/ret pairing: every call-continuation address, for
      the return-address guard chain each [Ret] dispatches through *)
   let call_ras =
@@ -1873,8 +1873,8 @@ let lift_impl ?(config = default_config) ~read ~entry ~name (sg : signature) :
      returns the IR entry's exit state *)
   let setup () =
     st.cur <- empty_rstate ();
-    let stack = B.alloca st config.stack_size 16 in
-    let sp0_off = config.stack_size - 64 in
+    let stack = B.alloca st stack_size 16 in
+    let sp0_off = stack_size - 64 in
     let sp0 = B.gep st stack [ GConst sp0_off ] in
     let sp0i = B.cast st PtrToInt ~src_ty:(Ptr 0) sp0 ~dst_ty:I64 in
     st.cur.gpr.(Reg.index Reg.RSP) <- sp0i;

@@ -27,9 +27,6 @@ type config = {
   flag_cache : bool;   (** Sec. III-D; off = the Fig. 6b failure mode *)
   facet_cache : bool;  (** Sec. III-C facet value caching *)
   use_gep : bool;      (** GEP addressing; off = raw inttoptr (ablation) *)
-  stack_size : int;    (** virtual stack bytes (Sec. III-F) *)
-  max_insns : int;     (** discovery instruction budget (resource guard) *)
-  max_blocks : int;    (** discovery basic-block budget (resource guard) *)
   callee_sigs : (int * Obrew_ir.Ins.signature) list;
   (** signatures of direct call targets, keyed by address: "the called
       function [must] be at least declared with an appropriate
@@ -42,6 +39,9 @@ val default_config : config
     address [entry], reading code bytes through [read], assuming the
     System V signature [sg] (up to six integer/pointer and eight
     [F64] parameters).
+
+    Discovery stops at 20,000 decoded instructions or 2,000 basic
+    blocks (resource guards).
 
     @raise Obrew_fault.Err.Error with stage [Lift] on indirect jumps,
     unknown call targets, unsupported instructions or exceeded budgets,

@@ -1,9 +1,7 @@
 (** Function inlining.  Mirrors the paper's use of LLVM inlining:
     always-inline functions (the fixation wrapper marks the lifted
     callee always-inline, Sec. IV) are inlined unconditionally; other
-    module-resolved calls are inlined under a size threshold.  Calls
-    through known addresses ([CallPtr (CPtr a)], the shape the lifter
-    produces for x86 [call]) are resolved via [resolve_addr]. *)
+    module-resolved calls are inlined under a size threshold. *)
 
 open Obrew_ir
 open Ins
@@ -146,21 +144,14 @@ let inline_site (caller : func) (bid : int) (call_id : int)
        Idtbl.replace subst call.id (V pid)));
   Util.apply_subst caller subst
 
-type config = {
-  threshold : int;
-  resolve_addr : int -> string option; (* code address -> module function *)
-}
-
-let default_config = { threshold = default_threshold; resolve_addr = (fun _ -> None) }
-
 (* Find the next inlinable call site. *)
-let find_site (m : modul) (cfg : config) (caller : func) :
+let find_site (m : modul) ~threshold (caller : func) :
     (int * int * func * value list) option =
   let candidate name args =
     match List.find_opt (fun g -> g.fname = name) m.funcs with
     | Some callee
       when callee.fname <> caller.fname
-           && (callee.always_inline || Pp_ir.size callee <= cfg.threshold) ->
+           && (callee.always_inline || Pp_ir.size callee <= threshold) ->
       Some (callee, args)
     | _ -> None
   in
@@ -179,25 +170,18 @@ let find_site (m : modul) (cfg : config) (caller : func) :
                 match candidate name args with
                 | Some (callee, args) -> Some (b.bid, i.id, callee, args)
                 | None -> None)
-              | CallPtr (CPtr a, _, args) -> (
-                match cfg.resolve_addr a with
-                | Some name -> (
-                  match candidate name args with
-                  | Some (callee, args) -> Some (b.bid, i.id, callee, args)
-                  | None -> None)
-                | None -> None)
               | _ -> None))
           None b.instrs)
     None caller.blocks
 
 (** Inline eligible call sites in [f]; bounded to avoid explosion. *)
-let run ?(config = default_config) (m : modul) (f : func) : bool =
+let run ?(threshold = default_threshold) (m : modul) (f : func) : bool =
   let changed = ref false in
   let budget = ref 40 in
   let continue_ = ref true in
   while !continue_ && !budget > 0 do
     decr budget;
-    match find_site m config f with
+    match find_site m ~threshold f with
     | Some (bid, call_id, callee, args) ->
       if !Prov.enabled then begin
         let call_prov =

@@ -12,9 +12,6 @@ type ctx = {
   dfn : int -> op option;        (* defining op of a value id *)
   vty : int -> ty option;        (* type of a value id *)
   fast_math : bool;
-  (* read [len] constant bytes at [addr], if that address range is
-     known-constant (globals or fixed memory regions) *)
-  const_load : addr:int -> len:int -> string option;
   global_lookup : string -> global option;
 }
 
@@ -30,13 +27,12 @@ let is_allones t = function
 
 let def ctx = function V id -> ctx.dfn id | _ -> None
 
-(* Resolve a pointer value to (Global g, byte offset) or (absolute
-   address) when statically known, looking through GEPs and through
-   an address computed as an integer ([inttoptr (ptrtoint p + c)]). *)
-let rec ptr_root ctx (v : value) : [ `Global of string * int | `Abs of int ] option =
+(* Resolve a pointer value to (global, byte offset) when statically
+   known, looking through GEPs and through an address computed as an
+   integer ([inttoptr (ptrtoint p + c)]). *)
+let rec ptr_root ctx (v : value) : (string * int) option =
   match v with
-  | Global g -> Some (`Global (g, 0))
-  | CPtr a -> Some (`Abs a)
+  | Global g -> Some (g, 0)
   | V _ -> (
     match def ctx v with
     | Some (Gep (base, elts)) ->
@@ -48,8 +44,7 @@ let rec ptr_root ctx (v : value) : [ `Global of string * int | `Abs of int ] opt
         | GScaled _ :: _ -> None
       in
       (match const_off 0 elts, ptr_root ctx base with
-       | Some off, Some (`Global (g, o)) -> Some (`Global (g, o + off))
-       | Some off, Some (`Abs a) -> Some (`Abs (a + off))
+       | Some off, Some (g, o) -> Some (g, o + off)
        | _ -> None)
     | Some (Cast (IntToPtr, _, x, _)) -> int_root ctx x
     | _ -> None)
@@ -57,13 +52,8 @@ let rec ptr_root ctx (v : value) : [ `Global of string * int | `Abs of int ] opt
 
 (* The same for a 64-bit integer holding an address. *)
 and int_root ctx (v : value) =
-  let plus c = function
-    | Some (`Global (g, o)) -> Some (`Global (g, o + Int64.to_int c))
-    | Some (`Abs a) -> Some (`Abs (a + Int64.to_int c))
-    | None -> None
-  in
+  let plus c = Option.map (fun (g, o) -> (g, o + Int64.to_int c)) in
   match v with
-  | CInt (_, x) -> Some (`Abs (Int64.to_int x))
   | V _ -> (
     match def ctx v with
     | Some (Cast (PtrToInt, _, p, I64)) -> ptr_root ctx p
@@ -72,10 +62,10 @@ and int_root ctx (v : value) =
     | _ -> None)
   | _ -> None
 
-(* Read a constant of type [t] at a statically-known location. *)
+(* Read a constant of type [t] from a constant global. *)
 let try_const_load ctx t (p : value) : value option =
   match ptr_root ctx p with
-  | Some (`Global (g, off)) -> (
+  | Some (g, off) -> (
     match ctx.global_lookup g with
     | Some gl when gl.constant ->
       let len = ty_bytes t in
@@ -86,14 +76,6 @@ let try_const_load ctx t (p : value) : value option =
       end
       else None
     | _ -> None)
-  | Some (`Abs a) -> (
-    let len = ty_bytes t in
-    match ctx.const_load ~addr:a ~len with
-    | Some bytes ->
-      let buf = Bytes.create (max 16 len) in
-      Bytes.blit_string bytes 0 buf 0 len;
-      Fold.const_of_cv t (Interp.read_cv buf 0 t)
-    | None -> None)
   | None -> None
 
 (* --- GEP canonicalization ------------------------------------------- *)
@@ -364,7 +346,7 @@ let settle_fuel = 20
 (* The per-run table: the current defining instruction of every value
    id, kept current as instructions are rewritten.  Rewrites keep an
    instruction's type, so it also gives the value types. *)
-let make_ctx ~fast_math ~const_load ~global_lookup (f : func) =
+let make_ctx ~fast_math ~global_lookup (f : func) =
   let defs = Util.def_table f in
   let params = List.combine f.params f.sg.args in
   let ctx =
@@ -378,7 +360,7 @@ let make_ctx ~fast_math ~const_load ~global_lookup (f : func) =
           match Idtbl.find_opt defs id with
           | Some i -> i.ty
           | None -> List.assoc_opt id params);
-      fast_math; const_load; global_lookup }
+      fast_math; global_lookup }
   in
   (defs, ctx)
 
@@ -444,19 +426,17 @@ let sweep defs ctx (f : func) : bool =
   Util.apply_subst ~on_rebuilt:refresh f subst;
   !changed
 
-let no_const_load ~addr:_ ~len:_ = None
 let no_globals _ = None
 
 (** One instcombine sweep over a function; true when anything changed. *)
-let run_once ?(fast_math = false) ?(const_load = no_const_load)
-    ?(global_lookup = no_globals) (f : func) : bool =
-  let defs, ctx = make_ctx ~fast_math ~const_load ~global_lookup f in
+let run_once ?(fast_math = false) ?(global_lookup = no_globals) (f : func) :
+    bool =
+  let defs, ctx = make_ctx ~fast_math ~global_lookup f in
   sweep defs ctx f
 
 (** Sweep to a fixpoint, building the tables once. *)
-let run ?(fast_math = false) ?(const_load = no_const_load)
-    ?(global_lookup = no_globals) (f : func) : bool =
-  let defs, ctx = make_ctx ~fast_math ~const_load ~global_lookup f in
+let run ?(fast_math = false) ?(global_lookup = no_globals) (f : func) : bool =
+  let defs, ctx = make_ctx ~fast_math ~global_lookup f in
   let changed = ref false in
   let continue_ = ref true in
   let budget = ref 20 in

@@ -12,23 +12,15 @@ type options = {
   level : int;                  (* 0..3 *)
   fast_math : bool;             (* -ffast-math analogue *)
   force_vector_width : int option; (* -force-vector-width=N analogue *)
-  vector_aligned : bool;        (* emit aligned vector accesses (GCC-style
-                                   alignment handling) vs unaligned (JIT) *)
   inline_threshold : int;
-  resolve_addr : int -> string option; (* for inlining lifted call targets *)
-  (* constant memory oracle for fixation/setmem-style specialization *)
-  const_load : addr:int -> len:int -> string option;
-  verify_each : bool;           (* run the verifier after each pass *)
-  fuel : int;                   (* fixpoint rounds per pass group, and
-                                   unroll runs *)
 }
 
 let o3 =
   { level = 3; fast_math = true; force_vector_width = None;
-    vector_aligned = false; inline_threshold = Inline.default_threshold;
-    resolve_addr = (fun _ -> None);
-    const_load = (fun ~addr:_ ~len:_ -> None); verify_each = false;
-    fuel = 12 }
+    inline_threshold = Inline.default_threshold }
+
+(* Resource guard: fixpoint rounds per pass group, and unroll runs. *)
+let fuel = 12
 
 let o0 = { o3 with level = 0 }
 
@@ -73,19 +65,12 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
   if opts.level = 0 then ()
   else begin
     let glookup name = List.find_opt (fun g -> g.gname = name) m.globals in
-    let check name = if opts.verify_each then Verify.assert_ok ~ctx:name f in
     (* run pass [name]; true when it changed the function *)
-    let changes name g = exec name g && (bump name; check name; true) in
+    let changes name g = exec name g && (bump name; true) in
     let pass name g = ignore (changes name g) in
     let instcombine () =
-      Instcombine.run ~fast_math:opts.fast_math ~const_load:opts.const_load
-        ~global_lookup:glookup f
+      Instcombine.run ~fast_math:opts.fast_math ~global_lookup:glookup f
     in
-    let inline_cfg =
-      { Inline.threshold = opts.inline_threshold;
-        resolve_addr = opts.resolve_addr }
-    in
-    let fuel = max 1 opts.fuel in
     (* main scalar pipeline *)
     let round () =
       let changed = ref false in
@@ -113,12 +98,12 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
        do *)
     pass "dce" (fun () -> Dce.run f);
     compact ();
-    pass "inline" (fun () -> Inline.run ~config:inline_cfg m f);
+    pass "inline" (fun () -> Inline.run ~threshold:opts.inline_threshold m f);
     to_fixpoint fuel;
     (* loop transforms, then re-run the scalar pipeline *)
     if opts.level >= 2 then begin
       pass "licm" (fun () -> Licm.run f);
-      to_fixpoint (max 1 (fuel / 2));
+      to_fixpoint (fuel / 2);
       (* each unroll run peels one loop and leaves the peeled branches
          to the scalar rounds, which fold them and so leave remaining
          loops canonical before vectorization *)
@@ -130,8 +115,7 @@ let run_func_with ~(exec : string -> (unit -> bool) -> bool)
       do decr budget done;
       (match opts.force_vector_width with
        | Some w when opts.level >= 2 ->
-         pass "vectorize" (fun () ->
-             Vectorize.run ~width:w ~aligned:opts.vector_aligned f)
+         pass "vectorize" (fun () -> Vectorize.run ~width:w f)
        | _ -> ());
       to_fixpoint fuel
     end;
@@ -211,7 +195,7 @@ let run_func_checked ?(opts = o3) (m : modul) (f : func) :
       | exception exn -> drop (Err.of_exn ~stage:Err.Opt exn)
     end
   in
-  run_func_with ~exec ~opts:{ opts with verify_each = false } m f;
+  run_func_with ~exec ~opts m f;
   List.rev !dropped
 
 (** {!run} with the verifier gate on every function of the module. *)

@@ -11,17 +11,7 @@ type options = {
   force_vector_width : int option;   (** -force-vector-width=N; [None]
                                          reproduces "LLVM considers
                                          vectorization non-beneficial" *)
-  vector_aligned : bool;             (** emit aligned vector accesses *)
   inline_threshold : int;            (** IR-size bound for inlining *)
-  resolve_addr : int -> string option;
-  (** map code addresses to module functions so the inliner can inline
-      lifted call targets *)
-  const_load : addr:int -> len:int -> string option;
-  (** constant-memory oracle for setmem-style specialization *)
-  verify_each : bool;                (** run the verifier after passes *)
-  fuel : int;                        (** fixpoint rounds per pass group,
-                                         and unroll runs (resource
-                                         guard) *)
 }
 
 (** -O3 with fast-math, no forced vectorization. *)
@@ -36,7 +26,9 @@ type stats = { mutable pass_changes : (string * int) list }
     study the paper motivates in Sec. VIII). *)
 val stats : stats
 
-(** Optimize one function of [m] in place. *)
+(** Optimize one function of [m] in place.  A resource guard ([fuel],
+    12, in pipeline.ml) bounds each pass group's fixpoint and the
+    unroll loop. *)
 val run_func : ?opts:options -> Ins.modul -> Ins.func -> unit
 
 (** {!run_func} with every pass run routed through [exec name run]:

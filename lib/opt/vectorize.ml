@@ -84,7 +84,7 @@ let gep_ok ~iv ~is_inv elts =
          | GScaled (v, _) -> is_inv v)
        elts
 
-let run ~width ?(aligned = false) (f : func) : bool =
+let run ~width (f : func) : bool =
   if width <> 2 then false
   else
     match find_plan f with
@@ -208,7 +208,8 @@ let run ~width ?(aligned = false) (f : func) : bool =
             Obrew_fault.Err.fail Obrew_fault.Err.Opt
               "vectorize: unexpected operand"
         in
-        let align = if aligned then 16 else 8 in
+        (* the JIT cannot assume 16-byte alignment: unaligned (8) *)
+        let align = 8 in
         List.iter
           (fun i ->
             if i.id = p.iv || i.id = p.next || i.id = p.cmp then ()

@@ -42,14 +42,6 @@ let default_policy =
   { first_k = 4; sample_n = 64; suspect_n = 4; decay_streak = 16;
     heal_max = 3; heal_base = 8; heal_cap = 256 }
 
-(** Overlay the {!Obrew_fault.Guards.t} heal knobs onto [base], so the
-    retry loop shares the pipeline's fuel bundle. *)
-let policy_of_guards ?(base = default_policy) (g : Obrew_fault.Guards.t) =
-  { base with
-    heal_max = g.Obrew_fault.Guards.heal_max_attempts;
-    heal_base = g.Obrew_fault.Guards.heal_backoff_base;
-    heal_cap = g.Obrew_fault.Guards.heal_backoff_cap }
-
 type entry = {
   e_digest : string;            (** content digest of the translation *)
   e_mode : string;              (** transform mode that produced it *)

@@ -34,7 +34,6 @@ module Modes = Obrew_core.Modes
 module Robust = Obrew_core.Robust
 module Stencil = Obrew_stencil.Stencil
 module Err = Obrew_fault.Err
-module Guards = Obrew_fault.Guards
 module Quarantine = Obrew_fault.Quarantine
 module Tel = Obrew_telemetry.Telemetry
 module Json = Obrew_json.Json
@@ -65,7 +64,11 @@ let callee_saved =
   [ (Reg.RBX, "rbx"); (Reg.RSP, "rsp"); (Reg.RBP, "rbp");
     (Reg.R12, "r12"); (Reg.R13, "r13"); (Reg.R14, "r14"); (Reg.R15, "r15") ]
 
-type obs = { ob_data : string; ob_regs : int64 list }
+type obs = {
+  ob_data : string;
+  ob_regs : int64 list;
+  ob_insns : int;  (* instructions the probe run executed *)
+}
 
 type divergence = { dv_slot : string; dv_ref : string; dv_got : string }
 
@@ -99,9 +102,9 @@ let fill_probe_state (img : Image.t) (w : Stencil.workload) =
   done
 
 (** Run one probe on a fork of [env]'s image: fill the synthetic state,
-    call [fn_of fork] with [args], and collect the observable result.
-    The fork is discarded afterwards — the real image never sees probe
-    state. *)
+    call [fn_of fork] with [args], and collect the observable result and
+    the number of instructions the run took.  The fork is discarded
+    afterwards — the real image never sees probe state. *)
 let observe ?(max_insns = probe_budget) env ~(args : int64 list)
     ~(fn_of : Image.t -> int) : (obs, Err.t) result =
   let img = Image.fork env.Modes.img in
@@ -109,15 +112,15 @@ let observe ?(max_insns = probe_budget) env ~(args : int64 list)
   Image.reset_stack img;
   match
     let fn = fn_of img in
-    Image.call ~args ~max_insns img ~fn
+    Image.measure img (fun () -> Image.call ~args ~max_insns img ~fn)
   with
-  | _ ->
+  | _, _, insns ->
     let len = img.Image.next_data - Image.data_base in
     let data = Mem.read_bytes img.Image.cpu.Cpu.mem Image.data_base len in
     let regs =
       List.map (fun (r, _) -> Cpu.get_reg64 img.Image.cpu r) callee_saved
     in
-    Ok { ob_data = data; ob_regs = regs }
+    Ok { ob_data = data; ob_regs = regs; ob_insns = insns }
   | exception Err.Error e -> Error e
 
 let first_byte_diff (a : string) (b : string) : int option =
@@ -199,10 +202,12 @@ let shadow_check ?(salt = 1) env kind style ~(kernel : int) : outcome =
 
 let repro_seq = ref 0
 
-(* Tighter watchdog for shrink probes: deletion candidates routinely
-   run away into unmapped memory, and paying the full probe budget for
-   each would make shrinking the dominant cost of a quarantine. *)
-let shrink_probe_budget = 200_000
+(* Watchdog of a shrink probe, as a multiple of the reference run's
+   instructions: deletion candidates routinely run away (a deleted
+   loop exit spins until the watchdog trips), and a fixed budget far
+   above the kernel's own run would make those candidates the dominant
+   cost of a quarantine. *)
+let shrink_probe_mult = 64
 
 (* Delta-debug the kernel's disassembly with the oracle's shrinker,
    keeping only candidates that reproduce the *same category* of catch
@@ -223,7 +228,7 @@ let shrink_kernel_bytes env kind style ~kernel ~(bytes : string)
         bs <> ""
         &&
         match
-          observe ~max_insns:shrink_probe_budget env ~args
+          observe ~max_insns:(shrink_probe_mult * ref_o.ob_insns) env ~args
             ~fn_of:(fun img -> Image.install_bytes img bs)
         with
         | Error _ -> want_fault
@@ -386,9 +391,9 @@ let schedule_heal (policy : H.policy) (req : req) =
     quarantined and the walk continues one tier down; Native — the
     original binary, the ground truth the probes compare against — is
     adopted unvalidated as the floor. *)
-let rec acquire ~(policy : H.policy) ?guards ~out_dir env (req : req)
+let rec acquire ~(policy : H.policy) ~out_dir env (req : req)
     (from : Modes.transform) : unit =
-  let r = Modes.transform_safe ?guards env req.rq_kind req.rq_style from in
+  let r = Modes.transform_safe env req.rq_kind req.rq_style from in
   let used = r.Modes.used in
   let kernel = r.Modes.kernel in
   let native = Modes.native_addr env req.rq_kind req.rq_style in
@@ -421,7 +426,7 @@ let rec acquire ~(policy : H.policy) ?guards ~out_dir env (req : req)
           (Modes.style_name req.rq_style)
           (Modes.transform_name used)
           (Modes.transform_name next);
-        acquire ~policy ?guards ~out_dir env req next
+        acquire ~policy ~out_dir env req next
       | _ ->
         logf "demoted %s/%s %s -> %s" (Modes.kind_name req.rq_kind)
           (Modes.style_name req.rq_style)
@@ -447,14 +452,9 @@ type serve_result = {
     serves return the cached kernel under sampled re-validation, demote
     on a caught divergence and retry the requested tier once the
     backoff expires. *)
-let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
+let serve ?(policy = H.default_policy) ?out_dir env kind style
     (want : Modes.transform) : serve_result =
   incr tick;
-  let policy =
-    match guards with
-    | Some g -> H.policy_of_guards ~base:policy g
-    | None -> policy
-  in
   let key = req_key env kind style want in
   let req =
     match Hashtbl.find_opt requests key with
@@ -473,7 +473,7 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
   let event = ref None in
   let note_event s = event := Some s in
   if req.rq_kernel = 0 then begin
-    acquire ~policy ?guards ~out_dir env req want;
+    acquire ~policy ~out_dir env req want;
     if demoted req then begin
       note_event
         (Printf.sprintf "demoted to %s" (Modes.transform_name req.rq_mode));
@@ -488,7 +488,7 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
     (* self-healing recompilation of the requested tier *)
     req.rq_heal_attempts <- req.rq_heal_attempts + 1;
     incr heal_retries_count;
-    acquire ~policy ?guards ~out_dir env req want;
+    acquire ~policy ~out_dir env req want;
     if not (demoted req) then begin
       Robust.record_sentinel_heal ();
       Flight.(
@@ -555,7 +555,7 @@ let serve ?(policy = H.default_policy) ?guards ?out_dir env kind style
             (Modes.style_name style)
             (Modes.transform_name req.rq_mode)
             (Modes.transform_name lower);
-          acquire ~policy ?guards ~out_dir env req lower;
+          acquire ~policy ~out_dir env req lower;
           req.rq_heal_attempts <- 0;
           schedule_heal policy req
         end

@@ -156,7 +156,6 @@ and t = {
   mutable at : int;            (* chain index of the last instruction
                                   entered that can raise *)
   mutable pmark : int;         (* [acc] at the profiler's last probe *)
-  cost : Cost.t;
 }
 
 (* never-valid sentinel filling empty [bcache], RAS and successor
@@ -176,7 +175,7 @@ let bcache_slots = 64
 (* a power of two *)
 let ras_size = 16
 
-let create ?(cost = Cost.default) () =
+let create () =
   { mem = Mem.create (); regs = i64buf 16;
     xlo = i64buf 16; xhi = i64buf 16; rip = 0;
     zf = false; sf = false; cf = false; o_f = false; pf = false; af = false;
@@ -190,7 +189,7 @@ let create ?(cost = Cost.default) () =
     fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
-    acc = 0; at = 0; pmark = 0; cost }
+    acc = 0; at = 0; pmark = 0 }
 
 (* -------- scalar helpers -------- *)
 
@@ -412,7 +411,7 @@ let materialize cpu =
     write freely without the other observing it. *)
 let fork (cpu : t) : t =
   materialize cpu;
-  let c = { (create ~cost:cpu.cost ()) with mem = Mem.clone cpu.mem } in
+  let c = { (create ()) with mem = Mem.clone cpu.mem } in
   A1.blit cpu.regs c.regs;
   A1.blit cpu.xlo c.xlo;
   A1.blit cpu.xhi c.xhi;
@@ -664,7 +663,7 @@ let exec cpu (i : insn) =
   (* the eager interpreter reads and writes the flag fields directly,
      so any pending lazy record must be forced first *)
   materialize cpu;
-  let c = cpu.cost in
+  let c = Cost.default in
   let check_align16 m =
     let a = resolve cpu m in
     if not (is_16aligned a) then cpu.acc <- cpu.acc + c.unaligned_vec
@@ -1003,7 +1002,7 @@ let step cpu =
   cpu.acc <- 0;
   exec cpu i;
   cpu.icount <- cpu.icount + 1;
-  let c = Cost.insn_cost cpu.cost i + cpu.acc in
+  let c = Cost.insn_cost Cost.default i + cpu.acc in
   cpu.cycles <- cpu.cycles + c;
   if !Prov.enabled then Prov.record_insn a c
 
@@ -1218,7 +1217,8 @@ let threaded (f : op) : op = Sys.opaque_identity f
    the rip the single-step engine would and the block executor can
    account the executed prefix exactly.  The chain's end stores the
    fall-through rip of a block that ends in no control transfer. *)
-let translate ?(dead_flags = false) (c : Cost.t) ~rip (i : insn) : tmpl =
+let translate ?(dead_flags = false) ~rip (i : insn) : tmpl =
+  let c = Cost.default in
   match i with
   (* dead-flag variants: the block-local liveness scan proved this
      insn's flag write is overwritten before any reader/exit/fault, so
@@ -2031,8 +2031,9 @@ let[@inline] logic_holds w cc r =
    computes the comparison, records the lazy flags and branches on the
    direct predicate.  [rip] is the rip after the cmp/test (its operand
    may be RIP-relative), [ft] the one after the jcc. *)
-let pair_tmpl (c : Cost.t) i1 cc ~rip ~tgt ~ft : tmpl =
-  let taken = c.branch_taken and not_taken = c.branch_not_taken in
+let pair_tmpl i1 cc ~rip ~tgt ~ft : tmpl =
+  let taken = Cost.default.branch_taken
+  and not_taken = Cost.default.branch_not_taken in
   match i1 with
   | Alu (Cmp, w, d, s) ->
     let a = src_of ~rip w d and b = src_of ~rip w s in
@@ -2088,7 +2089,7 @@ let probe addr cost (next : op) : op =
    predicated op; the profiler's chain ([profile]) keeps them apart and
    probes after every instruction. *)
 let build_chain cpu (bd : body) ~profile : op =
-  let c = cpu.cost and insns = bd.bd_insns in
+  let insns = bd.bd_insns in
   let n = Array.length insns in
   (* the template of the last one or two instructions, and how many
      instructions it runs *)
@@ -2100,7 +2101,7 @@ let build_chain cpu (bd : body) ~profile : op =
                | Alu (Cmp, _, _, _) | Test _ -> true
                | _ -> false) ->
       cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
-      (pair_tmpl c insns.(n - 2) cc ~rip:bd.bd_addrs.(n - 1) ~tgt
+      (pair_tmpl insns.(n - 2) cc ~rip:bd.bd_addrs.(n - 1) ~tgt
          ~ft:bd.bd_fall, 2)
     | _ -> (bd.bd_tmpls.(n - 1), 1)
   in
@@ -2131,11 +2132,11 @@ let build_block cpu entry : sblock =
       rips.(k) <- next;
       addrs.(k) <- a)
     run;
-  let costs = Cost.insn_costs cpu.cost insns in
+  let costs = Cost.insn_costs Cost.default insns in
   let dead = dead_flag_writes insns in
   let tmpls =
     Array.mapi
-      (fun k ins -> translate ~dead_flags:dead.(k) cpu.cost ~rip:rips.(k) ins)
+      (fun k ins -> translate ~dead_flags:dead.(k) ~rip:rips.(k) ins)
       insns
   in
   Array.iter (fun d -> if d then cpu.fl_dead <- cpu.fl_dead + 1) dead;

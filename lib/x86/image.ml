@@ -25,8 +25,8 @@ let stack_size = 0x10_0000 (* 1 MiB *)
 
 let next_uid = ref 0
 
-let create ?cost () =
-  let cpu = Cpu.create ?cost () in
+let create () =
+  let cpu = Cpu.create () in
   incr next_uid;
   let t =
     { uid = !next_uid; cpu; next_code = code_base; next_data = data_base;

@@ -29,7 +29,7 @@ val stack_base : int
 val stack_size : int
 
 (** Fresh image with an empty address space and the stack pointer set. *)
-val create : ?cost:Cost.t -> unit -> t
+val create : unit -> t
 
 (** Deep copy (CPU, memory, symbols, install caches) with a fresh
     [uid], for the sentinel's shadow runs: either side can run and

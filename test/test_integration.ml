@@ -72,6 +72,37 @@ let expect_lift_error items sg msg_part () =
        has 0)
   | _ -> Alcotest.fail "expected a lift error"
 
+(* ------------------------------------------------------------------ *)
+(* Resource budgets: each fails its stage with a typed error           *)
+(* ------------------------------------------------------------------ *)
+
+(* [cmp rdi, k; je exit] 2,001 times: 2,002 basic blocks (every
+   fall-through plus the entry) in 4,003 instructions, so the lifter's
+   2,000-block budget trips long before its instruction budget *)
+let many_blocks_code =
+  List.concat
+    (List.init 2001 (fun k ->
+         [ I (Alu (Cmp, W64, OReg Reg.RDI, OImm (Int64.of_int k)));
+           I (Jcc (E, Lbl 0)) ]))
+  @ [ L 0; I Ret ]
+
+(* one block of 20,001 [add rax, rdi]: rdi is not fixed, so DBrew
+   emits every add and trips its 20,000-instruction emission budget
+   with a single trace point, far below the 256-variant budget *)
+let long_block_code =
+  List.init 20_001 (fun _ -> I (Alu (Add, W64, OReg Reg.RAX, OReg Reg.RDI)))
+  @ [ I Ret ]
+
+let test_dbrew_emission_budget () =
+  let img = Image.create () in
+  let fn = Image.install_code img long_block_code in
+  let r = Api.dbrew_new img fn in
+  check cint "falls back to the original" fn (Api.dbrew_rewrite ~memo:false r);
+  check
+    Alcotest.(option string)
+    "typed error" (Some "[encode] emission budget of 20000 instructions exceeded")
+    (Option.map Obrew_fault.Err.to_string r.Api.last_error)
+
 (* an indirect jump with no derivable target set no longer rejects the
    whole region at lift time: the branch lowers to a guarded side-exit
    that raises a typed error only if actually reached at runtime *)
@@ -669,6 +700,13 @@ let () =
            test_lift_rejects_unknown_callee;
          Alcotest.test_case "too many args" `Quick
            test_lift_rejects_many_args ]);
+      ("resource budgets",
+       [ Alcotest.test_case "lifter basic blocks" `Quick
+           (expect_lift_error many_blocks_code
+              { Ins.args = [ I64 ]; ret = Some I64 }
+              "[lift] function has too many basic blocks (budget: 2000)");
+         Alcotest.test_case "dbrew emission" `Quick
+           test_dbrew_emission_budget ]);
       ("dbrew widening",
        [ Alcotest.test_case "converges" `Quick test_widening_converges;
          Alcotest.test_case "nested loops" `Quick

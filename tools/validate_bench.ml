@@ -3,7 +3,7 @@
      validate_bench BENCH_fig9a.json [BENCH_fig9b.json ...]
      validate_bench --trace trace.json
      validate_bench --remarks remarks.json --profile profile.json
-     validate_bench compare BASELINE.json CURRENT.json [--tol PCT]
+     validate_bench compare BASELINE.json CURRENT.json [--tol-mips PCT]
 
    Checks BENCH_*.json files (written by `bench --json`),
    chrome://tracing files (written by `--trace`), optimizer-remark
@@ -11,12 +11,12 @@
    shapes CI depends on, so a schema drift fails the pipeline instead
    of silently producing unreadable artifacts.  The `compare`
    subcommand diffs two BENCH files row by row and exits nonzero when
-   any row's wall time regressed by more than the tolerance (default
-   10%) — the first consumer of the cross-PR bench trajectory — or when
    any row's simulated cycles differ at all: cycles are the paper's
    result and deterministic, so they change only with the baseline.  It
    also prints the aggregate emulated-MIPS delta, and `--tol-mips PCT`
-   makes a throughput drop beyond PCT a hard failure.
+   makes a throughput drop beyond PCT a hard failure.  Host time is
+   not gated per row: a row is one sub-millisecond run, too short to
+   tell a regression from noise.
 
    Each artifact's shape is one declarative field spec below, checked
    by [check] over the [Json] module's parser; only the invariants that
@@ -125,12 +125,12 @@ let obj_at = read (Map Any) (function Json.Obj kvs -> kvs | _ -> [])
 (* ------------------------------------------------------------------ *)
 
 (* BENCH files: every schema version shares this spec.  It ignores
-   members it does not name, so the committed v2 baselines, which still
-   carry serve_latency/stage_latency objects, stay valid and
+   members it does not name, so v2 files (serve_latency/stage_latency
+   objects) and v3 files (per-row wall_ns/wall_s) stay valid and
    comparable.  The tier figure shares the version number.  Counter
    objects may nest (superblocks.fused_pairs is a per-pattern
    breakdown); every leaf must be a non-negative integer. *)
-let bench_versions = int_in [ 1; 2; 3 ]
+let bench_versions = int_in [ 1; 2; 3; 4 ]
 
 let bench_spec =
   [ ("schema_version", bench_versions);
@@ -143,7 +143,7 @@ let bench_spec =
        (Map
           (Fields
              [ ("kind", str); ("mode", str); ("cycles", int_min 1);
-               ("insns", int_min 1); ("wall_ns", nat); ("wall_s", num) ])));
+               ("insns", int_min 1) ])));
     ("emulated_mips", num_nat);
     ("superblocks", Counts);
     ("transform_memo", Counts);
@@ -392,20 +392,18 @@ let load path =
 let delta b c = if b = 0.0 then 0.0 else 100.0 *. ((c /. b) -. 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* compare: wall-time and exact-cycle gate over two BENCH files       *)
+(* compare: exact-cycle and MIPS gate over two BENCH files            *)
 (* ------------------------------------------------------------------ *)
 
-(* Index a BENCH file's rows by their "Kind/Mode" name. *)
+(* Index a BENCH file's rows' cycles by their "Kind/Mode" name. *)
 let bench_rows ctx j =
   List.map
     (fun (name, row) ->
       let rctx = Printf.sprintf "%s.rows[%s]" ctx name in
-      ( name,
-        ( float_of_int (int_at rctx row [ "wall_ns" ]),
-          float_of_int (int_at rctx row [ "cycles" ]) ) ))
+      (name, int_at rctx row [ "cycles" ]))
     (obj_at ctx j [ "rows" ])
 
-let compare_bench ~tol ~tol_mips base_path cur_path =
+let compare_bench ~tol_mips base_path cur_path =
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
@@ -415,20 +413,17 @@ let compare_bench ~tol ~tol_mips base_path cur_path =
     fail "compare: section mismatch (%s vs %s)" bsec csec;
   let brows = bench_rows bctx base in
   let crows = bench_rows cctx cur in
-  let drifts = ref [] in
-  let regressions =
+  let drifts =
     List.filter_map
-      (fun (name, (bw, bc)) ->
+      (fun (name, bc) ->
         match List.assoc_opt name crows with
         | None ->
           Printf.printf "  %-28s dropped from current\n" name;
           None
-        | Some (cw, cc) ->
-          let dw = delta bw cw in
-          Printf.printf "  %-28s wall %+7.1f%%  cycles %+7.1f%%\n" name dw
-            (delta bc cc);
-          if cc <> bc then drifts := (name, bc, cc) :: !drifts;
-          if dw > tol then Some (name, dw) else None)
+        | Some cc ->
+          Printf.printf "  %-28s cycles %+7.1f%%\n" name
+            (delta (float_of_int bc) (float_of_int cc));
+          if cc <> bc then Some (name, bc, cc) else None)
       brows
   in
   List.iter
@@ -439,8 +434,7 @@ let compare_bench ~tol ~tol_mips base_path cur_path =
   (* Throughput gate: the aggregate emulated-MIPS figure is the PR
      trajectory's headline metric, so compare always prints the delta and
      --tol-mips turns a drop beyond the given percentage into a failure.
-     MIPS regressions are drops (current below baseline), unlike wall
-     time where regressions are increases. *)
+     MIPS regressions are drops (current below baseline). *)
   let bmips = num_at bctx base [ "emulated_mips" ] in
   let cmips = num_at cctx cur [ "emulated_mips" ] in
   let dmips = delta bmips cmips in
@@ -456,20 +450,14 @@ let compare_bench ~tol ~tol_mips base_path cur_path =
       true
     | _ -> false
   in
-  List.iter
-    (fun (name, dw) ->
-      Printf.eprintf "FAIL %s: wall time of %s regressed %.1f%% (> %.0f%%)\n"
-        bsec name dw tol)
-    regressions;
   (* exact gate: simulated cycles are machine-independent *)
   List.iter
     (fun (name, bc, cc) ->
-      Printf.eprintf "FAIL %s: cycles of %s drifted (%.0f -> %.0f)\n" bsec
-        name bc cc)
-    (List.rev !drifts);
-  if regressions <> [] || !drifts <> [] || mips_failed then exit 1;
-  Printf.printf "compare %s: OK (%d rows, tolerance %.0f%%)\n" bsec
-    (List.length brows) tol
+      Printf.eprintf "FAIL %s: cycles of %s drifted (%d -> %d)\n" bsec name
+        bc cc)
+    drifts;
+  if drifts <> [] || mips_failed then exit 1;
+  Printf.printf "compare %s: OK (%d rows)\n" bsec (List.length brows)
 
 (* ------------------------------------------------------------------ *)
 (* compare-tier: per-strategy cycle gate over two tier figures         *)
@@ -523,8 +511,8 @@ let usage () =
      BENCH_*.json] ...\n\
     \       [--sentinel-min-divergences N] [--sentinel-min-demotions N]\n\
     \       [--blackbox-require-chain k1,k2,...]\n\
-    \       validate_bench compare BASELINE.json CURRENT.json [--tol PCT] \
-     [--tol-mips PCT]\n\
+    \       validate_bench compare BASELINE.json CURRENT.json [--tol-mips \
+     PCT]\n\
     \       validate_bench compare-tier BASELINE.json CURRENT.json \
      [--tol PCT]";
   exit 2
@@ -551,13 +539,10 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | [] -> usage ()
   | "compare" :: rest -> (
-    let tol, files = compare_args [ "--tol"; "--tol-mips" ] rest in
+    let tol, files = compare_args [ "--tol-mips" ] rest in
     match files with
     | [ base; cur ] ->
-      gate (fun () ->
-          compare_bench
-            ~tol:(Option.value ~default:10.0 (tol "--tol"))
-            ~tol_mips:(tol "--tol-mips") base cur)
+      gate (fun () -> compare_bench ~tol_mips:(tol "--tol-mips") base cur)
     | _ -> usage ())
   | "compare-tier" :: rest -> (
     let tol, files = compare_args [ "--tol" ] rest in
